@@ -23,7 +23,7 @@ from .cohort import Cohort, Patient
 from .karyogram import load_band_table, rollup_to_arms
 from .ndiff import Tape, Tensor
 from .optim import AdamW, warmup_cosine_lr
-from .pretrain import TrainingError
+from .pretrain import TrainingError, embed_bags
 
 logger = logging.getLogger(__name__)
 
@@ -301,11 +301,6 @@ def _slide_embedding_dim(agg_config: AggregatorConfig, mode: str) -> int:
     return agg_config.input_dim if mode == "mean_pool" else agg_config.embed_dim
 
 
-def _slide_constant(patient: Patient, mode: str) -> np.ndarray:
-    # mean_pool: unweighted average of the raw cell embeddings
-    return patient.bag.cells.mean(axis=0)
-
-
 def init_align_params(
     agg_config: AggregatorConfig,
     config: AlignConfig,
@@ -333,11 +328,24 @@ def _aggregator_subset(params: dict[str, Tensor]) -> dict[str, Tensor]:
     return {k[len("agg."):]: v for k, v in params.items() if k.startswith("agg.")}
 
 
+def slide_embeddings(
+    patients: list[Patient],
+    params: dict[str, Tensor],
+    agg_config: AggregatorConfig,
+    config: AlignConfig,
+) -> np.ndarray:
+    """Each patient's untaped slide embedding: the full-bag CLS under the
+    ``agg.*`` params, or for mean_pool the unweighted average of the raw
+    cell embeddings."""
+    if config.aggregator_mode == "mean_pool":
+        return np.stack([p.bag.cells.mean(axis=0) for p in patients])
+    return embed_bags([p.bag for p in patients], _aggregator_subset(params), agg_config)
+
+
 def _slide_batch(
     patients: list[Patient],
     params: dict[str, Tensor],
     agg_config: AggregatorConfig,
-    mode: str,
     cache: np.ndarray | None,
     batch: np.ndarray,
 ) -> Tensor:
@@ -391,15 +399,8 @@ def train_align(
 
     trainable = dict(params)
     slide_cache = None
-    if config.aggregator_mode == "mean_pool":
-        slide_cache = np.stack([_slide_constant(p, "mean_pool") for p in train])
-        trainable = {k: v for k, v in params.items() if not k.startswith("agg.")}
-    elif config.aggregator_mode == "frozen":
-        agg_params = _aggregator_subset(params)
-        slide_cache = np.stack([
-            forward(p.bag.cells, np.empty(0, np.int64), agg_params, agg_config).cls.data[0]
-            for p in train
-        ])
+    if config.aggregator_mode != "finetune":
+        slide_cache = slide_embeddings(train, params, agg_config, config)
         trainable = {k: v for k, v in params.items() if not k.startswith("agg.")}
 
     optimizer = AdamW(
@@ -418,8 +419,7 @@ def train_align(
         for batch in stratified_batches(labels, config.batch_size, rng):
             batch_labels = np.array([labels[i] for i in batch])
             with Tape() as tape:
-                slide = _slide_batch(train, params, agg_config,
-                                     config.aggregator_mode, slide_cache, batch)
+                slide = _slide_batch(train, params, agg_config, slide_cache, batch)
                 z_s = project(slide, params, "proj_s")
                 z_k = project(Tensor(karyo[batch]), params, "proj_k")
                 z_m = project(Tensor(mut[batch]), params, "proj_m")
@@ -479,14 +479,7 @@ def project_slides(
     withbags = [p for p in patients if p.bag is not None]
     if not withbags:
         raise ValueError("no patients with cell bags")
-    agg_params = _aggregator_subset(params)
-    if config.aggregator_mode == "mean_pool":
-        slide = np.stack([_slide_constant(p, "mean_pool") for p in withbags])
-    else:
-        slide = np.stack([
-            forward(p.bag.cells, np.empty(0, np.int64), agg_params, agg_config).cls.data[0]
-            for p in withbags
-        ])
+    slide = slide_embeddings(withbags, params, agg_config, config)
     z_s = project(Tensor(slide.astype(np.float32)), params, "proj_s").data
     ids = [p.patient_id for p in withbags]
     return ids, slide.astype(np.float32), z_s.astype(np.float32)
@@ -500,18 +493,17 @@ def embed_cohort(
 ) -> AlignedTable:
     """Project every complete patient into the shared space (no gradients)."""
     patients = [p for p in cohort.patients if p.complete]
-    _, slide, _ = project_slides(patients, params, agg_config, config)
+    _, slide, z_s = project_slides(patients, params, agg_config, config)
     karyo = _karyotype_matrix(patients, config.karyotype_resolution)
     mut = np.stack([p.mutations for p in patients]).astype(np.float32)
-    z_s = project(Tensor(slide.astype(np.float32)), params, "proj_s").data
     z_k = project(Tensor(karyo), params, "proj_k").data
     z_m = project(Tensor(mut), params, "proj_m").data
     return AlignedTable(
         patient_ids=[p.patient_id for p in patients],
         labels=[p.label for p in patients],
         splits=[p.split for p in patients],
-        slide=slide.astype(np.float32),
-        z_slide=z_s.astype(np.float32),
+        slide=slide,
+        z_slide=z_s,
         z_karyotype=z_k.astype(np.float32),
         z_mutation=z_m.astype(np.float32),
     )

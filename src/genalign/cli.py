@@ -2,8 +2,9 @@
 embed, retrieve, evaluate, ablate, inspect.
 
 Heavy modules are imported inside the handlers so ``--threads`` can cap the
-BLAS pool before numpy loads.  Every command writes a run manifest (config
-hash, seed, artifact checksums, wall time) next to its outputs.
+BLAS pool before numpy loads.  A handler returns ``(out_dir, config, seed,
+artifacts)``; ``main`` times it and writes the run manifest (config hash,
+seed, artifact checksums, wall time) next to its outputs.
 """
 
 from __future__ import annotations
@@ -26,12 +27,16 @@ def _set_threads(n: int) -> None:
         os.environ[var] = str(n)
 
 
+def _check_keys(data: dict, allowed, path: str | None, what: str) -> None:
+    unknown = set(data) - set(allowed)
+    if unknown:
+        raise ValueError(f"{path}: unknown {what}: {sorted(unknown)}")
+
+
 def _load_section(raw: dict, section: str, config_cls, path: str):
     data = raw.get(section, {})
-    allowed = {f.name for f in dataclass_fields(config_cls)}
-    unknown = set(data) - allowed
-    if unknown:
-        raise ValueError(f"{path}: unknown {section} config keys: {sorted(unknown)}")
+    _check_keys(data, {f.name for f in dataclass_fields(config_cls)}, path,
+                f"{section} config keys")
     return config_cls(**data)
 
 
@@ -40,22 +45,34 @@ def _read_json(path: str) -> dict:
         return json.load(fh)
 
 
+def _read_sections(path: str | None, sections: set[str]) -> dict:
+    """Sectioned config JSON (empty without a path); unknown sections fail."""
+    raw = _read_json(path) if path else {}
+    _check_keys(raw, sections, path, "config sections")
+    return raw
+
+
+def _load_stage1(path: str):
+    """Student params and aggregator config of a stage-1 checkpoint."""
+    from .aggregator import AggregatorConfig
+    from .pretrain import load_checkpoint
+
+    student, _, ckpt_config = load_checkpoint(path)
+    return student, AggregatorConfig(**ckpt_config["aggregator"])
+
+
 def _apply_seed(config, seed_flag):
     if seed_flag is not None:
         config.seed = seed_flag
     return config
 
 
-def cmd_synth(args) -> int:
-    from . import gbio
+def cmd_synth(args):
     from .synthcohort import SynthConfig, generate, oracle_report
 
-    started = time.time()
     raw = _read_json(args.config) if args.config else {}
-    allowed = {f.name for f in dataclass_fields(SynthConfig)}
-    unknown = set(raw) - allowed
-    if unknown:
-        raise ValueError(f"{args.config}: unknown config keys: {sorted(unknown)}")
+    _check_keys(raw, {f.name for f in dataclass_fields(SynthConfig)}, args.config,
+                "config keys")
     config = _apply_seed(SynthConfig(**raw), args.seed)
     cohort = generate(config)
     out_dir = Path(args.out_dir)
@@ -65,12 +82,11 @@ def cmd_synth(args) -> int:
         json.dumps(oracle_report(cohort, config), sort_keys=True, indent=2) + "\n"
     )
     paths.append(oracle_path)
-    gbio.write_manifest(out_dir, "synth", config.to_dict(), config.seed, paths, started)
     logger.info("wrote cohort of %d patients to %s", len(cohort), out_dir)
-    return 0
+    return out_dir, config.to_dict(), config.seed, paths
 
 
-def cmd_encode_karyotype(args) -> int:
+def cmd_encode_karyotype(args):
     import numpy as np
 
     from . import gbio
@@ -82,7 +98,6 @@ def cmd_encode_karyotype(args) -> int:
         rollup_to_arms,
     )
 
-    started = time.time()
     table = load_band_table()
     ids, rows, warnings = [], [], []
     with open(args.infile, newline="") as fh:
@@ -116,24 +131,17 @@ def cmd_encode_karyotype(args) -> int:
         "lenient": bool(args.lenient),
         "warnings": warnings,
     }
-    gbio.write_manifest(Path(args.out).parent, "encode-karyotype", config,
-                        args.seed or 0, [args.out], started)
     logger.info("encoded %d karyotypes -> %s", len(ids), args.out)
-    return 0
+    return Path(args.out).parent, config, args.seed or 0, [args.out]
 
 
-def cmd_pretrain(args) -> int:
-    from . import gbio
+def cmd_pretrain(args):
     from .aggregator import AggregatorConfig, cap_bag
     from .cohort import load_cohort
     from .pretrain import PretrainConfig, train_pretrain
     import numpy as np
 
-    started = time.time()
-    raw = _read_json(args.config) if args.config else {}
-    unknown = set(raw) - {"aggregator", "pretrain"}
-    if unknown:
-        raise ValueError(f"{args.config}: unknown config sections: {sorted(unknown)}")
+    raw = _read_sections(args.config, {"aggregator", "pretrain"})
     agg_config = _load_section(raw, "aggregator", AggregatorConfig, args.config or "")
     config = _apply_seed(
         _load_section(raw, "pretrain", PretrainConfig, args.config or ""), args.seed
@@ -147,35 +155,26 @@ def cmd_pretrain(args) -> int:
     result = train_pretrain(bags, agg_config, config, metrics_path=metrics_path)
     result.save(args.out)
     artifacts = [args.out] + ([metrics_path] if metrics_path else [])
-    gbio.write_manifest(
-        Path(args.out).parent, "pretrain",
-        {"aggregator": agg_config.to_dict(), "pretrain": config.to_dict()},
-        config.seed, artifacts, started,
-    )
     logger.info("pretrained %d epochs on %d bags -> %s",
                 config.epochs, len(bags), args.out)
-    return 0
+    return (Path(args.out).parent,
+            {"aggregator": agg_config.to_dict(), "pretrain": config.to_dict()},
+            config.seed, artifacts)
 
 
 def _load_align_inputs(args):
     from .aggregator import AggregatorConfig
     from .align import AlignConfig
     from .cohort import load_cohort
-    from .pretrain import load_checkpoint
 
-    raw = _read_json(args.config) if args.config else {}
-    unknown = set(raw) - {"aggregator", "align"}
-    if unknown:
-        raise ValueError(f"{args.config}: unknown config sections: {sorted(unknown)}")
+    raw = _read_sections(args.config, {"aggregator", "align"})
     config = _apply_seed(
         _load_section(raw, "align", AlignConfig, args.config or ""), args.seed
     )
     cohort = load_cohort(args.cohort, args.karyo, args.mut, args.labels)
     pretrained = None
     if args.init:
-        student, _, ckpt_config = load_checkpoint(args.init)
-        agg_config = AggregatorConfig(**ckpt_config["aggregator"])
-        pretrained = student
+        pretrained, agg_config = _load_stage1(args.init)
     elif "aggregator" in raw:
         agg_config = _load_section(raw, "aggregator", AggregatorConfig, args.config)
     elif config.aggregator_mode == "mean_pool":
@@ -189,11 +188,9 @@ def _load_align_inputs(args):
     return cohort, agg_config, config, pretrained
 
 
-def cmd_align(args) -> int:
-    from . import gbio
+def cmd_align(args):
     from .align import train_align
 
-    started = time.time()
     cohort, agg_config, config, pretrained = _load_align_inputs(args)
     result = train_align(cohort, agg_config, config,
                          pretrained_aggregator=pretrained,
@@ -204,23 +201,18 @@ def cmd_align(args) -> int:
         artifacts += result.table.save(args.table_dir)
     if args.metrics:
         artifacts.append(args.metrics)
-    gbio.write_manifest(
-        Path(args.out).parent, "align",
-        {"aggregator": agg_config.to_dict(), "align": config.to_dict()},
-        config.seed, artifacts, started,
-    )
     logger.info("aligned %d epochs -> %s", config.epochs, args.out)
-    return 0
+    return (Path(args.out).parent,
+            {"aggregator": agg_config.to_dict(), "align": config.to_dict()},
+            config.seed, artifacts)
 
 
-def cmd_embed(args) -> int:
+def cmd_embed(args):
     import numpy as np
 
     from . import gbio
-    from .aggregator import AggregatorConfig
     from .cohort import load_cohort
 
-    started = time.time()
     header = gbio.inspect_header(args.ckpt)["header"]
     stage = header["config"].get("stage")
     cohort = load_cohort(args.cohort)
@@ -228,10 +220,9 @@ def cmd_embed(args) -> int:
     if stage == "pretrain":
         if args.space != "slide":
             raise ValueError("a pretrain checkpoint only provides --space slide")
-        from .pretrain import embed_bags, load_checkpoint
+        from .pretrain import embed_bags
 
-        student, _, config = load_checkpoint(args.ckpt)
-        agg_config = AggregatorConfig(**config["aggregator"])
+        student, agg_config = _load_stage1(args.ckpt)
         matrix = embed_bags([p.bag for p in cohort.patients], student, agg_config)
     elif stage == "align":
         from .align import load_align_checkpoint, project_slides
@@ -244,19 +235,15 @@ def cmd_embed(args) -> int:
     else:
         raise ValueError(f"{args.ckpt}: not a training checkpoint")
     gbio.write_gbm(args.out, gbio.Matrix(matrix.astype(np.float32), ids))
-    gbio.write_manifest(Path(args.out).parent, "embed",
-                        {"ckpt": str(args.ckpt), "space": args.space},
-                        args.seed or 0, [args.out], started)
     logger.info("embedded %d patients -> %s", len(ids), args.out)
-    return 0
+    return (Path(args.out).parent, {"ckpt": str(args.ckpt), "space": args.space},
+            args.seed or 0, [args.out])
 
 
-def cmd_retrieve(args) -> int:
-    from . import gbio
+def cmd_retrieve(args):
     from .align import load_table
     from .harness import cross_modal_rankings
 
-    started = time.time()
     table = load_table(args.table_dir, stem=args.stem)
     ranked, _ = cross_modal_rankings(table, args.query, args.target, args.split)
     payload = {
@@ -273,19 +260,16 @@ def cmd_retrieve(args) -> int:
         ],
     }
     Path(args.out).write_text(json.dumps(payload, sort_keys=True, indent=2) + "\n")
-    gbio.write_manifest(Path(args.out).parent, "retrieve",
-                        {"query": args.query, "target": args.target, "k": args.k},
-                        args.seed or 0, [args.out], started)
-    return 0
+    return (Path(args.out).parent,
+            {"query": args.query, "target": args.target, "k": args.k},
+            args.seed or 0, [args.out])
 
 
-def cmd_evaluate(args) -> int:
-    from . import gbio
+def cmd_evaluate(args):
     from .align import load_align_checkpoint
     from .cohort import load_cohort
-    from .harness import ALL_TASKS, evaluate_report, report_to_tsv, save_report
+    from .harness import ALL_TASKS, evaluate_report, save_report
 
-    started = time.time()
     tasks = tuple(args.tasks.split(",")) if args.tasks else ALL_TASKS
     unknown = set(tasks) - set(ALL_TASKS)
     if unknown:
@@ -298,33 +282,23 @@ def cmd_evaluate(args) -> int:
     )
     save_report(report, args.out, args.tsv)
     artifacts = [args.out] + ([args.tsv] if args.tsv else [])
-    gbio.write_manifest(Path(args.out).parent, "evaluate",
-                        {"tasks": list(tasks), "n_boot": args.n_boot},
-                        args.seed or 0, artifacts, started)
     logger.info("evaluation report -> %s", args.out)
-    return 0
+    return (Path(args.out).parent, {"tasks": list(tasks), "n_boot": args.n_boot},
+            args.seed or 0, artifacts)
 
 
-def cmd_ablate(args) -> int:
-    from . import gbio
+def cmd_ablate(args):
     from .aggregator import AggregatorConfig
     from .cohort import load_cohort_dir
     from .harness import AblationGrid, ablation_to_tsv, run_ablation
-    from .pretrain import load_checkpoint
 
-    started = time.time()
     raw = _read_json(args.grid)
-    allowed = {"cohort_dir", "init_checkpoint", "aggregator", "align", "axes",
-               "n_boot", "seed", "out", "out_tsv"}
-    unknown = set(raw) - allowed
-    if unknown:
-        raise ValueError(f"{args.grid}: unknown grid keys: {sorted(unknown)}")
+    _check_keys(raw, {"cohort_dir", "init_checkpoint", "aggregator", "align", "axes",
+                      "n_boot", "seed", "out", "out_tsv"}, args.grid, "grid keys")
     cohort = load_cohort_dir(raw["cohort_dir"])
     pretrained = None
     if raw.get("init_checkpoint"):
-        student, _, ckpt_config = load_checkpoint(raw["init_checkpoint"])
-        agg_config = AggregatorConfig(**ckpt_config["aggregator"])
-        pretrained = student
+        pretrained, agg_config = _load_stage1(raw["init_checkpoint"])
     else:
         agg_config = _load_section(raw, "aggregator", AggregatorConfig, args.grid)
     axes = raw.get("axes", {})
@@ -346,17 +320,15 @@ def cmd_ablate(args) -> int:
         tsv = Path(raw["out_tsv"])
         tsv.write_text(ablation_to_tsv(result))
         artifacts.append(tsv)
-    gbio.write_manifest(out.parent, "ablate", raw, grid.seed, artifacts, started)
     logger.info("ablation grid (%d rows) -> %s", len(result["rows"]), out)
-    return 0
+    return out.parent, raw, grid.seed, artifacts
 
 
-def cmd_inspect(args) -> int:
+def cmd_inspect(args) -> None:
     from . import gbio
 
     info = gbio.inspect_header(args.file)
     print(json.dumps(info, sort_keys=True, indent=2))
-    return 0
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -456,8 +428,15 @@ def main(argv: list[str] | None = None) -> int:
         level=getattr(logging, args.log_level.upper()),
         format="%(levelname)s %(name)s: %(message)s",
     )
+    started = time.time()
     try:
-        return args.handler(args)
+        run = args.handler(args)
+        if run is not None:
+            from . import gbio
+
+            out_dir, config, seed, artifacts = run
+            gbio.write_manifest(out_dir, args.command, config, seed, artifacts, started)
+        return 0
     except Exception as exc:  # structured failure -> exit 1
         logger.error("%s", exc)
         if args.log_level == "debug":

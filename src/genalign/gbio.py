@@ -161,6 +161,10 @@ def read_gbck(path: str | Path) -> tuple[dict[str, np.ndarray], dict]:
         shape = tuple(entry["shape"])
         count = int(np.prod(shape)) if shape else 1
         start = entry["offset"]
+        if start < 0 or start + 4 * count > len(blob):
+            raise FormatError(
+                f"{path}: tensor {entry['name']!r} runs past the end of the payload"
+            )
         arr = np.frombuffer(blob, dtype="<f4", count=count, offset=start)
         tensors[entry["name"]] = arr.reshape(shape).astype(np.float32)
     return tensors, header

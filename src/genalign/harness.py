@@ -17,6 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from . import evalkit as ek
+from . import gbio
 from .align import AlignConfig, AlignedTable, embed_cohort, project, train_align
 from .aggregator import AggregatorConfig
 from .cohort import Cohort
@@ -356,7 +357,10 @@ def run_ablation(
     grid: AblationGrid,
     pretrained_aggregator: dict | None = None,
 ) -> dict:
-    """One row per setting per axis, other factors at their defaults."""
+    """One row per setting per axis, other factors at their defaults.
+
+    The defaults recur once per axis; each distinct config is trained and
+    scored once and its scores reused."""
     base = {
         "aggregator_mode": "finetune",
         "init": "pretrained" if pretrained_aggregator is not None else "random",
@@ -366,19 +370,24 @@ def run_ablation(
         **grid.defaults,
     }
     rows = []
+    scores: dict[str, tuple[StatReport, ...]] = {}  # config hash -> scores
 
     def evaluate_setting(ablation: str, setting: str, overrides: dict) -> dict:
         cfg = AlignConfig(**{**base, **overrides})
-        result = train_align(
-            cohort, agg_config, cfg,
-            pretrained_aggregator=(
-                pretrained_aggregator if cfg.init == "pretrained" else None
-            ),
-        )
-        table = result.table
-        logreg = logreg_bootstrap(table, n_boot=grid.n_boot, seed=grid.seed)
-        sk = mrr_report(table, "slide", "karyotype", grid.n_boot, grid.seed + 1)
-        ks = mrr_report(table, "karyotype", "slide", grid.n_boot, grid.seed + 2)
+        key = gbio.config_hash(cfg.to_dict())
+        if key not in scores:
+            result = train_align(
+                cohort, agg_config, cfg,
+                pretrained_aggregator=(
+                    pretrained_aggregator if cfg.init == "pretrained" else None
+                ),
+            )
+            table = result.table
+            logreg = logreg_bootstrap(table, n_boot=grid.n_boot, seed=grid.seed)
+            sk = mrr_report(table, "slide", "karyotype", grid.n_boot, grid.seed + 1)
+            ks = mrr_report(table, "karyotype", "slide", grid.n_boot, grid.seed + 2)
+            scores[key] = (logreg, sk, ks)
+        logreg, sk, ks = scores[key]
         return {
             "ablation": ablation,
             "setting": setting,

@@ -49,9 +49,6 @@ class Tensor:
     def dtype(self):
         return self.data.dtype
 
-    def item(self) -> float:
-        return float(self.data)
-
     def __repr__(self):
         return f"Tensor(shape={self.data.shape}, dtype={self.data.dtype.name}, requires_grad={self.requires_grad})"
 
@@ -205,18 +202,6 @@ def transpose(a: Tensor) -> Tensor:
     return _record(out, (a,), backward)
 
 
-def reshape(a: Tensor, shape: tuple) -> Tensor:
-    try:
-        out = Tensor(a.data.reshape(shape))
-    except ValueError:
-        raise NdiffError(f"reshape: cannot view {a.shape} as {shape}")
-
-    def backward(g):
-        return (g.reshape(a.shape),)
-
-    return _record(out, (a,), backward)
-
-
 def concat_rows(parts: Sequence[Tensor]) -> Tensor:
     if not parts:
         raise NdiffError("concat_rows: empty input list")
@@ -248,20 +233,6 @@ def slice_rows(a: Tensor, start: int, stop: int) -> Tensor:
         full = np.zeros_like(a.data)
         full[start:stop] = g
         return (full,)
-
-    return _record(out, (a,), backward)
-
-
-def softmax(a: Tensor, axis: int = -1) -> Tensor:
-    x = a.data
-    shifted = x - x.max(axis=axis, keepdims=True)
-    e = np.exp(shifted)
-    y = e / e.sum(axis=axis, keepdims=True)
-    out = Tensor(y)
-
-    def backward(g):
-        dot = (g * y).sum(axis=axis, keepdims=True)
-        return (y * (g - dot),)
 
     return _record(out, (a,), backward)
 

@@ -57,13 +57,6 @@ class AdamW:
                 update = update + self.weight_decay * param.data
             param.data = param.data - step_lr * update
 
-    def state_tensors(self) -> dict[str, np.ndarray]:
-        out = {}
-        for name in self.params:
-            out[f"adam_m.{name}"] = self._m[name]
-            out[f"adam_v.{name}"] = self._v[name]
-        return out
-
 
 def warmup_cosine_lr(
     step: int, total_steps: int, base_lr: float, warmup_frac: float = 0.05

@@ -159,29 +159,6 @@ def masked_token_ce(
     return ndiff.mean(ndiff.cross_entropy(Tensor(p_t), log_q))
 
 
-def ibot_loss(
-    teacher_token_logits: Tensor,
-    student_token_logits: Tensor,
-    masked: np.ndarray,
-    center: np.ndarray,
-    teacher_temp: float,
-    student_temp: float,
-) -> Tensor:
-    """Mean CE over masked token positions; 0 when nothing is masked."""
-    masked = np.asarray(masked, dtype=np.int64)
-    if masked.size == 0:
-        return Tensor(np.zeros((), dtype=student_token_logits.dtype))
-    n = student_token_logits.shape[0]
-    if masked.min() < 0 or masked.max() >= n:
-        raise IndexError(f"masked position out of range for {n} tokens")
-    select = np.zeros((masked.size, n), dtype=student_token_logits.dtype)
-    select[np.arange(masked.size), masked] = 1.0
-    picked = ndiff.matmul(Tensor(select), student_token_logits)
-    return masked_token_ce(
-        teacher_token_logits.data[masked], picked, center, teacher_temp, student_temp
-    )
-
-
 def ema_update(
     teacher_params: dict[str, Tensor], student_params: dict[str, Tensor], momentum: float
 ) -> None:
@@ -342,6 +319,94 @@ def train_pretrain(
     return PretrainResult(student, teacher, metrics, agg_config, config)
 
 
+def teacher_targets(
+    batch_bags: list[CellBag],
+    views_per_patient: list[list[BagView]],
+    teacher_params: dict[str, Tensor],
+    agg_config: AggregatorConfig,
+    config: PretrainConfig,
+) -> tuple[list[Tensor], dict[tuple[int, int], np.ndarray]]:
+    """Teacher pass, unmasked and untaped: CLS logits per global view (rows
+    stacked over patients) and token logits at each (patient, view)'s masked
+    positions."""
+    need_ibot = config.ibot_weight != 0
+    teacher_cls_logits: list[Tensor] = []
+    teacher_masked_logits: dict[tuple[int, int], np.ndarray] = {}
+    teacher_cls_rows: list[list[Tensor]] = [[] for _ in range(config.k_global)]
+    for p, (bag, views) in enumerate(zip(batch_bags, views_per_patient)):
+        for v, view in enumerate(views):
+            if v >= config.k_global and not (need_ibot and view.mask.size):
+                continue
+            out = forward(bag.cells[view.indices], np.empty(0, np.int64), teacher_params, agg_config)
+            if need_ibot and view.mask.size:
+                states = Tensor(out.tokens.data[view.mask])
+                teacher_masked_logits[(p, v)] = head_forward(states, teacher_params).data
+            if v < config.k_global:
+                teacher_cls_rows[v].append(out.cls)
+    for v in range(config.k_global):
+        stacked = ndiff.concat_rows(teacher_cls_rows[v])
+        teacher_cls_logits.append(head_forward(stacked, teacher_params))
+    return teacher_cls_logits, teacher_masked_logits
+
+
+def pretrain_objective(
+    batch_bags: list[CellBag],
+    views_per_patient: list[list[BagView]],
+    student: dict[str, Tensor],
+    targets: tuple[list[Tensor], dict[tuple[int, int], np.ndarray]],
+    center: np.ndarray,
+    agg_config: AggregatorConfig,
+    config: PretrainConfig,
+    teacher_temp: float,
+) -> tuple[Tensor, Tensor, Tensor]:
+    """Student pass against ``teacher_targets``: (dino, ibot, total).
+
+    Masked token states are gathered before the head, so the head runs on
+    masked rows only; ibot is the mask-size-weighted mean of the per-view
+    token CE, and 0 when nothing is masked."""
+    teacher_cls_logits, teacher_masked_logits = targets
+    need_ibot = config.ibot_weight != 0
+    student_cls_rows: list[list[Tensor]] = [
+        [] for _ in range(config.k_global + config.k_local)
+    ]
+    ibot_terms: list[tuple[Tensor, int]] = []
+    for p, (bag, views) in enumerate(zip(batch_bags, views_per_patient)):
+        for v, view in enumerate(views):
+            out = forward(bag.cells[view.indices], view.mask, student, agg_config)
+            student_cls_rows[v].append(out.cls)
+            if need_ibot and view.mask.size:
+                n_tokens = out.tokens.shape[0]
+                select = np.zeros((view.mask.size, n_tokens), dtype=out.tokens.dtype)
+                select[np.arange(view.mask.size), view.mask] = 1.0
+                gathered = ndiff.matmul(Tensor(select), out.tokens)
+                term = masked_token_ce(
+                    teacher_masked_logits[(p, v)],
+                    head_forward(gathered, student),
+                    center,
+                    teacher_temp,
+                    config.student_temp,
+                )
+                ibot_terms.append((term, view.mask.size))
+    student_cls_logits = [
+        head_forward(ndiff.concat_rows(rows), student) for rows in student_cls_rows
+    ]
+    dino = dino_loss(
+        teacher_cls_logits, student_cls_logits, center, teacher_temp, config.student_temp
+    )
+    total_masked = sum(m for _, m in ibot_terms)
+    if total_masked:
+        ibot = None
+        for term, m in ibot_terms:
+            weighted = ndiff.scalar_mul(term, m / total_masked)
+            ibot = weighted if ibot is None else ndiff.add(ibot, weighted)
+    else:
+        ibot = Tensor(np.zeros((), dtype=np.float32))
+    total = dino if config.ibot_weight == 0 or not total_masked else ndiff.add(
+        dino, ndiff.scalar_mul(ibot, config.ibot_weight)
+    )
+    return dino, ibot, total
+
+
 def _train_step(
     batch_bags: list[CellBag],
     views_per_patient: list[list[BagView]],
@@ -354,70 +419,12 @@ def _train_step(
     lr: float,
     batch_id: str,
 ) -> tuple[float, float, float]:
-    n_views = config.k_global + config.k_local
-    need_ibot = config.ibot_weight != 0
-    # teacher pass, unmasked, no tape: CLS targets from globals, token targets
-    # computed on masked positions only
-    teacher_cls_logits: list[Tensor] = []
-    teacher_masked_logits: dict[tuple[int, int], np.ndarray] = {}
-    teacher_cls_rows: list[list[Tensor]] = [[] for _ in range(config.k_global)]
-    for p, (bag, views) in enumerate(zip(batch_bags, views_per_patient)):
-        for v, view in enumerate(views):
-            if v >= config.k_global and not (need_ibot and view.mask.size):
-                continue
-            out = forward(bag.cells[view.indices], np.empty(0, np.int64), teacher.params, agg_config)
-            if need_ibot and view.mask.size:
-                states = Tensor(out.tokens.data[view.mask])
-                teacher_masked_logits[(p, v)] = head_forward(states, teacher.params).data
-            if v < config.k_global:
-                teacher_cls_rows[v].append(out.cls)
-    for v in range(config.k_global):
-        stacked = ndiff.concat_rows(teacher_cls_rows[v])
-        teacher_cls_logits.append(head_forward(stacked, teacher.params))
-
+    targets = teacher_targets(batch_bags, views_per_patient, teacher.params, agg_config, config)
     with Tape() as tape:
-        student_cls_rows: list[list[Tensor]] = [[] for _ in range(n_views)]
-        ibot_terms: list[tuple[Tensor, int]] = []
-        for p, (bag, views) in enumerate(zip(batch_bags, views_per_patient)):
-            for v, view in enumerate(views):
-                out = forward(bag.cells[view.indices], view.mask, student, agg_config)
-                student_cls_rows[v].append(out.cls)
-                if need_ibot and view.mask.size:
-                    n_tokens = out.tokens.shape[0]
-                    select = np.zeros((view.mask.size, n_tokens), dtype=out.tokens.dtype)
-                    select[np.arange(view.mask.size), view.mask] = 1.0
-                    gathered = ndiff.matmul(Tensor(select), out.tokens)
-                    term = masked_token_ce(
-                        teacher_masked_logits[(p, v)],
-                        head_forward(gathered, student),
-                        teacher.center,
-                        teacher_temp,
-                        config.student_temp,
-                    )
-                    ibot_terms.append((term, view.mask.size))
-        student_cls_logits = [
-            head_forward(ndiff.concat_rows(rows), student) for rows in student_cls_rows
-        ]
-        dino = dino_loss(
-            teacher_cls_logits,
-            student_cls_logits,
-            teacher.center,
-            teacher_temp,
-            config.student_temp,
+        dino, ibot, loss = pretrain_objective(
+            batch_bags, views_per_patient, student, targets, teacher.center,
+            agg_config, config, teacher_temp,
         )
-        total_masked = sum(m for _, m in ibot_terms)
-        if total_masked:
-            ibot = None
-            for term, m in ibot_terms:
-                weighted = ndiff.scalar_mul(term, m / total_masked)
-                ibot = weighted if ibot is None else ndiff.add(ibot, weighted)
-        else:
-            ibot = Tensor(np.zeros((), dtype=np.float32))
-        loss = dino if config.ibot_weight == 0 or not total_masked else ndiff.add(
-            dino, ndiff.scalar_mul(ibot, config.ibot_weight)
-        )
-    dino_value = float(dino.data)
-    ibot_value = float(ibot.data)
     loss_value = float(loss.data)
     if not np.isfinite(loss_value):
         raise TrainingError(f"non-finite loss in {batch_id}")
@@ -426,7 +433,7 @@ def _train_step(
     ema_update(teacher.params, student, teacher.momentum)
     teacher.center = center_update(
         teacher.center,
-        np.concatenate([t.data for t in teacher_cls_logits], axis=0),
+        np.concatenate([t.data for t in targets[0]], axis=0),
         config.center_momentum,
     )
-    return dino_value, ibot_value, loss_value
+    return float(dino.data), float(ibot.data), loss_value

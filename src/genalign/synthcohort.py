@@ -121,11 +121,8 @@ def generate(config: SynthConfig, table: CytobandTable | None = None) -> Cohort:
     )
     class_of = global_rng.integers(0, config.n_classes, size=config.n_patients)
     splits = _split_assignment(class_of, config.test_fraction, global_rng)
-    signature_vectors = [
-        encode_karyotype(parse_iscn(_signature_string(sig), table), table)
-        for sig in config.karyotype_signatures
-    ]
-    # per-event vectors for signature dropout
+    # parsed up front so a bad signature fails fast; kept per event for
+    # signature dropout
     signature_events = [
         parse_iscn(_signature_string(sig), table)
         for sig in config.karyotype_signatures
@@ -161,7 +158,6 @@ def generate(config: SynthConfig, table: CytobandTable | None = None) -> Cohort:
                 mutations=mutations,
             )
         )
-    _ = signature_vectors  # parsed up front so a bad signature fails fast
     return Cohort(patients, band_table_sha256=table.sha256)
 
 

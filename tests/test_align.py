@@ -302,6 +302,22 @@ class TestTrainAlign:
         with pytest.raises(TrainingError, match="embed_dim"):
             train_align(cohort, TINY_AGG, cfg, pretrained_aggregator=ckpt)
 
+    def test_frozen_keeps_checkpoint_aggregator(self, rng):
+        from genalign.aggregator import init_params
+        from genalign.pretrain import embed_bags
+        cohort = make_cohort(rng)
+        ckpt = init_params(TINY_AGG, np.random.default_rng(2))
+        before = {name: p.data.copy() for name, p in ckpt.items()}
+        cfg = AlignConfig(**{**TINY_ALIGN.to_dict(), "aggregator_mode": "frozen",
+                             "init": "pretrained"})
+        result = train_align(cohort, TINY_AGG, cfg, pretrained_aggregator=ckpt)
+        agg_names = {k for k in result.params if k.startswith("agg.")}
+        assert agg_names == {f"agg.{name}" for name in before}
+        for name, data in before.items():
+            assert np.array_equal(result.params[f"agg.{name}"].data, data), name
+        complete = [p.bag for p in cohort.patients if p.complete]
+        assert np.array_equal(result.table.slide, embed_bags(complete, ckpt, TINY_AGG))
+
     def test_finetune_random_init_runs(self, rng):
         cohort = make_cohort(rng, n_per_class=4)
         cfg = AlignConfig(epochs=1, batch_size=6, aggregator_mode="finetune",

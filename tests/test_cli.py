@@ -153,6 +153,27 @@ class TestPretrainAlign:
         zs = gbio.read_gbm(table_dir / "aligned.zs.gbm")
         assert np.allclose(np.linalg.norm(zs.data, axis=1), 1.0, atol=1e-4)
 
+    def test_manifest_per_command(self, pipeline):
+        for command, artifact in (("pretrain", "ckpt.gbck"), ("align", "aligned.gbck")):
+            manifest = json.loads((pipeline / f"manifest_{command}.json").read_text())
+            assert manifest["command"] == command
+            assert manifest["seed"] == 4
+            assert manifest["artifacts"][artifact] == gbio.file_sha256(pipeline / artifact)
+
+    def test_inspect_writes_no_manifest(self, pipeline, tmp_path, capsys):
+        target = tmp_path / "ckpt.gbck"
+        target.write_bytes((pipeline / "ckpt.gbck").read_bytes())
+        assert main(["inspect", str(target)]) == 0
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["ckpt.gbck"]
+
+    def test_unknown_config_section_rejected(self, pipeline, tmp_path):
+        cfg = tmp_path / "pretrain.json"
+        cfg.write_text(json.dumps({**PRETRAIN_CFG, "pretrian": {}}))
+        assert main(["pretrain", "--config", str(cfg),
+                     "--cohort", str(pipeline / "cohort" / "bags.gbm"),
+                     "--out", str(tmp_path / "x.gbck")]) == 1
+        assert not (tmp_path / "x.gbck").exists()
+
     def test_align_without_init_or_aggregator_fails(self, pipeline, tmp_path):
         cohort_dir = pipeline / "cohort"
         cfg = tmp_path / "align.json"

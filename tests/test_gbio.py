@@ -68,6 +68,14 @@ class TestGbck:
         for name, arr in tensors.items():
             assert np.array_equal(back[name], arr), name
 
+    def test_truncated_payload_detected(self, tmp_path):
+        path = tmp_path / "t.gbck"
+        gbio.write_gbck(path, {"a": np.zeros(3, np.float32),
+                               "w": np.ones((4, 4), np.float32)}, {}, 0, 0)
+        path.write_bytes(path.read_bytes()[:-8])
+        with pytest.raises(gbio.FormatError, match=r"t\.gbck: tensor 'w'"):
+            gbio.read_gbck(path)
+
     def test_inspect_detects_kinds(self, tmp_path):
         gbm = tmp_path / "m.gbm"
         gbio.write_gbm(gbm, gbio.Matrix(np.zeros((1, 1), np.float32), ["p"]))

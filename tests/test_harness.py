@@ -185,6 +185,28 @@ class TestAblation:
         tsv = ablation_to_tsv(result)
         assert len(tsv.strip().splitlines()) == 9  # header + 8 rows
 
+    def test_default_grid_trains_each_distinct_config_once(self, rng, monkeypatch):
+        from genalign.aggregator import init_params
+        cohort = tiny_cohort(rng)
+        trained = []
+        real_train_align = harness.train_align
+
+        def counting_train_align(cohort, agg_config, config, **kwargs):
+            trained.append(config)
+            return real_train_align(cohort, agg_config, config, **kwargs)
+
+        monkeypatch.setattr(harness, "train_align", counting_train_align)
+        grid = AblationGrid(defaults={"epochs": 1, "batch_size": 6}, n_boot=10, seed=5)
+        pretrained = init_params(TINY_AGG, np.random.default_rng(1))
+        rows = run_ablation(cohort, TINY_AGG, grid, pretrained_aggregator=pretrained)["rows"]
+        assert len(rows) == 8
+        assert len(trained) == 6
+        assert len({json.dumps(c.to_dict(), sort_keys=True) for c in trained}) == 6
+        # transformer_pretrained, band and lambda_r=1.0 are all the defaults
+        metrics = [{k: v for k, v in rows[i].items() if k not in ("ablation", "setting")}
+                   for i in (0, 3, 5)]
+        assert metrics[0] == metrics[1] == metrics[2]
+
     def test_single_axis_single_value(self, rng):
         cohort = tiny_cohort(rng)
         grid = AblationGrid(aggregator=["mean_pool"], karyotype_resolution=[],

@@ -12,16 +12,6 @@ def t64(arr, requires_grad=False):
 
 
 class TestForward:
-    def test_softmax_uniform_logits(self):
-        out = ndiff.softmax(t64([0.0, 0.0, 0.0]))
-        assert np.allclose(out.data, [1 / 3] * 3)
-
-    def test_softmax_rows_sum_to_one_and_positive(self, rng):
-        x = t64(rng.standard_normal((20, 7)) * 10)
-        out = ndiff.softmax(x, axis=-1).data
-        assert np.allclose(out.sum(axis=-1), 1.0, atol=1e-6)
-        assert (out > 0).all()
-
     def test_layer_norm_constant_vector(self):
         x = t64(np.full((1, 8), 3.7))
         out = ndiff.layer_norm(x, t64(np.ones((1, 8))), t64(np.zeros((1, 8))))
@@ -136,10 +126,8 @@ PRIMITIVE_CASES = [
     ("mul", (2, 5), lambda x: ndiff.mean(ndiff.mul(x, Tensor(_B25)))),
     ("scalar_mul", (3, 3), lambda x: ndiff.mean(ndiff.scalar_mul(x, -1.7))),
     ("transpose", (3, 5), lambda x: ndiff.mean(ndiff.mul(ndiff.transpose(x), Tensor(_C53)))),
-    ("reshape", (2, 6), lambda x: ndiff.mean(ndiff.mul(ndiff.reshape(x, (3, 4)), Tensor(_D34)))),
     ("concat_rows", (2, 4), lambda x: ndiff.mean(ndiff.mul(ndiff.concat_rows([x, Tensor(_E34)]), Tensor(_F54)))),
     ("slice_rows", (5, 3), lambda x: ndiff.mean(ndiff.mul(ndiff.slice_rows(x, 1, 4), Tensor(_G33)))),
-    ("softmax", (4, 6), lambda x: ndiff.mean(ndiff.mul(ndiff.softmax(x, axis=-1), Tensor(_H46)))),
     ("log_softmax", (4, 6), lambda x: ndiff.mean(ndiff.mul(ndiff.log_softmax(x, axis=-1), Tensor(_H46)))),
     ("gelu", (3, 4), lambda x: ndiff.mean(ndiff.gelu(x))),
     ("l2_normalize", (4, 5), lambda x: ndiff.mean(ndiff.mul(ndiff.l2_normalize(x, axis=-1), Tensor(_I45)))),
@@ -167,7 +155,6 @@ _W34 = _fix.standard_normal((3, 4))
 _A25 = _fix.standard_normal((2, 5))
 _B25 = _fix.standard_normal((2, 5))
 _C53 = _fix.standard_normal((5, 3))
-_D34 = _fix.standard_normal((3, 4))
 _E34 = _fix.standard_normal((3, 4))
 _F54 = _fix.standard_normal((5, 4))
 _G33 = _fix.standard_normal((3, 3))

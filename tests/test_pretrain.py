@@ -1,4 +1,5 @@
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -12,9 +13,11 @@ from genalign.pretrain import (
     dino_loss,
     ema_update,
     head_forward,
-    ibot_loss,
     init_head_params,
     load_checkpoint,
+    masked_token_ce,
+    pretrain_objective,
+    teacher_targets,
     train_pretrain,
 )
 
@@ -86,18 +89,36 @@ class TestDinoLoss:
             dino_loss(t, [Tensor(np.zeros((1, 4)))], np.zeros(4), 0.04, 0.1)
 
 
+def tiny_step_inputs(rng, mask_ratio):
+    """Two f32 bags with sampled views, student/teacher params and the teacher
+    targets for one step of TINY_PRE at ``mask_ratio``."""
+    pre = PretrainConfig(**{**TINY_PRE.to_dict(), "mask_ratio": mask_ratio})
+    prng = np.random.default_rng(1)
+    student = init_params(TINY_AGG, prng)
+    student.update(init_head_params(TINY_AGG.embed_dim, pre, prng))
+    teacher = {k: Tensor(v.data.copy()) for k, v in student.items()}
+    bags = [CellBag(f"p{i}", rng.standard_normal((8, TINY_AGG.input_dim)))
+            for i in range(2)]
+    views = [sample_views(b, pre.k_global, pre.k_local, pre.mask_ratio, rng) for b in bags]
+    targets = teacher_targets(bags, views, teacher, TINY_AGG, pre)
+    center = np.zeros(pre.n_prototypes, dtype=np.float32)
+    return pre, student, teacher, bags, views, targets, center
+
+
 class TestIbotLoss:
     def test_empty_mask_returns_zero(self, rng):
-        t = Tensor(rng.standard_normal((5, 8)))
-        s = Tensor(rng.standard_normal((5, 8)))
-        loss = ibot_loss(t, s, np.empty(0, np.int64), np.zeros(8), 0.04, 0.1)
-        assert float(loss.data) == 0.0
+        pre, student, _, bags, views, targets, center = tiny_step_inputs(rng, 0.0)
+        dino, ibot, total = pretrain_objective(
+            bags, views, student, targets, center, TINY_AGG, pre, 0.04
+        )
+        assert float(ibot.data) == 0.0
+        assert float(total.data) == float(dino.data)
 
     def test_identical_distributions_give_entropy(self, rng):
         logits = rng.standard_normal((4, 6))
         tau = 0.3
-        loss = ibot_loss(
-            Tensor(logits), Tensor(logits), np.array([2]), np.zeros(6), tau, tau
+        loss = masked_token_ce(
+            logits[[2]], Tensor(logits[[2]]), np.zeros(6), tau, tau
         )
         p = np_softmax(logits[2] / tau)
         entropy = -(p * np.log(p)).sum()
@@ -108,7 +129,7 @@ class TestIbotLoss:
         s = rng.standard_normal((6, 5))
         center = rng.standard_normal(5)
         masked = np.array([1, 4])
-        loss = ibot_loss(Tensor(t), Tensor(s), masked, center, 0.07, 0.1)
+        loss = masked_token_ce(t[masked], Tensor(s[masked]), center, 0.07, 0.1)
         terms = []
         for i in masked:
             p_t = np_softmax((t[i] - center) / 0.07)
@@ -116,9 +137,11 @@ class TestIbotLoss:
         assert float(loss.data) == pytest.approx(np.mean(terms), rel=1e-9)
 
     def test_out_of_range_mask_rejected(self, rng):
-        t = Tensor(rng.standard_normal((3, 4)))
-        with pytest.raises(IndexError):
-            ibot_loss(t, t, np.array([3]), np.zeros(4), 0.04, 0.1)
+        pre, student, _, bags, views, targets, center = tiny_step_inputs(rng, 0.25)
+        view = views[0][0]
+        view.mask = np.array([len(view.indices)])
+        with pytest.raises(ValueError, match="out of range"):
+            pretrain_objective(bags, views, student, targets, center, TINY_AGG, pre, 0.04)
 
 
 class TestEmaAndCenter:
@@ -151,10 +174,26 @@ class TestEmaAndCenter:
         assert np.allclose(out, 0.1)
 
 
+def reference_ibot_term(teacher_token_logits, student_token_logits, mask,
+                        center, teacher_temp, student_temp):
+    """Token CE with the head applied to every token and the masked rows
+    picked afterwards by a one-hot matmul."""
+    select = np.zeros((mask.size, student_token_logits.shape[0]))
+    select[np.arange(mask.size), mask] = 1.0
+    picked = ndiff.matmul(Tensor(select), student_token_logits)
+    return masked_token_ce(teacher_token_logits.data[mask], picked, center,
+                           teacher_temp, student_temp)
+
+
+TEACHER_TEMP = 0.05
+
+
 def build_microbatch(seed=5):
-    """Tiny 2-patient setting: teacher targets precomputed as constants,
+    """Tiny 2-patient f64 setting: teacher targets precomputed as constants,
     student path rebuilt per call.  Teacher outputs carry stop-gradient in
-    the objective, so the checkable function holds them fixed."""
+    the objective, so the checkable function holds them fixed.  Cells are
+    f32-representable so the f32 bags the production objective reads hold
+    the same values as the f64 cells the reference reads."""
     config = AggregatorConfig(depth=1, heads=2, embed_dim=12, mlp_dim=24,
                               input_dim=6, max_cells=8)
     pre = PretrainConfig(epochs=1, batch_size=2, k_global=2, k_local=1,
@@ -164,15 +203,15 @@ def build_microbatch(seed=5):
     params = init_params(config, prng, dtype=np.float64)
     params.update(init_head_params(config.embed_dim, pre, prng, dtype=np.float64))
     teacher = {k: Tensor(v.data.copy()) for k, v in params.items()}
-    n_cells = 5
-    cells = [prng.standard_normal((n_cells, config.input_dim)) for _ in range(2)]
+    # bag sizes differ so masked views hold different numbers of cells and
+    # the mask-size weighting of the token term matters
+    cells = [prng.standard_normal((n_cells, config.input_dim)).astype(np.float32)
+             .astype(np.float64) for n_cells in (5, 9)]
     center = prng.standard_normal(pre.n_prototypes) * 0.1
     view_rng = np.random.default_rng(seed + 100)
-    views = [
-        sample_views(CellBag(f"p{p}", c.astype(np.float32)),
-                     pre.k_global, pre.k_local, pre.mask_ratio, view_rng)
-        for p, c in enumerate(cells)
-    ]
+    bags = [CellBag(f"p{p}", c) for p, c in enumerate(cells)]
+    views = [sample_views(b, pre.k_global, pre.k_local, pre.mask_ratio, view_rng)
+             for b in bags]
     t_cls_rows = [[] for _ in range(pre.k_global)]
     t_tok = {}
     for p in range(2):
@@ -189,7 +228,7 @@ def build_microbatch(seed=5):
         ibot_terms = []
         for p in range(2):
             for v, view in enumerate(views[p]):
-                sel = np.zeros((len(view.indices), n_cells))
+                sel = np.zeros((len(view.indices), len(cells[p])))
                 sel[np.arange(len(view.indices)), view.indices] = 1.0
                 sub = ndiff.matmul(Tensor(sel), cell_tensors[p])
                 out = forward(sub, view.mask, params, config)
@@ -197,61 +236,81 @@ def build_microbatch(seed=5):
                 if view.mask.size:
                     tok = head_forward(out.tokens, params)
                     ibot_terms.append(
-                        (ibot_loss(t_tok[(p, v)], tok, view.mask, center, 0.05, 0.1),
+                        (reference_ibot_term(t_tok[(p, v)], tok, view.mask, center,
+                                             TEACHER_TEMP, pre.student_temp),
                          view.mask.size)
                     )
         s_cls = [head_forward(ndiff.concat_rows(r), params) for r in s_cls_rows]
-        loss = dino_loss(t_cls, s_cls, center, 0.05, 0.1)
+        loss = dino_loss(t_cls, s_cls, center, TEACHER_TEMP, pre.student_temp)
         total_m = sum(m for _, m in ibot_terms)
         for term, m in ibot_terms:
             loss = ndiff.add(loss, ndiff.scalar_mul(term, m / total_m))
         return loss
 
-    return config, params, cells, loss_given
+    def production_loss():
+        targets = teacher_targets(bags, views, teacher, config, pre)
+        return pretrain_objective(bags, views, params, targets, center, config, pre,
+                                  TEACHER_TEMP)[2]
+
+    return SimpleNamespace(config=config, params=params, cells=cells,
+                           loss_given=loss_given, production_loss=production_loss)
+
+
+def grad_check_param(params, name, loss_fn):
+    original = params[name]
+
+    def f(w):
+        params[name] = w
+        return loss_fn()
+
+    try:
+        return ndiff.grad_check(f, Tensor(original.data), eps=1e-5, tol=1e-4)
+    finally:
+        params[name] = original
 
 
 class TestFullLossGradients:
     def test_image_loss_grad_check_wrt_cells(self):
-        _, _, cells, loss_given = build_microbatch()
-        other = Tensor(cells[1])
+        mb = build_microbatch()
+        other = Tensor(mb.cells[1])
 
         def f(cells_a):
-            return loss_given([cells_a, other])
+            return mb.loss_given([cells_a, other])
 
-        report = ndiff.grad_check(f, Tensor(cells[0]), eps=1e-5, tol=1e-4)
+        report = ndiff.grad_check(f, Tensor(mb.cells[0]), eps=1e-5, tol=1e-4)
         assert report.passed, report.max_rel_err
 
     def test_image_loss_grad_check_wrt_parameter(self):
-        _, params, cells, loss_given = build_microbatch(seed=8)
-        constants = [Tensor(c) for c in cells]
-        probe_name = "head.w3"
-
-        def f(w):
-            params[probe_name] = w
-            return loss_given(constants)
-
-        original = params[probe_name]
-        try:
-            report = ndiff.grad_check(f, Tensor(original.data), eps=1e-5, tol=1e-4)
-        finally:
-            params[probe_name] = original
+        mb = build_microbatch(seed=8)
+        constants = [Tensor(c) for c in mb.cells]
+        report = grad_check_param(mb.params, "head.w3", lambda: mb.loss_given(constants))
         assert report.passed, report.max_rel_err
 
-    def test_teacher_params_absent_from_gradient_map(self, rng):
-        config = TINY_AGG
-        pre = TINY_PRE
-        prng = np.random.default_rng(1)
-        student = init_params(config, prng)
-        student.update(init_head_params(config.embed_dim, pre, prng))
-        teacher = {k: Tensor(v.data.copy()) for k, v in student.items()}
-        cells = rng.standard_normal((6, config.input_dim)).astype(np.float32)
-        center = np.zeros(pre.n_prototypes, dtype=np.float32)
+    @pytest.mark.parametrize("name", ["head.w3", "embed.w1"])
+    def test_production_objective_grad_check(self, name):
+        mb = build_microbatch(seed=8)
+        report = grad_check_param(mb.params, name, mb.production_loss)
+        assert report.passed, report.max_rel_err
+
+    def test_production_objective_matches_reference(self):
+        mb = build_microbatch(seed=8)
+        constants = [Tensor(c) for c in mb.cells]
         with Tape() as tape:
-            t_out = forward(cells, np.empty(0, np.int64), teacher, config)
-            t_logits = head_forward(t_out.cls, teacher)
-            s1 = head_forward(forward(cells, np.array([0]), student, config).cls, student)
-            s2 = head_forward(forward(cells, np.array([1]), student, config).cls, student)
-            loss = dino_loss([t_logits], [s1, s2], center, 0.04, 0.1)
+            reference = mb.loss_given(constants)
+        ref_grads = tape.backward(reference)
+        with Tape() as tape:
+            production = mb.production_loss()
+        prod_grads = tape.backward(production)
+        assert float(production.data) == pytest.approx(float(reference.data), rel=1e-12)
+        for name, p in mb.params.items():
+            assert np.allclose(prod_grads[p], ref_grads[p], rtol=1e-9, atol=1e-12), name
+
+    def test_teacher_params_absent_from_gradient_map(self, rng):
+        pre, student, teacher, bags, views, targets, center = tiny_step_inputs(rng, 0.25)
+        with Tape() as tape:
+            _, _, loss = pretrain_objective(
+                bags, views, student, targets, center, TINY_AGG, pre, 0.04
+            )
         grads = tape.backward(loss)
         teacher_tensors = set(map(id, teacher.values()))
         assert all(id(t) not in teacher_tensors for t in grads)
