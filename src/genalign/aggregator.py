@@ -152,7 +152,8 @@ def _attention(x: Tensor, params: dict[str, Tensor], prefix: str, config: Aggreg
     return ndiff.add(out, params[f"{prefix}.bo"])
 
 
-def _mlp(x: Tensor, params: dict[str, Tensor], prefix: str) -> Tensor:
+def mlp_forward(x: Tensor, params: dict[str, Tensor], prefix: str) -> Tensor:
+    """Two-layer MLP ``gelu(x W1 + b1) W2 + b2`` on ``{prefix}.w1`` ... ``.b2``."""
     hidden = ndiff.gelu(
         ndiff.add(ndiff.matmul(x, params[f"{prefix}.w1"]), params[f"{prefix}.b1"])
     )
@@ -161,12 +162,6 @@ def _mlp(x: Tensor, params: dict[str, Tensor], prefix: str) -> Tensor:
 
 def _layer_norm(x: Tensor, params: dict[str, Tensor], prefix: str) -> Tensor:
     return ndiff.layer_norm(x, params[f"{prefix}.gamma"], params[f"{prefix}.beta"])
-
-
-def embed_cells(cells: Tensor, params: dict[str, Tensor]) -> Tensor:
-    """Per-cell MLP projection into the model width."""
-    hidden = ndiff.gelu(ndiff.add(ndiff.matmul(cells, params["embed.w1"]), params["embed.b1"]))
-    return ndiff.add(ndiff.matmul(hidden, params["embed.w2"]), params["embed.b2"])
 
 
 def forward(
@@ -189,7 +184,7 @@ def forward(
         raise ValueError(
             f"cell width {cells.shape[1]} != configured input_dim {config.input_dim}"
         )
-    x = embed_cells(cells, params)
+    x = mlp_forward(cells, params, "embed")
     mask = np.asarray(mask, dtype=np.int64)
     if mask.size:
         if mask.min() < 0 or mask.max() >= n:
@@ -203,7 +198,7 @@ def forward(
     for i in range(config.depth):
         prefix = f"block{i}"
         x = ndiff.add(x, _attention(_layer_norm(x, params, f"{prefix}.ln1"), params, f"{prefix}.attn", config))
-        x = ndiff.add(x, _mlp(_layer_norm(x, params, f"{prefix}.ln2"), params, f"{prefix}.mlp"))
+        x = ndiff.add(x, mlp_forward(_layer_norm(x, params, f"{prefix}.ln2"), params, f"{prefix}.mlp"))
     x = _layer_norm(x, params, "final_ln")
     return AggregatorOutput(
         cls=ndiff.slice_rows(x, 0, 1),

@@ -18,7 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from . import gbio, ndiff
-from .aggregator import AggregatorConfig, forward, init_params
+from .aggregator import AggregatorConfig, forward, init_params, mlp_forward
 from .cohort import Cohort, Patient
 from .karyogram import load_band_table, rollup_to_arms
 from .ndiff import Tape, Tensor
@@ -160,11 +160,6 @@ def init_mlp_params(
         f"{prefix}.w2": param((hidden, out_dim), math.sqrt(2.0 / hidden)),
         f"{prefix}.b2": Tensor(np.zeros((1, out_dim), dtype=dtype), requires_grad=True),
     }
-
-
-def mlp_forward(x: Tensor, params: dict[str, Tensor], prefix: str) -> Tensor:
-    h = ndiff.gelu(ndiff.add(ndiff.matmul(x, params[f"{prefix}.w1"]), params[f"{prefix}.b1"]))
-    return ndiff.add(ndiff.matmul(h, params[f"{prefix}.w2"]), params[f"{prefix}.b2"])
 
 
 def project(x: Tensor, params: dict[str, Tensor], prefix: str) -> Tensor:
@@ -411,6 +406,8 @@ def train_align(
     n_batches = max(1, math.ceil(len(train) / config.batch_size))
     total_steps = config.epochs * n_batches
     metrics: list[dict] = []
+    if metrics_path is not None:
+        gbio.write_metrics(metrics_path, metrics)  # drop any earlier run's log
     step = 0
     for epoch in range(config.epochs):
         stats = SupconStats()
@@ -453,8 +450,7 @@ def train_align(
                   "empty_anchors": stats.empty_anchor_count}
         metrics.append(record)
         if metrics_path is not None:
-            with open(metrics_path, "a") as fh:
-                fh.write(json.dumps(record, sort_keys=True) + "\n")
+            gbio.write_metrics(metrics_path, metrics)
 
     table = embed_cohort(cohort, params, agg_config, config)
     return AlignResult(

@@ -149,12 +149,9 @@ def cmd_pretrain(args):
     cohort = load_cohort(args.cohort)
     cap_rng = np.random.default_rng(config.seed)
     bags = [cap_bag(p.bag, agg_config.max_cells, cap_rng) for p in cohort.patients]
-    metrics_path = args.metrics
-    if metrics_path:
-        Path(metrics_path).unlink(missing_ok=True)
-    result = train_pretrain(bags, agg_config, config, metrics_path=metrics_path)
+    result = train_pretrain(bags, agg_config, config, metrics_path=args.metrics)
     result.save(args.out)
-    artifacts = [args.out] + ([metrics_path] if metrics_path else [])
+    artifacts = [args.out] + ([args.metrics] if args.metrics else [])
     logger.info("pretrained %d epochs on %d bags -> %s",
                 config.epochs, len(bags), args.out)
     return (Path(args.out).parent,

@@ -2,7 +2,8 @@
 
 On disk a cohort is a directory of ``bags.gbm`` (f32 cells with per-patient
 row ranges), ``karyotypes.gbm`` (u8, band-level), ``mutations.gbm`` (u8) and
-``labels.tsv`` (``patient_id<TAB>label<TAB>split``).
+``labels.tsv`` (``patient_id<TAB>label<TAB>split``, split ``train`` or
+``test``; every bag needs a row).
 """
 
 from __future__ import annotations
@@ -20,6 +21,7 @@ BAGS_FILE = "bags.gbm"
 KARYOTYPES_FILE = "karyotypes.gbm"
 MUTATIONS_FILE = "mutations.gbm"
 LABELS_FILE = "labels.tsv"
+SPLITS = ("train", "test")
 
 
 @dataclass
@@ -118,6 +120,7 @@ def load_cohort(
         mutations = {pid: m.data[i] for i, pid in enumerate(m.patient_ids)}
     labels: dict[str, tuple[str, str]] = {pid: ("unknown", "train") for pid in ids}
     if labels_path is not None:
+        labels = {}
         with open(labels_path, newline="") as fh:
             for row in csv.reader(fh, delimiter="\t"):
                 if not row:
@@ -125,6 +128,14 @@ def load_cohort(
                 if len(row) != 3:
                     raise ValueError(f"{labels_path}: expected 3 columns, got {row}")
                 labels[row[0]] = (row[1], row[2])
+        for pid in ids:
+            if pid not in labels:
+                raise ValueError(f"{labels_path}: no row for patient {pid!r}")
+            if labels[pid][1] not in SPLITS:
+                raise ValueError(
+                    f"{labels_path}: patient {pid!r} has split {labels[pid][1]!r};"
+                    f" expected one of {SPLITS}"
+                )
     patients = [
         Patient(
             patient_id=pid,

@@ -1,15 +1,19 @@
 """Retrieval and probing metrics with their statistical machinery.
 
 Rankings are cosine-similarity orderings with deterministic ties (ascending
-candidate id).  The Wilcoxon signed-rank test enumerates all sign
-assignments exactly for small samples (mid-ranks for tied magnitudes) and
-falls back to a continuity-corrected normal approximation otherwise.
+candidate id).  Every retrieval metric is a per-query vector (reciprocal
+ranks, top-k hits, AP@k); its mean is the reported value, and ``bootstrap``
+resamples the query rows of such a vector, or of any per-row metric such as
+a probe's (truth, prediction) pairs, to give a ``StatReport``.  The
+Wilcoxon signed-rank test enumerates all sign assignments exactly for small
+samples (mid-ranks for tied magnitudes) and falls back to a
+continuity-corrected normal approximation otherwise.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, field
 from typing import Callable, Sequence
 
 import numpy as np
@@ -27,6 +31,8 @@ class RetrievalIndex:
     keys: list[str]
     matrix: np.ndarray  # (N, dim), unit rows
     modality: str = ""
+    # position of each key in ascending id order, the tie-break key
+    id_rank: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         self.matrix = np.asarray(self.matrix, dtype=np.float64)
@@ -39,6 +45,7 @@ class RetrievalIndex:
         norms = np.linalg.norm(self.matrix, axis=1)
         if np.abs(norms - 1.0).max() > 1e-4:
             raise EvalError("index rows must be unit-norm")
+        self.id_rank = np.argsort(sorted(range(len(self.keys)), key=self.keys.__getitem__))
 
 
 @dataclass
@@ -61,10 +68,9 @@ def retrieve(
     """Rank candidates by cosine similarity, ties broken by ascending id."""
     query = np.asarray(query, dtype=np.float64)
     scores = index.matrix @ query
-    order = sorted(range(len(index.keys)),
-                   key=lambda i: (-scores[i], index.keys[i]))
-    if exclude_self:
-        order = [i for i in order if index.keys[i] != query_id]
+    order = np.lexsort((index.id_rank, -scores))
+    if exclude_self and query_id in index.keys:
+        order = order[order != index.keys.index(query_id)]
     return RankedList(
         query_id=query_id,
         candidate_ids=[index.keys[i] for i in order],
@@ -72,27 +78,21 @@ def retrieve(
     )
 
 
-def topk_accuracy(
-    ranked: Sequence[RankedList], true_matches: dict[str, str], k: int
-) -> float:
-    hits = 0
-    for r in ranked:
-        target = true_matches[r.query_id]
-        hits += target in r.candidate_ids[:k]
-    return hits / len(ranked)
-
-
-def mrr(ranked: Sequence[RankedList], true_matches: dict[str, str]) -> float:
-    total = 0.0
-    for r in ranked:
-        total += 1.0 / r.rank_of(true_matches[r.query_id])
-    return total / len(ranked)
-
-
 def reciprocal_ranks(
     ranked: Sequence[RankedList], true_matches: dict[str, str]
 ) -> np.ndarray:
+    """1 / rank of each query's true match; the mean is the MRR."""
     return np.array([1.0 / r.rank_of(true_matches[r.query_id]) for r in ranked])
+
+
+def hits_at_k(
+    ranked: Sequence[RankedList], true_matches: dict[str, str], k: int
+) -> np.ndarray:
+    """1.0 where a query's true match is in its top k, else 0.0; the mean is
+    the top-k accuracy."""
+    return np.array(
+        [true_matches[r.query_id] in r.candidate_ids[:k] for r in ranked], np.float64
+    )
 
 
 def average_precision_at_k(r: RankedList, relevant: set[str], k: int) -> float:
@@ -110,9 +110,9 @@ def average_precision_at_k(r: RankedList, relevant: set[str], k: int) -> float:
 
 def map_at_k(
     ranked: Sequence[RankedList], relevance: dict[str, set[str]], k: int
-) -> tuple[float, int]:
-    """Mean AP@k over queries with non-empty relevance; returns (value,
-    skipped count)."""
+) -> tuple[np.ndarray, int]:
+    """AP@k of each query with non-empty relevance (their mean is the
+    mAP@k) and the count of skipped queries."""
     values = []
     skipped = 0
     for r in ranked:
@@ -123,7 +123,17 @@ def map_at_k(
         values.append(average_precision_at_k(r, rel, k))
     if not values:
         raise EvalError("no query had a non-empty relevance set")
-    return float(np.mean(values)), skipped
+    return np.array(values), skipped
+
+
+def f1_score(tp: int, n_predicted: int, n_positive: int) -> float:
+    """F1 of ``tp`` true hits among n_predicted predictions of n_positive
+    positives."""
+    if tp == 0:
+        return 0.0
+    precision = tp / n_predicted
+    recall = tp / n_positive
+    return 2 * precision * recall / (precision + recall)
 
 
 def per_gene_f1(
@@ -139,11 +149,7 @@ def per_gene_f1(
         if not pos:
             raise EvalError(f"gene {gene}: empty positive set")
         n = len(pos)
-        retrieved = set(ranked.candidate_ids[:n])
-        tp = len(retrieved & pos)
-        precision = tp / n
-        recall = tp / n
-        out[gene] = 0.0 if tp == 0 else 2 * precision * recall / (precision + recall)
+        out[gene] = f1_score(len(set(ranked.candidate_ids[:n]) & pos), n, n)
     return out
 
 
@@ -170,17 +176,10 @@ def per_gene_f1_from_assignment(
     for sid, gene in assignment.items():
         if gene in predicted:
             predicted[gene].add(sid)
-    out = {}
-    for gene, pos in positives.items():
-        pred = predicted[gene]
-        tp = len(pred & pos)
-        if tp == 0:
-            out[gene] = 0.0
-            continue
-        precision = tp / len(pred)
-        recall = tp / len(pos)
-        out[gene] = 2 * precision * recall / (precision + recall)
-    return out
+    return {
+        gene: f1_score(len(predicted[gene] & pos), len(predicted[gene]), len(pos))
+        for gene, pos in positives.items()
+    }
 
 
 def _as_unit(x: np.ndarray) -> np.ndarray:
@@ -287,34 +286,37 @@ def logreg_probe(
 
 
 @dataclass
-class BootstrapSummary:
+class StatReport:
+    metric: str
     point: float
     boot_mean: float
     boot_std: float
     n_boot: int
+    p_value: float | None = None
+    p_bonferroni: float | None = None
+
+    def to_dict(self) -> dict:
+        return asdict(self)
 
 
 def bootstrap(
-    metric: Callable[[list], float],
-    items: list,
+    metric: Callable[[np.ndarray], float],
+    n: int,
     n_boot: int,
     seed: int,
-) -> BootstrapSummary:
-    """Resample items with replacement; mean and std of the metric."""
-    if not items:
+    name: str,
+) -> StatReport:
+    """``metric`` maps an array of row indices into the n test rows to a
+    value.  Its point value is on all rows; mean and std are over n_boot
+    resamples of the rows with replacement."""
+    if n == 0:
         raise EvalError("empty test set")
     rng = np.random.default_rng(seed)
-    n = len(items)
     values = np.empty(n_boot)
     for b in range(n_boot):
-        picks = rng.integers(0, n, size=n)
-        values[b] = metric([items[i] for i in picks])
-    return BootstrapSummary(
-        point=float(metric(items)),
-        boot_mean=float(values.mean()),
-        boot_std=float(values.std()),
-        n_boot=n_boot,
-    )
+        values[b] = metric(rng.integers(0, n, size=n))
+    return StatReport(name, float(metric(np.arange(n))), float(values.mean()),
+                      float(values.std()), n_boot)
 
 
 @dataclass
@@ -374,25 +376,3 @@ def wilcoxon_signed_rank(a: Sequence[float], b: Sequence[float]) -> WilcoxonResu
 
 def bonferroni(p: float, m: int) -> float:
     return min(1.0, m * p)
-
-
-@dataclass
-class StatReport:
-    metric: str
-    point: float
-    boot_mean: float
-    boot_std: float
-    n_boot: int
-    p_value: float | None = None
-    p_bonferroni: float | None = None
-
-    def to_dict(self) -> dict:
-        return {
-            "metric": self.metric,
-            "point": self.point,
-            "boot_mean": self.boot_mean,
-            "boot_std": self.boot_std,
-            "n_boot": self.n_boot,
-            "p_value": self.p_value,
-            "p_bonferroni": self.p_bonferroni,
-        }

@@ -10,17 +10,21 @@ sorted keys and no whitespace so identical content produces identical bytes.
 
 .gbck header keys: ``config``, ``epoch``, ``seed``, ``tensors`` (list of
 ``{name, shape, offset}``, byte offsets into the f32 blob section).
+
+Both are written to a temporary file in the target's directory and renamed
+over the target, so a failed write leaves any previous file intact.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+import os
 import struct
 import time
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any
+from typing import Any, Iterable
 
 import numpy as np
 
@@ -36,6 +40,22 @@ class FormatError(ValueError):
 
 def _dump_header(header: dict) -> bytes:
     return json.dumps(header, sort_keys=True, separators=(",", ":")).encode("utf-8")
+
+
+def _write_container(path: Path, magic: bytes, header: dict, payload: Iterable[bytes]) -> None:
+    blob = _dump_header(header)
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "wb") as fh:
+            fh.write(magic)
+            fh.write(struct.pack("<I", len(blob)))
+            fh.write(blob)
+            for chunk in payload:
+                fh.write(chunk)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def _read_prefixed(fh, magic: bytes, path: Path) -> dict:
@@ -86,12 +106,8 @@ def write_gbm(path: str | Path, matrix: Matrix) -> None:
         header["band_table_sha256"] = matrix.band_table_sha256
     if matrix.row_ranges is not None:
         header["row_ranges"] = [[int(a), int(b)] for a, b in matrix.row_ranges]
-    blob = _dump_header(header)
-    with open(path, "wb") as fh:
-        fh.write(GBM_MAGIC)
-        fh.write(struct.pack("<I", len(blob)))
-        fh.write(blob)
-        fh.write(data.astype(_DTYPES[dtype], copy=False).tobytes(order="C"))
+    _write_container(path, GBM_MAGIC, header,
+                     [data.astype(_DTYPES[dtype], copy=False).tobytes(order="C")])
 
 
 def read_gbm(path: str | Path) -> Matrix:
@@ -141,13 +157,7 @@ def write_gbck(
         "seed": int(seed),
         "tensors": directory,
     }
-    blob = _dump_header(header)
-    with open(path, "wb") as fh:
-        fh.write(GBCK_MAGIC)
-        fh.write(struct.pack("<I", len(blob)))
-        fh.write(blob)
-        for b in blobs:
-            fh.write(b)
+    _write_container(path, GBCK_MAGIC, header, blobs)
 
 
 def read_gbck(path: str | Path) -> tuple[dict[str, np.ndarray], dict]:
@@ -193,6 +203,12 @@ def config_hash(config: dict) -> str:
 
 def file_sha256(path: str | Path) -> str:
     return hashlib.sha256(Path(path).read_bytes()).hexdigest()
+
+
+def write_metrics(path: str | Path, records: list[dict]) -> None:
+    """JSON-lines log holding exactly ``records``, one per line; any
+    earlier content of the file is replaced."""
+    Path(path).write_text("".join(json.dumps(r, sort_keys=True) + "\n" for r in records))
 
 
 def write_manifest(

@@ -3,9 +3,14 @@
 Retrieval directions are evaluated on the test split with the same-patient
 counterpart as the true match, against a per-query shuffled random baseline;
 paired Wilcoxon tests on reciprocal ranks are Bonferroni-corrected over the
-four directions.  The ablation grid varies one factor per row (aggregator
-init/pooling, karyotype resolution, reconstruction weight) with the other
-factors at their defaults, sharing seeds so reruns are byte-identical.
+four directions.  Each metric is computed once, as a per-query vector
+(reciprocal ranks, top-k hits, AP@k) or, for the logistic probe, as one
+fit's test predictions, and ``evalkit.bootstrap`` resamples its rows.  Each
+probe is fitted once per table, and only when its task is requested.
+
+The ablation grid varies one factor per row (aggregator init/pooling,
+karyotype resolution, reconstruction weight) with the other factors at
+their defaults, sharing seeds so reruns are byte-identical.
 """
 
 from __future__ import annotations
@@ -75,13 +80,10 @@ def random_rankings(
     return out
 
 
-def _mean(items: list) -> float:
-    return float(np.mean(items))
-
-
-def _stat_from_values(name: str, values: np.ndarray, n_boot: int, seed: int) -> StatReport:
-    summary = ek.bootstrap(_mean, list(values), n_boot=n_boot, seed=seed)
-    return StatReport(name, summary.point, summary.boot_mean, summary.boot_std, n_boot)
+def _mean_stat(name: str, values: np.ndarray, n_boot: int, seed: int) -> StatReport:
+    """Bootstrap of a per-query vector's mean."""
+    return ek.bootstrap(lambda rows: float(values[rows].mean()), len(values),
+                        n_boot, seed, name)
 
 
 def retrieval_block(
@@ -103,24 +105,20 @@ def retrieval_block(
         tag = direction_tag(query, target)
         entry: dict = {}
         for k in top_ks:
-            hits_model = np.array(
-                [matches[r.query_id] in r.candidate_ids[:k] for r in ranked], float
-            )
-            hits_random = np.array(
-                [matches[r.query_id] in r.candidate_ids[:k] for r in baseline], float
-            )
-            entry[f"top{k}"] = _stat_from_values(
-                f"{tag} top-{k}", hits_model, n_boot, seed + 10 * d + k
+            entry[f"top{k}"] = _mean_stat(
+                f"{tag} top-{k}", ek.hits_at_k(ranked, matches, k), n_boot,
+                seed + 10 * d + k,
             ).to_dict()
-            entry[f"top{k}_random"] = _stat_from_values(
-                f"{tag} top-{k} random", hits_random, n_boot, seed + 10 * d + k + 1000
+            entry[f"top{k}_random"] = _mean_stat(
+                f"{tag} top-{k} random", ek.hits_at_k(baseline, matches, k), n_boot,
+                seed + 10 * d + k + 1000,
             ).to_dict()
         test = ek.wilcoxon_signed_rank(rr_model, rr_random)
-        mrr_stat = _stat_from_values(f"{tag} MRR", rr_model, n_boot, seed + 10 * d + 7)
+        mrr_stat = _mean_stat(f"{tag} MRR", rr_model, n_boot, seed + 10 * d + 7)
         mrr_stat.p_value = test.p_value
         mrr_stat.p_bonferroni = ek.bonferroni(test.p_value, m_corrections)
         entry["mrr"] = mrr_stat.to_dict()
-        entry["mrr_random"] = _stat_from_values(
+        entry["mrr_random"] = _mean_stat(
             f"{tag} MRR random", rr_random, n_boot, seed + 10 * d + 1007
         ).to_dict()
         entry["wilcoxon"] = {
@@ -151,68 +149,51 @@ def slide_retrieval_block(
         pid: {other for other in ids if other != pid and labels[other] == labels[pid]}
         for pid in ids
     }
-    point, skipped = ek.map_at_k(ranked, relevance, k)
-    per_query = [
-        ek.average_precision_at_k(r, relevance[r.query_id], k)
-        for r in ranked
-        if relevance[r.query_id]
-    ]
-    stat = _stat_from_values(f"S->S mAP@{k}", np.array(per_query), n_boot, seed)
+    aps, skipped = ek.map_at_k(ranked, relevance, k)
+    stat = _mean_stat(f"S->S mAP@{k}", aps, n_boot, seed)
     return {"map_at_k": stat.to_dict(), "k": k, "skipped_queries": skipped,
             "ap_normalizer": "min(|relevant|, k)"}
 
 
-def probe_block(
-    table: AlignedTable, k: int = 5, l2_strength: float = 1.0,
-    n_boot: int = 1000, seed: int = 0,
-) -> dict:
-    """k-NN and logistic-regression probes on the slide embeddings."""
+def _probe_inputs(table: AlignedTable) -> tuple[np.ndarray, ...]:
+    """(train_x, train_y, test_x, test_y): slide embeddings and labels."""
     train_rows = table.rows("train")
     test_rows = table.rows("test")
-    train_x = table.slide[train_rows]
-    train_y = np.array([table.labels[i] for i in train_rows])
-    test_x = table.slide[test_rows]
-    test_y = np.array([table.labels[i] for i in test_rows])
-    knn_bacc = ek.knn_probe(train_x, train_y, test_x, test_y, k=k)
-    logreg = ek.logreg_probe(train_x, train_y, test_x, test_y, l2_strength=l2_strength)
-    return {
-        "knn": {"k": k, "balanced_accuracy": knn_bacc},
-        "logreg": {
+    return (table.slide[train_rows], np.array([table.labels[i] for i in train_rows]),
+            table.slide[test_rows], np.array([table.labels[i] for i in test_rows]))
+
+
+def probe_block(
+    table: AlignedTable, probes: tuple[str, ...] = ("knn", "logreg"),
+    k: int = 5, l2_strength: float = 1.0,
+) -> dict:
+    """The requested k-NN and logistic-regression probes on the slide
+    embeddings, each fitted once."""
+    inputs = _probe_inputs(table)
+    block: dict = {}
+    if "knn" in probes:
+        block["knn"] = {"k": k, "balanced_accuracy": ek.knn_probe(*inputs, k=k)}
+    if "logreg" in probes:
+        logreg = ek.logreg_probe(*inputs, l2_strength=l2_strength)
+        block["logreg"] = {
             "balanced_accuracy": logreg.balanced_accuracy,
             "converged": logreg.converged,
             "l2_strength": l2_strength,
-        },
-    }
+        }
+    return block
 
 
 def logreg_bootstrap(
     table: AlignedTable, n_boot: int, seed: int, l2_strength: float = 1.0
 ) -> StatReport:
     """Fit once on train, bootstrap the test (truth, prediction) pairs."""
-    train_rows = table.rows("train")
-    test_rows = table.rows("test")
-    train_y = np.array([table.labels[i] for i in train_rows])
-    test_y = np.array([table.labels[i] for i in test_rows])
-    result = ek.logreg_probe(
-        table.slide[train_rows], train_y, table.slide[test_rows], test_y,
-        l2_strength=l2_strength,
+    train_x, train_y, test_x, test_y = _probe_inputs(table)
+    pred = ek.logreg_probe(train_x, train_y, test_x, test_y,
+                           l2_strength=l2_strength).predictions
+    return ek.bootstrap(
+        lambda rows: ek.balanced_accuracy(test_y[rows], pred[rows]),
+        len(test_y), n_boot, seed, "logreg bAcc",
     )
-    pairs = list(zip(test_y.tolist(), result.predictions.tolist()))
-    summary = ek.bootstrap(
-        lambda items: ek.balanced_accuracy(
-            np.array([t for t, _ in items]), np.array([p for _, p in items])
-        ),
-        pairs, n_boot=n_boot, seed=seed,
-    )
-    return StatReport("logreg bAcc", result.balanced_accuracy,
-                      summary.boot_mean, summary.boot_std, n_boot)
-
-
-def mrr_report(table: AlignedTable, query: str, target: str,
-               n_boot: int, seed: int) -> StatReport:
-    ranked, matches = cross_modal_rankings(table, query, target)
-    rr = ek.reciprocal_ranks(ranked, matches)
-    return _stat_from_values(f"{direction_tag(query, target)} MRR", rr, n_boot, seed)
 
 
 def per_gene_block(
@@ -256,13 +237,13 @@ def per_gene_block(
     )
     rng = np.random.default_rng(seed)
     random_f1 = {}
-    for name, ranked in rankings.items():
-        values = []
-        for _ in range(n_boot):
-            perm = rng.permutation(len(ids))
-            shuffled = RankedList(name, [ids[i] for i in perm], np.zeros(len(ids)))
-            values.append(ek.per_gene_f1({name: shuffled}, {name: positives[name]})[name])
-        random_f1[name] = float(np.mean(values))
+    for name in rankings:
+        is_positive = np.array([pid in positives[name] for pid in ids])
+        n = len(positives[name])
+        random_f1[name] = float(np.mean([
+            ek.f1_score(int(is_positive[rng.permutation(len(ids))[:n]].sum()), n, n)
+            for _ in range(n_boot)
+        ]))
     return {
         "genes": {
             name: {
@@ -303,13 +284,9 @@ def evaluate_report(
         report["tasks"]["slide_retrieval"] = slide_retrieval_block(
             table, n_boot=n_boot, seed=seed
         )
-    if wanted & {"knn", "logreg"}:
-        probes = probe_block(table, n_boot=n_boot, seed=seed)
-        if "knn" not in wanted:
-            probes.pop("knn")
-        if "logreg" not in wanted:
-            probes.pop("logreg")
-        report["tasks"]["probes"] = probes
+    probes = tuple(p for p in ("knn", "logreg") if p in wanted)
+    if probes:
+        report["tasks"]["probes"] = probe_block(table, probes)
     if "per_gene" in wanted:
         report["tasks"]["per_gene"] = per_gene_block(
             table, cohort, params, seed=seed, n_boot=min(n_boot, 200)
@@ -384,8 +361,13 @@ def run_ablation(
             )
             table = result.table
             logreg = logreg_bootstrap(table, n_boot=grid.n_boot, seed=grid.seed)
-            sk = mrr_report(table, "slide", "karyotype", grid.n_boot, grid.seed + 1)
-            ks = mrr_report(table, "karyotype", "slide", grid.n_boot, grid.seed + 2)
+            sk, ks = (
+                _mean_stat(f"{direction_tag(query, target)} MRR",
+                           ek.reciprocal_ranks(*cross_modal_rankings(table, query, target)),
+                           grid.n_boot, grid.seed + offset)
+                for offset, query, target in ((1, "slide", "karyotype"),
+                                              (2, "karyotype", "slide"))
+            )
             scores[key] = (logreg, sk, ks)
         logreg, sk, ks = scores[key]
         return {

@@ -11,7 +11,6 @@ are centered (running mean) and sharpened with a lower temperature.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -19,7 +18,9 @@ from pathlib import Path
 import numpy as np
 
 from . import gbio, ndiff
-from .aggregator import AggregatorConfig, BagView, CellBag, forward, init_params, sample_views
+from .aggregator import (
+    AggregatorConfig, BagView, CellBag, _trunc_normal, forward, init_params, sample_views,
+)
 from .ndiff import Tape, Tensor
 from .optim import AdamW, warmup_cosine_lr
 
@@ -75,8 +76,7 @@ def init_head_params(
     embed_dim: int, config: PretrainConfig, rng: np.random.Generator, dtype=np.float32
 ) -> dict[str, Tensor]:
     def param(shape, std=0.02):
-        x = np.clip(rng.standard_normal(shape) * std, -2 * std, 2 * std)
-        return Tensor(x.astype(dtype), requires_grad=True)
+        return Tensor(_trunc_normal(rng, shape, std).astype(dtype), requires_grad=True)
 
     def zeros(shape):
         return Tensor(np.zeros(shape, dtype=dtype), requires_grad=True)
@@ -277,6 +277,8 @@ def train_pretrain(
     n_batches = math.ceil(len(bags) / config.batch_size)
     total_steps = config.epochs * n_batches
     metrics: list[dict] = []
+    if metrics_path is not None:
+        gbio.write_metrics(metrics_path, metrics)  # drop any earlier run's log
     step = 0
     for epoch in range(config.epochs):
         teacher_temp = config.teacher_temp_at(epoch)
@@ -314,8 +316,7 @@ def train_pretrain(
         }
         metrics.append(record)
         if metrics_path is not None:
-            with open(metrics_path, "a") as fh:
-                fh.write(json.dumps(record, sort_keys=True) + "\n")
+            gbio.write_metrics(metrics_path, metrics)
     return PretrainResult(student, teacher, metrics, agg_config, config)
 
 

@@ -174,6 +174,23 @@ class TestPretrainAlign:
                      "--out", str(tmp_path / "x.gbck")]) == 1
         assert not (tmp_path / "x.gbck").exists()
 
+    def test_metrics_log_replaced_on_rerun(self, pipeline, tmp_path):
+        cohort_dir = pipeline / "cohort"
+        metrics = tmp_path / "m.jsonl"
+        for _ in range(2):
+            assert main([
+                "align", "--config", str(pipeline / "align.json"),
+                "--cohort", str(cohort_dir / "bags.gbm"),
+                "--karyo", str(cohort_dir / "karyotypes.gbm"),
+                "--mut", str(cohort_dir / "mutations.gbm"),
+                "--labels", str(cohort_dir / "labels.tsv"),
+                "--init", str(pipeline / "ckpt.gbck"),
+                "--out", str(tmp_path / "aligned.gbck"),
+                "--metrics", str(metrics),
+            ]) == 0
+        epochs = [json.loads(line)["epoch"] for line in metrics.read_text().splitlines()]
+        assert epochs == list(range(ALIGN_CFG["align"]["epochs"]))
+
     def test_align_without_init_or_aggregator_fails(self, pipeline, tmp_path):
         cohort_dir = pipeline / "cohort"
         cfg = tmp_path / "align.json"

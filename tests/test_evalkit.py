@@ -76,17 +76,18 @@ class TestTopkMrr:
     def test_all_rank_one(self):
         lists = [ranked(f"q{i}", [f"q{i}", "x", "y"]) for i in range(4)]
         matches = {f"q{i}": f"q{i}" for i in range(4)}
-        assert ek.topk_accuracy(lists, matches, 1) == 1.0
-        assert ek.mrr(lists, matches) == 1.0
+        assert list(ek.hits_at_k(lists, matches, 1)) == [1.0] * 4
+        assert list(ek.reciprocal_ranks(lists, matches)) == [1.0] * 4
 
     def test_rank_six_misses_top5(self):
         lists = [ranked("q", ["a", "b", "c", "d", "e", "t"])]
-        assert ek.topk_accuracy(lists, {"q": "t"}, 5) == 0.0
-        assert ek.mrr(lists, {"q": "t"}) == pytest.approx(1 / 6)
+        assert list(ek.hits_at_k(lists, {"q": "t"}, 5)) == [0.0]
+        assert list(ek.hits_at_k(lists, {"q": "t"}, 6)) == [1.0]
+        assert list(ek.reciprocal_ranks(lists, {"q": "t"})) == [1 / 6]
 
     def test_single_query_rank_four(self):
         lists = [ranked("q", ["a", "b", "c", "t"])]
-        assert ek.mrr(lists, {"q": "t"}) == pytest.approx(0.25)
+        assert list(ek.reciprocal_ranks(lists, {"q": "t"})) == [0.25]
 
     def test_random_permutation_topk_expectation(self):
         # uniform rank over N=20 -> P(top-5) = 5/20
@@ -97,7 +98,7 @@ class TestTopkMrr:
             perm = [ids[j] for j in rng.permutation(20)]
             lists.append(ranked(f"q{i}", perm))
         matches = {f"q{i}": "c0" for i in range(10_000)}
-        acc = ek.topk_accuracy(lists, matches, 5)
+        acc = ek.hits_at_k(lists, matches, 5).mean()
         assert acc == pytest.approx(0.25, abs=0.02)
 
     def test_uniform_rank_mrr_expectation_n5(self):
@@ -110,7 +111,7 @@ class TestTopkMrr:
             lists.append(ranked(f"q{i}", perm))
             matches[f"q{i}"] = "a"
         expected = sum(1 / r for r in range(1, 6)) / 5
-        assert ek.mrr(lists, matches) == pytest.approx(expected, rel=1e-12)
+        assert ek.reciprocal_ranks(lists, matches).mean() == pytest.approx(expected, rel=1e-12)
         assert expected == pytest.approx(0.45666, abs=1e-4)
 
     def test_topk_monotone_in_k_and_mrr_bounds(self, rng):
@@ -120,10 +121,11 @@ class TestTopkMrr:
             perm = [ids[j] for j in rng.permutation(12)]
             lists.append(ranked(f"q{i}", perm))
             matches[f"q{i}"] = "c3"
-        accs = [ek.topk_accuracy(lists, matches, k) for k in range(1, 13)]
-        assert all(a <= b for a, b in zip(accs, accs[1:]))
-        value = ek.mrr(lists, matches)
-        assert accs[0] <= value <= 1.0
+        hits = [ek.hits_at_k(lists, matches, k) for k in range(1, 13)]
+        assert all((a <= b).all() for a, b in zip(hits, hits[1:]))
+        assert (hits[-1] == 1.0).all()
+        rr = ek.reciprocal_ranks(lists, matches)
+        assert ((hits[0] <= rr) & (rr <= 1.0)).all()
 
 
 def ap_oracle(candidate_ids, relevant, k):
@@ -139,24 +141,24 @@ def ap_oracle(candidate_ids, relevant, k):
 class TestMapAtK:
     def test_relevant_at_all_top_ranks(self):
         lists = [ranked("q", ["r1", "r2", "r3", "x"])]
-        value, skipped = ek.map_at_k(lists, {"q": {"r1", "r2", "r3"}}, 3)
-        assert value == 1.0 and skipped == 0
+        aps, skipped = ek.map_at_k(lists, {"q": {"r1", "r2", "r3"}}, 3)
+        assert list(aps) == [1.0] and skipped == 0
 
     def test_hand_computed_case(self):
         # relevant at ranks 2 and 3, |R| = 2 -> (1/2)(1/2 + 2/3) = 7/12
         lists = [ranked("q", ["x", "r1", "r2"])]
-        value, _ = ek.map_at_k(lists, {"q": {"r1", "r2"}}, 3)
-        assert value == pytest.approx(7 / 12)
+        aps, _ = ek.map_at_k(lists, {"q": {"r1", "r2"}}, 3)
+        assert aps == pytest.approx([7 / 12])
 
     def test_nothing_relevant_in_topk(self):
         lists = [ranked("q", ["x", "y", "z", "r"])]
-        value, _ = ek.map_at_k(lists, {"q": {"r"}}, 3)
-        assert value == 0.0
+        aps, _ = ek.map_at_k(lists, {"q": {"r"}}, 3)
+        assert list(aps) == [0.0]
 
     def test_empty_relevance_skipped_and_counted(self):
         lists = [ranked("q1", ["a", "b"]), ranked("q2", ["b", "a"])]
-        value, skipped = ek.map_at_k(lists, {"q1": {"a"}, "q2": set()}, 2)
-        assert value == 1.0 and skipped == 1
+        aps, skipped = ek.map_at_k(lists, {"q1": {"a"}, "q2": set()}, 2)
+        assert list(aps) == [1.0] and skipped == 1
 
     def test_matches_bruteforce_on_200_random_instances(self):
         rng = np.random.default_rng(7)
@@ -168,7 +170,7 @@ class TestMapAtK:
             n_rel = int(rng.integers(1, n + 1))
             relevant = set(rng.choice(ids, size=n_rel, replace=False).tolist())
             got, _ = ek.map_at_k([ranked("q", perm)], {"q": relevant}, k)
-            assert got == pytest.approx(ap_oracle(perm, relevant, k), rel=1e-12)
+            assert got == pytest.approx([ap_oracle(perm, relevant, k)], rel=1e-12)
 
 
 class TestPerGeneF1:
@@ -276,13 +278,15 @@ class TestLogregProbe:
 
 class TestBootstrap:
     def test_constant_metric_zero_std(self):
-        out = ek.bootstrap(lambda items: 42.0, [1, 2, 3], n_boot=50, seed=0)
+        out = ek.bootstrap(lambda rows: 42.0, 3, n_boot=50, seed=0, name="c")
         assert out.boot_std == 0.0 and out.boot_mean == 42.0
+        assert out.metric == "c" and out.point == 42.0
 
     def test_single_iteration(self):
-        out = ek.bootstrap(lambda items: float(np.mean(items)), [1.0, 3.0],
-                           n_boot=1, seed=5)
-        assert out.n_boot == 1
+        data = np.array([1.0, 3.0])
+        out = ek.bootstrap(lambda rows: float(data[rows].mean()), 2,
+                           n_boot=1, seed=5, name="mean")
+        assert out.n_boot == 1 and out.point == 2.0
         rng = np.random.default_rng(5)
         picks = rng.integers(0, 2, size=2)
         expected = np.mean([[1.0, 3.0][i] for i in picks])
@@ -291,10 +295,10 @@ class TestBootstrap:
     def test_bernoulli_mean_std_closed_form(self):
         rng = np.random.default_rng(11)
         n = 400
-        data = (rng.random(n) < 0.3).astype(float).tolist()
+        data = (rng.random(n) < 0.3).astype(float)
         p_hat = np.mean(data)
-        out = ek.bootstrap(lambda items: float(np.mean(items)), data,
-                           n_boot=1000, seed=2)
+        out = ek.bootstrap(lambda rows: float(data[rows].mean()), n,
+                           n_boot=1000, seed=2, name="mean")
         expected_std = math.sqrt(p_hat * (1 - p_hat) / n)
         assert out.boot_std == pytest.approx(expected_std, rel=0.10)
 

@@ -1,3 +1,5 @@
+import errno
+
 import numpy as np
 import pytest
 
@@ -88,6 +90,44 @@ class TestGbck:
         with pytest.raises(gbio.FormatError):
             (tmp_path / "junk").write_bytes(b"????1234")
             gbio.inspect_header(tmp_path / "junk")
+
+
+class _FullDisk:
+    """Binary file whose writes fail once ``budget`` bytes are written."""
+
+    def __init__(self, fh, budget):
+        self.fh, self.budget = fh, budget
+
+    def write(self, data):
+        if len(data) > self.budget:
+            raise OSError(errno.ENOSPC, "No space left on device")
+        self.budget -= len(data)
+        return self.fh.write(data)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.fh.close()
+
+
+class TestAtomicWrite:
+    @pytest.mark.parametrize("write", [
+        lambda path, fill: gbio.write_gbm(path, gbio.Matrix(np.full((4, 4), fill, np.float32), ["x"])),
+        lambda path, fill: gbio.write_gbck(path, {"w": np.full((4, 4), fill, np.float32)}, {}, 0, 0),
+    ], ids=["gbm", "gbck"])
+    def test_failed_payload_write_keeps_previous_file(self, tmp_path, monkeypatch, write):
+        path = tmp_path / "out.bin"
+        write(path, 0.0)
+        previous = path.read_bytes()
+        header_bytes = len(previous) - 16 * 4  # everything before the payload
+        with monkeypatch.context() as m:
+            m.setattr(gbio, "open", lambda *a, **k: _FullDisk(open(*a, **k), header_bytes),
+                      raising=False)
+            with pytest.raises(OSError, match="No space"):
+                write(path, 1.0)
+        assert path.read_bytes() == previous
+        assert [p.name for p in tmp_path.iterdir()] == ["out.bin"]
 
 
 class TestHashes:

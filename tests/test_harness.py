@@ -104,10 +104,11 @@ class TestOtherBlocks:
 
     def test_probe_block_separable(self, rng):
         table = make_table(rng)
-        block = probe_block(table, n_boot=50, seed=0)
+        block = probe_block(table)
         assert block["knn"]["balanced_accuracy"] == 1.0
         assert block["logreg"]["balanced_accuracy"] == 1.0
         assert block["logreg"]["converged"]
+        assert probe_block(table, ("knn",)) == {"knn": block["knn"]}
 
     def test_logreg_bootstrap_deterministic(self, rng):
         table = make_table(rng)
@@ -128,12 +129,16 @@ class TestOtherBlocks:
             for pid, lab, spl in zip(table.patient_ids, table.labels, table.splits)
         ]
         cohort = Cohort(patients)
-        block = per_gene_block(table, cohort, params, n_boot=20, seed=0)
+        block = per_gene_block(table, cohort, params, n_boot=2000, seed=0)
         assert block["genes"], "no usable genes"
+        n_test = len(table.rows("test"))
         for info in block["genes"].values():
             assert 0.0 <= info["gene_to_slide_f1"] <= 1.0
             assert 0.0 <= info["slide_to_gene_f1"] <= 1.0
             assert info["n_positive"] > 0
+            # a random ranking puts N_g/N of the top-N_g on positives
+            assert info["random_f1"] == pytest.approx(info["n_positive"] / n_test,
+                                                      abs=0.03)
 
     def test_report_to_tsv_flattens(self):
         tsv = report_to_tsv({"a": {"b": 1.5, "name": "x"}, "c": 2})
@@ -232,3 +237,24 @@ class TestEvaluateReport:
         assert "knn" in report["tasks"]["probes"]
         assert "logreg" not in report["tasks"]["probes"]
         assert report["n_patients"]["test"] == 6
+
+    def test_each_probe_fitted_once_and_only_when_requested(self, rng, monkeypatch):
+        from genalign import evalkit
+        cohort = tiny_cohort(rng)
+        cfg = AlignConfig(epochs=1, batch_size=6, aggregator_mode="mean_pool",
+                          init="random", seed=2)
+        params = harness.train_align(cohort, TINY_AGG, cfg).params
+        fits = []
+        real_logreg_probe = evalkit.logreg_probe
+
+        def counting_logreg_probe(*args, **kwargs):
+            fits.append(args)
+            return real_logreg_probe(*args, **kwargs)
+
+        monkeypatch.setattr(evalkit, "logreg_probe", counting_logreg_probe)
+        report = harness.evaluate_report(cohort, params, TINY_AGG, cfg,
+                                         tasks=("knn",), n_boot=10)
+        assert set(report["tasks"]["probes"]) == {"knn"}
+        assert fits == []
+        harness.evaluate_report(cohort, params, TINY_AGG, cfg, n_boot=10)
+        assert len(fits) == 1

@@ -1,4 +1,5 @@
 import math
+import zlib
 
 import numpy as np
 import pytest
@@ -182,7 +183,7 @@ class TestGradCheck:
     @pytest.mark.parametrize("name,shape,fn", PRIMITIVE_CASES,
                              ids=[c[0] for c in PRIMITIVE_CASES])
     def test_every_primitive_20_random_points(self, name, shape, fn):
-        rng = np.random.default_rng(hash(name) % 2**32)
+        rng = np.random.default_rng(zlib.crc32(name.encode()))
         for _ in range(20):
             x = t64(rng.standard_normal(shape))
             report = ndiff.grad_check(fn, x, eps=1e-5, tol=1e-4)
