@@ -3,9 +3,11 @@
 Cells are projected by an MLP (no patchification), optionally replaced by a
 learned mask token, prefixed with a CLS token, and run through pre-norm
 transformer blocks with no positional encodings, so the CLS state depends
-only on the multiset of cells.  Multi-crop view sampling draws global (70%)
-and local (20%) sub-bags with per-view masks for the masked-prediction
-objective.
+only on the multiset of cells.  ``forward`` takes a stack of equal-length
+views and runs them as one batch of sequences: pretraining buckets its views
+by exact length and makes one call per bucket, full-bag callers pass one bag.
+Multi-crop view sampling draws global (70%) and local (20%) sub-bags with
+per-view masks for the masked-prediction objective.
 """
 
 from __future__ import annotations
@@ -81,8 +83,8 @@ class BagView:
 
 @dataclass
 class AggregatorOutput:
-    cls: Tensor  # (1, D)
-    tokens: Tensor  # (n, D), aligned with the view's cell order
+    cls: Tensor  # (B, D), one row per view
+    tokens: Tensor  # (B * n, D): view b's cells, in order, at rows b*n .. b*n + n - 1
 
 
 def cap_bag(bag: CellBag, max_cells: int, rng: np.random.Generator) -> CellBag:
@@ -140,7 +142,9 @@ def init_params(
     return params
 
 
-def _attention(x: Tensor, params: dict[str, Tensor], prefix: str, config: AggregatorConfig) -> Tensor:
+def _attention(
+    x: Tensor, params: dict[str, Tensor], prefix: str, config: AggregatorConfig, seq_len: int
+) -> Tensor:
     out = ndiff.multi_head_attention(
         x,
         params[f"{prefix}.wq"],
@@ -148,6 +152,7 @@ def _attention(x: Tensor, params: dict[str, Tensor], prefix: str, config: Aggreg
         params[f"{prefix}.wv"],
         params[f"{prefix}.wo"],
         config.heads,
+        seq_len,
     )
     return ndiff.add(out, params[f"{prefix}.bo"])
 
@@ -170,39 +175,66 @@ def forward(
     params: dict[str, Tensor],
     config: AggregatorConfig,
 ) -> AggregatorOutput:
-    """Run the aggregator on one view.
+    """Run the aggregator on a stack of B equal-length views.
 
-    ``mask`` holds view-local cell positions whose projected embeddings are
-    replaced by the learned mask token before the transformer.
+    ``cells`` is ``(B, n, input_dim)``; one ``(n, input_dim)`` view, as an
+    array or as a Tensor when gradients w.r.t. the cells are wanted, is
+    B=1.  ``mask`` holds one row of view-local cell positions per view,
+    ``(B, m)`` (``(m,)`` for one view), whose projected embeddings are
+    replaced by the learned mask token before the transformer.  The views
+    run as one sequence each, ``[CLS, cells...]``, stacked as rows through
+    every block: bags are sets, so equal-length views need no padding and
+    no attention mask.
     """
-    if not isinstance(cells, Tensor):
-        cells = Tensor(np.asarray(cells, dtype=params["cls"].dtype))
-    n = cells.shape[0]
-    if n == 0:
-        raise ValueError("empty bag")
-    if cells.shape[1] != config.input_dim:
+    if isinstance(cells, Tensor):
+        views = cells.data[None]
+    else:
+        views = np.asarray(cells, dtype=params["cls"].dtype)
+        if views.ndim == 2:
+            views = views[None]
+    if views.ndim != 3 or views.shape[0] == 0 or views.shape[1] == 0:
+        raise ValueError(f"empty bag or not a (B, n, d) stack of views: shape {views.shape}")
+    b, n, width = views.shape
+    if width != config.input_dim:
         raise ValueError(
-            f"cell width {cells.shape[1]} != configured input_dim {config.input_dim}"
+            f"cell width {width} != configured input_dim {config.input_dim}"
         )
+    if not isinstance(cells, Tensor):
+        cells = Tensor(views.reshape(b * n, width))
+    masks = np.asarray(mask, dtype=np.int64)
+    if masks.ndim == 1:
+        masks = masks[None]
+    if masks.ndim != 2 or masks.shape[0] != b:
+        raise ValueError(f"mask shape {masks.shape} does not give one row per view for {b} views")
     x = mlp_forward(cells, params, "embed")
-    mask = np.asarray(mask, dtype=np.int64)
-    if mask.size:
-        if mask.min() < 0 or mask.max() >= n:
+    if masks.size:
+        if masks.min() < 0 or masks.max() >= n:
             raise ValueError(f"mask positions out of range for a {n}-cell view")
-        keep = np.ones((n, 1), dtype=x.dtype)
-        keep[mask] = 0.0
+        keep = np.ones((b * n, 1), dtype=x.dtype)
+        keep[(np.arange(b)[:, None] * n + masks).ravel()] = 0.0
         keep_t = Tensor(keep)
         fill_t = Tensor(1.0 - keep)
         x = ndiff.add(ndiff.mul(x, keep_t), ndiff.mul(params["mask_token"], fill_t))
+    # One view is already its sequence [CLS; cells] and takes row slices; a
+    # stack gathers a copy of the CLS row to the head of every view.  The
+    # gathers would cost a one-view call (every full-bag forward) about 5%.
     x = ndiff.concat_rows([params["cls"], x])
+    seq = n + 1
+    if b > 1:
+        rows = np.zeros((b, seq), dtype=np.int64)
+        rows[:, 1:] = np.arange(1, b * n + 1).reshape(b, n)
+        x = ndiff.gather_rows(x, rows.ravel())
     for i in range(config.depth):
         prefix = f"block{i}"
-        x = ndiff.add(x, _attention(_layer_norm(x, params, f"{prefix}.ln1"), params, f"{prefix}.attn", config))
+        x = ndiff.add(x, _attention(_layer_norm(x, params, f"{prefix}.ln1"), params, f"{prefix}.attn", config, seq))
         x = ndiff.add(x, mlp_forward(_layer_norm(x, params, f"{prefix}.ln2"), params, f"{prefix}.mlp"))
     x = _layer_norm(x, params, "final_ln")
+    if b == 1:
+        return AggregatorOutput(cls=ndiff.slice_rows(x, 0, 1), tokens=ndiff.slice_rows(x, 1, seq))
+    positions = np.arange(b * seq).reshape(b, seq)
     return AggregatorOutput(
-        cls=ndiff.slice_rows(x, 0, 1),
-        tokens=ndiff.slice_rows(x, 1, n + 1),
+        cls=ndiff.gather_rows(x, positions[:, 0]),
+        tokens=ndiff.gather_rows(x, positions[:, 1:].ravel()),
     )
 
 

@@ -48,6 +48,8 @@ class AlignConfig:
     seed: int = 0
 
     def __post_init__(self):
+        if self.epochs < 1:
+            raise ValueError("epochs must be >= 1")
         if self.temperature <= 0:
             raise ValueError("temperature must be positive")
         if self.recon_weight < 0:

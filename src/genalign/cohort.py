@@ -1,9 +1,10 @@
 """Patient cohort container: bags, genetic vectors, labels, splits.
 
 On disk a cohort is a directory of ``bags.gbm`` (f32 cells with per-patient
-row ranges), ``karyotypes.gbm`` (u8, band-level), ``mutations.gbm`` (u8) and
-``labels.tsv`` (``patient_id<TAB>label<TAB>split``, split ``train`` or
-``test``; every bag needs a row).
+row ranges), ``karyotypes.gbm`` (u8, 3 columns per band of the shipped band
+table; a recorded ``band_table_sha256`` must be that table's),
+``mutations.gbm`` (u8) and ``labels.tsv`` (``patient_id<TAB>label<TAB>split``,
+split ``train`` or ``test``; every bag needs a row).
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ import numpy as np
 
 from . import gbio
 from .aggregator import CellBag
+from .karyogram import load_band_table
 
 BAGS_FILE = "bags.gbm"
 KARYOTYPES_FILE = "karyotypes.gbm"
@@ -112,7 +114,18 @@ def load_cohort(
     sha = None
     if karyotypes_path is not None:
         m = gbio.read_gbm(karyotypes_path)
+        table = load_band_table()
         sha = m.band_table_sha256
+        if sha is not None and sha != table.sha256:
+            raise gbio.FormatError(
+                f"{karyotypes_path}: encoded against band table {sha[:12]}..., "
+                f"not the shipped table {table.sha256[:12]}..."
+            )
+        if m.data.shape[1] != 3 * len(table):
+            raise gbio.FormatError(
+                f"{karyotypes_path}: {m.data.shape[1]} columns; the shipped band "
+                f"table needs 3 x {len(table)} = {3 * len(table)}"
+            )
         karyotypes = {pid: m.data[i] for i, pid in enumerate(m.patient_ids)}
     mutations: dict[str, np.ndarray] = {}
     if mutations_path is not None:

@@ -311,6 +311,8 @@ def bootstrap(
     resamples of the rows with replacement."""
     if n == 0:
         raise EvalError("empty test set")
+    if n_boot < 1:
+        raise EvalError(f"n_boot must be >= 1, got {n_boot}")
     rng = np.random.default_rng(seed)
     values = np.empty(n_boot)
     for b in range(n_boot):

@@ -351,50 +351,89 @@ def binary_cross_entropy_with_logits(logits: Tensor, targets: Tensor) -> Tensor:
     return _record(out, (logits, targets), backward)
 
 
+def gather_rows(a: Tensor, idx) -> Tensor:
+    """Rows ``a[idx]`` in the order of ``idx``; an index may repeat, and its
+    output rows' gradients are summed back into the one input row."""
+    idx = np.asarray(idx)
+    if idx.ndim != 1 or (idx.size and idx.dtype.kind not in "iu"):
+        raise NdiffError(
+            f"gather_rows: expected a 1-D integer index, got {idx.dtype.name} {idx.shape}"
+        )
+    if idx.size and (idx.min() < 0 or idx.max() >= a.shape[0]):
+        raise NdiffError(f"gather_rows: index out of range for shape {a.shape}")
+    idx = idx.astype(np.int64, copy=False)
+    out = Tensor(a.data[idx])
+
+    def backward(g):
+        full = np.zeros_like(a.data)
+        full[idx] = g
+        # np.add.at is 5-10x slower than assignment, so it sums only the
+        # rows of indices that repeat, in the same order it would use
+        shared = np.bincount(idx, minlength=a.shape[0])[idx] > 1
+        if shared.any():
+            full[idx[shared]] = 0
+            np.add.at(full, idx[shared], g[shared])
+        return (full,)
+
+    return _record(out, (a,), backward)
+
+
 def multi_head_attention(
-    x: Tensor, wq: Tensor, wk: Tensor, wv: Tensor, wo: Tensor, n_heads: int
+    x: Tensor,
+    wq: Tensor,
+    wk: Tensor,
+    wv: Tensor,
+    wo: Tensor,
+    n_heads: int,
+    seq_len: int | None = None,
 ) -> Tensor:
     """Fused softmax(x Wq (x Wk)^T / sqrt(dh)) x Wv Wo over n_heads.
 
-    One graph node instead of ~24: the per-head arithmetic runs as batched
-    3-D matmuls, with the combined backward derived analytically.
+    ``x`` holds B equal-length sequences of ``seq_len`` rows stacked one
+    after another (default: all rows are one sequence); a row attends only
+    to the rows of its own sequence, so no padding or attention mask is
+    involved.  One graph node instead of ~24: the per-head arithmetic runs
+    as batched matmuls over (sequence, head), with the combined backward
+    derived analytically.
     """
     for w, name in ((wq, "wq"), (wk, "wk"), (wv, "wv"), (wo, "wo")):
         _check_same_dtype(x, w, f"multi_head_attention/{name}")
-    n, d = x.shape
+    rows, d = x.shape
     if d % n_heads != 0:
         raise NdiffError(f"width {d} not divisible by {n_heads} heads")
+    n = rows if seq_len is None else seq_len
+    if n < 1 or rows % n != 0:
+        raise NdiffError(f"{rows} rows do not split into sequences of {n}")
+    b = rows // n
     dh = d // n_heads
     scale = 1.0 / math.sqrt(dh)
 
-    def split(m):  # (n, d) -> (h, n, dh)
-        return m.reshape(n, n_heads, dh).transpose(1, 0, 2)
+    def split(m):  # (b*n, d) -> (b, h, n, dh)
+        return m.reshape(b, n, n_heads, dh).transpose(0, 2, 1, 3)
+
+    def merge(m):  # (b, h, n, dh) -> (b*n, d)
+        return m.transpose(0, 2, 1, 3).reshape(rows, d)
 
     q = split(x.data @ wq.data)
     k = split(x.data @ wk.data)
     v = split(x.data @ wv.data)
-    scores = q @ k.transpose(0, 2, 1) * scale
+    scores = q @ k.swapaxes(-1, -2) * scale
     scores -= scores.max(axis=-1, keepdims=True)
     e = np.exp(scores)
     attn = e / e.sum(axis=-1, keepdims=True)
-    heads = attn @ v  # (h, n, dh)
-    merged = heads.transpose(1, 0, 2).reshape(n, d)
+    merged = merge(attn @ v)
     out = Tensor(merged @ wo.data)
 
     def backward(g):
         d_merged = g @ wo.data.T
         d_wo = merged.T @ g
         d_heads = split(d_merged)
-        d_attn = d_heads @ v.transpose(0, 2, 1)
-        d_v = attn.transpose(0, 2, 1) @ d_heads
+        d_attn = d_heads @ v.swapaxes(-1, -2)
+        d_v = attn.swapaxes(-1, -2) @ d_heads
         d_scores = attn * (d_attn - (d_attn * attn).sum(axis=-1, keepdims=True))
         d_scores *= scale
         d_q = d_scores @ k
-        d_k = d_scores.transpose(0, 2, 1) @ q
-
-        def merge(m):  # (h, n, dh) -> (n, d)
-            return m.transpose(1, 0, 2).reshape(n, d)
-
+        d_k = d_scores.swapaxes(-1, -2) @ q
         dq, dk, dv = merge(d_q), merge(d_k), merge(d_v)
         d_x = dq @ wq.data.T + dk @ wk.data.T + dv @ wv.data.T
         return (

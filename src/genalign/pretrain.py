@@ -7,10 +7,16 @@ views unmasked.  CLS distributions over learned prototypes are matched across
 (teacher global, student view) pairs; masked token distributions are matched
 against the teacher's unmasked token output on the same view.  Teacher logits
 are centered (running mean) and sharpened with a lower temperature.
+
+Views are bucketed by exact length (length ascending, then (patient, view)),
+and each bucket is one aggregator forward per side, as DINO's multi-crop
+wrapper runs same-size crops together.  The head runs once on all CLS rows
+and once on all masked-token rows per side: four head calls per step.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -52,6 +58,8 @@ class PretrainConfig:
     seed: int = 0
 
     def __post_init__(self):
+        if self.epochs < 1:
+            raise ValueError("epochs must be >= 1")
         if self.student_temp <= 0 or self.teacher_temp_start <= 0 or self.teacher_temp_end <= 0:
             raise ValueError("temperatures must be positive")
         if not 0 < self.ema_momentum < 1:
@@ -320,41 +328,89 @@ def train_pretrain(
     return PretrainResult(student, teacher, metrics, agg_config, config)
 
 
+def _bucketed_pass(
+    batch_bags: list[CellBag],
+    views_per_patient: list[list[BagView]],
+    params: dict[str, Tensor],
+    agg_config: AggregatorConfig,
+    config: PretrainConfig,
+    student: bool,
+) -> tuple[Tensor, Tensor | None]:
+    """Run a batch's views through the aggregator, one forward per exact
+    view length, in buckets by length ascending, then (patient, view).
+
+    The student runs every view with its masked cells replaced by the mask
+    token; the teacher runs the global views, plus every masked view when
+    iBOT is on, unmasked.  Returns the CLS rows of the student's views or
+    the teacher's global views in [view][patient] order, and with iBOT on
+    the token rows at every masked position, in bucket order and within a
+    view in mask order (``None`` when nothing is masked).  The order depends
+    only on the views, so the teacher's masked rows line up with the
+    student's.
+    """
+    n_cls_views = config.k_global + config.k_local if student else config.k_global
+    with_tokens = config.ibot_weight != 0
+    order = sorted(
+        (len(view.indices), p, v)
+        for p, views in enumerate(views_per_patient)
+        for v, view in enumerate(views)
+        if v < n_cls_views or (with_tokens and view.mask.size)
+    )
+    cls_parts, token_parts = [], []
+    for _, bucket in itertools.groupby(order, key=lambda key: key[0]):
+        pairs = [(p, views_per_patient[p][v]) for _, p, v in bucket]
+        cells = np.stack([batch_bags[p].cells[view.indices] for p, view in pairs])
+        if student:
+            mask = np.stack([view.mask for _, view in pairs])
+        else:
+            mask = np.empty((len(pairs), 0), dtype=np.int64)
+        out = forward(cells, mask, params, agg_config)
+        cls_parts.append(out.cls)
+        token_parts.append(out.tokens)
+    position = {(p, v): i for i, (_, p, v) in enumerate(order)}
+    cls = ndiff.gather_rows(
+        ndiff.concat_rows(cls_parts),
+        [position[(p, v)] for v in range(n_cls_views) for p in range(len(batch_bags))],
+    )
+    if not with_tokens:
+        return cls, None
+    starts = np.cumsum([0] + [n for n, _, _ in order])[:-1]
+    masked_rows = np.concatenate(
+        [start + views_per_patient[p][v].mask for start, (_, p, v) in zip(starts, order)]
+    )
+    if not masked_rows.size:
+        return cls, None
+    return cls, ndiff.gather_rows(ndiff.concat_rows(token_parts), masked_rows)
+
+
 def teacher_targets(
     batch_bags: list[CellBag],
     views_per_patient: list[list[BagView]],
     teacher_params: dict[str, Tensor],
     agg_config: AggregatorConfig,
     config: PretrainConfig,
-) -> tuple[list[Tensor], dict[tuple[int, int], np.ndarray]]:
+) -> tuple[list[Tensor], np.ndarray | None]:
     """Teacher pass, unmasked and untaped: CLS logits per global view (rows
-    stacked over patients) and token logits at each (patient, view)'s masked
-    positions."""
-    need_ibot = config.ibot_weight != 0
-    teacher_cls_logits: list[Tensor] = []
-    teacher_masked_logits: dict[tuple[int, int], np.ndarray] = {}
-    teacher_cls_rows: list[list[Tensor]] = [[] for _ in range(config.k_global)]
-    for p, (bag, views) in enumerate(zip(batch_bags, views_per_patient)):
-        for v, view in enumerate(views):
-            if v >= config.k_global and not (need_ibot and view.mask.size):
-                continue
-            out = forward(bag.cells[view.indices], np.empty(0, np.int64), teacher_params, agg_config)
-            if need_ibot and view.mask.size:
-                states = Tensor(out.tokens.data[view.mask])
-                teacher_masked_logits[(p, v)] = head_forward(states, teacher_params).data
-            if v < config.k_global:
-                teacher_cls_rows[v].append(out.cls)
-    for v in range(config.k_global):
-        stacked = ndiff.concat_rows(teacher_cls_rows[v])
-        teacher_cls_logits.append(head_forward(stacked, teacher_params))
-    return teacher_cls_logits, teacher_masked_logits
+    stacked over patients) and the token logits at every masked position,
+    in the student's row order (``None`` when nothing is masked)."""
+    cls, masked_tokens = _bucketed_pass(
+        batch_bags, views_per_patient, teacher_params, agg_config, config, student=False
+    )
+    cls_logits = head_forward(cls, teacher_params)
+    n_p = len(batch_bags)
+    teacher_cls_logits = [
+        ndiff.slice_rows(cls_logits, v * n_p, (v + 1) * n_p) for v in range(config.k_global)
+    ]
+    if masked_tokens is None:
+        return teacher_cls_logits, None
+    return teacher_cls_logits, head_forward(masked_tokens, teacher_params).data
 
 
 def pretrain_objective(
     batch_bags: list[CellBag],
     views_per_patient: list[list[BagView]],
     student: dict[str, Tensor],
-    targets: tuple[list[Tensor], dict[tuple[int, int], np.ndarray]],
+    targets: tuple[list[Tensor], np.ndarray | None],
     center: np.ndarray,
     agg_config: AggregatorConfig,
     config: PretrainConfig,
@@ -362,50 +418,34 @@ def pretrain_objective(
 ) -> tuple[Tensor, Tensor, Tensor]:
     """Student pass against ``teacher_targets``: (dino, ibot, total).
 
-    Masked token states are gathered before the head, so the head runs on
-    masked rows only; ibot is the mask-size-weighted mean of the per-view
-    token CE, and 0 when nothing is masked."""
+    The views run one aggregator forward per exact length, and the head
+    runs once on all CLS rows and once on all masked token rows (gathered
+    before the head, so it never sees unmasked tokens).  ibot is the token
+    CE averaged over every masked row of the batch, which weights each
+    view by its mask size, and 0 when nothing is masked."""
     teacher_cls_logits, teacher_masked_logits = targets
-    need_ibot = config.ibot_weight != 0
-    student_cls_rows: list[list[Tensor]] = [
-        [] for _ in range(config.k_global + config.k_local)
-    ]
-    ibot_terms: list[tuple[Tensor, int]] = []
-    for p, (bag, views) in enumerate(zip(batch_bags, views_per_patient)):
-        for v, view in enumerate(views):
-            out = forward(bag.cells[view.indices], view.mask, student, agg_config)
-            student_cls_rows[v].append(out.cls)
-            if need_ibot and view.mask.size:
-                n_tokens = out.tokens.shape[0]
-                select = np.zeros((view.mask.size, n_tokens), dtype=out.tokens.dtype)
-                select[np.arange(view.mask.size), view.mask] = 1.0
-                gathered = ndiff.matmul(Tensor(select), out.tokens)
-                term = masked_token_ce(
-                    teacher_masked_logits[(p, v)],
-                    head_forward(gathered, student),
-                    center,
-                    teacher_temp,
-                    config.student_temp,
-                )
-                ibot_terms.append((term, view.mask.size))
+    n_views = config.k_global + config.k_local
+    cls, masked_tokens = _bucketed_pass(
+        batch_bags, views_per_patient, student, agg_config, config, student=True
+    )
+    cls_logits = head_forward(cls, student)
+    n_p = len(batch_bags)
     student_cls_logits = [
-        head_forward(ndiff.concat_rows(rows), student) for rows in student_cls_rows
+        ndiff.slice_rows(cls_logits, v * n_p, (v + 1) * n_p) for v in range(n_views)
     ]
     dino = dino_loss(
         teacher_cls_logits, student_cls_logits, center, teacher_temp, config.student_temp
     )
-    total_masked = sum(m for _, m in ibot_terms)
-    if total_masked:
-        ibot = None
-        for term, m in ibot_terms:
-            weighted = ndiff.scalar_mul(term, m / total_masked)
-            ibot = weighted if ibot is None else ndiff.add(ibot, weighted)
-    else:
-        ibot = Tensor(np.zeros((), dtype=np.float32))
-    total = dino if config.ibot_weight == 0 or not total_masked else ndiff.add(
-        dino, ndiff.scalar_mul(ibot, config.ibot_weight)
+    if masked_tokens is None:
+        return dino, Tensor(np.zeros((), dtype=np.float32)), dino
+    ibot = masked_token_ce(
+        teacher_masked_logits,
+        head_forward(masked_tokens, student),
+        center,
+        teacher_temp,
+        config.student_temp,
     )
-    return dino, ibot, total
+    return dino, ibot, ndiff.add(dino, ndiff.scalar_mul(ibot, config.ibot_weight))
 
 
 def _train_step(

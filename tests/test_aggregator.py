@@ -80,6 +80,37 @@ class TestForward:
         with pytest.raises(ValueError, match="mask"):
             agg.forward(cells, np.array([3]), tiny_params, TINY)
 
+    def test_stacked_views_equal_separate_forwards(self, rng):
+        params = agg.init_params(TINY, np.random.default_rng(5), dtype=np.float64)
+        b, n = 3, 6
+        views = rng.standard_normal((b, n, TINY.input_dim))
+        masks = np.array([[0, 4], [5, 1], [2, 3]])
+        probe = Tensor(rng.standard_normal((b * (n + 1), TINY.embed_dim)))
+
+        def loss_of(cls, tokens):
+            return ndiff.mean(ndiff.mul(ndiff.concat_rows([cls, tokens]), probe))
+
+        with ndiff.Tape() as tape:
+            stacked = agg.forward(views, masks, params, TINY)
+            loss = loss_of(stacked.cls, stacked.tokens)
+        grads = tape.backward(loss)
+        with ndiff.Tape() as tape:
+            separate = [agg.forward(views[i], masks[i], params, TINY) for i in range(b)]
+            loss_sep = loss_of(ndiff.concat_rows([o.cls for o in separate]),
+                               ndiff.concat_rows([o.tokens for o in separate]))
+        grads_sep = tape.backward(loss_sep)
+        assert stacked.cls.shape == (b, TINY.embed_dim)
+        assert stacked.tokens.shape == (b * n, TINY.embed_dim)
+        np.testing.assert_allclose(float(loss.data), float(loss_sep.data), rtol=1e-12)
+        for name, p in params.items():
+            np.testing.assert_allclose(grads[p], grads_sep[p], rtol=1e-9, atol=1e-13,
+                                       err_msg=name)
+
+    def test_one_mask_row_per_view_required(self, tiny_params, rng):
+        views = rng.standard_normal((2, 4, TINY.input_dim)).astype(np.float32)
+        with pytest.raises(ValueError, match="one row per view"):
+            agg.forward(views, np.array([1, 2]), tiny_params, TINY)
+
     def test_cls_gradient_wrt_cells_passes_grad_check(self, rng):
         params = agg.init_params(TINY, np.random.default_rng(3), dtype=np.float64)
         probe = Tensor(rng.standard_normal((1, TINY.embed_dim)))

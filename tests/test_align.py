@@ -359,3 +359,5 @@ class TestTrainAlign:
             AlignConfig(batch_size=1)
         with pytest.raises(ValueError):
             AlignConfig(aggregator_mode="bogus")
+        with pytest.raises(ValueError, match="epochs"):
+            AlignConfig(epochs=0)

@@ -292,6 +292,11 @@ class TestBootstrap:
         expected = np.mean([[1.0, 3.0][i] for i in picks])
         assert out.boot_mean == pytest.approx(expected)
 
+    @pytest.mark.parametrize("n_boot", [0, -1])
+    def test_no_resample_rejected(self, n_boot):
+        with pytest.raises(ek.EvalError, match="n_boot"):
+            ek.bootstrap(lambda rows: 1.0, 3, n_boot=n_boot, seed=0, name="x")
+
     def test_bernoulli_mean_std_closed_form(self):
         rng = np.random.default_rng(11)
         n = 400

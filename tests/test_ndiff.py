@@ -148,6 +148,18 @@ PRIMITIVE_CASES = [
         ndiff.multi_head_attention(Tensor(_M56), Tensor(_WQ66), Tensor(_WK66),
                                    Tensor(_WV66), w, 3),
         Tensor(_M56)))),
+    # three sequences of 3 rows stacked; each row attends within its own sequence
+    ("multi_head_attention_stacked", (9, 6), lambda x: ndiff.mean(ndiff.mul(
+        ndiff.multi_head_attention(x, Tensor(_WQ66), Tensor(_WK66),
+                                   Tensor(_WV66), Tensor(_WO66), 2, seq_len=3),
+        Tensor(_M96)))),
+    ("multi_head_attention_stacked_wk", (6, 6), lambda w: ndiff.mean(ndiff.mul(
+        ndiff.multi_head_attention(Tensor(_M96), Tensor(_WQ66), w,
+                                   Tensor(_WV66), Tensor(_WO66), 3, seq_len=3),
+        Tensor(_M96)))),
+    # rows 0 and 3 repeat, row 1 is never gathered
+    ("gather_rows_repeated", (4, 3), lambda x: ndiff.mean(ndiff.mul(
+        ndiff.gather_rows(x, [3, 0, 2, 0, 3, 3]), Tensor(_K63)))),
 ]
 
 _fix = np.random.default_rng(99)
@@ -171,6 +183,48 @@ _WK66 = _fix.standard_normal((6, 6)) * 0.5
 _WV66 = _fix.standard_normal((6, 6)) * 0.5
 _WO66 = _fix.standard_normal((6, 6)) * 0.5
 _M56 = _fix.standard_normal((5, 6))
+_M96 = _fix.standard_normal((9, 6))
+_K63 = _fix.standard_normal((6, 3))
+
+
+class TestRowOps:
+    def test_stacked_attention_equals_separate_sequences(self, rng):
+        b, n, d = 3, 4, 6
+        x = t64(rng.standard_normal((b * n, d)), requires_grad=True)
+        ws = [t64(rng.standard_normal((d, d)) * 0.5, requires_grad=True) for _ in range(4)]
+        probe = t64(rng.standard_normal((b * n, d)))
+        with Tape() as tape:
+            stacked = ndiff.multi_head_attention(x, *ws, 2, seq_len=n)
+            loss = ndiff.mean(ndiff.mul(stacked, probe))
+        grads = tape.backward(loss)
+        with Tape() as tape:
+            parts = [ndiff.multi_head_attention(ndiff.slice_rows(x, i * n, (i + 1) * n), *ws, 2)
+                     for i in range(b)]
+            loss_sep = ndiff.mean(ndiff.mul(ndiff.concat_rows(parts), probe))
+        grads_sep = tape.backward(loss_sep)
+        np.testing.assert_allclose(stacked.data, np.concatenate([p.data for p in parts]),
+                                   rtol=1e-12, atol=1e-14)
+        for t in [x, *ws]:
+            np.testing.assert_allclose(grads[t], grads_sep[t], rtol=1e-10, atol=1e-14)
+
+    def test_attention_rows_must_split_into_sequences(self, rng):
+        x = t64(rng.standard_normal((5, 4)))
+        w = t64(np.eye(4))
+        with pytest.raises(ndiff.NdiffError, match="sequences of 2"):
+            ndiff.multi_head_attention(x, w, w, w, w, 2, seq_len=2)
+
+    def test_gather_rows_repeated_index_sums_gradient(self):
+        x = t64(np.arange(6.0).reshape(3, 2), requires_grad=True)
+        with Tape() as tape:
+            out = ndiff.gather_rows(x, np.array([2, 0, 2]))
+            loss = ndiff.mean(out)
+        assert np.array_equal(out.data, [[4, 5], [0, 1], [4, 5]])
+        assert np.allclose(tape.backward(loss)[x], [[1 / 6] * 2, [0, 0], [2 / 6] * 2])
+
+    @pytest.mark.parametrize("idx", [[3], [-1], [0.0, 1.0], [[0, 1]]])
+    def test_gather_rows_rejects_bad_index(self, idx):
+        with pytest.raises(ndiff.NdiffError, match="gather_rows"):
+            ndiff.gather_rows(t64(np.zeros((3, 2))), np.array(idx))
 
 
 class TestGradCheck:

@@ -189,14 +189,16 @@ TEACHER_TEMP = 0.05
 
 
 def build_microbatch(seed=5):
-    """Tiny 2-patient f64 setting: teacher targets precomputed as constants,
+    """Tiny 3-patient f64 setting: teacher targets precomputed as constants,
     student path rebuilt per call.  Teacher outputs carry stop-gradient in
     the objective, so the checkable function holds them fixed.  Cells are
     f32-representable so the f32 bags the production objective reads hold
-    the same values as the f64 cells the reference reads."""
+    the same values as the f64 cells the reference reads.  Two bags share a
+    size, so the production path stacks their equal-length views into one
+    aggregator forward, next to the third bag's views of other lengths."""
     config = AggregatorConfig(depth=1, heads=2, embed_dim=12, mlp_dim=24,
                               input_dim=6, max_cells=8)
-    pre = PretrainConfig(epochs=1, batch_size=2, k_global=2, k_local=1,
+    pre = PretrainConfig(epochs=1, batch_size=3, k_global=2, k_local=1,
                          mask_ratio=0.4, n_prototypes=8, head_hidden=16,
                          head_bottleneck=6, seed=3)
     prng = np.random.default_rng(seed)
@@ -206,7 +208,7 @@ def build_microbatch(seed=5):
     # bag sizes differ so masked views hold different numbers of cells and
     # the mask-size weighting of the token term matters
     cells = [prng.standard_normal((n_cells, config.input_dim)).astype(np.float32)
-             .astype(np.float64) for n_cells in (5, 9)]
+             .astype(np.float64) for n_cells in (9, 5, 9)]
     center = prng.standard_normal(pre.n_prototypes) * 0.1
     view_rng = np.random.default_rng(seed + 100)
     bags = [CellBag(f"p{p}", c) for p, c in enumerate(cells)]
@@ -214,7 +216,7 @@ def build_microbatch(seed=5):
              for b in bags]
     t_cls_rows = [[] for _ in range(pre.k_global)]
     t_tok = {}
-    for p in range(2):
+    for p in range(len(cells)):
         for v, view in enumerate(views[p]):
             out = forward(cells[p][view.indices], np.empty(0, np.int64), teacher, config)
             t_tok[(p, v)] = Tensor(head_forward(out.tokens, teacher).data)
@@ -226,7 +228,7 @@ def build_microbatch(seed=5):
         n_views = pre.k_global + pre.k_local
         s_cls_rows = [[] for _ in range(n_views)]
         ibot_terms = []
-        for p in range(2):
+        for p in range(len(cells)):
             for v, view in enumerate(views[p]):
                 sel = np.zeros((len(view.indices), len(cells[p])))
                 sel[np.arange(len(view.indices)), view.indices] = 1.0
@@ -252,7 +254,8 @@ def build_microbatch(seed=5):
         return pretrain_objective(bags, views, params, targets, center, config, pre,
                                   TEACHER_TEMP)[2]
 
-    return SimpleNamespace(config=config, params=params, cells=cells,
+    return SimpleNamespace(config=config, pre=pre, params=params, teacher=teacher,
+                           center=center, cells=cells, bags=bags, views=views,
                            loss_given=loss_given, production_loss=production_loss)
 
 
@@ -272,10 +275,10 @@ def grad_check_param(params, name, loss_fn):
 class TestFullLossGradients:
     def test_image_loss_grad_check_wrt_cells(self):
         mb = build_microbatch()
-        other = Tensor(mb.cells[1])
+        others = [Tensor(c) for c in mb.cells[1:]]
 
         def f(cells_a):
-            return mb.loss_given([cells_a, other])
+            return mb.loss_given([cells_a, *others])
 
         report = ndiff.grad_check(f, Tensor(mb.cells[0]), eps=1e-5, tol=1e-4)
         assert report.passed, report.max_rel_err
@@ -294,6 +297,8 @@ class TestFullLossGradients:
 
     def test_production_objective_matches_reference(self):
         mb = build_microbatch(seed=8)
+        lengths = [len(view.indices) for views in mb.views for view in views]
+        assert max(map(lengths.count, lengths)) >= 2 and len(set(lengths)) >= 2
         constants = [Tensor(c) for c in mb.cells]
         with Tape() as tape:
             reference = mb.loss_given(constants)
@@ -304,6 +309,35 @@ class TestFullLossGradients:
         assert float(production.data) == pytest.approx(float(reference.data), rel=1e-12)
         for name, p in mb.params.items():
             assert np.allclose(prod_grads[p], ref_grads[p], rtol=1e-9, atol=1e-12), name
+
+    def test_one_forward_per_distinct_view_length(self, monkeypatch):
+        mb = build_microbatch(seed=8)
+        taped, heads = [], []
+
+        def counting_forward(*args):
+            taped.append(ndiff._ACTIVE_TAPE is not None)
+            return forward(*args)
+
+        def counting_head(*args):
+            heads.append(args[0].shape[0])
+            return head_forward(*args)
+
+        monkeypatch.setattr(pretrain, "forward", counting_forward)
+        monkeypatch.setattr(pretrain, "head_forward", counting_head)
+        targets = teacher_targets(mb.bags, mb.views, mb.teacher, mb.config, mb.pre)
+        with Tape():
+            pretrain_objective(mb.bags, mb.views, mb.params, targets, mb.center,
+                               mb.config, mb.pre, TEACHER_TEMP)
+        views = [view for per_patient in mb.views for view in per_patient]
+        lengths = {len(view.indices) for view in views}
+        assert taped.count(True) == len(lengths) < len(views)
+        # the teacher runs the global views and the masked ones
+        teacher_lengths = {len(view.indices) for view in views
+                           if view.kind == "global" or view.mask.size}
+        assert taped.count(False) == len(teacher_lengths)
+        n_masked = sum(view.mask.size for view in views)
+        n_cls = len(mb.bags) * (mb.pre.k_global + mb.pre.k_local)
+        assert heads == [len(mb.bags) * mb.pre.k_global, n_masked, n_cls, n_masked]
 
     def test_teacher_params_absent_from_gradient_map(self, rng):
         pre, student, teacher, bags, views, targets, center = tiny_step_inputs(rng, 0.25)
@@ -366,6 +400,8 @@ class TestTrainLoop:
             PretrainConfig(k_global=0)
         with pytest.raises(ValueError):
             PretrainConfig(student_temp=0.0)
+        with pytest.raises(ValueError, match="epochs"):
+            PretrainConfig(epochs=0)
 
     def test_teacher_temp_schedule(self):
         cfg = PretrainConfig(epochs=30)
