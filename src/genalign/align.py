@@ -260,13 +260,12 @@ def stratified_batches(
 
 
 def _karyotype_matrix(patients: list[Patient], resolution: str) -> np.ndarray:
-    mat = np.stack([p.karyotype for p in patients]).astype(np.float32)
     if resolution == "arm":
         table = load_band_table()
-        mat = np.stack(
-            [rollup_to_arms(p.karyotype.astype(np.uint8), table) for p in patients]
-        ).astype(np.float32)
-    return mat
+        rows = [rollup_to_arms(p.karyotype.astype(np.uint8), table) for p in patients]
+    else:
+        rows = [p.karyotype for p in patients]
+    return np.stack(rows).astype(np.float32)
 
 
 @dataclass

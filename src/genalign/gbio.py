@@ -58,15 +58,28 @@ def _write_container(path: Path, magic: bytes, header: dict, payload: Iterable[b
         raise
 
 
-def _read_prefixed(fh, magic: bytes, path: Path) -> dict:
+def _read_prefixed(fh, magic: bytes, path: Path, keys: tuple[str, ...] = ()) -> dict:
+    """Header of a container; ``keys`` must all be present."""
     got = fh.read(4)
     if got != magic:
         raise FormatError(f"{path}: bad magic {got!r}, expected {magic!r}")
-    (length,) = struct.unpack("<I", fh.read(4))
+    prefix = fh.read(4)
+    if len(prefix) != 4:
+        raise FormatError(f"{path}: truncated header length")
+    (length,) = struct.unpack("<I", prefix)
+    blob = fh.read(length)
+    if len(blob) != length:
+        raise FormatError(f"{path}: truncated header ({len(blob)} of {length} bytes)")
     try:
-        return json.loads(fh.read(length).decode("utf-8"))
+        header = json.loads(blob.decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise FormatError(f"{path}: unreadable header: {exc}") from exc
+    if not isinstance(header, dict):
+        raise FormatError(f"{path}: header is not a JSON object")
+    for key in keys:
+        if key not in header:
+            raise FormatError(f"{path}: header missing {key!r}")
+    return header
 
 
 @dataclass
@@ -113,10 +126,7 @@ def write_gbm(path: str | Path, matrix: Matrix) -> None:
 def read_gbm(path: str | Path) -> Matrix:
     path = Path(path)
     with open(path, "rb") as fh:
-        header = _read_prefixed(fh, GBM_MAGIC, path)
-        for key in ("rows", "cols", "dtype", "patient_ids"):
-            if key not in header:
-                raise FormatError(f"{path}: header missing {key!r}")
+        header = _read_prefixed(fh, GBM_MAGIC, path, ("rows", "cols", "dtype", "patient_ids"))
         if header["dtype"] not in _DTYPES:
             raise FormatError(f"{path}: bad dtype {header['dtype']!r}")
         rows, cols = header["rows"], header["cols"]
@@ -164,7 +174,7 @@ def read_gbck(path: str | Path) -> tuple[dict[str, np.ndarray], dict]:
     """Returns (tensors, header)."""
     path = Path(path)
     with open(path, "rb") as fh:
-        header = _read_prefixed(fh, GBCK_MAGIC, path)
+        header = _read_prefixed(fh, GBCK_MAGIC, path, ("config", "epoch", "seed", "tensors"))
         blob = fh.read()
     tensors = {}
     for entry in header["tensors"]:

@@ -262,6 +262,17 @@ def _clone_events(
     return events
 
 
+def _parse(
+    karyotype: str, table: CytobandTable, skipped: list[str] | None
+) -> list[KaryotypeEvent]:
+    events: list[KaryotypeEvent] = []
+    for clone in karyotype.split("/"):
+        for event in _clone_events(clone, table, skipped):
+            if event not in events:
+                events.append(event)
+    return events
+
+
 def parse_iscn(karyotype: str, table: CytobandTable) -> list[KaryotypeEvent]:
     """Parse an ISCN karyotype string into loss/gain/fusion events.
 
@@ -270,12 +281,7 @@ def parse_iscn(karyotype: str, table: CytobandTable) -> list[KaryotypeEvent]:
     :class:`UnsupportedNomenclatureError` or :class:`UnknownBandError` on
     input outside the supported subset.
     """
-    events: list[KaryotypeEvent] = []
-    for clone in karyotype.split("/"):
-        for event in _clone_events(clone, table, skipped=None):
-            if event not in events:
-                events.append(event)
-    return events
+    return _parse(karyotype, table, skipped=None)
 
 
 def parse_iscn_lenient(
@@ -287,13 +293,8 @@ def parse_iscn_lenient(
     still raises: with no recognizable clone structure there is nothing to
     salvage.
     """
-    events: list[KaryotypeEvent] = []
     skipped: list[str] = []
-    for clone in karyotype.split("/"):
-        for event in _clone_events(clone, table, skipped=skipped):
-            if event not in events:
-                events.append(event)
-    return events, skipped
+    return _parse(karyotype, table, skipped), skipped
 
 
 def encode_karyotype(

@@ -10,8 +10,10 @@ are centered (running mean) and sharpened with a lower temperature.
 
 Views are bucketed by exact length (length ascending, then (patient, view)),
 and each bucket is one aggregator forward per side, as DINO's multi-crop
-wrapper runs same-size crops together.  The head runs once on all CLS rows
-and once on all masked-token rows per side: four head calls per step.
+wrapper runs same-size crops together.  Each side's CLS rows and masked-token
+rows stay stacked in one row matrix from the aggregator to the loss: the head
+runs once per side (two head calls per step), and one log-softmax and one
+cross entropy score every student row.
 """
 
 from __future__ import annotations
@@ -123,48 +125,41 @@ def teacher_probs(logits: np.ndarray, center: np.ndarray, teacher_temp: float) -
     return e / e.sum(axis=-1, keepdims=True)
 
 
-def dino_loss(
-    teacher_cls_logits: list[Tensor],
-    student_cls_logits: list[Tensor],
+def dino_ibot_loss(
+    teacher_logits: np.ndarray,
+    student_logits: Tensor,
+    n_patients: int,
     center: np.ndarray,
     teacher_temp: float,
-    student_temp: float,
-) -> Tensor:
-    """Mean CE over (teacher global g, student view k != g) pairs."""
-    if len(teacher_cls_logits) < 1 or len(student_cls_logits) < 2:
-        raise ValueError("need >= 1 teacher global and >= 2 student views")
-    total = None
-    n_pairs = 0
-    for g, t_logits in enumerate(teacher_cls_logits):
-        p_t = Tensor(
-            teacher_probs(t_logits.data, center, teacher_temp).astype(t_logits.dtype)
-        )
-        for k, s_logits in enumerate(student_cls_logits):
-            if k == g:
-                continue
-            log_q = ndiff.log_softmax(ndiff.scalar_mul(s_logits, 1.0 / student_temp))
-            ce = ndiff.mean(ndiff.cross_entropy(p_t, log_q))
-            total = ce if total is None else ndiff.add(total, ce)
-            n_pairs += 1
-    return ndiff.scalar_mul(total, 1.0 / n_pairs)
+    config: PretrainConfig,
+) -> tuple[Tensor, Tensor, Tensor]:
+    """(dino, ibot, total) on stacked rows: one log-softmax and one cross
+    entropy over every student row.
 
-
-def masked_token_ce(
-    teacher_masked_logits: np.ndarray,
-    student_masked_logits: Tensor,
-    center: np.ndarray,
-    teacher_temp: float,
-    student_temp: float,
-) -> Tensor:
-    """Mean CE between teacher and student distributions at masked tokens
-    (rows already gathered)."""
-    p_t = teacher_probs(teacher_masked_logits, center, teacher_temp).astype(
-        student_masked_logits.dtype
-    )
-    log_q = ndiff.log_softmax(
-        ndiff.scalar_mul(student_masked_logits, 1.0 / student_temp)
-    )
-    return ndiff.mean(ndiff.cross_entropy(Tensor(p_t), log_q))
+    Teacher rows are the CLS rows of the ``k_global`` global views, then the
+    token rows at every masked position; student rows are the CLS rows of all
+    ``k_global + k_local`` views, then the same masked positions.  CLS rows
+    are in [view][patient] order.  dino is the mean CE over (teacher global
+    g, student view k != g) pairs; CE is linear in its target, so each
+    student CLS row is scored once against the sum of its pairs' teacher
+    distributions.  ibot is the mean CE over the masked rows, which weights
+    each view by its mask size, and 0 when nothing is masked.
+    """
+    n_views = config.k_global + config.k_local
+    n_cls = n_views * n_patients
+    n_global = config.k_global * n_patients
+    p_t = teacher_probs(teacher_logits, center, teacher_temp).astype(student_logits.dtype)
+    p_global = p_t[:n_global].reshape(config.k_global, n_patients, -1)
+    cls_target = np.tile(p_global.sum(axis=0), (n_views, 1))
+    cls_target[:n_global] -= p_t[:n_global]  # a global view is not paired with itself
+    log_q = ndiff.log_softmax(ndiff.scalar_mul(student_logits, 1.0 / config.student_temp))
+    ce = ndiff.cross_entropy(Tensor(np.concatenate([cls_target, p_t[n_global:]])), log_q)
+    n_pairs = config.k_global * (n_views - 1)
+    dino = ndiff.scalar_mul(ndiff.mean(ndiff.slice_rows(ce, 0, n_cls)), n_views / n_pairs)
+    if ce.shape[0] == n_cls:
+        return dino, Tensor(np.zeros((), dtype=student_logits.dtype)), dino
+    ibot = ndiff.mean(ndiff.slice_rows(ce, n_cls, ce.shape[0]))
+    return dino, ibot, ndiff.add(dino, ndiff.scalar_mul(ibot, config.ibot_weight))
 
 
 def ema_update(
@@ -190,7 +185,6 @@ def center_update(center: np.ndarray, teacher_logits: np.ndarray, momentum: floa
 class TeacherState:
     params: dict[str, Tensor]
     center: np.ndarray
-    momentum: float
 
 
 def _copy_params(params: dict[str, Tensor]) -> dict[str, Tensor]:
@@ -243,21 +237,22 @@ class PretrainResult:
 
 
 def load_checkpoint(path: str | Path) -> tuple[dict[str, Tensor], TeacherState, dict]:
-    """Student params, teacher state, and the stored config header."""
+    """Student params, teacher state, and the stored config header of a
+    stage-1 checkpoint; any other file is refused with ``gbio.FormatError``."""
     tensors, header = gbio.read_gbck(path)
+    stage = header["config"].get("stage")
+    if stage != "pretrain":
+        raise gbio.FormatError(f"{path}: stage {stage!r} is not a pretraining checkpoint")
+    if "center" not in tensors:
+        raise gbio.FormatError(f"{path}: pretraining checkpoint has no 'center' tensor")
     student: dict[str, Tensor] = {}
     teacher: dict[str, Tensor] = {}
-    center = None
     for name, arr in tensors.items():
         if name.startswith("student."):
             student[name[len("student."):]] = Tensor(arr, requires_grad=True)
         elif name.startswith("teacher."):
             teacher[name[len("teacher."):]] = Tensor(arr)
-        elif name == "center":
-            center = arr
-    momentum = header["config"].get("pretrain", {}).get("ema_momentum", 0.99)
-    state = TeacherState(teacher, center if center is not None else np.zeros(1), momentum)
-    return student, state, header["config"]
+    return student, TeacherState(teacher, tensors["center"]), header["config"]
 
 
 def _batches(n: int, batch_size: int, rng: np.random.Generator) -> list[np.ndarray]:
@@ -279,7 +274,6 @@ def train_pretrain(
     teacher = TeacherState(
         params=_copy_params(student),
         center=np.zeros(config.n_prototypes, dtype=np.float32),
-        momentum=config.ema_momentum,
     )
     optimizer = AdamW(student, lr=config.lr, weight_decay=config.weight_decay)
     n_batches = math.ceil(len(bags) / config.batch_size)
@@ -335,18 +329,19 @@ def _bucketed_pass(
     agg_config: AggregatorConfig,
     config: PretrainConfig,
     student: bool,
-) -> tuple[Tensor, Tensor | None]:
+) -> Tensor:
     """Run a batch's views through the aggregator, one forward per exact
-    view length, in buckets by length ascending, then (patient, view).
+    view length, in buckets by length ascending, then (patient, view), and
+    the head once on the stacked rows.
 
     The student runs every view with its masked cells replaced by the mask
     token; the teacher runs the global views, plus every masked view when
-    iBOT is on, unmasked.  Returns the CLS rows of the student's views or
-    the teacher's global views in [view][patient] order, and with iBOT on
-    the token rows at every masked position, in bucket order and within a
-    view in mask order (``None`` when nothing is masked).  The order depends
-    only on the views, so the teacher's masked rows line up with the
-    student's.
+    iBOT is on, unmasked.  Returns the head logits of one row matrix: the
+    CLS rows of the student's views or the teacher's global views in
+    [view][patient] order, then, with iBOT on, the token rows at every
+    masked position, in bucket order and within a view in mask order.  The
+    order depends only on the views, so the teacher's masked rows line up
+    with the student's.
     """
     n_cls_views = config.k_global + config.k_local if student else config.k_global
     with_tokens = config.ibot_weight != 0
@@ -368,19 +363,15 @@ def _bucketed_pass(
         cls_parts.append(out.cls)
         token_parts.append(out.tokens)
     position = {(p, v): i for i, (_, p, v) in enumerate(order)}
-    cls = ndiff.gather_rows(
-        ndiff.concat_rows(cls_parts),
-        [position[(p, v)] for v in range(n_cls_views) for p in range(len(batch_bags))],
-    )
-    if not with_tokens:
-        return cls, None
-    starts = np.cumsum([0] + [n for n, _, _ in order])[:-1]
-    masked_rows = np.concatenate(
-        [start + views_per_patient[p][v].mask for start, (_, p, v) in zip(starts, order)]
-    )
-    if not masked_rows.size:
-        return cls, None
-    return cls, ndiff.gather_rows(ndiff.concat_rows(token_parts), masked_rows)
+    rows = [position[(p, v)] for v in range(n_cls_views) for p in range(len(batch_bags))]
+    parts = cls_parts
+    if with_tokens:
+        # token rows follow the len(order) CLS rows in the concatenation
+        starts = len(order) + np.cumsum([0] + [n for n, _, _ in order])[:-1]
+        masked = [start + views_per_patient[p][v].mask for start, (_, p, v) in zip(starts, order)]
+        rows = np.concatenate([rows, *masked])
+        parts = cls_parts + token_parts
+    return head_forward(ndiff.gather_rows(ndiff.concat_rows(parts), rows), params)
 
 
 def teacher_targets(
@@ -389,28 +380,20 @@ def teacher_targets(
     teacher_params: dict[str, Tensor],
     agg_config: AggregatorConfig,
     config: PretrainConfig,
-) -> tuple[list[Tensor], np.ndarray | None]:
-    """Teacher pass, unmasked and untaped: CLS logits per global view (rows
-    stacked over patients) and the token logits at every masked position,
-    in the student's row order (``None`` when nothing is masked)."""
-    cls, masked_tokens = _bucketed_pass(
+) -> np.ndarray:
+    """Teacher pass, unmasked and untaped: logits of the global views' CLS
+    rows, then of the tokens at every masked position, in the student's row
+    order (see ``dino_ibot_loss``)."""
+    return _bucketed_pass(
         batch_bags, views_per_patient, teacher_params, agg_config, config, student=False
-    )
-    cls_logits = head_forward(cls, teacher_params)
-    n_p = len(batch_bags)
-    teacher_cls_logits = [
-        ndiff.slice_rows(cls_logits, v * n_p, (v + 1) * n_p) for v in range(config.k_global)
-    ]
-    if masked_tokens is None:
-        return teacher_cls_logits, None
-    return teacher_cls_logits, head_forward(masked_tokens, teacher_params).data
+    ).data
 
 
 def pretrain_objective(
     batch_bags: list[CellBag],
     views_per_patient: list[list[BagView]],
     student: dict[str, Tensor],
-    targets: tuple[list[Tensor], np.ndarray | None],
+    targets: np.ndarray,
     center: np.ndarray,
     agg_config: AggregatorConfig,
     config: PretrainConfig,
@@ -418,34 +401,13 @@ def pretrain_objective(
 ) -> tuple[Tensor, Tensor, Tensor]:
     """Student pass against ``teacher_targets``: (dino, ibot, total).
 
-    The views run one aggregator forward per exact length, and the head
-    runs once on all CLS rows and once on all masked token rows (gathered
-    before the head, so it never sees unmasked tokens).  ibot is the token
-    CE averaged over every masked row of the batch, which weights each
-    view by its mask size, and 0 when nothing is masked."""
-    teacher_cls_logits, teacher_masked_logits = targets
-    n_views = config.k_global + config.k_local
-    cls, masked_tokens = _bucketed_pass(
+    The views run one aggregator forward per exact length and the head runs
+    once on all CLS and masked token rows (gathered before the head, so it
+    never sees unmasked tokens); ``dino_ibot_loss`` scores them."""
+    logits = _bucketed_pass(
         batch_bags, views_per_patient, student, agg_config, config, student=True
     )
-    cls_logits = head_forward(cls, student)
-    n_p = len(batch_bags)
-    student_cls_logits = [
-        ndiff.slice_rows(cls_logits, v * n_p, (v + 1) * n_p) for v in range(n_views)
-    ]
-    dino = dino_loss(
-        teacher_cls_logits, student_cls_logits, center, teacher_temp, config.student_temp
-    )
-    if masked_tokens is None:
-        return dino, Tensor(np.zeros((), dtype=np.float32)), dino
-    ibot = masked_token_ce(
-        teacher_masked_logits,
-        head_forward(masked_tokens, student),
-        center,
-        teacher_temp,
-        config.student_temp,
-    )
-    return dino, ibot, ndiff.add(dino, ndiff.scalar_mul(ibot, config.ibot_weight))
+    return dino_ibot_loss(targets, logits, len(batch_bags), center, teacher_temp, config)
 
 
 def _train_step(
@@ -471,10 +433,8 @@ def _train_step(
         raise TrainingError(f"non-finite loss in {batch_id}")
     grads = tape.backward(loss)
     optimizer.step(grads, lr=lr)
-    ema_update(teacher.params, student, teacher.momentum)
+    ema_update(teacher.params, student, config.ema_momentum)
     teacher.center = center_update(
-        teacher.center,
-        np.concatenate([t.data for t in targets[0]], axis=0),
-        config.center_momentum,
+        teacher.center, targets[: config.k_global * len(batch_bags)], config.center_momentum
     )
     return float(dino.data), float(ibot.data), loss_value

@@ -191,6 +191,21 @@ class TestPretrainAlign:
         epochs = [json.loads(line)["epoch"] for line in metrics.read_text().splitlines()]
         assert epochs == list(range(ALIGN_CFG["align"]["epochs"]))
 
+    def test_align_init_rejects_aligned_checkpoint(self, pipeline, tmp_path, caplog):
+        cohort_dir = pipeline / "cohort"
+        code = main([
+            "align", "--config", str(pipeline / "align.json"),
+            "--cohort", str(cohort_dir / "bags.gbm"),
+            "--karyo", str(cohort_dir / "karyotypes.gbm"),
+            "--mut", str(cohort_dir / "mutations.gbm"),
+            "--labels", str(cohort_dir / "labels.tsv"),
+            "--init", str(pipeline / "aligned.gbck"),
+            "--out", str(tmp_path / "x.gbck"),
+        ])
+        assert code == 1
+        assert f"{pipeline / 'aligned.gbck'}: stage 'align'" in caplog.text
+        assert not (tmp_path / "x.gbck").exists()
+
     def test_align_without_init_or_aggregator_fails(self, pipeline, tmp_path):
         cohort_dir = pipeline / "cohort"
         cfg = tmp_path / "align.json"

@@ -1,4 +1,5 @@
 import errno
+import struct
 
 import numpy as np
 import pytest
@@ -76,6 +77,21 @@ class TestGbck:
                                "w": np.ones((4, 4), np.float32)}, {}, 0, 0)
         path.write_bytes(path.read_bytes()[:-8])
         with pytest.raises(gbio.FormatError, match=r"t\.gbck: tensor 'w'"):
+            gbio.read_gbck(path)
+
+    @pytest.mark.parametrize("blob", [b"GBCK", b"GBCK\x40\x00\x00\x00{}"],
+                             ids=["no-length", "short-header"])
+    def test_truncated_header_detected(self, tmp_path, blob):
+        path = tmp_path / "short.gbck"
+        path.write_bytes(blob)
+        with pytest.raises(gbio.FormatError, match=r"short\.gbck: truncated header"):
+            gbio.read_gbck(path)
+
+    def test_header_without_tensors_rejected(self, tmp_path):
+        path = tmp_path / "bare.gbck"
+        header = b'{"config":{},"epoch":0,"seed":0}'
+        path.write_bytes(b"GBCK" + struct.pack("<I", len(header)) + header)
+        with pytest.raises(gbio.FormatError, match=r"bare\.gbck: header missing 'tensors'"):
             gbio.read_gbck(path)
 
     def test_inspect_detects_kinds(self, tmp_path):

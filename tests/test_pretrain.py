@@ -4,18 +4,17 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from genalign import ndiff, pretrain
+from genalign import gbio, ndiff, pretrain
 from genalign.aggregator import AggregatorConfig, CellBag, forward, init_params, sample_views
 from genalign.ndiff import Tape, Tensor
 from genalign.pretrain import (
     PretrainConfig,
     center_update,
-    dino_loss,
+    dino_ibot_loss,
     ema_update,
     head_forward,
     init_head_params,
     load_checkpoint,
-    masked_token_ce,
     pretrain_objective,
     teacher_targets,
     train_pretrain,
@@ -50,43 +49,41 @@ def dino_oracle(teacher_logits, student_logits, center, tt, ts):
     return float(np.mean(terms))
 
 
+def stacked_loss(teacher, student, center, tt, ts, teacher_masked=(), student_masked=()):
+    """``dino_ibot_loss`` on per-view (patients, K) arrays: the teacher's
+    global views and the student's views, plus optional masked-token rows."""
+    config = PretrainConfig(k_global=len(teacher), k_local=len(student) - len(teacher),
+                            student_temp=ts)
+    return dino_ibot_loss(
+        np.concatenate([*teacher, *teacher_masked]),
+        Tensor(np.concatenate([*student, *student_masked])),
+        teacher[0].shape[0], center, tt, config,
+    )
+
+
 class TestDinoLoss:
     def test_uniform_teacher_and_student(self):
         K = 4
-        t = [Tensor(np.zeros((3, K)))]
-        s = [Tensor(np.zeros((3, K))), Tensor(np.zeros((3, K)))]
-        loss = dino_loss(t, s, np.zeros(K), 0.04, 0.1)
-        assert float(loss.data) == pytest.approx(math.log(4), rel=1e-6)
+        dino, _, _ = stacked_loss([np.zeros((3, K))], [np.zeros((3, K))] * 2,
+                                  np.zeros(K), 0.04, 0.1)
+        assert float(dino.data) == pytest.approx(math.log(4), rel=1e-6)
 
     def test_one_hot_teacher_uniform_student(self):
         K = 4
         t_logits = np.full((1, K), -1e4)
         t_logits[0, 2] = 1e4
-        loss = dino_loss(
-            [Tensor(t_logits)],
-            [Tensor(np.zeros((1, K))), Tensor(np.zeros((1, K)))],
-            np.zeros(K), 1.0, 1.0,
-        )
-        assert float(loss.data) == pytest.approx(math.log(4), rel=1e-6)
+        dino, _, _ = stacked_loss([t_logits], [np.zeros((1, K))] * 2, np.zeros(K), 1.0, 1.0)
+        assert float(dino.data) == pytest.approx(math.log(4), rel=1e-6)
 
     def test_matches_pair_enumeration_oracle(self, rng):
         K, B = 8, 5
         teacher = [rng.standard_normal((B, K)) for _ in range(2)]
         student = [rng.standard_normal((B, K)) for _ in range(4)]
         center = rng.standard_normal(K)
-        loss = dino_loss(
-            [Tensor(t) for t in teacher],
-            [Tensor(s) for s in student],
-            center, 0.05, 0.12,
-        )
-        assert float(loss.data) == pytest.approx(
+        dino, _, _ = stacked_loss(teacher, student, center, 0.05, 0.12)
+        assert float(dino.data) == pytest.approx(
             dino_oracle(teacher, student, center, 0.05, 0.12), rel=1e-9
         )
-
-    def test_requires_two_student_views(self):
-        t = [Tensor(np.zeros((1, 4)))]
-        with pytest.raises(ValueError):
-            dino_loss(t, [Tensor(np.zeros((1, 4)))], np.zeros(4), 0.04, 0.1)
 
 
 def tiny_step_inputs(rng, mask_ratio):
@@ -117,24 +114,26 @@ class TestIbotLoss:
     def test_identical_distributions_give_entropy(self, rng):
         logits = rng.standard_normal((4, 6))
         tau = 0.3
-        loss = masked_token_ce(
-            logits[[2]], Tensor(logits[[2]]), np.zeros(6), tau, tau
-        )
+        cls = np.zeros((1, 6))
+        _, ibot, _ = stacked_loss([cls], [cls, cls], np.zeros(6), tau, tau,
+                                  teacher_masked=[logits[[2]]], student_masked=[logits[[2]]])
         p = np_softmax(logits[2] / tau)
         entropy = -(p * np.log(p)).sum()
-        assert float(loss.data) == pytest.approx(entropy, rel=1e-9)
+        assert float(ibot.data) == pytest.approx(entropy, rel=1e-9)
 
     def test_two_masked_tokens_mean_of_hand_sum(self, rng):
         t = rng.standard_normal((6, 5))
         s = rng.standard_normal((6, 5))
         center = rng.standard_normal(5)
         masked = np.array([1, 4])
-        loss = masked_token_ce(t[masked], Tensor(s[masked]), center, 0.07, 0.1)
+        cls = rng.standard_normal((1, 5))
+        _, ibot, _ = stacked_loss([cls], [cls, cls], center, 0.07, 0.1,
+                                  teacher_masked=[t[masked]], student_masked=[s[masked]])
         terms = []
         for i in masked:
             p_t = np_softmax((t[i] - center) / 0.07)
             terms.append(-(p_t * np_log_softmax(s[i] / 0.1)).sum())
-        assert float(loss.data) == pytest.approx(np.mean(terms), rel=1e-9)
+        assert float(ibot.data) == pytest.approx(np.mean(terms), rel=1e-9)
 
     def test_out_of_range_mask_rejected(self, rng):
         pre, student, _, bags, views, targets, center = tiny_step_inputs(rng, 0.25)
@@ -174,6 +173,26 @@ class TestEmaAndCenter:
         assert np.allclose(out, 0.1)
 
 
+def reference_token_ce(teacher_logits, student_logits, center, teacher_temp, student_temp):
+    """Mean CE between teacher and student distributions over the given rows."""
+    p_t = Tensor(np_softmax((teacher_logits - center) / teacher_temp))
+    log_q = ndiff.log_softmax(ndiff.scalar_mul(student_logits, 1.0 / student_temp))
+    return ndiff.mean(ndiff.cross_entropy(p_t, log_q))
+
+
+def reference_dino(teacher_cls_logits, student_cls_logits, center, teacher_temp, student_temp):
+    """Taped mean CE over every (teacher global g, student view k != g) pair."""
+    total, n_pairs = None, 0
+    for g, t_logits in enumerate(teacher_cls_logits):
+        for k, s_logits in enumerate(student_cls_logits):
+            if k == g:
+                continue
+            ce = reference_token_ce(t_logits.data, s_logits, center, teacher_temp, student_temp)
+            total = ce if total is None else ndiff.add(total, ce)
+            n_pairs += 1
+    return ndiff.scalar_mul(total, 1.0 / n_pairs)
+
+
 def reference_ibot_term(teacher_token_logits, student_token_logits, mask,
                         center, teacher_temp, student_temp):
     """Token CE with the head applied to every token and the masked rows
@@ -181,8 +200,8 @@ def reference_ibot_term(teacher_token_logits, student_token_logits, mask,
     select = np.zeros((mask.size, student_token_logits.shape[0]))
     select[np.arange(mask.size), mask] = 1.0
     picked = ndiff.matmul(Tensor(select), student_token_logits)
-    return masked_token_ce(teacher_token_logits.data[mask], picked, center,
-                           teacher_temp, student_temp)
+    return reference_token_ce(teacher_token_logits.data[mask], picked, center,
+                              teacher_temp, student_temp)
 
 
 TEACHER_TEMP = 0.05
@@ -243,7 +262,7 @@ def build_microbatch(seed=5):
                          view.mask.size)
                     )
         s_cls = [head_forward(ndiff.concat_rows(r), params) for r in s_cls_rows]
-        loss = dino_loss(t_cls, s_cls, center, TEACHER_TEMP, pre.student_temp)
+        loss = reference_dino(t_cls, s_cls, center, TEACHER_TEMP, pre.student_temp)
         total_m = sum(m for _, m in ibot_terms)
         for term, m in ibot_terms:
             loss = ndiff.add(loss, ndiff.scalar_mul(term, m / total_m))
@@ -322,8 +341,15 @@ class TestFullLossGradients:
             heads.append(args[0].shape[0])
             return head_forward(*args)
 
+        log_softmax, log_softmax_calls = ndiff.log_softmax, []
+
+        def counting_log_softmax(*args):
+            log_softmax_calls.append(args[0].shape[0])
+            return log_softmax(*args)
+
         monkeypatch.setattr(pretrain, "forward", counting_forward)
         monkeypatch.setattr(pretrain, "head_forward", counting_head)
+        monkeypatch.setattr(ndiff, "log_softmax", counting_log_softmax)
         targets = teacher_targets(mb.bags, mb.views, mb.teacher, mb.config, mb.pre)
         with Tape():
             pretrain_objective(mb.bags, mb.views, mb.params, targets, mb.center,
@@ -337,7 +363,8 @@ class TestFullLossGradients:
         assert taped.count(False) == len(teacher_lengths)
         n_masked = sum(view.mask.size for view in views)
         n_cls = len(mb.bags) * (mb.pre.k_global + mb.pre.k_local)
-        assert heads == [len(mb.bags) * mb.pre.k_global, n_masked, n_cls, n_masked]
+        assert heads == [len(mb.bags) * mb.pre.k_global + n_masked, n_cls + n_masked]
+        assert log_softmax_calls == [n_cls + n_masked]
 
     def test_teacher_params_absent_from_gradient_map(self, rng):
         pre, student, teacher, bags, views, targets, center = tiny_step_inputs(rng, 0.25)
@@ -393,11 +420,25 @@ class TestTrainLoop:
         assert "embed.w1" in student and "head.proto" in student
         assert teacher.center.shape == (TINY_PRE.n_prototypes,)
 
+    def test_load_checkpoint_refuses_other_files(self, rng, tmp_path):
+        path = tmp_path / "c.gbck"
+        train_pretrain(make_cohort(2, rng), TINY_AGG, TINY_PRE).save(path)
+        tensors, header = gbio.read_gbck(path)
+        gbio.write_gbck(path, tensors, {**header["config"], "stage": "align"}, 0, 0)
+        with pytest.raises(gbio.FormatError, match=r"c\.gbck: stage 'align'"):
+            load_checkpoint(path)
+        del tensors["center"]
+        gbio.write_gbck(path, tensors, header["config"], 0, 0)
+        with pytest.raises(gbio.FormatError, match=r"c\.gbck: .* no 'center'"):
+            load_checkpoint(path)
+
     def test_config_validation(self):
         with pytest.raises(ValueError):
             PretrainConfig(ema_momentum=1.5)
         with pytest.raises(ValueError):
             PretrainConfig(k_global=0)
+        with pytest.raises(ValueError, match="two views"):
+            PretrainConfig(k_global=1, k_local=0)
         with pytest.raises(ValueError):
             PretrainConfig(student_temp=0.0)
         with pytest.raises(ValueError, match="epochs"):
