@@ -85,6 +85,10 @@ class TestDinoLoss:
             dino_oracle(teacher, student, center, 0.05, 0.12), rel=1e-9
         )
 
+    def test_requires_two_student_views(self):
+        with pytest.raises(ValueError, match="two views"):
+            stacked_loss([np.zeros((1, 4))], [np.zeros((1, 4))], np.zeros(4), 0.04, 0.1)
+
 
 def tiny_step_inputs(rng, mask_ratio):
     """Two f32 bags with sampled views, student/teacher params and the teacher
