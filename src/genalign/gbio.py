@@ -58,6 +58,11 @@ def _write_container(path: Path, magic: bytes, header: dict, payload: Iterable[b
         raise
 
 
+def _ints(value) -> bool:
+    """A JSON list of integers (booleans excluded)."""
+    return isinstance(value, list) and all(type(v) is int for v in value)
+
+
 def _read_prefixed(fh, magic: bytes, path: Path, keys: tuple[str, ...] = ()) -> dict:
     """Header of a container; ``keys`` must all be present."""
     got = fh.read(4)
@@ -136,6 +141,11 @@ def read_gbm(path: str | Path) -> Matrix:
             raise FormatError(f"{path}: truncated payload")
         data = np.frombuffer(payload, dtype=dt).reshape(rows, cols).copy()
     ranges = header.get("row_ranges")
+    if ranges is not None and not (isinstance(ranges, list) and len(ranges) == len(header["patient_ids"])):
+        raise FormatError(f"{path}: row_ranges does not hold one range per patient")
+    for r in ranges or ():
+        if not (_ints(r) and len(r) == 2 and 0 <= r[0] <= r[1] <= rows):
+            raise FormatError(f"{path}: row range {r} is not [start, stop] within {rows} rows")
     return Matrix(
         data=data,
         patient_ids=list(header["patient_ids"]),
@@ -178,6 +188,9 @@ def read_gbck(path: str | Path) -> tuple[dict[str, np.ndarray], dict]:
         blob = fh.read()
     tensors = {}
     for entry in header["tensors"]:
+        if not (isinstance(entry, dict) and isinstance(entry.get("name"), str)
+                and _ints(entry.get("shape")) and type(entry.get("offset")) is int):
+            raise FormatError(f"{path}: tensor entry {entry} needs a name, an integer shape and offset")
         shape = tuple(entry["shape"])
         count = int(np.prod(shape)) if shape else 1
         start = entry["offset"]

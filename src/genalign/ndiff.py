@@ -7,6 +7,11 @@ dtype, f64 the gradient-check dtype; binary ops require matching dtypes.
 
 Accumulation order is fixed (reverse recording order, plain ``+=``), so a
 seeded run reproduces bit-identical values.
+
+Kernels work in place (``*=``, ``np.exp(..., out=)``) only on arrays they
+allocated themselves, never on an input or an incoming gradient.  A kernel
+rewrite keeps outputs and gradients byte-identical: the same float
+operations on the same operands in the same order.
 """
 
 from __future__ import annotations
@@ -155,6 +160,24 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     return _record(out, (a, b), backward)
 
 
+def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
+    """``x @ w + b`` as one node; ``b`` is one ``(1, out)`` bias row."""
+    _check_same_dtype(x, w, "linear")
+    _check_same_dtype(x, b, "linear")
+    if x.data.ndim != 2 or w.data.ndim != 2 or x.shape[1] != w.shape[0]:
+        raise NdiffError(f"linear: incompatible shapes {x.shape} @ {w.shape}")
+    if b.shape != (1, w.shape[1]):
+        raise NdiffError(f"linear: bias shape {b.shape} is not (1, {w.shape[1]})")
+    y = x.data @ w.data
+    y += b.data
+    out = Tensor(y)
+
+    def backward(g):
+        return g @ w.data.T, x.data.T @ g, g.sum(axis=0, keepdims=True)
+
+    return _record(out, (x, w, b), backward)
+
+
 def add(a: Tensor, b: Tensor) -> Tensor:
     _check_same_dtype(a, b, "add")
     try:
@@ -259,10 +282,10 @@ def layer_norm(
     if eps <= 0:
         raise NdiffError("layer_norm: eps must be positive")
     x = a.data
-    mu = x.mean(axis=axis, keepdims=True)
-    var = ((x - mu) ** 2).mean(axis=axis, keepdims=True)
-    inv = 1.0 / np.sqrt(var + eps)
-    xhat = (x - mu) * inv
+    n = x.shape[axis]  # sum / n is exactly np.mean, minus its Python wrapper
+    xhat = x - x.sum(axis=axis, keepdims=True) / n
+    inv = 1.0 / np.sqrt((xhat**2).sum(axis=axis, keepdims=True) / n + eps)
+    xhat *= inv
     try:
         out = Tensor(xhat * gamma.data + beta.data)
     except ValueError:
@@ -270,18 +293,13 @@ def layer_norm(
             f"layer_norm: gamma/beta shapes {gamma.shape}/{beta.shape} "
             f"do not broadcast with {a.shape}"
         )
-    n = x.shape[axis]
 
     def backward(g):
         dxhat = g * gamma.data
-        dx = inv * (
-            dxhat
-            - dxhat.mean(axis=axis, keepdims=True)
-            - xhat * (dxhat * xhat).mean(axis=axis, keepdims=True)
-        )
-        dgamma = _unbroadcast(g * xhat, gamma.shape)
-        dbeta = _unbroadcast(g, beta.shape)
-        return dx, dgamma, dbeta
+        dx = dxhat - dxhat.sum(axis=axis, keepdims=True) / n
+        dx -= xhat * ((dxhat * xhat).sum(axis=axis, keepdims=True) / n)
+        dx *= inv
+        return dx, _unbroadcast(g * xhat, gamma.shape), _unbroadcast(g, beta.shape)
 
     return _record(out, (a, gamma, beta), backward)
 
@@ -290,12 +308,14 @@ def gelu(a: Tensor) -> Tensor:
     # tanh approximation; the gradient differentiates the same approximation
     x = a.data
     x2 = x * x
-    t = np.tanh(_GELU_C * x * (1.0 + 0.044715 * x2))
-    out = Tensor(0.5 * x * (1.0 + t))
+    t = _GELU_C * x * (1.0 + 0.044715 * x2)
+    np.tanh(t, out=t)
+    one_t = 1.0 + t  # reused by the backward
+    out = Tensor(0.5 * x * one_t)
 
     def backward(g):
         dinner = _GELU_C * (1.0 + 0.134145 * x2)
-        return (g * (0.5 * (1.0 + t) + 0.5 * x * (1.0 - t * t) * dinner),)
+        return (g * (0.5 * one_t + 0.5 * x * (1.0 - t * t) * dinner),)
 
     return _record(out, (a,), backward)
 
@@ -417,10 +437,11 @@ def multi_head_attention(
     q = split(x.data @ wq.data)
     k = split(x.data @ wk.data)
     v = split(x.data @ wv.data)
-    scores = q @ k.swapaxes(-1, -2) * scale
-    scores -= scores.max(axis=-1, keepdims=True)
-    e = np.exp(scores)
-    attn = e / e.sum(axis=-1, keepdims=True)
+    attn = q @ k.swapaxes(-1, -2)  # the one (b, h, n, n) buffer of the call
+    attn *= scale
+    attn -= attn.max(axis=-1, keepdims=True)
+    np.exp(attn, out=attn)
+    attn /= attn.sum(axis=-1, keepdims=True)
     merged = merge(attn @ v)
     out = Tensor(merged @ wo.data)
 
@@ -430,7 +451,9 @@ def multi_head_attention(
         d_heads = split(d_merged)
         d_attn = d_heads @ v.swapaxes(-1, -2)
         d_v = attn.swapaxes(-1, -2) @ d_heads
-        d_scores = attn * (d_attn - (d_attn * attn).sum(axis=-1, keepdims=True))
+        d_scores = d_attn  # attn * (d_attn - rowsum(d_attn * attn)) * scale
+        d_scores -= (d_attn * attn).sum(axis=-1, keepdims=True)
+        d_scores *= attn
         d_scores *= scale
         d_q = d_scores @ k
         d_k = d_scores.swapaxes(-1, -2) @ q

@@ -109,9 +109,9 @@ def head_forward(x: Tensor, params: dict[str, Tensor]) -> Tensor:
     Prototype rows are normalized in-graph, so they stay unit vectors no
     matter what the optimizer did to the raw parameter.
     """
-    h = ndiff.gelu(ndiff.add(ndiff.matmul(x, params["head.w1"]), params["head.b1"]))
-    h = ndiff.gelu(ndiff.add(ndiff.matmul(h, params["head.w2"]), params["head.b2"]))
-    z = ndiff.add(ndiff.matmul(h, params["head.w3"]), params["head.b3"])
+    h = ndiff.gelu(ndiff.linear(x, params["head.w1"], params["head.b1"]))
+    h = ndiff.gelu(ndiff.linear(h, params["head.w2"], params["head.b2"]))
+    z = ndiff.linear(h, params["head.w3"], params["head.b3"])
     z = ndiff.l2_normalize(z, axis=-1)
     protos = ndiff.l2_normalize(params["head.proto"], axis=-1)
     return ndiff.matmul(z, ndiff.transpose(protos))

@@ -1,4 +1,5 @@
 import errno
+import json
 import struct
 
 import numpy as np
@@ -41,6 +42,20 @@ class TestGbm:
         blob = path.read_bytes()
         path.write_bytes(blob[:-8])
         with pytest.raises(gbio.FormatError, match="truncated"):
+            gbio.read_gbm(path)
+
+    @pytest.mark.parametrize("ranges", [[[0, 5]], [[-1, 1]], [[2, 1]], [[0, 1], [1, 2]], [[0, 1.5]]],
+                             ids=["past-end", "negative", "reversed", "count", "non-integer"])
+    def test_bad_row_ranges_rejected(self, tmp_path, ranges):
+        path = tmp_path / "bags.gbm"
+        gbio.write_gbm(path, gbio.Matrix(np.zeros((2, 3), np.float32), ["p"], row_ranges=[(0, 2)]))
+        blob = path.read_bytes()
+        (length,) = struct.unpack("<I", blob[4:8])
+        header = json.loads(blob[8 : 8 + length])
+        header["row_ranges"] = ranges
+        new = json.dumps(header).encode()
+        path.write_bytes(b"GBM1" + struct.pack("<I", len(new)) + new + blob[8 + length :])
+        with pytest.raises(gbio.FormatError, match=r"bags\.gbm: row"):
             gbio.read_gbm(path)
 
     def test_deterministic_bytes(self, tmp_path, rng):
@@ -92,6 +107,21 @@ class TestGbck:
         header = b'{"config":{},"epoch":0,"seed":0}'
         path.write_bytes(b"GBCK" + struct.pack("<I", len(header)) + header)
         with pytest.raises(gbio.FormatError, match=r"bare\.gbck: header missing 'tensors'"):
+            gbio.read_gbck(path)
+
+    @pytest.mark.parametrize("entry", [
+        {"name": "w"},
+        {"shape": [2], "offset": 0},
+        {"name": "w", "shape": 2, "offset": 0},
+        {"name": "w", "shape": [2.0], "offset": 0},
+        {"name": "w", "shape": [2], "offset": "0"},
+        "w",
+    ], ids=["no-shape", "no-name", "scalar-shape", "float-shape", "string-offset", "not-an-object"])
+    def test_bad_tensor_entry_rejected(self, tmp_path, entry):
+        path = tmp_path / "odd.gbck"
+        header = json.dumps({"config": {}, "epoch": 0, "seed": 0, "tensors": [entry]}).encode()
+        path.write_bytes(b"GBCK" + struct.pack("<I", len(header)) + header + b"\x00" * 8)
+        with pytest.raises(gbio.FormatError, match=r"odd\.gbck: tensor entry"):
             gbio.read_gbck(path)
 
     def test_inspect_detects_kinds(self, tmp_path):

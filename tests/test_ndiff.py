@@ -132,7 +132,12 @@ PRIMITIVE_CASES = [
     ("log_softmax", (4, 6), lambda x: ndiff.mean(ndiff.mul(ndiff.log_softmax(x, axis=-1), Tensor(_H46)))),
     ("gelu", (3, 4), lambda x: ndiff.mean(ndiff.gelu(x))),
     ("l2_normalize", (4, 5), lambda x: ndiff.mean(ndiff.mul(ndiff.l2_normalize(x, axis=-1), Tensor(_I45)))),
-    ("layer_norm_x", (4, 6), lambda x: ndiff.mean(ndiff.mul(ndiff.layer_norm(x, Tensor(_ONES6), Tensor(_ZER6)), Tensor(_H46)))),
+    ("layer_norm_x", (4, 6), lambda x: ndiff.mean(ndiff.mul(ndiff.layer_norm(x, Tensor(_GAMMA6), Tensor(_BETA6)), Tensor(_H46)))),
+    ("layer_norm_gamma", (1, 6), lambda g: ndiff.mean(ndiff.mul(ndiff.layer_norm(Tensor(_X46), g, Tensor(_BETA6)), Tensor(_H46)))),
+    ("layer_norm_beta", (1, 6), lambda b: ndiff.mean(ndiff.mul(ndiff.layer_norm(Tensor(_X46), Tensor(_GAMMA6), b), Tensor(_H46)))),
+    ("linear_x", (3, 4), lambda x: ndiff.mean(ndiff.mul(ndiff.linear(x, Tensor(_W45), Tensor(_B15)), Tensor(_L35)))),
+    ("linear_w", (4, 5), lambda w: ndiff.mean(ndiff.mul(ndiff.linear(Tensor(_E34), w, Tensor(_B15)), Tensor(_L35)))),
+    ("linear_b", (1, 5), lambda b: ndiff.mean(ndiff.mul(ndiff.linear(Tensor(_E34), Tensor(_W45), b), Tensor(_L35)))),
     ("cross_entropy_logq", (3, 4), lambda x: ndiff.mean(ndiff.cross_entropy(Tensor(_P34), ndiff.log_softmax(x)))),
     ("bce_logits", (3, 4), lambda x: ndiff.mean(ndiff.binary_cross_entropy_with_logits(x, Tensor(_T34)))),
     ("mean", (4, 4), lambda x: ndiff.mean(x)),
@@ -173,8 +178,6 @@ _F54 = _fix.standard_normal((5, 4))
 _G33 = _fix.standard_normal((3, 3))
 _H46 = _fix.standard_normal((4, 6))
 _I45 = _fix.standard_normal((4, 5))
-_ONES6 = np.ones((1, 6))
-_ZER6 = np.zeros((1, 6))
 _P34 = np.abs(_fix.standard_normal((3, 4)))
 _P34 /= _P34.sum(axis=-1, keepdims=True)
 _T34 = (_fix.standard_normal((3, 4)) > 0).astype(np.float64)
@@ -185,6 +188,12 @@ _WO66 = _fix.standard_normal((6, 6)) * 0.5
 _M56 = _fix.standard_normal((5, 6))
 _M96 = _fix.standard_normal((9, 6))
 _K63 = _fix.standard_normal((6, 3))
+_W45 = _fix.standard_normal((4, 5))
+_B15 = _fix.standard_normal((1, 5))
+_L35 = _fix.standard_normal((3, 5))
+_X46 = _fix.standard_normal((4, 6))
+_GAMMA6 = 1.0 + 0.5 * _fix.standard_normal((1, 6))  # away from 1: g and g * gamma differ
+_BETA6 = _fix.standard_normal((1, 6))
 
 
 class TestRowOps:
@@ -247,3 +256,126 @@ class TestGradCheck:
         x = Tensor(np.zeros(3, np.float32))
         with pytest.raises(ndiff.NdiffError, match="f64"):
             ndiff.grad_check(lambda v: ndiff.mean(v), x)
+
+
+# The formulas the fused kernels replaced, kept verbatim as test-local
+# primitives: a kernel rewrite must reproduce them bit for bit, so a change
+# that reorders the arithmetic fails here before it changes a seeded run.
+
+def _reference_layer_norm(a, gamma, beta, axis=-1, eps=1e-5):
+    x = a.data
+    mu = x.mean(axis=axis, keepdims=True)
+    var = ((x - mu) ** 2).mean(axis=axis, keepdims=True)
+    inv = 1.0 / np.sqrt(var + eps)
+    xhat = (x - mu) * inv
+    out = Tensor(xhat * gamma.data + beta.data)
+
+    def backward(g):
+        dxhat = g * gamma.data
+        dx = inv * (
+            dxhat
+            - dxhat.mean(axis=axis, keepdims=True)
+            - xhat * (dxhat * xhat).mean(axis=axis, keepdims=True)
+        )
+        return dx, ndiff._unbroadcast(g * xhat, gamma.shape), ndiff._unbroadcast(g, beta.shape)
+
+    return ndiff._record(out, (a, gamma, beta), backward)
+
+
+def _reference_gelu(a):
+    x = a.data
+    x2 = x * x
+    t = np.tanh(ndiff._GELU_C * x * (1.0 + 0.044715 * x2))
+    out = Tensor(0.5 * x * (1.0 + t))
+
+    def backward(g):
+        dinner = ndiff._GELU_C * (1.0 + 0.134145 * x2)
+        return (g * (0.5 * (1.0 + t) + 0.5 * x * (1.0 - t * t) * dinner),)
+
+    return ndiff._record(out, (a,), backward)
+
+
+def _reference_attention(x, wq, wk, wv, wo, n_heads, seq_len=None):
+    rows, d = x.shape
+    n = rows if seq_len is None else seq_len
+    b, dh = rows // n, d // n_heads
+    scale = 1.0 / math.sqrt(dh)
+
+    def split(m):
+        return m.reshape(b, n, n_heads, dh).transpose(0, 2, 1, 3)
+
+    def merge(m):
+        return m.transpose(0, 2, 1, 3).reshape(rows, d)
+
+    q, k, v = (split(x.data @ w.data) for w in (wq, wk, wv))
+    scores = q @ k.swapaxes(-1, -2) * scale
+    scores -= scores.max(axis=-1, keepdims=True)
+    e = np.exp(scores)
+    attn = e / e.sum(axis=-1, keepdims=True)
+    merged = merge(attn @ v)
+    out = Tensor(merged @ wo.data)
+
+    def backward(g):
+        d_heads = split(g @ wo.data.T)
+        d_attn = d_heads @ v.swapaxes(-1, -2)
+        d_v = attn.swapaxes(-1, -2) @ d_heads
+        d_scores = attn * (d_attn - (d_attn * attn).sum(axis=-1, keepdims=True))
+        d_scores *= scale
+        dq, dk, dv = merge(d_scores @ k), merge(d_scores.swapaxes(-1, -2) @ q), merge(d_v)
+        d_x = dq @ wq.data.T + dk @ wk.data.T + dv @ wv.data.T
+        return d_x, x.data.T @ dq, x.data.T @ dk, x.data.T @ dv, merged.T @ g
+
+    return ndiff._record(out, (x, wq, wk, wv, wo), backward)
+
+
+def _run_taped(fn, leaves, probe):
+    """Output and leaf gradients of ``mean(fn(*leaves) * probe)``."""
+    with Tape() as tape:
+        out = fn(*leaves)
+        loss = ndiff.mean(ndiff.mul(out, Tensor(probe)))
+    grads = tape.backward(loss)
+    return [out.data] + [grads[t] for t in leaves]
+
+
+def _assert_same_bits(got, want):
+    assert len(got) == len(want)
+    for i, (g, w) in enumerate(zip(got, want)):
+        assert g.dtype == w.dtype == np.float32 and g.shape == w.shape, i
+        assert g.tobytes() == w.tobytes(), f"array {i} differs in {np.sum(g != w)} entries"
+
+
+def _f32_leaves(rng, *shapes, scale=1.0):
+    return [Tensor((rng.standard_normal(s) * scale).astype(np.float32), requires_grad=True)
+            for s in shapes]
+
+
+class TestKernelsBitIdentical:
+    def test_linear_equals_matmul_plus_bias_add(self, rng):
+        leaves = _f32_leaves(rng, (37, 24), (24, 150), (1, 150))
+        probe = rng.standard_normal((37, 150)).astype(np.float32)
+        _assert_same_bits(
+            _run_taped(ndiff.linear, leaves, probe),
+            _run_taped(lambda x, w, b: ndiff.add(ndiff.matmul(x, w), b), leaves, probe),
+        )
+
+    def test_gelu_equals_reference(self, rng):
+        leaves = _f32_leaves(rng, (37, 150), scale=3.0)
+        probe = rng.standard_normal((37, 150)).astype(np.float32)
+        _assert_same_bits(_run_taped(ndiff.gelu, leaves, probe),
+                          _run_taped(_reference_gelu, leaves, probe))
+
+    def test_layer_norm_equals_reference(self, rng):
+        x, gamma, beta = _f32_leaves(rng, (37, 150), (1, 150), (1, 150))
+        x.data += 2.0  # a mean away from 0, so the centring rounds
+        probe = rng.standard_normal((37, 150)).astype(np.float32)
+        _assert_same_bits(_run_taped(ndiff.layer_norm, [x, gamma, beta], probe),
+                          _run_taped(_reference_layer_norm, [x, gamma, beta], probe))
+
+    @pytest.mark.parametrize("rows,seq_len", [(33, None), (3 * 17, 17)], ids=["one", "stacked"])
+    def test_attention_equals_reference(self, rng, rows, seq_len):
+        leaves = _f32_leaves(rng, (rows, 24), *[(24, 24)] * 4, scale=0.5)
+        probe = rng.standard_normal((rows, 24)).astype(np.float32)
+        _assert_same_bits(
+            _run_taped(lambda *a: ndiff.multi_head_attention(*a, 4, seq_len), leaves, probe),
+            _run_taped(lambda *a: _reference_attention(*a, 4, seq_len), leaves, probe),
+        )
