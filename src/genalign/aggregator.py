@@ -3,9 +3,12 @@
 Cells are projected by an MLP (no patchification), optionally replaced by a
 learned mask token, prefixed with a CLS token, and run through pre-norm
 transformer blocks with no positional encodings, so the CLS state depends
-only on the multiset of cells.  ``forward`` takes a stack of equal-length
-views and runs them as one batch of sequences: pretraining buckets its views
-by exact length and makes one call per bucket, full-bag callers pass one bag.
+only on the multiset of cells.  ``forward`` has one row layout in and one out:
+B equal-length views go in as stacked cell rows, ``(B * n, input_dim)``, and
+the final hidden rows come out as ``(B * (n + 1), D)``, each view's CLS row
+followed by its cells.  Pretraining buckets its views by exact length and
+makes one call per bucket, then picks the CLS and masked rows it scores;
+full-bag callers pass one bag and read row 0.
 Multi-crop view sampling draws global (70%) and local (20%) sub-bags with
 per-view masks for the masked-prediction objective.
 """
@@ -39,10 +42,6 @@ class AggregatorConfig:
             )
         if self.max_cells < 1:
             raise ValueError("max_cells must be >= 1")
-
-    @property
-    def head_dim(self) -> int:
-        return self.embed_dim // self.heads
 
     def to_dict(self) -> dict:
         return {
@@ -79,12 +78,6 @@ class BagView:
     indices: np.ndarray  # positions into the bag
     mask: np.ndarray = field(default_factory=lambda: np.empty(0, dtype=np.int64))
     # mask holds view-local positions (into `indices`), student side only
-
-
-@dataclass
-class AggregatorOutput:
-    cls: Tensor  # (B, D), one row per view
-    tokens: Tensor  # (B * n, D): view b's cells, in order, at rows b*n .. b*n + n - 1
 
 
 def cap_bag(bag: CellBag, max_cells: int, rng: np.random.Generator) -> CellBag:
@@ -172,38 +165,37 @@ def forward(
     mask: np.ndarray,
     params: dict[str, Tensor],
     config: AggregatorConfig,
-) -> AggregatorOutput:
-    """Run the aggregator on a stack of B equal-length views.
+) -> Tensor:
+    """Run the aggregator on B equal-length views stacked as cell rows.
 
-    ``cells`` is ``(B, n, input_dim)``; one ``(n, input_dim)`` view, as an
-    array or as a Tensor when gradients w.r.t. the cells are wanted, is
-    B=1.  ``mask`` holds one row of view-local cell positions per view,
-    ``(B, m)`` (``(m,)`` for one view), whose projected embeddings are
-    replaced by the learned mask token before the transformer.  The views
-    run as one sequence each, ``[CLS, cells...]``, stacked as rows through
-    every block: bags are sets, so equal-length views need no padding and
-    no attention mask.
+    ``cells`` is ``(B * n, input_dim)``, view b's cells at rows
+    ``b * n .. b * n + n - 1``, as an array or as a Tensor when gradients
+    w.r.t. the cells are wanted.  ``mask`` holds one row of view-local cell
+    positions per view, ``(B, m)`` (``(m,)`` for one view), so its row count
+    is B; the masked cells' projected embeddings are replaced by the learned
+    mask token before the transformer.  Returns the final-layer-norm hidden
+    rows ``(B * (n + 1), D)``: view b's CLS row at ``b * (n + 1)``, its cells
+    after it in order.  Each view runs as one sequence ``[CLS, cells...]``
+    through every block: bags are sets, so equal-length views need no padding
+    and no attention mask.
     """
-    if isinstance(cells, Tensor):
-        views = cells.data[None]
-    else:
-        views = np.asarray(cells, dtype=params["cls"].dtype)
-        if views.ndim == 2:
-            views = views[None]
-    if views.ndim != 3 or views.shape[0] == 0 or views.shape[1] == 0:
-        raise ValueError(f"empty bag or not a (B, n, d) stack of views: shape {views.shape}")
-    b, n, width = views.shape
+    if not isinstance(cells, Tensor):
+        cells = Tensor(np.asarray(cells, dtype=params["cls"].dtype))
+    masks = np.asarray(mask, dtype=np.int64)
+    if masks.ndim == 1:
+        masks = masks[None]
+    if masks.ndim != 2 or masks.shape[0] == 0:
+        raise ValueError(f"mask shape {masks.shape} does not give one row per view")
+    b = masks.shape[0]
+    if cells.data.ndim != 2 or cells.shape[0] == 0:
+        raise ValueError(f"empty bag or not (rows, input_dim) cells: shape {cells.shape}")
+    if cells.shape[0] % b:
+        raise ValueError(f"{cells.shape[0]} cell rows are not a multiple of {b} views")
+    n, width = cells.shape[0] // b, cells.shape[1]
     if width != config.input_dim:
         raise ValueError(
             f"cell width {width} != configured input_dim {config.input_dim}"
         )
-    if not isinstance(cells, Tensor):
-        cells = Tensor(views.reshape(b * n, width))
-    masks = np.asarray(mask, dtype=np.int64)
-    if masks.ndim == 1:
-        masks = masks[None]
-    if masks.ndim != 2 or masks.shape[0] != b:
-        raise ValueError(f"mask shape {masks.shape} does not give one row per view for {b} views")
     x = mlp_forward(cells, params, "embed")
     if masks.size:
         if masks.min() < 0 or masks.max() >= n:
@@ -213,9 +205,8 @@ def forward(
         keep_t = Tensor(keep)
         fill_t = Tensor(1.0 - keep)
         x = ndiff.add(ndiff.mul(x, keep_t), ndiff.mul(params["mask_token"], fill_t))
-    # One view is already its sequence [CLS; cells] and takes row slices; a
-    # stack gathers a copy of the CLS row to the head of every view.  The
-    # gathers would cost a one-view call (every full-bag forward) about 5%.
+    # One view is already its sequence [CLS; cells]; a stack gathers a copy
+    # of the CLS row to the head of every view.
     x = ndiff.concat_rows([params["cls"], x])
     seq = n + 1
     if b > 1:
@@ -226,14 +217,7 @@ def forward(
         prefix = f"block{i}"
         x = ndiff.add(x, _attention(_layer_norm(x, params, f"{prefix}.ln1"), params, f"{prefix}.attn", config, seq))
         x = ndiff.add(x, mlp_forward(_layer_norm(x, params, f"{prefix}.ln2"), params, f"{prefix}.mlp"))
-    x = _layer_norm(x, params, "final_ln")
-    if b == 1:
-        return AggregatorOutput(cls=ndiff.slice_rows(x, 0, 1), tokens=ndiff.slice_rows(x, 1, seq))
-    positions = np.arange(b * seq).reshape(b, seq)
-    return AggregatorOutput(
-        cls=ndiff.gather_rows(x, positions[:, 0]),
-        tokens=ndiff.gather_rows(x, positions[:, 1:].ravel()),
-    )
+    return _layer_norm(x, params, "final_ln")
 
 
 GLOBAL_FRACTION = 0.70

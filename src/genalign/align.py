@@ -349,7 +349,9 @@ def _slide_batch(
         return Tensor(cache[batch])
     agg_params = _aggregator_subset(params)
     rows = [
-        forward(patients[i].bag.cells, np.empty(0, np.int64), agg_params, agg_config).cls
+        ndiff.slice_rows(
+            forward(patients[i].bag.cells, np.empty(0, np.int64), agg_params, agg_config), 0, 1
+        )
         for i in batch
     ]
     return ndiff.concat_rows(rows)

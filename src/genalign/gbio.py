@@ -5,8 +5,9 @@ JSON header, then a raw little-endian payload.  Headers are serialized with
 sorted keys and no whitespace so identical content produces identical bytes.
 
 .gbm header keys: ``rows``, ``cols``, ``dtype`` ("u8" or "f32"),
-``patient_ids``; optional ``band_table_sha256`` (karyotype matrices) and
-``row_ranges`` (cell-bag files, one ``[start, stop)`` row range per patient).
+``patient_ids`` (one per row); optional ``band_table_sha256`` (karyotype
+matrices) and ``row_ranges`` (cell-bag files, one ``[start, stop)`` row range
+per patient instead of one row each).
 
 .gbck header keys: ``config``, ``epoch``, ``seed``, ``tensors`` (list of
 ``{name, shape, offset}``, byte offsets into the f32 blob section).
@@ -135,20 +136,27 @@ def read_gbm(path: str | Path) -> Matrix:
         if header["dtype"] not in _DTYPES:
             raise FormatError(f"{path}: bad dtype {header['dtype']!r}")
         rows, cols = header["rows"], header["cols"]
+        if not (_ints([rows, cols]) and rows >= 0 and cols >= 0):
+            raise FormatError(f"{path}: rows {rows!r} and cols {cols!r} are not non-negative integers")
         dt = _DTYPES[header["dtype"]]
         payload = fh.read(rows * cols * dt.itemsize)
         if len(payload) != rows * cols * dt.itemsize:
             raise FormatError(f"{path}: truncated payload")
         data = np.frombuffer(payload, dtype=dt).reshape(rows, cols).copy()
+    ids = header["patient_ids"]
+    if not (isinstance(ids, list) and all(isinstance(i, str) for i in ids)):
+        raise FormatError(f"{path}: patient_ids is not a list of strings")
     ranges = header.get("row_ranges")
-    if ranges is not None and not (isinstance(ranges, list) and len(ranges) == len(header["patient_ids"])):
+    if ranges is None and len(ids) != rows:
+        raise FormatError(f"{path}: {len(ids)} patient ids for {rows} rows without row_ranges")
+    if ranges is not None and not (isinstance(ranges, list) and len(ranges) == len(ids)):
         raise FormatError(f"{path}: row_ranges does not hold one range per patient")
     for r in ranges or ():
         if not (_ints(r) and len(r) == 2 and 0 <= r[0] <= r[1] <= rows):
             raise FormatError(f"{path}: row range {r} is not [start, stop] within {rows} rows")
     return Matrix(
         data=data,
-        patient_ids=list(header["patient_ids"]),
+        patient_ids=ids,
         band_table_sha256=header.get("band_table_sha256"),
         row_ranges=[(a, b) for a, b in ranges] if ranges is not None else None,
     )
@@ -186,6 +194,8 @@ def read_gbck(path: str | Path) -> tuple[dict[str, np.ndarray], dict]:
     with open(path, "rb") as fh:
         header = _read_prefixed(fh, GBCK_MAGIC, path, ("config", "epoch", "seed", "tensors"))
         blob = fh.read()
+    if not isinstance(header["tensors"], list):
+        raise FormatError(f"{path}: tensors is not a list of tensor entries")
     tensors = {}
     for entry in header["tensors"]:
         if not (isinstance(entry, dict) and isinstance(entry.get("name"), str)

@@ -10,10 +10,13 @@ are centered (running mean) and sharpened with a lower temperature.
 
 Views are bucketed by exact length (length ascending, then (patient, view)),
 and each bucket is one aggregator forward per side, as DINO's multi-crop
-wrapper runs same-size crops together.  Each side's CLS rows and masked-token
-rows stay stacked in one row matrix from the aggregator to the loss: the head
-runs once per side (two head calls per step), and one log-softmax and one
-cross entropy score every student row.
+wrapper runs same-size crops together.  A bucket's views go in as stacked
+cell rows and come out as hidden rows, each view's CLS row followed by its
+cells; the bucket outputs are concatenated, and one row gather per side picks
+each view's CLS row and the rows at its masked positions.  Those rows stay
+stacked in one row matrix from the aggregator to the loss: the head runs once
+per side (two head calls per step), and one log-softmax and one cross entropy
+score every student row.
 """
 
 from __future__ import annotations
@@ -197,7 +200,7 @@ def embed_bags(
     """CLS embedding of each full bag (no masking, no gradient)."""
     out = np.zeros((len(bags), config.embed_dim), dtype=np.float32)
     for i, bag in enumerate(bags):
-        out[i] = forward(bag.cells, np.empty(0, np.int64), params, config).cls.data[0]
+        out[i] = forward(bag.cells, np.empty(0, np.int64), params, config).data[0]
     return out
 
 
@@ -351,27 +354,24 @@ def _bucketed_pass(
         for v, view in enumerate(views)
         if v < n_cls_views or (with_tokens and view.mask.size)
     )
-    cls_parts, token_parts = [], []
+    hidden = []
     for _, bucket in itertools.groupby(order, key=lambda key: key[0]):
         pairs = [(p, views_per_patient[p][v]) for _, p, v in bucket]
-        cells = np.stack([batch_bags[p].cells[view.indices] for p, view in pairs])
+        cells = np.concatenate([batch_bags[p].cells[view.indices] for p, view in pairs])
         if student:
             mask = np.stack([view.mask for _, view in pairs])
         else:
             mask = np.empty((len(pairs), 0), dtype=np.int64)
-        out = forward(cells, mask, params, agg_config)
-        cls_parts.append(out.cls)
-        token_parts.append(out.tokens)
-    position = {(p, v): i for i, (_, p, v) in enumerate(order)}
-    rows = [position[(p, v)] for v in range(n_cls_views) for p in range(len(batch_bags))]
-    parts = cls_parts
+        hidden.append(forward(cells, mask, params, agg_config))
+    # the concatenated bucket outputs hold the views' [CLS, cells...]
+    # sequences in `order`; each view's CLS row sits at its start
+    starts = np.cumsum([0] + [n + 1 for n, _, _ in order])[:-1]
+    start_of = {(p, v): start for start, (_, p, v) in zip(starts, order)}
+    rows = [start_of[(p, v)] for v in range(n_cls_views) for p in range(len(batch_bags))]
     if with_tokens:
-        # token rows follow the len(order) CLS rows in the concatenation
-        starts = len(order) + np.cumsum([0] + [n for n, _, _ in order])[:-1]
-        masked = [start + views_per_patient[p][v].mask for start, (_, p, v) in zip(starts, order)]
+        masked = [start + 1 + views_per_patient[p][v].mask for start, (_, p, v) in zip(starts, order)]
         rows = np.concatenate([rows, *masked])
-        parts = cls_parts + token_parts
-    return head_forward(ndiff.gather_rows(ndiff.concat_rows(parts), rows), params)
+    return head_forward(ndiff.gather_rows(ndiff.concat_rows(hidden), rows), params)
 
 
 def teacher_targets(

@@ -15,7 +15,12 @@ def tiny_params(rng):
 
 
 def cls_of(cells, params, mask=np.empty(0, np.int64)):
-    return agg.forward(cells, mask, params, TINY).cls.data[0]
+    return agg.forward(cells, mask, params, TINY).data[0]
+
+
+def cls_and_tokens(hidden):
+    """One view's CLS row and cell rows from ``forward``'s hidden rows."""
+    return ndiff.slice_rows(hidden, 0, 1), ndiff.slice_rows(hidden, 1, hidden.shape[0])
 
 
 class TestForward:
@@ -33,9 +38,9 @@ class TestForward:
         for _ in range(10):
             n = int(rng.integers(2, 24))
             cells = rng.standard_normal((n, TINY.input_dim))
-            base = agg.forward(cells, np.empty(0, np.int64), params, TINY).cls.data[0]
+            base = agg.forward(cells, np.empty(0, np.int64), params, TINY).data[0]
             perm = agg.forward(cells[rng.permutation(n)], np.empty(0, np.int64),
-                               params, TINY).cls.data[0]
+                               params, TINY).data[0]
             rel = np.linalg.norm(base - perm) / np.linalg.norm(base)
             assert rel <= 1e-10
 
@@ -49,21 +54,21 @@ class TestForward:
 
     def test_single_cell_bag(self, tiny_params, rng):
         cells = rng.standard_normal((1, TINY.input_dim)).astype(np.float32)
-        out = agg.forward(cells, np.empty(0, np.int64), tiny_params, TINY)
-        assert out.cls.shape == (1, TINY.embed_dim)
-        assert out.tokens.shape == (1, TINY.embed_dim)
-        assert np.isfinite(out.cls.data).all()
+        cls, tokens = cls_and_tokens(agg.forward(cells, np.empty(0, np.int64), tiny_params, TINY))
+        assert cls.shape == (1, TINY.embed_dim)
+        assert tokens.shape == (1, TINY.embed_dim)
+        assert np.isfinite(cls.data).all()
 
     def test_fully_masked_bag_ignores_cell_values(self, tiny_params, rng):
         n = 5
         mask = np.arange(n)
         a = rng.standard_normal((n, TINY.input_dim)).astype(np.float32)
         b = rng.standard_normal((n, TINY.input_dim)).astype(np.float32)
-        out_a = agg.forward(a, mask, tiny_params, TINY)
-        out_b = agg.forward(b, mask, tiny_params, TINY)
-        assert np.isfinite(out_a.cls.data).all()
-        assert np.allclose(out_a.cls.data, out_b.cls.data)
-        assert np.allclose(out_a.tokens.data, out_b.tokens.data)
+        cls_a, tokens_a = cls_and_tokens(agg.forward(a, mask, tiny_params, TINY))
+        cls_b, tokens_b = cls_and_tokens(agg.forward(b, mask, tiny_params, TINY))
+        assert np.isfinite(cls_a.data).all()
+        assert np.allclose(cls_a.data, cls_b.data)
+        assert np.allclose(tokens_a.data, tokens_b.data)
 
     def test_empty_bag_rejected(self, tiny_params):
         with pytest.raises(ValueError, match="empty"):
@@ -87,29 +92,36 @@ class TestForward:
         masks = np.array([[0, 4], [5, 1], [2, 3]])
         probe = Tensor(rng.standard_normal((b * (n + 1), TINY.embed_dim)))
 
-        def loss_of(cls, tokens):
-            return ndiff.mean(ndiff.mul(ndiff.concat_rows([cls, tokens]), probe))
+        def loss_of(hidden):
+            return ndiff.mean(ndiff.mul(hidden, probe))
 
         with ndiff.Tape() as tape:
-            stacked = agg.forward(views, masks, params, TINY)
-            loss = loss_of(stacked.cls, stacked.tokens)
+            stacked = agg.forward(views.reshape(b * n, -1), masks, params, TINY)
+            loss = loss_of(stacked)
         grads = tape.backward(loss)
         with ndiff.Tape() as tape:
-            separate = [agg.forward(views[i], masks[i], params, TINY) for i in range(b)]
-            loss_sep = loss_of(ndiff.concat_rows([o.cls for o in separate]),
-                               ndiff.concat_rows([o.tokens for o in separate]))
+            separate = ndiff.concat_rows(
+                [agg.forward(views[i], masks[i], params, TINY) for i in range(b)]
+            )
+            loss_sep = loss_of(separate)
         grads_sep = tape.backward(loss_sep)
-        assert stacked.cls.shape == (b, TINY.embed_dim)
-        assert stacked.tokens.shape == (b * n, TINY.embed_dim)
+        assert stacked.shape == (b * (n + 1), TINY.embed_dim)
+        np.testing.assert_allclose(stacked.data, separate.data, rtol=1e-12, atol=1e-14)
         np.testing.assert_allclose(float(loss.data), float(loss_sep.data), rtol=1e-12)
         for name, p in params.items():
             np.testing.assert_allclose(grads[p], grads_sep[p], rtol=1e-9, atol=1e-13,
                                        err_msg=name)
 
     def test_one_mask_row_per_view_required(self, tiny_params, rng):
-        views = rng.standard_normal((2, 4, TINY.input_dim)).astype(np.float32)
-        with pytest.raises(ValueError, match="one row per view"):
-            agg.forward(views, np.array([1, 2]), tiny_params, TINY)
+        rows = rng.standard_normal((8, TINY.input_dim)).astype(np.float32)
+        for mask in (np.array([[[1], [2]]]), np.empty((0, 1), np.int64)):
+            with pytest.raises(ValueError, match="one row per view"):
+                agg.forward(rows, mask, tiny_params, TINY)
+
+    def test_row_count_not_a_multiple_of_views_rejected(self, tiny_params, rng):
+        rows = rng.standard_normal((7, TINY.input_dim)).astype(np.float32)
+        with pytest.raises(ValueError, match="not a multiple of 2 views"):
+            agg.forward(rows, np.array([[1], [2]]), tiny_params, TINY)
 
     def test_cls_gradient_wrt_cells_passes_grad_check(self, rng):
         params = agg.init_params(TINY, np.random.default_rng(3), dtype=np.float64)
@@ -117,8 +129,8 @@ class TestForward:
         cells = Tensor(rng.standard_normal((4, TINY.input_dim)))
 
         def f(x):
-            out = agg.forward(x, np.array([1]), params, TINY)
-            return ndiff.mean(ndiff.mul(out.cls, probe))
+            cls, _ = cls_and_tokens(agg.forward(x, np.array([1]), params, TINY))
+            return ndiff.mean(ndiff.mul(cls, probe))
 
         report = ndiff.grad_check(f, cells, eps=1e-5, tol=1e-4)
         assert report.passed, report.max_rel_err

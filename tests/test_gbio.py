@@ -8,6 +8,16 @@ import pytest
 from genalign import gbio
 
 
+def rewrite_gbm_header(path, **changes):
+    """Replace header fields of a written .gbm, keeping its payload."""
+    blob = path.read_bytes()
+    (length,) = struct.unpack("<I", blob[4:8])
+    header = json.loads(blob[8 : 8 + length])
+    header.update(changes)
+    new = json.dumps(header).encode()
+    path.write_bytes(b"GBM1" + struct.pack("<I", len(new)) + new + blob[8 + length :])
+
+
 class TestGbm:
     def test_roundtrip_u8(self, tmp_path):
         data = (np.arange(12, dtype=np.uint8) % 2).reshape(3, 4)
@@ -49,13 +59,34 @@ class TestGbm:
     def test_bad_row_ranges_rejected(self, tmp_path, ranges):
         path = tmp_path / "bags.gbm"
         gbio.write_gbm(path, gbio.Matrix(np.zeros((2, 3), np.float32), ["p"], row_ranges=[(0, 2)]))
-        blob = path.read_bytes()
-        (length,) = struct.unpack("<I", blob[4:8])
-        header = json.loads(blob[8 : 8 + length])
-        header["row_ranges"] = ranges
-        new = json.dumps(header).encode()
-        path.write_bytes(b"GBM1" + struct.pack("<I", len(new)) + new + blob[8 + length :])
+        rewrite_gbm_header(path, row_ranges=ranges)
         with pytest.raises(gbio.FormatError, match=r"bags\.gbm: row"):
+            gbio.read_gbm(path)
+
+    @pytest.mark.parametrize("shape", [{"rows": "2"}, {"cols": 1.5}, {"rows": -2, "cols": -3},
+                                       {"rows": True}],
+                             ids=["string", "float", "negative", "boolean"])
+    def test_bad_rows_or_cols_rejected(self, tmp_path, shape):
+        path = tmp_path / "m.gbm"
+        gbio.write_gbm(path, gbio.Matrix(np.zeros((2, 3), np.float32), ["a", "b"]))
+        rewrite_gbm_header(path, **shape)
+        with pytest.raises(gbio.FormatError, match=r"m\.gbm: rows .* are not non-negative integers"):
+            gbio.read_gbm(path)
+
+    @pytest.mark.parametrize("ids", [5, "ab", ["a", 2]], ids=["integer", "string", "non-string-id"])
+    def test_patient_ids_must_be_strings(self, tmp_path, ids):
+        path = tmp_path / "m.gbm"
+        gbio.write_gbm(path, gbio.Matrix(np.zeros((2, 3), np.float32), ["a", "b"]))
+        rewrite_gbm_header(path, patient_ids=ids)
+        with pytest.raises(gbio.FormatError, match=r"m\.gbm: patient_ids is not a list of strings"):
+            gbio.read_gbm(path)
+
+    @pytest.mark.parametrize("ids", [["a", "b", "c"], ["a"]], ids=["more", "fewer"])
+    def test_one_id_per_row_without_ranges(self, tmp_path, ids):
+        path = tmp_path / "mutations.gbm"
+        gbio.write_gbm(path, gbio.Matrix(np.zeros((2, 3), np.uint8), ["a", "b"]))
+        rewrite_gbm_header(path, patient_ids=ids)
+        with pytest.raises(gbio.FormatError, match=rf"mutations\.gbm: {len(ids)} patient ids for 2 rows"):
             gbio.read_gbm(path)
 
     def test_deterministic_bytes(self, tmp_path, rng):
@@ -122,6 +153,13 @@ class TestGbck:
         header = json.dumps({"config": {}, "epoch": 0, "seed": 0, "tensors": [entry]}).encode()
         path.write_bytes(b"GBCK" + struct.pack("<I", len(header)) + header + b"\x00" * 8)
         with pytest.raises(gbio.FormatError, match=r"odd\.gbck: tensor entry"):
+            gbio.read_gbck(path)
+
+    def test_tensors_must_be_a_list(self, tmp_path):
+        path = tmp_path / "odd.gbck"
+        header = json.dumps({"config": {}, "epoch": 0, "seed": 0, "tensors": 5}).encode()
+        path.write_bytes(b"GBCK" + struct.pack("<I", len(header)) + header + b"\x00" * 8)
+        with pytest.raises(gbio.FormatError, match=r"odd\.gbck: tensors is not a list"):
             gbio.read_gbck(path)
 
     def test_inspect_detects_kinds(self, tmp_path):

@@ -211,6 +211,11 @@ def reference_ibot_term(teacher_token_logits, student_token_logits, mask,
 TEACHER_TEMP = 0.05
 
 
+def cls_and_tokens(hidden):
+    """One view's CLS row and cell rows from ``forward``'s hidden rows."""
+    return ndiff.slice_rows(hidden, 0, 1), ndiff.slice_rows(hidden, 1, hidden.shape[0])
+
+
 def build_microbatch(seed=5):
     """Tiny 3-patient f64 setting: teacher targets precomputed as constants,
     student path rebuilt per call.  Teacher outputs carry stop-gradient in
@@ -241,10 +246,12 @@ def build_microbatch(seed=5):
     t_tok = {}
     for p in range(len(cells)):
         for v, view in enumerate(views[p]):
-            out = forward(cells[p][view.indices], np.empty(0, np.int64), teacher, config)
-            t_tok[(p, v)] = Tensor(head_forward(out.tokens, teacher).data)
+            cls, tokens = cls_and_tokens(
+                forward(cells[p][view.indices], np.empty(0, np.int64), teacher, config)
+            )
+            t_tok[(p, v)] = Tensor(head_forward(tokens, teacher).data)
             if v < pre.k_global:
-                t_cls_rows[v].append(out.cls)
+                t_cls_rows[v].append(cls)
     t_cls = [Tensor(head_forward(ndiff.concat_rows(r), teacher).data) for r in t_cls_rows]
 
     def loss_given(cell_tensors):
@@ -256,10 +263,10 @@ def build_microbatch(seed=5):
                 sel = np.zeros((len(view.indices), len(cells[p])))
                 sel[np.arange(len(view.indices)), view.indices] = 1.0
                 sub = ndiff.matmul(Tensor(sel), cell_tensors[p])
-                out = forward(sub, view.mask, params, config)
-                s_cls_rows[v].append(out.cls)
+                cls, tokens = cls_and_tokens(forward(sub, view.mask, params, config))
+                s_cls_rows[v].append(cls)
                 if view.mask.size:
-                    tok = head_forward(out.tokens, params)
+                    tok = head_forward(tokens, params)
                     ibot_terms.append(
                         (reference_ibot_term(t_tok[(p, v)], tok, view.mask, center,
                                              TEACHER_TEMP, pre.student_temp),
