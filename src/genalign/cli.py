@@ -61,6 +61,13 @@ def _load_stage1(path: str):
     return student, AggregatorConfig(**ckpt_config["aggregator"])
 
 
+def _positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
+
+
 def _apply_seed(config, seed_flag):
     if seed_flag is not None:
         config.seed = seed_flag
@@ -242,18 +249,18 @@ def cmd_retrieve(args):
     from .harness import cross_modal_rankings
 
     table = load_table(args.table_dir, stem=args.stem)
-    ranked, _ = cross_modal_rankings(table, args.query, args.target, args.split)
+    ids, order, scores = cross_modal_rankings(table, args.query, args.target, args.split)
     payload = {
         "query_modality": args.query,
         "target_modality": args.target,
         "split": args.split,
         "rankings": [
             {
-                "query_id": r.query_id,
-                "candidates": r.candidate_ids[: args.k],
-                "scores": [round(float(s), 6) for s in r.scores[: args.k]],
+                "query_id": query_id,
+                "candidates": [ids[i] for i in order[j, : args.k]],
+                "scores": [round(float(s), 6) for s in scores[j, : args.k]],
             }
-            for r in ranked
+            for j, query_id in enumerate(ids)
         ],
     }
     Path(args.out).write_text(json.dumps(payload, sort_keys=True, indent=2) + "\n")
@@ -390,7 +397,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--target", required=True,
                    choices=["slide", "karyotype", "mutation"])
     p.add_argument("--split", default="test")
-    p.add_argument("--k", type=int, default=10)
+    p.add_argument("--k", type=_positive_int, default=10)
     p.add_argument("--out", required=True)
     p.set_defaults(handler=cmd_retrieve)
 

@@ -1,19 +1,22 @@
 """Retrieval and probing metrics with their statistical machinery.
 
-Rankings are cosine-similarity orderings with deterministic ties (ascending
-candidate id).  Every retrieval metric is a per-query vector (reciprocal
-ranks, top-k hits, AP@k); its mean is the reported value, and ``bootstrap``
-resamples the query rows of such a vector, or of any per-row metric such as
-a probe's (truth, prediction) pairs, to give a ``StatReport``.  The
-Wilcoxon signed-rank test enumerates all sign assignments exactly for small
-samples (mid-ranks for tied magnitudes) and falls back to a
-continuity-corrected normal approximation otherwise.
+``retrieve`` ranks a whole block of queries in one call: cosine similarity
+descending, ties broken by ascending candidate id.  Every retrieval metric
+reads one ranked hit matrix, where ``hits[q, r]`` is true when query q's
+rank-r candidate is relevant, and returns a per-query vector (reciprocal
+ranks, top-k hits, AP@k, F1 at the relevant count); its mean is the
+reported value, and ``bootstrap`` resamples the query rows of such a
+vector, or of any per-row metric such as a probe's (truth, prediction)
+pairs, to give a ``StatReport``.  The Wilcoxon signed-rank test enumerates
+all sign assignments exactly for small samples (mid-ranks for tied
+magnitudes) and falls back to a continuity-corrected normal approximation
+otherwise.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 from typing import Callable, Sequence
 
 import numpy as np
@@ -26,160 +29,80 @@ class EvalError(ValueError):
     pass
 
 
-@dataclass
-class RetrievalIndex:
-    keys: list[str]
-    matrix: np.ndarray  # (N, dim), unit rows
-    modality: str = ""
-    # position of each key in ascending id order, the tie-break key
-    id_rank: np.ndarray = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        self.matrix = np.asarray(self.matrix, dtype=np.float64)
-        if len(self.keys) != self.matrix.shape[0]:
-            raise EvalError("keys and matrix row count differ")
-        if len(set(self.keys)) != len(self.keys):
-            raise EvalError("duplicate ids in retrieval index")
-        if self.matrix.shape[0] == 0:
-            raise EvalError("empty retrieval index")
-        norms = np.linalg.norm(self.matrix, axis=1)
-        if np.abs(norms - 1.0).max() > 1e-4:
-            raise EvalError("index rows must be unit-norm")
-        self.id_rank = np.argsort(sorted(range(len(self.keys)), key=self.keys.__getitem__))
-
-
-@dataclass
-class RankedList:
-    query_id: str
-    candidate_ids: list[str]
-    scores: np.ndarray
-
-    def rank_of(self, candidate_id: str) -> int:
-        """1-based rank; raises if absent."""
-        return self.candidate_ids.index(candidate_id) + 1
-
-
 def retrieve(
-    query_id: str,
-    query: np.ndarray,
-    index: RetrievalIndex,
-    exclude_self: bool = False,
-) -> RankedList:
-    """Rank candidates by cosine similarity, ties broken by ascending id."""
-    query = np.asarray(query, dtype=np.float64)
-    scores = index.matrix @ query
-    order = np.lexsort((index.id_rank, -scores))
-    if exclude_self and query_id in index.keys:
-        order = order[order != index.keys.index(query_id)]
-    return RankedList(
-        query_id=query_id,
-        candidate_ids=[index.keys[i] for i in order],
-        scores=scores[order],
-    )
+    queries: np.ndarray, candidates: np.ndarray, candidate_ids: Sequence[str]
+) -> tuple[np.ndarray, np.ndarray]:
+    """Rank every candidate for each query row by cosine similarity, ties
+    broken by ascending candidate id.
 
-
-def reciprocal_ranks(
-    ranked: Sequence[RankedList], true_matches: dict[str, str]
-) -> np.ndarray:
-    """1 / rank of each query's true match; the mean is the MRR."""
-    return np.array([1.0 / r.rank_of(true_matches[r.query_id]) for r in ranked])
-
-
-def hits_at_k(
-    ranked: Sequence[RankedList], true_matches: dict[str, str], k: int
-) -> np.ndarray:
-    """1.0 where a query's true match is in its top k, else 0.0; the mean is
-    the top-k accuracy."""
-    return np.array(
-        [true_matches[r.query_id] in r.candidate_ids[:k] for r in ranked], np.float64
-    )
-
-
-def average_precision_at_k(r: RankedList, relevant: set[str], k: int) -> float:
-    """AP@k normalized by min(|relevant|, k)."""
-    if not relevant:
-        raise EvalError("empty relevance set")
-    hits = 0
-    score = 0.0
-    for i, cid in enumerate(r.candidate_ids[:k], start=1):
-        if cid in relevant:
-            hits += 1
-            score += hits / i
-    return score / min(len(relevant), k)
-
-
-def map_at_k(
-    ranked: Sequence[RankedList], relevance: dict[str, set[str]], k: int
-) -> tuple[np.ndarray, int]:
-    """AP@k of each query with non-empty relevance (their mean is the
-    mAP@k) and the count of skipped queries."""
-    values = []
-    skipped = 0
-    for r in ranked:
-        rel = relevance.get(r.query_id, set())
-        if not rel:
-            skipped += 1
-            continue
-        values.append(average_precision_at_k(r, rel, k))
-    if not values:
-        raise EvalError("no query had a non-empty relevance set")
-    return np.array(values), skipped
-
-
-def f1_score(tp: int, n_predicted: int, n_positive: int) -> float:
-    """F1 of ``tp`` true hits among n_predicted predictions of n_positive
-    positives."""
-    if tp == 0:
-        return 0.0
-    precision = tp / n_predicted
-    recall = tp / n_positive
-    return 2 * precision * recall / (precision + recall)
-
-
-def per_gene_f1(
-    rankings: dict[str, RankedList], positives: dict[str, set[str]]
-) -> dict[str, float]:
-    """F1 of the top-N_g retrieved candidates per gene, N_g = positive count.
-
-    At this cutoff precision equals recall, so F1 equals the hit fraction.
+    Returns ``(order, scores)``, each ``(n_queries, n_candidates)``:
+    ``order[q, r]`` is the row of query q's rank-r candidate and
+    ``scores[q, r]`` its similarity.  Candidate rows must be unit-norm.
     """
-    out = {}
-    for gene, ranked in rankings.items():
-        pos = positives[gene]
-        if not pos:
-            raise EvalError(f"gene {gene}: empty positive set")
-        n = len(pos)
-        out[gene] = f1_score(len(set(ranked.candidate_ids[:n]) & pos), n, n)
-    return out
+    candidates = np.asarray(candidates, dtype=np.float64)
+    if len(candidate_ids) != candidates.shape[0]:
+        raise EvalError("candidate ids and matrix row count differ")
+    if len(set(candidate_ids)) != len(candidate_ids):
+        raise EvalError("duplicate candidate ids")
+    if candidates.shape[0] == 0:
+        raise EvalError("empty candidate set")
+    if np.abs(np.linalg.norm(candidates, axis=1) - 1.0).max() > 1e-4:
+        raise EvalError("candidate rows must be unit-norm")
+    # position of each id in ascending id order, the tie-break key
+    id_rank = np.argsort(sorted(range(len(candidate_ids)), key=candidate_ids.__getitem__))
+    scores = np.stack([candidates @ q for q in np.asarray(queries, dtype=np.float64)])
+    order = np.lexsort((np.broadcast_to(id_rank, scores.shape), -scores))
+    return order, np.take_along_axis(scores, order, axis=1)
 
 
-def nearest_gene_assignment(
-    slide_ids: list[str],
-    slide_embeddings: np.ndarray,
-    gene_names: list[str],
-    gene_embeddings: np.ndarray,
-) -> dict[str, str]:
-    """Assign each slide to its most similar gene embedding (ties: first
-    gene in sorted order)."""
-    order = np.argsort(gene_names, kind="stable")
-    names = [gene_names[i] for i in order]
-    mat = np.asarray(gene_embeddings, dtype=np.float64)[order]
-    sims = np.asarray(slide_embeddings, dtype=np.float64) @ mat.T
-    best = sims.argmax(axis=1)
-    return {sid: names[b] for sid, b in zip(slide_ids, best)}
+def _relevant_counts(hits: np.ndarray) -> np.ndarray:
+    counts = hits.sum(axis=1)
+    if (counts == 0).any():
+        raise EvalError("query without a relevant candidate")
+    return counts
 
 
-def per_gene_f1_from_assignment(
-    assignment: dict[str, str], positives: dict[str, set[str]]
-) -> dict[str, float]:
-    predicted: dict[str, set[str]] = {gene: set() for gene in positives}
-    for sid, gene in assignment.items():
-        if gene in predicted:
-            predicted[gene].add(sid)
-    return {
-        gene: f1_score(len(predicted[gene] & pos), len(predicted[gene]), len(pos))
-        for gene, pos in positives.items()
-    }
+def reciprocal_ranks(hits: np.ndarray) -> np.ndarray:
+    """1 / rank of each query's first relevant candidate; the mean is the
+    MRR.  ``hits[q, r]`` is true when query q's rank-r candidate is
+    relevant."""
+    _relevant_counts(hits)
+    return 1.0 / (hits.argmax(axis=1) + 1)
+
+
+def hits_at_k(hits: np.ndarray, k: int) -> np.ndarray:
+    """1.0 where a query has a relevant candidate in its top k, else 0.0;
+    the mean is the top-k accuracy."""
+    return hits[:, :k].any(axis=1).astype(np.float64)
+
+
+def average_precision_at_k(hits: np.ndarray, k: int) -> np.ndarray:
+    """AP@k of each query, normalized by min(|relevant|, k); the mean is
+    the mAP@k."""
+    n_relevant = _relevant_counts(hits)
+    top = hits[:, :k]
+    precision = np.cumsum(top, axis=1) / np.arange(1, top.shape[1] + 1)
+    return np.where(top, precision, 0.0).sum(axis=1) / np.minimum(n_relevant, k)
+
+
+def f1_score(tp, n_predicted, n_positive) -> np.ndarray:
+    """F1 of ``tp`` true hits among n_predicted predictions of n_positive
+    positives, elementwise; 0 where tp is 0."""
+    tp = np.asarray(tp, dtype=np.float64)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        precision = tp / n_predicted
+        recall = tp / n_positive
+        f1 = 2 * precision * recall / (precision + recall)
+    return np.where(tp == 0, 0.0, f1)
+
+
+def f1_at_n_relevant(hits: np.ndarray) -> np.ndarray:
+    """F1 of each query's top-N retrieved candidates, N = its relevant
+    count (per-gene F1 at N_g).  At this cutoff precision equals recall,
+    so F1 equals the hit fraction."""
+    n = _relevant_counts(hits)
+    tp = np.cumsum(hits, axis=1)[np.arange(len(hits)), n - 1]
+    return f1_score(tp, n, n)
 
 
 def _as_unit(x: np.ndarray) -> np.ndarray:

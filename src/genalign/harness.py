@@ -1,12 +1,16 @@
 """Evaluation report assembly and the ablation grid.
 
-Retrieval directions are evaluated on the test split with the same-patient
-counterpart as the true match, against a per-query shuffled random baseline;
-paired Wilcoxon tests on reciprocal ranks are Bonferroni-corrected over the
-four directions.  Each metric is computed once, as a per-query vector
-(reciprocal ranks, top-k hits, AP@k) or, for the logistic probe, as one
-fit's test predictions, and ``evalkit.bootstrap`` resamples its rows.  Each
-probe is fitted once per table, and only when its task is requested.
+Each retrieval task ranks its query block with one ``evalkit.retrieve``
+call and builds one hit matrix from the ranking: the same-patient
+counterpart for the four cross-modal directions, the same-class slides
+(own slide dropped) for slide-to-slide, and the split's mutation matrix
+for gene-to-slide.  Every retrieval metric is read from that matrix as a
+per-query vector (reciprocal ranks, top-k hits, AP@k, per-gene F1), and
+the random baselines permute its rows.  Paired Wilcoxon tests on
+reciprocal ranks are Bonferroni-corrected over the four directions.  The
+logistic probe is one fit's test predictions, and ``evalkit.bootstrap``
+resamples the rows of each metric.  Each probe is fitted once per table,
+and only when its task is requested.
 
 The ablation grid varies one factor per row (aggregator init/pooling,
 karyotype resolution, reconstruction weight) with the other factors at
@@ -26,7 +30,7 @@ from . import gbio
 from .align import AlignConfig, AlignedTable, embed_cohort, project, train_align
 from .aggregator import AggregatorConfig
 from .cohort import Cohort
-from .evalkit import RankedList, RetrievalIndex, StatReport
+from .evalkit import StatReport
 from .ndiff import Tensor
 
 MODALITY_TAGS = {"slide": "S", "karyotype": "K", "mutation": "M"}
@@ -52,32 +56,33 @@ def direction_tag(query: str, target: str) -> str:
 
 def cross_modal_rankings(
     table: AlignedTable, query: str, target: str, split: str = "test"
-) -> tuple[list[RankedList], dict[str, str]]:
+) -> tuple[list[str], np.ndarray, np.ndarray]:
+    """The split's patient ids and the ``(order, scores)`` ranking of every
+    query-modality row against every target-modality row; query j's true
+    match is candidate j, its same-patient counterpart."""
     rows = table.rows(split)
     if rows.size == 0:
         raise ek.EvalError(f"no patients in split {split!r}")
     ids = [table.patient_ids[i] for i in rows]
-    index = RetrievalIndex(ids, _modality_matrix(table, target)[rows], modality=target)
-    queries = _modality_matrix(table, query)[rows]
-    ranked = [ek.retrieve(pid, queries[j], index) for j, pid in enumerate(ids)]
-    return ranked, {pid: pid for pid in ids}
+    order, scores = ek.retrieve(_modality_matrix(table, query)[rows],
+                                _modality_matrix(table, target)[rows], ids)
+    return ids, order, scores
 
 
-def random_rankings(
-    ranked: list[RankedList], rng: np.random.Generator
-) -> list[RankedList]:
-    """Per-query shuffled candidate order (the random retrieval baseline)."""
-    out = []
-    for r in ranked:
-        perm = rng.permutation(len(r.candidate_ids))
-        out.append(
-            RankedList(
-                r.query_id,
-                [r.candidate_ids[i] for i in perm],
-                np.zeros(len(perm)),
-            )
-        )
-    return out
+def cross_modal_hits(
+    table: AlignedTable, query: str, target: str, split: str = "test"
+) -> np.ndarray:
+    """Hit matrix of a cross-modal direction: true at each query's
+    same-patient counterpart."""
+    _, order, _ = cross_modal_rankings(table, query, target, split)
+    return order == np.arange(len(order))[:, None]
+
+
+def random_rankings(hits: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+    """Each row of a hit matrix under its own ``rng.permutation``: the hits
+    of a per-query shuffled candidate order (the random retrieval
+    baseline)."""
+    return np.stack([row[rng.permutation(len(row))] for row in hits])
 
 
 def _mean_stat(name: str, values: np.ndarray, n_boot: int, seed: int) -> StatReport:
@@ -98,19 +103,19 @@ def retrieval_block(
     block: dict = {}
     m_corrections = len(DIRECTIONS)
     for d, (query, target) in enumerate(DIRECTIONS):
-        ranked, matches = cross_modal_rankings(table, query, target, split)
-        baseline = random_rankings(ranked, rng)
-        rr_model = ek.reciprocal_ranks(ranked, matches)
-        rr_random = ek.reciprocal_ranks(baseline, matches)
+        hits = cross_modal_hits(table, query, target, split)
+        baseline = random_rankings(hits, rng)
+        rr_model = ek.reciprocal_ranks(hits)
+        rr_random = ek.reciprocal_ranks(baseline)
         tag = direction_tag(query, target)
         entry: dict = {}
         for k in top_ks:
             entry[f"top{k}"] = _mean_stat(
-                f"{tag} top-{k}", ek.hits_at_k(ranked, matches, k), n_boot,
+                f"{tag} top-{k}", ek.hits_at_k(hits, k), n_boot,
                 seed + 10 * d + k,
             ).to_dict()
             entry[f"top{k}_random"] = _mean_stat(
-                f"{tag} top-{k} random", ek.hits_at_k(baseline, matches, k), n_boot,
+                f"{tag} top-{k} random", ek.hits_at_k(baseline, k), n_boot,
                 seed + 10 * d + k + 1000,
             ).to_dict()
         test = ek.wilcoxon_signed_rank(rr_model, rr_random)
@@ -136,22 +141,23 @@ def slide_retrieval_block(
     table: AlignedTable, split: str = "test", k: int = 3,
     n_boot: int = 1000, seed: int = 0,
 ) -> dict:
-    """Same-class slide-to-slide retrieval, mAP@k."""
+    """Same-class slide-to-slide retrieval, mAP@k.  Each query's own column
+    is dropped from its ranking; queries with no same-class partner are
+    skipped and counted."""
     rows = table.rows(split)
     ids = [table.patient_ids[i] for i in rows]
-    labels = {pid: table.labels[i] for i, pid in zip(rows, ids)}
-    index = RetrievalIndex(ids, table.z_slide[rows], modality="slide")
-    ranked = [
-        ek.retrieve(pid, table.z_slide[i], index, exclude_self=True)
-        for i, pid in zip(rows, ids)
-    ]
-    relevance = {
-        pid: {other for other in ids if other != pid and labels[other] == labels[pid]}
-        for pid in ids
-    }
-    aps, skipped = ek.map_at_k(ranked, relevance, k)
+    labels = np.array([table.labels[i] for i in rows])
+    order, _ = ek.retrieve(table.z_slide[rows], table.z_slide[rows], ids)
+    n = len(ids)
+    order = order[order != np.arange(n)[:, None]].reshape(n, n - 1)
+    hits = labels[order] == labels[:, None]
+    answerable = hits.any(axis=1)
+    if not answerable.any():
+        raise ek.EvalError("no query had a same-class partner")
+    aps = ek.average_precision_at_k(hits[answerable], k)
     stat = _mean_stat(f"S->S mAP@{k}", aps, n_boot, seed)
-    return {"map_at_k": stat.to_dict(), "k": k, "skipped_queries": skipped,
+    return {"map_at_k": stat.to_dict(), "k": k,
+            "skipped_queries": int(n - answerable.sum()),
             "ap_normalizer": "min(|relevant|, k)"}
 
 
@@ -200,59 +206,51 @@ def per_gene_block(
     table: AlignedTable,
     cohort: Cohort,
     params: dict,
-    gene_names: list[str] | None = None,
     split: str = "test",
     n_boot: int = 200,
     seed: int = 0,
 ) -> dict:
-    """Per-gene retrieval F1: gene->slide via one-hot gene queries through
-    the mutation projector, slide->gene via nearest-gene assignment."""
+    """Per-gene retrieval F1 over the genes with at least one positive and
+    one negative patient in the split: gene->slide via one-hot gene queries
+    through the mutation projector, slide->gene by assigning each slide to
+    its most similar gene (ties: first gene in name order)."""
     rows = table.rows(split)
     ids = [table.patient_ids[i] for i in rows]
     by_id = {p.patient_id: p for p in cohort.patients}
-    n_genes = len(by_id[ids[0]].mutations)
-    names = gene_names or [f"gene{g:02d}" for g in range(n_genes)]
-    positives = {
-        names[g]: {pid for pid in ids if by_id[pid].mutations[g]}
-        for g in range(n_genes)
-    }
-    # genes need at least one positive and one negative test patient
-    usable = {g: n for g, n in enumerate(names)
-              if 0 < len(positives[n]) < len(ids)}
+    relevant = np.array([by_id[pid].mutations for pid in ids], dtype=bool).T
+    n_genes = relevant.shape[0]
+    names = [f"gene{g:02d}" for g in range(n_genes)]
+    n_positive = relevant.sum(axis=1)
+    usable = np.flatnonzero((n_positive > 0) & (n_positive < len(ids)))
+    if usable.size == 0:
+        return {"genes": {}}
+    relevant = relevant[usable]
     gene_embeddings = project(
         Tensor(np.eye(n_genes, dtype=np.float32)), params, "proj_m"
-    ).data
-    index = RetrievalIndex(ids, table.z_slide[rows], modality="slide")
-    rankings = {
-        name: ek.retrieve(name, gene_embeddings[g], index)
-        for g, name in usable.items()
-    }
-    gene_to_slide = ek.per_gene_f1(rankings, {n: positives[n] for n in rankings})
-    assignment = ek.nearest_gene_assignment(
-        ids, table.z_slide[rows],
-        [names[g] for g in usable], gene_embeddings[list(usable)],
-    )
-    slide_to_gene = ek.per_gene_f1_from_assignment(
-        assignment, {n: positives[n] for n in rankings}
-    )
+    ).data[usable]
+    slides = table.z_slide[rows]
+    order, _ = ek.retrieve(gene_embeddings, slides, ids)
+    gene_to_slide = ek.f1_at_n_relevant(np.take_along_axis(relevant, order, axis=1))
+    by_name = np.array(sorted(range(len(usable)), key=lambda j: names[usable[j]]))
+    sims = (np.asarray(slides, dtype=np.float64)
+            @ np.asarray(gene_embeddings, dtype=np.float64)[by_name].T)
+    predicted = by_name[sims.argmax(axis=1)] == np.arange(len(usable))[:, None]
+    slide_to_gene = ek.f1_score((predicted & relevant).sum(axis=1),
+                                predicted.sum(axis=1), n_positive[usable])
     rng = np.random.default_rng(seed)
-    random_f1 = {}
-    for name in rankings:
-        is_positive = np.array([pid in positives[name] for pid in ids])
-        n = len(positives[name])
-        random_f1[name] = float(np.mean([
-            ek.f1_score(int(is_positive[rng.permutation(len(ids))[:n]].sum()), n, n)
-            for _ in range(n_boot)
-        ]))
+    random_f1 = [
+        ek.f1_at_n_relevant(random_rankings(np.tile(row, (n_boot, 1)), rng)).mean()
+        for row in relevant
+    ]
     return {
         "genes": {
-            name: {
-                "n_positive": len(positives[name]),
-                "gene_to_slide_f1": gene_to_slide[name],
-                "slide_to_gene_f1": slide_to_gene[name],
-                "random_f1": random_f1[name],
+            names[g]: {
+                "n_positive": int(n_positive[g]),
+                "gene_to_slide_f1": float(gene_to_slide[j]),
+                "slide_to_gene_f1": float(slide_to_gene[j]),
+                "random_f1": float(random_f1[j]),
             }
-            for name in sorted(rankings)
+            for j, g in enumerate(usable)
         }
     }
 
@@ -363,7 +361,7 @@ def run_ablation(
             logreg = logreg_bootstrap(table, n_boot=grid.n_boot, seed=grid.seed)
             sk, ks = (
                 _mean_stat(f"{direction_tag(query, target)} MRR",
-                           ek.reciprocal_ranks(*cross_modal_rankings(table, query, target)),
+                           ek.reciprocal_ranks(cross_modal_hits(table, query, target)),
                            grid.n_boot, grid.seed + offset)
                 for offset, query, target in ((1, "slide", "karyotype"),
                                               (2, "karyotype", "slide"))

@@ -249,6 +249,16 @@ class TestEmbedRetrieveEvaluate:
         assert payload["query_modality"] == "karyotype"
         assert all(len(r["candidates"]) <= 3 for r in payload["rankings"])
 
+    @pytest.mark.parametrize("k", ["0", "-1"])
+    def test_retrieve_k_below_one_is_usage_error(self, pipeline, tmp_path, k):
+        out = tmp_path / "ranked.json"
+        with pytest.raises(SystemExit) as err:
+            main(["retrieve", "--table-dir", str(pipeline / "table"),
+                  "--query", "karyotype", "--target", "slide",
+                  "--k", k, "--out", str(out)])
+        assert err.value.code == 2
+        assert not out.exists()
+
     def test_evaluate_report(self, pipeline, tmp_path):
         cohort = pipeline / "cohort"
         out = tmp_path / "report.json"

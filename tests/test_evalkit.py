@@ -12,120 +12,120 @@ def unit(v):
     return v / np.linalg.norm(v)
 
 
-def make_index(vectors, ids=None):
-    mat = np.stack([unit(v) for v in vectors])
+def unit_rows(vectors):
+    return np.stack([unit(v) for v in vectors])
+
+
+def ranked_ids(query, vectors, ids=None):
+    """Candidate ids of one query's ranking, and its scores."""
     ids = ids or [f"c{i}" for i in range(len(vectors))]
-    return ek.RetrievalIndex(ids, mat)
+    order, scores = ek.retrieve(np.asarray(query)[None], unit_rows(vectors), ids)
+    return [ids[i] for i in order[0]], scores[0]
 
 
 class TestRetrieve:
     def test_exact_match_ranks_first(self, rng):
         vecs = [unit(rng.standard_normal(8)) for _ in range(6)]
-        index = make_index(vecs)
-        out = ek.retrieve("q", vecs[3], index)
-        assert out.candidate_ids[0] == "c3"
-        assert out.scores[0] == pytest.approx(1.0)
+        ids, scores = ranked_ids(vecs[3], vecs)
+        assert ids[0] == "c3"
+        assert scores[0] == pytest.approx(1.0)
 
     def test_orthogonal_query_ties_break_by_id(self):
         e = np.eye(4)
-        index = make_index([e[1], e[2], e[3]], ids=["z", "a", "m"])
-        out = ek.retrieve("q", e[0], index)
-        assert out.candidate_ids == ["a", "m", "z"]
-        assert np.allclose(out.scores, 0.0)
+        ids, scores = ranked_ids(e[0], [e[1], e[2], e[3]], ids=["z", "a", "m"])
+        assert ids == ["a", "m", "z"]
+        assert np.allclose(scores, 0.0)
 
     def test_hand_set_similarity_order(self):
         base = np.zeros(3)
         base[0] = 1.0
         def with_cos(c):
             return np.array([c, math.sqrt(1 - c * c), 0.0])
-        index = make_index(
-            [with_cos(0.9), with_cos(-0.2), with_cos(0.5), with_cos(0.99), with_cos(0.0)]
+        ids, scores = ranked_ids(
+            base, [with_cos(0.9), with_cos(-0.2), with_cos(0.5), with_cos(0.99), with_cos(0.0)]
         )
-        out = ek.retrieve("q", base, index)
-        assert out.candidate_ids == ["c3", "c0", "c2", "c4", "c1"]
-        assert all(np.diff(out.scores) <= 0)
+        assert ids == ["c3", "c0", "c2", "c4", "c1"]
+        assert all(np.diff(scores) <= 0)
 
-    def test_exclude_self(self, rng):
-        vecs = [unit(rng.standard_normal(4)) for _ in range(3)]
-        index = make_index(vecs, ids=["a", "b", "c"])
-        out = ek.retrieve("b", vecs[1], index, exclude_self=True)
-        assert "b" not in out.candidate_ids
+    def test_query_block_matches_single_queries(self, rng):
+        vecs = [unit(rng.standard_normal(6)) for _ in range(7)]
+        queries = rng.standard_normal((5, 6))
+        ids = [f"c{i}" for i in range(7)]
+        order, scores = ek.retrieve(queries, unit_rows(vecs), ids)
+        assert order.shape == scores.shape == (5, 7)
+        for q, query in enumerate(queries):
+            single_ids, single_scores = ranked_ids(query, vecs)
+            assert [ids[i] for i in order[q]] == single_ids
+            assert np.array_equal(scores[q], single_scores)
+            assert np.array_equal(scores[q], (unit_rows(vecs) @ query)[order[q]])
 
     def test_rotation_invariant_ordering(self, rng):
         vecs = [unit(rng.standard_normal(6)) for _ in range(8)]
         q = unit(rng.standard_normal(6))
         rot, _ = np.linalg.qr(rng.standard_normal((6, 6)))
-        base = ek.retrieve("q", q, make_index(vecs))
-        rotated = ek.retrieve("q", rot @ q, make_index([rot @ v for v in vecs]))
-        assert base.candidate_ids == rotated.candidate_ids
+        base, _ = ranked_ids(q, vecs)
+        rotated, _ = ranked_ids(rot @ q, [rot @ v for v in vecs])
+        assert base == rotated
 
     def test_empty_index_rejected(self):
         with pytest.raises(ek.EvalError, match="empty"):
-            ek.RetrievalIndex([], np.zeros((0, 4)))
+            ek.retrieve(np.ones((1, 4)), np.zeros((0, 4)), [])
 
     def test_non_unit_rows_rejected(self, rng):
         with pytest.raises(ek.EvalError, match="unit"):
-            ek.RetrievalIndex(["a"], rng.standard_normal((1, 4)) * 3)
+            ek.retrieve(np.ones((1, 4)), rng.standard_normal((1, 4)) * 3, ["a"])
 
 
-def ranked(query_id, ids):
-    return ek.RankedList(query_id, list(ids), np.linspace(1, 0, len(ids)))
+def hit_matrix(candidate_lists, relevant):
+    """hits[q, r]: query q's rank-r candidate is in its relevant set."""
+    return np.array([[c in rel for c in cands]
+                     for cands, rel in zip(candidate_lists, relevant)])
 
 
 class TestTopkMrr:
     def test_all_rank_one(self):
-        lists = [ranked(f"q{i}", [f"q{i}", "x", "y"]) for i in range(4)]
-        matches = {f"q{i}": f"q{i}" for i in range(4)}
-        assert list(ek.hits_at_k(lists, matches, 1)) == [1.0] * 4
-        assert list(ek.reciprocal_ranks(lists, matches)) == [1.0] * 4
+        hits = hit_matrix([[f"q{i}", "x", "y"] for i in range(4)],
+                          [{f"q{i}"} for i in range(4)])
+        assert list(ek.hits_at_k(hits, 1)) == [1.0] * 4
+        assert list(ek.reciprocal_ranks(hits)) == [1.0] * 4
 
     def test_rank_six_misses_top5(self):
-        lists = [ranked("q", ["a", "b", "c", "d", "e", "t"])]
-        assert list(ek.hits_at_k(lists, {"q": "t"}, 5)) == [0.0]
-        assert list(ek.hits_at_k(lists, {"q": "t"}, 6)) == [1.0]
-        assert list(ek.reciprocal_ranks(lists, {"q": "t"})) == [1 / 6]
+        hits = hit_matrix([["a", "b", "c", "d", "e", "t"]], [{"t"}])
+        assert list(ek.hits_at_k(hits, 5)) == [0.0]
+        assert list(ek.hits_at_k(hits, 6)) == [1.0]
+        assert list(ek.reciprocal_ranks(hits)) == [1 / 6]
 
     def test_single_query_rank_four(self):
-        lists = [ranked("q", ["a", "b", "c", "t"])]
-        assert list(ek.reciprocal_ranks(lists, {"q": "t"})) == [0.25]
+        hits = hit_matrix([["a", "b", "c", "t"]], [{"t"}])
+        assert list(ek.reciprocal_ranks(hits)) == [0.25]
 
     def test_random_permutation_topk_expectation(self):
         # uniform rank over N=20 -> P(top-5) = 5/20
         rng = np.random.default_rng(0)
         ids = [f"c{i}" for i in range(20)]
-        lists = []
-        for i in range(10_000):
-            perm = [ids[j] for j in rng.permutation(20)]
-            lists.append(ranked(f"q{i}", perm))
-        matches = {f"q{i}": "c0" for i in range(10_000)}
-        acc = ek.hits_at_k(lists, matches, 5).mean()
+        lists = [[ids[j] for j in rng.permutation(20)] for _ in range(10_000)]
+        hits = hit_matrix(lists, [{"c0"}] * 10_000)
+        acc = ek.hits_at_k(hits, 5).mean()
         assert acc == pytest.approx(0.25, abs=0.02)
 
     def test_uniform_rank_mrr_expectation_n5(self):
         # exact enumeration: E[1/rank] = (1 + 1/2 + ... + 1/5)/5
-        ids = ["a", "b", "c", "d", "e"]
-        lists = []
-        matches = {}
         from itertools import permutations
-        for i, perm in enumerate(permutations(ids)):
-            lists.append(ranked(f"q{i}", perm))
-            matches[f"q{i}"] = "a"
+        lists = list(permutations(["a", "b", "c", "d", "e"]))
+        hits = hit_matrix(lists, [{"a"}] * len(lists))
         expected = sum(1 / r for r in range(1, 6)) / 5
-        assert ek.reciprocal_ranks(lists, matches).mean() == pytest.approx(expected, rel=1e-12)
+        assert ek.reciprocal_ranks(hits).mean() == pytest.approx(expected, rel=1e-12)
         assert expected == pytest.approx(0.45666, abs=1e-4)
 
     def test_topk_monotone_in_k_and_mrr_bounds(self, rng):
         ids = [f"c{i}" for i in range(12)]
-        lists, matches = [], {}
-        for i in range(50):
-            perm = [ids[j] for j in rng.permutation(12)]
-            lists.append(ranked(f"q{i}", perm))
-            matches[f"q{i}"] = "c3"
-        hits = [ek.hits_at_k(lists, matches, k) for k in range(1, 13)]
-        assert all((a <= b).all() for a, b in zip(hits, hits[1:]))
-        assert (hits[-1] == 1.0).all()
-        rr = ek.reciprocal_ranks(lists, matches)
-        assert ((hits[0] <= rr) & (rr <= 1.0)).all()
+        lists = [[ids[j] for j in rng.permutation(12)] for _ in range(50)]
+        hits = hit_matrix(lists, [{"c3"}] * 50)
+        at_k = [ek.hits_at_k(hits, k) for k in range(1, 13)]
+        assert all((a <= b).all() for a, b in zip(at_k, at_k[1:]))
+        assert (at_k[-1] == 1.0).all()
+        rr = ek.reciprocal_ranks(hits)
+        assert ((at_k[0] <= rr) & (rr <= 1.0)).all()
 
 
 def ap_oracle(candidate_ids, relevant, k):
@@ -140,25 +140,22 @@ def ap_oracle(candidate_ids, relevant, k):
 
 class TestMapAtK:
     def test_relevant_at_all_top_ranks(self):
-        lists = [ranked("q", ["r1", "r2", "r3", "x"])]
-        aps, skipped = ek.map_at_k(lists, {"q": {"r1", "r2", "r3"}}, 3)
-        assert list(aps) == [1.0] and skipped == 0
+        hits = hit_matrix([["r1", "r2", "r3", "x"]], [{"r1", "r2", "r3"}])
+        assert list(ek.average_precision_at_k(hits, 3)) == [1.0]
 
     def test_hand_computed_case(self):
         # relevant at ranks 2 and 3, |R| = 2 -> (1/2)(1/2 + 2/3) = 7/12
-        lists = [ranked("q", ["x", "r1", "r2"])]
-        aps, _ = ek.map_at_k(lists, {"q": {"r1", "r2"}}, 3)
-        assert aps == pytest.approx([7 / 12])
+        hits = hit_matrix([["x", "r1", "r2"]], [{"r1", "r2"}])
+        assert ek.average_precision_at_k(hits, 3) == pytest.approx([7 / 12])
 
     def test_nothing_relevant_in_topk(self):
-        lists = [ranked("q", ["x", "y", "z", "r"])]
-        aps, _ = ek.map_at_k(lists, {"q": {"r"}}, 3)
-        assert list(aps) == [0.0]
+        hits = hit_matrix([["x", "y", "z", "r"]], [{"r"}])
+        assert list(ek.average_precision_at_k(hits, 3)) == [0.0]
 
-    def test_empty_relevance_skipped_and_counted(self):
-        lists = [ranked("q1", ["a", "b"]), ranked("q2", ["b", "a"])]
-        aps, skipped = ek.map_at_k(lists, {"q1": {"a"}, "q2": set()}, 2)
-        assert list(aps) == [1.0] and skipped == 1
+    def test_empty_relevance_rejected(self):
+        hits = hit_matrix([["a", "b"], ["b", "a"]], [{"a"}, set()])
+        with pytest.raises(ek.EvalError, match="relevant"):
+            ek.average_precision_at_k(hits, 2)
 
     def test_matches_bruteforce_on_200_random_instances(self):
         rng = np.random.default_rng(7)
@@ -169,41 +166,39 @@ class TestMapAtK:
             perm = [ids[j] for j in rng.permutation(n)]
             n_rel = int(rng.integers(1, n + 1))
             relevant = set(rng.choice(ids, size=n_rel, replace=False).tolist())
-            got, _ = ek.map_at_k([ranked("q", perm)], {"q": relevant}, k)
+            got = ek.average_precision_at_k(hit_matrix([perm], [relevant]), k)
             assert got == pytest.approx([ap_oracle(perm, relevant, k)], rel=1e-12)
 
 
 class TestPerGeneF1:
     def test_perfect_retrieval(self):
-        rankings = {"JAK2": ranked("JAK2", ["p1", "p2", "p3", "p4"])}
-        out = ek.per_gene_f1(rankings, {"JAK2": {"p1", "p2"}})
-        assert out["JAK2"] == 1.0
+        hits = hit_matrix([["p1", "p2", "p3", "p4"]], [{"p1", "p2"}])
+        assert list(ek.f1_at_n_relevant(hits)) == [1.0]
 
     def test_half_hit(self):
-        rankings = {"g": ranked("g", ["p1", "x", "p2", "y"])}
-        out = ek.per_gene_f1(rankings, {"g": {"p1", "p2"}})
-        assert out["g"] == pytest.approx(0.5)
+        hits = hit_matrix([["p1", "x", "p2", "y"]], [{"p1", "p2"}])
+        assert ek.f1_at_n_relevant(hits) == pytest.approx([0.5])
 
     def test_random_ranking_expectation(self):
         # N positives of M total -> E[F1] ~ N/M under random ranking
         rng = np.random.default_rng(3)
         m, n_pos = 20, 6
         ids = [f"p{i}" for i in range(m)]
-        positives = {"g": set(ids[:n_pos])}
-        values = []
-        for _ in range(1000):
-            perm = [ids[j] for j in rng.permutation(m)]
-            values.append(ek.per_gene_f1({"g": ranked("g", perm)}, positives)["g"])
+        lists = [[ids[j] for j in rng.permutation(m)] for _ in range(1000)]
+        values = ek.f1_at_n_relevant(hit_matrix(lists, [set(ids[:n_pos])] * 1000))
         assert np.mean(values) == pytest.approx(n_pos / m, abs=0.02)
 
     def test_assignment_direction(self):
         assignment = {"p1": "A", "p2": "A", "p3": "B", "p4": "B"}
         positives = {"A": {"p1", "p3"}, "B": {"p4"}}
-        out = ek.per_gene_f1_from_assignment(assignment, positives)
+        predicted = np.array([[assignment[p] == g for p in assignment] for g in positives])
+        relevant = np.array([[p in positives[g] for p in assignment] for g in positives])
+        out = ek.f1_score((predicted & relevant).sum(axis=1), predicted.sum(axis=1),
+                          relevant.sum(axis=1))
         # A: predicted {p1,p2}, tp=1, prec 1/2, rec 1/2 -> 0.5
-        assert out["A"] == pytest.approx(0.5)
+        assert out[0] == pytest.approx(0.5)
         # B: predicted {p3,p4}, tp=1, prec 1/2, rec 1 -> 2/3
-        assert out["B"] == pytest.approx(2 / 3)
+        assert out[1] == pytest.approx(2 / 3)
 
 
 class TestKnnProbe:

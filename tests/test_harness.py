@@ -10,6 +10,7 @@ from genalign.cohort import Cohort, Patient
 from genalign.harness import (
     AblationGrid,
     ablation_to_tsv,
+    cross_modal_hits,
     cross_modal_rankings,
     logreg_bootstrap,
     per_gene_block,
@@ -45,21 +46,32 @@ def make_table(rng, n_train=12, n_test=8, dim=16, n_classes=2, noise=0.0):
                         z_m.astype(np.float32))
 
 
+def slide_table(z_slide, labels):
+    """A test-split table whose slide space is ``z_slide``."""
+    n = len(labels)
+    z = np.asarray(z_slide, dtype=np.float32)
+    return AlignedTable([f"p{i}" for i in range(n)], list(labels), ["test"] * n,
+                        z, z, z, z)
+
+
 class TestRankings:
     def test_cross_modal_identity_alignment_ranks_self_first(self, rng):
         table = make_table(rng)
-        ranked, matches = cross_modal_rankings(table, "slide", "karyotype")
-        assert len(ranked) == 8
-        for r in ranked:
-            assert matches[r.query_id] == r.query_id
-            assert r.candidate_ids[0] == r.query_id
+        ids, order, _ = cross_modal_rankings(table, "slide", "karyotype")
+        assert len(ids) == 8
+        assert ids == [table.patient_ids[i] for i in table.rows("test")]
+        assert list(order[:, 0]) == list(range(8))
+        hits = cross_modal_hits(table, "slide", "karyotype")
+        assert hits[:, 0].all() and hits.sum() == 8
 
     def test_random_rankings_are_permutations(self, rng):
         table = make_table(rng)
-        ranked, _ = cross_modal_rankings(table, "slide", "mutation")
-        baseline = random_rankings(ranked, rng)
-        for orig, rand in zip(ranked, baseline):
-            assert sorted(orig.candidate_ids) == sorted(rand.candidate_ids)
+        _, order, _ = cross_modal_rankings(table, "slide", "mutation")
+        baseline = random_rankings(order, np.random.default_rng(5))
+        draws = np.random.default_rng(5)
+        for orig, rand in zip(order, baseline):
+            assert sorted(orig) == sorted(rand)
+            assert list(rand) == list(orig[draws.permutation(len(orig))])
 
     def test_unknown_split_rejected(self, rng):
         table = make_table(rng)
@@ -102,6 +114,26 @@ class TestOtherBlocks:
         assert block["map_at_k"]["point"] > 0.95
         assert block["skipped_queries"] == 0
 
+    def test_slide_retrieval_excludes_self(self):
+        # each slide's nearest other slide is of the other class: with its
+        # own (same-class) slide dropped from its ranking, mAP@1 is 0
+        angles = np.radians([0.0, 90.0, 10.0, 100.0])
+        z = np.stack([np.cos(angles), np.sin(angles)], axis=1)
+        table = slide_table(z, ["x", "x", "y", "y"])
+        block = slide_retrieval_block(table, k=1, n_boot=10, seed=0)
+        assert block["map_at_k"]["point"] == 0.0
+        assert block["skipped_queries"] == 0
+
+    def test_slide_retrieval_skips_query_without_partner(self):
+        # "z" has no same-class partner: skipped and counted; the other
+        # two queries retrieve each other at rank 1
+        angles = np.radians([0.0, 10.0, 90.0])
+        z = np.stack([np.cos(angles), np.sin(angles)], axis=1)
+        table = slide_table(z, ["x", "x", "z"])
+        block = slide_retrieval_block(table, k=2, n_boot=10, seed=0)
+        assert block["map_at_k"]["point"] == 1.0
+        assert block["skipped_queries"] == 1
+
     def test_probe_block_separable(self, rng):
         table = make_table(rng)
         block = probe_block(table)
@@ -139,6 +171,17 @@ class TestOtherBlocks:
             # a random ranking puts N_g/N of the top-N_g on positives
             assert info["random_f1"] == pytest.approx(info["n_positive"] / n_test,
                                                       abs=0.03)
+
+    def test_per_gene_block_without_usable_gene(self, rng):
+        # identical mutations: no gene has both a positive and a negative
+        table = make_table(rng, n_train=2, n_test=4)
+        params = init_mlp_params(3, 32, 32, "proj_m", np.random.default_rng(0))
+        patients = [
+            Patient(pid, lab, spl, CellBag(pid, np.zeros((2, 8), np.float32)),
+                    np.zeros(12, np.uint8), np.array([1, 0, 1], np.uint8))
+            for pid, lab, spl in zip(table.patient_ids, table.labels, table.splits)
+        ]
+        assert per_gene_block(table, Cohort(patients), params) == {"genes": {}}
 
     def test_report_to_tsv_flattens(self):
         tsv = report_to_tsv({"a": {"b": 1.5, "name": "x"}, "c": 2})
@@ -258,3 +301,22 @@ class TestEvaluateReport:
         assert fits == []
         harness.evaluate_report(cohort, params, TINY_AGG, cfg, n_boot=10)
         assert len(fits) == 1
+
+    def test_one_retrieve_call_per_query_block(self, rng, monkeypatch):
+        from genalign import evalkit
+        cohort = tiny_cohort(rng)
+        cfg = AlignConfig(epochs=1, batch_size=6, aggregator_mode="mean_pool",
+                          init="random", seed=2)
+        params = harness.train_align(cohort, TINY_AGG, cfg).params
+        calls = []
+        real_retrieve = evalkit.retrieve
+
+        def counting_retrieve(*args, **kwargs):
+            calls.append(args)
+            return real_retrieve(*args, **kwargs)
+
+        monkeypatch.setattr(evalkit, "retrieve", counting_retrieve)
+        report = harness.evaluate_report(cohort, params, TINY_AGG, cfg, n_boot=10)
+        assert report["tasks"]["per_gene"]["genes"]
+        # four cross-modal directions, slide->slide and gene->slide
+        assert len(calls) == 6

@@ -6,6 +6,11 @@ explicit label lists and resolved against an independent read of the shipped
 table (plain TSV scan, no parser code involved).
 """
 
+import subprocess
+import sys
+import zipfile
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -29,6 +34,24 @@ class TestBandTable:
         assert len(band_table) == N_BANDS
         assert band_table.n_arms == N_ARMS
         assert [b.index for b in band_table.bands] == list(range(N_BANDS))
+
+    def test_shipped_table_loads_from_zipped_package(self, tmp_path):
+        package = Path(kg.__file__).parent
+        archive = tmp_path / "genalign.zip"
+        with zipfile.ZipFile(archive, "w") as zf:
+            for path in package.rglob("*"):
+                if path.is_file() and "__pycache__" not in path.parts:
+                    zf.write(path, Path("genalign") / path.relative_to(package))
+        code = (
+            "import sys; sys.path.insert(0, sys.argv[1]); "
+            "import genalign; assert genalign.__file__.startswith(sys.argv[1]); "
+            "from genalign.karyogram import load_band_table; "
+            "print(len(load_band_table()))"
+        )
+        done = subprocess.run([sys.executable, "-c", code, str(archive)],
+                              capture_output=True, text=True, timeout=120)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.strip() == str(N_BANDS)
 
     def test_matches_raw_resource(self, band_table):
         assert [(b.chromosome, b.arm, b.label) for b in band_table.bands] == [
