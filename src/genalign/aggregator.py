@@ -5,10 +5,13 @@ learned mask token, prefixed with a CLS token, and run through pre-norm
 transformer blocks with no positional encodings, so the CLS state depends
 only on the multiset of cells.  ``forward`` has one row layout in and one out:
 B equal-length views go in as stacked cell rows, ``(B * n, input_dim)``, and
-the final hidden rows come out as ``(B * (n + 1), D)``, each view's CLS row
-followed by its cells.  Pretraining buckets its views by exact length and
-makes one call per bucket, then picks the CLS and masked rows it scores;
-full-bag callers pass one bag and read row 0.
+only the rows a caller reads come out: each view's CLS row followed by its
+rows at the requested token positions.  The last block runs attention
+queries, the MLP and the final layer norm on those rows alone (keys and
+values still come from every row), as CaiT's class-attention layers do.
+Pretraining buckets its views by exact length and makes one call per bucket,
+asking for the masked positions it scores; full-bag callers pass one bag and
+get its CLS row.
 Multi-crop view sampling draws global (70%) and local (20%) sub-bags with
 per-view masks for the masked-prediction objective.
 """
@@ -42,6 +45,8 @@ class AggregatorConfig:
             )
         if self.max_cells < 1:
             raise ValueError("max_cells must be >= 1")
+        if self.depth < 1:
+            raise ValueError("depth must be >= 1")
 
     def to_dict(self) -> dict:
         return {
@@ -136,7 +141,12 @@ def init_params(
 
 
 def _attention(
-    x: Tensor, params: dict[str, Tensor], prefix: str, config: AggregatorConfig, seq_len: int
+    x: Tensor,
+    params: dict[str, Tensor],
+    prefix: str,
+    config: AggregatorConfig,
+    seq_len: int,
+    queries: np.ndarray | None = None,
 ) -> Tensor:
     out = ndiff.multi_head_attention(
         x,
@@ -146,6 +156,7 @@ def _attention(
         params[f"{prefix}.wo"],
         config.heads,
         seq_len,
+        queries,
     )
     return ndiff.add(out, params[f"{prefix}.bo"])
 
@@ -165,6 +176,7 @@ def forward(
     mask: np.ndarray,
     params: dict[str, Tensor],
     config: AggregatorConfig,
+    tokens: np.ndarray | None = None,
 ) -> Tensor:
     """Run the aggregator on B equal-length views stacked as cell rows.
 
@@ -173,11 +185,17 @@ def forward(
     w.r.t. the cells are wanted.  ``mask`` holds one row of view-local cell
     positions per view, ``(B, m)`` (``(m,)`` for one view), so its row count
     is B; the masked cells' projected embeddings are replaced by the learned
-    mask token before the transformer.  Returns the final-layer-norm hidden
-    rows ``(B * (n + 1), D)``: view b's CLS row at ``b * (n + 1)``, its cells
-    after it in order.  Each view runs as one sequence ``[CLS, cells...]``
-    through every block: bags are sets, so equal-length views need no padding
-    and no attention mask.
+    mask token before the transformer.  ``tokens`` holds the view-local cell
+    positions whose output rows are read, one row per view, ``(B, t)``
+    (``(t,)`` for one view).  Returns the final-layer-norm hidden rows
+    ``(B * (1 + t), D)``: view b's CLS row at ``b * (1 + t)``, then its rows
+    at ``tokens[b]`` in that order; without tokens, the CLS rows ``(B, D)``.
+
+    Each view runs as one sequence ``[CLS, cells...]``: bags are sets, so
+    equal-length views need no padding and no attention mask.  Every block
+    but the last runs on all rows.  The last block normalizes all rows, so
+    its keys and values are complete, but runs attention, the MLP and the
+    final layer norm only on the rows it returns.
     """
     if not isinstance(cells, Tensor):
         cells = Tensor(np.asarray(cells, dtype=params["cls"].dtype))
@@ -196,10 +214,16 @@ def forward(
         raise ValueError(
             f"cell width {width} != configured input_dim {config.input_dim}"
         )
+    tokens = np.empty((b, 0), np.int64) if tokens is None else np.asarray(tokens, dtype=np.int64)
+    if tokens.ndim == 1:
+        tokens = tokens[None]
+    if tokens.ndim != 2 or tokens.shape[0] != b:
+        raise ValueError(f"tokens shape {tokens.shape} does not give one row per view of {b}")
+    for name, positions in (("mask", masks), ("tokens", tokens)):
+        if positions.size and (positions.min() < 0 or positions.max() >= n):
+            raise ValueError(f"{name} positions out of range for a {n}-cell view")
     x = mlp_forward(cells, params, "embed")
     if masks.size:
-        if masks.min() < 0 or masks.max() >= n:
-            raise ValueError(f"mask positions out of range for a {n}-cell view")
         keep = np.ones((b * n, 1), dtype=x.dtype)
         keep[(np.arange(b)[:, None] * n + masks).ravel()] = 0.0
         keep_t = Tensor(keep)
@@ -213,9 +237,16 @@ def forward(
         rows = np.zeros((b, seq), dtype=np.int64)
         rows[:, 1:] = np.arange(1, b * n + 1).reshape(b, n)
         x = ndiff.gather_rows(x, rows.ravel())
+    # the rows returned: each view's CLS row, then its token rows
+    read = (np.arange(b)[:, None] * seq + np.hstack([np.zeros((b, 1), np.int64), 1 + tokens])).ravel()
     for i in range(config.depth):
         prefix = f"block{i}"
-        x = ndiff.add(x, _attention(_layer_norm(x, params, f"{prefix}.ln1"), params, f"{prefix}.attn", config, seq))
+        h = _layer_norm(x, params, f"{prefix}.ln1")
+        if i < config.depth - 1:
+            x = ndiff.add(x, _attention(h, params, f"{prefix}.attn", config, seq))
+        else:
+            attn = _attention(h, params, f"{prefix}.attn", config, seq, read)
+            x = ndiff.add(ndiff.gather_rows(x, read), attn)
         x = ndiff.add(x, mlp_forward(_layer_norm(x, params, f"{prefix}.ln2"), params, f"{prefix}.mlp"))
     return _layer_norm(x, params, "final_ln")
 

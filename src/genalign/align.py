@@ -203,7 +203,7 @@ class AlignedTable:
             "files": {p.name.split(".")[-2]: p.name for p in paths},
         }
         index_path = out_dir / f"{stem}.index.json"
-        index_path.write_text(json.dumps(index, sort_keys=True, indent=2) + "\n")
+        gbio.write_text(index_path, json.dumps(index, sort_keys=True, indent=2) + "\n")
         paths.append(index_path)
         return paths
 
@@ -348,13 +348,10 @@ def _slide_batch(
     if cache is not None:
         return Tensor(cache[batch])
     agg_params = _aggregator_subset(params)
-    rows = [
-        ndiff.slice_rows(
-            forward(patients[i].bag.cells, np.empty(0, np.int64), agg_params, agg_config), 0, 1
-        )
+    return ndiff.concat_rows([
+        forward(patients[i].bag.cells, np.empty(0, np.int64), agg_params, agg_config)
         for i in batch
-    ]
-    return ndiff.concat_rows(rows)
+    ])
 
 
 def train_align(

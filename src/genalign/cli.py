@@ -19,11 +19,13 @@ import time
 from dataclasses import fields as dataclass_fields
 from pathlib import Path
 
+from . import BLAS_THREAD_VARS
+
 logger = logging.getLogger("genalign")
 
 
 def _set_threads(n: int) -> None:
-    for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
+    for var in BLAS_THREAD_VARS:
         os.environ[var] = str(n)
 
 
@@ -75,6 +77,7 @@ def _apply_seed(config, seed_flag):
 
 
 def cmd_synth(args):
+    from . import gbio
     from .synthcohort import SynthConfig, generate, oracle_report
 
     raw = _read_json(args.config) if args.config else {}
@@ -85,8 +88,8 @@ def cmd_synth(args):
     out_dir = Path(args.out_dir)
     paths = cohort.save(out_dir)
     oracle_path = out_dir / "oracle.json"
-    oracle_path.write_text(
-        json.dumps(oracle_report(cohort, config), sort_keys=True, indent=2) + "\n"
+    gbio.write_text(
+        oracle_path, json.dumps(oracle_report(cohort, config), sort_keys=True, indent=2) + "\n"
     )
     paths.append(oracle_path)
     logger.info("wrote cohort of %d patients to %s", len(cohort), out_dir)
@@ -245,6 +248,7 @@ def cmd_embed(args):
 
 
 def cmd_retrieve(args):
+    from . import gbio
     from .align import load_table
     from .harness import cross_modal_rankings
 
@@ -263,7 +267,7 @@ def cmd_retrieve(args):
             for j, query_id in enumerate(ids)
         ],
     }
-    Path(args.out).write_text(json.dumps(payload, sort_keys=True, indent=2) + "\n")
+    gbio.write_text(args.out, json.dumps(payload, sort_keys=True, indent=2) + "\n")
     return (Path(args.out).parent,
             {"query": args.query, "target": args.target, "k": args.k},
             args.seed or 0, [args.out])
@@ -292,6 +296,7 @@ def cmd_evaluate(args):
 
 
 def cmd_ablate(args):
+    from . import gbio
     from .aggregator import AggregatorConfig
     from .cohort import load_cohort_dir
     from .harness import AblationGrid, ablation_to_tsv, run_ablation
@@ -318,11 +323,11 @@ def cmd_ablate(args):
     )
     result = run_ablation(cohort, agg_config, grid, pretrained_aggregator=pretrained)
     out = Path(raw.get("out", "ablation.json"))
-    out.write_text(json.dumps(result, sort_keys=True, indent=2) + "\n")
+    gbio.write_text(out, json.dumps(result, sort_keys=True, indent=2) + "\n")
     artifacts = [out]
     if raw.get("out_tsv"):
         tsv = Path(raw["out_tsv"])
-        tsv.write_text(ablation_to_tsv(result))
+        gbio.write_text(tsv, ablation_to_tsv(result))
         artifacts.append(tsv)
     logger.info("ablation grid (%d rows) -> %s", len(result["rows"]), out)
     return out.parent, raw, grid.seed, artifacts
@@ -432,7 +437,7 @@ def main(argv: list[str] | None = None) -> int:
         level=getattr(logging, args.log_level.upper()),
         format="%(levelname)s %(name)s: %(message)s",
     )
-    started = time.time()
+    started = time.perf_counter()
     try:
         run = args.handler(args)
         if run is not None:

@@ -1,16 +1,16 @@
 """Retrieval and probing metrics with their statistical machinery.
 
 ``retrieve`` ranks a whole block of queries in one call: cosine similarity
-descending, ties broken by ascending candidate id.  Every retrieval metric
-reads one ranked hit matrix, where ``hits[q, r]`` is true when query q's
-rank-r candidate is relevant, and returns a per-query vector (reciprocal
-ranks, top-k hits, AP@k, F1 at the relevant count); its mean is the
-reported value, and ``bootstrap`` resamples the query rows of such a
-vector, or of any per-row metric such as a probe's (truth, prediction)
-pairs, to give a ``StatReport``.  The Wilcoxon signed-rank test enumerates
-all sign assignments exactly for small samples (mid-ranks for tied
-magnitudes) and falls back to a continuity-corrected normal approximation
-otherwise.
+descending, ties (identical candidates always tie) broken by ascending
+candidate id.  Every retrieval metric reads one ranked hit matrix, where
+``hits[q, r]`` is true when query q's rank-r candidate is relevant, and
+returns a per-query vector (reciprocal ranks, top-k hits, AP@k, F1 at the
+relevant count); its mean is the reported value, and ``bootstrap``
+resamples the query rows of such a vector, or of any per-row metric such
+as a probe's (truth, prediction) pairs, to give a ``StatReport``.  The
+Wilcoxon signed-rank test enumerates all sign assignments exactly for small
+samples (mid-ranks for tied magnitudes) and falls back to a
+continuity-corrected normal approximation otherwise.
 """
 
 from __future__ import annotations
@@ -38,6 +38,8 @@ def retrieve(
     Returns ``(order, scores)``, each ``(n_queries, n_candidates)``:
     ``order[q, r]`` is the row of query q's rank-r candidate and
     ``scores[q, r]`` its similarity.  Candidate rows must be unit-norm.
+    Identical candidate rows get the score of the first of them, so they
+    tie exactly; a matrix-vector product can round them apart.
     """
     candidates = np.asarray(candidates, dtype=np.float64)
     if len(candidate_ids) != candidates.shape[0]:
@@ -50,7 +52,9 @@ def retrieve(
         raise EvalError("candidate rows must be unit-norm")
     # position of each id in ascending id order, the tie-break key
     id_rank = np.argsort(sorted(range(len(candidate_ids)), key=candidate_ids.__getitem__))
+    _, first, group = np.unique(candidates, axis=0, return_index=True, return_inverse=True)
     scores = np.stack([candidates @ q for q in np.asarray(queries, dtype=np.float64)])
+    scores = scores[:, first[group.ravel()]]
     order = np.lexsort((np.broadcast_to(id_rank, scores.shape), -scores))
     return order, np.take_along_axis(scores, order, axis=1)
 

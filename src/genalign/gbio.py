@@ -12,8 +12,9 @@ per patient instead of one row each).
 .gbck header keys: ``config``, ``epoch``, ``seed``, ``tensors`` (list of
 ``{name, shape, offset}``, byte offsets into the f32 blob section).
 
-Both are written to a temporary file in the target's directory and renamed
-over the target, so a failed write leaves any previous file intact.
+Both, and every text output (``write_text``), are written to a temporary
+file in the target's directory and renamed over the target, so a failed
+write leaves any previous file intact.
 """
 
 from __future__ import annotations
@@ -21,6 +22,7 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+import platform
 import struct
 import time
 from dataclasses import dataclass
@@ -28,6 +30,8 @@ from pathlib import Path
 from typing import Any, Iterable
 
 import numpy as np
+
+from . import BLAS_THREAD_VARS
 
 GBM_MAGIC = b"GBM1"
 GBCK_MAGIC = b"GBCK"
@@ -43,20 +47,29 @@ def _dump_header(header: dict) -> bytes:
     return json.dumps(header, sort_keys=True, separators=(",", ":")).encode("utf-8")
 
 
-def _write_container(path: Path, magic: bytes, header: dict, payload: Iterable[bytes]) -> None:
-    blob = _dump_header(header)
+def _write_atomic(path: Path, chunks: Iterable[bytes]) -> None:
+    """Write ``chunks`` to a temporary file in ``path``'s directory and
+    rename it over ``path``; on any failure the temporary file is removed
+    and a previous ``path`` keeps its bytes."""
     tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
     try:
-        with open(tmp, "wb") as fh:
-            fh.write(magic)
-            fh.write(struct.pack("<I", len(blob)))
-            fh.write(blob)
-            for chunk in payload:
+        with tmp.open("wb") as fh:
+            for chunk in chunks:
                 fh.write(chunk)
         os.replace(tmp, path)
     except BaseException:
         tmp.unlink(missing_ok=True)
         raise
+
+
+def _write_container(path: Path, magic: bytes, header: dict, payload: list[bytes]) -> None:
+    blob = _dump_header(header)
+    _write_atomic(path, [magic, struct.pack("<I", len(blob)), blob, *payload])
+
+
+def write_text(path: str | Path, text: str) -> None:
+    """Replace ``path`` with the UTF-8 ``text`` atomically, like the containers."""
+    _write_atomic(Path(path), [text.encode("utf-8")])
 
 
 def _ints(value) -> bool:
@@ -241,7 +254,7 @@ def file_sha256(path: str | Path) -> str:
 def write_metrics(path: str | Path, records: list[dict]) -> None:
     """JSON-lines log holding exactly ``records``, one per line; any
     earlier content of the file is replaced."""
-    Path(path).write_text("".join(json.dumps(r, sort_keys=True) + "\n" for r in records))
+    write_text(path, "".join(json.dumps(r, sort_keys=True) + "\n" for r in records))
 
 
 def write_manifest(
@@ -252,7 +265,9 @@ def write_manifest(
     artifacts: list[str | Path],
     started: float,
 ) -> Path:
-    """Run manifest: config hash, seed, artifact checksums, wall time."""
+    """Run manifest: config hash, seed, artifact checksums, the environment
+    (Python and numpy versions, BLAS thread variables) and the wall time
+    since ``started``, a ``time.perf_counter()`` reading."""
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     manifest = {
@@ -262,8 +277,13 @@ def write_manifest(
         "artifacts": {
             str(Path(p).name): file_sha256(p) for p in artifacts
         },
-        "wall_time_s": round(time.time() - started, 3),
+        "environment": {
+            "python": platform.python_version(),
+            "numpy": np.__version__,
+            "blas_threads": {var: os.environ.get(var) for var in BLAS_THREAD_VARS},
+        },
+        "wall_time_s": round(time.perf_counter() - started, 3),
     }
     path = out_dir / f"manifest_{command}.json"
-    path.write_text(json.dumps(manifest, sort_keys=True, indent=2) + "\n")
+    write_text(path, json.dumps(manifest, sort_keys=True, indent=2) + "\n")
     return path

@@ -415,6 +415,6 @@ def ablation_to_tsv(result: dict) -> str:
 
 
 def save_report(report: dict, json_path: str | Path, tsv_path: str | Path | None = None) -> None:
-    Path(json_path).write_text(json.dumps(report, sort_keys=True, indent=2) + "\n")
+    gbio.write_text(json_path, json.dumps(report, sort_keys=True, indent=2) + "\n")
     if tsv_path is not None:
-        Path(tsv_path).write_text(report_to_tsv(report))
+        gbio.write_text(tsv_path, report_to_tsv(report))

@@ -11,7 +11,10 @@ seeded run reproduces bit-identical values.
 Kernels work in place (``*=``, ``np.exp(..., out=)``) only on arrays they
 allocated themselves, never on an input or an incoming gradient.  A kernel
 rewrite keeps outputs and gradients byte-identical: the same float
-operations on the same operands in the same order.
+operations on the same operands in the same order.  ``multi_head_attention``
+restricted to some query rows matches those rows of the full call only up
+to rounding: BLAS may round a row of a product differently depending on how
+many rows the product has.
 """
 
 from __future__ import annotations
@@ -406,6 +409,7 @@ def multi_head_attention(
     wo: Tensor,
     n_heads: int,
     seq_len: int | None = None,
+    queries=None,
 ) -> Tensor:
     """Fused softmax(x Wq (x Wk)^T / sqrt(dh)) x Wv Wo over n_heads.
 
@@ -415,6 +419,12 @@ def multi_head_attention(
     involved.  One graph node instead of ~24: the per-head arithmetic runs
     as batched matmuls over (sequence, head), with the combined backward
     derived analytically.
+
+    ``queries`` (default: every row) is a 1-D index of the rows whose
+    outputs are wanted: the same number t of rows from each sequence,
+    sequence 0's first.  Keys and values still come from every row, so the
+    output is ``(B * t, d)``, row for row the full output at ``queries``,
+    and the score buffer shrinks to ``(B, h, t, n)``.
     """
     for w, name in ((wq, "wq"), (wk, "wk"), (wv, "wv"), (wo, "wo")):
         _check_same_dtype(x, w, f"multi_head_attention/{name}")
@@ -427,17 +437,28 @@ def multi_head_attention(
     b = rows // n
     dh = d // n_heads
     scale = 1.0 / math.sqrt(dh)
+    xq = x.data
+    if queries is not None:
+        queries = np.asarray(queries)
+        if queries.ndim != 1 or queries.dtype.kind not in "iu" or not queries.size or queries.size % b:
+            raise NdiffError(
+                f"queries: expected a 1-D integer index with the same number of rows "
+                f"from each of {b} sequences, got {queries.dtype.name} {queries.shape}"
+            )
+        if (queries.reshape(b, -1) // n != np.arange(b)[:, None]).any():
+            raise NdiffError(f"queries: a row is outside its block's sequence of {n} rows")
+        xq = x.data[queries]
 
-    def split(m):  # (b*n, d) -> (b, h, n, dh)
-        return m.reshape(b, n, n_heads, dh).transpose(0, 2, 1, 3)
+    def split(m):  # (b*t, d) -> (b, h, t, dh)
+        return m.reshape(b, -1, n_heads, dh).transpose(0, 2, 1, 3)
 
-    def merge(m):  # (b, h, n, dh) -> (b*n, d)
-        return m.transpose(0, 2, 1, 3).reshape(rows, d)
+    def merge(m):  # (b, h, t, dh) -> (b*t, d)
+        return m.transpose(0, 2, 1, 3).reshape(-1, d)
 
-    q = split(x.data @ wq.data)
+    q = split(xq @ wq.data)
     k = split(x.data @ wk.data)
     v = split(x.data @ wv.data)
-    attn = q @ k.swapaxes(-1, -2)  # the one (b, h, n, n) buffer of the call
+    attn = q @ k.swapaxes(-1, -2)  # the one (b, h, t, n) buffer of the call
     attn *= scale
     attn -= attn.max(axis=-1, keepdims=True)
     np.exp(attn, out=attn)
@@ -458,10 +479,14 @@ def multi_head_attention(
         d_q = d_scores @ k
         d_k = d_scores.swapaxes(-1, -2) @ q
         dq, dk, dv = merge(d_q), merge(d_k), merge(d_v)
-        d_x = dq @ wq.data.T + dk @ wk.data.T + dv @ wv.data.T
+        if queries is None:
+            d_x = dq @ wq.data.T + dk @ wk.data.T + dv @ wv.data.T
+        else:
+            d_x = dk @ wk.data.T + dv @ wv.data.T
+            np.add.at(d_x, queries, dq @ wq.data.T)  # a query row may repeat
         return (
             d_x,
-            x.data.T @ dq,
+            xq.T @ dq,
             x.data.T @ dk,
             x.data.T @ dv,
             d_wo,

@@ -11,9 +11,10 @@ are centered (running mean) and sharpened with a lower temperature.
 Views are bucketed by exact length (length ascending, then (patient, view)),
 and each bucket is one aggregator forward per side, as DINO's multi-crop
 wrapper runs same-size crops together.  A bucket's views go in as stacked
-cell rows and come out as hidden rows, each view's CLS row followed by its
-cells; the bucket outputs are concatenated, and one row gather per side picks
-each view's CLS row and the rows at its masked positions.  Those rows stay
+cell rows, and the aggregator returns only each view's CLS row followed by
+its rows at the masked positions (with iBOT on), so the last block never
+runs on a row the loss does not score; the bucket outputs are concatenated,
+and one row gather per side puts the CLS rows first.  Those rows stay
 stacked in one row matrix from the aggregator to the loss: the head runs once
 per side (two head calls per step), and one log-softmax and one cross entropy
 score every student row.
@@ -339,12 +340,13 @@ def _bucketed_pass(
 
     The student runs every view with its masked cells replaced by the mask
     token; the teacher runs the global views, plus every masked view when
-    iBOT is on, unmasked.  Returns the head logits of one row matrix: the
-    CLS rows of the student's views or the teacher's global views in
-    [view][patient] order, then, with iBOT on, the token rows at every
-    masked position, in bucket order and within a view in mask order.  The
-    order depends only on the views, so the teacher's masked rows line up
-    with the student's.
+    iBOT is on, unmasked.  With iBOT on, both sides ask the aggregator for
+    the rows at each view's masked positions.  Returns the head logits of
+    one row matrix: the CLS rows of the student's views or the teacher's
+    global views in [view][patient] order, then, with iBOT on, the token
+    rows at every masked position, in bucket order and within a view in
+    mask order.  The order depends only on the views, so the teacher's
+    masked rows line up with the student's.
     """
     n_cls_views = config.k_global + config.k_local if student else config.k_global
     with_tokens = config.ibot_weight != 0
@@ -358,19 +360,18 @@ def _bucketed_pass(
     for _, bucket in itertools.groupby(order, key=lambda key: key[0]):
         pairs = [(p, views_per_patient[p][v]) for _, p, v in bucket]
         cells = np.concatenate([batch_bags[p].cells[view.indices] for p, view in pairs])
-        if student:
-            mask = np.stack([view.mask for _, view in pairs])
-        else:
-            mask = np.empty((len(pairs), 0), dtype=np.int64)
-        hidden.append(forward(cells, mask, params, agg_config))
-    # the concatenated bucket outputs hold the views' [CLS, cells...]
-    # sequences in `order`; each view's CLS row sits at its start
-    starts = np.cumsum([0] + [n + 1 for n, _, _ in order])[:-1]
+        masks = np.stack([view.mask for _, view in pairs])
+        mask = masks if student else np.empty((len(pairs), 0), dtype=np.int64)
+        hidden.append(forward(cells, mask, params, agg_config, masks if with_tokens else None))
+    # the concatenated bucket outputs hold each view's CLS row followed by
+    # its rows at the masked positions, views in `order`
+    sizes = [1 + with_tokens * views_per_patient[p][v].mask.size for _, p, v in order]
+    starts = np.cumsum([0] + sizes)[:-1]
     start_of = {(p, v): start for start, (_, p, v) in zip(starts, order)}
-    rows = [start_of[(p, v)] for v in range(n_cls_views) for p in range(len(batch_bags))]
-    if with_tokens:
-        masked = [start + 1 + views_per_patient[p][v].mask for start, (_, p, v) in zip(starts, order)]
-        rows = np.concatenate([rows, *masked])
+    cls_rows = [start_of[(p, v)] for v in range(n_cls_views) for p in range(len(batch_bags))]
+    is_token = np.ones(sum(sizes), dtype=bool)
+    is_token[starts] = False
+    rows = np.concatenate([cls_rows, np.flatnonzero(is_token)])
     return head_forward(ndiff.gather_rows(ndiff.concat_rows(hidden), rows), params)
 
 

@@ -54,7 +54,8 @@ class TestForward:
 
     def test_single_cell_bag(self, tiny_params, rng):
         cells = rng.standard_normal((1, TINY.input_dim)).astype(np.float32)
-        cls, tokens = cls_and_tokens(agg.forward(cells, np.empty(0, np.int64), tiny_params, TINY))
+        cls, tokens = cls_and_tokens(agg.forward(cells, np.empty(0, np.int64), tiny_params, TINY,
+                                                 tokens=np.array([0])))
         assert cls.shape == (1, TINY.embed_dim)
         assert tokens.shape == (1, TINY.embed_dim)
         assert np.isfinite(cls.data).all()
@@ -64,8 +65,8 @@ class TestForward:
         mask = np.arange(n)
         a = rng.standard_normal((n, TINY.input_dim)).astype(np.float32)
         b = rng.standard_normal((n, TINY.input_dim)).astype(np.float32)
-        cls_a, tokens_a = cls_and_tokens(agg.forward(a, mask, tiny_params, TINY))
-        cls_b, tokens_b = cls_and_tokens(agg.forward(b, mask, tiny_params, TINY))
+        cls_a, tokens_a = cls_and_tokens(agg.forward(a, mask, tiny_params, TINY, tokens=mask))
+        cls_b, tokens_b = cls_and_tokens(agg.forward(b, mask, tiny_params, TINY, tokens=mask))
         assert np.isfinite(cls_a.data).all()
         assert np.allclose(cls_a.data, cls_b.data)
         assert np.allclose(tokens_a.data, tokens_b.data)
@@ -96,12 +97,14 @@ class TestForward:
             return ndiff.mean(ndiff.mul(hidden, probe))
 
         with ndiff.Tape() as tape:
-            stacked = agg.forward(views.reshape(b * n, -1), masks, params, TINY)
+            stacked = agg.forward(views.reshape(b * n, -1), masks, params, TINY,
+                                  tokens=np.tile(np.arange(n), (b, 1)))
             loss = loss_of(stacked)
         grads = tape.backward(loss)
         with ndiff.Tape() as tape:
             separate = ndiff.concat_rows(
-                [agg.forward(views[i], masks[i], params, TINY) for i in range(b)]
+                [agg.forward(views[i], masks[i], params, TINY, tokens=np.arange(n))
+                 for i in range(b)]
             )
             loss_sep = loss_of(separate)
         grads_sep = tape.backward(loss_sep)
@@ -129,11 +132,78 @@ class TestForward:
         cells = Tensor(rng.standard_normal((4, TINY.input_dim)))
 
         def f(x):
-            cls, _ = cls_and_tokens(agg.forward(x, np.array([1]), params, TINY))
-            return ndiff.mean(ndiff.mul(cls, probe))
+            return ndiff.mean(ndiff.mul(agg.forward(x, np.array([1]), params, TINY), probe))
 
         report = ndiff.grad_check(f, cells, eps=1e-5, tol=1e-4)
         assert report.passed, report.max_rel_err
+
+
+def full_row_reference(cells, mask, params, config, tokens):
+    """Every block on every row of each view's [CLS; cells] sequence, then
+    each view's CLS row and its rows at ``tokens`` gathered."""
+    b, n = mask.shape[0], cells.shape[0] // mask.shape[0]
+    x = agg.mlp_forward(cells, params, "embed")
+    keep = np.ones((b * n, 1))
+    keep[(np.arange(b)[:, None] * n + mask).ravel()] = 0.0
+    x = ndiff.add(ndiff.mul(x, Tensor(keep)), ndiff.mul(params["mask_token"], Tensor(1.0 - keep)))
+    x = ndiff.concat_rows([part for i in range(b)
+                           for part in (params["cls"], ndiff.slice_rows(x, i * n, (i + 1) * n))])
+    for i in range(config.depth):
+        h = agg._layer_norm(x, params, f"block{i}.ln1")
+        x = ndiff.add(x, agg._attention(h, params, f"block{i}.attn", config, n + 1))
+        h = agg._layer_norm(x, params, f"block{i}.ln2")
+        x = ndiff.add(x, agg.mlp_forward(h, params, f"block{i}.mlp"))
+    x = agg._layer_norm(x, params, "final_ln")
+    read = np.arange(b)[:, None] * (n + 1) + np.hstack([np.zeros((b, 1), np.int64), 1 + tokens])
+    return ndiff.gather_rows(x, read.ravel())
+
+
+class TestReadRows:
+    def test_tokens_match_full_row_reference(self, rng):
+        params = agg.init_params(TINY, np.random.default_rng(11), dtype=np.float64)
+        b, n = 3, 7
+        cells = Tensor(rng.standard_normal((b * n, TINY.input_dim)), requires_grad=True)
+        masks = np.array([[0, 4], [5, 1], [2, 3]])
+        for tokens in (masks, np.array([[6, 0, 3]] * b), np.empty((b, 0), np.int64)):
+            probe = Tensor(rng.standard_normal((b * (1 + tokens.shape[1]), TINY.embed_dim)))
+            outs, grads = [], []
+            for run in (agg.forward, full_row_reference):
+                with ndiff.Tape() as tape:
+                    out = run(cells, masks, params, TINY, tokens)
+                    loss = ndiff.mean(ndiff.mul(out, probe))
+                outs.append(out.data)
+                grads.append(tape.backward(loss))
+            np.testing.assert_allclose(outs[0], outs[1], rtol=1e-12, atol=1e-14)
+            for t in [cells, *params.values()]:
+                np.testing.assert_allclose(grads[0][t], grads[1][t], rtol=1e-9, atol=1e-13)
+
+    @pytest.mark.parametrize("tokens,match", [
+        ([[0, 1], [2]], "inhomogeneous"),
+        ([[0, 1]], "one row per view"),
+        ([[0], [1], [2]], "one row per view"),
+        ([[0], [4]], "tokens positions out of range"),
+        ([[-1], [0]], "tokens positions out of range"),
+    ])
+    def test_bad_tokens_rejected(self, tiny_params, rng, tokens, match):
+        rows = rng.standard_normal((8, TINY.input_dim)).astype(np.float32)
+        with pytest.raises(ValueError, match=match):
+            agg.forward(rows, np.empty((2, 0), np.int64), tiny_params, TINY, tokens)
+
+    def test_full_bag_last_attention_has_one_query_per_view(self, tiny_params, rng, monkeypatch):
+        calls = []
+        attention = ndiff.multi_head_attention
+
+        def recording(x, *args):
+            calls.append(args[-1])
+            return attention(x, *args)
+
+        monkeypatch.setattr(ndiff, "multi_head_attention", recording)
+        b, n = 3, 5
+        cells = rng.standard_normal((b * n, TINY.input_dim)).astype(np.float32)
+        out = agg.forward(cells, np.empty((b, 0), np.int64), tiny_params, TINY)
+        assert out.shape == (b, TINY.embed_dim)
+        assert len(calls) == TINY.depth and all(q is None for q in calls[:-1])
+        assert np.array_equal(calls[-1], np.arange(b) * (n + 1))
 
 
 class TestSampleViews:
@@ -184,6 +254,10 @@ class TestConfig:
     def test_mlp_dim_defaults_to_4x(self):
         cfg = agg.AggregatorConfig(embed_dim=32, heads=4, input_dim=8)
         assert cfg.mlp_dim == 128
+
+    def test_depth_below_one_rejected(self):
+        with pytest.raises(ValueError, match="depth"):
+            agg.AggregatorConfig(depth=0, input_dim=8)
 
     def test_head_divisibility_enforced(self):
         with pytest.raises(ValueError, match="divisible"):

@@ -59,6 +59,25 @@ class TestRetrieve:
             assert np.array_equal(scores[q], single_scores)
             assert np.array_equal(scores[q], (unit_rows(vecs) @ query)[order[q]])
 
+    def test_identical_candidates_tie_by_id(self, rng):
+        # a matrix-vector product can round copies of one row apart
+        for _ in range(200):
+            distinct = unit_rows([unit(rng.standard_normal(32)) for _ in range(40)])
+            copies = rng.choice(40, size=10)
+            candidates = np.vstack([distinct, distinct[copies]])
+            shuffle = rng.permutation(50)
+            candidates = candidates[shuffle]
+            ids = [f"c{i:02d}" for i in range(50)]
+            query = rng.standard_normal((1, 32))
+            order, scores = ek.retrieve(query, candidates, ids)
+            source = np.concatenate([np.arange(40), copies])[shuffle][order[0]]
+            for r in range(49):
+                if source[r] == source[r + 1]:
+                    assert scores[0, r] == scores[0, r + 1]
+                    assert order[0, r] < order[0, r + 1]
+            singles = np.bincount(source, minlength=40)[source] == 1
+            assert np.array_equal(scores[0, singles], (candidates @ query[0])[order[0, singles]])
+
     def test_rotation_invariant_ordering(self, rng):
         vecs = [unit(rng.standard_normal(6)) for _ in range(8)]
         q = unit(rng.standard_normal(6))

@@ -1,11 +1,14 @@
 import errno
 import json
+import platform
 import struct
+import time
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from genalign import gbio
+from genalign import gbio, harness
 
 
 def rewrite_gbm_header(path, **changes):
@@ -177,13 +180,15 @@ class TestGbck:
 
 
 class _FullDisk:
-    """Binary file whose writes fail once ``budget`` bytes are written."""
+    """File whose writes fail once ``budget`` characters or bytes are
+    written, storing what fits first, as a full disk does."""
 
     def __init__(self, fh, budget):
         self.fh, self.budget = fh, budget
 
     def write(self, data):
         if len(data) > self.budget:
+            self.fh.write(data[: self.budget])
             raise OSError(errno.ENOSPC, "No space left on device")
         self.budget -= len(data)
         return self.fh.write(data)
@@ -193,6 +198,17 @@ class _FullDisk:
 
     def __exit__(self, *exc):
         self.fh.close()
+
+
+def disk_full_after(monkeypatch, budget):
+    """Make every ``Path.open`` for writing fail after ``budget`` units."""
+    real_open = Path.open
+
+    def open_(self, mode="r", *args, **kwargs):
+        fh = real_open(self, mode, *args, **kwargs)
+        return _FullDisk(fh, budget) if "w" in mode else fh
+
+    monkeypatch.setattr(Path, "open", open_)
 
 
 class TestAtomicWrite:
@@ -206,12 +222,28 @@ class TestAtomicWrite:
         previous = path.read_bytes()
         header_bytes = len(previous) - 16 * 4  # everything before the payload
         with monkeypatch.context() as m:
-            m.setattr(gbio, "open", lambda *a, **k: _FullDisk(open(*a, **k), header_bytes),
-                      raising=False)
+            disk_full_after(m, header_bytes)
             with pytest.raises(OSError, match="No space"):
                 write(path, 1.0)
         assert path.read_bytes() == previous
         assert [p.name for p in tmp_path.iterdir()] == ["out.bin"]
+
+    @pytest.mark.parametrize("name,write", [
+        ("metrics.jsonl", lambda path, fill: gbio.write_metrics(path, [{"loss": fill}] * 8)),
+        ("manifest_synth.json", lambda path, fill: gbio.write_manifest(
+            path.parent, "synth", {"fill": fill}, 0, [], time.perf_counter())),
+        ("report.json", lambda path, fill: harness.save_report({"fill": [fill] * 8}, path)),
+    ], ids=["metrics", "manifest", "report"])
+    def test_failed_text_write_keeps_previous_file(self, tmp_path, monkeypatch, name, write):
+        path = tmp_path / name
+        write(path, 0.0)
+        previous = path.read_bytes()
+        with monkeypatch.context() as m:
+            disk_full_after(m, len(previous) // 2)
+            with pytest.raises(OSError, match="No space"):
+                write(path, 1.0)
+        assert path.read_bytes() == previous
+        assert [p.name for p in tmp_path.iterdir()] == [name]
 
 
 class TestHashes:
@@ -221,9 +253,13 @@ class TestHashes:
     def test_manifest_contains_artifact_checksums(self, tmp_path):
         art = tmp_path / "out.gbm"
         gbio.write_gbm(art, gbio.Matrix(np.zeros((1, 2), np.float32), ["p"]))
-        import time
-        path = gbio.write_manifest(tmp_path, "synth", {"n": 3}, 5, [art], time.time())
-        import json
+        path = gbio.write_manifest(tmp_path, "synth", {"n": 3}, 5, [art], time.perf_counter())
         manifest = json.loads(path.read_text())
         assert manifest["seed"] == 5
         assert manifest["artifacts"]["out.gbm"] == gbio.file_sha256(art)
+        assert 0 <= manifest["wall_time_s"] < 60
+        environment = manifest["environment"]
+        assert environment["python"] == platform.python_version()
+        assert environment["numpy"] == np.__version__
+        assert set(environment["blas_threads"]) == {
+            "OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"}

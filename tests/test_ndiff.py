@@ -162,6 +162,15 @@ PRIMITIVE_CASES = [
         ndiff.multi_head_attention(Tensor(_M96), Tensor(_WQ66), w,
                                    Tensor(_WV66), Tensor(_WO66), 3, seq_len=3),
         Tensor(_M96)))),
+    # two query rows per sequence of 3; row 2 is queried twice, row 5 never
+    ("multi_head_attention_queries", (9, 6), lambda x: ndiff.mean(ndiff.mul(
+        ndiff.multi_head_attention(x, Tensor(_WQ66), Tensor(_WK66), Tensor(_WV66),
+                                   Tensor(_WO66), 2, seq_len=3, queries=_Q6),
+        Tensor(_M66)))),
+    ("multi_head_attention_queries_wq", (6, 6), lambda w: ndiff.mean(ndiff.mul(
+        ndiff.multi_head_attention(Tensor(_M96), w, Tensor(_WK66), Tensor(_WV66),
+                                   Tensor(_WO66), 3, seq_len=3, queries=_Q6),
+        Tensor(_M66)))),
     # rows 0 and 3 repeat, row 1 is never gathered
     ("gather_rows_repeated", (4, 3), lambda x: ndiff.mean(ndiff.mul(
         ndiff.gather_rows(x, [3, 0, 2, 0, 3, 3]), Tensor(_K63)))),
@@ -194,6 +203,8 @@ _L35 = _fix.standard_normal((3, 5))
 _X46 = _fix.standard_normal((4, 6))
 _GAMMA6 = 1.0 + 0.5 * _fix.standard_normal((1, 6))  # away from 1: g and g * gamma differ
 _BETA6 = _fix.standard_normal((1, 6))
+_M66 = _fix.standard_normal((6, 6))
+_Q6 = np.array([2, 2, 4, 3, 8, 6])
 
 
 class TestRowOps:
@@ -215,6 +226,39 @@ class TestRowOps:
                                    rtol=1e-12, atol=1e-14)
         for t in [x, *ws]:
             np.testing.assert_allclose(grads[t], grads_sep[t], rtol=1e-10, atol=1e-14)
+
+    def test_attention_queries_equal_full_rows(self, rng):
+        b, n, d = 3, 5, 6
+        x = t64(rng.standard_normal((b * n, d)), requires_grad=True)
+        ws = [t64(rng.standard_normal((d, d)) * 0.5, requires_grad=True) for _ in range(4)]
+        queries = np.array([4, 0, 6, 5, 14, 10])
+        probe = t64(rng.standard_normal((queries.size, d)))
+        with Tape() as tape:
+            picked = ndiff.multi_head_attention(x, *ws, 2, seq_len=n, queries=queries)
+            loss = ndiff.mean(ndiff.mul(picked, probe))
+        grads = tape.backward(loss)
+        with Tape() as tape:
+            full = ndiff.gather_rows(ndiff.multi_head_attention(x, *ws, 2, seq_len=n), queries)
+            loss_full = ndiff.mean(ndiff.mul(full, probe))
+        grads_full = tape.backward(loss_full)
+        np.testing.assert_allclose(picked.data, full.data, rtol=1e-12, atol=1e-14)
+        for t in [x, *ws]:
+            np.testing.assert_allclose(grads[t], grads_full[t], rtol=1e-10, atol=1e-14)
+
+    @pytest.mark.parametrize("queries,match", [
+        ([0, 1, 4], "same number of rows"),
+        ([], "same number of rows"),
+        ([[0], [4]], "same number of rows"),
+        ([0.0, 4.0], "same number of rows"),
+        ([4, 0], "outside its block's sequence"),
+        ([0, 8], "outside its block's sequence"),
+        ([-1, 4], "outside its block's sequence"),
+    ])
+    def test_attention_rejects_bad_queries(self, rng, queries, match):
+        x = t64(rng.standard_normal((8, 4)))
+        w = t64(np.eye(4))
+        with pytest.raises(ndiff.NdiffError, match=match):
+            ndiff.multi_head_attention(x, w, w, w, w, 2, seq_len=4, queries=np.array(queries))
 
     def test_attention_rows_must_split_into_sequences(self, rng):
         x = t64(rng.standard_normal((5, 4)))

@@ -247,7 +247,8 @@ def build_microbatch(seed=5):
     for p in range(len(cells)):
         for v, view in enumerate(views[p]):
             cls, tokens = cls_and_tokens(
-                forward(cells[p][view.indices], np.empty(0, np.int64), teacher, config)
+                forward(cells[p][view.indices], np.empty(0, np.int64), teacher, config,
+                        np.arange(len(view.indices)))
             )
             t_tok[(p, v)] = Tensor(head_forward(tokens, teacher).data)
             if v < pre.k_global:
@@ -263,7 +264,9 @@ def build_microbatch(seed=5):
                 sel = np.zeros((len(view.indices), len(cells[p])))
                 sel[np.arange(len(view.indices)), view.indices] = 1.0
                 sub = ndiff.matmul(Tensor(sel), cell_tensors[p])
-                cls, tokens = cls_and_tokens(forward(sub, view.mask, params, config))
+                cls, tokens = cls_and_tokens(
+                    forward(sub, view.mask, params, config, np.arange(len(view.indices)))
+                )
                 s_cls_rows[v].append(cls)
                 if view.mask.size:
                     tok = head_forward(tokens, params)
