@@ -1,14 +1,16 @@
 """Permutation-invariant transformer over a patient's bag of cell embeddings.
 
-Cells are projected by an MLP (no patchification), optionally replaced by a
-learned mask token, prefixed with a CLS token, and run through pre-norm
-transformer blocks with no positional encodings, so the CLS state depends
-only on the multiset of cells.  ``forward`` has one row layout in and one out:
-B equal-length views go in as stacked cell rows, ``(B * n, input_dim)``, and
-only the rows a caller reads come out: each view's CLS row followed by its
-rows at the requested token positions.  The last block runs attention
-queries, the MLP and the final layer norm on those rows alone (keys and
-values still come from every row), as CaiT's class-attention layers do.
+Cells are projected by an MLP (no patchification).  One row gather from
+``[CLS; mask token; cells]`` then builds every view's sequence ``[CLS;
+cells]``, a masked cell reading the learned mask token, and the sequences
+run through pre-norm transformer blocks with no positional encodings, so the
+CLS state depends only on the multiset of cells.  ``forward`` has one row
+layout in and one out: B equal-length views go in as stacked cell rows,
+``(B * n, input_dim)``, and only the rows a caller reads come out: each
+view's CLS row followed by its rows at the requested token positions.  The
+last block runs attention queries, the MLP and the final layer norm on those
+rows alone (keys and values still come from every row), as CaiT's
+class-attention layers do.
 Pretraining buckets its views by exact length and makes one call per bucket,
 asking for the masked positions it scores; full-bag callers pass one bag and
 get its CLS row.
@@ -223,20 +225,15 @@ def forward(
         if positions.size and (positions.min() < 0 or positions.max() >= n):
             raise ValueError(f"{name} positions out of range for a {n}-cell view")
     x = mlp_forward(cells, params, "embed")
-    if masks.size:
-        keep = np.ones((b * n, 1), dtype=x.dtype)
-        keep[(np.arange(b)[:, None] * n + masks).ravel()] = 0.0
-        keep_t = Tensor(keep)
-        fill_t = Tensor(1.0 - keep)
-        x = ndiff.add(ndiff.mul(x, keep_t), ndiff.mul(params["mask_token"], fill_t))
-    # One view is already its sequence [CLS; cells]; a stack gathers a copy
-    # of the CLS row to the head of every view.
-    x = ndiff.concat_rows([params["cls"], x])
+    # One gather from the rows [CLS; mask token; cells] builds each view's
+    # [CLS; cells], a masked cell reading the mask token.  The mask token
+    # joins only when a cell is masked: an unmasked call gives it no gradient.
+    table = [params["cls"], params["mask_token"], x] if masks.size else [params["cls"], x]
     seq = n + 1
-    if b > 1:
-        rows = np.zeros((b, seq), dtype=np.int64)
-        rows[:, 1:] = np.arange(1, b * n + 1).reshape(b, n)
-        x = ndiff.gather_rows(x, rows.ravel())
+    rows = np.zeros((b, seq), dtype=np.int64)
+    rows[:, 1:] = len(table) - 1 + np.arange(b * n).reshape(b, n)
+    rows[np.arange(b)[:, None], 1 + masks] = 1
+    x = ndiff.gather_rows(ndiff.concat_rows(table), rows.ravel())
     # the rows returned: each view's CLS row, then its token rows
     read = (np.arange(b)[:, None] * seq + np.hstack([np.zeros((b, 1), np.int64), 1 + tokens])).ravel()
     for i in range(config.depth):

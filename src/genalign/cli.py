@@ -304,19 +304,17 @@ def cmd_ablate(args):
     raw = _read_json(args.grid)
     _check_keys(raw, {"cohort_dir", "init_checkpoint", "aggregator", "align", "axes",
                       "n_boot", "seed", "out", "out_tsv"}, args.grid, "grid keys")
+    axes = raw.get("axes", {})
+    _check_keys(axes, {"aggregator", "karyotype_resolution", "recon_weight"}, args.grid,
+                "ablation axes")
     cohort = load_cohort_dir(raw["cohort_dir"])
     pretrained = None
     if raw.get("init_checkpoint"):
         pretrained, agg_config = _load_stage1(raw["init_checkpoint"])
     else:
         agg_config = _load_section(raw, "aggregator", AggregatorConfig, args.grid)
-    axes = raw.get("axes", {})
     grid = AblationGrid(
-        aggregator=axes.get("aggregator", AblationGrid().aggregator),
-        karyotype_resolution=axes.get(
-            "karyotype_resolution", AblationGrid().karyotype_resolution
-        ),
-        recon_weight=axes.get("recon_weight", AblationGrid().recon_weight),
+        **axes,
         defaults=raw.get("align", {}),
         n_boot=raw.get("n_boot", 200),
         seed=args.seed if args.seed is not None else raw.get("seed", 0),

@@ -4,12 +4,15 @@ On disk a cohort is a directory of ``bags.gbm`` (f32 cells with per-patient
 row ranges), ``karyotypes.gbm`` (u8, 3 columns per band of the shipped band
 table; a recorded ``band_table_sha256`` must be that table's),
 ``mutations.gbm`` (u8) and ``labels.tsv`` (``patient_id<TAB>label<TAB>split``,
-split ``train`` or ``test``; every bag needs a row).
+split ``train`` or ``test``; every bag needs a row).  The loader refuses a
+patient id with two rows in any genetic file or in ``labels.tsv``, and
+karyotype or mutation entries other than 0 and 1.
 """
 
 from __future__ import annotations
 
 import csv
+import io
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -92,11 +95,25 @@ class Cohort:
             gbio.Matrix(np.stack([p.mutations for p in self.patients]).astype(np.uint8), ids),
         )
         paths.append(out_dir / LABELS_FILE)
-        with open(paths[-1], "w", newline="") as fh:
-            writer = csv.writer(fh, delimiter="\t", lineterminator="\n")
-            for p in self.patients:
-                writer.writerow([p.patient_id, p.label, p.split])
+        text = io.StringIO()
+        csv.writer(text, delimiter="\t", lineterminator="\n").writerows(
+            [p.patient_id, p.label, p.split] for p in self.patients
+        )
+        gbio.write_text(paths[-1], text.getvalue())
         return paths
+
+
+def _binary_rows(m: gbio.Matrix, path: str | Path) -> dict[str, np.ndarray]:
+    """Each patient's row of a 0/1 karyotype or mutation matrix."""
+    binary = ((m.data == 0) | (m.data == 1)).all(axis=1)
+    rows: dict[str, np.ndarray] = {}
+    for pid, row, ok in zip(m.patient_ids, m.data, binary):
+        if pid in rows:
+            raise gbio.FormatError(f"{path}: second row for patient {pid!r}")
+        if not ok:
+            raise gbio.FormatError(f"{path}: patient {pid!r} has entries other than 0 and 1")
+        rows[pid] = row
+    return rows
 
 
 def load_cohort(
@@ -126,11 +143,10 @@ def load_cohort(
                 f"{karyotypes_path}: {m.data.shape[1]} columns; the shipped band "
                 f"table needs 3 x {len(table)} = {3 * len(table)}"
             )
-        karyotypes = {pid: m.data[i] for i, pid in enumerate(m.patient_ids)}
+        karyotypes = _binary_rows(m, karyotypes_path)
     mutations: dict[str, np.ndarray] = {}
     if mutations_path is not None:
-        m = gbio.read_gbm(mutations_path)
-        mutations = {pid: m.data[i] for i, pid in enumerate(m.patient_ids)}
+        mutations = _binary_rows(gbio.read_gbm(mutations_path), mutations_path)
     labels: dict[str, tuple[str, str]] = {pid: ("unknown", "train") for pid in ids}
     if labels_path is not None:
         labels = {}
@@ -140,6 +156,8 @@ def load_cohort(
                     continue
                 if len(row) != 3:
                     raise ValueError(f"{labels_path}: expected 3 columns, got {row}")
+                if row[0] in labels:
+                    raise ValueError(f"{labels_path}: second row for patient {row[0]!r}")
                 labels[row[0]] = (row[1], row[2])
         for pid in ids:
             if pid not in labels:

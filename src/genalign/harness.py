@@ -229,12 +229,12 @@ def per_gene_block(
         Tensor(np.eye(n_genes, dtype=np.float32)), params, "proj_m"
     ).data[usable]
     slides = table.z_slide[rows]
-    order, _ = ek.retrieve(gene_embeddings, slides, ids)
+    order, scores = ek.retrieve(gene_embeddings, slides, ids)
     gene_to_slide = ek.f1_at_n_relevant(np.take_along_axis(relevant, order, axis=1))
+    sims = np.empty_like(scores)  # (gene, slide), slides back in row order
+    np.put_along_axis(sims, order, scores, axis=1)
     by_name = np.array(sorted(range(len(usable)), key=lambda j: names[usable[j]]))
-    sims = (np.asarray(slides, dtype=np.float64)
-            @ np.asarray(gene_embeddings, dtype=np.float64)[by_name].T)
-    predicted = by_name[sims.argmax(axis=1)] == np.arange(len(usable))[:, None]
+    predicted = by_name[sims[by_name].argmax(axis=0)] == np.arange(len(usable))[:, None]
     slide_to_gene = ek.f1_score((predicted & relevant).sum(axis=1),
                                 predicted.sum(axis=1), n_positive[usable])
     rng = np.random.default_rng(seed)

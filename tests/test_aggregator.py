@@ -115,6 +115,36 @@ class TestForward:
             np.testing.assert_allclose(grads[p], grads_sep[p], rtol=1e-9, atol=1e-13,
                                        err_msg=name)
 
+    def test_masked_stack_builds_sequences_without_mul(self, tiny_params, rng, monkeypatch):
+        calls = []
+        mul = ndiff.mul
+
+        def recording(a, b):
+            calls.append((a.shape, b.shape))
+            return mul(a, b)
+
+        monkeypatch.setattr(ndiff, "mul", recording)
+        b, n = 3, 6
+        cells = rng.standard_normal((b * n, TINY.input_dim)).astype(np.float32)
+        masks = np.array([[0, 4], [5, 1], [2, 3]])
+        with ndiff.Tape():
+            out = agg.forward(cells, masks, tiny_params, TINY, tokens=masks)
+        assert out.shape == (b * 3, TINY.embed_dim)
+        assert calls == []
+
+    @pytest.mark.parametrize("mask,has_grad", [
+        (np.empty((2, 0), np.int64), False),
+        (np.array([[1], [0]]), True),
+    ], ids=["unmasked", "masked"])
+    def test_mask_token_gradient_only_when_a_cell_is_masked(self, tiny_params, rng,
+                                                            mask, has_grad):
+        cells = rng.standard_normal((2 * 4, TINY.input_dim)).astype(np.float32)
+        with ndiff.Tape() as tape:
+            loss = ndiff.mean(agg.forward(cells, mask, tiny_params, TINY))
+        grads = tape.backward(loss)
+        assert (tiny_params["mask_token"] in grads) == has_grad
+        assert tiny_params["cls"] in grads
+
     def test_one_mask_row_per_view_required(self, tiny_params, rng):
         rows = rng.standard_normal((8, TINY.input_dim)).astype(np.float32)
         for mask in (np.array([[[1], [2]]]), np.empty((0, 1), np.int64)):

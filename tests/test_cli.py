@@ -316,6 +316,19 @@ class TestAblate:
         tsv_lines = (tmp_path / "ablation.tsv").read_text().strip().splitlines()
         assert len(tsv_lines) == 5
 
+    def test_misspelled_axis_rejected(self, pipeline, tmp_path, caplog):
+        grid = {
+            "cohort_dir": str(pipeline / "cohort"),
+            "axes": {"recon_weights": [0.0]},
+            "align": {"epochs": 1, "batch_size": 6},
+            "out": str(tmp_path / "ablation.json"),
+        }
+        grid_path = tmp_path / "grid.json"
+        grid_path.write_text(json.dumps(grid))
+        assert main(["ablate", "--grid", str(grid_path)]) == 1
+        assert "unknown ablation axes: ['recon_weights']" in caplog.text
+        assert not (tmp_path / "ablation.json").exists()
+
 
 class TestErrors:
     def test_unknown_flag_exits_2(self):

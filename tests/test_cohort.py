@@ -4,8 +4,9 @@ import pytest
 from genalign import gbio
 from genalign.aggregator import CellBag
 from genalign.cohort import (
-    KARYOTYPES_FILE, LABELS_FILE, Cohort, Patient, load_cohort, load_cohort_dir,
+    KARYOTYPES_FILE, LABELS_FILE, MUTATIONS_FILE, Cohort, Patient, load_cohort, load_cohort_dir,
 )
+from test_gbio import disk_full_after
 
 
 def saved_cohort(tmp_path, rng, karyotype_width, band_table_sha256=None):
@@ -35,6 +36,31 @@ def test_unknown_split_rejected(tmp_path, rng, band_table):
         load_cohort_dir(tmp_path)
 
 
+def test_second_label_row_rejected(tmp_path, rng, band_table):
+    labels = saved_cohort(tmp_path, rng, 3 * len(band_table))
+    labels.write_text(labels.read_text() + "p0\tA\ttest\n")
+    with pytest.raises(ValueError, match=f"{LABELS_FILE}.*second row.*'p0'"):
+        load_cohort_dir(tmp_path)
+
+
+def test_second_mutation_row_rejected(tmp_path, rng, band_table):
+    saved_cohort(tmp_path, rng, 3 * len(band_table))
+    gbio.write_gbm(tmp_path / MUTATIONS_FILE,
+                   gbio.Matrix(np.zeros((4, 2), np.uint8), ["p0", "p1", "p2", "p1"]))
+    with pytest.raises(gbio.FormatError, match=f"{MUTATIONS_FILE}.*second row.*'p1'"):
+        load_cohort_dir(tmp_path)
+
+
+@pytest.mark.parametrize("name", [KARYOTYPES_FILE, MUTATIONS_FILE])
+def test_genetic_entries_other_than_0_and_1_rejected(tmp_path, rng, band_table, name):
+    saved_cohort(tmp_path, rng, 3 * len(band_table))
+    matrix = gbio.read_gbm(tmp_path / name)
+    matrix.data[1, -1] = 2
+    gbio.write_gbm(tmp_path / name, matrix)
+    with pytest.raises(gbio.FormatError, match=f"{name}.*'p1'.*other than 0 and 1"):
+        load_cohort_dir(tmp_path)
+
+
 def test_karyotypes_from_another_band_table_rejected(tmp_path, rng, band_table):
     saved_cohort(tmp_path, rng, 3 * len(band_table), band_table_sha256="0" * 64)
     with pytest.raises(gbio.FormatError, match=f"{KARYOTYPES_FILE}.*band table"):
@@ -48,3 +74,19 @@ def test_karyotype_width_must_match_band_table(tmp_path, rng, band_table):
     # the right width loads, also without a recorded table checksum
     saved_cohort(tmp_path, rng, 3 * len(band_table))
     assert load_cohort_dir(tmp_path).band_table_sha256 is None
+
+
+def test_failed_labels_write_keeps_previous_file(tmp_path, rng, band_table, monkeypatch):
+    labels = saved_cohort(tmp_path, rng, 3 * len(band_table))
+    previous = labels.read_bytes()
+    names = sorted(p.name for p in tmp_path.iterdir())
+    cohort = load_cohort_dir(tmp_path)
+    for p in cohort.patients:
+        p.split = "test"
+    with monkeypatch.context() as m:
+        m.setattr(gbio, "write_gbm", lambda path, matrix: None)  # write labels.tsv only
+        disk_full_after(m, len(previous) // 2)
+        with pytest.raises(OSError, match="No space"):
+            cohort.save(tmp_path)
+    assert labels.read_bytes() == previous
+    assert sorted(p.name for p in tmp_path.iterdir()) == names
