@@ -11,9 +11,9 @@ view's CLS row followed by its rows at the requested token positions.  The
 last block runs attention queries, the MLP and the final layer norm on those
 rows alone (keys and values still come from every row), as CaiT's
 class-attention layers do.
-Pretraining buckets its views by exact length and makes one call per bucket,
-asking for the masked positions it scores; full-bag callers pass one bag and
-get its CLS row.
+Every caller (pretraining's sub-bag views; alignment, embedding and
+evaluation's full bags) goes through ``forward_bags``: one stacked ``forward``
+call per exact view length, split to bound the attention scores a call holds.
 Multi-crop view sampling draws global (70%) and local (20%) sub-bags with
 per-view masks for the masked-prediction objective.
 """
@@ -246,6 +246,41 @@ def forward(
             x = ndiff.add(ndiff.gather_rows(x, read), attn)
         x = ndiff.add(x, mlp_forward(_layer_norm(x, params, f"{prefix}.ln2"), params, f"{prefix}.mlp"))
     return _layer_norm(x, params, "final_ln")
+
+
+# Attention scores (views x heads x (n + 1)^2) one call may hold: a 1,024-cell bag at 4 heads
+MAX_ATTENTION_SCORES = 4 * 1025**2
+
+
+def forward_bags(
+    cells: list[np.ndarray],
+    params: dict[str, Tensor],
+    config: AggregatorConfig,
+    masks: list[np.ndarray] | None = None,
+    tokens: list[np.ndarray] | None = None,
+) -> Tensor:
+    """Run views of any lengths: view i's ``(n_i, input_dim)`` cell rows and,
+    as in ``forward``, its mask and token positions (none when omitted).  Views
+    of one exact length (and mask and token count) run as stacked ``forward``
+    calls of at most ``MAX_ATTENTION_SCORES`` scores, or one view, each.
+    Returns every view's CLS row in input order, then each view's token rows."""
+    none = [np.empty(0, np.int64)] * len(cells)
+    masks, tokens = (none if m is None else [np.asarray(x, np.int64) for x in m] for m in (masks, tokens))
+    groups: dict[tuple[int, int, int], list[int]] = {}
+    for i, key in enumerate(zip(map(len, cells), map(np.size, masks), map(np.size, tokens), strict=True)):
+        groups.setdefault(key, []).append(i)
+    hidden, view, slot = [], [], []
+    for (n, _, t), members in sorted(groups.items()):
+        per_call = max(1, MAX_ATTENTION_SCORES // (config.heads * (n + 1) ** 2))
+        for chunk in (members[s : s + per_call] for s in range(0, len(members), per_call)):
+            hidden.append(forward(np.concatenate([cells[i] for i in chunk]),
+                                  np.stack([masks[i] for i in chunk]), params, config,
+                                  np.stack([tokens[i] for i in chunk])))
+            view.append(np.repeat(chunk, 1 + t))  # each view's CLS row, then its t token rows
+            slot.append(np.tile(np.arange(1 + t), len(chunk)))
+    view, slot = np.concatenate(view), np.concatenate(slot)
+    # CLS rows (slot 0) first, then token rows, each ordered by view, then slot
+    return ndiff.gather_rows(ndiff.concat_rows(hidden), np.lexsort((slot, view, slot > 0)))
 
 
 GLOBAL_FRACTION = 0.70

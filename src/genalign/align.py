@@ -5,6 +5,7 @@ The contrastive loss treats every same-class batch member of the target
 modality as a positive for the anchor; each modality pair is trained in both
 directions.  Decoders reconstruct the binary genetic vectors from their own
 projected embedding (BCE), weighted by ``recon_weight``.
+Fine-tuning embeds each batch's bags in one ``aggregator.forward_bags`` call.
 """
 
 from __future__ import annotations
@@ -18,7 +19,8 @@ from pathlib import Path
 import numpy as np
 
 from . import gbio, ndiff
-from .aggregator import AggregatorConfig, forward, init_params, mlp_forward
+# `forward` is not called here; perfbench's tracer test looks the name up
+from .aggregator import AggregatorConfig, forward, forward_bags, init_params, mlp_forward  # noqa: F401
 from .cohort import Cohort, Patient
 from .karyogram import load_band_table, rollup_to_arms
 from .ndiff import Tape, Tensor
@@ -338,22 +340,6 @@ def slide_embeddings(
     return embed_bags([p.bag for p in patients], _aggregator_subset(params), agg_config)
 
 
-def _slide_batch(
-    patients: list[Patient],
-    params: dict[str, Tensor],
-    agg_config: AggregatorConfig,
-    cache: np.ndarray | None,
-    batch: np.ndarray,
-) -> Tensor:
-    if cache is not None:
-        return Tensor(cache[batch])
-    agg_params = _aggregator_subset(params)
-    return ndiff.concat_rows([
-        forward(patients[i].bag.cells, np.empty(0, np.int64), agg_params, agg_config)
-        for i in batch
-    ])
-
-
 def train_align(
     cohort: Cohort,
     agg_config: AggregatorConfig,
@@ -416,7 +402,8 @@ def train_align(
         for batch in stratified_batches(labels, config.batch_size, rng):
             batch_labels = np.array([labels[i] for i in batch])
             with Tape() as tape:
-                slide = _slide_batch(train, params, agg_config, slide_cache, batch)
+                slide = Tensor(slide_cache[batch]) if slide_cache is not None else forward_bags(
+                    [train[i].bag.cells for i in batch], _aggregator_subset(params), agg_config)
                 z_s = project(slide, params, "proj_s")
                 z_k = project(Tensor(karyo[batch]), params, "proj_k")
                 z_m = project(Tensor(mut[batch]), params, "proj_m")

@@ -5,8 +5,8 @@ row ranges), ``karyotypes.gbm`` (u8, 3 columns per band of the shipped band
 table; a recorded ``band_table_sha256`` must be that table's),
 ``mutations.gbm`` (u8) and ``labels.tsv`` (``patient_id<TAB>label<TAB>split``,
 split ``train`` or ``test``; every bag needs a row).  The loader refuses a
-patient id with two rows in any genetic file or in ``labels.tsv``, and
-karyotype or mutation entries other than 0 and 1.
+patient id with two rows in any genetic file or in ``labels.tsv``, row ranges
+in a genetic file, and karyotype or mutation entries other than 0 and 1.
 """
 
 from __future__ import annotations
@@ -105,6 +105,8 @@ class Cohort:
 
 def _binary_rows(m: gbio.Matrix, path: str | Path) -> dict[str, np.ndarray]:
     """Each patient's row of a 0/1 karyotype or mutation matrix."""
+    if m.row_ranges is not None:
+        raise gbio.FormatError(f"{path}: genetic matrices hold one row per patient, not row_ranges")
     binary = ((m.data == 0) | (m.data == 1)).all(axis=1)
     rows: dict[str, np.ndarray] = {}
     for pid, row, ok in zip(m.patient_ids, m.data, binary):

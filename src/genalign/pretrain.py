@@ -8,21 +8,16 @@ views unmasked.  CLS distributions over learned prototypes are matched across
 against the teacher's unmasked token output on the same view.  Teacher logits
 are centered (running mean) and sharpened with a lower temperature.
 
-Views are bucketed by exact length (length ascending, then (patient, view)),
-and each bucket is one aggregator forward per side, as DINO's multi-crop
-wrapper runs same-size crops together.  A bucket's views go in as stacked
-cell rows, and the aggregator returns only each view's CLS row followed by
-its rows at the masked positions (with iBOT on), so the last block never
-runs on a row the loss does not score; the bucket outputs are concatenated,
-and one row gather per side puts the CLS rows first.  Those rows stay
-stacked in one row matrix from the aggregator to the loss: the head runs once
-per side (two head calls per step), and one log-softmax and one cross entropy
-score every student row.
+Each side's views run in one ``aggregator.forward_bags`` call, one forward
+per exact view length, as DINO's multi-crop wrapper runs same-size crops
+together; it returns only each view's CLS row and its rows at the masked
+positions (with iBOT on).  Those rows stay stacked in one row matrix from the
+aggregator to the loss: the head runs once per side (two head calls per
+step), and one log-softmax and one cross entropy score every student row.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -30,8 +25,8 @@ from pathlib import Path
 import numpy as np
 
 from . import gbio, ndiff
-from .aggregator import (
-    AggregatorConfig, BagView, CellBag, _trunc_normal, forward, init_params, sample_views,
+from .aggregator import (  # noqa: F401 (`forward` is not called; perfbench's tracer test looks it up)
+    AggregatorConfig, BagView, CellBag, _trunc_normal, forward, forward_bags, init_params, sample_views,
 )
 from .ndiff import Tape, Tensor
 from .optim import AdamW, warmup_cosine_lr
@@ -199,10 +194,9 @@ def embed_bags(
     bags: list[CellBag], params: dict[str, Tensor], config: AggregatorConfig
 ) -> np.ndarray:
     """CLS embedding of each full bag (no masking, no gradient)."""
-    out = np.zeros((len(bags), config.embed_dim), dtype=np.float32)
-    for i, bag in enumerate(bags):
-        out[i] = forward(bag.cells, np.empty(0, np.int64), params, config).data[0]
-    return out
+    if not bags:
+        return np.zeros((0, config.embed_dim), dtype=np.float32)
+    return forward_bags([bag.cells for bag in bags], params, config).data.astype(np.float32)
 
 
 def cls_dimension_std(embeddings: np.ndarray) -> float:
@@ -334,45 +328,29 @@ def _bucketed_pass(
     config: PretrainConfig,
     student: bool,
 ) -> Tensor:
-    """Run a batch's views through the aggregator, one forward per exact
-    view length, in buckets by length ascending, then (patient, view), and
-    the head once on the stacked rows.
-
-    The student runs every view with its masked cells replaced by the mask
+    """Run a batch's views, in [view][patient] order, through one
+    ``forward_bags`` call and the head once on the stacked rows.  The
+    student runs every view with its masked cells replaced by the mask
     token; the teacher runs the global views, plus every masked view when
-    iBOT is on, unmasked.  With iBOT on, both sides ask the aggregator for
-    the rows at each view's masked positions.  Returns the head logits of
-    one row matrix: the CLS rows of the student's views or the teacher's
-    global views in [view][patient] order, then, with iBOT on, the token
-    rows at every masked position, in bucket order and within a view in
-    mask order.  The order depends only on the views, so the teacher's
-    masked rows line up with the student's.
+    iBOT is on, unmasked, and drops the masked local views' CLS rows.
+    Returns the head logits of the CLS rows of the student's views or the
+    teacher's global views, then, with iBOT on, the token rows at every
+    masked position, which line up between the two sides.
     """
-    n_cls_views = config.k_global + config.k_local if student else config.k_global
+    n_global = config.k_global * len(batch_bags)
     with_tokens = config.ibot_weight != 0
-    order = sorted(
-        (len(view.indices), p, v)
-        for p, views in enumerate(views_per_patient)
-        for v, view in enumerate(views)
-        if v < n_cls_views or (with_tokens and view.mask.size)
+    pairs = [(p, view) for views in zip(*views_per_patient) for p, view in enumerate(views)]
+    if not student:
+        pairs = pairs[:n_global] + [(p, view) for p, view in pairs[n_global:]
+                                    if with_tokens and view.mask.size]
+    masks = [view.mask for _, view in pairs]
+    hidden = forward_bags(
+        [batch_bags[p].cells[view.indices] for p, view in pairs], params, agg_config,
+        masks if student else None, masks if with_tokens else None,
     )
-    hidden = []
-    for _, bucket in itertools.groupby(order, key=lambda key: key[0]):
-        pairs = [(p, views_per_patient[p][v]) for _, p, v in bucket]
-        cells = np.concatenate([batch_bags[p].cells[view.indices] for p, view in pairs])
-        masks = np.stack([view.mask for _, view in pairs])
-        mask = masks if student else np.empty((len(pairs), 0), dtype=np.int64)
-        hidden.append(forward(cells, mask, params, agg_config, masks if with_tokens else None))
-    # the concatenated bucket outputs hold each view's CLS row followed by
-    # its rows at the masked positions, views in `order`
-    sizes = [1 + with_tokens * views_per_patient[p][v].mask.size for _, p, v in order]
-    starts = np.cumsum([0] + sizes)[:-1]
-    start_of = {(p, v): start for start, (_, p, v) in zip(starts, order)}
-    cls_rows = [start_of[(p, v)] for v in range(n_cls_views) for p in range(len(batch_bags))]
-    is_token = np.ones(sum(sizes), dtype=bool)
-    is_token[starts] = False
-    rows = np.concatenate([cls_rows, np.flatnonzero(is_token)])
-    return head_forward(ndiff.gather_rows(ndiff.concat_rows(hidden), rows), params)
+    if not student:  # the teacher's masked local views add token rows only
+        hidden = ndiff.gather_rows(hidden, np.r_[:n_global, len(pairs) : hidden.shape[0]])
+    return head_forward(hidden, params)
 
 
 def teacher_targets(
@@ -403,8 +381,8 @@ def pretrain_objective(
     """Student pass against ``teacher_targets``: (dino, ibot, total).
 
     The views run one aggregator forward per exact length and the head runs
-    once on all CLS and masked token rows (gathered before the head, so it
-    never sees unmasked tokens); ``dino_ibot_loss`` scores them."""
+    once on all CLS and masked token rows (the only token rows the
+    aggregator returns); ``dino_ibot_loss`` scores them."""
     logits = _bucketed_pass(
         batch_bags, views_per_patient, student, agg_config, config, student=True
     )

@@ -236,6 +236,91 @@ class TestReadRows:
         assert np.array_equal(calls[-1], np.arange(b) * (n + 1))
 
 
+def ragged_views(rng, lengths, dtype=np.float32):
+    """Cells, masks and token positions of views with the given lengths."""
+    cells = [rng.standard_normal((n, TINY.input_dim)).astype(dtype) for n in lengths]
+    masks = [rng.choice(n, size=n // 3, replace=False) for n in lengths]
+    tokens = [rng.choice(n, size=n // 2, replace=False) for n in lengths]
+    return cells, masks, tokens
+
+
+def per_view_rows(cells, masks, tokens, params):
+    """``forward_bags``' documented row order from one ``forward`` per view:
+    every view's CLS row, then each view's token rows."""
+    outs = [agg.forward(c, m, params, TINY, t) for c, m, t in zip(cells, masks, tokens)]
+    return ndiff.concat_rows([ndiff.slice_rows(o, 0, 1) for o in outs]
+                             + [ndiff.slice_rows(o, 1, o.shape[0]) for o in outs])
+
+
+def counting_forward(monkeypatch):
+    """Patch ``aggregator.forward`` to record each call's view count."""
+    calls, forward = [], agg.forward
+
+    def counting(cells, mask, *args):
+        calls.append(np.atleast_2d(mask).shape[0])
+        return forward(cells, mask, *args)
+
+    monkeypatch.setattr(agg, "forward", counting)
+    return calls
+
+
+LENGTHS = [5, 3, 5, 7, 3, 5, 1]
+
+
+class TestForwardBags:
+    def test_ragged_views_match_per_view_forward(self, tiny_params, rng, monkeypatch):
+        cells, masks, tokens = ragged_views(rng, LENGTHS)
+        reference = per_view_rows(cells, masks, tokens, tiny_params).data
+        calls = counting_forward(monkeypatch)
+        out = agg.forward_bags(cells, tiny_params, TINY, masks, tokens)
+        assert sorted(calls) == [1, 1, 2, 3]  # one call per exact length
+        assert out.shape == (len(LENGTHS) + sum(t.size for t in tokens), TINY.embed_dim)
+        np.testing.assert_allclose(out.data, reference, rtol=1e-5, atol=1e-6)
+        cls_only = agg.forward_bags(cells, tiny_params, TINY)
+        none = [np.empty(0, np.int64)] * len(LENGTHS)
+        np.testing.assert_allclose(cls_only.data, per_view_rows(cells, none, none, tiny_params).data,
+                                   rtol=1e-5, atol=1e-6)
+
+    @pytest.mark.parametrize("views_per_call,n_calls", [(2, 3), (1, 5), (5, 1)])
+    def test_score_budget_splits_a_length_group(self, rng, monkeypatch, views_per_call, n_calls):
+        params = agg.init_params(TINY, np.random.default_rng(4), dtype=np.float64)
+        n = 6
+        cells, masks, tokens = ragged_views(rng, [n] * 5, np.float64)
+        whole = agg.forward_bags(cells, params, TINY, masks, tokens).data
+        # room for views_per_call views, and one score short of one more
+        budget = (views_per_call + 1) * TINY.heads * (n + 1) ** 2 - 1
+        monkeypatch.setattr(agg, "MAX_ATTENTION_SCORES", budget)
+        calls = counting_forward(monkeypatch)
+        split = agg.forward_bags(cells, params, TINY, masks, tokens).data
+        assert len(calls) == n_calls and max(calls) == views_per_call
+        np.testing.assert_allclose(split, whole, rtol=1e-12, atol=1e-14)
+
+    def test_view_over_the_budget_runs_alone(self, tiny_params, rng, monkeypatch):
+        monkeypatch.setattr(agg, "MAX_ATTENTION_SCORES", 1)
+        calls = counting_forward(monkeypatch)
+        cells, _, _ = ragged_views(rng, [4, 4])
+        assert agg.forward_bags(cells, tiny_params, TINY).shape == (2, TINY.embed_dim)
+        assert calls == [1, 1]
+
+    def test_taped_gradients_match_per_bag_reference(self, rng):
+        params = agg.init_params(TINY, np.random.default_rng(6), dtype=np.float64)
+        cells, masks, tokens = ragged_views(rng, LENGTHS, np.float64)
+        probe = Tensor(rng.standard_normal(
+            (len(LENGTHS) + sum(t.size for t in tokens), TINY.embed_dim)))
+        outs, grads = [], []
+        for run in (lambda: agg.forward_bags(cells, params, TINY, masks, tokens),
+                    lambda: per_view_rows(cells, masks, tokens, params)):
+            with ndiff.Tape() as tape:
+                out = run()
+                loss = ndiff.mean(ndiff.mul(out, probe))
+            outs.append(out.data)
+            grads.append(tape.backward(loss))
+        np.testing.assert_allclose(outs[0], outs[1], rtol=1e-12, atol=1e-14)
+        for name, p in params.items():
+            np.testing.assert_allclose(grads[0][p], grads[1][p], rtol=1e-9, atol=1e-13,
+                                       err_msg=name)
+
+
 class TestSampleViews:
     def test_paper_scale_counts(self, rng):
         bag = agg.CellBag("p0", rng.standard_normal((500, 4)).astype(np.float32))

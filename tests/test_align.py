@@ -318,6 +318,32 @@ class TestTrainAlign:
         complete = [p.bag for p in cohort.patients if p.complete]
         assert np.array_equal(result.table.slide, embed_bags(complete, ckpt, TINY_AGG))
 
+    def test_finetune_step_one_taped_forward_per_bag_length(self, rng, monkeypatch):
+        from genalign import aggregator
+        cohort = make_cohort(rng)
+        for i, p in enumerate(cohort.patients):
+            p.bag = CellBag(p.patient_id, p.bag.cells[: 5 + i % 3])
+        train = [p for p in cohort.subset("train") if p.complete]
+        taped, batches = [], []
+        forward, batcher = aggregator.forward, align.stratified_batches
+
+        def counting_forward(*args):
+            taped.append(ndiff._ACTIVE_TAPE is not None)
+            return forward(*args)
+
+        def recording_batches(*args):
+            batches.extend(batcher(*args))
+            return batches
+
+        monkeypatch.setattr(aggregator, "forward", counting_forward)
+        monkeypatch.setattr(align, "stratified_batches", recording_batches)
+        cfg = AlignConfig(epochs=1, batch_size=6, aggregator_mode="finetune",
+                          init="random", seed=1)
+        train_align(cohort, TINY_AGG, cfg)
+        lengths = [len({train[i].bag.n_cells for i in batch}) for batch in batches]
+        assert len(batches) > 1 and max(lengths) > 1
+        assert taped.count(True) == sum(lengths) < len(train)
+
     def test_finetune_random_init_runs(self, rng):
         cohort = make_cohort(rng, n_per_class=4)
         cfg = AlignConfig(epochs=1, batch_size=6, aggregator_mode="finetune",

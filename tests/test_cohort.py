@@ -52,6 +52,19 @@ def test_second_mutation_row_rejected(tmp_path, rng, band_table):
 
 
 @pytest.mark.parametrize("name", [KARYOTYPES_FILE, MUTATIONS_FILE])
+def test_row_ranges_on_genetic_matrix_rejected(tmp_path, rng, band_table, name):
+    # two rows per patient with matching row ranges: row i is not patient i's
+    saved_cohort(tmp_path, rng, 3 * len(band_table))
+    matrix = gbio.read_gbm(tmp_path / name)
+    gbio.write_gbm(tmp_path / name, gbio.Matrix(
+        np.repeat(matrix.data, 2, axis=0), matrix.patient_ids,
+        band_table_sha256=matrix.band_table_sha256,
+        row_ranges=[(2 * i, 2 * i + 2) for i in range(len(matrix.patient_ids))]))
+    with pytest.raises(gbio.FormatError, match=f"{name}.*one row per patient"):
+        load_cohort_dir(tmp_path)
+
+
+@pytest.mark.parametrize("name", [KARYOTYPES_FILE, MUTATIONS_FILE])
 def test_genetic_entries_other_than_0_and_1_rejected(tmp_path, rng, band_table, name):
     saved_cohort(tmp_path, rng, 3 * len(band_table))
     matrix = gbio.read_gbm(tmp_path / name)

@@ -4,7 +4,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from genalign import gbio, ndiff, pretrain
+from genalign import aggregator, gbio, ndiff, pretrain
 from genalign.aggregator import AggregatorConfig, CellBag, forward, init_params, sample_views
 from genalign.ndiff import Tape, Tensor
 from genalign.pretrain import (
@@ -361,7 +361,7 @@ class TestFullLossGradients:
             log_softmax_calls.append(args[0].shape[0])
             return log_softmax(*args)
 
-        monkeypatch.setattr(pretrain, "forward", counting_forward)
+        monkeypatch.setattr(aggregator, "forward", counting_forward)
         monkeypatch.setattr(pretrain, "head_forward", counting_head)
         monkeypatch.setattr(ndiff, "log_softmax", counting_log_softmax)
         targets = teacher_targets(mb.bags, mb.views, mb.teacher, mb.config, mb.pre)
@@ -397,6 +397,11 @@ def make_cohort(n, rng, n_cells=10, dim=8):
         CellBag(f"p{i:03d}", rng.standard_normal((n_cells, dim)).astype(np.float32))
         for i in range(n)
     ]
+
+
+def test_embed_bags_of_no_bags_is_empty():
+    params = init_params(TINY_AGG, np.random.default_rng(0))
+    assert pretrain.embed_bags([], params, TINY_AGG).shape == (0, TINY_AGG.embed_dim)
 
 
 class TestTrainLoop:
