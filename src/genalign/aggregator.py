@@ -14,8 +14,8 @@ class-attention layers do.
 Every caller (pretraining's sub-bag views; alignment, embedding and
 evaluation's full bags) goes through ``forward_bags``: one stacked ``forward``
 call per exact view length, split to bound the attention scores a call holds.
-Multi-crop view sampling draws global (70%) and local (20%) sub-bags with
-per-view masks for the masked-prediction objective.
+Multi-crop view sampling draws global (70%) and local (20%) sub-bags, with a
+mask on each global view for the masked-prediction objective.
 """
 
 from __future__ import annotations
@@ -84,7 +84,7 @@ class BagView:
     kind: str  # "global" | "local"
     indices: np.ndarray  # positions into the bag
     mask: np.ndarray = field(default_factory=lambda: np.empty(0, dtype=np.int64))
-    # mask holds view-local positions (into `indices`), student side only
+    # mask holds view-local positions (into `indices`), global views only
 
 
 def cap_bag(bag: CellBag, max_cells: int, rng: np.random.Generator) -> CellBag:
@@ -294,7 +294,7 @@ def sample_views(
     mask_ratio: float,
     rng: np.random.Generator,
 ) -> list[BagView]:
-    """Draw global and local sub-bag views, each with an independent mask."""
+    """Draw global and local sub-bag views; each global view gets its own mask."""
     if k_global < 1 or k_local < 0:
         raise ValueError("need k_global >= 1 and k_local >= 0")
     if not 0.0 <= mask_ratio < 1.0:
@@ -305,7 +305,7 @@ def sample_views(
     views = []
     for kind, size in sizes:
         indices = rng.choice(n, size=size, replace=False)
-        n_masked = int(mask_ratio * size)
+        n_masked = int(mask_ratio * size) if kind == "global" else 0
         mask = rng.choice(size, size=n_masked, replace=False) if n_masked else np.empty(0, dtype=np.int64)
         views.append(BagView(bag.patient_id, kind, indices.astype(np.int64), mask.astype(np.int64)))
     return views

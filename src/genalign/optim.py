@@ -30,6 +30,10 @@ class AdamW:
         self.step_count = 0
         self._m = {k: np.zeros_like(p.data) for k, p in params.items()}
         self._v = {k: np.zeros_like(p.data) for k, p in params.items()}
+        # two scratch rows per dtype for the step's temporaries, shared by
+        # every parameter: step updates one parameter at a time
+        size = max((p.data.size for p in params.values()), default=0)
+        self._scratch = {p.data.dtype: np.empty((2, size), p.data.dtype) for p in params.values()}
 
     def _scale_for(self, name: str) -> float:
         for prefix, scale in self.lr_scale.items():
@@ -47,15 +51,28 @@ class AdamW:
             grad = grads.get(param)
             if grad is None:
                 continue
-            m = self._m[name]
-            v = self._v[name]
-            m += (1.0 - self.beta1) * (grad - m)
-            v += (1.0 - self.beta2) * (grad * grad - v)
-            step_lr = lr * self._scale_for(name)
-            update = (m / bc1) / (np.sqrt(v / bc2) + self.eps)
+            m, v = self._m[name], self._v[name]
+            tmp, update = (row[: m.size].reshape(m.shape) for row in self._scratch[m.dtype])
+            # the out-of-place formulas' operations, in their order, written
+            # into reused buffers: m += (1 - beta1) * (grad - m), likewise v
+            np.subtract(grad, m, out=tmp)
+            tmp *= 1.0 - self.beta1
+            m += tmp
+            np.multiply(grad, grad, out=tmp)
+            tmp -= v
+            tmp *= 1.0 - self.beta2
+            v += tmp
+            # update = (m / bc1) / (sqrt(v / bc2) + eps) [+ weight_decay * param]
+            np.divide(v, bc2, out=tmp)
+            np.sqrt(tmp, out=tmp)
+            tmp += self.eps
+            np.divide(m, bc1, out=update)
+            update /= tmp
             if self.weight_decay:
-                update = update + self.weight_decay * param.data
-            param.data = param.data - step_lr * update
+                update += np.multiply(param.data, self.weight_decay, out=tmp)
+            update *= lr * self._scale_for(name)
+            # a fresh array: callers may hold the old one
+            param.data = param.data - update
 
 
 def warmup_cosine_lr(

@@ -2,11 +2,12 @@
 prediction, trained student/teacher with an EMA teacher.
 
 Per batch: each patient's bag is subsampled into global and local views; the
-student sees every view with a random cell mask, the teacher sees the same
-views unmasked.  CLS distributions over learned prototypes are matched across
-(teacher global, student view) pairs; masked token distributions are matched
-against the teacher's unmasked token output on the same view.  Teacher logits
-are centered (running mean) and sharpened with a lower temperature.
+student sees every view, the global ones with a random cell mask; the teacher
+sees the global views alone, unmasked (iBOT, DINO multi-crop).  CLS
+distributions over learned prototypes are matched across (teacher global,
+student view) pairs; masked token distributions are matched against the
+teacher's unmasked tokens of the same global view.  Teacher logits are
+centered (running mean) and sharpened with a lower temperature.
 
 Each side's views run in one ``aggregator.forward_bags`` call, one forward
 per exact view length, as DINO's multi-crop wrapper runs same-size crops
@@ -69,6 +70,12 @@ class PretrainConfig:
             raise ValueError("center_momentum must be in [0, 1)")
         if self.k_global < 1 or self.k_global + self.k_local < 2:
             raise ValueError("need at least one global view and two views total")
+        if self.k_local < 0:
+            raise ValueError("k_local must be >= 0")
+        if self.batch_size < 1:
+            raise ValueError("batch_size must be >= 1")
+        if not 0 <= self.mask_ratio < 1:
+            raise ValueError("mask_ratio must be in [0, 1)")
 
     def teacher_temp_at(self, epoch: int) -> float:
         warm = max(1, int(round(self.teacher_temp_warmup_frac * self.epochs)))
@@ -284,13 +291,14 @@ def train_pretrain(
         teacher_temp = config.teacher_temp_at(epoch)
         epoch_dino = epoch_ibot = epoch_total = 0.0
         batches = _batches(len(bags), config.batch_size, rng)
+        teacher_cls = []
         for batch_idx, batch in enumerate(batches):
             views_per_patient = [
                 sample_views(bags[i], config.k_global, config.k_local, config.mask_ratio, rng)
                 for i in batch
             ]
             batch_id = f"epoch{epoch}/batch{batch_idx}"
-            dino_value, ibot_value, loss_value = _train_step(
+            dino_value, ibot_value, loss_value, cls_rows = _train_step(
                 [bags[i] for i in batch],
                 views_per_patient,
                 student,
@@ -305,14 +313,14 @@ def train_pretrain(
             epoch_dino += dino_value * len(batch)
             epoch_ibot += ibot_value * len(batch)
             epoch_total += loss_value * len(batch)
+            teacher_cls.append(cls_rows)
             step += 1
-        embeddings = embed_bags(bags, student, agg_config)
         record = {
             "epoch": epoch,
             "dino_loss": epoch_dino / len(bags),
             "ibot_loss": epoch_ibot / len(bags),
             "total": epoch_total / len(bags),
-            "cls_std": cls_dimension_std(embeddings),
+            "cls_std": cls_dimension_std(np.concatenate(teacher_cls)),
         }
         metrics.append(record)
         if metrics_path is not None:
@@ -327,30 +335,26 @@ def _bucketed_pass(
     agg_config: AggregatorConfig,
     config: PretrainConfig,
     student: bool,
-) -> Tensor:
+) -> tuple[Tensor, Tensor]:
     """Run a batch's views, in [view][patient] order, through one
     ``forward_bags`` call and the head once on the stacked rows.  The
     student runs every view with its masked cells replaced by the mask
-    token; the teacher runs the global views, plus every masked view when
-    iBOT is on, unmasked, and drops the masked local views' CLS rows.
-    Returns the head logits of the CLS rows of the student's views or the
-    teacher's global views, then, with iBOT on, the token rows at every
-    masked position, which line up between the two sides.
+    token; the teacher runs the global views alone, unmasked.  Returns the
+    hidden rows and their head logits: the CLS rows of the student's views
+    or the teacher's global views, then, with iBOT on, the token rows at
+    every masked position of the global views, which line up between the
+    two sides.
     """
-    n_global = config.k_global * len(batch_bags)
     with_tokens = config.ibot_weight != 0
     pairs = [(p, view) for views in zip(*views_per_patient) for p, view in enumerate(views)]
     if not student:
-        pairs = pairs[:n_global] + [(p, view) for p, view in pairs[n_global:]
-                                    if with_tokens and view.mask.size]
+        pairs = pairs[: config.k_global * len(batch_bags)]
     masks = [view.mask for _, view in pairs]
     hidden = forward_bags(
         [batch_bags[p].cells[view.indices] for p, view in pairs], params, agg_config,
         masks if student else None, masks if with_tokens else None,
     )
-    if not student:  # the teacher's masked local views add token rows only
-        hidden = ndiff.gather_rows(hidden, np.r_[:n_global, len(pairs) : hidden.shape[0]])
-    return head_forward(hidden, params)
+    return hidden, head_forward(hidden, params)
 
 
 def teacher_targets(
@@ -360,12 +364,12 @@ def teacher_targets(
     agg_config: AggregatorConfig,
     config: PretrainConfig,
 ) -> np.ndarray:
-    """Teacher pass, unmasked and untaped: logits of the global views' CLS
-    rows, then of the tokens at every masked position, in the student's row
-    order (see ``dino_ibot_loss``)."""
+    """Teacher pass on the global views only, unmasked and untaped: logits
+    of their CLS rows, then of the tokens at every masked position, in the
+    student's row order (see ``dino_ibot_loss``)."""
     return _bucketed_pass(
         batch_bags, views_per_patient, teacher_params, agg_config, config, student=False
-    ).data
+    )[1].data
 
 
 def pretrain_objective(
@@ -383,7 +387,7 @@ def pretrain_objective(
     The views run one aggregator forward per exact length and the head runs
     once on all CLS and masked token rows (the only token rows the
     aggregator returns); ``dino_ibot_loss`` scores them."""
-    logits = _bucketed_pass(
+    _, logits = _bucketed_pass(
         batch_bags, views_per_patient, student, agg_config, config, student=True
     )
     return dino_ibot_loss(targets, logits, len(batch_bags), center, teacher_temp, config)
@@ -400,11 +404,15 @@ def _train_step(
     teacher_temp: float,
     lr: float,
     batch_id: str,
-) -> tuple[float, float, float]:
-    targets = teacher_targets(batch_bags, views_per_patient, teacher.params, agg_config, config)
+) -> tuple[float, float, float, np.ndarray]:
+    """One optimizer step: (dino, ibot, total) and the teacher's global CLS rows."""
+    n_global = config.k_global * len(batch_bags)
+    hidden, logits = _bucketed_pass(
+        batch_bags, views_per_patient, teacher.params, agg_config, config, student=False
+    )
     with Tape() as tape:
         dino, ibot, loss = pretrain_objective(
-            batch_bags, views_per_patient, student, targets, teacher.center,
+            batch_bags, views_per_patient, student, logits.data, teacher.center,
             agg_config, config, teacher_temp,
         )
     loss_value = float(loss.data)
@@ -413,7 +421,5 @@ def _train_step(
     grads = tape.backward(loss)
     optimizer.step(grads, lr=lr)
     ema_update(teacher.params, student, config.ema_momentum)
-    teacher.center = center_update(
-        teacher.center, targets[: config.k_global * len(batch_bags)], config.center_momentum
-    )
-    return float(dino.data), float(ibot.data), loss_value
+    teacher.center = center_update(teacher.center, logits.data[:n_global], config.center_momentum)
+    return float(dino.data), float(ibot.data), loss_value, hidden.data[:n_global]

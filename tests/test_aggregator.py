@@ -343,7 +343,8 @@ class TestSampleViews:
         bag = agg.CellBag("p0", rng.standard_normal((50, 4)).astype(np.float32))
         views = agg.sample_views(bag, 2, 2, 0.3, rng)
         for v in views:
-            assert v.mask.size == int(0.3 * len(v.indices))
+            # iBOT masks the global views only
+            assert v.mask.size == (int(0.3 * len(v.indices)) if v.kind == "global" else 0)
             assert v.mask.size == len(set(v.mask.tolist()))
             assert all(0 <= m < len(v.indices) for m in v.mask)
             assert len(set(v.indices.tolist())) == len(v.indices)  # no replacement

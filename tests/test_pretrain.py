@@ -371,7 +371,7 @@ class TestFullLossGradients:
         views = [view for per_patient in mb.views for view in per_patient]
         lengths = {len(view.indices) for view in views}
         assert taped.count(True) == len(lengths) < len(views)
-        # the teacher runs the global views and the masked ones
+        # the teacher runs the global views, the only masked ones
         teacher_lengths = {len(view.indices) for view in views
                            if view.kind == "global" or view.mask.size}
         assert taped.count(False) == len(teacher_lengths)
@@ -379,6 +379,39 @@ class TestFullLossGradients:
         n_cls = len(mb.bags) * (mb.pre.k_global + mb.pre.k_local)
         assert heads == [len(mb.bags) * mb.pre.k_global + n_masked, n_cls + n_masked]
         assert log_softmax_calls == [n_cls + n_masked]
+
+    def test_teacher_runs_the_global_views_alone(self, rng, monkeypatch):
+        pre = PretrainConfig(**{**TINY_PRE.to_dict(), "k_local": 3})
+        params = init_params(TINY_AGG, rng)
+        params.update(init_head_params(TINY_AGG.embed_dim, pre, rng))
+        # global views of 14 and 12 cells, local views of 4 (one masked cell
+        # each, were local views masked)
+        bags = [CellBag(f"p{i}", rng.standard_normal((n, TINY_AGG.input_dim)))
+                for i, n in enumerate((20, 16, 20))]
+        views = [sample_views(b, pre.k_global, pre.k_local, pre.mask_ratio, rng) for b in bags]
+        calls, heads = [], []
+
+        def counting_forward(cells, mask, *args):
+            calls.append((ndiff._ACTIVE_TAPE is not None, mask.shape[0], mask.size))
+            return forward(cells, mask, *args)
+
+        def counting_head(*args):
+            heads.append(args[0].shape[0])
+            return head_forward(*args)
+
+        monkeypatch.setattr(aggregator, "forward", counting_forward)
+        monkeypatch.setattr(pretrain, "head_forward", counting_head)
+        targets = teacher_targets(bags, views, params, TINY_AGG, pre)
+        global_views = [view for per_patient in views for view in per_patient[:pre.k_global]]
+        assert all(view.mask.size == 0 for per_patient in views
+                   for view in per_patient[pre.k_global:])
+        # one untaped, unmasked forward per distinct global view length
+        assert len(calls) == len({len(view.indices) for view in global_views}) == 2
+        assert all(not taped and size == 0 for taped, _, size in calls)
+        assert sum(n_views for _, n_views, _ in calls) == pre.k_global * len(bags)
+        n_masked = sum(view.mask.size for view in global_views)
+        assert n_masked > 0
+        assert heads == [pre.k_global * len(bags) + n_masked] == [targets.shape[0]]
 
     def test_teacher_params_absent_from_gradient_map(self, rng):
         pre, student, teacher, bags, views, targets, center = tiny_step_inputs(rng, 0.25)
@@ -414,6 +447,35 @@ class TestTrainLoop:
             assert set(record) == {"epoch", "dino_loss", "ibot_loss", "total", "cls_std"}
             assert np.isfinite(record["total"])
         assert len(log.read_text().strip().splitlines()) == TINY_PRE.epochs
+
+    def test_makes_no_full_bag_forward(self, rng, monkeypatch):
+        def no_full_bags(*args):
+            raise AssertionError("train_pretrain embedded the full bags")
+
+        monkeypatch.setattr(pretrain, "embed_bags", no_full_bags)
+        result = train_pretrain(make_cohort(5, rng), TINY_AGG, TINY_PRE)
+        assert all(record["cls_std"] > 0 for record in result.metrics)
+
+    def test_cls_std_is_the_spread_of_the_teacher_global_cls_rows(self, rng, monkeypatch):
+        # with the EMA switched off the teacher keeps its initial weights, so
+        # replaying the run's random draws rebuilds every global view it ran
+        monkeypatch.setattr(pretrain, "ema_update", lambda *args: None)
+        cfg = PretrainConfig(**{**TINY_PRE.to_dict(), "epochs": 1, "batch_size": 3})
+        bags = make_cohort(6, rng)
+        result = train_pretrain(bags, TINY_AGG, cfg)
+        replay = np.random.default_rng(cfg.seed)
+        teacher = init_params(TINY_AGG, replay)
+        init_head_params(TINY_AGG.embed_dim, cfg, replay)
+        order = replay.permutation(len(bags))
+        rows = []
+        for batch in (order[:3], order[3:]):
+            for i in batch:
+                views = sample_views(bags[i], cfg.k_global, cfg.k_local, cfg.mask_ratio, replay)
+                rows += [forward(bags[i].cells[view.indices], np.empty(0, np.int64), teacher,
+                                 TINY_AGG).data for view in views if view.kind == "global"]
+        assert len(rows) == cfg.k_global * len(bags)
+        expected = pretrain.cls_dimension_std(np.concatenate(rows))
+        assert result.metrics[0]["cls_std"] == pytest.approx(expected, rel=1e-5)
 
     def test_lambda_zero_reduces_to_dino(self, rng):
         bags = make_cohort(4, rng)
@@ -462,6 +524,15 @@ class TestTrainLoop:
             PretrainConfig(student_temp=0.0)
         with pytest.raises(ValueError, match="epochs"):
             PretrainConfig(epochs=0)
+
+    @pytest.mark.parametrize("field,value", [
+        ("batch_size", 0), ("batch_size", -3), ("mask_ratio", 1.0), ("mask_ratio", -0.1),
+        ("k_local", -1),
+    ])
+    def test_config_rejects_settings_that_cannot_train(self, field, value):
+        # k_global=3 keeps two views in total when k_local is -1
+        with pytest.raises(ValueError, match=field):
+            PretrainConfig(k_global=3, **{field: value})
 
     def test_teacher_temp_schedule(self):
         cfg = PretrainConfig(epochs=30)
