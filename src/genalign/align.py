@@ -3,8 +3,9 @@ a shared unit sphere and pull same-class patients together across modalities.
 
 The contrastive loss treats every same-class batch member of the target
 modality as a positive for the anchor; each modality pair is trained in both
-directions.  Decoders reconstruct the binary genetic vectors from their own
-projected embedding (BCE), weighted by ``recon_weight``.
+directions, read from one similarity matrix.  Decoders reconstruct the binary
+genetic vectors from their own projected embedding (BCE), weighted by
+``recon_weight``.
 Fine-tuning embeds each batch's bags in one ``aggregator.forward_bags`` call.
 """
 
@@ -74,7 +75,6 @@ class AlignConfig:
 @dataclass
 class SupconStats:
     empty_anchor_count: int = 0
-    empty_batch_count: int = 0
 
 
 def _check_unit_rows(x: Tensor, name: str) -> None:
@@ -84,47 +84,6 @@ def _check_unit_rows(x: Tensor, name: str) -> None:
                          f"{np.abs(norms - 1.0).max():.2e})")
 
 
-def supcon_directional(
-    anchors: Tensor,
-    targets: Tensor,
-    labels: np.ndarray,
-    temperature: float,
-    stats: SupconStats | None = None,
-) -> Tensor:
-    """Anchor->target supervised contrastive loss over one batch.
-
-    Positives for anchor p are the other batch rows with the same label; the
-    softmax denominator runs over the whole batch.  Anchors without positives
-    contribute nothing and are left out of the average (counted in ``stats``).
-    """
-    labels = np.asarray(labels)
-    batch = anchors.shape[0]
-    if batch < 2:
-        raise ValueError(f"supcon needs a batch of >= 2, got {batch}")
-    if anchors.shape != targets.shape:
-        raise ValueError(f"anchor/target shapes differ: {anchors.shape} vs {targets.shape}")
-    _check_unit_rows(anchors, "anchors")
-    _check_unit_rows(targets, "targets")
-    same = labels[:, None] == labels[None, :]
-    positives = same & ~np.eye(batch, dtype=bool)
-    counts = positives.sum(axis=1)
-    alive = counts > 0
-    n_alive = int(alive.sum())
-    if stats is not None:
-        stats.empty_anchor_count += batch - n_alive
-    if n_alive == 0:
-        if stats is not None:
-            stats.empty_batch_count += 1
-        return Tensor(np.zeros((), dtype=anchors.dtype))
-    weights = np.zeros((batch, batch), dtype=anchors.data.dtype)
-    weights[alive] = positives[alive] / counts[alive, None]
-    sim = ndiff.scalar_mul(ndiff.matmul(anchors, ndiff.transpose(targets)), 1.0 / temperature)
-    log_prob = ndiff.log_softmax(sim, axis=-1)
-    weighted = ndiff.mul(Tensor(weights), log_prob)
-    # mean over B^2 entries -> rescale to -(1/n_alive) * sum
-    return ndiff.scalar_mul(ndiff.mean(weighted), -(batch * batch) / n_alive)
-
-
 def supcon_symmetric(
     z_a: Tensor,
     z_b: Tensor,
@@ -132,9 +91,37 @@ def supcon_symmetric(
     temperature: float,
     stats: SupconStats | None = None,
 ) -> Tensor:
-    forward_loss = supcon_directional(z_a, z_b, labels, temperature, stats)
-    backward_loss = supcon_directional(z_b, z_a, labels, temperature, stats)
-    return ndiff.scalar_mul(ndiff.add(forward_loss, backward_loss), 0.5)
+    """Mean of the a->b and b->a supervised contrastive losses over one batch.
+
+    Positives for anchor p are the other batch rows with the same label.  As in
+    CLIP, both directions read one ``sim = z_a z_b^T / temperature``: a->b takes
+    the log-softmax over its rows, b->a over its columns.  Anchors without
+    positives are left out of the average (``stats`` counts them per direction);
+    a batch without a same-class pair gives a zero that is still on the tape.
+    """
+    labels = np.asarray(labels)
+    batch = z_a.shape[0]
+    if batch < 2:
+        raise ValueError(f"supcon needs a batch of >= 2, got {batch}")
+    if z_a.shape != z_b.shape:
+        raise ValueError(f"modality shapes differ: {z_a.shape} vs {z_b.shape}")
+    _check_unit_rows(z_a, "z_a")
+    _check_unit_rows(z_b, "z_b")
+    positives = (labels[:, None] == labels[None, :]) & ~np.eye(batch, dtype=bool)
+    counts = positives.sum(axis=1)
+    alive = counts > 0
+    n_alive = int(alive.sum())
+    if stats is not None:
+        stats.empty_anchor_count += 2 * (batch - n_alive)
+    weights = np.zeros((batch, batch), dtype=z_a.data.dtype)
+    weights[alive] = positives[alive] / counts[alive, None]
+    sim = ndiff.scalar_mul(ndiff.matmul(z_a, ndiff.transpose(z_b)), 1.0 / temperature)
+    weighted = ndiff.add(
+        ndiff.mul(Tensor(weights), ndiff.log_softmax(sim, axis=-1)),
+        ndiff.mul(Tensor(weights.T), ndiff.log_softmax(sim, axis=0)),
+    )
+    # mean over B^2 entries -> rescale to -(1/(2 n_alive)) * sum
+    return ndiff.scalar_mul(ndiff.mean(weighted), -(batch * batch) / (2 * max(n_alive, 1)))
 
 
 def reconstruction_loss(logits: Tensor, targets: np.ndarray | Tensor) -> Tensor:

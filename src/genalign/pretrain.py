@@ -9,12 +9,13 @@ student view) pairs; masked token distributions are matched against the
 teacher's unmasked tokens of the same global view.  Teacher logits are
 centered (running mean) and sharpened with a lower temperature.
 
-Each side's views run in one ``aggregator.forward_bags`` call, one forward
-per exact view length, as DINO's multi-crop wrapper runs same-size crops
-together; it returns only each view's CLS row and its rows at the masked
-positions (with iBOT on).  Those rows stay stacked in one row matrix from the
-aggregator to the loss: the head runs once per side (two head calls per
-step), and one log-softmax and one cross entropy score every student row.
+A step's two passes, ``teacher_targets`` and ``pretrain_objective``, each run
+their views in one ``aggregator.forward_bags`` call, one forward per exact
+view length, as DINO's multi-crop wrapper runs same-size crops together; it
+returns only each view's CLS row and its rows at the masked positions (with
+iBOT on).  Those rows stay stacked in one row matrix from the aggregator to
+the loss: the head runs once per pass (two head calls per step), and one
+log-softmax and one cross entropy score every student row.
 """
 
 from __future__ import annotations
@@ -328,33 +329,14 @@ def train_pretrain(
     return PretrainResult(student, teacher, metrics, agg_config, config)
 
 
-def _bucketed_pass(
-    batch_bags: list[CellBag],
-    views_per_patient: list[list[BagView]],
-    params: dict[str, Tensor],
-    agg_config: AggregatorConfig,
-    config: PretrainConfig,
-    student: bool,
-) -> tuple[Tensor, Tensor]:
-    """Run a batch's views, in [view][patient] order, through one
-    ``forward_bags`` call and the head once on the stacked rows.  The
-    student runs every view with its masked cells replaced by the mask
-    token; the teacher runs the global views alone, unmasked.  Returns the
-    hidden rows and their head logits: the CLS rows of the student's views
-    or the teacher's global views, then, with iBOT on, the token rows at
-    every masked position of the global views, which line up between the
-    two sides.
-    """
-    with_tokens = config.ibot_weight != 0
-    pairs = [(p, view) for views in zip(*views_per_patient) for p, view in enumerate(views)]
-    if not student:
-        pairs = pairs[: config.k_global * len(batch_bags)]
-    masks = [view.mask for _, view in pairs]
-    hidden = forward_bags(
-        [batch_bags[p].cells[view.indices] for p, view in pairs], params, agg_config,
-        masks if student else None, masks if with_tokens else None,
-    )
-    return hidden, head_forward(hidden, params)
+def _views_in_row_order(
+    batch_bags: list[CellBag], views_per_patient: list[list[BagView]], n_views: int
+) -> tuple[list[np.ndarray], list[np.ndarray]]:
+    """Cells and masks of each patient's first ``n_views`` views, in the
+    [view][patient] order of the rows ``dino_ibot_loss`` reads."""
+    pairs = [(batch_bags[p], view) for views in list(zip(*views_per_patient))[:n_views]
+             for p, view in enumerate(views)]
+    return [bag.cells[view.indices] for bag, view in pairs], [view.mask for _, view in pairs]
 
 
 def teacher_targets(
@@ -363,13 +345,14 @@ def teacher_targets(
     teacher_params: dict[str, Tensor],
     agg_config: AggregatorConfig,
     config: PretrainConfig,
-) -> np.ndarray:
-    """Teacher pass on the global views only, unmasked and untaped: logits
-    of their CLS rows, then of the tokens at every masked position, in the
-    student's row order (see ``dino_ibot_loss``)."""
-    return _bucketed_pass(
-        batch_bags, views_per_patient, teacher_params, agg_config, config, student=False
-    )[1].data
+) -> tuple[np.ndarray, np.ndarray]:
+    """Teacher pass on the global views only, unmasked and untaped: their CLS
+    rows (before the head), and the logits of those rows, then of the tokens
+    at every masked position, in the student's row order (``dino_ibot_loss``)."""
+    cells, masks = _views_in_row_order(batch_bags, views_per_patient, config.k_global)
+    hidden = forward_bags(cells, teacher_params, agg_config, None,
+                          masks if config.ibot_weight != 0 else None)
+    return hidden.data[: len(cells)], head_forward(hidden, teacher_params).data
 
 
 def pretrain_objective(
@@ -382,15 +365,21 @@ def pretrain_objective(
     config: PretrainConfig,
     teacher_temp: float,
 ) -> tuple[Tensor, Tensor, Tensor]:
-    """Student pass against ``teacher_targets``: (dino, ibot, total).
+    """Student pass against the logits of ``teacher_targets``: (dino, ibot, total).
 
-    The views run one aggregator forward per exact length and the head runs
-    once on all CLS and masked token rows (the only token rows the
-    aggregator returns); ``dino_ibot_loss`` scores them."""
-    _, logits = _bucketed_pass(
-        batch_bags, views_per_patient, student, agg_config, config, student=True
-    )
-    return dino_ibot_loss(targets, logits, len(batch_bags), center, teacher_temp, config)
+    Every view runs, masked cells read as the mask token, in one
+    ``forward_bags`` call; the head runs once on all CLS and masked token rows,
+    and ``dino_ibot_loss`` scores them.  Only global views may carry a mask:
+    the teacher returns no token rows for a local one."""
+    for views in views_per_patient:
+        for k, view in enumerate(views[config.k_global:], config.k_global):
+            if len(view.mask):
+                raise ValueError(f"patient {view.patient_id}: view {k} is a local view with a "
+                                 f"mask; only the {config.k_global} global views may carry one")
+    cells, masks = _views_in_row_order(batch_bags, views_per_patient, config.k_global + config.k_local)
+    hidden = forward_bags(cells, student, agg_config, masks, masks if config.ibot_weight != 0 else None)
+    return dino_ibot_loss(targets, head_forward(hidden, student), len(batch_bags), center,
+                          teacher_temp, config)
 
 
 def _train_step(
@@ -406,13 +395,12 @@ def _train_step(
     batch_id: str,
 ) -> tuple[float, float, float, np.ndarray]:
     """One optimizer step: (dino, ibot, total) and the teacher's global CLS rows."""
-    n_global = config.k_global * len(batch_bags)
-    hidden, logits = _bucketed_pass(
-        batch_bags, views_per_patient, teacher.params, agg_config, config, student=False
+    cls_rows, targets = teacher_targets(
+        batch_bags, views_per_patient, teacher.params, agg_config, config
     )
     with Tape() as tape:
         dino, ibot, loss = pretrain_objective(
-            batch_bags, views_per_patient, student, logits.data, teacher.center,
+            batch_bags, views_per_patient, student, targets, teacher.center,
             agg_config, config, teacher_temp,
         )
     loss_value = float(loss.data)
@@ -421,5 +409,5 @@ def _train_step(
     grads = tape.backward(loss)
     optimizer.step(grads, lr=lr)
     ema_update(teacher.params, student, config.ema_momentum)
-    teacher.center = center_update(teacher.center, logits.data[:n_global], config.center_momentum)
-    return float(dino.data), float(ibot.data), loss_value, hidden.data[:n_global]
+    teacher.center = center_update(teacher.center, targets[: len(cls_rows)], config.center_momentum)
+    return float(dino.data), float(ibot.data), loss_value, cls_rows

@@ -11,7 +11,6 @@ from genalign.align import (
     load_align_checkpoint,
     reconstruction_loss,
     stratified_batches,
-    supcon_directional,
     supcon_symmetric,
     train_align,
 )
@@ -19,6 +18,7 @@ from genalign.cohort import Cohort, Patient
 from genalign.karyogram import load_band_table
 from genalign.ndiff import Tensor
 from genalign.pretrain import TrainingError
+from genalign.synthcohort import SynthConfig, generate
 
 TINY_AGG = AggregatorConfig(depth=1, heads=2, embed_dim=12, mlp_dim=24,
                             input_dim=12, max_cells=16)
@@ -48,30 +48,38 @@ def supcon_oracle(za, zb, labels, tau):
     return -total / alive if alive else 0.0
 
 
+def supcon_oracle_both(za, zb, labels, tau):
+    return 0.5 * (supcon_oracle(za, zb, labels, tau) + supcon_oracle(zb, za, labels, tau))
+
+
 class TestSupconDirectional:
+    """``supcon_symmetric`` against the directional definition, per direction."""
+
     def test_two_identical_same_class(self):
         u = np.zeros((1, 8))
         u[0, 0] = 1.0
         z = Tensor(np.vstack([u, u]))
-        loss = supcon_directional(z, Tensor(z.data.copy()), np.array([0, 0]), 0.3)
+        loss = supcon_symmetric(z, Tensor(z.data.copy()), np.array([0, 0]), 0.3)
         assert float(loss.data) == pytest.approx(math.log(2), rel=1e-9)
 
     def test_no_positives_returns_zero_and_counts(self, rng):
-        z = Tensor(unit_rows(rng, (2, 8)))
+        za = Tensor(unit_rows(rng, (2, 8)), requires_grad=True)
         stats = SupconStats()
-        loss = supcon_directional(z, Tensor(unit_rows(rng, (2, 8))),
-                                  np.array([0, 1]), 0.1, stats)
+        with ndiff.Tape() as tape:
+            loss = supcon_symmetric(za, Tensor(unit_rows(rng, (2, 8))),
+                                    np.array([0, 1]), 0.1, stats)
         assert float(loss.data) == 0.0
-        assert stats.empty_anchor_count == 2
-        assert stats.empty_batch_count == 1
+        assert stats.empty_anchor_count == 4
+        # the zero is on the tape, so a loss made of it alone still backpropagates
+        assert not tape.backward(loss)[za].any()
 
     def test_matches_scalar_loop_oracle(self, rng):
         za = unit_rows(rng, (3, 16))
         zb = unit_rows(rng, (3, 16))
         labels = np.array(["A", "A", "B"])
-        loss = supcon_directional(Tensor(za), Tensor(zb), labels, 0.5)
+        loss = supcon_symmetric(Tensor(za), Tensor(zb), labels, 0.5)
         assert float(loss.data) == pytest.approx(
-            supcon_oracle(za, zb, labels, 0.5), rel=1e-9
+            supcon_oracle_both(za, zb, labels, 0.5), rel=1e-9
         )
 
     def test_oracle_agreement_with_partial_empty_anchors(self, rng):
@@ -79,19 +87,21 @@ class TestSupconDirectional:
         za = unit_rows(rng, (5, 8))
         zb = unit_rows(rng, (5, 8))
         labels = np.array([0, 0, 1, 1, 2])
-        loss = supcon_directional(Tensor(za), Tensor(zb), labels, 0.2)
+        stats = SupconStats()
+        loss = supcon_symmetric(Tensor(za), Tensor(zb), labels, 0.2, stats)
         assert float(loss.data) == pytest.approx(
-            supcon_oracle(za, zb, labels, 0.2), rel=1e-9
+            supcon_oracle_both(za, zb, labels, 0.2), rel=1e-9
         )
+        assert stats.empty_anchor_count == 2
 
     def test_batch_permutation_invariance(self, rng):
         za = unit_rows(rng, (6, 8))
         zb = unit_rows(rng, (6, 8))
         labels = np.array([0, 0, 1, 1, 2, 2])
-        base = float(supcon_directional(Tensor(za), Tensor(zb), labels, 0.1).data)
+        base = float(supcon_symmetric(Tensor(za), Tensor(zb), labels, 0.1).data)
         perm = rng.permutation(6)
         shuffled = float(
-            supcon_directional(Tensor(za[perm]), Tensor(zb[perm]), labels[perm], 0.1).data
+            supcon_symmetric(Tensor(za[perm]), Tensor(zb[perm]), labels[perm], 0.1).data
         )
         assert shuffled == pytest.approx(base, rel=1e-6)
 
@@ -99,13 +109,13 @@ class TestSupconDirectional:
         za = unit_rows(rng, (4, 8))
         zb = unit_rows(rng, (4, 8))
         labels = np.array([0, 0, 1, 1])
-        base = float(supcon_directional(Tensor(za), Tensor(zb), labels, 0.1).data)
+        base = float(supcon_symmetric(Tensor(za), Tensor(zb), labels, 0.1).data)
         q, _ = np.linalg.qr(rng.standard_normal((8, 8)))
         rotated = float(
-            supcon_directional(Tensor(za @ q), Tensor(zb @ q), labels, 0.1).data
+            supcon_symmetric(Tensor(za @ q), Tensor(zb @ q), labels, 0.1).data
         )
         assert rotated == pytest.approx(base, rel=1e-5)
-        other_temp = float(supcon_directional(Tensor(za), Tensor(zb), labels, 0.5).data)
+        other_temp = float(supcon_symmetric(Tensor(za), Tensor(zb), labels, 0.5).data)
         assert abs(other_temp - base) > 1e-6
 
     def test_clustered_beats_shuffled_labels(self):
@@ -114,18 +124,24 @@ class TestSupconDirectional:
         zb = za.copy()
         clustered = np.array([0, 0, 0, 1, 1, 1])
         shuffled = np.array([0, 1, 0, 1, 0, 1])
-        low = float(supcon_directional(Tensor(za), Tensor(zb), clustered, 0.1).data)
-        high = float(supcon_directional(Tensor(za), Tensor(zb), shuffled, 0.1).data)
+        low = float(supcon_symmetric(Tensor(za), Tensor(zb), clustered, 0.1).data)
+        high = float(supcon_symmetric(Tensor(za), Tensor(zb), shuffled, 0.1).data)
         assert low < high
 
     def test_rejects_small_or_unnormalized_batches(self, rng):
         with pytest.raises(ValueError, match=">= 2"):
-            supcon_directional(Tensor(unit_rows(rng, (1, 4))),
-                               Tensor(unit_rows(rng, (1, 4))), np.array([0]), 0.1)
+            supcon_symmetric(Tensor(unit_rows(rng, (1, 4))),
+                             Tensor(unit_rows(rng, (1, 4))), np.array([0]), 0.1)
         bad = Tensor(unit_rows(rng, (2, 4)) * 1.3)
         with pytest.raises(ValueError, match="unit-norm"):
-            supcon_directional(bad, Tensor(unit_rows(rng, (2, 4))),
-                               np.array([0, 0]), 0.1)
+            supcon_symmetric(bad, Tensor(unit_rows(rng, (2, 4))),
+                             np.array([0, 0]), 0.1)
+        with pytest.raises(ValueError, match="unit-norm"):
+            supcon_symmetric(Tensor(unit_rows(rng, (2, 4))), bad,
+                             np.array([0, 0]), 0.1)
+        with pytest.raises(ValueError, match="shapes differ"):
+            supcon_symmetric(Tensor(unit_rows(rng, (2, 4))),
+                             Tensor(unit_rows(rng, (2, 8))), np.array([0, 0]), 0.1)
 
     def test_gradient_passes_grad_check_b4(self, rng):
         zb = unit_rows(rng, (4, 8))
@@ -133,7 +149,7 @@ class TestSupconDirectional:
 
         def f_anchor(raw):
             za = ndiff.l2_normalize(raw, axis=-1)
-            return supcon_directional(za, Tensor(zb), labels, 0.2)
+            return supcon_symmetric(za, Tensor(zb), labels, 0.2)
 
         report = ndiff.grad_check(f_anchor, Tensor(rng.standard_normal((4, 8))),
                                   eps=1e-5, tol=1e-4)
@@ -142,8 +158,8 @@ class TestSupconDirectional:
         za = unit_rows(rng, (4, 8))
 
         def f_target(raw):
-            return supcon_directional(Tensor(za), ndiff.l2_normalize(raw, axis=-1),
-                                      labels, 0.2)
+            return supcon_symmetric(Tensor(za), ndiff.l2_normalize(raw, axis=-1),
+                                    labels, 0.2)
 
         report = ndiff.grad_check(f_target, Tensor(rng.standard_normal((4, 8))),
                                   eps=1e-5, tol=1e-4)
@@ -155,10 +171,7 @@ class TestSupconSymmetric:
         z = unit_rows(rng, (4, 8))
         labels = np.array([0, 0, 1, 1])
         sym = float(supcon_symmetric(Tensor(z), Tensor(z.copy()), labels, 0.1).data)
-        directional = float(
-            supcon_directional(Tensor(z), Tensor(z.copy()), labels, 0.1).data
-        )
-        assert sym == pytest.approx(directional, rel=1e-9)
+        assert sym == pytest.approx(supcon_oracle(z, z, labels, 0.1), rel=1e-9)
 
     def test_modality_swap_symmetry(self, rng):
         za, zb = unit_rows(rng, (5, 8)), unit_rows(rng, (5, 8))
@@ -171,9 +184,19 @@ class TestSupconSymmetric:
         za, zb = unit_rows(rng, (6, 8)), unit_rows(rng, (6, 8))
         labels = np.array([0, 0, 0, 1, 1, 1])
         sym = float(supcon_symmetric(Tensor(za), Tensor(zb), labels, 0.3).data)
-        expected = 0.5 * (supcon_oracle(za, zb, labels, 0.3)
-                          + supcon_oracle(zb, za, labels, 0.3))
-        assert sym == pytest.approx(expected, rel=1e-9)
+        assert sym == pytest.approx(supcon_oracle_both(za, zb, labels, 0.3), rel=1e-9)
+
+    def test_one_similarity_matmul_per_call(self, rng, monkeypatch):
+        matmul, calls = ndiff.matmul, []
+
+        def counting_matmul(*args):
+            calls.append(args)
+            return matmul(*args)
+
+        monkeypatch.setattr(ndiff, "matmul", counting_matmul)
+        za, zb = unit_rows(rng, (6, 8)), unit_rows(rng, (6, 8))
+        supcon_symmetric(Tensor(za), Tensor(zb), np.array([0, 0, 0, 1, 1, 1]), 0.3)
+        assert len(calls) == 1
 
 
 class TestReconstruction:
@@ -269,6 +292,19 @@ class TestTrainAlign:
             record["supcon_sk"] + record["supcon_sm"], rel=1e-6
         )
         assert record["recon"] == 0.0
+
+    def test_recon_free_batch_without_a_same_class_pair_trains(self):
+        # 7 + 3 training labels dealt two per class leave a batch with one
+        # patient of each class; with recon off, SupCon is its whole loss
+        cohort = generate(SynthConfig(
+            n_patients=12, n_classes=2, karyotype_signatures=[["+8"], ["-7"]],
+            mutation_rates=[[0.5] * 5, [0.2] * 5], cells_min=8, cells_max=10,
+            input_dim=8, seed=0))
+        agg = AggregatorConfig(depth=1, heads=2, embed_dim=8, input_dim=8, max_cells=10)
+        cfg = AlignConfig(init="random", epochs=1, batch_size=2, recon_weight=0.0)
+        record = train_align(cohort, agg, cfg).metrics[0]
+        assert record["empty_anchors"] > 0
+        assert np.isfinite(record["total"])
 
     def test_arm_resolution_width(self, rng):
         cohort = make_cohort(rng)

@@ -101,7 +101,7 @@ def tiny_step_inputs(rng, mask_ratio):
     bags = [CellBag(f"p{i}", rng.standard_normal((8, TINY_AGG.input_dim)))
             for i in range(2)]
     views = [sample_views(b, pre.k_global, pre.k_local, pre.mask_ratio, rng) for b in bags]
-    targets = teacher_targets(bags, views, teacher, TINY_AGG, pre)
+    _, targets = teacher_targets(bags, views, teacher, TINY_AGG, pre)
     center = np.zeros(pre.n_prototypes, dtype=np.float32)
     return pre, student, teacher, bags, views, targets, center
 
@@ -144,6 +144,13 @@ class TestIbotLoss:
         view = views[0][0]
         view.mask = np.array([len(view.indices)])
         with pytest.raises(ValueError, match="out of range"):
+            pretrain_objective(bags, views, student, targets, center, TINY_AGG, pre, 0.04)
+
+    def test_masked_local_view_rejected_by_name(self, rng):
+        pre, student, _, bags, views, targets, center = tiny_step_inputs(rng, 0.25)
+        views[0][pre.k_global].mask = np.array([0, 1])
+        with pytest.raises(ValueError, match=rf"patient p0: view {pre.k_global} is a local "
+                                             r"view with a mask; only the \d+ global views"):
             pretrain_objective(bags, views, student, targets, center, TINY_AGG, pre, 0.04)
 
 
@@ -283,7 +290,7 @@ def build_microbatch(seed=5):
         return loss
 
     def production_loss():
-        targets = teacher_targets(bags, views, teacher, config, pre)
+        _, targets = teacher_targets(bags, views, teacher, config, pre)
         return pretrain_objective(bags, views, params, targets, center, config, pre,
                                   TEACHER_TEMP)[2]
 
@@ -364,7 +371,7 @@ class TestFullLossGradients:
         monkeypatch.setattr(aggregator, "forward", counting_forward)
         monkeypatch.setattr(pretrain, "head_forward", counting_head)
         monkeypatch.setattr(ndiff, "log_softmax", counting_log_softmax)
-        targets = teacher_targets(mb.bags, mb.views, mb.teacher, mb.config, mb.pre)
+        _, targets = teacher_targets(mb.bags, mb.views, mb.teacher, mb.config, mb.pre)
         with Tape():
             pretrain_objective(mb.bags, mb.views, mb.params, targets, mb.center,
                                mb.config, mb.pre, TEACHER_TEMP)
@@ -401,7 +408,7 @@ class TestFullLossGradients:
 
         monkeypatch.setattr(aggregator, "forward", counting_forward)
         monkeypatch.setattr(pretrain, "head_forward", counting_head)
-        targets = teacher_targets(bags, views, params, TINY_AGG, pre)
+        cls_rows, targets = teacher_targets(bags, views, params, TINY_AGG, pre)
         global_views = [view for per_patient in views for view in per_patient[:pre.k_global]]
         assert all(view.mask.size == 0 for per_patient in views
                    for view in per_patient[pre.k_global:])
@@ -412,6 +419,7 @@ class TestFullLossGradients:
         n_masked = sum(view.mask.size for view in global_views)
         assert n_masked > 0
         assert heads == [pre.k_global * len(bags) + n_masked] == [targets.shape[0]]
+        assert cls_rows.shape == (pre.k_global * len(bags), TINY_AGG.embed_dim)
 
     def test_teacher_params_absent_from_gradient_map(self, rng):
         pre, student, teacher, bags, views, targets, center = tiny_step_inputs(rng, 0.25)
