@@ -5,15 +5,17 @@ Cells are projected by an MLP (no patchification).  One row gather from
 cells]``, a masked cell reading the learned mask token, and the sequences
 run through pre-norm transformer blocks with no positional encodings, so the
 CLS state depends only on the multiset of cells.  ``forward`` has one row
-layout in and one out: B equal-length views go in as stacked cell rows,
-``(B * n, input_dim)``, and only the rows a caller reads come out: each
-view's CLS row followed by its rows at the requested token positions.  The
-last block runs attention queries, the MLP and the final layer norm on those
-rows alone (keys and values still come from every row), as CaiT's
-class-attention layers do.
-Every caller (pretraining's sub-bag views; alignment, embedding and
-evaluation's full bags) goes through ``forward_bags``: one stacked ``forward``
-call per exact view length, split to bound the attention scores a call holds.
+layout in and one out: B views go in as stacked cell rows, and only the rows
+a caller reads come out: each view's CLS row followed by its rows at the
+requested token positions.  The last block runs attention queries, the MLP
+and the final layer norm on those rows alone (keys and values still come
+from every row), as CaiT's class-attention layers do.
+Views of different lengths pack into one call, as packed sequences do
+(Krell et al. 2021): the row-wise layers run once over every view's rows and
+only attention is grouped per sequence.  Every caller (pretraining's sub-bag
+views; alignment, embedding and evaluation's full bags) goes through
+``forward_bags``, which packs its views into as few ``forward`` calls as a
+per-call float budget allows.
 Multi-crop view sampling draws global (70%) and local (20%) sub-bags, with a
 mask on each global view for the masked-prediction objective.
 """
@@ -175,67 +177,95 @@ def _layer_norm(x: Tensor, params: dict[str, Tensor], prefix: str) -> Tensor:
 
 def forward(
     cells: np.ndarray | Tensor,
-    mask: np.ndarray,
+    mask: np.ndarray | list[np.ndarray],
     params: dict[str, Tensor],
     config: AggregatorConfig,
-    tokens: np.ndarray | None = None,
+    tokens: np.ndarray | list[np.ndarray] | None = None,
+    lengths: np.ndarray | list[int] | None = None,
 ) -> Tensor:
-    """Run the aggregator on B equal-length views stacked as cell rows.
+    """Run the aggregator on B views packed as stacked cell rows.
 
-    ``cells`` is ``(B * n, input_dim)``, view b's cells at rows
-    ``b * n .. b * n + n - 1``, as an array or as a Tensor when gradients
-    w.r.t. the cells are wanted.  ``mask`` holds one row of view-local cell
-    positions per view, ``(B, m)`` (``(m,)`` for one view), so its row count
-    is B; the masked cells' projected embeddings are replaced by the learned
-    mask token before the transformer.  ``tokens`` holds the view-local cell
-    positions whose output rows are read, one row per view, ``(B, t)``
-    (``(t,)`` for one view).  Returns the final-layer-norm hidden rows
-    ``(B * (1 + t), D)``: view b's CLS row at ``b * (1 + t)``, then its rows
-    at ``tokens[b]`` in that order; without tokens, the CLS rows ``(B, D)``.
+    ``cells`` holds the views' cell rows one view after another, as an array
+    or as a Tensor when gradients w.r.t. the cells are wanted.  Without
+    ``lengths`` the B views have equal length: ``mask`` holds one row of
+    view-local cell positions per view, ``(B, m)`` (``(m,)`` for one view),
+    so its row count is B, and ``tokens`` likewise ``(B, t)`` (``(t,)`` for
+    one view).  With ``lengths``, view b has ``lengths[b]`` cells and
+    ``mask`` and ``tokens`` are sequences of one 1-D position array per view,
+    of any sizes.  The masked cells' projected embeddings are replaced by the
+    learned mask token before the transformer; ``tokens`` are the positions
+    whose output rows are read.  Returns the final-layer-norm hidden rows,
+    view by view: view b's CLS row, then its rows at ``tokens[b]`` in that
+    order; without tokens, the CLS rows ``(B, D)``.
 
     Each view runs as one sequence ``[CLS, cells...]``: bags are sets, so
-    equal-length views need no padding and no attention mask.  Every block
-    but the last runs on all rows.  The last block normalizes all rows, so
-    its keys and values are complete, but runs attention, the MLP and the
-    final layer norm only on the rows it returns.
+    views need no padding and no attention mask.  Every row-wise layer (the
+    cell MLP, layer norms, residual adds, block MLPs) runs once over the rows
+    of all views; only attention is grouped per sequence.  Every block but
+    the last runs on all rows.  The last block normalizes all rows, so its
+    keys and values are complete, but runs attention, the MLP and the final
+    layer norm only on the rows it returns.
     """
     if not isinstance(cells, Tensor):
         cells = Tensor(np.asarray(cells, dtype=params["cls"].dtype))
-    masks = np.asarray(mask, dtype=np.int64)
-    if masks.ndim == 1:
-        masks = masks[None]
-    if masks.ndim != 2 or masks.shape[0] == 0:
-        raise ValueError(f"mask shape {masks.shape} does not give one row per view")
-    b = masks.shape[0]
     if cells.data.ndim != 2 or cells.shape[0] == 0:
         raise ValueError(f"empty bag or not (rows, input_dim) cells: shape {cells.shape}")
-    if cells.shape[0] % b:
-        raise ValueError(f"{cells.shape[0]} cell rows are not a multiple of {b} views")
-    n, width = cells.shape[0] // b, cells.shape[1]
-    if width != config.input_dim:
+    if cells.shape[1] != config.input_dim:
         raise ValueError(
-            f"cell width {width} != configured input_dim {config.input_dim}"
+            f"cell width {cells.shape[1]} != configured input_dim {config.input_dim}"
         )
-    tokens = np.empty((b, 0), np.int64) if tokens is None else np.asarray(tokens, dtype=np.int64)
-    if tokens.ndim == 1:
-        tokens = tokens[None]
-    if tokens.ndim != 2 or tokens.shape[0] != b:
-        raise ValueError(f"tokens shape {tokens.shape} does not give one row per view of {b}")
-    for name, positions in (("mask", masks), ("tokens", tokens)):
-        if positions.size and (positions.min() < 0 or positions.max() >= n):
-            raise ValueError(f"{name} positions out of range for a {n}-cell view")
+    if lengths is None:
+        masks = np.asarray(mask, dtype=np.int64)
+        if masks.ndim == 1:
+            masks = masks[None]
+        if masks.ndim != 2 or masks.shape[0] == 0:
+            raise ValueError(f"mask shape {masks.shape} does not give one row per view")
+        b = masks.shape[0]
+        if cells.shape[0] % b:
+            raise ValueError(f"{cells.shape[0]} cell rows are not a multiple of {b} views")
+        tokens = np.empty((b, 0), np.int64) if tokens is None else np.asarray(tokens, dtype=np.int64)
+        if tokens.ndim == 1:
+            tokens = tokens[None]
+        if tokens.ndim != 2 or tokens.shape[0] != b:
+            raise ValueError(f"tokens shape {tokens.shape} does not give one row per view of {b}")
+        lengths = np.full(b, cells.shape[0] // b)
+        masks, tokens = list(masks), list(tokens)
+    else:
+        lengths = np.asarray(lengths, dtype=np.int64)
+        b = lengths.size
+        if lengths.ndim != 1 or not b or lengths.min() < 1 or lengths.sum() != cells.shape[0]:
+            raise ValueError(f"view lengths {lengths.tolist()} do not split {cells.shape[0]} cell rows")
+        masks = [np.asarray(m, dtype=np.int64) for m in mask]
+        tokens = ([np.empty(0, np.int64)] * b if tokens is None
+                  else [np.asarray(t, dtype=np.int64) for t in tokens])
+        for name, positions in (("mask", masks), ("tokens", tokens)):
+            if len(positions) != b or any(p.ndim != 1 for p in positions):
+                raise ValueError(f"{name} does not give one 1-D position array per view of {b}")
+    # each entry's view and position, flat over all views
+    mask_view, mask_pos = _flatten(masks)
+    token_view, token_pos = _flatten(tokens)
+    for name, view, positions in (("mask", mask_view, mask_pos), ("tokens", token_view, token_pos)):
+        bad = (positions < 0) | (positions >= lengths[view])
+        if bad.any():
+            raise ValueError(f"{name} positions out of range for a {lengths[view[bad][0]]}-cell view")
     x = mlp_forward(cells, params, "embed")
     # One gather from the rows [CLS; mask token; cells] builds each view's
     # [CLS; cells], a masked cell reading the mask token.  The mask token
     # joins only when a cell is masked: an unmasked call gives it no gradient.
-    table = [params["cls"], params["mask_token"], x] if masks.size else [params["cls"], x]
-    seq = n + 1
-    rows = np.zeros((b, seq), dtype=np.int64)
-    rows[:, 1:] = len(table) - 1 + np.arange(b * n).reshape(b, n)
-    rows[np.arange(b)[:, None], 1 + masks] = 1
-    x = ndiff.gather_rows(ndiff.concat_rows(table), rows.ravel())
+    table = [params["cls"], params["mask_token"], x] if mask_pos.size else [params["cls"], x]
+    seq = lengths + 1
+    first = np.cumsum(seq) - seq  # each view's CLS row
+    # sequence row r of view v reads cell row r - v - 1
+    rows = len(table) - 2 + np.arange(seq.sum()) - np.repeat(np.arange(b), seq)
+    rows[first] = 0
+    rows[first[mask_view] + 1 + mask_pos] = 1
+    x = ndiff.gather_rows(ndiff.concat_rows(table), rows)
     # the rows returned: each view's CLS row, then its token rows
-    read = (np.arange(b)[:, None] * seq + np.hstack([np.zeros((b, 1), np.int64), 1 + tokens])).ravel()
+    n_tokens = np.bincount(token_view, minlength=b)
+    read = np.repeat(first, 1 + n_tokens)
+    is_token = np.ones(read.size, bool)
+    is_token[np.arange(b) + np.cumsum(n_tokens) - n_tokens] = False
+    read[is_token] += 1 + token_pos
     for i in range(config.depth):
         prefix = f"block{i}"
         h = _layer_norm(x, params, f"{prefix}.ln1")
@@ -248,8 +278,14 @@ def forward(
     return _layer_norm(x, params, "final_ln")
 
 
-# Attention scores (views x heads x (n + 1)^2) one call may hold: a 1,024-cell bag at 4 heads
-MAX_ATTENTION_SCORES = 4 * 1025**2
+def _flatten(positions: list[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
+    """Per-view 1-D position arrays as each entry's view and position."""
+    return np.repeat(np.arange(len(positions)), [p.size for p in positions]), np.concatenate(positions)
+
+
+# Floats one call may hold: a view of n cells counts its attention scores,
+# heads * (n + 1)^2, plus one MLP activation row per token, (n + 1) * mlp_dim
+MAX_CALL_FLOATS = 1025**2
 
 
 def forward_bags(
@@ -260,25 +296,31 @@ def forward_bags(
     tokens: list[np.ndarray] | None = None,
 ) -> Tensor:
     """Run views of any lengths: view i's ``(n_i, input_dim)`` cell rows and,
-    as in ``forward``, its mask and token positions (none when omitted).  Views
-    of one exact length (and mask and token count) run as stacked ``forward``
-    calls of at most ``MAX_ATTENTION_SCORES`` scores, or one view, each.
-    Returns every view's CLS row in input order, then each view's token rows."""
+    as in ``forward``, its mask and token positions (none when omitted).  The
+    views, sorted by (length, mask count, token count), are packed into as
+    few ``forward`` calls as ``MAX_CALL_FLOATS`` allows; a view over that
+    budget runs alone.  Returns every view's CLS row in input order, then
+    each view's token rows."""
     none = [np.empty(0, np.int64)] * len(cells)
     masks, tokens = (none if m is None else [np.asarray(x, np.int64) for x in m] for m in (masks, tokens))
-    groups: dict[tuple[int, int, int], list[int]] = {}
-    for i, key in enumerate(zip(map(len, cells), map(np.size, masks), map(np.size, tokens), strict=True)):
-        groups.setdefault(key, []).append(i)
-    hidden, view, slot = [], [], []
-    for (n, _, t), members in sorted(groups.items()):
-        per_call = max(1, MAX_ATTENTION_SCORES // (config.heads * (n + 1) ** 2))
-        for chunk in (members[s : s + per_call] for s in range(0, len(members), per_call)):
-            hidden.append(forward(np.concatenate([cells[i] for i in chunk]),
-                                  np.stack([masks[i] for i in chunk]), params, config,
-                                  np.stack([tokens[i] for i in chunk])))
-            view.append(np.repeat(chunk, 1 + t))  # each view's CLS row, then its t token rows
-            slot.append(np.tile(np.arange(1 + t), len(chunk)))
-    view, slot = np.concatenate(view), np.concatenate(slot)
+    if not len(masks) == len(tokens) == len(cells):
+        raise ValueError(f"{len(cells)} views, {len(masks)} masks and {len(tokens)} token arrays")
+    lengths = np.array([len(c) for c in cells])
+    n_tokens = np.array([t.size for t in tokens])
+    order = np.lexsort((n_tokens, [m.size for m in masks], lengths))
+    cost = config.heads * (lengths + 1) ** 2 + (lengths + 1) * config.mlp_dim
+    chunks, used = [[]], 0
+    for i in order:
+        if chunks[-1] and used + cost[i] > MAX_CALL_FLOATS:
+            chunks.append([])
+            used = 0
+        chunks[-1].append(i)
+        used += cost[i]
+    hidden = [forward(np.concatenate([cells[i] for i in chunk]), [masks[i] for i in chunk], params,
+                      config, [tokens[i] for i in chunk], lengths[chunk])
+              for chunk in chunks]
+    view = np.repeat(order, 1 + n_tokens[order])  # each view's CLS row, then its token rows
+    slot = np.concatenate([np.arange(1 + n_tokens[i]) for i in order])
     # CLS rows (slot 0) first, then token rows, each ordered by view, then slot
     return ndiff.gather_rows(ndiff.concat_rows(hidden), np.lexsort((slot, view, slot > 0)))
 

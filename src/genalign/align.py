@@ -6,7 +6,10 @@ modality as a positive for the anchor; each modality pair is trained in both
 directions, read from one similarity matrix.  Decoders reconstruct the binary
 genetic vectors from their own projected embedding (BCE), weighted by
 ``recon_weight``.
-Fine-tuning embeds each batch's bags in one ``aggregator.forward_bags`` call.
+Fine-tuning embeds each batch's bags in one ``aggregator.forward_bags`` call,
+which packs bags of every length into one aggregator forward within its
+budget.  The learning-rate schedule counts the batches ``stratified_batches``
+makes, a lone leftover patient folded into the last one.
 """
 
 from __future__ import annotations
@@ -376,7 +379,8 @@ def train_align(
         lr=config.lr,
         lr_scale={"agg.": config.aggregator_lr / config.lr},
     )
-    n_batches = max(1, math.ceil(len(train) / config.batch_size))
+    # the batch count does not depend on the shuffle, so a throwaway one counts it
+    n_batches = len(stratified_batches(labels, config.batch_size, np.random.default_rng(0)))
     total_steps = config.epochs * n_batches
     metrics: list[dict] = []
     if metrics_path is not None:

@@ -257,6 +257,16 @@ def write_metrics(path: str | Path, records: list[dict]) -> None:
     write_text(path, "".join(json.dumps(r, sort_keys=True) + "\n" for r in records))
 
 
+def _blas_library() -> dict | None:
+    """The BLAS numpy was built against as ``{name, version}``; None where
+    numpy cannot report it (``show_config(mode=...)`` is newer than 1.24)."""
+    try:
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    except (TypeError, KeyError):
+        return None
+    return {"name": blas.get("name"), "version": blas.get("version")}
+
+
 def write_manifest(
     out_dir: str | Path,
     command: str,
@@ -266,8 +276,8 @@ def write_manifest(
     started: float,
 ) -> Path:
     """Run manifest: config hash, seed, artifact checksums, the environment
-    (Python and numpy versions, BLAS thread variables) and the wall time
-    since ``started``, a ``time.perf_counter()`` reading."""
+    (Python and numpy versions, the BLAS library and its thread variables)
+    and the wall time since ``started``, a ``time.perf_counter()`` reading."""
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     manifest = {
@@ -280,6 +290,7 @@ def write_manifest(
         "environment": {
             "python": platform.python_version(),
             "numpy": np.__version__,
+            "blas": _blas_library(),
             "blas_threads": {var: os.environ.get(var) for var in BLAS_THREAD_VARS},
         },
         "wall_time_s": round(time.perf_counter() - started, 3),

@@ -5,16 +5,16 @@ record onto the active :class:`Tape` (if any); running without a tape is
 the stop-gradient path used for teacher forwards.  f32 is the training
 dtype, f64 the gradient-check dtype; binary ops require matching dtypes.
 
-Accumulation order is fixed (reverse recording order, plain ``+=``), so a
-seeded run reproduces bit-identical values.
+Accumulation order is fixed (reverse recording order, one plain sum per
+contribution), so a seeded run reproduces bit-identical values.
 
 Kernels work in place (``*=``, ``np.exp(..., out=)``) only on arrays they
 allocated themselves, never on an input or an incoming gradient.  A kernel
 rewrite keeps outputs and gradients byte-identical: the same float
 operations on the same operands in the same order.  ``multi_head_attention``
-restricted to some query rows matches those rows of the full call only up
-to rounding: BLAS may round a row of a product differently depending on how
-many rows the product has.
+restricted to some query rows, or packed with other sequences, matches the
+full or separate call only up to rounding: BLAS may round a row of a product
+differently depending on how many rows the product has.
 """
 
 from __future__ import annotations
@@ -118,11 +118,11 @@ class Tape:
                     else:
                         leaf_grads[tensor] = np.array(gin, copy=True)
                     continue
+                # a gradient may be shared (a kernel may pass its incoming one
+                # on, or a view of it), so it is kept as is and never updated
+                # in place; a second contribution makes a new sum
                 key = id(tensor)
-                if key in grads:
-                    grads[key] += gin
-                else:
-                    grads[key] = np.array(gin, copy=True)
+                grads[key] = grads[key] + gin if key in grads else gin
         return leaf_grads
 
 
@@ -308,17 +308,38 @@ def layer_norm(
 
 
 def gelu(a: Tensor) -> Tensor:
-    # tanh approximation; the gradient differentiates the same approximation
+    # tanh approximation; the gradient differentiates the same approximation.
+    # Only x and tanh(t) are kept: the backward recomputes x * x and 1 + t.
+    # Each line is one operation of 0.5 * x * (1 + tanh(c * x * (1 + k x^2)))
+    # and of its derivative, in the same order, so the results are the same
+    # bit for bit as the expressions written out.
     x = a.data
-    x2 = x * x
-    t = _GELU_C * x * (1.0 + 0.044715 * x2)
+    u = x * x
+    u *= 0.044715
+    u += 1.0
+    t = _GELU_C * x
+    t *= u
     np.tanh(t, out=t)
-    one_t = 1.0 + t  # reused by the backward
-    out = Tensor(0.5 * x * one_t)
+    np.add(t, 1.0, out=u)
+    y = 0.5 * x
+    y *= u
+    out = Tensor(y)
 
     def backward(g):
-        dinner = _GELU_C * (1.0 + 0.134145 * x2)
-        return (g * (0.5 * one_t + 0.5 * x * (1.0 - t * t) * dinner),)
+        dinner = x * x  # _GELU_C * (1 + 3k x^2), the derivative of t's argument
+        dinner *= 0.134145
+        dinner += 1.0
+        dinner *= _GELU_C
+        slope = t * t  # 0.5 * x * (1 - t^2) * dinner
+        np.subtract(1.0, slope, out=slope)
+        half_x = 0.5 * x
+        half_x *= slope
+        half_x *= dinner
+        dx = t + 1.0  # 0.5 * (1 + t), plus the above, times g
+        dx *= 0.5
+        dx += half_x
+        dx *= g
+        return (dx,)
 
     return _record(out, (a,), backward)
 
@@ -408,77 +429,108 @@ def multi_head_attention(
     wv: Tensor,
     wo: Tensor,
     n_heads: int,
-    seq_len: int | None = None,
+    seq_len: int | np.ndarray | None = None,
     queries=None,
 ) -> Tensor:
     """Fused softmax(x Wq (x Wk)^T / sqrt(dh)) x Wv Wo over n_heads.
 
-    ``x`` holds B equal-length sequences of ``seq_len`` rows stacked one
-    after another (default: all rows are one sequence); a row attends only
-    to the rows of its own sequence, so no padding or attention mask is
-    involved.  One graph node instead of ~24: the per-head arithmetic runs
-    as batched matmuls over (sequence, head), with the combined backward
-    derived analytically.
+    ``x`` holds sequences stacked one after another: ``seq_len`` is one
+    length shared by every sequence, or a 1-D array of per-sequence lengths
+    (default: all rows are one sequence).  A row attends only to the rows of
+    its own sequence, so no padding or attention mask is involved.  One graph
+    node instead of ~24: Q, K, V and the output projection are one matmul
+    each over all rows; each run of consecutive sequences with equal length
+    and query count runs the per-head arithmetic as batched matmuls over
+    (sequence, head), with the combined backward derived analytically.
 
-    ``queries`` (default: every row) is a 1-D index of the rows whose
-    outputs are wanted: the same number t of rows from each sequence,
-    sequence 0's first.  Keys and values still come from every row, so the
-    output is ``(B * t, d)``, row for row the full output at ``queries``,
-    and the score buffer shrinks to ``(B, h, t, n)``.
+    ``queries`` (default: every row) is a 1-D index of the rows whose outputs
+    are wanted, grouped by sequence in sequence order, at least one row from
+    each; the count may differ between sequences.  Keys and values still
+    come from every row, so the output has one row per query, row for row
+    the full output at ``queries``, and a sequence of n rows and t queries
+    holds a ``(h, t, n)`` score block.
     """
     for w, name in ((wq, "wq"), (wk, "wk"), (wv, "wv"), (wo, "wo")):
         _check_same_dtype(x, w, f"multi_head_attention/{name}")
     rows, d = x.shape
     if d % n_heads != 0:
         raise NdiffError(f"width {d} not divisible by {n_heads} heads")
-    n = rows if seq_len is None else seq_len
-    if n < 1 or rows % n != 0:
-        raise NdiffError(f"{rows} rows do not split into sequences of {n}")
-    b = rows // n
+    if seq_len is None or np.ndim(seq_len) == 0:
+        n = rows if seq_len is None else int(seq_len)
+        if n < 1 or rows % n != 0:
+            raise NdiffError(f"{rows} rows do not split into sequences of {n}")
+        lengths = np.full(rows // n, n)
+    else:
+        lengths = np.asarray(seq_len)
+        if (lengths.ndim != 1 or lengths.dtype.kind not in "iu" or not lengths.size
+                or lengths.min() < 1 or lengths.sum() != rows):
+            raise NdiffError(f"sequence lengths {lengths.tolist()} do not split {rows} rows")
+    b = lengths.size
+    starts = np.cumsum(lengths) - lengths
     dh = d // n_heads
     scale = 1.0 / math.sqrt(dh)
-    xq = x.data
+    xq, counts = x.data, lengths
     if queries is not None:
         queries = np.asarray(queries)
-        if queries.ndim != 1 or queries.dtype.kind not in "iu" or not queries.size or queries.size % b:
+        if queries.ndim != 1 or queries.dtype.kind not in "iu":
             raise NdiffError(
-                f"queries: expected a 1-D integer index with the same number of rows "
-                f"from each of {b} sequences, got {queries.dtype.name} {queries.shape}"
+                f"queries: expected a 1-D integer index, got {queries.dtype.name} {queries.shape}"
             )
-        if (queries.reshape(b, -1) // n != np.arange(b)[:, None]).any():
-            raise NdiffError(f"queries: a row is outside its block's sequence of {n} rows")
+        owner = np.searchsorted(starts, queries, side="right") - 1
+        if queries.size and (queries.min() < 0 or queries.max() >= rows or (np.diff(owner) < 0).any()):
+            raise NdiffError(
+                f"queries: a row is outside its block's sequence (the index must hold "
+                f"rows of [0, {rows}), sequence by sequence in order)"
+            )
+        counts = np.bincount(owner, minlength=b)
+        if not counts.all():
+            raise NdiffError(f"queries: sequence {int(np.argmin(counts))} has no query row")
         xq = x.data[queries]
+    # runs of consecutive sequences sharing (length, query count):
+    # (first key row, first query row, sequences, length, queries per sequence)
+    cuts = np.flatnonzero((np.diff(lengths) != 0) | (np.diff(counts) != 0)) + 1
+    q_starts = np.cumsum(counts) - counts
+    runs = [(int(starts[s]), int(q_starts[s]), int(e - s), int(lengths[s]), int(counts[s]))
+            for s, e in zip(np.r_[0, cuts], np.r_[cuts, b])]
 
-    def split(m):  # (b*t, d) -> (b, h, t, dh)
-        return m.reshape(b, -1, n_heads, dh).transpose(0, 2, 1, 3)
+    def split(m, seqs):  # (seqs*t, d) -> (seqs, h, t, dh)
+        return m.reshape(seqs, -1, n_heads, dh).transpose(0, 2, 1, 3)
 
-    def merge(m):  # (b, h, t, dh) -> (b*t, d)
+    def merge(m):  # (seqs, h, t, dh) -> (seqs*t, d)
         return m.transpose(0, 2, 1, 3).reshape(-1, d)
 
-    q = split(xq @ wq.data)
-    k = split(x.data @ wk.data)
-    v = split(x.data @ wv.data)
-    attn = q @ k.swapaxes(-1, -2)  # the one (b, h, t, n) buffer of the call
-    attn *= scale
-    attn -= attn.max(axis=-1, keepdims=True)
-    np.exp(attn, out=attn)
-    attn /= attn.sum(axis=-1, keepdims=True)
-    merged = merge(attn @ v)
+    q_all = xq @ wq.data
+    k_all = x.data @ wk.data
+    v_all = x.data @ wv.data
+    merged = np.empty_like(q_all)
+    blocks = []  # per run: q, k, v and its one (seqs, h, t, n) score buffer
+    for r0, q0, seqs, n, t in runs:
+        q = split(q_all[q0 : q0 + seqs * t], seqs)
+        k = split(k_all[r0 : r0 + seqs * n], seqs)
+        v = split(v_all[r0 : r0 + seqs * n], seqs)
+        attn = q @ k.swapaxes(-1, -2)
+        attn *= scale
+        attn -= attn.max(axis=-1, keepdims=True)
+        np.exp(attn, out=attn)
+        attn /= attn.sum(axis=-1, keepdims=True)
+        merged[q0 : q0 + seqs * t] = merge(attn @ v)
+        blocks.append((q, k, v, attn))
     out = Tensor(merged @ wo.data)
 
     def backward(g):
         d_merged = g @ wo.data.T
         d_wo = merged.T @ g
-        d_heads = split(d_merged)
-        d_attn = d_heads @ v.swapaxes(-1, -2)
-        d_v = attn.swapaxes(-1, -2) @ d_heads
-        d_scores = d_attn  # attn * (d_attn - rowsum(d_attn * attn)) * scale
-        d_scores -= (d_attn * attn).sum(axis=-1, keepdims=True)
-        d_scores *= attn
-        d_scores *= scale
-        d_q = d_scores @ k
-        d_k = d_scores.swapaxes(-1, -2) @ q
-        dq, dk, dv = merge(d_q), merge(d_k), merge(d_v)
+        dq, dk, dv = np.empty_like(q_all), np.empty_like(k_all), np.empty_like(v_all)
+        for (r0, q0, seqs, n, t), (q, k, v, attn) in zip(runs, blocks):
+            d_heads = split(d_merged[q0 : q0 + seqs * t], seqs)
+            d_attn = d_heads @ v.swapaxes(-1, -2)
+            dv[r0 : r0 + seqs * n] = merge(attn.swapaxes(-1, -2) @ d_heads)
+            d_scores = d_attn  # attn * (d_attn - rowsum(d_attn * attn)) * scale
+            d_scores -= (d_attn * attn).sum(axis=-1, keepdims=True)
+            d_scores *= attn
+            d_scores *= scale
+            dq[q0 : q0 + seqs * t] = merge(d_scores @ k)
+            dk[r0 : r0 + seqs * n] = merge(d_scores.swapaxes(-1, -2) @ q)
         if queries is None:
             d_x = dq @ wq.data.T + dk @ wk.data.T + dv @ wv.data.T
         else:

@@ -10,10 +10,10 @@ teacher's unmasked tokens of the same global view.  Teacher logits are
 centered (running mean) and sharpened with a lower temperature.
 
 A step's two passes, ``teacher_targets`` and ``pretrain_objective``, each run
-their views in one ``aggregator.forward_bags`` call, one forward per exact
-view length, as DINO's multi-crop wrapper runs same-size crops together; it
-returns only each view's CLS row and its rows at the masked positions (with
-iBOT on).  Those rows stay stacked in one row matrix from the aggregator to
+their views in one ``aggregator.forward_bags`` call, which packs views of
+every length into as few forwards as its budget allows (DINO's multi-crop
+wrapper runs each crop size separately); it returns only each view's CLS row
+and its rows at the masked positions (with iBOT on).  Those rows stay stacked in one row matrix from the aggregator to
 the loss: the head runs once per pass (two head calls per step), and one
 log-softmax and one cross entropy score every student row.
 """

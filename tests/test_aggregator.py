@@ -253,15 +253,20 @@ def per_view_rows(cells, masks, tokens, params):
 
 
 def counting_forward(monkeypatch):
-    """Patch ``aggregator.forward`` to record each call's view count."""
+    """Patch ``aggregator.forward`` to record each call's view lengths."""
     calls, forward = [], agg.forward
 
-    def counting(cells, mask, *args):
-        calls.append(np.atleast_2d(mask).shape[0])
-        return forward(cells, mask, *args)
+    def counting(cells, mask, params, config, tokens=None, lengths=None):
+        calls.append(tuple(lengths))
+        return forward(cells, mask, params, config, tokens, lengths)
 
     monkeypatch.setattr(agg, "forward", counting)
     return calls
+
+
+def call_floats(n):
+    """``forward_bags``' budget charge for one view of n cells."""
+    return TINY.heads * (n + 1) ** 2 + (n + 1) * TINY.mlp_dim
 
 
 LENGTHS = [5, 3, 5, 7, 3, 5, 1]
@@ -270,16 +275,16 @@ LENGTHS = [5, 3, 5, 7, 3, 5, 1]
 class TestForwardBags:
     def test_ragged_views_match_per_view_forward(self, tiny_params, rng, monkeypatch):
         cells, masks, tokens = ragged_views(rng, LENGTHS)
+        none = [np.empty(0, np.int64)] * len(LENGTHS)
         reference = per_view_rows(cells, masks, tokens, tiny_params).data
+        cls_reference = per_view_rows(cells, none, none, tiny_params).data
         calls = counting_forward(monkeypatch)
         out = agg.forward_bags(cells, tiny_params, TINY, masks, tokens)
-        assert sorted(calls) == [1, 1, 2, 3]  # one call per exact length
+        assert calls == [tuple(sorted(LENGTHS))]  # one call for every length
         assert out.shape == (len(LENGTHS) + sum(t.size for t in tokens), TINY.embed_dim)
         np.testing.assert_allclose(out.data, reference, rtol=1e-5, atol=1e-6)
         cls_only = agg.forward_bags(cells, tiny_params, TINY)
-        none = [np.empty(0, np.int64)] * len(LENGTHS)
-        np.testing.assert_allclose(cls_only.data, per_view_rows(cells, none, none, tiny_params).data,
-                                   rtol=1e-5, atol=1e-6)
+        np.testing.assert_allclose(cls_only.data, cls_reference, rtol=1e-5, atol=1e-6)
 
     @pytest.mark.parametrize("views_per_call,n_calls", [(2, 3), (1, 5), (5, 1)])
     def test_score_budget_splits_a_length_group(self, rng, monkeypatch, views_per_call, n_calls):
@@ -287,20 +292,35 @@ class TestForwardBags:
         n = 6
         cells, masks, tokens = ragged_views(rng, [n] * 5, np.float64)
         whole = agg.forward_bags(cells, params, TINY, masks, tokens).data
-        # room for views_per_call views, and one score short of one more
-        budget = (views_per_call + 1) * TINY.heads * (n + 1) ** 2 - 1
-        monkeypatch.setattr(agg, "MAX_ATTENTION_SCORES", budget)
+        # room for views_per_call views, and one float short of one more
+        monkeypatch.setattr(agg, "MAX_CALL_FLOATS", (views_per_call + 1) * call_floats(n) - 1)
         calls = counting_forward(monkeypatch)
         split = agg.forward_bags(cells, params, TINY, masks, tokens).data
-        assert len(calls) == n_calls and max(calls) == views_per_call
+        assert len(calls) == n_calls and max(map(len, calls)) == views_per_call
+        np.testing.assert_allclose(split, whole, rtol=1e-12, atol=1e-14)
+
+    def test_budget_packs_sorted_views_greedily(self, rng, monkeypatch):
+        params = agg.init_params(TINY, np.random.default_rng(8), dtype=np.float64)
+        cells, masks, tokens = ragged_views(rng, LENGTHS, np.float64)
+        whole = agg.forward_bags(cells, params, TINY, masks, tokens).data
+        # exactly the four shortest views fit; 5, 5 and 7 together do not
+        monkeypatch.setattr(agg, "MAX_CALL_FLOATS", sum(map(call_floats, (1, 3, 3, 5))))
+        calls = counting_forward(monkeypatch)
+        split = agg.forward_bags(cells, params, TINY, masks, tokens).data
+        assert calls == [(1, 3, 3, 5), (5, 5), (7,)]
         np.testing.assert_allclose(split, whole, rtol=1e-12, atol=1e-14)
 
     def test_view_over_the_budget_runs_alone(self, tiny_params, rng, monkeypatch):
-        monkeypatch.setattr(agg, "MAX_ATTENTION_SCORES", 1)
+        monkeypatch.setattr(agg, "MAX_CALL_FLOATS", 1)
         calls = counting_forward(monkeypatch)
         cells, _, _ = ragged_views(rng, [4, 4])
         assert agg.forward_bags(cells, tiny_params, TINY).shape == (2, TINY.embed_dim)
-        assert calls == [1, 1]
+        assert calls == [(4,), (4,)]
+
+    def test_one_mask_and_token_array_per_view_required(self, tiny_params, rng):
+        cells, masks, tokens = ragged_views(rng, [4, 5])
+        with pytest.raises(ValueError, match="2 views, 1 masks and 2 token arrays"):
+            agg.forward_bags(cells, tiny_params, TINY, masks[:1], tokens)
 
     def test_taped_gradients_match_per_bag_reference(self, rng):
         params = agg.init_params(TINY, np.random.default_rng(6), dtype=np.float64)
@@ -319,6 +339,30 @@ class TestForwardBags:
         for name, p in params.items():
             np.testing.assert_allclose(grads[0][p], grads[1][p], rtol=1e-9, atol=1e-13,
                                        err_msg=name)
+
+
+class TestPackedForward:
+    def test_packed_views_match_per_view_forward(self, rng):
+        params = agg.init_params(TINY, np.random.default_rng(9), dtype=np.float64)
+        cells, masks, tokens = ragged_views(rng, LENGTHS, np.float64)
+        packed = agg.forward(np.concatenate(cells), masks, params, TINY, tokens, LENGTHS)
+        separate = [agg.forward(c, m, params, TINY, t) for c, m, t in zip(cells, masks, tokens)]
+        np.testing.assert_allclose(packed.data, np.concatenate([o.data for o in separate]),
+                                   rtol=1e-12, atol=1e-14)
+
+    @pytest.mark.parametrize("lengths,mask,tokens,match", [
+        ([3, 4], [[], []], None, "do not split 8 cell rows"),
+        ([3, 0, 5], [[], [], []], None, "do not split 8 cell rows"),
+        ([3, 5], [[0]], None, "mask does not give one 1-D position array per view of 2"),
+        ([3, 5], [[0], [[1]]], None, "mask does not give one 1-D position array per view of 2"),
+        ([3, 5], [[], []], [[0], [1], [2]], "tokens does not give one 1-D position array"),
+        ([3, 5], [[3], [0]], None, "mask positions out of range for a 3-cell view"),
+        ([3, 5], [[2], [4]], [[0], [5]], "tokens positions out of range for a 5-cell view"),
+    ])
+    def test_bad_packing_rejected(self, tiny_params, rng, lengths, mask, tokens, match):
+        rows = rng.standard_normal((8, TINY.input_dim)).astype(np.float32)
+        with pytest.raises(ValueError, match=match):
+            agg.forward(rows, mask, tiny_params, TINY, tokens, lengths)
 
 
 class TestSampleViews:

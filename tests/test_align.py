@@ -306,6 +306,22 @@ class TestTrainAlign:
         assert record["empty_anchors"] > 0
         assert np.isfinite(record["total"])
 
+    def test_lr_schedule_plans_the_batches_made(self, rng, monkeypatch):
+        # 33 training patients at batch size 32: the lone leftover joins the
+        # last batch, so each epoch takes one step, not ceil(33 / 32) = 2
+        cohort = make_cohort(rng, n_per_class=13)
+        schedule, lr = [], align.warmup_cosine_lr
+
+        def recording_lr(step, total_steps, base_lr):
+            schedule.append((step, total_steps))
+            return lr(step, total_steps, base_lr)
+
+        monkeypatch.setattr(align, "warmup_cosine_lr", recording_lr)
+        cfg = AlignConfig(**{**TINY_ALIGN.to_dict(), "epochs": 3, "batch_size": 32})
+        train_align(cohort, TINY_AGG, cfg)
+        assert len([p for p in cohort.subset("train") if p.complete]) == 33
+        assert schedule == [(0, 3), (1, 3), (2, 3)]
+
     def test_arm_resolution_width(self, rng):
         cohort = make_cohort(rng)
         cfg = AlignConfig(**{**TINY_ALIGN.to_dict(), "karyotype_resolution": "arm"})
@@ -354,7 +370,7 @@ class TestTrainAlign:
         complete = [p.bag for p in cohort.patients if p.complete]
         assert np.array_equal(result.table.slide, embed_bags(complete, ckpt, TINY_AGG))
 
-    def test_finetune_step_one_taped_forward_per_bag_length(self, rng, monkeypatch):
+    def test_finetune_step_one_taped_forward_per_batch(self, rng, monkeypatch):
         from genalign import aggregator
         cohort = make_cohort(rng)
         for i, p in enumerate(cohort.patients):
@@ -364,7 +380,7 @@ class TestTrainAlign:
         forward, batcher = aggregator.forward, align.stratified_batches
 
         def counting_forward(*args):
-            taped.append(ndiff._ACTIVE_TAPE is not None)
+            taped.append((ndiff._ACTIVE_TAPE is not None, len(args[-1])))
             return forward(*args)
 
         def recording_batches(*args):
@@ -378,7 +394,8 @@ class TestTrainAlign:
         train_align(cohort, TINY_AGG, cfg)
         lengths = [len({train[i].bag.n_cells for i in batch}) for batch in batches]
         assert len(batches) > 1 and max(lengths) > 1
-        assert taped.count(True) == sum(lengths) < len(train)
+        # one taped call per batch holds its bags of every length
+        assert [n for is_taped, n in taped if is_taped] == [len(batch) for batch in batches]
 
     def test_finetune_random_init_runs(self, rng):
         cohort = make_cohort(rng, n_per_class=4)

@@ -263,3 +263,14 @@ class TestHashes:
         assert environment["numpy"] == np.__version__
         assert set(environment["blas_threads"]) == {
             "OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"}
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+        assert environment["blas"] == {"name": blas["name"], "version": blas["version"]}
+        assert isinstance(environment["blas"]["name"], str) and environment["blas"]["name"]
+
+    def test_manifest_blas_null_without_show_config_dicts(self, tmp_path, monkeypatch):
+        def old_show_config():  # numpy < 1.26 takes no mode and only prints
+            return None
+
+        monkeypatch.setattr(np, "show_config", old_show_config)
+        path = gbio.write_manifest(tmp_path, "synth", {}, 0, [], time.perf_counter())
+        assert json.loads(path.read_text())["environment"]["blas"] is None

@@ -246,10 +246,10 @@ class TestRowOps:
             np.testing.assert_allclose(grads[t], grads_full[t], rtol=1e-10, atol=1e-14)
 
     @pytest.mark.parametrize("queries,match", [
-        ([0, 1, 4], "same number of rows"),
-        ([], "same number of rows"),
-        ([[0], [4]], "same number of rows"),
-        ([0.0, 4.0], "same number of rows"),
+        ([0, 1], "no query row"),
+        ([], "1-D integer index"),
+        ([[0], [4]], "1-D integer index"),
+        ([0.0, 4.0], "1-D integer index"),
         ([4, 0], "outside its block's sequence"),
         ([0, 8], "outside its block's sequence"),
         ([-1, 4], "outside its block's sequence"),
@@ -381,10 +381,10 @@ def _run_taped(fn, leaves, probe):
     return [out.data] + [grads[t] for t in leaves]
 
 
-def _assert_same_bits(got, want):
+def _assert_same_bits(got, want, dtype=np.float32):
     assert len(got) == len(want)
     for i, (g, w) in enumerate(zip(got, want)):
-        assert g.dtype == w.dtype == np.float32 and g.shape == w.shape, i
+        assert g.dtype == w.dtype == dtype and g.shape == w.shape, i
         assert g.tobytes() == w.tobytes(), f"array {i} differs in {np.sum(g != w)} entries"
 
 
@@ -403,10 +403,12 @@ class TestKernelsBitIdentical:
         )
 
     def test_gelu_equals_reference(self, rng):
-        leaves = _f32_leaves(rng, (37, 150), scale=3.0)
-        probe = rng.standard_normal((37, 150)).astype(np.float32)
-        _assert_same_bits(_run_taped(ndiff.gelu, leaves, probe),
-                          _run_taped(_reference_gelu, leaves, probe))
+        # the kernel keeps x and tanh(t) alone and recomputes the rest
+        for dtype in (np.float32, np.float64):
+            x = Tensor((rng.standard_normal((37, 150)) * 3.0).astype(dtype), requires_grad=True)
+            probe = rng.standard_normal((37, 150)).astype(dtype)
+            _assert_same_bits(_run_taped(ndiff.gelu, [x], probe),
+                              _run_taped(_reference_gelu, [x], probe), dtype)
 
     def test_layer_norm_equals_reference(self, rng):
         x, gamma, beta = _f32_leaves(rng, (37, 150), (1, 150), (1, 150))
@@ -423,3 +425,64 @@ class TestKernelsBitIdentical:
             _run_taped(lambda *a: ndiff.multi_head_attention(*a, 4, seq_len), leaves, probe),
             _run_taped(lambda *a: _reference_attention(*a, 4, seq_len), leaves, probe),
         )
+
+
+# three distinct lengths; the two 2-row sequences take different query
+# counts, so they run as separate score blocks; rows 7 and 10 repeat
+PACKED_LENGTHS = np.array([3, 2, 2, 4])
+PACKED_QUERIES = np.array([2, 0, 4, 5, 6, 10, 7, 10])
+
+
+def _packed_leaves(rng):
+    return [t64(rng.standard_normal((PACKED_LENGTHS.sum(), 6)))] + [
+        t64(rng.standard_normal((6, 6)) * 0.5) for _ in range(4)]
+
+
+class TestPackedAttention:
+    @pytest.mark.parametrize("queries", [None, PACKED_QUERIES], ids=["all_rows", "queries"])
+    @pytest.mark.parametrize("k", range(5), ids=["x", "wq", "wk", "wv", "wo"])
+    def test_grad_check_every_input(self, k, queries):
+        rng = np.random.default_rng(31 + k)
+        leaves = _packed_leaves(rng)
+        probe = Tensor(rng.standard_normal((
+            PACKED_LENGTHS.sum() if queries is None else queries.size, 6)))
+
+        def f(leaf):
+            args = leaves[:k] + [leaf] + leaves[k + 1:]
+            return ndiff.mean(ndiff.mul(ndiff.multi_head_attention(
+                *args, 2, seq_len=PACKED_LENGTHS, queries=queries), probe))
+
+        for _ in range(3):
+            leaves[k] = t64(rng.standard_normal(leaves[k].shape) * (1.0 if k == 0 else 0.5))
+            report = ndiff.grad_check(f, leaves[k], eps=1e-5, tol=1e-4)
+            assert report.passed, report.max_rel_err
+
+    @pytest.mark.parametrize("queries", [None, PACKED_QUERIES], ids=["all_rows", "queries"])
+    def test_equals_reference_on_each_sequence_alone(self, rng, queries):
+        leaves = [Tensor(t.data, requires_grad=True) for t in _packed_leaves(rng)]
+        x, ws = leaves[0], leaves[1:]
+        rows = PACKED_LENGTHS.sum() if queries is None else queries.size
+        probe = t64(rng.standard_normal((rows, 6)))
+        with Tape() as tape:
+            packed = ndiff.multi_head_attention(x, *ws, 2, seq_len=PACKED_LENGTHS, queries=queries)
+            loss = ndiff.mean(ndiff.mul(packed, probe))
+        grads = tape.backward(loss)
+        starts = np.cumsum(PACKED_LENGTHS) - PACKED_LENGTHS
+        with Tape() as tape:
+            alone = ndiff.concat_rows([_reference_attention(ndiff.slice_rows(x, s, s + n), *ws, 2)
+                                       for s, n in zip(starts, PACKED_LENGTHS)])
+            if queries is not None:
+                alone = ndiff.gather_rows(alone, queries)
+            loss_alone = ndiff.mean(ndiff.mul(alone, probe))
+        grads_alone = tape.backward(loss_alone)
+        assert packed.shape == (rows, 6)
+        np.testing.assert_allclose(packed.data, alone.data, rtol=1e-12, atol=1e-14)
+        for t in leaves:
+            np.testing.assert_allclose(grads[t], grads_alone[t], rtol=1e-10, atol=1e-14)
+
+    @pytest.mark.parametrize("lengths", [[3, 2, 2, 3], [3, 2, 0, 6], [[3, 2], [2, 4]], [11.0]])
+    def test_lengths_must_split_the_rows(self, rng, lengths):
+        x = t64(rng.standard_normal((11, 4)))
+        w = t64(np.eye(4))
+        with pytest.raises(ndiff.NdiffError, match="do not split 11 rows"):
+            ndiff.multi_head_attention(x, w, w, w, w, 2, seq_len=np.array(lengths))

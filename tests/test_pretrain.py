@@ -350,12 +350,12 @@ class TestFullLossGradients:
         for name, p in mb.params.items():
             assert np.allclose(prod_grads[p], ref_grads[p], rtol=1e-9, atol=1e-12), name
 
-    def test_one_forward_per_distinct_view_length(self, monkeypatch):
+    def test_one_forward_per_pass(self, monkeypatch):
         mb = build_microbatch(seed=8)
         taped, heads = [], []
 
         def counting_forward(*args):
-            taped.append(ndiff._ACTIVE_TAPE is not None)
+            taped.append((ndiff._ACTIVE_TAPE is not None, len(args[-1])))
             return forward(*args)
 
         def counting_head(*args):
@@ -376,12 +376,10 @@ class TestFullLossGradients:
             pretrain_objective(mb.bags, mb.views, mb.params, targets, mb.center,
                                mb.config, mb.pre, TEACHER_TEMP)
         views = [view for per_patient in mb.views for view in per_patient]
-        lengths = {len(view.indices) for view in views}
-        assert taped.count(True) == len(lengths) < len(views)
-        # the teacher runs the global views, the only masked ones
-        teacher_lengths = {len(view.indices) for view in views
-                           if view.kind == "global" or view.mask.size}
-        assert taped.count(False) == len(teacher_lengths)
+        assert len({len(view.indices) for view in views}) > 1
+        # one untaped teacher call on the global views, the only masked ones,
+        # then one taped student call on every view, whatever their lengths
+        assert taped == [(False, len(mb.bags) * mb.pre.k_global), (True, len(views))]
         n_masked = sum(view.mask.size for view in views)
         n_cls = len(mb.bags) * (mb.pre.k_global + mb.pre.k_local)
         assert heads == [len(mb.bags) * mb.pre.k_global + n_masked, n_cls + n_masked]
@@ -398,9 +396,9 @@ class TestFullLossGradients:
         views = [sample_views(b, pre.k_global, pre.k_local, pre.mask_ratio, rng) for b in bags]
         calls, heads = [], []
 
-        def counting_forward(cells, mask, *args):
-            calls.append((ndiff._ACTIVE_TAPE is not None, mask.shape[0], mask.size))
-            return forward(cells, mask, *args)
+        def counting_forward(cells, mask, params, config, tokens, lengths):
+            calls.append((ndiff._ACTIVE_TAPE is not None, tuple(lengths), sum(map(np.size, mask))))
+            return forward(cells, mask, params, config, tokens, lengths)
 
         def counting_head(*args):
             heads.append(args[0].shape[0])
@@ -412,10 +410,9 @@ class TestFullLossGradients:
         global_views = [view for per_patient in views for view in per_patient[:pre.k_global]]
         assert all(view.mask.size == 0 for per_patient in views
                    for view in per_patient[pre.k_global:])
-        # one untaped, unmasked forward per distinct global view length
-        assert len(calls) == len({len(view.indices) for view in global_views}) == 2
-        assert all(not taped and size == 0 for taped, _, size in calls)
-        assert sum(n_views for _, n_views, _ in calls) == pre.k_global * len(bags)
+        # one untaped, unmasked forward on the global views of both lengths
+        assert calls == [(False, tuple(sorted(len(view.indices) for view in global_views)), 0)]
+        assert len(set(calls[0][1])) == 2
         n_masked = sum(view.mask.size for view in global_views)
         assert n_masked > 0
         assert heads == [pre.k_global * len(bags) + n_masked] == [targets.shape[0]]
