@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import ndiff
-from .ndiff import Tensor
+from .ndiff import MAX_CALL_FLOATS, Tensor
 
 
 @dataclass
@@ -283,11 +283,6 @@ def _flatten(positions: list[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
     return np.repeat(np.arange(len(positions)), [p.size for p in positions]), np.concatenate(positions)
 
 
-# Floats one call may hold: a view of n cells counts its attention scores,
-# heads * (n + 1)^2, plus one MLP activation row per token, (n + 1) * mlp_dim
-MAX_CALL_FLOATS = 1025**2
-
-
 def forward_bags(
     cells: list[np.ndarray],
     params: dict[str, Tensor],
@@ -298,9 +293,13 @@ def forward_bags(
     """Run views of any lengths: view i's ``(n_i, input_dim)`` cell rows and,
     as in ``forward``, its mask and token positions (none when omitted).  The
     views, sorted by (length, mask count, token count), are packed into as
-    few ``forward`` calls as ``MAX_CALL_FLOATS`` allows; a view over that
-    budget runs alone.  Returns every view's CLS row in input order, then
-    each view's token rows."""
+    few ``forward`` calls as ``MAX_CALL_FLOATS`` allows, a view of n cells
+    counting its attention scores, heads * (n + 1)^2, plus one MLP
+    activation row per token, (n + 1) * mlp_dim.  A view over that budget
+    runs alone, and without a tape its attention queries run in slices of
+    at most ``MAX_CALL_FLOATS`` scores, so it never holds its whole score
+    tensor.  Returns every view's CLS row in input order, then each view's
+    token rows."""
     none = [np.empty(0, np.int64)] * len(cells)
     masks, tokens = (none if m is None else [np.asarray(x, np.int64) for x in m] for m in (masks, tokens))
     if not len(masks) == len(tokens) == len(cells):

@@ -10,11 +10,14 @@ contribution), so a seeded run reproduces bit-identical values.
 
 Kernels work in place (``*=``, ``np.exp(..., out=)``) only on arrays they
 allocated themselves, never on an input or an incoming gradient.  A kernel
-rewrite keeps outputs and gradients byte-identical: the same float
-operations on the same operands in the same order.  ``multi_head_attention``
-restricted to some query rows, or packed with other sequences, matches the
-full or separate call only up to rounding: BLAS may round a row of a product
-differently depending on how many rows the product has.
+rewrite keeps outputs and gradients byte-identical (the same float
+operations on the same operands in the same order), except
+``multi_head_attention``: it normalises the softmax after the value product,
+so it matches the textbook formula only up to rounding, and is tested for
+accuracy against it in f64.  Restricted to some query rows, run in query
+slices, or packed with other sequences, it matches the full or separate call
+only up to rounding too: BLAS may round a row of a product differently
+depending on how many rows the product has.
 """
 
 from __future__ import annotations
@@ -126,8 +129,13 @@ class Tape:
         return leaf_grads
 
 
+def _records(inputs: Sequence[Tensor]) -> bool:
+    """Whether a node on ``inputs`` would be recorded on the active tape."""
+    return _ACTIVE_TAPE is not None and any(t.needs_grad for t in inputs)
+
+
 def _record(out: Tensor, inputs: Sequence[Tensor], backward) -> Tensor:
-    if _ACTIVE_TAPE is not None and any(t.needs_grad for t in inputs):
+    if _records(inputs):
         out.needs_grad = True
         _ACTIVE_TAPE._nodes.append(_Node(out, tuple(inputs), backward))
     return out
@@ -395,6 +403,17 @@ def binary_cross_entropy_with_logits(logits: Tensor, targets: Tensor) -> Tensor:
     return _record(out, (logits, targets), backward)
 
 
+def _add_rows(full: np.ndarray, idx: np.ndarray, rows: np.ndarray) -> None:
+    """``full[idx] += rows`` in place, where an index may repeat and its rows
+    are summed.  np.add.at is 5-10x slower than fancy indexing, so it sums
+    only the rows of indices that repeat, in the same order it would use."""
+    shared = np.bincount(idx, minlength=full.shape[0])[idx] > 1
+    if shared.any():
+        np.add.at(full, idx[shared], rows[shared])
+        idx, rows = idx[~shared], rows[~shared]
+    full[idx] += rows
+
+
 def gather_rows(a: Tensor, idx) -> Tensor:
     """Rows ``a[idx]`` in the order of ``idx``; an index may repeat, and its
     output rows' gradients are summed back into the one input row."""
@@ -410,16 +429,28 @@ def gather_rows(a: Tensor, idx) -> Tensor:
 
     def backward(g):
         full = np.zeros_like(a.data)
-        full[idx] = g
-        # np.add.at is 5-10x slower than assignment, so it sums only the
-        # rows of indices that repeat, in the same order it would use
-        shared = np.bincount(idx, minlength=a.shape[0])[idx] > 1
-        if shared.any():
-            full[idx[shared]] = 0
-            np.add.at(full, idx[shared], g[shared])
+        _add_rows(full, idx, g)
         return (full,)
 
     return _record(out, (a,), backward)
+
+
+# The float budget of one aggregator call (``aggregator.forward_bags`` packs
+# its views under it) and of one untaped attention slice's scores
+MAX_CALL_FLOATS = 1025**2
+
+
+def _softmax_values(q: np.ndarray, k: np.ndarray, v: np.ndarray):
+    """``softmax(q k^T) v`` over (sequence, head) batches, normalised after
+    the value product: the head outputs, the unnormalised block
+    ``e = exp(s - rowmax)`` and its row sums ``r``."""
+    e = q @ k.swapaxes(-1, -2)
+    e -= e.max(axis=-1, keepdims=True)
+    np.exp(e, out=e)
+    r = e.sum(axis=-1, keepdims=True)
+    heads = e @ v
+    heads /= r
+    return heads, e, r
 
 
 def multi_head_attention(
@@ -449,6 +480,15 @@ def multi_head_attention(
     come from every row, so the output has one row per query, row for row
     the full output at ``queries``, and a sequence of n rows and t queries
     holds a ``(h, t, n)`` score block.
+
+    As in FlashAttention (Dao et al. 2022), the scale is folded into
+    ``wq``, the block keeps ``e = exp(s - rowmax)`` unnormalised, and the
+    row sums ``r`` divide the ``(t, dh)`` product ``e v``; the backward
+    reads the softmax's row term from the head outputs, ``rowsum(G * O)``.
+    A recorded node keeps one block per run for its backward.  Otherwise
+    nothing is kept, and each run's query rows go in slices of at most
+    ``MAX_CALL_FLOATS`` scores (at least one query row each), which is exact
+    (Rabe & Staats 2021), so a long sequence never holds its whole block.
     """
     for w, name in ((wq, "wq"), (wk, "wk"), (wv, "wv"), (wo, "wo")):
         _check_same_dtype(x, w, f"multi_head_attention/{name}")
@@ -499,46 +539,54 @@ def multi_head_attention(
     def merge(m):  # (seqs, h, t, dh) -> (seqs*t, d)
         return m.transpose(0, 2, 1, 3).reshape(-1, d)
 
-    q_all = xq @ wq.data
+    # the scale folds into Wq, a (d, d) pass, so no pass scales the scores
+    wq_scaled = wq.data * scale
+    q_all = xq @ wq_scaled
     k_all = x.data @ wk.data
     v_all = x.data @ wv.data
     merged = np.empty_like(q_all)
-    blocks = []  # per run: q, k, v and its one (seqs, h, t, n) score buffer
+    taped = _records((x, wq, wk, wv, wo))
+    blocks = []  # per run when taped: q, k, v, its (seqs, h, t, n) block e and its row sums r
     for r0, q0, seqs, n, t in runs:
         q = split(q_all[q0 : q0 + seqs * t], seqs)
         k = split(k_all[r0 : r0 + seqs * n], seqs)
         v = split(v_all[r0 : r0 + seqs * n], seqs)
-        attn = q @ k.swapaxes(-1, -2)
-        attn *= scale
-        attn -= attn.max(axis=-1, keepdims=True)
-        np.exp(attn, out=attn)
-        attn /= attn.sum(axis=-1, keepdims=True)
-        merged[q0 : q0 + seqs * t] = merge(attn @ v)
-        blocks.append((q, k, v, attn))
+        if taped:
+            heads, e, r = _softmax_values(q, k, v)
+            merged[q0 : q0 + seqs * t] = merge(heads)
+            blocks.append((q, k, v, e, r))
+            continue
+        # slices of ss sequences by ts query rows, at most MAX_CALL_FLOATS scores
+        step = max(1, MAX_CALL_FLOATS // (n_heads * n))
+        ss, ts = max(1, step // t), min(t, step)
+        out_rows = merged[q0 : q0 + seqs * t].reshape(seqs, t, n_heads, dh)
+        for s in range(0, seqs, ss):
+            for a in range(0, t, ts):
+                heads = _softmax_values(q[s : s + ss, :, a : a + ts], k[s : s + ss], v[s : s + ss])[0]
+                out_rows[s : s + ss, a : a + ts] = heads.transpose(0, 2, 1, 3)
     out = Tensor(merged @ wo.data)
 
     def backward(g):
         d_merged = g @ wo.data.T
         d_wo = merged.T @ g
         dq, dk, dv = np.empty_like(q_all), np.empty_like(k_all), np.empty_like(v_all)
-        for (r0, q0, seqs, n, t), (q, k, v, attn) in zip(runs, blocks):
-            d_heads = split(d_merged[q0 : q0 + seqs * t], seqs)
-            d_attn = d_heads @ v.swapaxes(-1, -2)
-            dv[r0 : r0 + seqs * n] = merge(attn.swapaxes(-1, -2) @ d_heads)
-            d_scores = d_attn  # attn * (d_attn - rowsum(d_attn * attn)) * scale
-            d_scores -= (d_attn * attn).sum(axis=-1, keepdims=True)
-            d_scores *= attn
-            d_scores *= scale
+        for (r0, q0, seqs, n, t), (q, k, v, e, r) in zip(runs, blocks):
+            g_r = split(d_merged[q0 : q0 + seqs * t], seqs) / r  # G / r
+            heads = split(merged[q0 : q0 + seqs * t], seqs)
+            dv[r0 : r0 + seqs * n] = merge(e.swapaxes(-1, -2) @ g_r)
+            d_scores = g_r @ v.swapaxes(-1, -2)  # ((G / r) V^T - rowsum(G * O) / r) * e
+            d_scores -= (g_r * heads).sum(axis=-1, keepdims=True)
+            d_scores *= e
             dq[q0 : q0 + seqs * t] = merge(d_scores @ k)
             dk[r0 : r0 + seqs * n] = merge(d_scores.swapaxes(-1, -2) @ q)
         if queries is None:
-            d_x = dq @ wq.data.T + dk @ wk.data.T + dv @ wv.data.T
+            d_x = dq @ wq_scaled.T + dk @ wk.data.T + dv @ wv.data.T
         else:
             d_x = dk @ wk.data.T + dv @ wv.data.T
-            np.add.at(d_x, queries, dq @ wq.data.T)  # a query row may repeat
+            _add_rows(d_x, queries, dq @ wq_scaled.T)  # a query row may repeat
         return (
             d_x,
-            xq.T @ dq,
+            scale * (xq.T @ dq),
             x.data.T @ dk,
             x.data.T @ dv,
             d_wo,

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -316,6 +318,23 @@ class TestForwardBags:
         cells, _, _ = ragged_views(rng, [4, 4])
         assert agg.forward_bags(cells, tiny_params, TINY).shape == (2, TINY.embed_dim)
         assert calls == [(4,), (4,)]
+
+    def test_untaped_view_over_the_budget_runs_in_query_slices(self, tiny_params, rng, monkeypatch):
+        n = 300
+        cells = [rng.standard_normal((n, TINY.input_dim)).astype(np.float32)]
+        tokens = [np.arange(0, n, 7)]
+        with ndiff.Tape():
+            taped = agg.forward_bags(cells, tiny_params, TINY, tokens=tokens).data
+        # a quarter of one head's scores per slice
+        monkeypatch.setattr(ndiff, "MAX_CALL_FLOATS", (n + 1) ** 2 // 4)
+        tracemalloc.start()
+        try:
+            sliced = agg.forward_bags(cells, tiny_params, TINY, tokens=tokens).data
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < TINY.heads * (n + 1) ** 2 * 4  # the whole f32 score tensor
+        np.testing.assert_allclose(sliced, taped, rtol=1e-6, atol=1e-6)
 
     def test_one_mask_and_token_array_per_view_required(self, tiny_params, rng):
         cells, masks, tokens = ragged_views(rng, [4, 5])

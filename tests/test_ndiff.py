@@ -305,6 +305,8 @@ class TestGradCheck:
 # The formulas the fused kernels replaced, kept verbatim as test-local
 # primitives: a kernel rewrite must reproduce them bit for bit, so a change
 # that reorders the arithmetic fails here before it changes a seeded run.
+# Attention is the exception: its kernel normalises after the value product,
+# so it must be as accurate as its reference instead.
 
 def _reference_layer_norm(a, gamma, beta, axis=-1, eps=1e-5):
     x = a.data
@@ -417,14 +419,42 @@ class TestKernelsBitIdentical:
         _assert_same_bits(_run_taped(ndiff.layer_norm, [x, gamma, beta], probe),
                           _run_taped(_reference_layer_norm, [x, gamma, beta], probe))
 
-    @pytest.mark.parametrize("rows,seq_len", [(33, None), (3 * 17, 17)], ids=["one", "stacked"])
-    def test_attention_equals_reference(self, rng, rows, seq_len):
+
+def _rel_l2_err(got, want):
+    return float(np.linalg.norm(got - want) / np.linalg.norm(want))
+
+
+class TestAttentionAccuracy:
+    @pytest.mark.parametrize("rows,seq_len,queries", [
+        (33, None, None),
+        (3 * 17, 17, None),
+        # every row once, rows 3 and 45 twice; the 17-row sequences share a run
+        (48, np.array([9, 17, 17, 5]), np.r_[0:9, 3, 9:48, 45]),
+    ], ids=["one", "stacked", "packed"])
+    def test_attention_as_accurate_as_reference(self, rng, rows, seq_len, queries):
+        """Output and every gradient of the f32 kernel lie within twice the
+        f32 reference's own error of the f64 reference.  The error is the
+        relative l2 one: the largest entry's error of two equally accurate
+        f32 computations differs by over 2x in about one draw in ten."""
         leaves = _f32_leaves(rng, (rows, 24), *[(24, 24)] * 4, scale=0.5)
-        probe = rng.standard_normal((rows, 24)).astype(np.float32)
-        _assert_same_bits(
-            _run_taped(lambda *a: ndiff.multi_head_attention(*a, 4, seq_len), leaves, probe),
-            _run_taped(lambda *a: _reference_attention(*a, 4, seq_len), leaves, probe),
-        )
+        probe = rng.standard_normal((rows if queries is None else queries.size, 24))
+
+        def reference(x, *ws):
+            if np.ndim(seq_len) == 0:
+                out = _reference_attention(x, *ws, 4, seq_len)
+            else:
+                starts = np.cumsum(seq_len) - seq_len
+                out = ndiff.concat_rows([_reference_attention(ndiff.slice_rows(x, s, s + n), *ws, 4)
+                                         for s, n in zip(starts, seq_len)])
+            return out if queries is None else ndiff.gather_rows(out, queries)
+
+        got = _run_taped(lambda *a: ndiff.multi_head_attention(*a, 4, seq_len, queries), leaves,
+                         probe.astype(np.float32))
+        ref32 = _run_taped(reference, leaves, probe.astype(np.float32))
+        ref64 = _run_taped(reference, [t64(t.data, requires_grad=True) for t in leaves], probe)
+        for i, (g, r32, r64) in enumerate(zip(got, ref32, ref64)):
+            assert g.dtype == np.float32 and g.shape == r64.shape, i
+            assert _rel_l2_err(g, r64) <= 2 * _rel_l2_err(r32, r64), i
 
 
 # three distinct lengths; the two 2-row sequences take different query
@@ -479,6 +509,29 @@ class TestPackedAttention:
         np.testing.assert_allclose(packed.data, alone.data, rtol=1e-12, atol=1e-14)
         for t in leaves:
             np.testing.assert_allclose(grads[t], grads_alone[t], rtol=1e-10, atol=1e-14)
+
+    @pytest.mark.parametrize("budget", [1, 8])
+    @pytest.mark.parametrize("queries", [None, PACKED_QUERIES], ids=["all_rows", "queries"])
+    def test_untaped_query_slices_equal_the_taped_block(self, rng, monkeypatch, queries, budget):
+        x, *ws = [Tensor(t.data.astype(np.float32), requires_grad=True) for t in _packed_leaves(rng)]
+        monkeypatch.setattr(ndiff, "MAX_CALL_FLOATS", budget)
+        blocks, softmax_values = [], ndiff._softmax_values
+
+        def recording(q, k, v):
+            blocks.append((q.shape, k.shape[2]))
+            return softmax_values(q, k, v)
+
+        monkeypatch.setattr(ndiff, "_softmax_values", recording)
+        with Tape():
+            taped = ndiff.multi_head_attention(x, *ws, 2, seq_len=PACKED_LENGTHS, queries=queries)
+        runs = len(blocks)
+        sliced = ndiff.multi_head_attention(x, *ws, 2, seq_len=PACKED_LENGTHS, queries=queries)
+        # the tape keeps one block per run; without it every slice holds at
+        # most `budget` scores, or one query row of one sequence
+        assert runs == (3 if queries is None else 4) < len(blocks) - runs
+        for (seqs, heads, t, _), n in blocks[runs:]:
+            assert seqs * heads * t * n <= budget or seqs == t == 1
+        np.testing.assert_allclose(sliced.data, taped.data, rtol=1e-6, atol=1e-6)
 
     @pytest.mark.parametrize("lengths", [[3, 2, 2, 3], [3, 2, 0, 6], [[3, 2], [2, 4]], [11.0]])
     def test_lengths_must_split_the_rows(self, rng, lengths):
