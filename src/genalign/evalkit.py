@@ -7,7 +7,9 @@ candidate id.  Every retrieval metric reads one ranked hit matrix, where
 returns a per-query vector (reciprocal ranks, top-k hits, AP@k, F1 at the
 relevant count); its mean is the reported value, and ``bootstrap``
 resamples the query rows of such a vector, or of any per-row metric such
-as a probe's (truth, prediction) pairs, to give a ``StatReport``.  The
+as a probe's (truth, prediction) pairs, to give a ``StatReport``: one
+``(n_boot, n)`` row-index matrix, drawn in chunks of at most
+``MAX_RESAMPLE_INDICES`` indices, each chunk scored in one call.  The
 Wilcoxon signed-rank test enumerates all sign assignments exactly for small
 samples (mid-ranks for tied magnitudes) and falls back to a
 continuity-corrected normal approximation otherwise.
@@ -23,6 +25,8 @@ import numpy as np
 from scipy import optimize
 
 EXACT_WILCOXON_MAX_N = 12
+# row indices per bootstrap chunk at most (8 MB of int64)
+MAX_RESAMPLE_INDICES = 2**20
 
 
 class EvalError(ValueError):
@@ -117,12 +121,20 @@ def _as_unit(x: np.ndarray) -> np.ndarray:
     return x / norms
 
 
-def balanced_accuracy(y_true: np.ndarray, y_pred: np.ndarray) -> float:
-    classes = np.unique(y_true)
-    recalls = [
-        float((y_pred[y_true == c] == c).mean()) for c in classes
-    ]
-    return float(np.mean(recalls))
+def balanced_accuracy(y_true: np.ndarray, y_pred: np.ndarray) -> float | np.ndarray:
+    """Mean recall over the classes present in each row of ``y_true`` (last
+    axis), averaged as ``np.mean`` averages them: a float for 1-D labels,
+    k values for ``(k, n)`` labels."""
+    t, p = np.atleast_2d(y_true, y_pred)
+    in_class = t[..., None] == np.unique(t)
+    n_class = in_class.sum(axis=1)
+    recall = (in_class & (p == t)[..., None]).sum(axis=1) / np.maximum(n_class, 1)
+    n_present = (n_class > 0).sum(axis=1)
+    bacc = np.empty(len(t))
+    for m in np.unique(n_present):  # the rows with m classes, as one (rows, m) mean
+        rows = n_present == m
+        bacc[rows] = recall[rows][n_class[rows] > 0].reshape(-1, m).mean(axis=1)
+    return float(bacc[0]) if np.ndim(y_true) == 1 else bacc
 
 
 def knn_probe(
@@ -137,18 +149,10 @@ def knn_probe(
     train_y = np.asarray(train_y)
     test_y = np.asarray(test_y)
     sims = _as_unit(test_x) @ _as_unit(train_x).T
-    k = min(k, train_x.shape[0])
-    predictions = []
-    for row in sims:
-        order = np.argsort(-row, kind="stable")[:k]
-        votes: dict = {}
-        for pos, idx in enumerate(order):
-            label = train_y[idx]
-            count, first = votes.get(label, (0, pos))
-            votes[label] = (count + 1, min(first, pos))
-        best = max(votes.items(), key=lambda kv: (kv[1][0], -kv[1][1]))
-        predictions.append(best[0])
-    return balanced_accuracy(test_y, np.array(predictions))
+    nearest = train_y[np.argsort(-sims, axis=1, kind="stable")[:, :k]]
+    votes = (nearest[:, :, None] == nearest[:, None, :]).sum(axis=2)
+    # the first rank holding a most-voted label is that label's nearest member
+    return balanced_accuracy(test_y, nearest[np.arange(len(nearest)), votes.argmax(axis=1)])
 
 
 @dataclass
@@ -227,25 +231,30 @@ class StatReport:
 
 
 def bootstrap(
-    metric: Callable[[np.ndarray], float],
+    metric: Callable[[np.ndarray], np.ndarray],
     n: int,
     n_boot: int,
     seed: int,
     name: str,
 ) -> StatReport:
-    """``metric`` maps an array of row indices into the n test rows to a
-    value.  Its point value is on all rows; mean and std are over n_boot
-    resamples of the rows with replacement."""
+    """``metric`` maps a ``(k, n)`` array of row indices into the n test
+    rows, one resample per row, to its k values; the point value is
+    ``metric(np.arange(n)[None])[0]``.  Mean and std are over n_boot
+    resamples with replacement: an ``(n_boot, n)`` index matrix drawn in
+    row chunks of at most ``MAX_RESAMPLE_INDICES`` indices (at least one
+    row), the same random stream as drawing its rows one by one."""
     if n == 0:
         raise EvalError("empty test set")
     if n_boot < 1:
         raise EvalError(f"n_boot must be >= 1, got {n_boot}")
     rng = np.random.default_rng(seed)
     values = np.empty(n_boot)
-    for b in range(n_boot):
-        values[b] = metric(rng.integers(0, n, size=n))
-    return StatReport(name, float(metric(np.arange(n))), float(values.mean()),
-                      float(values.std()), n_boot)
+    step = max(1, MAX_RESAMPLE_INDICES // n)
+    for start in range(0, n_boot, step):
+        k = min(step, n_boot - start)
+        values[start : start + k] = metric(rng.integers(0, n, size=(k, n)))
+    return StatReport(name, float(metric(np.arange(n)[None])[0]),
+                      float(values.mean()), float(values.std()), n_boot)
 
 
 @dataclass
@@ -258,16 +267,9 @@ class WilcoxonResult:
 
 
 def _midranks(values: np.ndarray) -> np.ndarray:
-    order = np.argsort(values, kind="stable")
-    ranks = np.empty(len(values))
-    i = 0
-    while i < len(values):
-        j = i
-        while j + 1 < len(values) and values[order[j + 1]] == values[order[i]]:
-            j += 1
-        ranks[order[i : j + 1]] = (i + j) / 2 + 1
-        i = j + 1
-    return ranks
+    """1-based ranks, tied values sharing the mean of their ranks."""
+    _, group, counts = np.unique(values, return_inverse=True, return_counts=True)
+    return (np.cumsum(counts) - (counts - 1) / 2)[group]
 
 
 def wilcoxon_signed_rank(a: Sequence[float], b: Sequence[float]) -> WilcoxonResult:

@@ -317,7 +317,8 @@ def layer_norm(
 
 def gelu(a: Tensor) -> Tensor:
     # tanh approximation; the gradient differentiates the same approximation.
-    # Only x and tanh(t) are kept: the backward recomputes x * x and 1 + t.
+    # A taped call computes the derivative in the forward, in t's and u's
+    # buffers, and keeps that one array: the backward is one product.
     # Each line is one operation of 0.5 * x * (1 + tanh(c * x * (1 + k x^2)))
     # and of its derivative, in the same order, so the results are the same
     # bit for bit as the expressions written out.
@@ -332,24 +333,20 @@ def gelu(a: Tensor) -> Tensor:
     y = 0.5 * x
     y *= u
     out = Tensor(y)
-
-    def backward(g):
-        dinner = x * x  # _GELU_C * (1 + 3k x^2), the derivative of t's argument
-        dinner *= 0.134145
-        dinner += 1.0
-        dinner *= _GELU_C
-        slope = t * t  # 0.5 * x * (1 - t^2) * dinner
-        np.subtract(1.0, slope, out=slope)
-        half_x = 0.5 * x
-        half_x *= slope
-        half_x *= dinner
-        dx = t + 1.0  # 0.5 * (1 + t), plus the above, times g
-        dx *= 0.5
-        dx += half_x
-        dx *= g
-        return (dx,)
-
-    return _record(out, (a,), backward)
+    if not _records((a,)):
+        return out
+    dinner = x * x  # _GELU_C * (1 + 3k x^2), the derivative of t's argument
+    dinner *= 0.134145
+    dinner += 1.0
+    dinner *= _GELU_C
+    slope = np.multiply(t, t, out=t)  # 0.5 * x * (1 - t^2) * dinner
+    np.subtract(1.0, slope, out=slope)
+    slope *= 0.5 * x
+    slope *= dinner
+    deriv = u  # 0.5 * (1 + t), plus slope
+    deriv *= 0.5
+    deriv += slope
+    return _record(out, (a,), lambda g: (deriv * g,))
 
 
 def l2_normalize(a: Tensor, axis: int = -1, eps: float = 1e-12) -> Tensor:

@@ -242,6 +242,18 @@ class TestKnnProbe:
                             np.vstack(test_x), np.array(test_y), k=5)
         assert bacc == 1.0
 
+    def test_vote_tie_goes_to_the_nearest_tied_class(self):
+        # the 4 nearest of each query hold two a's and two b's
+        angles = np.radians([0.0, 10.0, 20.0, 30.0, 200.0])
+        train = np.stack([np.cos(angles), np.sin(angles)], axis=1)
+        labels = np.array(["a", "b", "b", "a", "c"])
+        queries = np.radians([-5.0, 14.0])
+        test = np.stack([np.cos(queries), np.sin(queries)], axis=1)
+        assert ek.knn_probe(train, labels, test, np.array(["a", "b"]), k=4) == 1.0
+        # two votes beat one, however near the one
+        assert ek.knn_probe(train, np.array(["a", "b", "c", "c", "a"]), test[:1],
+                            np.array(["c"]), k=4) == 1.0
+
     def test_train_equals_test_distinct_embeddings(self, rng):
         x = rng.standard_normal((12, 6))
         y = np.repeat([0, 1, 2], 4)
@@ -290,15 +302,26 @@ class TestLogregProbe:
         assert a == b
 
 
+def loop_bootstrap(metric, n, n_boot, seed):
+    """(point, boot_mean, boot_std) of the per-resample loop the resample
+    matrix replaced: ``metric`` takes one 1-D row-index array."""
+    rng = np.random.default_rng(seed)
+    values = np.empty(n_boot)
+    for b in range(n_boot):
+        values[b] = metric(rng.integers(0, n, size=n))
+    return float(metric(np.arange(n))), float(values.mean()), float(values.std())
+
+
 class TestBootstrap:
     def test_constant_metric_zero_std(self):
-        out = ek.bootstrap(lambda rows: 42.0, 3, n_boot=50, seed=0, name="c")
+        out = ek.bootstrap(lambda rows: np.full(len(rows), 42.0), 3, n_boot=50,
+                           seed=0, name="c")
         assert out.boot_std == 0.0 and out.boot_mean == 42.0
         assert out.metric == "c" and out.point == 42.0
 
     def test_single_iteration(self):
         data = np.array([1.0, 3.0])
-        out = ek.bootstrap(lambda rows: float(data[rows].mean()), 2,
+        out = ek.bootstrap(lambda rows: data[rows].mean(axis=-1), 2,
                            n_boot=1, seed=5, name="mean")
         assert out.n_boot == 1 and out.point == 2.0
         rng = np.random.default_rng(5)
@@ -316,10 +339,32 @@ class TestBootstrap:
         n = 400
         data = (rng.random(n) < 0.3).astype(float)
         p_hat = np.mean(data)
-        out = ek.bootstrap(lambda rows: float(data[rows].mean()), n,
+        out = ek.bootstrap(lambda rows: data[rows].mean(axis=-1), n,
                            n_boot=1000, seed=2, name="mean")
         expected_std = math.sqrt(p_hat * (1 - p_hat) / n)
         assert out.boot_std == pytest.approx(expected_std, rel=0.10)
+
+    @pytest.mark.parametrize("cap", [None, 5, 100])
+    @pytest.mark.parametrize("n", [1, 2, 7, 49, 50])
+    def test_equals_per_resample_loop(self, n, cap, monkeypatch):
+        # a small cap splits the 301 resamples into chunks, the last one short
+        if cap is not None:
+            monkeypatch.setattr(ek, "MAX_RESAMPLE_INDICES", cap)
+        data = np.random.default_rng(n).standard_normal(n)
+        chunks = []
+
+        def metric(rows):
+            chunks.append(rows.shape)
+            return data[rows].mean(axis=-1)
+
+        out = ek.bootstrap(metric, n, n_boot=301, seed=4, name="mean")
+        assert (out.point, out.boot_mean, out.boot_std) == loop_bootstrap(
+            lambda rows: float(data[rows].mean()), n, 301, 4)
+        resamples = chunks[:-1]  # the last call is the point value's
+        assert sum(k for k, _ in resamples) == 301 and chunks[-1] == (1, n)
+        if cap is not None:
+            assert all(k * n <= cap or k == 1 for k, _ in resamples)
+            assert len(resamples) > 1
 
 
 def wilcoxon_enumeration_oracle(a, b):

@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from genalign import evalkit as ek
 from genalign import harness
 from genalign.align import AlignConfig, AlignedTable, init_mlp_params
 from genalign.aggregator import AggregatorConfig, CellBag
@@ -54,6 +55,26 @@ def slide_table(z_slide, labels):
                         z, z, z, z)
 
 
+def old_balanced_accuracy(y_true, y_pred):
+    """The mean of per-class recalls, one class at a time."""
+    return float(np.mean([float((y_pred[y_true == c] == c).mean())
+                          for c in np.unique(y_true)]))
+
+
+def gene_cohort(rng, table, n_genes=6):
+    """A cohort of the table's patients with random mutations, and a gene
+    projector."""
+    params = init_mlp_params(n_genes, 32, 32, "proj_m", np.random.default_rng(0))
+    patients = [
+        Patient(pid, lab, spl,
+                CellBag(pid, rng.standard_normal((4, 8)).astype(np.float32)),
+                np.zeros(12, np.uint8),
+                (rng.random(n_genes) < 0.4).astype(np.uint8))
+        for pid, lab, spl in zip(table.patient_ids, table.labels, table.splits)
+    ]
+    return Cohort(patients), params
+
+
 class TestRankings:
     def test_cross_modal_identity_alignment_ranks_self_first(self, rng):
         table = make_table(rng)
@@ -67,11 +88,13 @@ class TestRankings:
     def test_random_rankings_are_permutations(self, rng):
         table = make_table(rng)
         _, order, _ = cross_modal_rankings(table, "slide", "mutation")
-        baseline = random_rankings(order, np.random.default_rng(5))
+        shuffles = np.random.default_rng(5)
+        baseline = random_rankings(order, shuffles)
         draws = np.random.default_rng(5)
         for orig, rand in zip(order, baseline):
             assert sorted(orig) == sorted(rand)
             assert list(rand) == list(orig[draws.permutation(len(orig))])
+        assert shuffles.bit_generator.state == draws.bit_generator.state
 
     def test_unknown_split_rejected(self, rng):
         table = make_table(rng)
@@ -142,6 +165,35 @@ class TestOtherBlocks:
         assert block["logreg"]["converged"]
         assert probe_block(table, ("knn",)) == {"knn": block["knn"]}
 
+    def test_balanced_accuracy_of_resamples_equals_one_call_each(self, rng):
+        # with 8 or more classes present np.mean sums the recalls pairwise
+        for n_classes, n in ((3, 9), (10, 40)):
+            y_true = np.array([f"class{c}" for c in rng.integers(0, n_classes, size=n)])
+            y_pred = np.where(rng.random(n) < 0.6, y_true, "class1")
+            rows = rng.integers(0, n, size=(300, n))
+            per_row = ek.balanced_accuracy(y_true[rows], y_pred[rows])
+            assert per_row.shape == (300,)
+            assert any(len(set(y_true[r])) < len(set(y_true)) for r in rows), \
+                "no resample missed a class"
+            for r, got in zip(rows, per_row):
+                one = ek.balanced_accuracy(y_true[r], y_pred[r])
+                assert isinstance(one, float) and got == one == old_balanced_accuracy(
+                    y_true[r], y_pred[r])
+
+    def test_logreg_bootstrap_equals_per_resample_loop(self, rng):
+        table = make_table(rng, n_train=30, n_test=15, n_classes=3)
+        table.slide = rng.standard_normal(table.slide.shape).astype(np.float32)
+        train_x, train_y, test_x, test_y = harness._probe_inputs(table)
+        pred = ek.logreg_probe(train_x, train_y, test_x, test_y).predictions
+        out = logreg_bootstrap(table, n_boot=300, seed=3)
+        assert 0.0 < out.point < 1.0
+        draws = np.random.default_rng(3)
+        values = [old_balanced_accuracy(test_y[r], pred[r])
+                  for r in (draws.integers(0, 15, size=15) for _ in range(300))]
+        assert (out.point, out.boot_mean, out.boot_std) == (
+            old_balanced_accuracy(test_y, pred), float(np.mean(values)),
+            float(np.std(values)))
+
     def test_logreg_bootstrap_deterministic(self, rng):
         table = make_table(rng)
         a = logreg_bootstrap(table, n_boot=100, seed=1)
@@ -151,16 +203,7 @@ class TestOtherBlocks:
 
     def test_per_gene_block_structure(self, rng):
         table = make_table(rng)
-        n_genes = 6
-        params = init_mlp_params(n_genes, 32, 32, "proj_m", np.random.default_rng(0))
-        patients = [
-            Patient(pid, lab, spl,
-                    CellBag(pid, rng.standard_normal((4, 8)).astype(np.float32)),
-                    np.zeros(12, np.uint8),
-                    (rng.random(n_genes) < 0.4).astype(np.uint8))
-            for pid, lab, spl in zip(table.patient_ids, table.labels, table.splits)
-        ]
-        cohort = Cohort(patients)
+        cohort, params = gene_cohort(rng, table)
         block = per_gene_block(table, cohort, params, n_boot=2000, seed=0)
         assert block["genes"], "no usable genes"
         n_test = len(table.rows("test"))
@@ -171,6 +214,20 @@ class TestOtherBlocks:
             # a random ranking puts N_g/N of the top-N_g on positives
             assert info["random_f1"] == pytest.approx(info["n_positive"] / n_test,
                                                       abs=0.03)
+
+    def test_per_gene_random_f1_equals_per_gene_loop(self, rng):
+        table = make_table(rng)
+        cohort, params = gene_cohort(rng, table)
+        genes = per_gene_block(table, cohort, params, n_boot=50, seed=7)["genes"]
+        test = [p for p in cohort.patients if p.split == "test"]
+        relevant = np.array([p.mutations for p in test], dtype=bool).T
+        usable = [g for g, row in enumerate(relevant) if 0 < row.sum() < len(test)]
+        assert [f"gene{g:02d}" for g in usable] == list(genes)
+        draws = np.random.default_rng(7)
+        for g in usable:
+            row = relevant[g]
+            tiles = np.stack([row[draws.permutation(len(row))] for _ in range(50)])
+            assert genes[f"gene{g:02d}"]["random_f1"] == ek.f1_at_n_relevant(tiles).mean()
 
     def test_per_gene_block_without_usable_gene(self, rng):
         # identical mutations: no gene has both a positive and a negative

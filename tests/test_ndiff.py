@@ -405,12 +405,14 @@ class TestKernelsBitIdentical:
         )
 
     def test_gelu_equals_reference(self, rng):
-        # the kernel keeps x and tanh(t) alone and recomputes the rest
+        # taped, the kernel computes the derivative in the forward and keeps
+        # only it; untaped, it computes the output alone
         for dtype in (np.float32, np.float64):
             x = Tensor((rng.standard_normal((37, 150)) * 3.0).astype(dtype), requires_grad=True)
             probe = rng.standard_normal((37, 150)).astype(dtype)
             _assert_same_bits(_run_taped(ndiff.gelu, [x], probe),
                               _run_taped(_reference_gelu, [x], probe), dtype)
+            _assert_same_bits([ndiff.gelu(x).data], [_reference_gelu(x).data], dtype)
 
     def test_layer_norm_equals_reference(self, rng):
         x, gamma, beta = _f32_leaves(rng, (37, 150), (1, 150), (1, 150))
