@@ -149,7 +149,7 @@ def _attention(
     params: dict[str, Tensor],
     prefix: str,
     config: AggregatorConfig,
-    seq_len: int,
+    seq_len: np.ndarray,
     queries: np.ndarray | None = None,
 ) -> Tensor:
     out = ndiff.multi_head_attention(
@@ -186,13 +186,11 @@ def forward(
     """Run the aggregator on B views packed as stacked cell rows.
 
     ``cells`` holds the views' cell rows one view after another, as an array
-    or as a Tensor when gradients w.r.t. the cells are wanted.  Without
-    ``lengths`` the B views have equal length: ``mask`` holds one row of
-    view-local cell positions per view, ``(B, m)`` (``(m,)`` for one view),
-    so its row count is B, and ``tokens`` likewise ``(B, t)`` (``(t,)`` for
-    one view).  With ``lengths``, view b has ``lengths[b]`` cells and
-    ``mask`` and ``tokens`` are sequences of one 1-D position array per view,
-    of any sizes.  The masked cells' projected embeddings are replaced by the
+    or as a Tensor when gradients w.r.t. the cells are wanted.  View b has
+    ``lengths[b]`` cells, and ``mask`` and ``tokens`` hold one 1-D array of
+    view-local cell positions per view, of any sizes; without ``lengths``,
+    every row is one view and ``mask`` and ``tokens`` are its 1-D position
+    arrays.  The masked cells' projected embeddings are replaced by the
     learned mask token before the transformer; ``tokens`` are the positions
     whose output rows are read.  Returns the final-layer-norm hidden rows,
     view by view: view b's CLS row, then its rows at ``tokens[b]`` in that
@@ -214,33 +212,18 @@ def forward(
         raise ValueError(
             f"cell width {cells.shape[1]} != configured input_dim {config.input_dim}"
         )
-    if lengths is None:
-        masks = np.asarray(mask, dtype=np.int64)
-        if masks.ndim == 1:
-            masks = masks[None]
-        if masks.ndim != 2 or masks.shape[0] == 0:
-            raise ValueError(f"mask shape {masks.shape} does not give one row per view")
-        b = masks.shape[0]
-        if cells.shape[0] % b:
-            raise ValueError(f"{cells.shape[0]} cell rows are not a multiple of {b} views")
-        tokens = np.empty((b, 0), np.int64) if tokens is None else np.asarray(tokens, dtype=np.int64)
-        if tokens.ndim == 1:
-            tokens = tokens[None]
-        if tokens.ndim != 2 or tokens.shape[0] != b:
-            raise ValueError(f"tokens shape {tokens.shape} does not give one row per view of {b}")
-        lengths = np.full(b, cells.shape[0] // b)
-        masks, tokens = list(masks), list(tokens)
-    else:
-        lengths = np.asarray(lengths, dtype=np.int64)
-        b = lengths.size
-        if lengths.ndim != 1 or not b or lengths.min() < 1 or lengths.sum() != cells.shape[0]:
-            raise ValueError(f"view lengths {lengths.tolist()} do not split {cells.shape[0]} cell rows")
-        masks = [np.asarray(m, dtype=np.int64) for m in mask]
-        tokens = ([np.empty(0, np.int64)] * b if tokens is None
-                  else [np.asarray(t, dtype=np.int64) for t in tokens])
-        for name, positions in (("mask", masks), ("tokens", tokens)):
-            if len(positions) != b or any(p.ndim != 1 for p in positions):
-                raise ValueError(f"{name} does not give one 1-D position array per view of {b}")
+    if lengths is None:  # every row is one view
+        lengths, mask, tokens = [cells.shape[0]], [mask], None if tokens is None else [tokens]
+    lengths = np.asarray(lengths, dtype=np.int64)
+    b = lengths.size
+    if lengths.ndim != 1 or not b or lengths.min() < 1 or lengths.sum() != cells.shape[0]:
+        raise ValueError(f"view lengths {lengths.tolist()} do not split {cells.shape[0]} cell rows")
+    masks = [np.asarray(m, dtype=np.int64) for m in mask]
+    tokens = ([np.empty(0, np.int64)] * b if tokens is None
+              else [np.asarray(t, dtype=np.int64) for t in tokens])
+    for name, positions in (("mask", masks), ("tokens", tokens)):
+        if len(positions) != b or any(p.ndim != 1 for p in positions):
+            raise ValueError(f"{name} does not give one 1-D position array per view of {b}")
     # each entry's view and position, flat over all views
     mask_view, mask_pos = _flatten(masks)
     token_view, token_pos = _flatten(tokens)

@@ -157,7 +157,7 @@ def init_mlp_params(
 
 
 def project(x: Tensor, params: dict[str, Tensor], prefix: str) -> Tensor:
-    return ndiff.l2_normalize(mlp_forward(x, params, prefix), axis=-1)
+    return ndiff.l2_normalize(mlp_forward(x, params, prefix))
 
 
 @dataclass
@@ -173,7 +173,7 @@ class AlignedTable:
     def rows(self, split: str | None = None) -> np.ndarray:
         if split is None:
             return np.arange(len(self.patient_ids))
-        return np.array([i for i, s in enumerate(self.splits) if s == split])
+        return np.flatnonzero([s == split for s in self.splits])
 
     def save(self, out_dir: str | Path, stem: str = "aligned") -> list[Path]:
         out_dir = Path(out_dir)
@@ -203,10 +203,13 @@ class AlignedTable:
 def load_table(out_dir: str | Path, stem: str = "aligned") -> AlignedTable:
     out_dir = Path(out_dir)
     index = json.loads((out_dir / f"{stem}.index.json").read_text())
-    mats = {
-        name: gbio.read_gbm(out_dir / f"{stem}.{name}.gbm").data
-        for name in ("slide", "zs", "zk", "zm")
-    }
+    mats = {}
+    for name in ("slide", "zs", "zk", "zm"):
+        path = out_dir / f"{stem}.{name}.gbm"
+        matrix = gbio.read_gbm(path)
+        if matrix.patient_ids != index["patient_ids"]:
+            raise gbio.FormatError(f"{path}: patient ids differ from {stem}.index.json's")
+        mats[name] = matrix.data
     return AlignedTable(
         patient_ids=index["patient_ids"],
         labels=index["labels"],

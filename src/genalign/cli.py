@@ -109,7 +109,7 @@ def cmd_encode_karyotype(args):
     )
 
     table = load_band_table()
-    ids, rows, warnings = [], [], []
+    first_line, rows, warnings = {}, [], []  # first_line: each patient id's line number
     with open(args.infile, newline="") as fh:
         for line_no, record in enumerate(csv.reader(fh, delimiter="\t"), start=1):
             if not record:
@@ -117,6 +117,10 @@ def cmd_encode_karyotype(args):
             if len(record) != 2:
                 raise ValueError(f"{args.infile}:{line_no}: expected patient_id<TAB>iscn")
             pid, iscn = record
+            if pid in first_line:
+                raise ValueError(f"{args.infile}:{line_no}: second row for patient {pid!r} "
+                                 f"(first on line {first_line[pid]})")
+            first_line[pid] = line_no
             if args.lenient:
                 events, skipped = parse_iscn_lenient(iscn, table)
                 for token in skipped:
@@ -127,12 +131,11 @@ def cmd_encode_karyotype(args):
             vec = encode_karyotype(events, table)
             if args.arm_level:
                 vec = rollup_to_arms(vec, table)
-            ids.append(pid)
             rows.append(vec)
     if not rows:
         raise ValueError(f"{args.infile}: no karyotypes found")
     matrix = gbio.Matrix(
-        np.stack(rows).astype(np.uint8), ids, band_table_sha256=table.sha256
+        np.stack(rows).astype(np.uint8), list(first_line), band_table_sha256=table.sha256
     )
     gbio.write_gbm(args.out, matrix)
     config = {
@@ -141,7 +144,7 @@ def cmd_encode_karyotype(args):
         "lenient": bool(args.lenient),
         "warnings": warnings,
     }
-    logger.info("encoded %d karyotypes -> %s", len(ids), args.out)
+    logger.info("encoded %d karyotypes -> %s", len(rows), args.out)
     return Path(args.out).parent, config, args.seed or 0, [args.out]
 
 

@@ -54,15 +54,21 @@ def direction_tag(query: str, target: str) -> str:
     return f"{MODALITY_TAGS[query]}->{MODALITY_TAGS[target]}"
 
 
+def _split_rows(table: AlignedTable, split: str) -> np.ndarray:
+    """The split's row indices; a split without patients is refused."""
+    rows = table.rows(split)
+    if rows.size == 0:
+        raise ek.EvalError(f"no patients in split {split!r}")
+    return rows
+
+
 def cross_modal_rankings(
     table: AlignedTable, query: str, target: str, split: str = "test"
 ) -> tuple[list[str], np.ndarray, np.ndarray]:
     """The split's patient ids and the ``(order, scores)`` ranking of every
     query-modality row against every target-modality row; query j's true
     match is candidate j, its same-patient counterpart."""
-    rows = table.rows(split)
-    if rows.size == 0:
-        raise ek.EvalError(f"no patients in split {split!r}")
+    rows = _split_rows(table, split)
     ids = [table.patient_ids[i] for i in rows]
     order, scores = ek.retrieve(_modality_matrix(table, query)[rows],
                                 _modality_matrix(table, target)[rows], ids)
@@ -144,7 +150,7 @@ def slide_retrieval_block(
     """Same-class slide-to-slide retrieval, mAP@k.  Each query's own column
     is dropped from its ranking; queries with no same-class partner are
     skipped and counted."""
-    rows = table.rows(split)
+    rows = _split_rows(table, split)
     ids = [table.patient_ids[i] for i in rows]
     labels = np.array([table.labels[i] for i in rows])
     order, _ = ek.retrieve(table.z_slide[rows], table.z_slide[rows], ids)
@@ -163,8 +169,8 @@ def slide_retrieval_block(
 
 def _probe_inputs(table: AlignedTable) -> tuple[np.ndarray, ...]:
     """(train_x, train_y, test_x, test_y): slide embeddings and labels."""
-    train_rows = table.rows("train")
-    test_rows = table.rows("test")
+    train_rows = _split_rows(table, "train")
+    test_rows = _split_rows(table, "test")
     return (table.slide[train_rows], np.array([table.labels[i] for i in train_rows]),
             table.slide[test_rows], np.array([table.labels[i] for i in test_rows]))
 
@@ -214,7 +220,7 @@ def per_gene_block(
     one negative patient in the split: gene->slide via one-hot gene queries
     through the mutation projector, slide->gene by assigning each slide to
     its most similar gene (ties: first gene in name order)."""
-    rows = table.rows(split)
+    rows = _split_rows(table, split)
     ids = [table.patient_ids[i] for i in rows]
     by_id = {p.patient_id: p for p in cohort.patients}
     relevant = np.array([by_id[pid].mutations for pid in ids], dtype=bool).T

@@ -29,6 +29,8 @@ from typing import Callable, Sequence
 import numpy as np
 
 _GELU_C = math.sqrt(2.0 / math.pi)
+_LAYER_NORM_EPS = 1e-5  # added to the variance
+_L2_EPS = 1e-12  # smallest norm l2_normalize accepts
 
 
 class NdiffError(ValueError):
@@ -285,17 +287,14 @@ def log_softmax(a: Tensor, axis: int = -1) -> Tensor:
     return _record(out, (a,), backward)
 
 
-def layer_norm(
-    a: Tensor, gamma: Tensor, beta: Tensor, axis: int = -1, eps: float = 1e-5
-) -> Tensor:
+def layer_norm(a: Tensor, gamma: Tensor, beta: Tensor) -> Tensor:
+    """Each row normalised over the last axis, times ``gamma`` plus ``beta``."""
     _check_same_dtype(a, gamma, "layer_norm")
     _check_same_dtype(a, beta, "layer_norm")
-    if eps <= 0:
-        raise NdiffError("layer_norm: eps must be positive")
     x = a.data
-    n = x.shape[axis]  # sum / n is exactly np.mean, minus its Python wrapper
-    xhat = x - x.sum(axis=axis, keepdims=True) / n
-    inv = 1.0 / np.sqrt((xhat**2).sum(axis=axis, keepdims=True) / n + eps)
+    n = x.shape[-1]  # sum / n is exactly np.mean, minus its Python wrapper
+    xhat = x - x.sum(axis=-1, keepdims=True) / n
+    inv = 1.0 / np.sqrt((xhat**2).sum(axis=-1, keepdims=True) / n + _LAYER_NORM_EPS)
     xhat *= inv
     try:
         out = Tensor(xhat * gamma.data + beta.data)
@@ -307,8 +306,8 @@ def layer_norm(
 
     def backward(g):
         dxhat = g * gamma.data
-        dx = dxhat - dxhat.sum(axis=axis, keepdims=True) / n
-        dx -= xhat * ((dxhat * xhat).sum(axis=axis, keepdims=True) / n)
+        dx = dxhat - dxhat.sum(axis=-1, keepdims=True) / n
+        dx -= xhat * ((dxhat * xhat).sum(axis=-1, keepdims=True) / n)
         dx *= inv
         return dx, _unbroadcast(g * xhat, gamma.shape), _unbroadcast(g, beta.shape)
 
@@ -349,18 +348,17 @@ def gelu(a: Tensor) -> Tensor:
     return _record(out, (a,), lambda g: (deriv * g,))
 
 
-def l2_normalize(a: Tensor, axis: int = -1, eps: float = 1e-12) -> Tensor:
-    if eps <= 0:
-        raise NdiffError("l2_normalize: eps must be positive")
+def l2_normalize(a: Tensor) -> Tensor:
+    """Scale each row to unit length over the last axis."""
     x = a.data
-    norm = np.sqrt((x**2).sum(axis=axis, keepdims=True))
-    if np.any(norm < eps):
-        raise NdiffError(f"l2_normalize: degenerate input with norm < {eps}")
+    norm = np.sqrt((x**2).sum(axis=-1, keepdims=True))
+    if np.any(norm < _L2_EPS):
+        raise NdiffError(f"l2_normalize: degenerate input with norm < {_L2_EPS}")
     y = x / norm
     out = Tensor(y)
 
     def backward(g):
-        dot = (g * y).sum(axis=axis, keepdims=True)
+        dot = (g * y).sum(axis=-1, keepdims=True)
         return ((g - y * dot) / norm,)
 
     return _record(out, (a,), backward)
@@ -457,14 +455,13 @@ def multi_head_attention(
     wv: Tensor,
     wo: Tensor,
     n_heads: int,
-    seq_len: int | np.ndarray | None = None,
+    seq_len: np.ndarray | None = None,
     queries=None,
 ) -> Tensor:
     """Fused softmax(x Wq (x Wk)^T / sqrt(dh)) x Wv Wo over n_heads.
 
-    ``x`` holds sequences stacked one after another: ``seq_len`` is one
-    length shared by every sequence, or a 1-D array of per-sequence lengths
-    (default: all rows are one sequence).  A row attends only to the rows of
+    ``x`` holds sequences stacked one after another: ``seq_len`` is a 1-D
+    array of per-sequence lengths (default: all rows are one sequence).  A row attends only to the rows of
     its own sequence, so no padding or attention mask is involved.  One graph
     node instead of ~24: Q, K, V and the output projection are one matmul
     each over all rows; each run of consecutive sequences with equal length
@@ -492,16 +489,10 @@ def multi_head_attention(
     rows, d = x.shape
     if d % n_heads != 0:
         raise NdiffError(f"width {d} not divisible by {n_heads} heads")
-    if seq_len is None or np.ndim(seq_len) == 0:
-        n = rows if seq_len is None else int(seq_len)
-        if n < 1 or rows % n != 0:
-            raise NdiffError(f"{rows} rows do not split into sequences of {n}")
-        lengths = np.full(rows // n, n)
-    else:
-        lengths = np.asarray(seq_len)
-        if (lengths.ndim != 1 or lengths.dtype.kind not in "iu" or not lengths.size
-                or lengths.min() < 1 or lengths.sum() != rows):
-            raise NdiffError(f"sequence lengths {lengths.tolist()} do not split {rows} rows")
+    lengths = np.array([rows]) if seq_len is None else np.asarray(seq_len)
+    if (lengths.ndim != 1 or lengths.dtype.kind not in "iu" or not lengths.size
+            or lengths.min() < 1 or lengths.sum() != rows):
+        raise NdiffError(f"sequence lengths {lengths.tolist()} do not split {rows} rows")
     b = lengths.size
     starts = np.cumsum(lengths) - lengths
     dh = d // n_heads

@@ -119,8 +119,8 @@ def head_forward(x: Tensor, params: dict[str, Tensor]) -> Tensor:
     h = ndiff.gelu(ndiff.linear(x, params["head.w1"], params["head.b1"]))
     h = ndiff.gelu(ndiff.linear(h, params["head.w2"], params["head.b2"]))
     z = ndiff.linear(h, params["head.w3"], params["head.b3"])
-    z = ndiff.l2_normalize(z, axis=-1)
-    protos = ndiff.l2_normalize(params["head.proto"], axis=-1)
+    z = ndiff.l2_normalize(z)
+    protos = ndiff.l2_normalize(params["head.proto"])
     return ndiff.matmul(z, ndiff.transpose(protos))
 
 

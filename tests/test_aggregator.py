@@ -99,8 +99,8 @@ class TestForward:
             return ndiff.mean(ndiff.mul(hidden, probe))
 
         with ndiff.Tape() as tape:
-            stacked = agg.forward(views.reshape(b * n, -1), masks, params, TINY,
-                                  tokens=np.tile(np.arange(n), (b, 1)))
+            stacked = agg.forward(views.reshape(b * n, -1), list(masks), params, TINY,
+                                  tokens=[np.arange(n)] * b, lengths=[n] * b)
             loss = loss_of(stacked)
         grads = tape.backward(loss)
         with ndiff.Tape() as tape:
@@ -128,35 +128,31 @@ class TestForward:
         monkeypatch.setattr(ndiff, "mul", recording)
         b, n = 3, 6
         cells = rng.standard_normal((b * n, TINY.input_dim)).astype(np.float32)
-        masks = np.array([[0, 4], [5, 1], [2, 3]])
+        masks = [np.array([0, 4]), np.array([5, 1]), np.array([2, 3])]
         with ndiff.Tape():
-            out = agg.forward(cells, masks, tiny_params, TINY, tokens=masks)
+            out = agg.forward(cells, masks, tiny_params, TINY, tokens=masks, lengths=[n] * b)
         assert out.shape == (b * 3, TINY.embed_dim)
         assert calls == []
 
     @pytest.mark.parametrize("mask,has_grad", [
-        (np.empty((2, 0), np.int64), False),
-        (np.array([[1], [0]]), True),
+        ([[], []], False),
+        ([[1], [0]], True),
     ], ids=["unmasked", "masked"])
     def test_mask_token_gradient_only_when_a_cell_is_masked(self, tiny_params, rng,
                                                             mask, has_grad):
         cells = rng.standard_normal((2 * 4, TINY.input_dim)).astype(np.float32)
         with ndiff.Tape() as tape:
-            loss = ndiff.mean(agg.forward(cells, mask, tiny_params, TINY))
+            loss = ndiff.mean(agg.forward(cells, mask, tiny_params, TINY, lengths=[4, 4]))
         grads = tape.backward(loss)
         assert (tiny_params["mask_token"] in grads) == has_grad
         assert tiny_params["cls"] in grads
 
     def test_one_mask_row_per_view_required(self, tiny_params, rng):
+        # without lengths every row is one view, so a mask of several rows is refused
         rows = rng.standard_normal((8, TINY.input_dim)).astype(np.float32)
-        for mask in (np.array([[[1], [2]]]), np.empty((0, 1), np.int64)):
-            with pytest.raises(ValueError, match="one row per view"):
+        for mask in (np.array([[1], [2]]), np.empty((0, 1), np.int64)):
+            with pytest.raises(ValueError, match="mask does not give one 1-D position array per view of 1"):
                 agg.forward(rows, mask, tiny_params, TINY)
-
-    def test_row_count_not_a_multiple_of_views_rejected(self, tiny_params, rng):
-        rows = rng.standard_normal((7, TINY.input_dim)).astype(np.float32)
-        with pytest.raises(ValueError, match="not a multiple of 2 views"):
-            agg.forward(rows, np.array([[1], [2]]), tiny_params, TINY)
 
     def test_cls_gradient_wrt_cells_passes_grad_check(self, rng):
         params = agg.init_params(TINY, np.random.default_rng(3), dtype=np.float64)
@@ -170,10 +166,12 @@ class TestForward:
         assert report.passed, report.max_rel_err
 
 
-def full_row_reference(cells, mask, params, config, tokens):
+def full_row_reference(cells, mask, params, config, tokens, lengths):
     """Every block on every row of each view's [CLS; cells] sequence, then
-    each view's CLS row and its rows at ``tokens`` gathered."""
-    b, n = mask.shape[0], cells.shape[0] // mask.shape[0]
+    each view's CLS row and its rows at ``tokens`` gathered; the views have
+    equal lengths."""
+    b, n = len(lengths), lengths[0]
+    mask, tokens = np.array(mask), np.array(tokens, np.int64).reshape(b, -1)
     x = agg.mlp_forward(cells, params, "embed")
     keep = np.ones((b * n, 1))
     keep[(np.arange(b)[:, None] * n + mask).ravel()] = 0.0
@@ -182,7 +180,7 @@ def full_row_reference(cells, mask, params, config, tokens):
                            for part in (params["cls"], ndiff.slice_rows(x, i * n, (i + 1) * n))])
     for i in range(config.depth):
         h = agg._layer_norm(x, params, f"block{i}.ln1")
-        x = ndiff.add(x, agg._attention(h, params, f"block{i}.attn", config, n + 1))
+        x = ndiff.add(x, agg._attention(h, params, f"block{i}.attn", config, np.full(b, n + 1)))
         h = agg._layer_norm(x, params, f"block{i}.ln2")
         x = ndiff.add(x, agg.mlp_forward(h, params, f"block{i}.mlp"))
     x = agg._layer_norm(x, params, "final_ln")
@@ -195,13 +193,13 @@ class TestReadRows:
         params = agg.init_params(TINY, np.random.default_rng(11), dtype=np.float64)
         b, n = 3, 7
         cells = Tensor(rng.standard_normal((b * n, TINY.input_dim)), requires_grad=True)
-        masks = np.array([[0, 4], [5, 1], [2, 3]])
-        for tokens in (masks, np.array([[6, 0, 3]] * b), np.empty((b, 0), np.int64)):
-            probe = Tensor(rng.standard_normal((b * (1 + tokens.shape[1]), TINY.embed_dim)))
+        masks = [np.array([0, 4]), np.array([5, 1]), np.array([2, 3])]
+        for tokens in (masks, [np.array([6, 0, 3])] * b, [np.empty(0, np.int64)] * b):
+            probe = Tensor(rng.standard_normal((b * (1 + tokens[0].size), TINY.embed_dim)))
             outs, grads = [], []
             for run in (agg.forward, full_row_reference):
                 with ndiff.Tape() as tape:
-                    out = run(cells, masks, params, TINY, tokens)
+                    out = run(cells, masks, params, TINY, tokens, [n] * b)
                     loss = ndiff.mean(ndiff.mul(out, probe))
                 outs.append(out.data)
                 grads.append(tape.backward(loss))
@@ -210,16 +208,16 @@ class TestReadRows:
                 np.testing.assert_allclose(grads[0][t], grads[1][t], rtol=1e-9, atol=1e-13)
 
     @pytest.mark.parametrize("tokens,match", [
-        ([[0, 1], [2]], "inhomogeneous"),
-        ([[0, 1]], "one row per view"),
-        ([[0], [1], [2]], "one row per view"),
+        ([[[0, 1], [2]], [3]], "inhomogeneous"),
+        ([[0, 1]], "per view of 2"),
+        ([[0], [1], [2]], "per view of 2"),
         ([[0], [4]], "tokens positions out of range"),
         ([[-1], [0]], "tokens positions out of range"),
     ])
     def test_bad_tokens_rejected(self, tiny_params, rng, tokens, match):
         rows = rng.standard_normal((8, TINY.input_dim)).astype(np.float32)
         with pytest.raises(ValueError, match=match):
-            agg.forward(rows, np.empty((2, 0), np.int64), tiny_params, TINY, tokens)
+            agg.forward(rows, [[], []], tiny_params, TINY, tokens, [4, 4])
 
     def test_full_bag_last_attention_has_one_query_per_view(self, tiny_params, rng, monkeypatch):
         calls = []
@@ -232,7 +230,7 @@ class TestReadRows:
         monkeypatch.setattr(ndiff, "multi_head_attention", recording)
         b, n = 3, 5
         cells = rng.standard_normal((b * n, TINY.input_dim)).astype(np.float32)
-        out = agg.forward(cells, np.empty((b, 0), np.int64), tiny_params, TINY)
+        out = agg.forward(cells, [[]] * b, tiny_params, TINY, lengths=[n] * b)
         assert out.shape == (b, TINY.embed_dim)
         assert len(calls) == TINY.depth and all(q is None for q in calls[:-1])
         assert np.array_equal(calls[-1], np.arange(b) * (n + 1))

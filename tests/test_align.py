@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from genalign import align, ndiff
+from genalign import align, gbio, ndiff
 from genalign.aggregator import AggregatorConfig, CellBag
 from genalign.align import (
     AlignConfig,
@@ -148,7 +148,7 @@ class TestSupconDirectional:
         labels = np.array([0, 0, 1, 1])
 
         def f_anchor(raw):
-            za = ndiff.l2_normalize(raw, axis=-1)
+            za = ndiff.l2_normalize(raw)
             return supcon_symmetric(za, Tensor(zb), labels, 0.2)
 
         report = ndiff.grad_check(f_anchor, Tensor(rng.standard_normal((4, 8))),
@@ -158,7 +158,7 @@ class TestSupconDirectional:
         za = unit_rows(rng, (4, 8))
 
         def f_target(raw):
-            return supcon_symmetric(Tensor(za), ndiff.l2_normalize(raw, axis=-1),
+            return supcon_symmetric(Tensor(za), ndiff.l2_normalize(raw),
                                     labels, 0.2)
 
         report = ndiff.grad_check(f_target, Tensor(rng.standard_normal((4, 8))),
@@ -419,6 +419,18 @@ class TestTrainAlign:
         loaded = align.load_table(tmp_path, stem="aligned")
         assert loaded.patient_ids == result.table.patient_ids
         assert np.allclose(loaded.z_karyotype, result.table.z_karyotype)
+
+    def test_load_table_refuses_a_matrix_of_other_patients(self, rng, tmp_path):
+        z = rng.standard_normal((3, 4)).astype(np.float32)
+        table = align.AlignedTable(["a", "b", "c"], ["x", "y", "x"], ["train", "test", "test"],
+                                   z, z, z, z)
+        table.save(tmp_path)
+        assert align.load_table(tmp_path).patient_ids == ["a", "b", "c"]
+        # a stale projection table from another run, of other patients
+        stale = tmp_path / "aligned.zk.gbm"
+        gbio.write_gbm(stale, gbio.Matrix(z, ["c", "b", "a"]))
+        with pytest.raises(gbio.FormatError, match=f"{stale}: patient ids differ"):
+            align.load_table(tmp_path)
 
     def test_deterministic_given_seed(self, rng, tmp_path):
         cohort = make_cohort(rng)

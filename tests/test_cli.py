@@ -138,6 +138,15 @@ class TestEncodeKaryotype:
         assert matrix.data[0].sum() > 0  # +8 still encoded
 
 
+    def test_repeated_patient_id_refused(self, tmp_path, caplog):
+        tsv = tmp_path / "k.tsv"
+        tsv.write_text("p1\t47,XY,+8\np2\t46,XX\np1\t45,XX,-7\n")
+        out = tmp_path / "k.gbm"
+        assert main(["encode-karyotype", "--in", str(tsv), "--out", str(out)]) == 1
+        assert f"{tsv}:3: second row for patient 'p1' (first on line 1)" in caplog.text
+        assert not out.exists()
+
+
 class TestPretrainAlign:
     def test_checkpoint_inspectable(self, pipeline, capsys):
         assert main(["inspect", str(pipeline / "ckpt.gbck")]) == 0

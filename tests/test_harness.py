@@ -157,6 +157,19 @@ class TestOtherBlocks:
         assert block["map_at_k"]["point"] == 1.0
         assert block["skipped_queries"] == 1
 
+    @pytest.mark.parametrize("split,block", [
+        ("test", lambda table: slide_retrieval_block(table, n_boot=10)),
+        ("test", probe_block),
+        ("train", probe_block),
+        ("test", lambda table: per_gene_block(table, *gene_cohort(np.random.default_rng(0), table),
+                                              n_boot=10)),
+    ], ids=["slide_retrieval", "probes_without_test", "probes_without_train", "per_gene"])
+    def test_empty_split_refused(self, rng, split, block):
+        table = make_table(rng, **{f"n_{split}": 0})
+        assert table.rows(split).dtype.kind == "i"
+        with pytest.raises(ek.EvalError, match=f"no patients in split '{split}'"):
+            block(table)
+
     def test_probe_block_separable(self, rng):
         table = make_table(rng)
         block = probe_block(table)

@@ -25,12 +25,12 @@ class TestForward:
 
     def test_l2_normalize_unit_norm(self, rng):
         x = t64(rng.standard_normal((10, 6)))
-        out = ndiff.l2_normalize(x, axis=-1).data
+        out = ndiff.l2_normalize(x).data
         assert np.allclose(np.linalg.norm(out, axis=-1), 1.0, atol=1e-6)
 
     def test_l2_normalize_degenerate_raises(self):
         with pytest.raises(ndiff.NdiffError, match="degenerate"):
-            ndiff.l2_normalize(t64(np.zeros((1, 4))), eps=1e-12)
+            ndiff.l2_normalize(t64(np.zeros((1, 4))))
 
     def test_bce_with_logits_zero_logits(self):
         out = ndiff.binary_cross_entropy_with_logits(
@@ -131,7 +131,7 @@ PRIMITIVE_CASES = [
     ("slice_rows", (5, 3), lambda x: ndiff.mean(ndiff.mul(ndiff.slice_rows(x, 1, 4), Tensor(_G33)))),
     ("log_softmax", (4, 6), lambda x: ndiff.mean(ndiff.mul(ndiff.log_softmax(x, axis=-1), Tensor(_H46)))),
     ("gelu", (3, 4), lambda x: ndiff.mean(ndiff.gelu(x))),
-    ("l2_normalize", (4, 5), lambda x: ndiff.mean(ndiff.mul(ndiff.l2_normalize(x, axis=-1), Tensor(_I45)))),
+    ("l2_normalize", (4, 5), lambda x: ndiff.mean(ndiff.mul(ndiff.l2_normalize(x), Tensor(_I45)))),
     ("layer_norm_x", (4, 6), lambda x: ndiff.mean(ndiff.mul(ndiff.layer_norm(x, Tensor(_GAMMA6), Tensor(_BETA6)), Tensor(_H46)))),
     ("layer_norm_gamma", (1, 6), lambda g: ndiff.mean(ndiff.mul(ndiff.layer_norm(Tensor(_X46), g, Tensor(_BETA6)), Tensor(_H46)))),
     ("layer_norm_beta", (1, 6), lambda b: ndiff.mean(ndiff.mul(ndiff.layer_norm(Tensor(_X46), Tensor(_GAMMA6), b), Tensor(_H46)))),
@@ -156,20 +156,20 @@ PRIMITIVE_CASES = [
     # three sequences of 3 rows stacked; each row attends within its own sequence
     ("multi_head_attention_stacked", (9, 6), lambda x: ndiff.mean(ndiff.mul(
         ndiff.multi_head_attention(x, Tensor(_WQ66), Tensor(_WK66),
-                                   Tensor(_WV66), Tensor(_WO66), 2, seq_len=3),
+                                   Tensor(_WV66), Tensor(_WO66), 2, seq_len=_SEQ3),
         Tensor(_M96)))),
     ("multi_head_attention_stacked_wk", (6, 6), lambda w: ndiff.mean(ndiff.mul(
         ndiff.multi_head_attention(Tensor(_M96), Tensor(_WQ66), w,
-                                   Tensor(_WV66), Tensor(_WO66), 3, seq_len=3),
+                                   Tensor(_WV66), Tensor(_WO66), 3, seq_len=_SEQ3),
         Tensor(_M96)))),
     # two query rows per sequence of 3; row 2 is queried twice, row 5 never
     ("multi_head_attention_queries", (9, 6), lambda x: ndiff.mean(ndiff.mul(
         ndiff.multi_head_attention(x, Tensor(_WQ66), Tensor(_WK66), Tensor(_WV66),
-                                   Tensor(_WO66), 2, seq_len=3, queries=_Q6),
+                                   Tensor(_WO66), 2, seq_len=_SEQ3, queries=_Q6),
         Tensor(_M66)))),
     ("multi_head_attention_queries_wq", (6, 6), lambda w: ndiff.mean(ndiff.mul(
         ndiff.multi_head_attention(Tensor(_M96), w, Tensor(_WK66), Tensor(_WV66),
-                                   Tensor(_WO66), 3, seq_len=3, queries=_Q6),
+                                   Tensor(_WO66), 3, seq_len=_SEQ3, queries=_Q6),
         Tensor(_M66)))),
     # rows 0 and 3 repeat, row 1 is never gathered
     ("gather_rows_repeated", (4, 3), lambda x: ndiff.mean(ndiff.mul(
@@ -205,6 +205,7 @@ _GAMMA6 = 1.0 + 0.5 * _fix.standard_normal((1, 6))  # away from 1: g and g * gam
 _BETA6 = _fix.standard_normal((1, 6))
 _M66 = _fix.standard_normal((6, 6))
 _Q6 = np.array([2, 2, 4, 3, 8, 6])
+_SEQ3 = np.array([3, 3, 3])
 
 
 class TestRowOps:
@@ -214,7 +215,7 @@ class TestRowOps:
         ws = [t64(rng.standard_normal((d, d)) * 0.5, requires_grad=True) for _ in range(4)]
         probe = t64(rng.standard_normal((b * n, d)))
         with Tape() as tape:
-            stacked = ndiff.multi_head_attention(x, *ws, 2, seq_len=n)
+            stacked = ndiff.multi_head_attention(x, *ws, 2, seq_len=np.full(b, n))
             loss = ndiff.mean(ndiff.mul(stacked, probe))
         grads = tape.backward(loss)
         with Tape() as tape:
@@ -234,11 +235,11 @@ class TestRowOps:
         queries = np.array([4, 0, 6, 5, 14, 10])
         probe = t64(rng.standard_normal((queries.size, d)))
         with Tape() as tape:
-            picked = ndiff.multi_head_attention(x, *ws, 2, seq_len=n, queries=queries)
+            picked = ndiff.multi_head_attention(x, *ws, 2, seq_len=np.full(b, n), queries=queries)
             loss = ndiff.mean(ndiff.mul(picked, probe))
         grads = tape.backward(loss)
         with Tape() as tape:
-            full = ndiff.gather_rows(ndiff.multi_head_attention(x, *ws, 2, seq_len=n), queries)
+            full = ndiff.gather_rows(ndiff.multi_head_attention(x, *ws, 2, seq_len=np.full(b, n)), queries)
             loss_full = ndiff.mean(ndiff.mul(full, probe))
         grads_full = tape.backward(loss_full)
         np.testing.assert_allclose(picked.data, full.data, rtol=1e-12, atol=1e-14)
@@ -258,13 +259,7 @@ class TestRowOps:
         x = t64(rng.standard_normal((8, 4)))
         w = t64(np.eye(4))
         with pytest.raises(ndiff.NdiffError, match=match):
-            ndiff.multi_head_attention(x, w, w, w, w, 2, seq_len=4, queries=np.array(queries))
-
-    def test_attention_rows_must_split_into_sequences(self, rng):
-        x = t64(rng.standard_normal((5, 4)))
-        w = t64(np.eye(4))
-        with pytest.raises(ndiff.NdiffError, match="sequences of 2"):
-            ndiff.multi_head_attention(x, w, w, w, w, 2, seq_len=2)
+            ndiff.multi_head_attention(x, w, w, w, w, 2, seq_len=np.array([4, 4]), queries=np.array(queries))
 
     def test_gather_rows_repeated_index_sums_gradient(self):
         x = t64(np.arange(6.0).reshape(3, 2), requires_grad=True)
@@ -429,7 +424,7 @@ def _rel_l2_err(got, want):
 class TestAttentionAccuracy:
     @pytest.mark.parametrize("rows,seq_len,queries", [
         (33, None, None),
-        (3 * 17, 17, None),
+        (3 * 17, np.full(3, 17), None),
         # every row once, rows 3 and 45 twice; the 17-row sequences share a run
         (48, np.array([9, 17, 17, 5]), np.r_[0:9, 3, 9:48, 45]),
     ], ids=["one", "stacked", "packed"])
@@ -442,8 +437,8 @@ class TestAttentionAccuracy:
         probe = rng.standard_normal((rows if queries is None else queries.size, 24))
 
         def reference(x, *ws):
-            if np.ndim(seq_len) == 0:
-                out = _reference_attention(x, *ws, 4, seq_len)
+            if seq_len is None or np.ptp(seq_len) == 0:  # one batched block
+                out = _reference_attention(x, *ws, 4, None if seq_len is None else seq_len[0])
             else:
                 starts = np.cumsum(seq_len) - seq_len
                 out = ndiff.concat_rows([_reference_attention(ndiff.slice_rows(x, s, s + n), *ws, 4)
