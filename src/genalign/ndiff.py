@@ -12,12 +12,14 @@ Kernels work in place (``*=``, ``np.exp(..., out=)``) only on arrays they
 allocated themselves, never on an input or an incoming gradient.  A kernel
 rewrite keeps outputs and gradients byte-identical (the same float
 operations on the same operands in the same order), except
-``multi_head_attention``: it normalises the softmax after the value product,
-so it matches the textbook formula only up to rounding, and is tested for
-accuracy against it in f64.  Restricted to some query rows, run in query
-slices, or packed with other sequences, it matches the full or separate call
-only up to rounding too: BLAS may round a row of a product differently
-depending on how many rows the product has.
+``multi_head_attention`` and ``layer_norm``.  Both take their row sums as
+BLAS matrix-vector products, and attention normalises the softmax after the
+value product and shifts each score block by one max, so they match the
+textbook formulas only up to rounding, and are tested for accuracy against
+them in f64.  Restricted to some query rows, run in query slices, or packed
+with other sequences, attention matches the full or separate call only up
+to rounding too: BLAS may round a row of a product differently depending on
+how many rows the product has.
 """
 
 from __future__ import annotations
@@ -161,6 +163,15 @@ def _unbroadcast(grad: np.ndarray, shape: tuple) -> np.ndarray:
     return grad.reshape(shape)
 
 
+def _row_sums(m: np.ndarray, weight: float = 1.0) -> np.ndarray:
+    """Sums over the last axis of ``weight`` times each term, with that axis
+    kept at length 1.  One BLAS matrix-vector product over all rows: numpy's
+    reduce over a short last axis is several times slower."""
+    n = m.shape[-1]
+    col = np.full((n, 1), weight, m.dtype)
+    return (m.reshape(-1, n) @ col).reshape(*m.shape[:-1], 1)
+
+
 def matmul(a: Tensor, b: Tensor) -> Tensor:
     _check_same_dtype(a, b, "matmul")
     if a.data.ndim != 2 or b.data.ndim != 2 or a.shape[1] != b.shape[0]:
@@ -276,10 +287,12 @@ def slice_rows(a: Tensor, start: int, stop: int) -> Tensor:
 def log_softmax(a: Tensor, axis: int = -1) -> Tensor:
     x = a.data
     shifted = x - x.max(axis=axis, keepdims=True)
-    lse = np.log(np.exp(shifted).sum(axis=axis, keepdims=True))
-    y = shifted - lse
-    out = Tensor(y)
-    sm = np.exp(y)
+    sm = np.exp(shifted)
+    total = sm.sum(axis=axis, keepdims=True)
+    out = Tensor(shifted - np.log(total))
+    if not _records((a,)):
+        return out
+    sm /= total  # the softmax, kept for the backward
 
     def backward(g):
         return (g - sm * g.sum(axis=axis, keepdims=True),)
@@ -292,9 +305,9 @@ def layer_norm(a: Tensor, gamma: Tensor, beta: Tensor) -> Tensor:
     _check_same_dtype(a, gamma, "layer_norm")
     _check_same_dtype(a, beta, "layer_norm")
     x = a.data
-    n = x.shape[-1]  # sum / n is exactly np.mean, minus its Python wrapper
-    xhat = x - x.sum(axis=-1, keepdims=True) / n
-    inv = 1.0 / np.sqrt((xhat**2).sum(axis=-1, keepdims=True) / n + _LAYER_NORM_EPS)
+    w = 1.0 / x.shape[-1]  # the row means are row sums of w-weighted terms
+    xhat = x - _row_sums(x, w)
+    inv = 1.0 / np.sqrt(_row_sums(xhat**2, w) + _LAYER_NORM_EPS)
     xhat *= inv
     try:
         out = Tensor(xhat * gamma.data + beta.data)
@@ -306,8 +319,8 @@ def layer_norm(a: Tensor, gamma: Tensor, beta: Tensor) -> Tensor:
 
     def backward(g):
         dxhat = g * gamma.data
-        dx = dxhat - dxhat.sum(axis=-1, keepdims=True) / n
-        dx -= xhat * ((dxhat * xhat).sum(axis=-1, keepdims=True) / n)
+        dx = dxhat - _row_sums(dxhat, w)
+        dx -= xhat * _row_sums(dxhat * xhat, w)
         dx *= inv
         return dx, _unbroadcast(g * xhat, gamma.shape), _unbroadcast(g, beta.shape)
 
@@ -389,8 +402,12 @@ def binary_cross_entropy_with_logits(logits: Tensor, targets: Tensor) -> Tensor:
             f"and {targets.shape} differ"
         )
     x, y = logits.data, targets.data
-    out = Tensor(np.maximum(x, 0.0) - x * y + np.log1p(np.exp(-np.abs(x))))
-    sig = 1.0 / (1.0 + np.exp(-x))
+    tail = np.exp(-np.abs(x))  # never overflows, unlike exp(-x) for x << 0
+    out = Tensor(np.maximum(x, 0.0) - x * y + np.log1p(tail))
+    if not _records((logits, targets)):
+        return out
+    sig = np.where(x >= 0, 1.0, tail)  # sigmoid(x) from the same exp(-|x|)
+    sig /= 1.0 + tail
 
     def backward(g):
         return g * (sig - y), g * (-x)
@@ -434,15 +451,28 @@ def gather_rows(a: Tensor, idx) -> Tensor:
 # its views under it) and of one untaped attention slice's scores
 MAX_CALL_FLOATS = 1025**2
 
+# A softmax row shifted by its block's max whose sum falls below this is
+# shifted again by its own max.  A sum of n terms at or above it keeps the
+# row's largest term at least 2**-64 / n, a normal f32 for any n below 2**62.
+SOFTMAX_SUM_FLOOR = 2.0**-64
+
 
 def _softmax_values(q: np.ndarray, k: np.ndarray, v: np.ndarray):
     """``softmax(q k^T) v`` over (sequence, head) batches, normalised after
-    the value product: the head outputs, the unnormalised block
-    ``e = exp(s - rowmax)`` and its row sums ``r``."""
+    the value product: the head outputs, the unnormalised block ``e`` and
+    its row sums ``r``, shifted by each block's max and guarded as
+    ``multi_head_attention`` describes."""
     e = q @ k.swapaxes(-1, -2)
-    e -= e.max(axis=-1, keepdims=True)
+    e -= e.max(axis=(-2, -1), keepdims=True)
     np.exp(e, out=e)
-    r = e.sum(axis=-1, keepdims=True)
+    r = _row_sums(e)
+    low = np.nonzero(r[..., 0] < SOFTMAX_SUM_FLOOR)  # (sequence, head, query) triples
+    if low[0].size:
+        s = (q[low][:, None] @ k[low[:2]].swapaxes(-1, -2))[:, 0]
+        s -= s.max(axis=-1, keepdims=True)
+        np.exp(s, out=s)
+        e[low] = s
+        r[low] = _row_sums(s)
     heads = e @ v
     heads /= r
     return heads, e, r
@@ -476,9 +506,19 @@ def multi_head_attention(
     holds a ``(h, t, n)`` score block.
 
     As in FlashAttention (Dao et al. 2022), the scale is folded into
-    ``wq``, the block keeps ``e = exp(s - rowmax)`` unnormalised, and the
-    row sums ``r`` divide the ``(t, dh)`` product ``e v``; the backward
-    reads the softmax's row term from the head outputs, ``rowsum(G * O)``.
+    ``wq``, the block keeps ``e`` unnormalised, and its row sums ``r``
+    divide the ``(t, dh)`` product ``e v``; the backward reads the softmax's
+    row term from the head outputs, ``rowsum(G * O)``, in the merged rows.
+    Every row sum is one BLAS matrix-vector product.
+
+    Each (sequence, head) block is shifted by its own max, ``e = exp(s -
+    blockmax)``: one max per block instead of one per row.  Softmax does not
+    change under any per-row shift, and a shift at least the row max keeps
+    every ``exp`` at most 1 (Milakov & Gimelshein 2018).  A row whose max
+    lies far below its block's would underflow, so a row whose sum falls
+    below ``SOFTMAX_SUM_FLOOR`` is computed again shifted by its own max,
+    and that ``e`` and ``r`` are kept: the backward reads ``e / r`` as is.
+
     A recorded node keeps one block per run for its backward.  Otherwise
     nothing is kept, and each run's query rows go in slices of at most
     ``MAX_CALL_FLOATS`` scores (at least one query row each), which is exact
@@ -557,13 +597,15 @@ def multi_head_attention(
     def backward(g):
         d_merged = g @ wo.data.T
         d_wo = merged.T @ g
+        # the softmax's row term rowsum(G * O) of every head, in the merged rows
+        g_o = _row_sums((d_merged * merged).reshape(-1, n_heads, dh))
         dq, dk, dv = np.empty_like(q_all), np.empty_like(k_all), np.empty_like(v_all)
         for (r0, q0, seqs, n, t), (q, k, v, e, r) in zip(runs, blocks):
             g_r = split(d_merged[q0 : q0 + seqs * t], seqs) / r  # G / r
-            heads = split(merged[q0 : q0 + seqs * t], seqs)
             dv[r0 : r0 + seqs * n] = merge(e.swapaxes(-1, -2) @ g_r)
+            row_term = g_o[q0 : q0 + seqs * t].reshape(seqs, t, n_heads, 1).transpose(0, 2, 1, 3)
             d_scores = g_r @ v.swapaxes(-1, -2)  # ((G / r) V^T - rowsum(G * O) / r) * e
-            d_scores -= (g_r * heads).sum(axis=-1, keepdims=True)
+            d_scores -= row_term / r
             d_scores *= e
             dq[q0 : q0 + seqs * t] = merge(d_scores @ k)
             dk[r0 : r0 + seqs * n] = merge(d_scores.swapaxes(-1, -2) @ q)

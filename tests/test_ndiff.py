@@ -44,6 +44,21 @@ class TestForward:
         )
         assert out.data[0, 0] == pytest.approx(0.0, abs=1e-12)
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_bce_far_logits_finite_with_closed_form_gradient(self, dtype):
+        # exp(-x) overflows f32 below about -88.7 and f64 below about -709
+        x = Tensor(np.array([[-200.0, 0.0, 200.0], [-800.0, 3.0, 800.0]], dtype), requires_grad=True)
+        y = Tensor(np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 1.0]], dtype))
+        with Tape() as tape:
+            loss = ndiff.binary_cross_entropy_with_logits(x, y)
+            total = ndiff.mean(loss)
+        grad = tape.backward(total)[x]
+        sigmoid = [[0.0, 0.5, 1.0], [0.0, 1 / (1 + math.exp(-3.0)), 1.0]]
+        assert loss.data.dtype == grad.dtype == dtype
+        np.testing.assert_allclose(loss.data, [[200.0, math.log(2), 200.0],
+                                               [0.0, math.log1p(math.exp(-3.0)), 0.0]], rtol=1e-6)
+        np.testing.assert_allclose(grad, (np.array(sigmoid) - y.data) / 6, rtol=1e-6, atol=0)
+
     def test_shape_mismatch_names_both_shapes(self):
         with pytest.raises(ndiff.NdiffError, match=r"\(2, 3\).*\(4, 2\)"):
             ndiff.matmul(t64(np.zeros((2, 3))), t64(np.zeros((4, 2))))
@@ -140,6 +155,9 @@ PRIMITIVE_CASES = [
     ("linear_b", (1, 5), lambda b: ndiff.mean(ndiff.mul(ndiff.linear(Tensor(_E34), Tensor(_W45), b), Tensor(_L35)))),
     ("cross_entropy_logq", (3, 4), lambda x: ndiff.mean(ndiff.cross_entropy(Tensor(_P34), ndiff.log_softmax(x)))),
     ("bce_logits", (3, 4), lambda x: ndiff.mean(ndiff.binary_cross_entropy_with_logits(x, Tensor(_T34)))),
+    # logits of a few hundred either way, where exp(-x) would overflow f32
+    ("bce_logits_far", (3, 4), lambda x: ndiff.mean(ndiff.binary_cross_entropy_with_logits(
+        ndiff.scalar_mul(x, 100.0), Tensor(_T34)))),
     ("mean", (4, 4), lambda x: ndiff.mean(x)),
     ("multi_head_attention", (5, 6), lambda x: ndiff.mean(ndiff.mul(
         ndiff.multi_head_attention(x, Tensor(_WQ66), Tensor(_WK66),
@@ -300,8 +318,10 @@ class TestGradCheck:
 # The formulas the fused kernels replaced, kept verbatim as test-local
 # primitives: a kernel rewrite must reproduce them bit for bit, so a change
 # that reorders the arithmetic fails here before it changes a seeded run.
-# Attention is the exception: its kernel normalises after the value product,
-# so it must be as accurate as its reference instead.
+# Attention and layer norm are the exceptions: attention normalises after the
+# value product and shifts each block by one max, and both take their row
+# sums as matrix products, so each must be as accurate as its reference
+# instead.
 
 def _reference_layer_norm(a, gamma, beta, axis=-1, eps=1e-5):
     x = a.data
@@ -409,16 +429,48 @@ class TestKernelsBitIdentical:
                               _run_taped(_reference_gelu, [x], probe), dtype)
             _assert_same_bits([ndiff.gelu(x).data], [_reference_gelu(x).data], dtype)
 
-    def test_layer_norm_equals_reference(self, rng):
-        x, gamma, beta = _f32_leaves(rng, (37, 150), (1, 150), (1, 150))
-        x.data += 2.0  # a mean away from 0, so the centring rounds
-        probe = rng.standard_normal((37, 150)).astype(np.float32)
-        _assert_same_bits(_run_taped(ndiff.layer_norm, [x, gamma, beta], probe),
-                          _run_taped(_reference_layer_norm, [x, gamma, beta], probe))
 
 
 def _rel_l2_err(got, want):
     return float(np.linalg.norm(got - want) / np.linalg.norm(want))
+
+
+def _assert_as_accurate(got, ref32, ref64):
+    """Each f32 array lies within twice the f32 reference's own error of the
+    f64 reference.  The error is the relative l2 one: the largest entry's
+    error of two equally accurate f32 computations differs by over 2x in
+    about one draw in ten."""
+    assert len(got) == len(ref32) == len(ref64)
+    for i, (g, r32, r64) in enumerate(zip(got, ref32, ref64)):
+        assert g.dtype == np.float32 and g.shape == r64.shape, i
+        assert _rel_l2_err(g, r64) <= 2 * _rel_l2_err(r32, r64), i
+
+
+class TestLayerNormAccuracy:
+    def test_layer_norm_as_accurate_as_reference(self, rng):
+        x, gamma, beta = _f32_leaves(rng, (37, 150), (1, 150), (1, 150))
+        x.data += 2.0  # a mean away from 0, so the centring rounds
+        probe = rng.standard_normal((37, 150))
+        leaves = [x, gamma, beta]
+        _assert_as_accurate(
+            _run_taped(ndiff.layer_norm, leaves, probe.astype(np.float32)),
+            _run_taped(_reference_layer_norm, leaves, probe.astype(np.float32)),
+            _run_taped(_reference_layer_norm, [t64(t.data, requires_grad=True) for t in leaves], probe),
+        )
+
+
+def _reference_packed_attention(n_heads, seq_len, queries):
+    """``_reference_attention`` on each sequence, then the query rows."""
+    def reference(x, *ws):
+        if seq_len is None or np.ptp(seq_len) == 0:  # one batched block
+            out = _reference_attention(x, *ws, n_heads, None if seq_len is None else seq_len[0])
+        else:
+            starts = np.cumsum(seq_len) - seq_len
+            out = ndiff.concat_rows([_reference_attention(ndiff.slice_rows(x, s, s + n), *ws, n_heads)
+                                     for s, n in zip(starts, seq_len)])
+        return out if queries is None else ndiff.gather_rows(out, queries)
+
+    return reference
 
 
 class TestAttentionAccuracy:
@@ -427,31 +479,95 @@ class TestAttentionAccuracy:
         (3 * 17, np.full(3, 17), None),
         # every row once, rows 3 and 45 twice; the 17-row sequences share a run
         (48, np.array([9, 17, 17, 5]), np.r_[0:9, 3, 9:48, 45]),
-    ], ids=["one", "stacked", "packed"])
+        # pretraining's local views: 11-14 rows, shorter than a head's width
+        (124, np.array([11, 11, 12, 12, 12, 13, 13, 13, 13, 14]), None),
+    ], ids=["one", "stacked", "packed", "packed_short"])
     def test_attention_as_accurate_as_reference(self, rng, rows, seq_len, queries):
-        """Output and every gradient of the f32 kernel lie within twice the
-        f32 reference's own error of the f64 reference.  The error is the
-        relative l2 one: the largest entry's error of two equally accurate
-        f32 computations differs by over 2x in about one draw in ten."""
+        """Output and every gradient of the f32 kernel are as accurate as
+        the f32 reference (``_assert_as_accurate``)."""
         leaves = _f32_leaves(rng, (rows, 24), *[(24, 24)] * 4, scale=0.5)
         probe = rng.standard_normal((rows if queries is None else queries.size, 24))
+        reference = _reference_packed_attention(4, seq_len, queries)
+        _assert_as_accurate(
+            _run_taped(lambda *a: ndiff.multi_head_attention(*a, 4, seq_len, queries), leaves,
+                       probe.astype(np.float32)),
+            _run_taped(reference, leaves, probe.astype(np.float32)),
+            _run_taped(reference, [t64(t.data, requires_grad=True) for t in leaves], probe),
+        )
 
-        def reference(x, *ws):
-            if seq_len is None or np.ptp(seq_len) == 0:  # one batched block
-                out = _reference_attention(x, *ws, 4, None if seq_len is None else seq_len[0])
-            else:
-                starts = np.cumsum(seq_len) - seq_len
-                out = ndiff.concat_rows([_reference_attention(ndiff.slice_rows(x, s, s + n), *ws, 4)
-                                         for s, n in zip(starts, seq_len)])
-            return out if queries is None else ndiff.gather_rows(out, queries)
 
-        got = _run_taped(lambda *a: ndiff.multi_head_attention(*a, 4, seq_len, queries), leaves,
-                         probe.astype(np.float32))
+def _guarded_leaves(rng, lengths, d, n_heads, spike, dtype):
+    """x, Wq, Wk, Wv, Wo where the first two rows of each sequence score
+    about ``spike**2 / sqrt(dh)`` against each other in every head, and every
+    other row scores a few units at most against every row.  Shifted by its
+    block's max, every other row's exp underflows; only the softmax's
+    underflow guard, which shifts such a row by its own max, keeps its sum
+    above 0.  Two spiking rows keep their own softmax rows from being one-hot."""
+    dh = d // n_heads
+    x = rng.standard_normal((lengths.sum(), d))
+    x[:, ::dh] = 0.0  # the first dimension of every head
+    firsts = np.cumsum(lengths) - lengths
+    x[np.r_[firsts, firsts + 1], ::dh] = spike
+    wq, wk = (np.eye(d) + 0.01 * rng.standard_normal((d, d)) for _ in range(2))
+    wv, wo = (0.5 * rng.standard_normal((d, d)) for _ in range(2))
+    return [Tensor(m.astype(dtype), requires_grad=True) for m in (x, wq, wk, wv, wo)]
+
+
+def _score_gaps(x, wq, wk, lengths, n_heads):
+    """Per row and head, how far the row's max score lies below its
+    sequence's max score in that head (f64)."""
+    dh = x.shape[1] // n_heads
+    gaps = []
+    for s, n in zip(np.cumsum(lengths) - lengths, lengths):
+        q = (x[s : s + n] @ wq).reshape(n, n_heads, dh).transpose(1, 0, 2)
+        k = (x[s : s + n] @ wk).reshape(n, n_heads, dh).transpose(1, 0, 2)
+        row_max = (q @ k.swapaxes(-1, -2)).max(axis=-1) / math.sqrt(dh)
+        gaps.append(row_max.max(axis=-1, keepdims=True) - row_max)
+    return np.concatenate(gaps, axis=1)
+
+
+GUARD_LENGTHS = np.array([9, 9, 6])
+
+
+class TestAttentionUnderflowGuard:
+    def test_guarded_rows_as_accurate_as_reference(self, rng, monkeypatch):
+        leaves = _guarded_leaves(rng, GUARD_LENGTHS, 24, 4, spike=33.0, dtype=np.float32)
+        x, wq, wk = (t.data.astype(np.float64) for t in leaves[:3])
+        gaps = _score_gaps(x, wq, wk, GUARD_LENGTHS, 4)
+        # every row but the spiking ones lies over 400 below its block's max:
+        # exp(-104) is below f32's smallest subnormal
+        assert (np.sort(gaps, axis=1)[:, 2 * GUARD_LENGTHS.size:] > 400).all()
+        probe = rng.standard_normal((GUARD_LENGTHS.sum(), 24))
+        reference = _reference_packed_attention(4, GUARD_LENGTHS, None)
         ref32 = _run_taped(reference, leaves, probe.astype(np.float32))
         ref64 = _run_taped(reference, [t64(t.data, requires_grad=True) for t in leaves], probe)
-        for i, (g, r32, r64) in enumerate(zip(got, ref32, ref64)):
-            assert g.dtype == np.float32 and g.shape == r64.shape, i
-            assert _rel_l2_err(g, r64) <= 2 * _rel_l2_err(r32, r64), i
+        _assert_as_accurate(
+            _run_taped(lambda *a: ndiff.multi_head_attention(*a, 4, GUARD_LENGTHS), leaves,
+                       probe.astype(np.float32)),
+            ref32, ref64)
+        # untaped: one slice per run, then slices of 3 or 4 query rows of one
+        # sequence (each sequence's first slice holds its spiking rows)
+        for budget in (ndiff.MAX_CALL_FLOATS, 3 * 4 * 9):
+            monkeypatch.setattr(ndiff, "MAX_CALL_FLOATS", budget)
+            sliced = ndiff.multi_head_attention(*leaves, 4, GUARD_LENGTHS)
+            _assert_as_accurate([sliced.data], ref32[:1], ref64[:1])
+
+    @pytest.mark.parametrize("k", range(5), ids=["x", "wq", "wk", "wv", "wo"])
+    def test_grad_check_through_guarded_rows(self, k):
+        # gaps over 745: without the guard even f64's exp underflows to 0
+        rng = np.random.default_rng(7 + k)
+        lengths = np.array([4, 3])
+        leaves = _guarded_leaves(rng, lengths, 6, 2, spike=40.0, dtype=np.float64)
+        gaps = _score_gaps(*(t.data for t in leaves[:3]), lengths, 2)
+        assert (np.sort(gaps, axis=1)[:, 2 * lengths.size:] > 745).all()
+        probe = Tensor(rng.standard_normal((lengths.sum(), 6)))
+
+        def f(leaf):
+            args = leaves[:k] + [leaf] + leaves[k + 1:]
+            return ndiff.mean(ndiff.mul(ndiff.multi_head_attention(*args, 2, lengths), probe))
+
+        report = ndiff.grad_check(f, t64(leaves[k].data), eps=1e-5, tol=1e-4)
+        assert report.passed, report.max_rel_err
 
 
 # three distinct lengths; the two 2-row sequences take different query
