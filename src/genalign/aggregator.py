@@ -41,16 +41,15 @@ class AggregatorConfig:
     max_cells: int = 64
 
     def __post_init__(self):
+        for name in ("depth", "heads", "embed_dim", "input_dim", "max_cells"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1")
         if self.mlp_dim == 0:
             self.mlp_dim = 4 * self.embed_dim
         if self.embed_dim % self.heads != 0:
             raise ValueError(
                 f"embed_dim {self.embed_dim} not divisible by heads {self.heads}"
             )
-        if self.max_cells < 1:
-            raise ValueError("max_cells must be >= 1")
-        if self.depth < 1:
-            raise ValueError("depth must be >= 1")
 
     def to_dict(self) -> dict:
         return {

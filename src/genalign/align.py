@@ -62,6 +62,10 @@ class AlignConfig:
             raise ValueError("recon_weight must be >= 0")
         if self.batch_size < 2:
             raise ValueError("batch_size must be >= 2")
+        if self.lr <= 0:
+            raise ValueError("lr must be positive")
+        if self.aggregator_lr < 0:
+            raise ValueError("aggregator_lr must be >= 0")
         if self.init not in INIT_MODES:
             raise ValueError(f"init must be one of {INIT_MODES}")
         if self.aggregator_mode not in AGGREGATOR_MODES:
@@ -170,9 +174,7 @@ class AlignedTable:
     z_karyotype: np.ndarray
     z_mutation: np.ndarray
 
-    def rows(self, split: str | None = None) -> np.ndarray:
-        if split is None:
-            return np.arange(len(self.patient_ids))
+    def rows(self, split: str) -> np.ndarray:
         return np.flatnonzero([s == split for s in self.splits])
 
     def save(self, out_dir: str | Path, stem: str = "aligned") -> list[Path]:
@@ -202,7 +204,12 @@ class AlignedTable:
 
 def load_table(out_dir: str | Path, stem: str = "aligned") -> AlignedTable:
     out_dir = Path(out_dir)
-    index = json.loads((out_dir / f"{stem}.index.json").read_text())
+    index_path = out_dir / f"{stem}.index.json"
+    index = json.loads(index_path.read_text())
+    keys = ("patient_ids", "labels", "splits")
+    if not (isinstance(index, dict) and all(isinstance(index.get(k), list) for k in keys)
+            and len({len(index[k]) for k in keys}) == 1):
+        raise gbio.FormatError(f"{index_path}: needs lists {', '.join(keys)} of one length")
     mats = {}
     for name in ("slide", "zs", "zk", "zm"):
         path = out_dir / f"{stem}.{name}.gbm"
@@ -377,11 +384,7 @@ def train_align(
         slide_cache = slide_embeddings(train, params, agg_config, config)
         trainable = {k: v for k, v in params.items() if not k.startswith("agg.")}
 
-    optimizer = AdamW(
-        trainable,
-        lr=config.lr,
-        lr_scale={"agg.": config.aggregator_lr / config.lr},
-    )
+    optimizer = AdamW(trainable, lr_scale={"agg.": config.aggregator_lr / config.lr})
     # the batch count does not depend on the shuffle, so a throwaway one counts it
     n_batches = len(stratified_batches(labels, config.batch_size, np.random.default_rng(0)))
     total_steps = config.epochs * n_batches
@@ -491,6 +494,5 @@ def load_align_checkpoint(path: str | Path) -> tuple[dict[str, Tensor], Aggregat
     if header["config"].get("stage") != "align":
         raise gbio.FormatError(f"{path}: not an alignment checkpoint")
     params = {name: Tensor(arr, requires_grad=True) for name, arr in tensors.items()}
-    agg_config = AggregatorConfig(**header["config"]["aggregator"])
-    align_config = AlignConfig(**header["config"]["align"])
-    return params, agg_config, align_config
+    return (params, gbio.config_section(header, "aggregator", AggregatorConfig, path),
+            gbio.config_section(header, "align", AlignConfig, path))

@@ -54,15 +54,6 @@ def _read_sections(path: str | None, sections: set[str]) -> dict:
     return raw
 
 
-def _load_stage1(path: str):
-    """Student params and aggregator config of a stage-1 checkpoint."""
-    from .aggregator import AggregatorConfig
-    from .pretrain import load_checkpoint
-
-    student, _, ckpt_config = load_checkpoint(path)
-    return student, AggregatorConfig(**ckpt_config["aggregator"])
-
-
 def _positive_int(text: str) -> int:
     value = int(text)
     if value < 1:
@@ -176,6 +167,7 @@ def _load_align_inputs(args):
     from .aggregator import AggregatorConfig
     from .align import AlignConfig
     from .cohort import load_cohort
+    from .pretrain import load_checkpoint
 
     raw = _read_sections(args.config, {"aggregator", "align"})
     config = _apply_seed(
@@ -184,7 +176,7 @@ def _load_align_inputs(args):
     cohort = load_cohort(args.cohort, args.karyo, args.mut, args.labels)
     pretrained = None
     if args.init:
-        pretrained, agg_config = _load_stage1(args.init)
+        pretrained, agg_config = load_checkpoint(args.init)
     elif "aggregator" in raw:
         agg_config = _load_section(raw, "aggregator", AggregatorConfig, args.config)
     elif config.aggregator_mode == "mean_pool":
@@ -230,9 +222,9 @@ def cmd_embed(args):
     if stage == "pretrain":
         if args.space != "slide":
             raise ValueError("a pretrain checkpoint only provides --space slide")
-        from .pretrain import embed_bags
+        from .pretrain import embed_bags, load_checkpoint
 
-        student, agg_config = _load_stage1(args.ckpt)
+        student, agg_config = load_checkpoint(args.ckpt)
         matrix = embed_bags([p.bag for p in cohort.patients], student, agg_config)
     elif stage == "align":
         from .align import load_align_checkpoint, project_slides
@@ -303,6 +295,7 @@ def cmd_ablate(args):
     from .aggregator import AggregatorConfig
     from .cohort import load_cohort_dir
     from .harness import AblationGrid, ablation_to_tsv, run_ablation
+    from .pretrain import load_checkpoint
 
     raw = _read_json(args.grid)
     _check_keys(raw, {"cohort_dir", "init_checkpoint", "aggregator", "align", "axes",
@@ -313,7 +306,7 @@ def cmd_ablate(args):
     cohort = load_cohort_dir(raw["cohort_dir"])
     pretrained = None
     if raw.get("init_checkpoint"):
-        pretrained, agg_config = _load_stage1(raw["init_checkpoint"])
+        pretrained, agg_config = load_checkpoint(raw["init_checkpoint"])
     else:
         agg_config = _load_section(raw, "aggregator", AggregatorConfig, args.grid)
     grid = AblationGrid(

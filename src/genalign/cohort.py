@@ -128,7 +128,11 @@ def load_cohort(
     if bags_m.row_ranges is None:
         raise gbio.FormatError(f"{bags_path}: bag file needs per-patient row ranges")
     ids = bags_m.patient_ids
-    bags = {pid: CellBag(pid, bags_m.rows_for(pid)) for pid in ids}
+    bags: dict[str, CellBag] = {}
+    for pid, (start, stop) in zip(ids, bags_m.row_ranges):
+        if pid in bags:
+            raise gbio.FormatError(f"{bags_path}: second bag for patient {pid!r}")
+        bags[pid] = CellBag(pid, bags_m.data[start:stop])
     karyotypes: dict[str, np.ndarray] = {}
     sha = None
     if karyotypes_path is not None:

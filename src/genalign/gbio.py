@@ -108,14 +108,6 @@ class Matrix:
     band_table_sha256: str | None = None
     row_ranges: list[tuple[int, int]] | None = None
 
-    def rows_for(self, patient_id: str) -> np.ndarray:
-        """Rows belonging to one patient (requires row_ranges)."""
-        if self.row_ranges is None:
-            raise FormatError("matrix has no per-patient row ranges")
-        i = self.patient_ids.index(patient_id)
-        start, stop = self.row_ranges[i]
-        return self.data[start:stop]
-
 
 def write_gbm(path: str | Path, matrix: Matrix) -> None:
     path = Path(path)
@@ -224,6 +216,14 @@ def read_gbck(path: str | Path) -> tuple[dict[str, np.ndarray], dict]:
         arr = np.frombuffer(blob, dtype="<f4", count=count, offset=start)
         tensors[entry["name"]] = arr.reshape(shape).astype(np.float32)
     return tensors, header
+
+
+def config_section(header: dict, section: str, config_cls, path: str | Path):
+    """``config_cls`` from one section of a checkpoint header's config; a
+    header without that section is refused."""
+    if section not in header["config"]:
+        raise FormatError(f"{path}: checkpoint header has no {section!r} config section")
+    return config_cls(**header["config"][section])
 
 
 def inspect_header(path: str | Path) -> dict:

@@ -140,10 +140,6 @@ class CytobandTable:
             raise UnknownBandError(chromosome, label)
         return hits
 
-    def arm_of_index(self, index: int) -> tuple[str, str]:
-        band = self.bands[index]
-        return (band.chromosome, band.arm)
-
 
 @dataclass(frozen=True)
 class KaryotypeEvent:

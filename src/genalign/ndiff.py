@@ -485,13 +485,13 @@ def multi_head_attention(
     wv: Tensor,
     wo: Tensor,
     n_heads: int,
-    seq_len: np.ndarray | None = None,
+    seq_len: np.ndarray,
     queries=None,
 ) -> Tensor:
     """Fused softmax(x Wq (x Wk)^T / sqrt(dh)) x Wv Wo over n_heads.
 
     ``x`` holds sequences stacked one after another: ``seq_len`` is a 1-D
-    array of per-sequence lengths (default: all rows are one sequence).  A row attends only to the rows of
+    array of per-sequence lengths.  A row attends only to the rows of
     its own sequence, so no padding or attention mask is involved.  One graph
     node instead of ~24: Q, K, V and the output projection are one matmul
     each over all rows; each run of consecutive sequences with equal length
@@ -519,17 +519,18 @@ def multi_head_attention(
     below ``SOFTMAX_SUM_FLOOR`` is computed again shifted by its own max,
     and that ``e`` and ``r`` are kept: the backward reads ``e / r`` as is.
 
-    A recorded node keeps one block per run for its backward.  Otherwise
-    nothing is kept, and each run's query rows go in slices of at most
-    ``MAX_CALL_FLOATS`` scores (at least one query row each), which is exact
-    (Rabe & Staats 2021), so a long sequence never holds its whole block.
+    Each run's query rows go through one loop of slices.  A recorded node
+    takes each run as one slice and keeps its block for the backward.
+    Otherwise nothing is kept, and a slice holds at most ``MAX_CALL_FLOATS``
+    scores (at least one query row), which is exact (Rabe & Staats 2021), so
+    a long sequence never holds its whole block.
     """
     for w, name in ((wq, "wq"), (wk, "wk"), (wv, "wv"), (wo, "wo")):
         _check_same_dtype(x, w, f"multi_head_attention/{name}")
     rows, d = x.shape
     if d % n_heads != 0:
         raise NdiffError(f"width {d} not divisible by {n_heads} heads")
-    lengths = np.array([rows]) if seq_len is None else np.asarray(seq_len)
+    lengths = np.asarray(seq_len)
     if (lengths.ndim != 1 or lengths.dtype.kind not in "iu" or not lengths.size
             or lengths.min() < 1 or lengths.sum() != rows):
         raise NdiffError(f"sequence lengths {lengths.tolist()} do not split {rows} rows")
@@ -579,19 +580,18 @@ def multi_head_attention(
         q = split(q_all[q0 : q0 + seqs * t], seqs)
         k = split(k_all[r0 : r0 + seqs * n], seqs)
         v = split(v_all[r0 : r0 + seqs * n], seqs)
-        if taped:
-            heads, e, r = _softmax_values(q, k, v)
-            merged[q0 : q0 + seqs * t] = merge(heads)
-            blocks.append((q, k, v, e, r))
-            continue
-        # slices of ss sequences by ts query rows, at most MAX_CALL_FLOATS scores
-        step = max(1, MAX_CALL_FLOATS // (n_heads * n))
+        # slices of ss sequences by ts query rows: one slice when taped, else
+        # at most MAX_CALL_FLOATS scores each
+        step = seqs * t if taped else max(1, MAX_CALL_FLOATS // (n_heads * n))
         ss, ts = max(1, step // t), min(t, step)
         out_rows = merged[q0 : q0 + seqs * t].reshape(seqs, t, n_heads, dh)
         for s in range(0, seqs, ss):
             for a in range(0, t, ts):
-                heads = _softmax_values(q[s : s + ss, :, a : a + ts], k[s : s + ss], v[s : s + ss])[0]
+                heads, e, r = _softmax_values(q[s : s + ss, :, a : a + ts], k[s : s + ss], v[s : s + ss])
                 out_rows[s : s + ss, a : a + ts] = heads.transpose(0, 2, 1, 3)
+                if taped:  # the run's one slice
+                    blocks.append((q, k, v, e, r))
+                del heads, e, r  # before the next slice's block is made
     out = Tensor(merged @ wo.data)
 
     def backward(g):

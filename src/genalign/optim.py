@@ -10,19 +10,15 @@ from .ndiff import Tensor
 
 
 class AdamW:
+    beta1, beta2, eps = 0.9, 0.999, 1e-8
+
     def __init__(
         self,
         params: dict[str, Tensor],
-        lr: float = 5e-4,
-        betas: tuple[float, float] = (0.9, 0.999),
-        eps: float = 1e-8,
         weight_decay: float = 0.0,
         lr_scale: dict[str, float] | None = None,
     ):
         self.params = params
-        self.lr = lr
-        self.beta1, self.beta2 = betas
-        self.eps = eps
         self.weight_decay = weight_decay
         # per-parameter multiplier on the global lr (prefix match), e.g. a
         # smaller rate for a finetuned backbone than for fresh heads
@@ -41,8 +37,7 @@ class AdamW:
                 return scale
         return 1.0
 
-    def step(self, grads: dict[Tensor, np.ndarray], lr: float | None = None) -> None:
-        lr = self.lr if lr is None else lr
+    def step(self, grads: dict[Tensor, np.ndarray], lr: float) -> None:
         self.step_count += 1
         bc1 = 1.0 - self.beta1**self.step_count
         bc2 = 1.0 - self.beta2**self.step_count

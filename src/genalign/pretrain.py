@@ -63,6 +63,8 @@ class PretrainConfig:
     def __post_init__(self):
         if self.epochs < 1:
             raise ValueError("epochs must be >= 1")
+        if self.lr <= 0:
+            raise ValueError("lr must be positive")
         if self.student_temp <= 0 or self.teacher_temp_start <= 0 or self.teacher_temp_end <= 0:
             raise ValueError("temperatures must be positive")
         if not 0 < self.ema_momentum < 1:
@@ -242,23 +244,18 @@ class PretrainResult:
         )
 
 
-def load_checkpoint(path: str | Path) -> tuple[dict[str, Tensor], TeacherState, dict]:
-    """Student params, teacher state, and the stored config header of a
-    stage-1 checkpoint; any other file is refused with ``gbio.FormatError``."""
+def load_checkpoint(path: str | Path) -> tuple[dict[str, Tensor], AggregatorConfig]:
+    """Student params and aggregator config of a stage-1 checkpoint; any
+    other file is refused with ``gbio.FormatError``."""
     tensors, header = gbio.read_gbck(path)
     stage = header["config"].get("stage")
     if stage != "pretrain":
         raise gbio.FormatError(f"{path}: stage {stage!r} is not a pretraining checkpoint")
     if "center" not in tensors:
         raise gbio.FormatError(f"{path}: pretraining checkpoint has no 'center' tensor")
-    student: dict[str, Tensor] = {}
-    teacher: dict[str, Tensor] = {}
-    for name, arr in tensors.items():
-        if name.startswith("student."):
-            student[name[len("student."):]] = Tensor(arr, requires_grad=True)
-        elif name.startswith("teacher."):
-            teacher[name[len("teacher."):]] = Tensor(arr)
-    return student, TeacherState(teacher, tensors["center"]), header["config"]
+    student = {name[len("student."):]: Tensor(arr, requires_grad=True)
+               for name, arr in tensors.items() if name.startswith("student.")}
+    return student, gbio.config_section(header, "aggregator", AggregatorConfig, path)
 
 
 def _batches(n: int, batch_size: int, rng: np.random.Generator) -> list[np.ndarray]:
@@ -281,7 +278,7 @@ def train_pretrain(
         params=_copy_params(student),
         center=np.zeros(config.n_prototypes, dtype=np.float32),
     )
-    optimizer = AdamW(student, lr=config.lr, weight_decay=config.weight_decay)
+    optimizer = AdamW(student, weight_decay=config.weight_decay)
     n_batches = math.ceil(len(bags) / config.batch_size)
     total_steps = config.epochs * n_batches
     metrics: list[dict] = []

@@ -17,7 +17,7 @@ import numpy as np
 
 from .aggregator import CellBag
 from .cohort import Cohort, Patient
-from .karyogram import CytobandTable, EVENT_KINDS, encode_karyotype, load_band_table, parse_iscn
+from .karyogram import EVENT_KINDS, encode_karyotype, load_band_table, parse_iscn
 
 N_GENES = 25
 
@@ -58,6 +58,10 @@ class SynthConfig:
     seed: int = 0
 
     def __post_init__(self):
+        if self.n_patients < 1:
+            raise ValueError("n_patients must be >= 1")
+        if not 0.0 <= self.test_fraction < 1.0:
+            raise ValueError("test_fraction must lie in [0, 1)")
         if len(self.karyotype_signatures) != self.n_classes:
             raise ValueError("need one karyotype signature per class")
         if len(self.mutation_rates) != self.n_classes:
@@ -108,9 +112,8 @@ def _split_assignment(
     return splits
 
 
-def generate(config: SynthConfig, table: CytobandTable | None = None) -> Cohort:
-    if table is None:
-        table = load_band_table()
+def generate(config: SynthConfig) -> Cohort:
+    table = load_band_table()
     root = np.random.SeedSequence(config.seed)
     global_rng = np.random.default_rng(root.spawn(1)[0])
     archetypes = global_rng.standard_normal(

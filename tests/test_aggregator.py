@@ -436,6 +436,11 @@ class TestConfig:
         with pytest.raises(ValueError, match="depth"):
             agg.AggregatorConfig(depth=0, input_dim=8)
 
+    @pytest.mark.parametrize("field", ["heads", "embed_dim", "input_dim"])
+    def test_size_below_one_rejected(self, field):
+        with pytest.raises(ValueError, match=f"^{field} must be >= 1"):
+            agg.AggregatorConfig(**{"input_dim": 8, field: 0})
+
     def test_head_divisibility_enforced(self):
         with pytest.raises(ValueError, match="divisible"):
             agg.AggregatorConfig(embed_dim=30, heads=4, input_dim=8)

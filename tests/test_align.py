@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -432,6 +433,30 @@ class TestTrainAlign:
         with pytest.raises(gbio.FormatError, match=f"{stale}: patient ids differ"):
             align.load_table(tmp_path)
 
+    @pytest.mark.parametrize("index_edit", [
+        {"patient_ids": None}, {"labels": None}, {"splits": None},
+        {"labels": ["x", "y", "x", "y"]}, {"splits": ["train"]},
+    ], ids=["no_patient_ids", "no_labels", "no_splits", "extra_label", "one_split"])
+    def test_load_table_refuses_an_unreadable_index(self, rng, tmp_path, index_edit):
+        z = rng.standard_normal((3, 4)).astype(np.float32)
+        align.AlignedTable(["a", "b", "c"], ["x", "y", "x"], ["train", "test", "test"],
+                           z, z, z, z).save(tmp_path)
+        index_path = tmp_path / "aligned.index.json"
+        index = {**json.loads(index_path.read_text()), **index_edit}
+        index_path.write_text(json.dumps({k: v for k, v in index.items() if v is not None}))
+        with pytest.raises(gbio.FormatError, match=f"{index_path}: needs lists"):
+            align.load_table(tmp_path)
+
+    @pytest.mark.parametrize("section", ["aggregator", "align"])
+    def test_load_align_checkpoint_refuses_header_without_section(self, rng, tmp_path, section):
+        ckpt = tmp_path / "aligned.gbck"
+        train_align(make_cohort(rng), TINY_AGG, TINY_ALIGN).save(ckpt)
+        tensors, header = gbio.read_gbck(ckpt)
+        del header["config"][section]
+        gbio.write_gbck(ckpt, tensors, header["config"], 0, 0)
+        with pytest.raises(gbio.FormatError, match=f"{ckpt}: .* no '{section}' config section"):
+            load_align_checkpoint(ckpt)
+
     def test_deterministic_given_seed(self, rng, tmp_path):
         cohort = make_cohort(rng)
         a = train_align(cohort, TINY_AGG, TINY_ALIGN)
@@ -452,3 +477,10 @@ class TestTrainAlign:
             AlignConfig(aggregator_mode="bogus")
         with pytest.raises(ValueError, match="epochs"):
             AlignConfig(epochs=0)
+        # a zero backbone rate is allowed: the aggregator then stays as loaded
+        assert AlignConfig(aggregator_lr=0.0).aggregator_lr == 0.0
+
+    @pytest.mark.parametrize("field,value", [("lr", 0.0), ("lr", -1e-4), ("aggregator_lr", -1e-5)])
+    def test_config_rejects_rates_out_of_range(self, field, value):
+        with pytest.raises(ValueError, match=f"^{field} must"):
+            AlignConfig(**{field: value})

@@ -97,6 +97,15 @@ class TestSynth:
                      "--out-dir", str(tmp_path / "out")]) == 1
 
 
+    def test_test_fraction_of_one_or_more_refused(self, tmp_path, caplog):
+        cfg = tmp_path / "synth.json"
+        cfg.write_text(json.dumps({**SYNTH_CFG, "test_fraction": 1.5}))
+        out = tmp_path / "out"
+        assert main(["synth", "--config", str(cfg), "--out-dir", str(out)]) == 1
+        assert "test_fraction must lie in [0, 1)" in caplog.text
+        assert not out.exists()
+
+
 class TestEncodeKaryotype:
     def test_encode_matches_library(self, tmp_path, band_table):
         from genalign.karyogram import encode_karyotype, parse_iscn
@@ -215,6 +224,23 @@ class TestPretrainAlign:
         assert f"{pipeline / 'aligned.gbck'}: stage 'align'" in caplog.text
         assert not (tmp_path / "x.gbck").exists()
 
+    def test_align_zero_lr_refused(self, pipeline, tmp_path, caplog):
+        cohort_dir = pipeline / "cohort"
+        cfg = tmp_path / "align.json"
+        cfg.write_text(json.dumps({"align": {**ALIGN_CFG["align"], "lr": 0.0}}))
+        code = main([
+            "align", "--config", str(cfg),
+            "--cohort", str(cohort_dir / "bags.gbm"),
+            "--karyo", str(cohort_dir / "karyotypes.gbm"),
+            "--mut", str(cohort_dir / "mutations.gbm"),
+            "--labels", str(cohort_dir / "labels.tsv"),
+            "--init", str(pipeline / "ckpt.gbck"),
+            "--out", str(tmp_path / "x.gbck"),
+        ])
+        assert code == 1
+        assert "lr must be positive" in caplog.text
+        assert not (tmp_path / "x.gbck").exists()
+
     def test_align_without_init_or_aggregator_fails(self, pipeline, tmp_path):
         cohort_dir = pipeline / "cohort"
         cfg = tmp_path / "align.json"
@@ -243,6 +269,17 @@ class TestEmbedRetrieveEvaluate:
                      "--cohort", str(cohort / "bags.gbm"), "--out", str(out2),
                      "--space", "shared"]) == 0
         assert gbio.read_gbm(out2).data.shape == (14, 128)
+
+    @pytest.mark.parametrize("ckpt", ["ckpt.gbck", "aligned.gbck"])
+    def test_embed_refuses_header_without_aggregator(self, pipeline, tmp_path, caplog, ckpt):
+        tensors, header = gbio.read_gbck(pipeline / ckpt)
+        del header["config"]["aggregator"]
+        bad = tmp_path / ckpt
+        gbio.write_gbck(bad, tensors, header["config"], header["epoch"], header["seed"])
+        assert main(["embed", "--ckpt", str(bad), "--cohort", str(pipeline / "cohort" / "bags.gbm"),
+                     "--out", str(tmp_path / "x.gbm")]) == 1
+        assert f"{bad}: checkpoint header has no 'aggregator' config section" in caplog.text
+        assert not (tmp_path / "x.gbm").exists()
 
     def test_pretrain_ckpt_rejects_shared_space(self, pipeline, tmp_path):
         assert main(["embed", "--ckpt", str(pipeline / "ckpt.gbck"),

@@ -36,6 +36,15 @@ def test_unknown_split_rejected(tmp_path, rng, band_table):
         load_cohort_dir(tmp_path)
 
 
+def test_second_bag_for_a_patient_rejected(tmp_path, rng, band_table):
+    saved_cohort(tmp_path, rng, 3 * len(band_table))
+    bags = gbio.read_gbm(tmp_path / "bags.gbm")
+    bags.patient_ids[2] = "p0"
+    gbio.write_gbm(tmp_path / "bags.gbm", bags)
+    with pytest.raises(gbio.FormatError, match=r"bags\.gbm: second bag for patient 'p0'"):
+        load_cohort(tmp_path / "bags.gbm")
+
+
 def test_second_label_row_rejected(tmp_path, rng, band_table):
     labels = saved_cohort(tmp_path, rng, 3 * len(band_table))
     labels.write_text(labels.read_text() + "p0\tA\ttest\n")

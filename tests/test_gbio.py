@@ -41,7 +41,6 @@ class TestGbm:
         back = gbio.read_gbm(path)
         assert np.array_equal(back.data, data)
         assert back.row_ranges == [(0, 4), (4, 7)]
-        assert np.array_equal(back.rows_for("b"), data[4:7])
 
     def test_magic_enforced(self, tmp_path):
         path = tmp_path / "bad.gbm"

@@ -43,7 +43,7 @@ def golden_chain(work_dir: Path) -> dict:
                                 head_hidden=64, head_bottleneck=32, seed=0)
     pre = train_pretrain([p.bag for p in cohort.patients], agg, pre_config)
     pre.save(work_dir / "pretrain.gbck")
-    student, _, _ = load_checkpoint(work_dir / "pretrain.gbck")
+    student, _ = load_checkpoint(work_dir / "pretrain.gbck")
     align_config = AlignConfig(epochs=3, batch_size=16, seed=0)
     aligned = train_align(cohort, agg, align_config, pretrained_aggregator=student)
     aligned.save(work_dir / "align.gbck")

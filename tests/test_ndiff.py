@@ -161,15 +161,15 @@ PRIMITIVE_CASES = [
     ("mean", (4, 4), lambda x: ndiff.mean(x)),
     ("multi_head_attention", (5, 6), lambda x: ndiff.mean(ndiff.mul(
         ndiff.multi_head_attention(x, Tensor(_WQ66), Tensor(_WK66),
-                                   Tensor(_WV66), Tensor(_WO66), 2),
+                                   Tensor(_WV66), Tensor(_WO66), 2, seq_len=_SEQ5),
         Tensor(_M56)))),
     ("multi_head_attention_wq", (6, 6), lambda w: ndiff.mean(ndiff.mul(
         ndiff.multi_head_attention(Tensor(_M56), w, Tensor(_WK66),
-                                   Tensor(_WV66), Tensor(_WO66), 3),
+                                   Tensor(_WV66), Tensor(_WO66), 3, seq_len=_SEQ5),
         Tensor(_M56)))),
     ("multi_head_attention_wo", (6, 6), lambda w: ndiff.mean(ndiff.mul(
         ndiff.multi_head_attention(Tensor(_M56), Tensor(_WQ66), Tensor(_WK66),
-                                   Tensor(_WV66), w, 3),
+                                   Tensor(_WV66), w, 3, seq_len=_SEQ5),
         Tensor(_M56)))),
     # three sequences of 3 rows stacked; each row attends within its own sequence
     ("multi_head_attention_stacked", (9, 6), lambda x: ndiff.mean(ndiff.mul(
@@ -224,6 +224,7 @@ _BETA6 = _fix.standard_normal((1, 6))
 _M66 = _fix.standard_normal((6, 6))
 _Q6 = np.array([2, 2, 4, 3, 8, 6])
 _SEQ3 = np.array([3, 3, 3])
+_SEQ5 = np.array([5])
 
 
 class TestRowOps:
@@ -237,8 +238,8 @@ class TestRowOps:
             loss = ndiff.mean(ndiff.mul(stacked, probe))
         grads = tape.backward(loss)
         with Tape() as tape:
-            parts = [ndiff.multi_head_attention(ndiff.slice_rows(x, i * n, (i + 1) * n), *ws, 2)
-                     for i in range(b)]
+            parts = [ndiff.multi_head_attention(ndiff.slice_rows(x, i * n, (i + 1) * n), *ws, 2,
+                                                seq_len=np.array([n])) for i in range(b)]
             loss_sep = ndiff.mean(ndiff.mul(ndiff.concat_rows(parts), probe))
         grads_sep = tape.backward(loss_sep)
         np.testing.assert_allclose(stacked.data, np.concatenate([p.data for p in parts]),
@@ -462,8 +463,8 @@ class TestLayerNormAccuracy:
 def _reference_packed_attention(n_heads, seq_len, queries):
     """``_reference_attention`` on each sequence, then the query rows."""
     def reference(x, *ws):
-        if seq_len is None or np.ptp(seq_len) == 0:  # one batched block
-            out = _reference_attention(x, *ws, n_heads, None if seq_len is None else seq_len[0])
+        if np.ptp(seq_len) == 0:  # one batched block
+            out = _reference_attention(x, *ws, n_heads, seq_len[0])
         else:
             starts = np.cumsum(seq_len) - seq_len
             out = ndiff.concat_rows([_reference_attention(ndiff.slice_rows(x, s, s + n), *ws, n_heads)
@@ -475,7 +476,7 @@ def _reference_packed_attention(n_heads, seq_len, queries):
 
 class TestAttentionAccuracy:
     @pytest.mark.parametrize("rows,seq_len,queries", [
-        (33, None, None),
+        (33, np.array([33]), None),
         (3 * 17, np.full(3, 17), None),
         # every row once, rows 3 and 45 twice; the 17-row sequences share a run
         (48, np.array([9, 17, 17, 5]), np.r_[0:9, 3, 9:48, 45]),
@@ -493,6 +494,36 @@ class TestAttentionAccuracy:
                        probe.astype(np.float32)),
             _run_taped(reference, leaves, probe.astype(np.float32)),
             _run_taped(reference, [t64(t.data, requires_grad=True) for t in leaves], probe),
+        )
+
+
+    @pytest.mark.parametrize("seq_len,queries", [
+        (np.full(3, 17), None),
+        (np.array([9, 17, 17, 5]), np.r_[0:9, 3, 9:48, 45]),
+    ], ids=["stacked", "packed"])
+    def test_budget_slices_only_untaped_calls(self, rng, monkeypatch, seq_len, queries):
+        """Under a budget below every sequence's score count, a taped call
+        still takes each run as one slice: its output and every gradient
+        keep their bits.  An untaped call slices and stays as accurate."""
+        rows = int(seq_len.sum())
+        leaves = _f32_leaves(rng, (rows, 24), *[(24, 24)] * 4, scale=0.5)
+        probe = rng.standard_normal((rows if queries is None else queries.size, 24))
+
+        def attention(*a):
+            return ndiff.multi_head_attention(*a, 4, seq_len, queries)
+
+        unpatched = _run_taped(attention, leaves, probe.astype(np.float32))
+        owner = (np.repeat(np.arange(seq_len.size), seq_len) if queries is None
+                 else np.searchsorted(np.cumsum(seq_len), queries, side="right"))
+        budget = 3 * 4 * 5  # three query rows of a 5-row sequence in four heads
+        assert budget < (4 * seq_len * np.bincount(owner)).min()
+        monkeypatch.setattr(ndiff, "MAX_CALL_FLOATS", budget)
+        _assert_same_bits(_run_taped(attention, leaves, probe.astype(np.float32)), unpatched)
+        reference = _reference_packed_attention(4, seq_len, queries)
+        _assert_as_accurate(
+            [attention(*leaves).data],
+            _run_taped(reference, leaves, probe.astype(np.float32))[:1],
+            _run_taped(reference, [t64(t.data, requires_grad=True) for t in leaves], probe)[:1],
         )
 
 

@@ -36,7 +36,7 @@ def test_step_matches_out_of_place_update_bit_for_bit(rng, dtype, weight_decay):
     # a parameter of the other dtype gets scratch of its own dtype
     other = np.float64 if dtype == np.float32 else np.float32
     params["head.other"] = Tensor(rng.standard_normal((2, 2)).astype(other), requires_grad=True)
-    opt = AdamW(params, lr=1e-2, weight_decay=weight_decay, lr_scale={"backbone.": 0.1})
+    opt = AdamW(params, weight_decay=weight_decay, lr_scale={"backbone.": 0.1})
     m = {k: np.zeros_like(p.data) for k, p in params.items()}
     v = {k: np.zeros_like(p.data) for k, p in params.items()}
     for step in range(6):

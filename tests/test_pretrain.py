@@ -501,10 +501,14 @@ class TestTrainLoop:
         train_pretrain(bags, TINY_AGG, TINY_PRE).save(a)
         train_pretrain(bags, TINY_AGG, TINY_PRE).save(b)
         assert a.read_bytes() == b.read_bytes()
-        student, teacher, config = load_checkpoint(a)
-        assert config["aggregator"]["embed_dim"] == TINY_AGG.embed_dim
+        student, agg_config = load_checkpoint(a)
+        assert agg_config == TINY_AGG
         assert "embed.w1" in student and "head.proto" in student
-        assert teacher.center.shape == (TINY_PRE.n_prototypes,)
+        # the file also keeps the teacher and its center, which the loader skips
+        tensors, _ = gbio.read_gbck(a)
+        assert {name for name in tensors if name.startswith("teacher.")} == {
+            f"teacher.{name}" for name in student}
+        assert tensors["center"].shape == (TINY_PRE.n_prototypes,)
 
     def test_load_checkpoint_refuses_other_files(self, rng, tmp_path):
         path = tmp_path / "c.gbck"
@@ -512,6 +516,10 @@ class TestTrainLoop:
         tensors, header = gbio.read_gbck(path)
         gbio.write_gbck(path, tensors, {**header["config"], "stage": "align"}, 0, 0)
         with pytest.raises(gbio.FormatError, match=r"c\.gbck: stage 'align'"):
+            load_checkpoint(path)
+        no_aggregator = {k: v for k, v in header["config"].items() if k != "aggregator"}
+        gbio.write_gbck(path, tensors, no_aggregator, 0, 0)
+        with pytest.raises(gbio.FormatError, match=r"c\.gbck: .* no 'aggregator' config section"):
             load_checkpoint(path)
         del tensors["center"]
         gbio.write_gbck(path, tensors, header["config"], 0, 0)
@@ -532,7 +540,7 @@ class TestTrainLoop:
 
     @pytest.mark.parametrize("field,value", [
         ("batch_size", 0), ("batch_size", -3), ("mask_ratio", 1.0), ("mask_ratio", -0.1),
-        ("k_local", -1),
+        ("k_local", -1), ("lr", 0.0), ("lr", -1e-4),
     ])
     def test_config_rejects_settings_that_cannot_train(self, field, value):
         # k_global=3 keeps two views in total when k_local is -1

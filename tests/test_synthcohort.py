@@ -28,8 +28,8 @@ def noiseless_config(**overrides):
 
 
 class TestGenerate:
-    def test_noiseless_limit_identical_genetics_per_class(self, band_table):
-        cohort = sc.generate(noiseless_config(), band_table)
+    def test_noiseless_limit_identical_genetics_per_class(self):
+        cohort = sc.generate(noiseless_config())
         by_class = {}
         for p in cohort.patients:
             by_class.setdefault(p.label, []).append(p)
@@ -39,14 +39,14 @@ class TestGenerate:
                 assert np.array_equal(p.karyotype, first.karyotype)
                 assert np.array_equal(p.mutations, first.mutations)
 
-    def test_noiseless_cells_are_archetype_rows(self, band_table):
-        cohort = sc.generate(noiseless_config(), band_table)
+    def test_noiseless_cells_are_archetype_rows(self):
+        cohort = sc.generate(noiseless_config())
         all_cells = np.concatenate([p.bag.cells for p in cohort.patients])
         distinct = np.unique(all_cells.round(5), axis=0)
         assert len(distinct) <= 4  # n_cell_archetypes
 
-    def test_default_class_compositions_differ_pairwise(self, band_table):
-        cohort = sc.generate(sc.SynthConfig(n_patients=100, seed=1), band_table)
+    def test_default_class_compositions_differ_pairwise(self):
+        cohort = sc.generate(sc.SynthConfig(n_patients=100, seed=1))
         means = {}
         for label in cohort.labels:
             bags = [p.bag.cells.mean(axis=0) for p in cohort.patients if p.label == label]
@@ -56,14 +56,14 @@ class TestGenerate:
             for b in labels[i + 1:]:
                 assert np.linalg.norm(means[a] - means[b]) > 0.1
 
-    def test_split_sizes(self, band_table):
-        cohort = sc.generate(sc.SynthConfig(n_patients=250, seed=0), band_table)
+    def test_split_sizes(self):
+        cohort = sc.generate(sc.SynthConfig(n_patients=250, seed=0))
         assert len(cohort.subset("test")) == 50
         assert len(cohort.subset("train")) == 200
 
-    def test_label_noise_one_decouples_mutations_from_class(self, band_table):
+    def test_label_noise_one_decouples_mutations_from_class(self):
         cohort = sc.generate(
-            sc.SynthConfig(n_patients=250, label_noise=1.0, seed=3), band_table
+            sc.SynthConfig(n_patients=250, label_noise=1.0, seed=3)
         )
         classes = cohort.labels
         mut = {c: np.stack([p.mutations for p in cohort.patients if p.label == c])
@@ -79,26 +79,26 @@ class TestGenerate:
             p_values.append(stats.chi2_contingency(tbl).pvalue)
         assert min(p_values) > 1e-4
 
-    def test_label_noise_drops_karyotype_events(self, band_table):
-        full = sc.generate(sc.SynthConfig(n_patients=120, seed=2), band_table)
+    def test_label_noise_drops_karyotype_events(self):
+        full = sc.generate(sc.SynthConfig(n_patients=120, seed=2))
         noisy = sc.generate(
-            sc.SynthConfig(n_patients=120, label_noise=0.6, seed=2), band_table
+            sc.SynthConfig(n_patients=120, label_noise=0.6, seed=2)
         )
         assert sum(p.karyotype.sum() for p in noisy.patients) < sum(
             p.karyotype.sum() for p in full.patients
         )
 
-    def test_same_seed_byte_identical_files(self, band_table, tmp_path):
+    def test_same_seed_byte_identical_files(self, tmp_path):
         cfg = sc.SynthConfig(n_patients=30, seed=11)
         dir_a, dir_b = tmp_path / "a", tmp_path / "b"
-        sc.generate(cfg, band_table).save(dir_a)
-        sc.generate(cfg, band_table).save(dir_b)
+        sc.generate(cfg).save(dir_a)
+        sc.generate(cfg).save(dir_b)
         for name in ("bags.gbm", "karyotypes.gbm", "mutations.gbm", "labels.tsv"):
             assert (dir_a / name).read_bytes() == (dir_b / name).read_bytes(), name
 
     def test_cohort_roundtrip(self, band_table, tmp_path):
         cfg = sc.SynthConfig(n_patients=20, seed=4)
-        cohort = sc.generate(cfg, band_table)
+        cohort = sc.generate(cfg)
         cohort.save(tmp_path)
         loaded = load_cohort_dir(tmp_path)
         assert [p.patient_id for p in loaded.patients] == [
@@ -110,7 +110,7 @@ class TestGenerate:
             assert a.label == b.label and a.split == b.split
         assert loaded.band_table_sha256 == band_table.sha256
 
-    def test_embedding_noise_degrades_knn_monotonically(self, band_table):
+    def test_embedding_noise_degrades_knn_monotonically(self):
         # monotone in the mean over seeds
         levels = [0.2, 1.5, 6.0]
         mean_bacc = []
@@ -120,7 +120,7 @@ class TestGenerate:
                 cfg = sc.SynthConfig(n_patients=80, embedding_noise=sigma,
                                      seed=seed, cells_min=16, cells_max=16,
                                      input_dim=16)
-                cohort = sc.generate(cfg, band_table)
+                cohort = sc.generate(cfg)
                 train = cohort.subset("train")
                 test = cohort.subset("test")
                 tx = np.stack([p.bag.cells.mean(axis=0) for p in train])
@@ -132,18 +132,18 @@ class TestGenerate:
         assert mean_bacc[0] > mean_bacc[1] > mean_bacc[2]
 
     def test_every_signature_encodes(self, band_table):
-        cohort = sc.generate(sc.SynthConfig(n_patients=12, seed=9), band_table)
+        cohort = sc.generate(sc.SynthConfig(n_patients=12, seed=9))
         for p in cohort.patients:
             assert p.karyotype.shape == (3 * len(band_table),)
 
-    def test_bad_signature_surfaces_karyogram_error(self, band_table):
+    def test_bad_signature_surfaces_karyogram_error(self):
         from genalign.karyogram import UnsupportedNomenclatureError
         cfg = sc.SynthConfig(
             n_patients=4,
             karyotype_signatures=[["+8"], ["ins(3;3)(q21q26)"], ["+8"], ["+8"]],
         )
         with pytest.raises(UnsupportedNomenclatureError):
-            sc.generate(cfg, band_table)
+            sc.generate(cfg)
 
     def test_config_validation(self):
         with pytest.raises(ValueError, match="signature"):
@@ -153,19 +153,32 @@ class TestGenerate:
         with pytest.raises(ValueError, match="rates"):
             sc.SynthConfig(mutation_rates=[[2.0] * 25] * 4)
 
+    @pytest.mark.parametrize("field,value", [
+        ("n_patients", 0), ("n_patients", -2),
+        ("test_fraction", 1.0), ("test_fraction", 1.5), ("test_fraction", -0.1),
+    ])
+    def test_config_rejects_cohorts_that_cannot_be_used(self, field, value):
+        with pytest.raises(ValueError, match=f"^{field} must"):
+            sc.SynthConfig(**{field: value})
+
+    def test_smallest_accepted_cohort_saves(self, tmp_path):
+        cfg = sc.SynthConfig(n_patients=1, test_fraction=0.0, cells_min=2, cells_max=2, input_dim=4)
+        sc.generate(cfg).save(tmp_path)
+        assert [p.split for p in load_cohort_dir(tmp_path).patients] == ["train"]
+
 
 class TestOracleReport:
-    def test_noiseless_frequencies_equal_configured(self, band_table):
+    def test_noiseless_frequencies_equal_configured(self):
         cfg = noiseless_config()
-        cohort = sc.generate(cfg, band_table)
+        cohort = sc.generate(cfg)
         report = sc.oracle_report(cohort, cfg)
         for c in range(4):
             got = report["mutation_frequencies"][f"class{c}"]
             assert got == pytest.approx(cfg.mutation_rates[c])
 
-    def test_default_seed_within_binomial_ci(self, band_table):
+    def test_default_seed_within_binomial_ci(self):
         cfg = sc.SynthConfig(n_patients=300, seed=6)
-        cohort = sc.generate(cfg, band_table)
+        cohort = sc.generate(cfg)
         report = sc.oracle_report(cohort, cfg)
         for c in range(cfg.n_classes):
             label = f"class{c}"
@@ -177,7 +190,7 @@ class TestOracleReport:
 
     def test_band_frequencies_cover_signature(self, band_table):
         cfg = sc.SynthConfig(n_patients=60, seed=8)
-        cohort = sc.generate(cfg, band_table)
+        cohort = sc.generate(cfg)
         report = sc.oracle_report(cohort, cfg)
         # class3 carries +8: gain frequencies must be 1.0 on its bands
         gains = report["band_event_frequencies"]["class3"]["gain"]
@@ -189,9 +202,9 @@ class TestOracleReport:
         with pytest.raises(ValueError, match="empty"):
             sc.oracle_report(Cohort([]))
 
-    def test_mapping_included_with_config(self, band_table):
+    def test_mapping_included_with_config(self):
         cfg = sc.SynthConfig(n_patients=8, seed=1)
-        report = sc.oracle_report(sc.generate(cfg, band_table), cfg)
+        report = sc.oracle_report(sc.generate(cfg), cfg)
         assert report["class_to_genetics"]["class0"]["karyotype_signature"] == [
             "t(15;17)(q24;q21)"
         ]
