@@ -52,14 +52,7 @@ class AggregatorConfig:
             )
 
     def to_dict(self) -> dict:
-        return {
-            "depth": self.depth,
-            "heads": self.heads,
-            "embed_dim": self.embed_dim,
-            "mlp_dim": self.mlp_dim,
-            "input_dim": self.input_dim,
-            "max_cells": self.max_cells,
-        }
+        return dict(self.__dict__)
 
 
 @dataclass

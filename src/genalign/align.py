@@ -205,7 +205,7 @@ class AlignedTable:
 def load_table(out_dir: str | Path, stem: str = "aligned") -> AlignedTable:
     out_dir = Path(out_dir)
     index_path = out_dir / f"{stem}.index.json"
-    index = json.loads(index_path.read_text())
+    index = gbio.read_json(index_path)
     keys = ("patient_ids", "labels", "splits")
     if not (isinstance(index, dict) and all(isinstance(index.get(k), list) for k in keys)
             and len({len(index[k]) for k in keys}) == 1):
@@ -281,18 +281,9 @@ class AlignResult:
     slide_dim: int = 0
 
     def save(self, path: str | Path) -> None:
-        gbio.write_gbck(
-            path,
-            {name: p.data for name, p in self.params.items()},
-            config={
-                "stage": "align",
-                "aggregator": self.agg_config.to_dict(),
-                "align": self.config.to_dict(),
-                "slide_dim": self.slide_dim,
-            },
-            epoch=len(self.metrics),
-            seed=self.config.seed,
-        )
+        gbio.write_checkpoint(path, {name: p.data for name, p in self.params.items()}, "align",
+                              self.agg_config, self.config, epoch=len(self.metrics),
+                              slide_dim=self.slide_dim)
 
 
 def _slide_embedding_dim(agg_config: AggregatorConfig, mode: str) -> int:
@@ -356,6 +347,10 @@ def train_align(
     train = [p for p in train_all if p.complete]
     if len(train) < 2:
         raise TrainingError("need at least 2 complete training patients")
+    width = train[0].bag.cells.shape[1]
+    if width != agg_config.input_dim:
+        raise TrainingError(
+            f"cells are {width} wide but the aggregator's input_dim is {agg_config.input_dim}")
     if config.init == "pretrained" and config.aggregator_mode != "mean_pool":
         if pretrained_aggregator is None:
             raise TrainingError("init='pretrained' requires a stage-1 checkpoint")
@@ -490,9 +485,7 @@ def embed_cohort(
 
 
 def load_align_checkpoint(path: str | Path) -> tuple[dict[str, Tensor], AggregatorConfig, AlignConfig]:
-    tensors, header = gbio.read_gbck(path)
-    if header["config"].get("stage") != "align":
-        raise gbio.FormatError(f"{path}: not an alignment checkpoint")
+    _, tensors, configs = gbio.read_checkpoint(
+        path, {"align": {"aggregator": AggregatorConfig, "align": AlignConfig}})
     params = {name: Tensor(arr, requires_grad=True) for name, arr in tensors.items()}
-    return (params, gbio.config_section(header, "aggregator", AggregatorConfig, path),
-            gbio.config_section(header, "align", AlignConfig, path))
+    return params, configs["aggregator"], configs["align"]

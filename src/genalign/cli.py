@@ -16,7 +16,6 @@ import logging
 import os
 import sys
 import time
-from dataclasses import fields as dataclass_fields
 from pathlib import Path
 
 from . import BLAS_THREAD_VARS
@@ -29,29 +28,14 @@ def _set_threads(n: int) -> None:
         os.environ[var] = str(n)
 
 
-def _check_keys(data: dict, allowed, path: str | None, what: str) -> None:
-    unknown = set(data) - set(allowed)
-    if unknown:
-        raise ValueError(f"{path}: unknown {what}: {sorted(unknown)}")
+def _read_config(path: str | None, sections: dict[str, type]) -> dict:
+    """The sections a sectioned config JSON holds (none without a path),
+    each as its config class."""
+    from . import gbio
 
-
-def _load_section(raw: dict, section: str, config_cls, path: str):
-    data = raw.get(section, {})
-    _check_keys(data, {f.name for f in dataclass_fields(config_cls)}, path,
-                f"{section} config keys")
-    return config_cls(**data)
-
-
-def _read_json(path: str) -> dict:
-    with open(path) as fh:
-        return json.load(fh)
-
-
-def _read_sections(path: str | None, sections: set[str]) -> dict:
-    """Sectioned config JSON (empty without a path); unknown sections fail."""
-    raw = _read_json(path) if path else {}
-    _check_keys(raw, sections, path, "config sections")
-    return raw
+    raw = gbio.json_object(gbio.read_json(path), sections, path) if path else {}
+    return {name: gbio.config_from(sections[name], value, path, name)
+            for name, value in raw.items()}
 
 
 def _positive_int(text: str) -> int:
@@ -71,10 +55,8 @@ def cmd_synth(args):
     from . import gbio
     from .synthcohort import SynthConfig, generate, oracle_report
 
-    raw = _read_json(args.config) if args.config else {}
-    _check_keys(raw, {f.name for f in dataclass_fields(SynthConfig)}, args.config,
-                "config keys")
-    config = _apply_seed(SynthConfig(**raw), args.seed)
+    raw = gbio.read_json(args.config) if args.config else {}
+    config = _apply_seed(gbio.config_from(SynthConfig, raw, args.config), args.seed)
     cohort = generate(config)
     out_dir = Path(args.out_dir)
     paths = cohort.save(out_dir)
@@ -145,11 +127,9 @@ def cmd_pretrain(args):
     from .pretrain import PretrainConfig, train_pretrain
     import numpy as np
 
-    raw = _read_sections(args.config, {"aggregator", "pretrain"})
-    agg_config = _load_section(raw, "aggregator", AggregatorConfig, args.config or "")
-    config = _apply_seed(
-        _load_section(raw, "pretrain", PretrainConfig, args.config or ""), args.seed
-    )
+    configs = _read_config(args.config, {"aggregator": AggregatorConfig, "pretrain": PretrainConfig})
+    agg_config = configs.get("aggregator") or AggregatorConfig()
+    config = _apply_seed(configs.get("pretrain") or PretrainConfig(), args.seed)
     cohort = load_cohort(args.cohort)
     cap_rng = np.random.default_rng(config.seed)
     bags = [cap_bag(p.bag, agg_config.max_cells, cap_rng) for p in cohort.patients]
@@ -169,16 +149,14 @@ def _load_align_inputs(args):
     from .cohort import load_cohort
     from .pretrain import load_checkpoint
 
-    raw = _read_sections(args.config, {"aggregator", "align"})
-    config = _apply_seed(
-        _load_section(raw, "align", AlignConfig, args.config or ""), args.seed
-    )
+    configs = _read_config(args.config, {"aggregator": AggregatorConfig, "align": AlignConfig})
+    config = _apply_seed(configs.get("align") or AlignConfig(), args.seed)
     cohort = load_cohort(args.cohort, args.karyo, args.mut, args.labels)
     pretrained = None
     if args.init:
         pretrained, agg_config = load_checkpoint(args.init)
-    elif "aggregator" in raw:
-        agg_config = _load_section(raw, "aggregator", AggregatorConfig, args.config)
+    elif "aggregator" in configs:
+        agg_config = configs["aggregator"]
     elif config.aggregator_mode == "mean_pool":
         width = cohort.patients[0].bag.cells.shape[1]
         agg_config = AggregatorConfig(depth=1, heads=1, embed_dim=width,
@@ -215,8 +193,7 @@ def cmd_embed(args):
     from . import gbio
     from .cohort import load_cohort
 
-    header = gbio.inspect_header(args.ckpt)["header"]
-    stage = header["config"].get("stage")
+    stage, _, _ = gbio.read_checkpoint(args.ckpt, {"pretrain": {}, "align": {}})
     cohort = load_cohort(args.cohort)
     ids = [p.patient_id for p in cohort.patients]
     if stage == "pretrain":
@@ -226,7 +203,7 @@ def cmd_embed(args):
 
         student, agg_config = load_checkpoint(args.ckpt)
         matrix = embed_bags([p.bag for p in cohort.patients], student, agg_config)
-    elif stage == "align":
+    else:
         from .align import load_align_checkpoint, project_slides
 
         params, agg_config, align_config = load_align_checkpoint(args.ckpt)
@@ -234,8 +211,6 @@ def cmd_embed(args):
             cohort.patients, params, agg_config, align_config
         )
         matrix = slide if args.space == "slide" else z_slide
-    else:
-        raise ValueError(f"{args.ckpt}: not a training checkpoint")
     gbio.write_gbm(args.out, gbio.Matrix(matrix.astype(np.float32), ids))
     logger.info("embedded %d patients -> %s", len(ids), args.out)
     return (Path(args.out).parent, {"ckpt": str(args.ckpt), "space": args.space},
@@ -293,22 +268,25 @@ def cmd_evaluate(args):
 def cmd_ablate(args):
     from . import gbio
     from .aggregator import AggregatorConfig
+    from .align import AlignConfig
     from .cohort import load_cohort_dir
     from .harness import AblationGrid, ablation_to_tsv, run_ablation
     from .pretrain import load_checkpoint
 
-    raw = _read_json(args.grid)
-    _check_keys(raw, {"cohort_dir", "init_checkpoint", "aggregator", "align", "axes",
-                      "n_boot", "seed", "out", "out_tsv"}, args.grid, "grid keys")
-    axes = raw.get("axes", {})
-    _check_keys(axes, {"aggregator", "karyotype_resolution", "recon_weight"}, args.grid,
-                "ablation axes")
-    cohort = load_cohort_dir(raw["cohort_dir"])
+    raw = gbio.json_object(gbio.read_json(args.grid), (
+        "cohort_dir", "init_checkpoint", "aggregator", "align", "axes",
+        "n_boot", "seed", "out", "out_tsv"), args.grid)
+    axes = gbio.json_object(raw.get("axes", {}), (
+        "aggregator", "karyotype_resolution", "recon_weight"), args.grid, "axes")
+    # every row's AlignConfig starts from this section: refuse it before any row trains
+    gbio.config_from(AlignConfig, raw.get("align", {}), args.grid, "align")
     pretrained = None
     if raw.get("init_checkpoint"):
         pretrained, agg_config = load_checkpoint(raw["init_checkpoint"])
     else:
-        agg_config = _load_section(raw, "aggregator", AggregatorConfig, args.grid)
+        agg_config = gbio.config_from(AggregatorConfig, raw.get("aggregator", {}),
+                                      args.grid, "aggregator")
+    cohort = load_cohort_dir(raw["cohort_dir"])
     grid = AblationGrid(
         **axes,
         defaults=raw.get("align", {}),

@@ -10,7 +10,9 @@ matrices) and ``row_ranges`` (cell-bag files, one ``[start, stop)`` row range
 per patient instead of one row each).
 
 .gbck header keys: ``config``, ``epoch``, ``seed``, ``tensors`` (list of
-``{name, shape, offset}``, byte offsets into the f32 blob section).
+``{name, shape, offset}``, byte offsets into the f32 blob section); a
+training checkpoint's ``config`` holds ``stage``, ``aggregator`` and the
+stage's own section.  Every JSON input and config section is read here.
 
 Both, and every text output (``write_text``), are written to a temporary
 file in the target's directory and renamed over the target, so a failed
@@ -25,7 +27,7 @@ import os
 import platform
 import struct
 import time
-from dataclasses import dataclass
+from dataclasses import MISSING, dataclass, fields
 from pathlib import Path
 from typing import Any, Iterable
 
@@ -72,6 +74,49 @@ def write_text(path: str | Path, text: str) -> None:
     _write_atomic(Path(path), [text.encode("utf-8")])
 
 
+def _parse_json(blob: bytes, path, what: str) -> Any:
+    try:
+        return json.loads(blob.decode("utf-8"))
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        raise FormatError(f"{path}: unreadable {what}: {exc}") from exc
+
+
+def read_json(path: str | Path) -> Any:
+    """The JSON value in the file at ``path``; a file that is not JSON is
+    refused with ``FormatError`` naming it."""
+    return _parse_json(Path(path).read_bytes(), path, "JSON")
+
+
+def _where(path, section: str | None) -> str:
+    return str(path) if section is None else f"{path}, section {section!r}"
+
+
+def json_object(value, keys, path, section: str | None = None) -> dict:
+    """``value`` if it is a JSON object whose keys all lie in ``keys``;
+    otherwise ``FormatError`` naming the file and the section."""
+    if not isinstance(value, dict):
+        raise FormatError(f"{_where(path, section)} is not a JSON object")
+    unknown = sorted(set(value) - set(keys))
+    if unknown:
+        raise FormatError(f"{_where(path, section)}: unknown keys {unknown}")
+    return value
+
+
+def config_from(config_cls, value, path, section: str | None = None):
+    """``config_cls``, a config dataclass, from a JSON object of its fields.
+    Each value must have the JSON type of its field's default (an integer
+    also fills a float field, a boolean no number field); otherwise
+    ``FormatError`` names the file, the section and the field."""
+    defaults = {f.name: f.default if f.default is not MISSING else f.default_factory()
+                for f in fields(config_cls)}
+    for name, item in json_object(value, defaults, path, section).items():
+        kind = type(defaults[name])
+        if not (type(item) is kind or (kind is float and type(item) is int)):
+            raise FormatError(
+                f"{_where(path, section)}: {name!r} must be {kind.__name__}, got {item!r}")
+    return config_cls(**value)
+
+
 def _ints(value) -> bool:
     """A JSON list of integers (booleans excluded)."""
     return isinstance(value, list) and all(type(v) is int for v in value)
@@ -89,10 +134,7 @@ def _read_prefixed(fh, magic: bytes, path: Path, keys: tuple[str, ...] = ()) -> 
     blob = fh.read(length)
     if len(blob) != length:
         raise FormatError(f"{path}: truncated header ({len(blob)} of {length} bytes)")
-    try:
-        header = json.loads(blob.decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-        raise FormatError(f"{path}: unreadable header: {exc}") from exc
+    header = _parse_json(blob, path, "header")
     if not isinstance(header, dict):
         raise FormatError(f"{path}: header is not a JSON object")
     for key in keys:
@@ -218,29 +260,45 @@ def read_gbck(path: str | Path) -> tuple[dict[str, np.ndarray], dict]:
     return tensors, header
 
 
-def config_section(header: dict, section: str, config_cls, path: str | Path):
-    """``config_cls`` from one section of a checkpoint header's config; a
-    header without that section is refused."""
-    if section not in header["config"]:
-        raise FormatError(f"{path}: checkpoint header has no {section!r} config section")
-    return config_cls(**header["config"][section])
+def write_checkpoint(path: str | Path, tensors: dict[str, np.ndarray], stage: str,
+                     agg_config, config, epoch: int, **extra) -> None:
+    """A training checkpoint: its header config holds ``stage``, the
+    ``aggregator`` section, the stage's ``config`` as the section named
+    ``stage``, and any ``extra`` keys; the header seed is ``config.seed``."""
+    sections = {"stage": stage, "aggregator": agg_config.to_dict(), stage: config.to_dict()}
+    write_gbck(path, tensors, {**sections, **extra}, epoch, config.seed)
+
+
+def read_checkpoint(path: str | Path, stages: dict[str, dict[str, type]]) -> tuple[str, dict, dict]:
+    """``(stage, tensors, configs)`` of a training checkpoint.  ``stages``
+    maps each stage the caller takes to the config classes of the sections
+    it reads; another stage, or a header without one of those sections, is
+    refused, and each section is read through ``config_from``."""
+    tensors, header = read_gbck(path)
+    config = header["config"]
+    if not isinstance(config, dict):
+        raise FormatError(f"{path}: checkpoint config is not a JSON object")
+    stage = config.get("stage")
+    if not (isinstance(stage, str) and stage in stages):
+        raise FormatError(f"{path}: stage {stage!r} is not {' or '.join(map(repr, stages))}")
+    configs = {}
+    for section, config_cls in stages[stage].items():
+        if section not in config:
+            raise FormatError(f"{path}: checkpoint header has no {section!r} config section")
+        configs[section] = config_from(config_cls, config[section], path, section)
+    return stage, tensors, configs
 
 
 def inspect_header(path: str | Path) -> dict:
     """Header JSON of any .gbm/.gbck file, plus the detected kind."""
     path = Path(path)
+    kinds = {GBM_MAGIC: "gbm", GBCK_MAGIC: "gbck"}
     with open(path, "rb") as fh:
         magic = fh.read(4)
-        fh.seek(0)
-        if magic == GBM_MAGIC:
-            header = _read_prefixed(fh, GBM_MAGIC, path)
-            kind = "gbm"
-        elif magic == GBCK_MAGIC:
-            header = _read_prefixed(fh, GBCK_MAGIC, path)
-            kind = "gbck"
-        else:
+        if magic not in kinds:
             raise FormatError(f"{path}: unrecognized magic {magic!r}")
-    return {"kind": kind, "header": header}
+        fh.seek(0)
+        return {"kind": kinds[magic], "header": _read_prefixed(fh, magic, path)}
 
 
 def config_hash(config: dict) -> str:

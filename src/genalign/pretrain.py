@@ -231,31 +231,19 @@ class PretrainResult:
         for name, p in self.teacher.params.items():
             tensors[f"teacher.{name}"] = p.data
         tensors["center"] = self.teacher.center
-        gbio.write_gbck(
-            path,
-            tensors,
-            config={
-                "stage": "pretrain",
-                "aggregator": self.agg_config.to_dict(),
-                "pretrain": self.config.to_dict(),
-            },
-            epoch=len(self.metrics),
-            seed=self.config.seed,
-        )
+        gbio.write_checkpoint(path, tensors, "pretrain", self.agg_config, self.config,
+                              epoch=len(self.metrics))
 
 
 def load_checkpoint(path: str | Path) -> tuple[dict[str, Tensor], AggregatorConfig]:
     """Student params and aggregator config of a stage-1 checkpoint; any
     other file is refused with ``gbio.FormatError``."""
-    tensors, header = gbio.read_gbck(path)
-    stage = header["config"].get("stage")
-    if stage != "pretrain":
-        raise gbio.FormatError(f"{path}: stage {stage!r} is not a pretraining checkpoint")
+    _, tensors, configs = gbio.read_checkpoint(path, {"pretrain": {"aggregator": AggregatorConfig}})
     if "center" not in tensors:
         raise gbio.FormatError(f"{path}: pretraining checkpoint has no 'center' tensor")
     student = {name[len("student."):]: Tensor(arr, requires_grad=True)
                for name, arr in tensors.items() if name.startswith("student.")}
-    return student, gbio.config_section(header, "aggregator", AggregatorConfig, path)
+    return student, configs["aggregator"]
 
 
 def _batches(n: int, batch_size: int, rng: np.random.Generator) -> list[np.ndarray]:

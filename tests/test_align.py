@@ -355,6 +355,18 @@ class TestTrainAlign:
         with pytest.raises(TrainingError, match="embed_dim"):
             train_align(cohort, TINY_AGG, cfg, pretrained_aggregator=ckpt)
 
+    @pytest.mark.parametrize("mode", ["mean_pool", "finetune"])
+    def test_cells_of_another_width_than_input_dim_refused(self, rng, monkeypatch, mode):
+        def no_init(*args, **kwargs):
+            raise AssertionError("parameters initialised before the width check")
+
+        monkeypatch.setattr(align, "init_align_params", no_init)
+        wide = AggregatorConfig(depth=1, heads=2, embed_dim=12, mlp_dim=24,
+                                input_dim=64, max_cells=16)
+        cfg = AlignConfig(**{**TINY_ALIGN.to_dict(), "aggregator_mode": mode})
+        with pytest.raises(TrainingError, match="cells are 12 wide but the aggregator's input_dim is 64"):
+            train_align(make_cohort(rng), wide, cfg)
+
     def test_frozen_keeps_checkpoint_aggregator(self, rng):
         from genalign.aggregator import init_params
         from genalign.pretrain import embed_bags
@@ -435,16 +447,19 @@ class TestTrainAlign:
 
     @pytest.mark.parametrize("index_edit", [
         {"patient_ids": None}, {"labels": None}, {"splits": None},
-        {"labels": ["x", "y", "x", "y"]}, {"splits": ["train"]},
-    ], ids=["no_patient_ids", "no_labels", "no_splits", "extra_label", "one_split"])
+        {"labels": ["x", "y", "x", "y"]}, {"splits": ["train"]}, "{not json",
+    ], ids=["no_patient_ids", "no_labels", "no_splits", "extra_label", "one_split", "not_json"])
     def test_load_table_refuses_an_unreadable_index(self, rng, tmp_path, index_edit):
         z = rng.standard_normal((3, 4)).astype(np.float32)
         align.AlignedTable(["a", "b", "c"], ["x", "y", "x"], ["train", "test", "test"],
                            z, z, z, z).save(tmp_path)
         index_path = tmp_path / "aligned.index.json"
-        index = {**json.loads(index_path.read_text()), **index_edit}
-        index_path.write_text(json.dumps({k: v for k, v in index.items() if v is not None}))
-        with pytest.raises(gbio.FormatError, match=f"{index_path}: needs lists"):
+        if isinstance(index_edit, str):
+            index_path.write_text(index_edit)
+        else:
+            index = {**json.loads(index_path.read_text()), **index_edit}
+            index_path.write_text(json.dumps({k: v for k, v in index.items() if v is not None}))
+        with pytest.raises(gbio.FormatError, match=f"{index_path}: (needs lists|unreadable JSON)"):
             align.load_table(tmp_path)
 
     @pytest.mark.parametrize("section", ["aggregator", "align"])

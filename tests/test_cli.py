@@ -372,8 +372,61 @@ class TestAblate:
         grid_path = tmp_path / "grid.json"
         grid_path.write_text(json.dumps(grid))
         assert main(["ablate", "--grid", str(grid_path)]) == 1
-        assert "unknown ablation axes: ['recon_weights']" in caplog.text
+        assert f"{grid_path}, section 'axes': unknown keys ['recon_weights']" in caplog.text
         assert not (tmp_path / "ablation.json").exists()
+
+
+# Each case: the command that reads the bad file, and the file's content.  A
+# grid case's content is merged into a runnable grid; a checkpoint case's
+# content replaces the stage-1 checkpoint's header config (an object is
+# merged into its sections).
+BAD_INPUTS = {
+    "config_not_json": ("align", "{not json"),
+    "top_level_list": ("align", [1]),
+    "synth_top_level_empty_list": ("synth", []),
+    "section_not_object": ("align", {"align": 5}),
+    "axes_not_object": ("ablate", {"axes": 5}),
+    "grid_align_unknown_key": ("ablate", {"align": {"epochs": 1, "epoch": 1}}),
+    "wrong_typed_field": ("align", {"align": {"epochs": "3"}}),
+    "synth_wrong_typed_field": ("synth", {"n_patients": "20"}),
+    "checkpoint_config_not_object": ("embed", 5),
+    "checkpoint_section_extra_key": ("embed", {"aggregator": {"extra": 1}}),
+    "checkpoint_wrong_typed_field": ("embed", {"aggregator": {"heads": "2"}}),
+}
+
+
+class TestRefusedInputs:
+    @pytest.mark.parametrize("command, content", list(BAD_INPUTS.values()), ids=list(BAD_INPUTS))
+    def test_refused_naming_the_file_without_output(self, pipeline, tmp_path, caplog,
+                                                    command, content):
+        cohort, ckpt = pipeline / "cohort", pipeline / "ckpt.gbck"
+        out = tmp_path / "out"
+        bad = tmp_path / ("bad.gbck" if command == "embed" else "bad.json")
+        if command == "embed":
+            tensors, header = gbio.read_gbck(ckpt)
+            config = header["config"]
+            if isinstance(content, dict):
+                content = {**config, **{k: {**config[k], **v} for k, v in content.items()}}
+            gbio.write_gbck(bad, tensors, content, header["epoch"], header["seed"])
+        else:
+            if command == "ablate":
+                content = {"cohort_dir": str(cohort), "init_checkpoint": str(ckpt),
+                           "align": {"epochs": 1, "batch_size": 6}, "out": str(out), **content}
+            bad.write_text(content if isinstance(content, str) else json.dumps(content))
+        argv = {
+            "synth": ["synth", "--config", str(bad), "--out-dir", str(out)],
+            "align": ["align", "--config", str(bad), "--cohort", str(cohort / "bags.gbm"),
+                      "--karyo", str(cohort / "karyotypes.gbm"),
+                      "--mut", str(cohort / "mutations.gbm"),
+                      "--labels", str(cohort / "labels.tsv"), "--init", str(ckpt),
+                      "--out", str(out)],
+            "ablate": ["ablate", "--grid", str(bad)],
+            "embed": ["embed", "--ckpt", str(bad), "--cohort", str(cohort / "bags.gbm"),
+                      "--out", str(out)],
+        }[command]
+        assert main(argv) == 1
+        assert str(bad) in caplog.text
+        assert not out.exists()
 
 
 class TestErrors:

@@ -3,6 +3,7 @@ import json
 import platform
 import struct
 import time
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -208,6 +209,47 @@ def disk_full_after(monkeypatch, budget):
         return _FullDisk(fh, budget) if "w" in mode else fh
 
     monkeypatch.setattr(Path, "open", open_)
+
+
+@dataclass
+class Knobs:
+    count: int = 1
+    rate: float = 0.5
+    name: str = "a"
+    items: list = field(default_factory=list)
+
+
+class TestConfigFrom:
+    def test_builds_from_the_fields_given(self):
+        assert gbio.config_from(Knobs, {"count": 2, "rate": 1, "items": [3]}, "c.json", "knobs") \
+            == Knobs(count=2, rate=1, items=[3])
+
+    @pytest.mark.parametrize("value,message", [
+        ([1], r"c\.json, section 'knobs' is not a JSON object"),
+        ({"cuont": 2}, r"c\.json, section 'knobs': unknown keys \['cuont'\]"),
+        ({"count": "2"}, r"'count' must be int, got '2'"),
+        ({"count": 2.0}, r"'count' must be int, got 2\.0"),
+        ({"count": True}, r"'count' must be int, got True"),
+        ({"rate": False}, r"'rate' must be float, got False"),
+        ({"name": 3}, r"'name' must be str, got 3"),
+        ({"items": "ab"}, r"'items' must be list, got 'ab'"),
+    ], ids=["not-an-object", "unknown-key", "str-for-int", "float-for-int", "bool-for-int",
+            "bool-for-float", "int-for-str", "str-for-list"])
+    def test_refused_naming_file_section_and_field(self, value, message):
+        with pytest.raises(gbio.FormatError, match=message):
+            gbio.config_from(Knobs, value, "c.json", "knobs")
+
+    def test_top_level_config_names_the_file_alone(self):
+        with pytest.raises(gbio.FormatError, match=r"^c\.json is not a JSON object$"):
+            gbio.config_from(Knobs, [], "c.json")
+
+    def test_read_json_names_a_file_that_is_not_json(self, tmp_path):
+        path = tmp_path / "c.json"
+        path.write_text('{"count": 2}')
+        assert gbio.read_json(path) == {"count": 2}
+        path.write_text("{not json")
+        with pytest.raises(gbio.FormatError, match=f"{path}: unreadable JSON"):
+            gbio.read_json(path)
 
 
 class TestAtomicWrite:
