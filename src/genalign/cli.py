@@ -16,6 +16,7 @@ import logging
 import os
 import sys
 import time
+from dataclasses import dataclass, field
 from pathlib import Path
 
 from . import BLAS_THREAD_VARS
@@ -265,40 +266,51 @@ def cmd_evaluate(args):
             args.seed or 0, artifacts)
 
 
+@dataclass
+class GridFile:
+    """An ablation grid JSON; ``aggregator`` and ``align`` are config
+    sections and ``axes`` the grid's ``AblationAxes``."""
+    cohort_dir: str
+    init_checkpoint: str = ""
+    aggregator: dict = field(default_factory=dict)
+    align: dict = field(default_factory=dict)
+    axes: dict = field(default_factory=dict)
+    n_boot: int = 200
+    seed: int = 0
+    out: str = "ablation.json"
+    out_tsv: str = ""
+
+    def __post_init__(self):
+        if self.n_boot < 1:
+            raise ValueError("n_boot must be >= 1")
+
+
 def cmd_ablate(args):
     from . import gbio
     from .aggregator import AggregatorConfig
     from .align import AlignConfig
     from .cohort import load_cohort_dir
-    from .harness import AblationGrid, ablation_to_tsv, run_ablation
+    from .harness import AblationAxes, AblationGrid, ablation_to_tsv, run_ablation
     from .pretrain import load_checkpoint
 
-    raw = gbio.json_object(gbio.read_json(args.grid), (
-        "cohort_dir", "init_checkpoint", "aggregator", "align", "axes",
-        "n_boot", "seed", "out", "out_tsv"), args.grid)
-    axes = gbio.json_object(raw.get("axes", {}), (
-        "aggregator", "karyotype_resolution", "recon_weight"), args.grid, "axes")
-    # every row's AlignConfig starts from this section: refuse it before any row trains
-    gbio.config_from(AlignConfig, raw.get("align", {}), args.grid, "align")
+    # every part of the grid is refused here, before any row trains
+    raw = gbio.read_json(args.grid)
+    spec = _apply_seed(gbio.config_from(GridFile, raw, args.grid), args.seed)
+    axes = gbio.config_from(AblationAxes, spec.axes, args.grid, "axes")
+    gbio.config_from(AlignConfig, spec.align, args.grid, "align")  # each row's starting point
     pretrained = None
-    if raw.get("init_checkpoint"):
-        pretrained, agg_config = load_checkpoint(raw["init_checkpoint"])
+    if spec.init_checkpoint:
+        pretrained, agg_config = load_checkpoint(spec.init_checkpoint)
     else:
-        agg_config = gbio.config_from(AggregatorConfig, raw.get("aggregator", {}),
-                                      args.grid, "aggregator")
-    cohort = load_cohort_dir(raw["cohort_dir"])
-    grid = AblationGrid(
-        **axes,
-        defaults=raw.get("align", {}),
-        n_boot=raw.get("n_boot", 200),
-        seed=args.seed if args.seed is not None else raw.get("seed", 0),
-    )
+        agg_config = gbio.config_from(AggregatorConfig, spec.aggregator, args.grid, "aggregator")
+    cohort = load_cohort_dir(spec.cohort_dir)
+    grid = AblationGrid(**vars(axes), defaults=spec.align, n_boot=spec.n_boot, seed=spec.seed)
     result = run_ablation(cohort, agg_config, grid, pretrained_aggregator=pretrained)
-    out = Path(raw.get("out", "ablation.json"))
+    out = Path(spec.out)
     gbio.write_text(out, json.dumps(result, sort_keys=True, indent=2) + "\n")
     artifacts = [out]
-    if raw.get("out_tsv"):
-        tsv = Path(raw["out_tsv"])
+    if spec.out_tsv:
+        tsv = Path(spec.out_tsv)
         gbio.write_text(tsv, ablation_to_tsv(result))
         artifacts.append(tsv)
     logger.info("ablation grid (%d rows) -> %s", len(result["rows"]), out)

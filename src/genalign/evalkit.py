@@ -160,7 +160,7 @@ class LogregResult:
     balanced_accuracy: float
     converged: bool
     grad_norm: float
-    predictions: np.ndarray | None = None
+    predictions: np.ndarray
 
 
 def logreg_probe(

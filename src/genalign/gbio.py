@@ -29,7 +29,7 @@ import struct
 import time
 from dataclasses import MISSING, dataclass, fields
 from pathlib import Path
-from typing import Any, Iterable
+from typing import Any, Iterable, get_args, get_origin, get_type_hints
 
 import numpy as np
 
@@ -102,19 +102,36 @@ def json_object(value, keys, path, section: str | None = None) -> dict:
     return value
 
 
+def _fits(item, kind) -> bool:
+    """Whether a JSON value has the type ``kind``: an integer also fills a
+    float, a boolean no number, and every element of a ``list[X]`` must
+    fit X."""
+    if get_origin(kind) is list:
+        return type(item) is list and all(_fits(v, get_args(kind)[0]) for v in item)
+    return type(item) is kind or (kind is float and type(item) is int)
+
+
 def config_from(config_cls, value, path, section: str | None = None):
     """``config_cls``, a config dataclass, from a JSON object of its fields.
-    Each value must have the JSON type of its field's default (an integer
-    also fills a float field, a boolean no number field); otherwise
-    ``FormatError`` names the file, the section and the field."""
-    defaults = {f.name: f.default if f.default is not MISSING else f.default_factory()
-                for f in fields(config_cls)}
-    for name, item in json_object(value, defaults, path, section).items():
-        kind = type(defaults[name])
-        if not (type(item) is kind or (kind is float and type(item) is int)):
-            raise FormatError(
-                f"{_where(path, section)}: {name!r} must be {kind.__name__}, got {item!r}")
-    return config_cls(**value)
+    Each value must have the type its field declares (``_fits``), each
+    field without a default must be given, and the class must accept the
+    values; otherwise ``FormatError`` names the file, the section and the
+    field."""
+    kinds = get_type_hints(config_cls)
+    where = _where(path, section)
+    value = json_object(value, kinds, path, section)
+    for f in fields(config_cls):
+        if f.name not in value and f.default is MISSING and f.default_factory is MISSING:
+            raise FormatError(f"{where}: {f.name!r} is required")
+    for name, item in value.items():
+        kind = kinds[name]
+        if not _fits(item, kind):
+            shown = kind if get_origin(kind) else kind.__name__  # list[str], int
+            raise FormatError(f"{where}: {name!r} must be {shown}, got {item!r}")
+    try:
+        return config_cls(**value)
+    except ValueError as exc:
+        raise FormatError(f"{where}: {exc}") from exc
 
 
 def _ints(value) -> bool:

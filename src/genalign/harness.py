@@ -1,16 +1,18 @@
 """Evaluation report assembly and the ablation grid.
 
-Each retrieval task ranks its query block with one ``evalkit.retrieve``
-call and builds one hit matrix from the ranking: the same-patient
-counterpart for the four cross-modal directions, the same-class slides
-(own slide dropped) for slide-to-slide, and the split's mutation matrix
-for gene-to-slide.  Every retrieval metric is read from that matrix as a
-per-query vector (reciprocal ranks, top-k hits, AP@k, per-gene F1), and
-the random baselines permute its rows.  Paired Wilcoxon tests on
-reciprocal ranks are Bonferroni-corrected over the four directions.  The
-logistic probe is one fit's test predictions, and ``evalkit.bootstrap``
-resamples the rows of each metric.  Each probe is fitted once per table,
-and only when its task is requested.
+``score_table`` is the one scorer: ``evaluate_report`` embeds a cohort and
+hands it the table, and every ablation row is a slice of its report.  Each
+retrieval task ranks its query block with one ``evalkit.retrieve`` call and
+builds one hit matrix from the ranking: the same-patient counterpart for
+the four cross-modal directions, the same-class slides (own slide dropped)
+for slide-to-slide, and the split's mutation matrix for gene-to-slide.
+Every retrieval metric is read from that matrix as a per-query vector
+(reciprocal ranks, top-k hits, AP@k, per-gene F1), and the random
+baselines permute its rows.  Paired Wilcoxon tests on reciprocal ranks are
+Bonferroni-corrected over the four directions.  Each probe is fitted once
+per table, and only when its task is requested; the logistic probe's
+interval resamples that fit's test predictions, as ``evalkit.bootstrap``
+resamples the rows of each metric.
 
 The ablation grid varies one factor per row (aggregator init/pooling,
 karyotype resolution, reconstruction weight) with the other factors at
@@ -40,6 +42,10 @@ DIRECTIONS = [
     ("slide", "mutation"),
     ("mutation", "slide"),
 ]
+SPLIT = "test"  # the split every retrieval metric scores
+TOP_KS = (1, 5)
+KNN_K = 5
+LOGREG_L2 = 1.0
 
 
 def _modality_matrix(table: AlignedTable, modality: str) -> np.ndarray:
@@ -75,12 +81,10 @@ def cross_modal_rankings(
     return ids, order, scores
 
 
-def cross_modal_hits(
-    table: AlignedTable, query: str, target: str, split: str = "test"
-) -> np.ndarray:
+def cross_modal_hits(table: AlignedTable, query: str, target: str) -> np.ndarray:
     """Hit matrix of a cross-modal direction: true at each query's
     same-patient counterpart."""
-    _, order, _ = cross_modal_rankings(table, query, target, split)
+    _, order, _ = cross_modal_rankings(table, query, target, SPLIT)
     return order == np.arange(len(order))[:, None]
 
 
@@ -97,25 +101,19 @@ def _mean_stat(name: str, values: np.ndarray, n_boot: int, seed: int) -> StatRep
                         n_boot, seed, name)
 
 
-def retrieval_block(
-    table: AlignedTable,
-    split: str = "test",
-    n_boot: int = 1000,
-    seed: int = 0,
-    top_ks: tuple[int, ...] = (1, 5),
-) -> dict:
+def retrieval_block(table: AlignedTable, n_boot: int = 1000, seed: int = 0) -> dict:
     """Cross-modal retrieval metrics vs the random baseline, all directions."""
     rng = np.random.default_rng(seed)
     block: dict = {}
     m_corrections = len(DIRECTIONS)
     for d, (query, target) in enumerate(DIRECTIONS):
-        hits = cross_modal_hits(table, query, target, split)
+        hits = cross_modal_hits(table, query, target)
         baseline = random_rankings(hits, rng)
         rr_model = ek.reciprocal_ranks(hits)
         rr_random = ek.reciprocal_ranks(baseline)
         tag = direction_tag(query, target)
         entry: dict = {}
-        for k in top_ks:
+        for k in TOP_KS:
             entry[f"top{k}"] = _mean_stat(
                 f"{tag} top-{k}", ek.hits_at_k(hits, k), n_boot,
                 seed + 10 * d + k,
@@ -144,13 +142,12 @@ def retrieval_block(
 
 
 def slide_retrieval_block(
-    table: AlignedTable, split: str = "test", k: int = 3,
-    n_boot: int = 1000, seed: int = 0,
+    table: AlignedTable, k: int = 3, n_boot: int = 1000, seed: int = 0
 ) -> dict:
     """Same-class slide-to-slide retrieval, mAP@k.  Each query's own column
     is dropped from its ranking; queries with no same-class partner are
     skipped and counted."""
-    rows = _split_rows(table, split)
+    rows = _split_rows(table, SPLIT)
     ids = [table.patient_ids[i] for i in rows]
     labels = np.array([table.labels[i] for i in rows])
     order, _ = ek.retrieve(table.z_slide[rows], table.z_slide[rows], ids)
@@ -177,42 +174,34 @@ def _probe_inputs(table: AlignedTable) -> tuple[np.ndarray, ...]:
 
 def probe_block(
     table: AlignedTable, probes: tuple[str, ...] = ("knn", "logreg"),
-    k: int = 5, l2_strength: float = 1.0,
+    n_boot: int = 1000, seed: int = 0,
 ) -> dict:
     """The requested k-NN and logistic-regression probes on the slide
-    embeddings, each fitted once."""
+    embeddings, each fitted once; the logistic probe's interval bootstraps
+    its fit's test (truth, prediction) pairs."""
     inputs = _probe_inputs(table)
     block: dict = {}
     if "knn" in probes:
-        block["knn"] = {"k": k, "balanced_accuracy": ek.knn_probe(*inputs, k=k)}
+        block["knn"] = {"k": KNN_K, "balanced_accuracy": ek.knn_probe(*inputs, k=KNN_K)}
     if "logreg" in probes:
-        logreg = ek.logreg_probe(*inputs, l2_strength=l2_strength)
+        logreg = ek.logreg_probe(*inputs, l2_strength=LOGREG_L2)
+        test_y, pred = inputs[3], logreg.predictions
         block["logreg"] = {
             "balanced_accuracy": logreg.balanced_accuracy,
             "converged": logreg.converged,
-            "l2_strength": l2_strength,
+            "l2_strength": LOGREG_L2,
+            "interval": ek.bootstrap(
+                lambda rows: ek.balanced_accuracy(test_y[rows], pred[rows]),
+                len(test_y), n_boot, seed, "logreg bAcc",
+            ).to_dict(),
         }
     return block
-
-
-def logreg_bootstrap(
-    table: AlignedTable, n_boot: int, seed: int, l2_strength: float = 1.0
-) -> StatReport:
-    """Fit once on train, bootstrap the test (truth, prediction) pairs."""
-    train_x, train_y, test_x, test_y = _probe_inputs(table)
-    pred = ek.logreg_probe(train_x, train_y, test_x, test_y,
-                           l2_strength=l2_strength).predictions
-    return ek.bootstrap(
-        lambda rows: ek.balanced_accuracy(test_y[rows], pred[rows]),
-        len(test_y), n_boot, seed, "logreg bAcc",
-    )
 
 
 def per_gene_block(
     table: AlignedTable,
     cohort: Cohort,
     params: dict,
-    split: str = "test",
     n_boot: int = 200,
     seed: int = 0,
 ) -> dict:
@@ -220,7 +209,7 @@ def per_gene_block(
     one negative patient in the split: gene->slide via one-hot gene queries
     through the mutation projector, slide->gene by assigning each slide to
     its most similar gene (ties: first gene in name order)."""
-    rows = _split_rows(table, split)
+    rows = _split_rows(table, SPLIT)
     ids = [table.patient_ids[i] for i in rows]
     by_id = {p.patient_id: p for p in cohort.patients}
     relevant = np.array([by_id[pid].mutations for pid in ids], dtype=bool).T
@@ -270,7 +259,16 @@ def evaluate_report(
     seed: int = 0,
     n_boot: int = 1000,
 ) -> dict:
+    """The cohort embedded by the aligned model, scored by ``score_table``."""
     table = embed_cohort(cohort, params, agg_config, align_config)
+    return score_table(table, cohort, params, tasks, seed, n_boot)
+
+
+def score_table(table: AlignedTable, cohort: Cohort, params: dict,
+                tasks: tuple[str, ...] = ALL_TASKS, seed: int = 0, n_boot: int = 1000) -> dict:
+    """The evaluation report of an embedded table: the requested tasks
+    only, at one seed and resample count.  ``per_gene`` reads the cohort's
+    mutations and projects gene queries with ``params``."""
     report: dict = {
         "seed": seed,
         "n_boot": n_boot,
@@ -287,7 +285,7 @@ def evaluate_report(
         )
     probes = tuple(p for p in ("knn", "logreg") if p in wanted)
     if probes:
-        report["tasks"]["probes"] = probe_block(table, probes)
+        report["tasks"]["probes"] = probe_block(table, probes, n_boot=n_boot, seed=seed)
     if "per_gene" in wanted:
         report["tasks"]["per_gene"] = per_gene_block(
             table, cohort, params, seed=seed, n_boot=min(n_boot, 200)
@@ -318,12 +316,21 @@ AGGREGATOR_SETTINGS = {
 
 
 @dataclass
-class AblationGrid:
-    aggregator: list[str] = field(
-        default_factory=lambda: list(AGGREGATOR_SETTINGS)
-    )
+class AblationAxes:
+    """The settings each axis of the grid runs, in row order."""
+    aggregator: list[str] = field(default_factory=lambda: list(AGGREGATOR_SETTINGS))
     karyotype_resolution: list[str] = field(default_factory=lambda: ["band", "arm"])
     recon_weight: list[float] = field(default_factory=lambda: [1.0, 0.1, 0.0])
+
+    def __post_init__(self):
+        unknown = [s for s in self.aggregator if s not in AGGREGATOR_SETTINGS]
+        if unknown:
+            raise ValueError(f"unknown aggregator settings {unknown}; "
+                             f"valid: {list(AGGREGATOR_SETTINGS)}")
+
+
+@dataclass
+class AblationGrid(AblationAxes):
     defaults: dict = field(default_factory=dict)  # AlignConfig overrides
     n_boot: int = 200
     seed: int = 0
@@ -338,7 +345,8 @@ def run_ablation(
     """One row per setting per axis, other factors at their defaults.
 
     The defaults recur once per axis; each distinct config is trained and
-    scored once and its scores reused."""
+    scored once, and each of its rows reads the logistic probe's interval
+    and the S->K and K->S MRRs from that one report."""
     base = {
         "aggregator_mode": "finetune",
         "init": "pretrained" if pretrained_aggregator is not None else "random",
@@ -348,40 +356,31 @@ def run_ablation(
         **grid.defaults,
     }
     rows = []
-    scores: dict[str, tuple[StatReport, ...]] = {}  # config hash -> scores
+    reports: dict[str, dict] = {}  # config hash -> its report's tasks
 
     def evaluate_setting(ablation: str, setting: str, overrides: dict) -> dict:
         cfg = AlignConfig(**{**base, **overrides})
         key = gbio.config_hash(cfg.to_dict())
-        if key not in scores:
+        if key not in reports:
             result = train_align(
                 cohort, agg_config, cfg,
                 pretrained_aggregator=(
                     pretrained_aggregator if cfg.init == "pretrained" else None
                 ),
             )
-            table = result.table
-            logreg = logreg_bootstrap(table, n_boot=grid.n_boot, seed=grid.seed)
-            sk, ks = (
-                _mean_stat(f"{direction_tag(query, target)} MRR",
-                           ek.reciprocal_ranks(cross_modal_hits(table, query, target)),
-                           grid.n_boot, grid.seed + offset)
-                for offset, query, target in ((1, "slide", "karyotype"),
-                                              (2, "karyotype", "slide"))
-            )
-            scores[key] = (logreg, sk, ks)
-        logreg, sk, ks = scores[key]
+            reports[key] = score_table(result.table, cohort, result.params,
+                                       ("retrieval", "logreg"), grid.seed,
+                                       grid.n_boot)["tasks"]
+        tasks = reports[key]
         return {
             "ablation": ablation,
             "setting": setting,
-            "logreg_bacc": logreg.to_dict(),
-            "sk_mrr": sk.to_dict(),
-            "ks_mrr": ks.to_dict(),
+            "logreg_bacc": tasks["probes"]["logreg"]["interval"],
+            "sk_mrr": tasks["retrieval"]["S->K"]["mrr"],
+            "ks_mrr": tasks["retrieval"]["K->S"]["mrr"],
         }
 
     for setting in grid.aggregator:
-        if setting not in AGGREGATOR_SETTINGS:
-            raise ValueError(f"unknown aggregator setting {setting!r}")
         overrides = dict(AGGREGATOR_SETTINGS[setting])
         if overrides["init"] == "pretrained" and pretrained_aggregator is None:
             overrides["init"] = "random"

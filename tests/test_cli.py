@@ -389,6 +389,11 @@ BAD_INPUTS = {
     "grid_align_unknown_key": ("ablate", {"align": {"epochs": 1, "epoch": 1}}),
     "wrong_typed_field": ("align", {"align": {"epochs": "3"}}),
     "synth_wrong_typed_field": ("synth", {"n_patients": "20"}),
+    "synth_signature_not_strings": ("synth", {"karyotype_signatures": [5, 6, 7, 8]}),
+    "grid_n_boot_string": ("ablate", {"n_boot": "20"}),
+    "grid_n_boot_zero": ("ablate", {"n_boot": 0}),
+    "grid_axis_not_list": ("ablate", {"axes": {"recon_weight": 0.5}}),
+    "grid_unknown_aggregator": ("ablate", {"axes": {"aggregator": ["mean_pool", "nope"]}}),
     "checkpoint_config_not_object": ("embed", 5),
     "checkpoint_section_extra_key": ("embed", {"aggregator": {"extra": 1}}),
     "checkpoint_wrong_typed_field": ("embed", {"aggregator": {"heads": "2"}}),
@@ -426,6 +431,15 @@ class TestRefusedInputs:
         }[command]
         assert main(argv) == 1
         assert str(bad) in caplog.text
+        assert not out.exists()
+
+    def test_grid_without_cohort_dir_refused(self, pipeline, tmp_path, caplog):
+        out = tmp_path / "ablation.json"
+        grid = tmp_path / "grid.json"
+        grid.write_text(json.dumps({"init_checkpoint": str(pipeline / "ckpt.gbck"),
+                                    "align": {"epochs": 1, "batch_size": 6}, "out": str(out)}))
+        assert main(["ablate", "--grid", str(grid)]) == 1
+        assert f"{grid}: 'cohort_dir' is required" in caplog.text
         assert not out.exists()
 
 

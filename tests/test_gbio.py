@@ -217,12 +217,27 @@ class Knobs:
     rate: float = 0.5
     name: str = "a"
     items: list = field(default_factory=list)
+    rows: list[list[float]] = field(default_factory=list)
+
+    def __post_init__(self):
+        if self.count < 0:
+            raise ValueError("count must be >= 0")
+
+
+@dataclass
+class Located:
+    where: str
+    note: str = ""
 
 
 class TestConfigFrom:
     def test_builds_from_the_fields_given(self):
         assert gbio.config_from(Knobs, {"count": 2, "rate": 1, "items": [3]}, "c.json", "knobs") \
             == Knobs(count=2, rate=1, items=[3])
+
+    def test_list_elements_take_the_declared_type(self):
+        # an integer fills a float element, as it fills a float field
+        assert gbio.config_from(Knobs, {"rows": [[1, 0.5], []]}, "c.json").rows == [[1, 0.5], []]
 
     @pytest.mark.parametrize("value,message", [
         ([1], r"c\.json, section 'knobs' is not a JSON object"),
@@ -233,11 +248,21 @@ class TestConfigFrom:
         ({"rate": False}, r"'rate' must be float, got False"),
         ({"name": 3}, r"'name' must be str, got 3"),
         ({"items": "ab"}, r"'items' must be list, got 'ab'"),
+        ({"rows": [1.0, 2.0]}, r"'rows' must be list\[list\[float\]\], got \[1\.0, 2\.0\]"),
+        ({"rows": [[0.5, "1"]]}, r"'rows' must be list\[list\[float\]\], got \[\[0\.5, '1'\]\]"),
+        ({"rows": [[True]]}, r"'rows' must be list\[list\[float\]\]"),
+        ({"count": -1}, r"c\.json, section 'knobs': count must be >= 0"),
     ], ids=["not-an-object", "unknown-key", "str-for-int", "float-for-int", "bool-for-int",
-            "bool-for-float", "int-for-str", "str-for-list"])
+            "bool-for-float", "int-for-str", "str-for-list", "flat-for-nested-list",
+            "str-element", "bool-element", "value-the-class-refuses"])
     def test_refused_naming_file_section_and_field(self, value, message):
         with pytest.raises(gbio.FormatError, match=message):
             gbio.config_from(Knobs, value, "c.json", "knobs")
+
+    def test_field_without_default_required(self):
+        assert gbio.config_from(Located, {"where": "x"}, "c.json") == Located("x")
+        with pytest.raises(gbio.FormatError, match=r"^c\.json: 'where' is required$"):
+            gbio.config_from(Located, {"note": "y"}, "c.json")
 
     def test_top_level_config_names_the_file_alone(self):
         with pytest.raises(gbio.FormatError, match=r"^c\.json is not a JSON object$"):

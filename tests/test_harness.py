@@ -13,13 +13,13 @@ from genalign.harness import (
     ablation_to_tsv,
     cross_modal_hits,
     cross_modal_rankings,
-    logreg_bootstrap,
     per_gene_block,
     probe_block,
     random_rankings,
     report_to_tsv,
     retrieval_block,
     run_ablation,
+    score_table,
     slide_retrieval_block,
 )
 
@@ -193,26 +193,28 @@ class TestOtherBlocks:
                 assert isinstance(one, float) and got == one == old_balanced_accuracy(
                     y_true[r], y_pred[r])
 
-    def test_logreg_bootstrap_equals_per_resample_loop(self, rng):
+    def test_logreg_interval_equals_per_resample_loop(self, rng):
         table = make_table(rng, n_train=30, n_test=15, n_classes=3)
         table.slide = rng.standard_normal(table.slide.shape).astype(np.float32)
         train_x, train_y, test_x, test_y = harness._probe_inputs(table)
         pred = ek.logreg_probe(train_x, train_y, test_x, test_y).predictions
-        out = logreg_bootstrap(table, n_boot=300, seed=3)
-        assert 0.0 < out.point < 1.0
+        logreg = probe_block(table, ("logreg",), n_boot=300, seed=3)["logreg"]
+        out = logreg["interval"]
+        assert 0.0 < out["point"] < 1.0
+        assert out["point"] == logreg["balanced_accuracy"]
         draws = np.random.default_rng(3)
         values = [old_balanced_accuracy(test_y[r], pred[r])
                   for r in (draws.integers(0, 15, size=15) for _ in range(300))]
-        assert (out.point, out.boot_mean, out.boot_std) == (
+        assert (out["point"], out["boot_mean"], out["boot_std"]) == (
             old_balanced_accuracy(test_y, pred), float(np.mean(values)),
             float(np.std(values)))
 
-    def test_logreg_bootstrap_deterministic(self, rng):
+    def test_logreg_interval_deterministic(self, rng):
         table = make_table(rng)
-        a = logreg_bootstrap(table, n_boot=100, seed=1)
-        b = logreg_bootstrap(table, n_boot=100, seed=1)
-        assert a.to_dict() == b.to_dict()
-        assert a.point == 1.0
+        a = probe_block(table, ("logreg",), n_boot=100, seed=1)["logreg"]["interval"]
+        b = probe_block(table, ("logreg",), n_boot=100, seed=1)["logreg"]["interval"]
+        assert a == b
+        assert a["point"] == 1.0
 
     def test_per_gene_block_structure(self, rng):
         table = make_table(rng)
@@ -324,6 +326,55 @@ class TestAblation:
         metrics = [{k: v for k, v in rows[i].items() if k not in ("ablation", "setting")}
                    for i in (0, 3, 5)]
         assert metrics[0] == metrics[1] == metrics[2]
+
+    def test_rows_are_slices_of_the_report_of_their_config(self, rng, monkeypatch):
+        cohort = tiny_cohort(rng)
+        results = []
+        real_train_align = harness.train_align
+
+        def keeping_train_align(*args, **kwargs):
+            results.append(real_train_align(*args, **kwargs))
+            return results[-1]
+
+        monkeypatch.setattr(harness, "train_align", keeping_train_align)
+        grid = AblationGrid(aggregator=["mean_pool"], karyotype_resolution=["arm"],
+                            recon_weight=[0.0], defaults={"epochs": 1, "batch_size": 6},
+                            n_boot=20, seed=4)
+        rows = run_ablation(cohort, TINY_AGG, grid)["rows"]
+        assert len(rows) == len(results) == 3
+        for row, result in zip(rows, results):
+            tasks = score_table(result.table, cohort, result.params,
+                                ("retrieval", "logreg"), seed=4, n_boot=20)["tasks"]
+            assert row["logreg_bacc"] == tasks["probes"]["logreg"]["interval"]
+            assert row["sk_mrr"] == tasks["retrieval"]["S->K"]["mrr"]
+            assert row["ks_mrr"] == tasks["retrieval"]["K->S"]["mrr"]
+
+    def test_one_probe_fit_per_config_and_no_second_embedding(self, rng, monkeypatch):
+        from genalign import evalkit
+        cohort = tiny_cohort(rng)
+        calls = {"logreg_probe": 0, "embed_cohort": 0}
+
+        def counting(module, name):
+            real = getattr(module, name)
+
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return real(*args, **kwargs)
+            monkeypatch.setattr(module, name, wrapper)
+
+        counting(evalkit, "logreg_probe")
+        counting(harness, "embed_cohort")
+        grid = AblationGrid(aggregator=["mean_pool", "transformer_random"],
+                            karyotype_resolution=["band"], recon_weight=[],
+                            defaults={"epochs": 1, "batch_size": 6}, n_boot=10, seed=0)
+        rows = run_ablation(cohort, TINY_AGG, grid)["rows"]
+        # transformer_random at band resolution is one config, scored once
+        assert len(rows) == 3
+        assert calls == {"logreg_probe": 2, "embed_cohort": 0}
+
+    def test_unknown_aggregator_setting_refused_before_training(self):
+        with pytest.raises(ValueError, match=r"unknown aggregator settings \['nope'\]"):
+            AblationGrid(aggregator=["mean_pool", "nope"])
 
     def test_single_axis_single_value(self, rng):
         cohort = tiny_cohort(rng)
