@@ -44,6 +44,8 @@ class AggregatorConfig:
         for name in ("depth", "heads", "embed_dim", "input_dim", "max_cells"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1")
+        if self.mlp_dim < 0:
+            raise ValueError("mlp_dim must be >= 0")
         if self.mlp_dim == 0:
             self.mlp_dim = 4 * self.embed_dim
         if self.embed_dim % self.heads != 0:

@@ -33,7 +33,7 @@ from .pretrain import TrainingError, embed_bags
 
 logger = logging.getLogger(__name__)
 
-AGGREGATOR_MODES = ("finetune", "frozen", "mean_pool")
+AGGREGATOR_MODES = ("finetune", "mean_pool")
 INIT_MODES = ("pretrained", "random")
 KARYOTYPE_RESOLUTIONS = ("band", "arm")
 
@@ -54,8 +54,9 @@ class AlignConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.epochs < 1:
-            raise ValueError("epochs must be >= 1")
+        for name in ("epochs", "shared_dim", "head_hidden"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1")
         if self.temperature <= 0:
             raise ValueError("temperature must be positive")
         if self.recon_weight < 0:
@@ -74,6 +75,11 @@ class AlignConfig:
             raise ValueError(
                 f"karyotype_resolution must be one of {KARYOTYPE_RESOLUTIONS}"
             )
+
+    @property
+    def reads_checkpoint(self) -> bool:
+        """Whether training starts the aggregator from a stage-1 checkpoint."""
+        return self.init == "pretrained" and self.aggregator_mode != "mean_pool"
 
     def to_dict(self) -> dict:
         return dict(self.__dict__)
@@ -144,10 +150,9 @@ def init_mlp_params(
     out_dim: int,
     prefix: str,
     rng: np.random.Generator,
-    dtype=np.float32,
 ) -> dict[str, Tensor]:
     def param(shape, scale):
-        return Tensor((rng.standard_normal(shape) * scale).astype(dtype), requires_grad=True)
+        return Tensor((rng.standard_normal(shape) * scale).astype(np.float32), requires_grad=True)
 
     # hidden bias gets small noise so an all-zero input (e.g. a normal
     # karyotype) still projects to a usable direction instead of the exact
@@ -156,7 +161,7 @@ def init_mlp_params(
         f"{prefix}.w1": param((in_dim, hidden), math.sqrt(2.0 / in_dim)),
         f"{prefix}.b1": param((1, hidden), 0.01),
         f"{prefix}.w2": param((hidden, out_dim), math.sqrt(2.0 / hidden)),
-        f"{prefix}.b2": Tensor(np.zeros((1, out_dim), dtype=dtype), requires_grad=True),
+        f"{prefix}.b2": Tensor(np.zeros((1, out_dim), dtype=np.float32), requires_grad=True),
     }
 
 
@@ -177,7 +182,7 @@ class AlignedTable:
     def rows(self, split: str) -> np.ndarray:
         return np.flatnonzero([s == split for s in self.splits])
 
-    def save(self, out_dir: str | Path, stem: str = "aligned") -> list[Path]:
+    def save(self, out_dir: str | Path) -> list[Path]:
         out_dir = Path(out_dir)
         out_dir.mkdir(parents=True, exist_ok=True)
         paths = []
@@ -187,7 +192,7 @@ class AlignedTable:
             ("zk", self.z_karyotype),
             ("zm", self.z_mutation),
         ]:
-            path = out_dir / f"{stem}.{name}.gbm"
+            path = out_dir / f"aligned.{name}.gbm"
             gbio.write_gbm(path, gbio.Matrix(mat.astype(np.float32), self.patient_ids))
             paths.append(path)
         index = {
@@ -196,15 +201,15 @@ class AlignedTable:
             "splits": self.splits,
             "files": {p.name.split(".")[-2]: p.name for p in paths},
         }
-        index_path = out_dir / f"{stem}.index.json"
+        index_path = out_dir / "aligned.index.json"
         gbio.write_text(index_path, json.dumps(index, sort_keys=True, indent=2) + "\n")
         paths.append(index_path)
         return paths
 
 
-def load_table(out_dir: str | Path, stem: str = "aligned") -> AlignedTable:
+def load_table(out_dir: str | Path) -> AlignedTable:
     out_dir = Path(out_dir)
-    index_path = out_dir / f"{stem}.index.json"
+    index_path = out_dir / "aligned.index.json"
     index = gbio.read_json(index_path)
     keys = ("patient_ids", "labels", "splits")
     if not (isinstance(index, dict) and all(isinstance(index.get(k), list) for k in keys)
@@ -212,10 +217,10 @@ def load_table(out_dir: str | Path, stem: str = "aligned") -> AlignedTable:
         raise gbio.FormatError(f"{index_path}: needs lists {', '.join(keys)} of one length")
     mats = {}
     for name in ("slide", "zs", "zk", "zm"):
-        path = out_dir / f"{stem}.{name}.gbm"
+        path = out_dir / f"aligned.{name}.gbm"
         matrix = gbio.read_gbm(path)
         if matrix.patient_ids != index["patient_ids"]:
-            raise gbio.FormatError(f"{path}: patient ids differ from {stem}.index.json's")
+            raise gbio.FormatError(f"{path}: patient ids differ from aligned.index.json's")
         mats[name] = matrix.data
     return AlignedTable(
         patient_ids=index["patient_ids"],
@@ -278,16 +283,10 @@ class AlignResult:
     metrics: list[dict]
     table: AlignedTable
     excluded: list[str] = field(default_factory=list)
-    slide_dim: int = 0
 
     def save(self, path: str | Path) -> None:
         gbio.write_checkpoint(path, {name: p.data for name, p in self.params.items()}, "align",
-                              self.agg_config, self.config, epoch=len(self.metrics),
-                              slide_dim=self.slide_dim)
-
-
-def _slide_embedding_dim(agg_config: AggregatorConfig, mode: str) -> int:
-    return agg_config.input_dim if mode == "mean_pool" else agg_config.embed_dim
+                              self.agg_config, self.config, epoch=len(self.metrics))
 
 
 def init_align_params(
@@ -299,12 +298,13 @@ def init_align_params(
     aggregator_params: dict[str, Tensor] | None = None,
 ) -> dict[str, Tensor]:
     params: dict[str, Tensor] = {}
+    slide_dim = agg_config.input_dim
     if config.aggregator_mode != "mean_pool":
         if aggregator_params is None:
             aggregator_params = init_params(agg_config, rng)
         for name, p in aggregator_params.items():
             params[f"agg.{name}"] = p
-    slide_dim = _slide_embedding_dim(agg_config, config.aggregator_mode)
+        slide_dim = agg_config.embed_dim
     params.update(init_mlp_params(slide_dim, config.head_hidden, config.shared_dim, "proj_s", rng))
     params.update(init_mlp_params(d_karyotype, config.head_hidden, config.shared_dim, "proj_k", rng))
     params.update(init_mlp_params(d_mutation, config.head_hidden, config.shared_dim, "proj_m", rng))
@@ -338,6 +338,9 @@ def train_align(
     pretrained_aggregator: dict[str, Tensor] | None = None,
     metrics_path: str | Path | None = None,
 ) -> AlignResult:
+    if pretrained_aggregator is not None and not config.reads_checkpoint:
+        raise TrainingError(f"init={config.init!r} with aggregator_mode={config.aggregator_mode!r} "
+                            f"does not use the stage-1 checkpoint given")
     rng = np.random.default_rng(config.seed)
     train_all = cohort.subset("train")
     excluded = [p.patient_id for p in train_all if not p.complete]
@@ -351,7 +354,7 @@ def train_align(
     if width != agg_config.input_dim:
         raise TrainingError(
             f"cells are {width} wide but the aggregator's input_dim is {agg_config.input_dim}")
-    if config.init == "pretrained" and config.aggregator_mode != "mean_pool":
+    if config.reads_checkpoint:
         if pretrained_aggregator is None:
             raise TrainingError("init='pretrained' requires a stage-1 checkpoint")
         expected = agg_config.embed_dim
@@ -373,19 +376,15 @@ def train_align(
         agg_config, config, karyo.shape[1], mut.shape[1], rng, aggregator_params
     )
 
-    trainable = dict(params)
     slide_cache = None
-    if config.aggregator_mode != "finetune":
+    if config.aggregator_mode == "mean_pool":
         slide_cache = slide_embeddings(train, params, agg_config, config)
-        trainable = {k: v for k, v in params.items() if not k.startswith("agg.")}
 
-    optimizer = AdamW(trainable, lr_scale={"agg.": config.aggregator_lr / config.lr})
+    optimizer = AdamW(params, lr_scale={"agg.": config.aggregator_lr / config.lr})
     # the batch count does not depend on the shuffle, so a throwaway one counts it
     n_batches = len(stratified_batches(labels, config.batch_size, np.random.default_rng(0)))
     total_steps = config.epochs * n_batches
     metrics: list[dict] = []
-    if metrics_path is not None:
-        gbio.write_metrics(metrics_path, metrics)  # drop any earlier run's log
     step = 0
     for epoch in range(config.epochs):
         stats = SupconStats()
@@ -439,7 +438,6 @@ def train_align(
         metrics=metrics,
         table=table,
         excluded=excluded,
-        slide_dim=_slide_embedding_dim(agg_config, config.aggregator_mode),
     )
 
 

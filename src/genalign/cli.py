@@ -223,7 +223,7 @@ def cmd_retrieve(args):
     from .align import load_table
     from .harness import cross_modal_rankings
 
-    table = load_table(args.table_dir, stem=args.stem)
+    table = load_table(args.table_dir)
     ids, order, scores = cross_modal_rankings(table, args.query, args.target, args.split)
     payload = {
         "query_modality": args.query,
@@ -332,7 +332,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--seed", type=int, default=None,
                         help="override the config seed")
-    parser.add_argument("--threads", type=int, default=None,
+    parser.add_argument("--threads", type=_positive_int, default=None,
                         help="cap BLAS/OpenMP threads")
     parser.add_argument("--log-level", default="info",
                         choices=["debug", "info", "warning", "error"])
@@ -380,7 +380,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("retrieve", help="cross-modal retrieval from a table")
     p.add_argument("--table-dir", required=True)
-    p.add_argument("--stem", default="aligned")
     p.add_argument("--query", required=True,
                    choices=["slide", "karyotype", "mutation"])
     p.add_argument("--target", required=True,
@@ -415,7 +414,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.threads:
+    if args.threads is not None:
         _set_threads(args.threads)
     logging.basicConfig(
         level=getattr(logging, args.log_level.upper()),

@@ -27,6 +27,9 @@ from scipy import optimize
 EXACT_WILCOXON_MAX_N = 12
 # row indices per bootstrap chunk at most (8 MB of int64)
 MAX_RESAMPLE_INDICES = 2**20
+# the logistic probe's L2 penalty and L-BFGS iteration cap
+LOGREG_L2 = 1.0
+LOGREG_MAX_ITER = 1000
 
 
 class EvalError(ValueError):
@@ -168,8 +171,6 @@ def logreg_probe(
     train_y: np.ndarray,
     test_x: np.ndarray,
     test_y: np.ndarray,
-    l2_strength: float = 1.0,
-    max_iter: int = 1000,
 ) -> LogregResult:
     """Multinomial logistic regression probe (quasi-Newton full batch,
     zero-initialized, L2 penalty on weights only)."""
@@ -193,15 +194,15 @@ def logreg_probe(
         nll = -(onehot * logp).sum()
         p = np.exp(logp)
         grad_logits = p - onehot
-        grad_w = train_x.T @ grad_logits + l2_strength * w
+        grad_w = train_x.T @ grad_logits + LOGREG_L2 * w
         grad_b = grad_logits.sum(axis=0)
-        value = nll + 0.5 * l2_strength * (w**2).sum()
+        value = nll + 0.5 * LOGREG_L2 * (w**2).sum()
         return value, np.concatenate([grad_w.reshape(-1), grad_b])
 
     x0 = np.zeros(d * c + c)
     result = optimize.minimize(
         objective, x0, jac=True, method="L-BFGS-B",
-        options={"maxiter": max_iter, "gtol": 1e-6, "ftol": 0.0},
+        options={"maxiter": LOGREG_MAX_ITER, "gtol": 1e-6, "ftol": 0.0},
     )
     w = result.x[: d * c].reshape(d, c)
     b = result.x[d * c :]

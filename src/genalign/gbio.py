@@ -278,12 +278,12 @@ def read_gbck(path: str | Path) -> tuple[dict[str, np.ndarray], dict]:
 
 
 def write_checkpoint(path: str | Path, tensors: dict[str, np.ndarray], stage: str,
-                     agg_config, config, epoch: int, **extra) -> None:
+                     agg_config, config, epoch: int) -> None:
     """A training checkpoint: its header config holds ``stage``, the
-    ``aggregator`` section, the stage's ``config`` as the section named
-    ``stage``, and any ``extra`` keys; the header seed is ``config.seed``."""
+    ``aggregator`` section and the stage's ``config`` as the section named
+    ``stage``; the header seed is ``config.seed``."""
     sections = {"stage": stage, "aggregator": agg_config.to_dict(), stage: config.to_dict()}
-    write_gbck(path, tensors, {**sections, **extra}, epoch, config.seed)
+    write_gbck(path, tensors, sections, epoch, config.seed)
 
 
 def read_checkpoint(path: str | Path, stages: dict[str, dict[str, type]]) -> tuple[str, dict, dict]:

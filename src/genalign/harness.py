@@ -45,7 +45,6 @@ DIRECTIONS = [
 SPLIT = "test"  # the split every retrieval metric scores
 TOP_KS = (1, 5)
 KNN_K = 5
-LOGREG_L2 = 1.0
 
 
 def _modality_matrix(table: AlignedTable, modality: str) -> np.ndarray:
@@ -184,12 +183,12 @@ def probe_block(
     if "knn" in probes:
         block["knn"] = {"k": KNN_K, "balanced_accuracy": ek.knn_probe(*inputs, k=KNN_K)}
     if "logreg" in probes:
-        logreg = ek.logreg_probe(*inputs, l2_strength=LOGREG_L2)
+        logreg = ek.logreg_probe(*inputs)
         test_y, pred = inputs[3], logreg.predictions
         block["logreg"] = {
             "balanced_accuracy": logreg.balanced_accuracy,
             "converged": logreg.converged,
-            "l2_strength": LOGREG_L2,
+            "l2_strength": ek.LOGREG_L2,
             "interval": ek.bootstrap(
                 lambda rows: ek.balanced_accuracy(test_y[rows], pred[rows]),
                 len(test_y), n_boot, seed, "logreg bAcc",
@@ -364,9 +363,7 @@ def run_ablation(
         if key not in reports:
             result = train_align(
                 cohort, agg_config, cfg,
-                pretrained_aggregator=(
-                    pretrained_aggregator if cfg.init == "pretrained" else None
-                ),
+                pretrained_aggregator=pretrained_aggregator if cfg.reads_checkpoint else None,
             )
             reports[key] = score_table(result.table, cohort, result.params,
                                        ("retrieval", "logreg"), grid.seed,

@@ -70,13 +70,14 @@ class AdamW:
             param.data = param.data - update
 
 
-def warmup_cosine_lr(
-    step: int, total_steps: int, base_lr: float, warmup_frac: float = 0.05
-) -> float:
-    """Linear warmup over the first fraction of steps, cosine decay after."""
+WARMUP_FRAC = 0.05
+
+
+def warmup_cosine_lr(step: int, total_steps: int, base_lr: float) -> float:
+    """Linear warmup over the first WARMUP_FRAC of steps, cosine decay after."""
     if total_steps <= 1:
         return base_lr
-    warmup = max(1, int(round(warmup_frac * total_steps)))
+    warmup = max(1, int(round(WARMUP_FRAC * total_steps)))
     if step < warmup:
         return base_lr * (step + 1) / warmup
     progress = (step - warmup) / max(1, total_steps - warmup)

@@ -38,19 +38,22 @@ class TrainingError(RuntimeError):
     pass
 
 
+# DINO's teacher schedule (Caron et al. 2021): temperature warm-up over the
+# first tenth of the epochs, and the momentum of the teacher logits' center
+TEACHER_TEMP_START = 0.04
+TEACHER_TEMP_END = 0.07
+TEACHER_TEMP_WARMUP_FRAC = 0.10
+CENTER_MOMENTUM = 0.9
+
+
 @dataclass
 class PretrainConfig:
     epochs: int = 30
     batch_size: int = 32
     lr: float = 5e-4
     weight_decay: float = 0.04
-    warmup_frac: float = 0.05
     ibot_weight: float = 1.0
     student_temp: float = 0.1
-    teacher_temp_start: float = 0.04
-    teacher_temp_end: float = 0.07
-    teacher_temp_warmup_frac: float = 0.10
-    center_momentum: float = 0.9
     ema_momentum: float = 0.99
     k_global: int = 2
     k_local: int = 8
@@ -61,31 +64,28 @@ class PretrainConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.epochs < 1:
-            raise ValueError("epochs must be >= 1")
+        for name in ("epochs", "batch_size", "n_prototypes", "head_hidden", "head_bottleneck"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1")
         if self.lr <= 0:
             raise ValueError("lr must be positive")
-        if self.student_temp <= 0 or self.teacher_temp_start <= 0 or self.teacher_temp_end <= 0:
-            raise ValueError("temperatures must be positive")
+        if self.student_temp <= 0:
+            raise ValueError("student_temp must be positive")
         if not 0 < self.ema_momentum < 1:
             raise ValueError("ema_momentum must be in (0, 1)")
-        if not 0 <= self.center_momentum < 1:
-            raise ValueError("center_momentum must be in [0, 1)")
         if self.k_global < 1 or self.k_global + self.k_local < 2:
             raise ValueError("need at least one global view and two views total")
         if self.k_local < 0:
             raise ValueError("k_local must be >= 0")
-        if self.batch_size < 1:
-            raise ValueError("batch_size must be >= 1")
         if not 0 <= self.mask_ratio < 1:
             raise ValueError("mask_ratio must be in [0, 1)")
 
     def teacher_temp_at(self, epoch: int) -> float:
-        warm = max(1, int(round(self.teacher_temp_warmup_frac * self.epochs)))
+        warm = max(1, int(round(TEACHER_TEMP_WARMUP_FRAC * self.epochs)))
         if epoch >= warm:
-            return self.teacher_temp_end
+            return TEACHER_TEMP_END
         frac = (epoch + 1) / warm
-        return self.teacher_temp_start + frac * (self.teacher_temp_end - self.teacher_temp_start)
+        return TEACHER_TEMP_START + frac * (TEACHER_TEMP_END - TEACHER_TEMP_START)
 
     def to_dict(self) -> dict:
         return dict(self.__dict__)
@@ -270,8 +270,6 @@ def train_pretrain(
     n_batches = math.ceil(len(bags) / config.batch_size)
     total_steps = config.epochs * n_batches
     metrics: list[dict] = []
-    if metrics_path is not None:
-        gbio.write_metrics(metrics_path, metrics)  # drop any earlier run's log
     step = 0
     for epoch in range(config.epochs):
         teacher_temp = config.teacher_temp_at(epoch)
@@ -293,7 +291,7 @@ def train_pretrain(
                 agg_config,
                 config,
                 teacher_temp,
-                warmup_cosine_lr(step, total_steps, config.lr, config.warmup_frac),
+                warmup_cosine_lr(step, total_steps, config.lr),
                 batch_id,
             )
             epoch_dino += dino_value * len(batch)
@@ -394,5 +392,5 @@ def _train_step(
     grads = tape.backward(loss)
     optimizer.step(grads, lr=lr)
     ema_update(teacher.params, student, config.ema_momentum)
-    teacher.center = center_update(teacher.center, targets[: len(cls_rows)], config.center_momentum)
+    teacher.center = center_update(teacher.center, targets[: len(cls_rows)], CENTER_MOMENTUM)
     return float(dino.data), float(ibot.data), loss_value, cls_rows

@@ -441,6 +441,10 @@ class TestConfig:
         with pytest.raises(ValueError, match=f"^{field} must be >= 1"):
             agg.AggregatorConfig(**{"input_dim": 8, field: 0})
 
+    def test_negative_mlp_dim_rejected(self):
+        with pytest.raises(ValueError, match="^mlp_dim must be >= 0"):
+            agg.AggregatorConfig(input_dim=8, mlp_dim=-5)
+
     def test_head_divisibility_enforced(self):
         with pytest.raises(ValueError, match="divisible"):
             agg.AggregatorConfig(embed_dim=30, heads=4, input_dim=8)

@@ -367,22 +367,6 @@ class TestTrainAlign:
         with pytest.raises(TrainingError, match="cells are 12 wide but the aggregator's input_dim is 64"):
             train_align(make_cohort(rng), wide, cfg)
 
-    def test_frozen_keeps_checkpoint_aggregator(self, rng):
-        from genalign.aggregator import init_params
-        from genalign.pretrain import embed_bags
-        cohort = make_cohort(rng)
-        ckpt = init_params(TINY_AGG, np.random.default_rng(2))
-        before = {name: p.data.copy() for name, p in ckpt.items()}
-        cfg = AlignConfig(**{**TINY_ALIGN.to_dict(), "aggregator_mode": "frozen",
-                             "init": "pretrained"})
-        result = train_align(cohort, TINY_AGG, cfg, pretrained_aggregator=ckpt)
-        agg_names = {k for k in result.params if k.startswith("agg.")}
-        assert agg_names == {f"agg.{name}" for name in before}
-        for name, data in before.items():
-            assert np.array_equal(result.params[f"agg.{name}"].data, data), name
-        complete = [p.bag for p in cohort.patients if p.complete]
-        assert np.array_equal(result.table.slide, embed_bags(complete, ckpt, TINY_AGG))
-
     def test_finetune_step_one_taped_forward_per_batch(self, rng, monkeypatch):
         from genalign import aggregator
         cohort = make_cohort(rng)
@@ -423,13 +407,14 @@ class TestTrainAlign:
         result = train_align(cohort, TINY_AGG, TINY_ALIGN)
         ckpt = tmp_path / "aligned.gbck"
         result.save(ckpt)
+        assert set(gbio.read_gbck(ckpt)[1]["config"]) == {"stage", "aggregator", "align"}
         params, agg_cfg, align_cfg = load_align_checkpoint(ckpt)
         assert agg_cfg.embed_dim == TINY_AGG.embed_dim
         assert align_cfg.aggregator_mode == "mean_pool"
         table2 = align.embed_cohort(cohort, params, agg_cfg, align_cfg)
         assert np.allclose(table2.z_slide, result.table.z_slide, atol=1e-6)
-        result.table.save(tmp_path, stem="aligned")
-        loaded = align.load_table(tmp_path, stem="aligned")
+        result.table.save(tmp_path)
+        loaded = align.load_table(tmp_path)
         assert loaded.patient_ids == result.table.patient_ids
         assert np.allclose(loaded.z_karyotype, result.table.z_karyotype)
 
@@ -495,7 +480,10 @@ class TestTrainAlign:
         # a zero backbone rate is allowed: the aggregator then stays as loaded
         assert AlignConfig(aggregator_lr=0.0).aggregator_lr == 0.0
 
-    @pytest.mark.parametrize("field,value", [("lr", 0.0), ("lr", -1e-4), ("aggregator_lr", -1e-5)])
+    @pytest.mark.parametrize("field,value", [
+        ("lr", 0.0), ("lr", -1e-4), ("aggregator_lr", -1e-5), ("shared_dim", 0), ("head_hidden", 0),
+        ("head_hidden", -1),
+    ])
     def test_config_rejects_rates_out_of_range(self, field, value):
         with pytest.raises(ValueError, match=f"^{field} must"):
             AlignConfig(**{field: value})

@@ -209,6 +209,76 @@ class TestPretrainAlign:
         epochs = [json.loads(line)["epoch"] for line in metrics.read_text().splitlines()]
         assert epochs == list(range(ALIGN_CFG["align"]["epochs"]))
 
+    @pytest.mark.parametrize("command", ["pretrain", "align"])
+    def test_run_failing_in_its_first_step_keeps_earlier_metrics_log(
+            self, pipeline, tmp_path, monkeypatch, command):
+        from genalign import align, pretrain
+        from genalign.ndiff import Tensor
+
+        def nan_loss(*args, **kwargs):
+            return Tensor(np.array(np.nan, dtype=np.float32))
+
+        if command == "pretrain":
+            monkeypatch.setattr(pretrain, "pretrain_objective", lambda *a: (nan_loss(),) * 3)
+        else:
+            monkeypatch.setattr(align, "supcon_symmetric", nan_loss)
+        cohort_dir = pipeline / "cohort"
+        metrics = tmp_path / "m.jsonl"
+        metrics.write_text('{"epoch": 0, "total": 1}\n')
+        earlier = metrics.read_bytes()
+        out = tmp_path / "x.gbck"
+        argv = {
+            "pretrain": ["pretrain", "--config", str(pipeline / "pretrain.json"),
+                         "--cohort", str(cohort_dir / "bags.gbm")],
+            "align": ["align", "--config", str(pipeline / "align.json"),
+                      "--cohort", str(cohort_dir / "bags.gbm"),
+                      "--karyo", str(cohort_dir / "karyotypes.gbm"),
+                      "--mut", str(cohort_dir / "mutations.gbm"),
+                      "--labels", str(cohort_dir / "labels.tsv"),
+                      "--init", str(pipeline / "ckpt.gbck")],
+        }[command]
+        assert main([*argv, "--out", str(out), "--metrics", str(metrics)]) == 1
+        assert metrics.read_bytes() == earlier
+        assert not out.exists()
+
+    @pytest.mark.parametrize("key, value, error", [
+        *[(key, value, f"unknown keys ['{key}']") for key, value in [
+            ("warmup_frac", 0.05), ("teacher_temp_start", 0.04), ("teacher_temp_end", 0.07),
+            ("teacher_temp_warmup_frac", 0.1), ("center_momentum", 0.9)]],
+        ("n_prototypes", 0, "n_prototypes must be >= 1"),
+    ])
+    def test_pretrain_config_refused_naming_file_section_and_key(
+            self, pipeline, tmp_path, caplog, key, value, error):
+        cfg = tmp_path / "pretrain.json"
+        cfg.write_text(json.dumps({**PRETRAIN_CFG,
+                                   "pretrain": {**PRETRAIN_CFG["pretrain"], key: value}}))
+        out = tmp_path / "x.gbck"
+        assert main(["pretrain", "--config", str(cfg),
+                     "--cohort", str(pipeline / "cohort" / "bags.gbm"), "--out", str(out)]) == 1
+        assert f"{cfg}, section 'pretrain': {error}" in caplog.text
+        assert not out.exists()
+
+    @pytest.mark.parametrize("setting", [{"init": "random"}, {"aggregator_mode": "mean_pool"}],
+                             ids=["init_random", "mean_pool"])
+    def test_align_refuses_a_checkpoint_it_would_not_use(self, pipeline, tmp_path, caplog,
+                                                          setting):
+        cohort_dir = pipeline / "cohort"
+        cfg = tmp_path / "align.json"
+        cfg.write_text(json.dumps({"align": {**ALIGN_CFG["align"], **setting}}))
+        out = tmp_path / "x.gbck"
+        code = main([
+            "align", "--config", str(cfg),
+            "--cohort", str(cohort_dir / "bags.gbm"),
+            "--karyo", str(cohort_dir / "karyotypes.gbm"),
+            "--mut", str(cohort_dir / "mutations.gbm"),
+            "--labels", str(cohort_dir / "labels.tsv"),
+            "--init", str(pipeline / "ckpt.gbck"),
+            "--out", str(out),
+        ])
+        assert code == 1
+        assert "does not use the stage-1 checkpoint given" in caplog.text
+        assert not out.exists()
+
     def test_align_init_rejects_aligned_checkpoint(self, pipeline, tmp_path, caplog):
         cohort_dir = pipeline / "cohort"
         code = main([
@@ -305,6 +375,12 @@ class TestEmbedRetrieveEvaluate:
         assert err.value.code == 2
         assert not out.exists()
 
+    @pytest.mark.parametrize("threads", ["0", "-1"])
+    def test_threads_below_one_is_usage_error(self, pipeline, threads):
+        with pytest.raises(SystemExit) as err:
+            main(["--threads", threads, "inspect", str(pipeline / "ckpt.gbck")])
+        assert err.value.code == 2
+
     def test_evaluate_report(self, pipeline, tmp_path):
         cohort = pipeline / "cohort"
         out = tmp_path / "report.json"
@@ -388,6 +464,7 @@ BAD_INPUTS = {
     "axes_not_object": ("ablate", {"axes": 5}),
     "grid_align_unknown_key": ("ablate", {"align": {"epochs": 1, "epoch": 1}}),
     "wrong_typed_field": ("align", {"align": {"epochs": "3"}}),
+    "align_frozen_mode": ("align", {"align": {"aggregator_mode": "frozen"}}),
     "synth_wrong_typed_field": ("synth", {"n_patients": "20"}),
     "synth_signature_not_strings": ("synth", {"karyotype_signatures": [5, 6, 7, 8]}),
     "grid_n_boot_string": ("ablate", {"n_boot": "20"}),

@@ -540,7 +540,8 @@ class TestTrainLoop:
 
     @pytest.mark.parametrize("field,value", [
         ("batch_size", 0), ("batch_size", -3), ("mask_ratio", 1.0), ("mask_ratio", -0.1),
-        ("k_local", -1), ("lr", 0.0), ("lr", -1e-4),
+        ("k_local", -1), ("lr", 0.0), ("lr", -1e-4), ("n_prototypes", 0), ("head_hidden", 0),
+        ("head_hidden", -1), ("head_bottleneck", 0),
     ])
     def test_config_rejects_settings_that_cannot_train(self, field, value):
         # k_global=3 keeps two views in total when k_local is -1
@@ -549,6 +550,6 @@ class TestTrainLoop:
 
     def test_teacher_temp_schedule(self):
         cfg = PretrainConfig(epochs=30)
-        assert cfg.teacher_temp_at(0) < cfg.teacher_temp_end
-        assert cfg.teacher_temp_at(3) == cfg.teacher_temp_end
-        assert cfg.teacher_temp_at(29) == cfg.teacher_temp_end
+        assert pretrain.TEACHER_TEMP_START < cfg.teacher_temp_at(0) < pretrain.TEACHER_TEMP_END
+        assert cfg.teacher_temp_at(3) == pretrain.TEACHER_TEMP_END
+        assert cfg.teacher_temp_at(29) == pretrain.TEACHER_TEMP_END
