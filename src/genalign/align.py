@@ -449,12 +449,11 @@ def project_slides(
 ) -> tuple[list[str], np.ndarray, np.ndarray]:
     """Slide embeddings and their shared-space projections (no genetics
     needed, no gradients)."""
-    withbags = [p for p in patients if p.bag is not None]
-    if not withbags:
+    if not patients:
         raise ValueError("no patients with cell bags")
-    slide = slide_embeddings(withbags, params, agg_config, config)
+    slide = slide_embeddings(patients, params, agg_config, config)
     z_s = project(Tensor(slide.astype(np.float32)), params, "proj_s").data
-    ids = [p.patient_id for p in withbags]
+    ids = [p.patient_id for p in patients]
     return ids, slide.astype(np.float32), z_s.astype(np.float32)
 
 

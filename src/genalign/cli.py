@@ -16,7 +16,7 @@ import logging
 import os
 import sys
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 
 from . import BLAS_THREAD_VARS
@@ -144,35 +144,40 @@ def cmd_pretrain(args):
             config.seed, artifacts)
 
 
-def _load_align_inputs(args):
+def _aggregator_inputs(path, configs: dict, checkpoint: str, align_configs, cohort):
+    """The aggregator config and stage-1 params of an ``align`` or ``ablate``
+    run: a checkpoint's config (an ``aggregator`` section in ``path`` next
+    to it is refused), else the ``aggregator`` section, else, when every
+    config is ``mean_pool``, one as wide as the cohort's cells; any other
+    run is refused."""
     from .aggregator import AggregatorConfig
-    from .align import AlignConfig
-    from .cohort import load_cohort
     from .pretrain import load_checkpoint
+
+    if checkpoint:
+        if "aggregator" in configs:
+            raise ValueError(f"{path}: an 'aggregator' section next to the stage-1 "
+                             f"checkpoint {checkpoint}, whose config the run uses")
+        pretrained, agg_config = load_checkpoint(checkpoint)
+        return agg_config, pretrained
+    if "aggregator" in configs:
+        return configs["aggregator"], None
+    if all(c.aggregator_mode == "mean_pool" for c in align_configs):
+        width = cohort.patients[0].bag.cells.shape[1]
+        return AggregatorConfig(depth=1, heads=1, embed_dim=width,
+                                mlp_dim=width, input_dim=width), None
+    raise ValueError("a run that is not all mean_pool needs a stage-1 checkpoint "
+                     "or an 'aggregator' config section")
+
+
+def cmd_align(args):
+    from .aggregator import AggregatorConfig
+    from .align import AlignConfig, train_align
+    from .cohort import load_cohort
 
     configs = _read_config(args.config, {"aggregator": AggregatorConfig, "align": AlignConfig})
     config = _apply_seed(configs.get("align") or AlignConfig(), args.seed)
     cohort = load_cohort(args.cohort, args.karyo, args.mut, args.labels)
-    pretrained = None
-    if args.init:
-        pretrained, agg_config = load_checkpoint(args.init)
-    elif "aggregator" in configs:
-        agg_config = configs["aggregator"]
-    elif config.aggregator_mode == "mean_pool":
-        width = cohort.patients[0].bag.cells.shape[1]
-        agg_config = AggregatorConfig(depth=1, heads=1, embed_dim=width,
-                                      mlp_dim=width, input_dim=width)
-    else:
-        raise ValueError(
-            "align needs --init checkpoint or an 'aggregator' config section"
-        )
-    return cohort, agg_config, config, pretrained
-
-
-def cmd_align(args):
-    from .align import train_align
-
-    cohort, agg_config, config, pretrained = _load_align_inputs(args)
+    agg_config, pretrained = _aggregator_inputs(args.config, configs, args.init, [config], cohort)
     result = train_align(cohort, agg_config, config,
                          pretrained_aggregator=pretrained,
                          metrics_path=args.metrics)
@@ -268,15 +273,11 @@ def cmd_evaluate(args):
 
 @dataclass
 class GridFile:
-    """An ablation grid JSON; ``aggregator`` and ``align`` are config
-    sections and ``axes`` the grid's ``AblationAxes``."""
+    """An ablation grid JSON's own keys; its ``aggregator``, ``align`` and
+    ``axes`` keys are config sections."""
     cohort_dir: str
     init_checkpoint: str = ""
-    aggregator: dict = field(default_factory=dict)
-    align: dict = field(default_factory=dict)
-    axes: dict = field(default_factory=dict)
     n_boot: int = 200
-    seed: int = 0
     out: str = "ablation.json"
     out_tsv: str = ""
 
@@ -290,22 +291,27 @@ def cmd_ablate(args):
     from .aggregator import AggregatorConfig
     from .align import AlignConfig
     from .cohort import load_cohort_dir
-    from .harness import AblationAxes, AblationGrid, ablation_to_tsv, run_ablation
-    from .pretrain import load_checkpoint
+    from .harness import AblationAxes, ablation_configs, ablation_to_tsv, run_ablation
 
-    # every part of the grid is refused here, before any row trains
-    raw = gbio.read_json(args.grid)
-    spec = _apply_seed(gbio.config_from(GridFile, raw, args.grid), args.seed)
-    axes = gbio.config_from(AblationAxes, spec.axes, args.grid, "axes")
-    gbio.config_from(AlignConfig, spec.align, args.grid, "align")  # each row's starting point
-    pretrained = None
-    if spec.init_checkpoint:
-        pretrained, agg_config = load_checkpoint(spec.init_checkpoint)
-    else:
-        agg_config = gbio.config_from(AggregatorConfig, spec.aggregator, args.grid, "aggregator")
+    # a bad grid is refused before any row trains: here, or in run_ablation
+    sections = {"aggregator": AggregatorConfig, "align": AlignConfig, "axes": AblationAxes}
+    keys = [*sections, *(f.name for f in fields(GridFile))]
+    raw = gbio.json_object(gbio.read_json(args.grid), keys, args.grid)
+    spec = gbio.config_from(GridFile, {k: v for k, v in raw.items() if k not in sections},
+                            args.grid)
+    configs = {k: gbio.config_from(sections[k], v, args.grid, k)
+               for k, v in raw.items() if k in sections}
+    base = _apply_seed(configs.get("align") or AlignConfig(), args.seed)
+    axes = configs.get("axes") or AblationAxes()
+    try:
+        rows = ablation_configs(base, axes)
+    except ValueError as exc:
+        raise gbio.FormatError(f"{args.grid}, section 'axes': {exc}") from exc
     cohort = load_cohort_dir(spec.cohort_dir)
-    grid = AblationGrid(**vars(axes), defaults=spec.align, n_boot=spec.n_boot, seed=spec.seed)
-    result = run_ablation(cohort, agg_config, grid, pretrained_aggregator=pretrained)
+    agg_config, pretrained = _aggregator_inputs(args.grid, configs, spec.init_checkpoint,
+                                                [cfg for *_, cfg in rows], cohort)
+    result = run_ablation(cohort, agg_config, base, axes, spec.n_boot,
+                          pretrained_aggregator=pretrained)
     out = Path(spec.out)
     gbio.write_text(out, json.dumps(result, sort_keys=True, indent=2) + "\n")
     artifacts = [out]
@@ -314,7 +320,9 @@ def cmd_ablate(args):
         gbio.write_text(tsv, ablation_to_tsv(result))
         artifacts.append(tsv)
     logger.info("ablation grid (%d rows) -> %s", len(result["rows"]), out)
-    return out.parent, raw, grid.seed, artifacts
+    config = {"aggregator": agg_config.to_dict(), "align": base.to_dict(),
+              "axes": asdict(axes), "n_boot": spec.n_boot}
+    return out.parent, config, base.seed, artifacts
 
 
 def cmd_inspect(args) -> None:

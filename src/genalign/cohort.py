@@ -34,17 +34,13 @@ class Patient:
     patient_id: str
     label: str
     split: str  # train | test
-    bag: CellBag | None
+    bag: CellBag
     karyotype: np.ndarray | None  # (3 * n_bands,) u8
     mutations: np.ndarray | None  # (n_genes,) u8
 
     @property
     def complete(self) -> bool:
-        return (
-            self.bag is not None
-            and self.karyotype is not None
-            and self.mutations is not None
-        )
+        return self.karyotype is not None and self.mutations is not None
 
 
 @dataclass

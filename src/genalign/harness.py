@@ -14,15 +14,17 @@ per table, and only when its task is requested; the logistic probe's
 interval resamples that fit's test predictions, as ``evalkit.bootstrap``
 resamples the rows of each metric.
 
-The ablation grid varies one factor per row (aggregator init/pooling,
-karyotype resolution, reconstruction weight) with the other factors at
-their defaults, sharing seeds so reruns are byte-identical.
+Each ablation row is one align config with one factor replaced
+(aggregator init/pooling, karyotype resolution, reconstruction weight).
+Every row's config is built, and so checked, before any row trains, and
+all rows train and score at the base config's seed, so reruns are
+byte-identical.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
@@ -328,37 +330,44 @@ class AblationAxes:
                              f"valid: {list(AGGREGATOR_SETTINGS)}")
 
 
-@dataclass
-class AblationGrid(AblationAxes):
-    defaults: dict = field(default_factory=dict)  # AlignConfig overrides
-    n_boot: int = 200
-    seed: int = 0
+def ablation_configs(base: AlignConfig, axes: AblationAxes) -> list[tuple[str, str, AlignConfig]]:
+    """Each grid row's ``(ablation, setting, config)``, in row order: ``base``
+    with that setting's fields replaced, so ``AlignConfig`` checks every
+    axis value."""
+    settings = (
+        [("aggregator", s, AGGREGATOR_SETTINGS[s]) for s in axes.aggregator]
+        + [("karyotype_resolution", r, {"karyotype_resolution": r})
+           for r in axes.karyotype_resolution]
+        + [("recon_weight", f"lambda_r={w}", {"recon_weight": w}) for w in axes.recon_weight]
+    )
+    return [(ablation, setting, replace(base, **fields)) for ablation, setting, fields in settings]
 
 
 def run_ablation(
     cohort: Cohort,
     agg_config: AggregatorConfig,
-    grid: AblationGrid,
+    base: AlignConfig,
+    axes: AblationAxes,
+    n_boot: int,
     pretrained_aggregator: dict | None = None,
 ) -> dict:
-    """One row per setting per axis, other factors at their defaults.
+    """One row per setting per axis, each ``base`` with that setting's
+    fields replaced.
 
-    The defaults recur once per axis; each distinct config is trained and
-    scored once, and each of its rows reads the logistic probe's interval
-    and the S->K and K->S MRRs from that one report."""
-    base = {
-        "aggregator_mode": "finetune",
-        "init": "pretrained" if pretrained_aggregator is not None else "random",
-        "karyotype_resolution": "band",
-        "recon_weight": 1.0,
-        "seed": grid.seed,
-        **grid.defaults,
-    }
-    rows = []
+    Every row's config is built first, and the grid is refused if a row
+    would start from a stage-1 checkpoint and none is given.  Only then is
+    each distinct config trained once and scored at ``base.seed``; each of
+    its rows reads the logistic probe's interval and the S->K and K->S MRRs
+    from that one report."""
+    grid = ablation_configs(base, axes)
+    if pretrained_aggregator is None:
+        needing = [setting for _, setting, cfg in grid if cfg.reads_checkpoint]
+        if needing:
+            raise ValueError(f"rows {needing} have init='pretrained' and need a stage-1 "
+                             f"checkpoint; none is given")
     reports: dict[str, dict] = {}  # config hash -> its report's tasks
-
-    def evaluate_setting(ablation: str, setting: str, overrides: dict) -> dict:
-        cfg = AlignConfig(**{**base, **overrides})
+    rows = []
+    for ablation, setting, cfg in grid:
         key = gbio.config_hash(cfg.to_dict())
         if key not in reports:
             result = train_align(
@@ -366,33 +375,16 @@ def run_ablation(
                 pretrained_aggregator=pretrained_aggregator if cfg.reads_checkpoint else None,
             )
             reports[key] = score_table(result.table, cohort, result.params,
-                                       ("retrieval", "logreg"), grid.seed,
-                                       grid.n_boot)["tasks"]
+                                       ("retrieval", "logreg"), base.seed, n_boot)["tasks"]
         tasks = reports[key]
-        return {
+        rows.append({
             "ablation": ablation,
             "setting": setting,
             "logreg_bacc": tasks["probes"]["logreg"]["interval"],
             "sk_mrr": tasks["retrieval"]["S->K"]["mrr"],
             "ks_mrr": tasks["retrieval"]["K->S"]["mrr"],
-        }
-
-    for setting in grid.aggregator:
-        overrides = dict(AGGREGATOR_SETTINGS[setting])
-        if overrides["init"] == "pretrained" and pretrained_aggregator is None:
-            overrides["init"] = "random"
-        rows.append(evaluate_setting("aggregator", setting, overrides))
-    for resolution in grid.karyotype_resolution:
-        rows.append(
-            evaluate_setting("karyotype_resolution", resolution,
-                             {"karyotype_resolution": resolution})
-        )
-    for weight in grid.recon_weight:
-        rows.append(
-            evaluate_setting("recon_weight", f"lambda_r={weight}",
-                             {"recon_weight": weight})
-        )
-    return {"seed": grid.seed, "n_boot": grid.n_boot, "rows": rows}
+        })
+    return {"seed": base.seed, "n_boot": n_boot, "rows": rows}
 
 
 def ablation_to_tsv(result: dict) -> str:

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from genalign import gbio
+from genalign.align import AlignConfig
 from genalign.cli import main
 
 SYNTH_CFG = {
@@ -421,9 +422,8 @@ class TestAblate:
             "axes": {"aggregator": ["mean_pool"],
                      "karyotype_resolution": ["band"],
                      "recon_weight": [1.0, 0.0]},
-            "align": {"epochs": 1, "batch_size": 6},
+            "align": {"epochs": 1, "batch_size": 6, "seed": 3},
             "n_boot": 20,
-            "seed": 3,
             "out": str(tmp_path / "ablation.json"),
             "out_tsv": str(tmp_path / "ablation.tsv"),
         }
@@ -437,6 +437,80 @@ class TestAblate:
         assert len(rows) == 4
         tsv_lines = (tmp_path / "ablation.tsv").read_text().strip().splitlines()
         assert len(tsv_lines) == 5
+
+    def test_seed_flag_sets_the_align_seed(self, pipeline, tmp_path):
+        from genalign.harness import AblationAxes
+        from genalign.pretrain import load_checkpoint
+
+        axes = {"aggregator": ["mean_pool"], "karyotype_resolution": ["arm"], "recon_weight": []}
+        runs = {}
+        for name, align, flags in [("in_align", {"seed": 3}, []), ("flag", {}, ["--seed", "3"])]:
+            grid = {"cohort_dir": str(pipeline / "cohort"),
+                    "init_checkpoint": str(pipeline / "ckpt.gbck"), "axes": axes,
+                    "align": {"epochs": 1, "batch_size": 6, **align}, "n_boot": 20,
+                    "out": str(tmp_path / name / "ablation.json")}
+            grid_path = tmp_path / f"{name}.json"
+            grid_path.write_text(json.dumps(grid))
+            (tmp_path / name).mkdir()
+            assert main([*flags, "ablate", "--grid", str(grid_path)]) == 0
+            runs[name] = ((tmp_path / name / "ablation.json").read_bytes(),
+                          json.loads((tmp_path / name / "manifest_ablate.json").read_text()))
+        assert runs["flag"][0] == runs["in_align"][0]
+        # the manifest hashes the configs that ran, the flag's seed among them
+        _, agg_config = load_checkpoint(pipeline / "ckpt.gbck")
+        ran = {"aggregator": agg_config.to_dict(),
+               "align": AlignConfig(epochs=1, batch_size=6, seed=3).to_dict(),
+               "axes": vars(AblationAxes(**axes)), "n_boot": 20}
+        for _, manifest in runs.values():
+            assert manifest["seed"] == 3
+            assert manifest["config_sha256"] == gbio.config_hash(ran)
+
+    @pytest.mark.parametrize("command", ["align", "ablate"])
+    def test_aggregator_section_next_to_checkpoint_refused(self, pipeline, tmp_path, caplog,
+                                                           command):
+        cohort, ckpt = pipeline / "cohort", pipeline / "ckpt.gbck"
+        out = tmp_path / "out"
+        bad = tmp_path / "bad.json"
+        align = {"epochs": 1, "batch_size": 6}
+        if command == "align":
+            bad.write_text(json.dumps({"aggregator": PRETRAIN_CFG["aggregator"], "align": align}))
+            argv = ["align", "--config", str(bad), "--cohort", str(cohort / "bags.gbm"),
+                    "--karyo", str(cohort / "karyotypes.gbm"),
+                    "--mut", str(cohort / "mutations.gbm"),
+                    "--labels", str(cohort / "labels.tsv"), "--init", str(ckpt),
+                    "--out", str(out)]
+        else:
+            bad.write_text(json.dumps({"cohort_dir": str(cohort), "init_checkpoint": str(ckpt),
+                                       "aggregator": PRETRAIN_CFG["aggregator"],
+                                       "align": align, "out": str(out)}))
+            argv = ["ablate", "--grid", str(bad)]
+        assert main(argv) == 1
+        assert f"{bad}: an 'aggregator' section next to the stage-1 checkpoint" in caplog.text
+        assert not out.exists()
+
+    @pytest.mark.parametrize("grid, error", [
+        ({"axes": {"karyotype_resolution": ["band", "chromosome"]}},
+         "section 'axes': karyotype_resolution must be one of"),
+        ({"axes": {"recon_weight": [1.0, -0.5]}}, "section 'axes': recon_weight must be >= 0"),
+        ({"init_checkpoint": "", "aggregator": PRETRAIN_CFG["aggregator"],
+          "align": {"epochs": 1, "batch_size": 6, "init": "pretrained"}},
+         "init='pretrained' and need a stage-1 checkpoint"),
+    ], ids=["chromosome_resolution", "negative_recon_weight", "pretrained_without_checkpoint"])
+    def test_bad_grid_refused_before_any_row_trains(self, pipeline, tmp_path, caplog,
+                                                     monkeypatch, grid, error):
+        from genalign import harness
+
+        trained = []
+        monkeypatch.setattr(harness, "train_align", lambda *args, **kwargs: trained.append(args))
+        out = tmp_path / "ablation.json"
+        grid_path = tmp_path / "grid.json"
+        grid_path.write_text(json.dumps({
+            "cohort_dir": str(pipeline / "cohort"), "init_checkpoint": str(pipeline / "ckpt.gbck"),
+            "align": {"epochs": 1, "batch_size": 6}, "out": str(out), **grid}))
+        assert main(["ablate", "--grid", str(grid_path)]) == 1
+        assert error in caplog.text
+        assert trained == []
+        assert not out.exists()
 
     def test_misspelled_axis_rejected(self, pipeline, tmp_path, caplog):
         grid = {
@@ -471,6 +545,7 @@ BAD_INPUTS = {
     "grid_n_boot_zero": ("ablate", {"n_boot": 0}),
     "grid_axis_not_list": ("ablate", {"axes": {"recon_weight": 0.5}}),
     "grid_unknown_aggregator": ("ablate", {"axes": {"aggregator": ["mean_pool", "nope"]}}),
+    "grid_aggregator_next_to_checkpoint": ("ablate", {"aggregator": {"bogus": 1}}),
     "checkpoint_config_not_object": ("embed", 5),
     "checkpoint_section_extra_key": ("embed", {"aggregator": {"extra": 1}}),
     "checkpoint_wrong_typed_field": ("embed", {"aggregator": {"heads": "2"}}),

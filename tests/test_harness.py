@@ -9,7 +9,8 @@ from genalign.align import AlignConfig, AlignedTable, init_mlp_params
 from genalign.aggregator import AggregatorConfig, CellBag
 from genalign.cohort import Cohort, Patient
 from genalign.harness import (
-    AblationGrid,
+    AblationAxes,
+    ablation_configs,
     ablation_to_tsv,
     cross_modal_hits,
     cross_modal_rankings,
@@ -286,13 +287,27 @@ TINY_AGG = AggregatorConfig(depth=1, heads=2, embed_dim=12, mlp_dim=24,
                             input_dim=12, max_cells=8)
 
 
+def counting_train_align(monkeypatch):
+    """The configs ``run_ablation`` trains, in call order."""
+    trained = []
+    real_train_align = harness.train_align
+
+    def counting(cohort, agg_config, config, **kwargs):
+        trained.append(config)
+        return real_train_align(cohort, agg_config, config, **kwargs)
+
+    monkeypatch.setattr(harness, "train_align", counting)
+    return trained
+
+
 class TestAblation:
     def test_grid_shape_and_determinism(self, rng, tmp_path):
         cohort = tiny_cohort(rng)
-        grid = AblationGrid(defaults={"epochs": 2, "batch_size": 6}, n_boot=30, seed=5)
+        base = AlignConfig(epochs=2, batch_size=6, seed=5)
         from genalign.aggregator import init_params
         pretrained = init_params(TINY_AGG, np.random.default_rng(1))
-        result = run_ablation(cohort, TINY_AGG, grid, pretrained_aggregator=pretrained)
+        result = run_ablation(cohort, TINY_AGG, base, AblationAxes(), 30,
+                              pretrained_aggregator=pretrained)
         assert [r["ablation"] for r in result["rows"]] == (
             ["aggregator"] * 3 + ["karyotype_resolution"] * 2 + ["recon_weight"] * 3
         )
@@ -300,7 +315,8 @@ class TestAblation:
         assert settings[:3] == ["transformer_pretrained", "transformer_random", "mean_pool"]
         assert settings[3:5] == ["band", "arm"]
         assert settings[5:] == ["lambda_r=1.0", "lambda_r=0.1", "lambda_r=0.0"]
-        rerun = run_ablation(cohort, TINY_AGG, grid, pretrained_aggregator=pretrained)
+        rerun = run_ablation(cohort, TINY_AGG, base, AblationAxes(), 30,
+                             pretrained_aggregator=pretrained)
         assert json.dumps(result, sort_keys=True) == json.dumps(rerun, sort_keys=True)
         tsv = ablation_to_tsv(result)
         assert len(tsv.strip().splitlines()) == 9  # header + 8 rows
@@ -308,24 +324,56 @@ class TestAblation:
     def test_default_grid_trains_each_distinct_config_once(self, rng, monkeypatch):
         from genalign.aggregator import init_params
         cohort = tiny_cohort(rng)
-        trained = []
-        real_train_align = harness.train_align
-
-        def counting_train_align(cohort, agg_config, config, **kwargs):
-            trained.append(config)
-            return real_train_align(cohort, agg_config, config, **kwargs)
-
-        monkeypatch.setattr(harness, "train_align", counting_train_align)
-        grid = AblationGrid(defaults={"epochs": 1, "batch_size": 6}, n_boot=10, seed=5)
+        trained = counting_train_align(monkeypatch)
+        base = AlignConfig(epochs=1, batch_size=6, seed=5)
         pretrained = init_params(TINY_AGG, np.random.default_rng(1))
-        rows = run_ablation(cohort, TINY_AGG, grid, pretrained_aggregator=pretrained)["rows"]
+        result = run_ablation(cohort, TINY_AGG, base, AblationAxes(), 10,
+                              pretrained_aggregator=pretrained)
+        rows = result["rows"]
         assert len(rows) == 8
         assert len(trained) == 6
         assert len({json.dumps(c.to_dict(), sort_keys=True) for c in trained}) == 6
-        # transformer_pretrained, band and lambda_r=1.0 are all the defaults
+        # one seed trains and scores every row
+        assert {c.seed for c in trained} == {5} and result["seed"] == 5
+        # transformer_pretrained, band and lambda_r=1.0 are all the base config
         metrics = [{k: v for k, v in rows[i].items() if k not in ("ablation", "setting")}
                    for i in (0, 3, 5)]
         assert metrics[0] == metrics[1] == metrics[2]
+
+    def test_each_row_is_the_base_with_its_setting_replaced(self):
+        base = AlignConfig(epochs=3, temperature=0.2, init="random", seed=7)
+        grid = ablation_configs(base, AblationAxes(karyotype_resolution=["arm"]))
+        assert [(a, s) for a, s, _ in grid] == [
+            ("aggregator", "transformer_pretrained"), ("aggregator", "transformer_random"),
+            ("aggregator", "mean_pool"), ("karyotype_resolution", "arm"),
+            ("recon_weight", "lambda_r=1.0"), ("recon_weight", "lambda_r=0.1"),
+            ("recon_weight", "lambda_r=0.0"),
+        ]
+        replaced = [{"aggregator_mode": "finetune", "init": "pretrained"},
+                    {"aggregator_mode": "finetune", "init": "random"},
+                    {"aggregator_mode": "mean_pool", "init": "random"},
+                    {"karyotype_resolution": "arm"},
+                    {"recon_weight": 1.0}, {"recon_weight": 0.1}, {"recon_weight": 0.0}]
+        for (_, _, cfg), fields in zip(grid, replaced):
+            assert cfg.to_dict() == {**base.to_dict(), **fields}
+
+    @pytest.mark.parametrize("base, axes, with_checkpoint, error", [
+        (AlignConfig(), AblationAxes(karyotype_resolution=["band", "chromosome"]), True,
+         "karyotype_resolution must be one of"),
+        (AlignConfig(), AblationAxes(recon_weight=[1.0, -0.5]), True,
+         "recon_weight must be >= 0"),
+        (AlignConfig(init="pretrained"), AblationAxes(), False,
+         r"rows \['transformer_pretrained', 'band', 'arm', .*init='pretrained'"),
+    ], ids=["chromosome_resolution", "negative_recon_weight", "pretrained_without_checkpoint"])
+    def test_bad_grid_refused_before_any_row_trains(self, rng, monkeypatch,
+                                                     base, axes, with_checkpoint, error):
+        from genalign.aggregator import init_params
+        trained = counting_train_align(monkeypatch)
+        pretrained = init_params(TINY_AGG, np.random.default_rng(1)) if with_checkpoint else None
+        with pytest.raises(ValueError, match=error):
+            run_ablation(tiny_cohort(rng), TINY_AGG, base, axes, 10,
+                         pretrained_aggregator=pretrained)
+        assert trained == []
 
     def test_rows_are_slices_of_the_report_of_their_config(self, rng, monkeypatch):
         cohort = tiny_cohort(rng)
@@ -337,10 +385,10 @@ class TestAblation:
             return results[-1]
 
         monkeypatch.setattr(harness, "train_align", keeping_train_align)
-        grid = AblationGrid(aggregator=["mean_pool"], karyotype_resolution=["arm"],
-                            recon_weight=[0.0], defaults={"epochs": 1, "batch_size": 6},
-                            n_boot=20, seed=4)
-        rows = run_ablation(cohort, TINY_AGG, grid)["rows"]
+        axes = AblationAxes(aggregator=["mean_pool"], karyotype_resolution=["arm"],
+                            recon_weight=[0.0])
+        base = AlignConfig(epochs=1, batch_size=6, init="random", seed=4)
+        rows = run_ablation(cohort, TINY_AGG, base, axes, 20)["rows"]
         assert len(rows) == len(results) == 3
         for row, result in zip(rows, results):
             tasks = score_table(result.table, cohort, result.params,
@@ -364,24 +412,22 @@ class TestAblation:
 
         counting(evalkit, "logreg_probe")
         counting(harness, "embed_cohort")
-        grid = AblationGrid(aggregator=["mean_pool", "transformer_random"],
-                            karyotype_resolution=["band"], recon_weight=[],
-                            defaults={"epochs": 1, "batch_size": 6}, n_boot=10, seed=0)
-        rows = run_ablation(cohort, TINY_AGG, grid)["rows"]
+        axes = AblationAxes(aggregator=["mean_pool", "transformer_random"],
+                            karyotype_resolution=["band"], recon_weight=[])
+        base = AlignConfig(epochs=1, batch_size=6, init="random", seed=0)
+        rows = run_ablation(cohort, TINY_AGG, base, axes, 10)["rows"]
         # transformer_random at band resolution is one config, scored once
         assert len(rows) == 3
         assert calls == {"logreg_probe": 2, "embed_cohort": 0}
 
     def test_unknown_aggregator_setting_refused_before_training(self):
         with pytest.raises(ValueError, match=r"unknown aggregator settings \['nope'\]"):
-            AblationGrid(aggregator=["mean_pool", "nope"])
+            AblationAxes(aggregator=["mean_pool", "nope"])
 
     def test_single_axis_single_value(self, rng):
         cohort = tiny_cohort(rng)
-        grid = AblationGrid(aggregator=["mean_pool"], karyotype_resolution=[],
-                            recon_weight=[], defaults={"epochs": 1, "batch_size": 6},
-                            n_boot=10, seed=0)
-        result = run_ablation(cohort, TINY_AGG, grid)
+        axes = AblationAxes(aggregator=["mean_pool"], karyotype_resolution=[], recon_weight=[])
+        result = run_ablation(cohort, TINY_AGG, AlignConfig(epochs=1, batch_size=6), axes, 10)
         assert len(result["rows"]) == 1
         assert result["rows"][0]["setting"] == "mean_pool"
 
