@@ -184,7 +184,6 @@ class AlignedTable:
 
     def save(self, out_dir: str | Path) -> list[Path]:
         out_dir = Path(out_dir)
-        out_dir.mkdir(parents=True, exist_ok=True)
         paths = []
         for name, mat in [
             ("slide", self.slide),
@@ -267,12 +266,10 @@ def stratified_batches(
 
 
 def _karyotype_matrix(patients: list[Patient], resolution: str) -> np.ndarray:
+    karyo = np.stack([p.karyotype for p in patients])
     if resolution == "arm":
-        table = load_band_table()
-        rows = [rollup_to_arms(p.karyotype.astype(np.uint8), table) for p in patients]
-    else:
-        rows = [p.karyotype for p in patients]
-    return np.stack(rows).astype(np.float32)
+        karyo = rollup_to_arms(karyo, load_band_table())
+    return karyo.astype(np.float32)
 
 
 @dataclass

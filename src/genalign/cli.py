@@ -102,16 +102,13 @@ def cmd_encode_karyotype(args):
                     logger.warning("%s: skipped token %r", pid, token)
             else:
                 events = parse_iscn(iscn, table)
-            vec = encode_karyotype(events, table)
-            if args.arm_level:
-                vec = rollup_to_arms(vec, table)
-            rows.append(vec)
+            rows.append(encode_karyotype(events, table))
     if not rows:
         raise ValueError(f"{args.infile}: no karyotypes found")
-    matrix = gbio.Matrix(
-        np.stack(rows).astype(np.uint8), list(first_line), band_table_sha256=table.sha256
-    )
-    gbio.write_gbm(args.out, matrix)
+    bits = np.stack(rows)
+    if args.arm_level:
+        bits = rollup_to_arms(bits, table)
+    gbio.write_gbm(args.out, gbio.Matrix(bits, list(first_line), band_table_sha256=table.sha256))
     config = {
         "infile": str(args.infile),
         "arm_level": bool(args.arm_level),

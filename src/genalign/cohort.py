@@ -65,7 +65,6 @@ class Cohort:
 
     def save(self, out_dir: str | Path) -> list[Path]:
         out_dir = Path(out_dir)
-        out_dir.mkdir(parents=True, exist_ok=True)
         ids = [p.patient_id for p in self.patients]
         cells = np.concatenate([p.bag.cells for p in self.patients], axis=0)
         ranges = []

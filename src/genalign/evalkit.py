@@ -22,7 +22,6 @@ from dataclasses import asdict, dataclass
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy import optimize
 
 EXACT_WILCOXON_MAX_N = 12
 # row indices per bootstrap chunk at most (8 MB of int64)
@@ -174,6 +173,10 @@ def logreg_probe(
 ) -> LogregResult:
     """Multinomial logistic regression probe (quasi-Newton full batch,
     zero-initialized, L2 penalty on weights only)."""
+    # imported here: scipy takes about half a second to import, and nothing
+    # else in the package needs it
+    from scipy import optimize
+
     train_x = np.asarray(train_x, dtype=np.float64)
     test_x = np.asarray(test_x, dtype=np.float64)
     classes = np.unique(train_y)

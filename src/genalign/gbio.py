@@ -15,8 +15,8 @@ training checkpoint's ``config`` holds ``stage``, ``aggregator`` and the
 stage's own section.  Every JSON input and config section is read here.
 
 Both, and every text output (``write_text``), are written to a temporary
-file in the target's directory and renamed over the target, so a failed
-write leaves any previous file intact.
+file in the target's directory, which is created if missing, and renamed
+over the target, so a failed write leaves any previous file intact.
 """
 
 from __future__ import annotations
@@ -53,6 +53,7 @@ def _write_atomic(path: Path, chunks: Iterable[bytes]) -> None:
     """Write ``chunks`` to a temporary file in ``path``'s directory and
     rename it over ``path``; on any failure the temporary file is removed
     and a previous ``path`` keeps its bytes."""
+    path.parent.mkdir(parents=True, exist_ok=True)
     tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
     try:
         with tmp.open("wb") as fh:
@@ -353,8 +354,6 @@ def write_manifest(
     """Run manifest: config hash, seed, artifact checksums, the environment
     (Python and numpy versions, the BLAS library and its thread variables)
     and the wall time since ``started``, a ``time.perf_counter()`` reading."""
-    out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     manifest = {
         "command": command,
         "config_sha256": config_hash(config),
@@ -370,6 +369,6 @@ def write_manifest(
         },
         "wall_time_s": round(time.perf_counter() - started, 3),
     }
-    path = out_dir / f"manifest_{command}.json"
+    path = Path(out_dir) / f"manifest_{command}.json"
     write_text(path, json.dumps(manifest, sort_keys=True, indent=2) + "\n")
     return path

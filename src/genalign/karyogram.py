@@ -72,18 +72,15 @@ class CytobandTable:
         self.bands = bands
         self.sha256 = hashlib.sha256(source_text.encode("utf-8")).hexdigest()
         self._by_chromosome: dict[str, list[Band]] = {c: [] for c in CHROMOSOMES}
-        for band in bands:
-            self._by_chromosome[band.chromosome].append(band)
         # (chromosome, arm) -> (first index, last index), inclusive
         self.arm_spans: dict[tuple[str, str], tuple[int, int]] = {}
         for band in bands:
+            self._by_chromosome[band.chromosome].append(band)
             key = (band.chromosome, band.arm)
-            if key in self.arm_spans:
-                lo, hi = self.arm_spans[key]
-                self.arm_spans[key] = (lo, band.index)
-            else:
-                self.arm_spans[key] = (band.index, band.index)
-        self.arms = sorted(self.arm_spans, key=lambda k: self.arm_spans[k][0])
+            lo, _ = self.arm_spans.get(key, (band.index, band.index))
+            self.arm_spans[key] = (lo, band.index)
+        # bands arrive in index order, so insertion order is first-index order
+        self.arms = list(self.arm_spans)
         self._validate()
 
     def _validate(self) -> None:
@@ -296,35 +293,34 @@ def parse_iscn_lenient(
 def encode_karyotype(
     events: list[KaryotypeEvent], table: CytobandTable
 ) -> np.ndarray:
-    """Encode events as a ``[loss | gain | fusion]`` binary vector (u8)."""
+    """Encode events as a ``[loss | gain | fusion]`` binary vector (u8): the
+    flattened ``(len(EVENT_KINDS), n_bands)`` array of one bit per kind and band."""
     n = len(table)
-    bits = np.zeros(3 * n, dtype=np.uint8)
-    offsets = {kind: i * n for i, kind in enumerate(EVENT_KINDS)}
+    bits = np.zeros((len(EVENT_KINDS), n), dtype=np.uint8)
     for event in events:
-        base = offsets[event.kind]
-        for index in event.region:
-            if not 0 <= index < n:
-                raise KaryogramError(f"band index {index} out of range")
-            bits[base + index] = 1
-    return bits
+        lo, hi = min(event.region), max(event.region)
+        if lo < 0 or hi >= n:
+            raise KaryogramError(f"band index {lo if lo < 0 else hi} out of range")
+        bits[EVENT_KINDS.index(event.kind), list(event.region)] = 1
+    return bits.reshape(-1)
 
 
-def rollup_to_arms(vector: np.ndarray, table: CytobandTable) -> np.ndarray:
-    """Collapse a band-level vector to arm level (OR over each arm's bands).
+def rollup_to_arms(vectors: np.ndarray, table: CytobandTable) -> np.ndarray:
+    """Collapse band-level 0/1 vectors to arm level (OR over each arm's bands).
 
-    Output layout mirrors the band-level one: ``[loss | gain | fusion]`` with
-    one bit per chromosome arm, arms in table order.
+    Takes any ``(..., 3 * n_bands)`` stack and returns ``(..., 3 * n_arms)``
+    in the band-level layout: ``[loss | gain | fusion]`` with one bit per
+    chromosome arm, arms in table order.
     """
     n = len(table)
-    if vector.shape != (3 * n,):
+    if vectors.shape[-1:] != (len(EVENT_KINDS) * n,):
         raise KaryogramError(
-            f"expected vector of length {3 * n}, got shape {vector.shape}"
+            f"expected vectors of length {len(EVENT_KINDS) * n}, got shape {vectors.shape}"
         )
-    n_arms = table.n_arms
-    out = np.zeros(3 * n_arms, dtype=np.uint8)
-    for k, kind in enumerate(EVENT_KINDS):
-        segment = vector[k * n : (k + 1) * n]
-        for a, arm_key in enumerate(table.arms):
-            lo, hi = table.arm_spans[arm_key]
-            out[k * n_arms + a] = 1 if segment[lo : hi + 1].any() else 0
-    return out
+    # Reducing from each arm's first band to the next arm's is the OR over
+    # that arm only because _validate refuses a table whose chromosomes or
+    # arms are not contiguous runs.
+    starts = [lo for lo, _ in table.arm_spans.values()]
+    by_kind = vectors.reshape(*vectors.shape[:-1], len(EVENT_KINDS), n)
+    arms = np.maximum.reduceat(by_kind, starts, axis=-1)
+    return arms.reshape(*vectors.shape[:-1], -1)

@@ -178,10 +178,9 @@ def oracle_report(cohort: Cohort, config: SynthConfig | None = None) -> dict:
         mut = np.stack([p.mutations for p in members]).astype(np.float64)
         mutation_freqs[label] = mut.mean(axis=0).round(6).tolist()
         karyo = np.stack([p.karyotype for p in members]).astype(np.float64)
-        n_bands = karyo.shape[1] // 3
+        segments = karyo.reshape(len(members), len(EVENT_KINDS), -1).mean(axis=0)
         freqs = {}
-        for k, kind in enumerate(EVENT_KINDS):
-            segment = karyo[:, k * n_bands : (k + 1) * n_bands].mean(axis=0)
+        for kind, segment in zip(EVENT_KINDS, segments):
             nonzero = {int(i): round(float(v), 6) for i, v in enumerate(segment) if v > 0}
             if nonzero:
                 freqs[kind] = nonzero

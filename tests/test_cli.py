@@ -121,12 +121,18 @@ class TestEncodeKaryotype:
         assert np.array_equal(matrix.data[0], expected)
 
     def test_arm_level_width(self, tmp_path):
+        from genalign.karyogram import load_band_table, rollup_to_arms
+
         tsv = tmp_path / "k.tsv"
-        tsv.write_text("p1\t45,XX,-7\n")
-        out = tmp_path / "arm.gbm"
-        assert main(["encode-karyotype", "--in", str(tsv), "--out", str(out),
+        tsv.write_text("p1\t45,XX,-7\np2\t46,XX,t(15;17)(q24;q21),del(5)(q13q33)\n")
+        band, arm = tmp_path / "band.gbm", tmp_path / "arm.gbm"
+        assert main(["encode-karyotype", "--in", str(tsv), "--out", str(band)]) == 0
+        assert main(["encode-karyotype", "--in", str(tsv), "--out", str(arm),
                      "--arm-level"]) == 0
-        assert gbio.read_gbm(out).data.shape == (1, 144)
+        arm_bits = gbio.read_gbm(arm).data
+        assert arm_bits.shape == (2, 144)
+        assert arm_bits.any(axis=1).all()
+        assert np.array_equal(arm_bits, rollup_to_arms(gbio.read_gbm(band).data, load_band_table()))
 
     def test_unsupported_token_fails_strict(self, tmp_path):
         tsv = tmp_path / "k.tsv"
@@ -451,7 +457,7 @@ class TestAblate:
                     "out": str(tmp_path / name / "ablation.json")}
             grid_path = tmp_path / f"{name}.json"
             grid_path.write_text(json.dumps(grid))
-            (tmp_path / name).mkdir()
+            # the out directory does not exist yet: ablate creates it
             assert main([*flags, "ablate", "--grid", str(grid_path)]) == 0
             runs[name] = ((tmp_path / name / "ablation.json").read_bytes(),
                           json.loads((tmp_path / name / "manifest_ablate.json").read_text()))

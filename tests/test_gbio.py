@@ -311,6 +311,12 @@ class TestAtomicWrite:
         assert path.read_bytes() == previous
         assert [p.name for p in tmp_path.iterdir()] == [name]
 
+    def test_text_write_creates_missing_directories(self, tmp_path):
+        path = tmp_path / "a" / "b" / "out.txt"
+        gbio.write_text(path, "x\n")
+        assert path.read_text() == "x\n"
+        assert [p.name for p in path.parent.iterdir()] == ["out.txt"]
+
 
 class TestHashes:
     def test_config_hash_key_order_independent(self):

@@ -1,4 +1,7 @@
 import json
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -487,3 +490,13 @@ class TestEvaluateReport:
         assert report["tasks"]["per_gene"]["genes"]
         # four cross-modal directions, slide->slide and gene->slide
         assert len(calls) == 6
+
+
+def test_importing_the_harness_leaves_scipy_unloaded():
+    # scipy takes about half a second to import; only the logistic probe needs it
+    code = ("import sys; sys.path.insert(0, sys.argv[1]); import genalign.harness; "
+            "sys.exit('scipy.optimize' in sys.modules)")
+    src = Path(harness.__file__).parents[1]
+    done = subprocess.run([sys.executable, "-c", code, str(src)],
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr

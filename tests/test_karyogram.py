@@ -149,9 +149,10 @@ class TestEncode:
         assert single.sum() == 1
 
     def test_out_of_range_index_rejected(self, band_table):
-        ev = kg.KaryotypeEvent("gain", frozenset({N_BANDS}))
-        with pytest.raises(kg.KaryogramError):
-            kg.encode_karyotype([ev], band_table)
+        for index in (N_BANDS, -1):
+            ev = kg.KaryotypeEvent("gain", frozenset({3, index}))
+            with pytest.raises(kg.KaryogramError, match=f"band index {index} out of range"):
+                kg.encode_karyotype([ev], band_table)
 
 
 @st.composite
@@ -189,6 +190,16 @@ class TestProperties:
                 band = band_table.bands[idx]
                 expected[k * N_ARMS + arm_pos[(band.chromosome, band.arm)]] = 1
         assert np.array_equal(rolled, expected)
+        # a stack rolls up in one call to what its rows roll up to one by one
+        stacks = [
+            np.stack([kg.encode_karyotype(events, band_table)]
+                     + [kg.encode_karyotype([ev], band_table) for ev in events]),
+            np.stack([vec for _, vec in CONFORMANCE]),
+        ]
+        for stack in stacks:
+            row_by_row = np.stack([kg.rollup_to_arms(row, band_table) for row in stack])
+            assert np.array_equal(kg.rollup_to_arms(stack, band_table), row_by_row)
+            assert np.array_equal(kg.rollup_to_arms(stack[None], band_table), row_by_row[None])
 
     def test_whole_chromosome_gain_band_count(self, band_table):
         for chrom in kg.CHROMOSOMES:
@@ -219,5 +230,6 @@ class TestRollup:
         assert out.sum() == 1
 
     def test_wrong_length_rejected(self, band_table):
-        with pytest.raises(kg.KaryogramError):
-            kg.rollup_to_arms(np.zeros(10, dtype=np.uint8), band_table)
+        for shape in [(10,), (2, 3 * N_BANDS - 1), (3 * N_BANDS, 2)]:
+            with pytest.raises(kg.KaryogramError):
+                kg.rollup_to_arms(np.zeros(shape, dtype=np.uint8), band_table)
