@@ -161,8 +161,7 @@ def _attention(
 
 def mlp_forward(x: Tensor, params: dict[str, Tensor], prefix: str) -> Tensor:
     """Two-layer MLP ``gelu(x W1 + b1) W2 + b2`` on ``{prefix}.w1`` ... ``.b2``."""
-    hidden = ndiff.gelu(ndiff.linear(x, params[f"{prefix}.w1"], params[f"{prefix}.b1"]))
-    return ndiff.linear(hidden, params[f"{prefix}.w2"], params[f"{prefix}.b2"])
+    return ndiff.mlp(x, *(params[f"{prefix}.{name}"] for name in ("w1", "b1", "w2", "b2")))
 
 
 def _layer_norm(x: Tensor, params: dict[str, Tensor], prefix: str) -> Tensor:

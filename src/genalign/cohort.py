@@ -74,7 +74,7 @@ class Cohort:
             start += p.bag.n_cells
         paths = []
         paths.append(out_dir / BAGS_FILE)
-        gbio.write_gbm(paths[-1], gbio.Matrix(cells.astype(np.float32), ids, row_ranges=ranges))
+        gbio.write_gbm(paths[-1], gbio.Matrix(cells, ids, row_ranges=ranges))
         paths.append(out_dir / KARYOTYPES_FILE)
         gbio.write_gbm(
             paths[-1],

@@ -49,10 +49,10 @@ def _dump_header(header: dict) -> bytes:
     return json.dumps(header, sort_keys=True, separators=(",", ":")).encode("utf-8")
 
 
-def _write_atomic(path: Path, chunks: Iterable[bytes]) -> None:
-    """Write ``chunks`` to a temporary file in ``path``'s directory and
-    rename it over ``path``; on any failure the temporary file is removed
-    and a previous ``path`` keeps its bytes."""
+def _write_atomic(path: Path, chunks: Iterable) -> None:
+    """Write ``chunks`` (bytes, or 1-D u8 arrays) to a temporary file in
+    ``path``'s directory and rename it over ``path``; on any failure the
+    temporary file is removed and a previous ``path`` keeps its bytes."""
     path.parent.mkdir(parents=True, exist_ok=True)
     tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
     try:
@@ -65,7 +65,7 @@ def _write_atomic(path: Path, chunks: Iterable[bytes]) -> None:
         raise
 
 
-def _write_container(path: Path, magic: bytes, header: dict, payload: list[bytes]) -> None:
+def _write_container(path: Path, magic: bytes, header: dict, payload: list) -> None:
     blob = _dump_header(header)
     _write_atomic(path, [magic, struct.pack("<I", len(blob)), blob, *payload])
 
@@ -190,8 +190,9 @@ def write_gbm(path: str | Path, matrix: Matrix) -> None:
         header["band_table_sha256"] = matrix.band_table_sha256
     if matrix.row_ranges is not None:
         header["row_ranges"] = [[int(a), int(b)] for a, b in matrix.row_ranges]
-    _write_container(path, GBM_MAGIC, header,
-                     [data.astype(_DTYPES[dtype], copy=False).tobytes(order="C")])
+    # the contiguous array's own bytes, as a view: written without a copy
+    payload = data.astype(_DTYPES[dtype], copy=False).reshape(-1).view(np.uint8)
+    _write_container(path, GBM_MAGIC, header, [payload])
 
 
 def read_gbm(path: str | Path) -> Matrix:
@@ -204,10 +205,13 @@ def read_gbm(path: str | Path) -> Matrix:
         if not (_ints([rows, cols]) and rows >= 0 and cols >= 0):
             raise FormatError(f"{path}: rows {rows!r} and cols {cols!r} are not non-negative integers")
         dt = _DTYPES[header["dtype"]]
-        payload = fh.read(rows * cols * dt.itemsize)
-        if len(payload) != rows * cols * dt.itemsize:
+        # checked before the payload's array is allocated, so a header
+        # claiming more rows than the file holds allocates nothing
+        if os.fstat(fh.fileno()).st_size - fh.tell() < rows * cols * dt.itemsize:
             raise FormatError(f"{path}: truncated payload")
-        data = np.frombuffer(payload, dtype=dt).reshape(rows, cols).copy()
+        data = np.empty((rows, cols), dt)
+        if fh.readinto(data) != data.nbytes:
+            raise FormatError(f"{path}: truncated payload")
     ids = header["patient_ids"]
     if not (isinstance(ids, list) and all(isinstance(i, str) for i in ids)):
         raise FormatError(f"{path}: patient_ids is not a list of strings")

@@ -99,6 +99,8 @@ class CytobandTable:
                 )
             seen.add(key)
         for chrom, bands in self._by_chromosome.items():
+            if not bands:
+                raise BandTableError(f"chromosome {chrom} has no bands")
             arms = [b.arm for b in bands]
             if arms != sorted(arms):  # "p" < "q"
                 raise BandTableError(f"q band precedes p band on chromosome {chrom}")

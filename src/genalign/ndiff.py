@@ -19,7 +19,9 @@ textbook formulas only up to rounding, and are tested for accuracy against
 them in f64.  Restricted to some query rows, run in query slices, or packed
 with other sequences, attention matches the full or separate call only up
 to rounding too: BLAS may round a row of a product differently depending on
-how many rows the product has.
+how many rows the product has.  That is why ``mlp``, byte-identical to
+``linear``, ``gelu`` and ``linear`` in a chain, tiles only its elementwise
+passes: each of its products runs over all rows.
 """
 
 from __future__ import annotations
@@ -111,7 +113,8 @@ class Tape:
             id(loss): np.ones_like(loss.data)
         }
         leaf_grads: dict[Tensor, np.ndarray] = {}
-        for node in reversed(self._nodes):
+        while self._nodes:  # each node, and what its backward holds, is freed once passed
+            node = self._nodes.pop()
             gout = grads.pop(id(node.output), None)
             if gout is None:
                 continue
@@ -327,38 +330,92 @@ def layer_norm(a: Tensor, gamma: Tensor, beta: Tensor) -> Tensor:
     return _record(out, (a, gamma, beta), backward)
 
 
-def gelu(a: Tensor) -> Tensor:
-    # tanh approximation; the gradient differentiates the same approximation.
-    # A taped call computes the derivative in the forward, in t's and u's
-    # buffers, and keeps that one array: the backward is one product.
-    # Each line is one operation of 0.5 * x * (1 + tanh(c * x * (1 + k x^2)))
-    # and of its derivative, in the same order, so the results are the same
-    # bit for bit as the expressions written out.
-    x = a.data
-    u = x * x
+def _gelu_into(h: np.ndarray, u: np.ndarray, t: np.ndarray, deriv=None) -> None:
+    """Overwrite the pre-activation ``h`` with ``gelu(h)``, and write its
+    derivative into ``deriv`` if given; ``u`` and ``t`` are scratch of
+    ``h``'s shape.
+
+    The tanh approximation; the derivative differentiates the same
+    approximation.  Each line is one operation of 0.5 * x * (1 + tanh(c * x
+    * (1 + k x^2))) and of its derivative, in the same order, so the results
+    are the same bit for bit as the expressions written out.
+    """
+    np.multiply(h, h, out=u)
     u *= 0.044715
     u += 1.0
-    t = _GELU_C * x
+    np.multiply(h, _GELU_C, out=t)
     t *= u
     np.tanh(t, out=t)
     np.add(t, 1.0, out=u)
-    y = 0.5 * x
-    y *= u
+    if deriv is not None:
+        # _GELU_C * (1 + 3k x^2), the derivative of t's argument
+        np.multiply(h, h, out=deriv)
+        deriv *= 0.134145
+        deriv += 1.0
+        deriv *= _GELU_C
+        np.multiply(t, t, out=t)  # the slope 0.5 * x * (1 - t^2) * deriv
+        np.subtract(1.0, t, out=t)
+    h *= 0.5  # 0.5 * x, a factor of both the slope and the output
+    if deriv is not None:
+        t *= h
+        t *= deriv
+        np.multiply(u, 0.5, out=deriv)  # 0.5 * (1 + t), plus the slope
+        deriv += t
+    h *= u
+
+
+def gelu(a: Tensor) -> Tensor:
+    # A taped call computes the derivative in the forward and keeps that one
+    # array: the backward is one product.
+    y = a.data.copy()
+    deriv = np.empty_like(y) if _records((a,)) else None
+    _gelu_into(y, np.empty_like(y), np.empty_like(y), deriv)
+    return _record(Tensor(y), (a,), lambda g: (deriv * g,))
+
+
+# The rows of one tile of an ``mlp`` call's elementwise passes
+MLP_TILE_ROWS = 256
+
+
+def mlp(x: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor) -> Tensor:
+    """Two-layer MLP ``gelu(x w1 + b1) w2 + b2`` as one node; ``b1`` and
+    ``b2`` are ``(1, out)`` bias rows.
+
+    The two products run over all rows.  The bias add and GELU run over
+    tiles of ``MLP_TILE_ROWS`` rows of the hidden array, in place, with two
+    tile-sized scratch buffers, so each elementwise pass reads a tile that
+    is still in cache.  A recorded node keeps the activation and GELU's
+    derivative, not the pre-activation.
+    """
+    for w, name in ((w1, "w1"), (b1, "b1"), (w2, "w2"), (b2, "b2")):
+        _check_same_dtype(x, w, f"mlp/{name}")
+    if (x.data.ndim != 2 or w1.data.ndim != 2 or w2.data.ndim != 2
+            or x.shape[1] != w1.shape[0] or w1.shape[1] != w2.shape[0]):
+        raise NdiffError(f"mlp: incompatible shapes {x.shape} @ {w1.shape} @ {w2.shape}")
+    for b, w, name in ((b1, w1, "b1"), (b2, w2, "b2")):
+        if b.shape != (1, w.shape[1]):
+            raise NdiffError(f"mlp: {name} shape {b.shape} is not (1, {w.shape[1]})")
+    act = x.data @ w1.data
+    deriv = np.empty_like(act) if _records((x, w1, b1, w2, b2)) else None
+    tile = MLP_TILE_ROWS
+    u = np.empty_like(act[:tile])
+    t = np.empty_like(u)
+    for s in range(0, act.shape[0], tile):
+        h = act[s : s + tile]
+        h += b1.data
+        n = h.shape[0]
+        _gelu_into(h, u[:n], t[:n], None if deriv is None else deriv[s : s + n])
+    y = act @ w2.data
+    y += b2.data
     out = Tensor(y)
-    if not _records((a,)):
-        return out
-    dinner = x * x  # _GELU_C * (1 + 3k x^2), the derivative of t's argument
-    dinner *= 0.134145
-    dinner += 1.0
-    dinner *= _GELU_C
-    slope = np.multiply(t, t, out=t)  # 0.5 * x * (1 - t^2) * dinner
-    np.subtract(1.0, slope, out=slope)
-    slope *= 0.5 * x
-    slope *= dinner
-    deriv = u  # 0.5 * (1 + t), plus slope
-    deriv *= 0.5
-    deriv += slope
-    return _record(out, (a,), lambda g: (deriv * g,))
+
+    def backward(g):
+        d_h = g @ w2.data.T
+        d_h *= deriv
+        return (d_h @ w1.data.T, x.data.T @ d_h, d_h.sum(axis=0, keepdims=True),
+                act.T @ g, g.sum(axis=0, keepdims=True))
+
+    return _record(out, (x, w1, b1, w2, b2), backward)
 
 
 def l2_normalize(a: Tensor) -> Tensor:

@@ -118,8 +118,7 @@ def head_forward(x: Tensor, params: dict[str, Tensor]) -> Tensor:
     Prototype rows are normalized in-graph, so they stay unit vectors no
     matter what the optimizer did to the raw parameter.
     """
-    h = ndiff.gelu(ndiff.linear(x, params["head.w1"], params["head.b1"]))
-    h = ndiff.gelu(ndiff.linear(h, params["head.w2"], params["head.b2"]))
+    h = ndiff.gelu(ndiff.mlp(x, params["head.w1"], params["head.b1"], params["head.w2"], params["head.b2"]))
     z = ndiff.linear(h, params["head.w3"], params["head.b3"])
     z = ndiff.l2_normalize(z)
     protos = ndiff.l2_normalize(params["head.proto"])

@@ -3,6 +3,7 @@ import json
 import platform
 import struct
 import time
+import tracemalloc
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -56,6 +57,39 @@ class TestGbm:
         path.write_bytes(blob[:-8])
         with pytest.raises(gbio.FormatError, match="truncated"):
             gbio.read_gbm(path)
+
+    def test_header_claiming_more_rows_than_the_file_holds(self, tmp_path):
+        path = tmp_path / "t.gbm"
+        gbio.write_gbm(path, gbio.Matrix(np.zeros((4, 4), np.float32), ["x"] * 4))
+        rewrite_gbm_header(path, rows=2**40)
+        with pytest.raises(gbio.FormatError, match="truncated payload"):
+            gbio.read_gbm(path)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.uint8])
+    def test_zero_row_roundtrip(self, tmp_path, dtype):
+        path = tmp_path / "empty.gbm"
+        gbio.write_gbm(path, gbio.Matrix(np.zeros((0, 5), dtype), []))
+        back = gbio.read_gbm(path)
+        assert back.data.shape == (0, 5) and back.data.dtype == dtype
+        assert back.patient_ids == []
+
+    def test_payload_written_and_read_without_a_copy(self, tmp_path):
+        # 16 MB of f32: a copy of the payload would show as a traced peak
+        # of its size on top of the array itself
+        data = np.arange(4 * 2**20, dtype=np.float32).reshape(-1, 64)
+        path = tmp_path / "big.gbm"
+        tracemalloc.start()
+        try:
+            gbio.write_gbm(path, gbio.Matrix(data, ["p"], row_ranges=[(0, data.shape[0])]))
+            write_peak = tracemalloc.get_traced_memory()[1]
+            tracemalloc.reset_peak()
+            back = gbio.read_gbm(path)
+            read_peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert np.array_equal(back.data, data)
+        assert write_peak <= 0.1 * data.nbytes
+        assert read_peak <= 1.1 * data.nbytes
 
     @pytest.mark.parametrize("ranges", [[[0, 5]], [[-1, 1]], [[2, 1]], [[0, 1], [1, 2]], [[0, 1.5]]],
                              ids=["past-end", "negative", "reversed", "count", "non-integer"])

@@ -77,6 +77,10 @@ class TestBandTable:
         with pytest.raises(kg.BandTableError, match="duplicate"):
             kg.load_band_table("1\tp\tp11\n1\tp\tp11\n")
 
+    def test_missing_chromosome_named(self):
+        with pytest.raises(kg.BandTableError, match="chromosome 2 has no bands"):
+            kg.load_band_table("1\tp\tp11\n")
+
     def test_malformed_line_reports_number(self):
         with pytest.raises(kg.BandTableError, match="line 2"):
             kg.load_band_table("1\tp\tp11\nnot-a-row\n")

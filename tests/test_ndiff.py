@@ -111,6 +111,7 @@ class TestBackward:
         with Tape() as tape:
             loss = ndiff.mean(ndiff.mul(x, x))
         tape.backward(loss)
+        assert tape._nodes == []  # each node is freed as the backward passes it
         with pytest.raises(ndiff.NdiffError, match="consumed"):
             tape.backward(loss)
 
@@ -146,6 +147,7 @@ PRIMITIVE_CASES = [
     ("slice_rows", (5, 3), lambda x: ndiff.mean(ndiff.mul(ndiff.slice_rows(x, 1, 4), Tensor(_G33)))),
     ("log_softmax", (4, 6), lambda x: ndiff.mean(ndiff.mul(ndiff.log_softmax(x, axis=-1), Tensor(_H46)))),
     ("gelu", (3, 4), lambda x: ndiff.mean(ndiff.gelu(x))),
+    ("mlp", (5, 4), lambda x: ndiff.mean(ndiff.mul(ndiff.mlp(x, *map(Tensor, _MLP_PARAMS)), Tensor(_L53)))),
     ("l2_normalize", (4, 5), lambda x: ndiff.mean(ndiff.mul(ndiff.l2_normalize(x), Tensor(_I45)))),
     ("layer_norm_x", (4, 6), lambda x: ndiff.mean(ndiff.mul(ndiff.layer_norm(x, Tensor(_GAMMA6), Tensor(_BETA6)), Tensor(_H46)))),
     ("layer_norm_gamma", (1, 6), lambda g: ndiff.mean(ndiff.mul(ndiff.layer_norm(Tensor(_X46), g, Tensor(_BETA6)), Tensor(_H46)))),
@@ -225,6 +227,8 @@ _M66 = _fix.standard_normal((6, 6))
 _Q6 = np.array([2, 2, 4, 3, 8, 6])
 _SEQ3 = np.array([3, 3, 3])
 _SEQ5 = np.array([5])
+_MLP_PARAMS = [_fix.standard_normal(s) for s in ((4, 6), (1, 6), (6, 3), (1, 3))]  # w1, b1, w2, b2
+_L53 = _fix.standard_normal((5, 3))
 
 
 class TestRowOps:
@@ -430,6 +434,52 @@ class TestKernelsBitIdentical:
                               _run_taped(_reference_gelu, [x], probe), dtype)
             _assert_same_bits([ndiff.gelu(x).data], [_reference_gelu(x).data], dtype)
 
+
+
+def _reference_mlp(x, w1, b1, w2, b2):
+    return ndiff.linear(_reference_gelu(ndiff.linear(x, w1, b1)), w2, b2)
+
+
+_MLP_INPUTS = ("x", "w1", "b1", "w2", "b2")
+
+
+def _mlp_leaves(rng, rows, dtype, d=5, hidden=12, out=4):
+    shapes = [(rows, d), (d, hidden), (1, hidden), (hidden, out), (1, out)]
+    return [Tensor(rng.standard_normal(s).astype(dtype), requires_grad=True) for s in shapes]
+
+
+class TestMlp:
+    @pytest.mark.parametrize("k", range(5), ids=_MLP_INPUTS)
+    def test_grad_check_every_input_over_row_tiles(self, rng, monkeypatch, k):
+        monkeypatch.setattr(ndiff, "MLP_TILE_ROWS", 3)
+        leaves = [t.data for t in _mlp_leaves(rng, 7, np.float64)]  # tiles of 3, 3 and 1 rows
+        probe = Tensor(rng.standard_normal((7, 4)))
+
+        def f(v):
+            args = [Tensor(a) for a in leaves]
+            args[k] = v
+            return ndiff.mean(ndiff.mul(ndiff.mlp(*args), probe))
+
+        report = ndiff.grad_check(f, t64(leaves[k]), eps=1e-6, tol=1e-6)
+        assert report.passed, report.max_rel_err
+
+    @pytest.mark.parametrize("tile", [3, ndiff.MLP_TILE_ROWS])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_equals_linear_gelu_linear_bit_for_bit(self, rng, monkeypatch, tile, dtype):
+        monkeypatch.setattr(ndiff, "MLP_TILE_ROWS", tile)
+        for rows in (1, tile - 1, tile, tile + 1, 3 * tile + 5):
+            leaves = _mlp_leaves(rng, rows, dtype)
+            probe = rng.standard_normal((rows, 4)).astype(dtype)
+            taped = _run_taped(ndiff.mlp, leaves, probe)
+            _assert_same_bits(taped, _run_taped(_reference_mlp, leaves, probe), dtype)
+            _assert_same_bits([ndiff.mlp(*leaves).data], taped[:1], dtype)
+
+    @pytest.mark.parametrize("k", range(1, 5), ids=_MLP_INPUTS[1:])
+    def test_dtype_mismatch_names_the_input(self, rng, k):
+        leaves = _mlp_leaves(rng, 3, np.float32)
+        leaves[k] = Tensor(leaves[k].data.astype(np.float64))
+        with pytest.raises(ndiff.NdiffError, match=f"mlp/{_MLP_INPUTS[k]}: dtype mismatch"):
+            ndiff.mlp(*leaves)
 
 
 def _rel_l2_err(got, want):
