@@ -14,7 +14,6 @@ makes, a lone leftover patient folded into the last one.
 
 from __future__ import annotations
 
-import json
 import logging
 import math
 from dataclasses import dataclass, field
@@ -201,7 +200,7 @@ class AlignedTable:
             "files": {p.name.split(".")[-2]: p.name for p in paths},
         }
         index_path = out_dir / "aligned.index.json"
-        gbio.write_text(index_path, json.dumps(index, sort_keys=True, indent=2) + "\n")
+        gbio.write_json(index_path, index)
         paths.append(index_path)
         return paths
 
@@ -283,7 +282,7 @@ class AlignResult:
 
     def save(self, path: str | Path) -> None:
         gbio.write_checkpoint(path, {name: p.data for name, p in self.params.items()}, "align",
-                              self.agg_config, self.config, epoch=len(self.metrics))
+                              self.agg_config, self.config)
 
 
 def init_align_params(
@@ -479,7 +478,7 @@ def embed_cohort(
 
 
 def load_align_checkpoint(path: str | Path) -> tuple[dict[str, Tensor], AggregatorConfig, AlignConfig]:
-    _, tensors, configs = gbio.read_checkpoint(
-        path, {"align": {"aggregator": AggregatorConfig, "align": AlignConfig}})
+    tensors, configs = gbio.read_checkpoint(
+        path, "align", {"aggregator": AggregatorConfig, "align": AlignConfig})
     params = {name: Tensor(arr, requires_grad=True) for name, arr in tensors.items()}
     return params, configs["aggregator"], configs["align"]

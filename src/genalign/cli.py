@@ -10,7 +10,6 @@ seed, artifact checksums, wall time) next to its outputs.
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import logging
 import os
@@ -62,9 +61,7 @@ def cmd_synth(args):
     out_dir = Path(args.out_dir)
     paths = cohort.save(out_dir)
     oracle_path = out_dir / "oracle.json"
-    gbio.write_text(
-        oracle_path, json.dumps(oracle_report(cohort, config), sort_keys=True, indent=2) + "\n"
-    )
+    gbio.write_json(oracle_path, oracle_report(cohort, config))
     paths.append(oracle_path)
     logger.info("wrote cohort of %d patients to %s", len(cohort), out_dir)
     return out_dir, config.to_dict(), config.seed, paths
@@ -83,32 +80,23 @@ def cmd_encode_karyotype(args):
     )
 
     table = load_band_table()
-    first_line, rows, warnings = {}, [], []  # first_line: each patient id's line number
-    with open(args.infile, newline="") as fh:
-        for line_no, record in enumerate(csv.reader(fh, delimiter="\t"), start=1):
-            if not record:
-                continue
-            if len(record) != 2:
-                raise ValueError(f"{args.infile}:{line_no}: expected patient_id<TAB>iscn")
-            pid, iscn = record
-            if pid in first_line:
-                raise ValueError(f"{args.infile}:{line_no}: second row for patient {pid!r} "
-                                 f"(first on line {first_line[pid]})")
-            first_line[pid] = line_no
-            if args.lenient:
-                events, skipped = parse_iscn_lenient(iscn, table)
-                for token in skipped:
-                    warnings.append({"patient_id": pid, "skipped_token": token})
-                    logger.warning("%s: skipped token %r", pid, token)
-            else:
-                events = parse_iscn(iscn, table)
-            rows.append(encode_karyotype(events, table))
-    if not rows:
+    records = gbio.read_patient_rows(args.infile, 2)  # patient_id<TAB>iscn
+    if not records:
         raise ValueError(f"{args.infile}: no karyotypes found")
+    rows, warnings = [], []
+    for pid, (iscn,) in records.items():
+        if args.lenient:
+            events, skipped = parse_iscn_lenient(iscn, table)
+            for token in skipped:
+                warnings.append({"patient_id": pid, "skipped_token": token})
+                logger.warning("%s: skipped token %r", pid, token)
+        else:
+            events = parse_iscn(iscn, table)
+        rows.append(encode_karyotype(events, table))
     bits = np.stack(rows)
     if args.arm_level:
         bits = rollup_to_arms(bits, table)
-    gbio.write_gbm(args.out, gbio.Matrix(bits, list(first_line), band_table_sha256=table.sha256))
+    gbio.write_gbm(args.out, gbio.Matrix(bits, list(records), band_table_sha256=table.sha256))
     config = {
         "infile": str(args.infile),
         "arm_level": bool(args.arm_level),
@@ -196,22 +184,23 @@ def cmd_embed(args):
     from . import gbio
     from .cohort import load_cohort
 
-    stage, _, _ = gbio.read_checkpoint(args.ckpt, {"pretrain": {}, "align": {}})
-    cohort = load_cohort(args.cohort)
-    ids = [p.patient_id for p in cohort.patients]
-    if stage == "pretrain":
+    # the stage from the header alone; its loader reads the tensors once
+    config = gbio.inspect_header(args.ckpt)["header"].get("config")
+    if isinstance(config, dict) and config.get("stage") == "pretrain":
         if args.space != "slide":
             raise ValueError("a pretrain checkpoint only provides --space slide")
         from .pretrain import embed_bags, load_checkpoint
 
         student, agg_config = load_checkpoint(args.ckpt)
-        matrix = embed_bags([p.bag for p in cohort.patients], student, agg_config)
+        patients = load_cohort(args.cohort).patients
+        ids = [p.patient_id for p in patients]
+        matrix = embed_bags([p.bag for p in patients], student, agg_config)
     else:
         from .align import load_align_checkpoint, project_slides
 
         params, agg_config, align_config = load_align_checkpoint(args.ckpt)
         ids, slide, z_slide = project_slides(
-            cohort.patients, params, agg_config, align_config
+            load_cohort(args.cohort).patients, params, agg_config, align_config
         )
         matrix = slide if args.space == "slide" else z_slide
     gbio.write_gbm(args.out, gbio.Matrix(matrix.astype(np.float32), ids))
@@ -240,7 +229,7 @@ def cmd_retrieve(args):
             for j, query_id in enumerate(ids)
         ],
     }
-    gbio.write_text(args.out, json.dumps(payload, sort_keys=True, indent=2) + "\n")
+    gbio.write_json(args.out, payload)
     return (Path(args.out).parent,
             {"query": args.query, "target": args.target, "k": args.k},
             args.seed or 0, [args.out])
@@ -310,7 +299,7 @@ def cmd_ablate(args):
     result = run_ablation(cohort, agg_config, base, axes, spec.n_boot,
                           pretrained_aggregator=pretrained)
     out = Path(spec.out)
-    gbio.write_text(out, json.dumps(result, sort_keys=True, indent=2) + "\n")
+    gbio.write_json(out, result)
     artifacts = [out]
     if spec.out_tsv:
         tsv = Path(spec.out_tsv)
@@ -403,7 +392,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--tasks", help="comma list: retrieval,slide_retrieval,knn,logreg,per_gene")
     p.add_argument("--out", required=True, help="report JSON")
     p.add_argument("--tsv", help="flat TSV twin of the report")
-    p.add_argument("--n-boot", type=int, default=1000)
+    p.add_argument("--n-boot", type=_positive_int, default=1000)
     p.set_defaults(handler=cmd_evaluate)
 
     p = sub.add_parser("ablate", help="run the ablation grid")

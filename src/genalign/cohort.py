@@ -4,15 +4,13 @@ On disk a cohort is a directory of ``bags.gbm`` (f32 cells with per-patient
 row ranges), ``karyotypes.gbm`` (u8, 3 columns per band of the shipped band
 table; a recorded ``band_table_sha256`` must be that table's),
 ``mutations.gbm`` (u8) and ``labels.tsv`` (``patient_id<TAB>label<TAB>split``,
-split ``train`` or ``test``; every bag needs a row).  The loader refuses a
-patient id with two rows in any genetic file or in ``labels.tsv``, row ranges
-in a genetic file, and karyotype or mutation entries other than 0 and 1.
+split ``train`` or ``test``; every bag needs a row).  ``gbio`` refuses a
+patient id twice in any of these files; the loader refuses row ranges in a
+genetic file, and karyotype or mutation entries other than 0 and 1.
 """
 
 from __future__ import annotations
 
-import csv
-import io
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -59,14 +57,9 @@ class Cohort:
     def subset(self, split: str) -> list[Patient]:
         return [p for p in self.patients if p.split == split]
 
-    @property
-    def labels(self) -> list[str]:
-        return sorted({p.label for p in self.patients})
-
     def save(self, out_dir: str | Path) -> list[Path]:
         out_dir = Path(out_dir)
         ids = [p.patient_id for p in self.patients]
-        cells = np.concatenate([p.bag.cells for p in self.patients], axis=0)
         ranges = []
         start = 0
         for p in self.patients:
@@ -74,7 +67,9 @@ class Cohort:
             start += p.bag.n_cells
         paths = []
         paths.append(out_dir / BAGS_FILE)
-        gbio.write_gbm(paths[-1], gbio.Matrix(cells, ids, row_ranges=ranges))
+        # the bags' own arrays, written one after another without a copy
+        gbio.write_gbm(paths[-1], gbio.Matrix([p.bag.cells for p in self.patients], ids,
+                                              row_ranges=ranges))
         paths.append(out_dir / KARYOTYPES_FILE)
         gbio.write_gbm(
             paths[-1],
@@ -90,11 +85,7 @@ class Cohort:
             gbio.Matrix(np.stack([p.mutations for p in self.patients]).astype(np.uint8), ids),
         )
         paths.append(out_dir / LABELS_FILE)
-        text = io.StringIO()
-        csv.writer(text, delimiter="\t", lineterminator="\n").writerows(
-            [p.patient_id, p.label, p.split] for p in self.patients
-        )
-        gbio.write_text(paths[-1], text.getvalue())
+        gbio.write_tsv(paths[-1], ([p.patient_id, p.label, p.split] for p in self.patients))
         return paths
 
 
@@ -103,14 +94,10 @@ def _binary_rows(m: gbio.Matrix, path: str | Path) -> dict[str, np.ndarray]:
     if m.row_ranges is not None:
         raise gbio.FormatError(f"{path}: genetic matrices hold one row per patient, not row_ranges")
     binary = ((m.data == 0) | (m.data == 1)).all(axis=1)
-    rows: dict[str, np.ndarray] = {}
-    for pid, row, ok in zip(m.patient_ids, m.data, binary):
-        if pid in rows:
-            raise gbio.FormatError(f"{path}: second row for patient {pid!r}")
+    for pid, ok in zip(m.patient_ids, binary):
         if not ok:
             raise gbio.FormatError(f"{path}: patient {pid!r} has entries other than 0 and 1")
-        rows[pid] = row
-    return rows
+    return dict(zip(m.patient_ids, m.data))
 
 
 def load_cohort(
@@ -123,11 +110,8 @@ def load_cohort(
     if bags_m.row_ranges is None:
         raise gbio.FormatError(f"{bags_path}: bag file needs per-patient row ranges")
     ids = bags_m.patient_ids
-    bags: dict[str, CellBag] = {}
-    for pid, (start, stop) in zip(ids, bags_m.row_ranges):
-        if pid in bags:
-            raise gbio.FormatError(f"{bags_path}: second bag for patient {pid!r}")
-        bags[pid] = CellBag(pid, bags_m.data[start:stop])
+    bags = {pid: CellBag(pid, bags_m.data[start:stop])
+            for pid, (start, stop) in zip(ids, bags_m.row_ranges)}
     karyotypes: dict[str, np.ndarray] = {}
     sha = None
     if karyotypes_path is not None:
@@ -148,18 +132,9 @@ def load_cohort(
     mutations: dict[str, np.ndarray] = {}
     if mutations_path is not None:
         mutations = _binary_rows(gbio.read_gbm(mutations_path), mutations_path)
-    labels: dict[str, tuple[str, str]] = {pid: ("unknown", "train") for pid in ids}
+    labels = {pid: ["unknown", "train"] for pid in ids}
     if labels_path is not None:
-        labels = {}
-        with open(labels_path, newline="") as fh:
-            for row in csv.reader(fh, delimiter="\t"):
-                if not row:
-                    continue
-                if len(row) != 3:
-                    raise ValueError(f"{labels_path}: expected 3 columns, got {row}")
-                if row[0] in labels:
-                    raise ValueError(f"{labels_path}: second row for patient {row[0]!r}")
-                labels[row[0]] = (row[1], row[2])
+        labels = gbio.read_patient_rows(labels_path, 3)
         for pid in ids:
             if pid not in labels:
                 raise ValueError(f"{labels_path}: no row for patient {pid!r}")

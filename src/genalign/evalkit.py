@@ -267,7 +267,6 @@ class WilcoxonResult:
     statistic: float  # W+ (sum of ranks of positive differences)
     n: int  # non-zero differences used
     method: str  # exact | normal | degenerate
-    degenerate: bool = False
 
 
 def _midranks(values: np.ndarray) -> np.ndarray:
@@ -286,7 +285,7 @@ def wilcoxon_signed_rank(a: Sequence[float], b: Sequence[float]) -> WilcoxonResu
     diff = diff[diff != 0]
     n = len(diff)
     if n == 0:
-        return WilcoxonResult(1.0, 0.0, 0, "degenerate", degenerate=True)
+        return WilcoxonResult(1.0, 0.0, 0, "degenerate")
     ranks = _midranks(np.abs(diff))
     w_plus = float(ranks[diff > 0].sum())
     if n <= EXACT_WILCOXON_MAX_N:
@@ -302,7 +301,7 @@ def wilcoxon_signed_rank(a: Sequence[float], b: Sequence[float]) -> WilcoxonResu
     tie_term = float((counts**3 - counts).sum()) / 48.0
     var_w = n * (n + 1) * (2 * n + 1) / 24.0 - tie_term
     if var_w <= 0:
-        return WilcoxonResult(1.0, w_plus, n, "degenerate", degenerate=True)
+        return WilcoxonResult(1.0, w_plus, n, "degenerate")
     correction = 0.5 * np.sign(w_plus - mean_w)
     z = (w_plus - mean_w - correction) / math.sqrt(var_w)
     p = min(1.0, math.erfc(abs(z) / math.sqrt(2.0)))

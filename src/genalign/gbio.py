@@ -1,32 +1,35 @@
-"""Binary containers for matrices (.gbm) and checkpoints (.gbck).
-
-Both formats are a 4-byte magic, a little-endian u32 header length, a UTF-8
-JSON header, then a raw little-endian payload.  Headers are serialized with
-sorted keys and no whitespace so identical content produces identical bytes.
+"""Every file format: matrices (.gbm), checkpoints (.gbck), JSON and
+patient-keyed TSV.  Both binary formats are a 4-byte magic, a little-endian
+u32 header length, a UTF-8 JSON header (sorted keys, no whitespace, so
+identical content produces identical bytes), then a raw little-endian payload.
 
 .gbm header keys: ``rows``, ``cols``, ``dtype`` ("u8" or "f32"),
-``patient_ids`` (one per row); optional ``band_table_sha256`` (karyotype
-matrices) and ``row_ranges`` (cell-bag files, one ``[start, stop)`` row range
-per patient instead of one row each).
+``patient_ids`` (one per row, no id twice); optional ``band_table_sha256``
+(karyotype matrices) and ``row_ranges`` (cell-bag files, one ``[start,
+stop)`` row range per patient instead of one row each).
 
-.gbck header keys: ``config``, ``epoch``, ``seed``, ``tensors`` (list of
-``{name, shape, offset}``, byte offsets into the f32 blob section); a
-training checkpoint's ``config`` holds ``stage``, ``aggregator`` and the
-stage's own section.  Every JSON input and config section is read here.
+.gbck header keys: ``config`` and ``tensors`` (list of ``{name, shape,
+offset}``, no name twice; byte offsets into the f32 payload); a training
+checkpoint's ``config`` holds ``stage``, ``aggregator`` and the stage's own
+section.  Other keys (``epoch`` and ``seed`` in older files) are ignored.
 
-Both, and every text output (``write_text``), are written to a temporary
-file in the target's directory, which is created if missing, and renamed
-over the target, so a failed write leaves any previous file intact.
+Every output is written to a temporary file in the target's directory,
+which is created if missing, and renamed over the target, so a failed write
+leaves any previous file intact.
 """
 
 from __future__ import annotations
 
+import csv
 import hashlib
+import io
 import json
+import math
 import os
 import platform
 import struct
 import time
+from collections import Counter
 from dataclasses import MISSING, dataclass, fields
 from pathlib import Path
 from typing import Any, Iterable, get_args, get_origin, get_type_hints
@@ -73,6 +76,40 @@ def _write_container(path: Path, magic: bytes, header: dict, payload: list) -> N
 def write_text(path: str | Path, text: str) -> None:
     """Replace ``path`` with the UTF-8 ``text`` atomically, like the containers."""
     _write_atomic(Path(path), [text.encode("utf-8")])
+
+
+def write_json(path: str | Path, value) -> None:
+    """``value`` as indented JSON with sorted keys and a final newline."""
+    write_text(path, json.dumps(value, sort_keys=True, indent=2) + "\n")
+
+
+def write_tsv(path: str | Path, rows: Iterable[list[str]]) -> None:
+    """Tab-separated ``rows``, as ``read_patient_rows`` reads them back."""
+    text = io.StringIO()
+    csv.writer(text, delimiter="\t", lineterminator="\n").writerows(rows)
+    write_text(path, text.getvalue())
+
+
+def read_patient_rows(path: str | Path, n_fields: int) -> dict[str, list[str]]:
+    """Each patient's fields after its id, in file order, from a
+    tab-separated file of ``n_fields`` fields a row, the patient id first.
+    Blank lines are skipped; a row with another field count, or a second row
+    for a patient, is refused with ``FormatError`` naming ``file:line``."""
+    rows, first_line = {}, {}
+    with open(path, newline="") as fh:
+        reader = csv.reader(fh, delimiter="\t")
+        for row in reader:
+            where = f"{path}:{reader.line_num}"
+            if not row:
+                continue
+            if len(row) != n_fields:
+                raise FormatError(f"{where}: expected {n_fields} tab-separated fields, got {len(row)}")
+            if row[0] in rows:
+                raise FormatError(f"{where}: second row for patient {row[0]!r} "
+                                  f"(first on line {first_line[row[0]]})")
+            first_line[row[0]] = reader.line_num
+            rows[row[0]] = row[1:]
+    return rows
 
 
 def _parse_json(blob: bytes, path, what: str) -> Any:
@@ -161,28 +198,50 @@ def _read_prefixed(fh, magic: bytes, path: Path, keys: tuple[str, ...] = ()) -> 
     return header
 
 
+def _read_array(fh, path: Path, what: str, shape, dtype: np.dtype, start: int,
+                offset: Any = 0) -> np.ndarray:
+    """The ``shape`` array of ``dtype`` at ``offset`` bytes into the payload
+    that begins at byte ``start`` of ``fh``.  A shape that is not a list of
+    non-negative integers, an offset that is not a non-negative integer, or
+    a file too short to hold the array is refused before any allocation."""
+    if not (_ints(shape) and all(n >= 0 for n in shape)):
+        raise FormatError(f"{path}: {what} has shape {shape!r}, not a list of non-negative integers")
+    if not (type(offset) is int and offset >= 0):
+        raise FormatError(f"{path}: {what} has offset {offset!r}, not a non-negative integer")
+    nbytes = math.prod(shape) * dtype.itemsize
+    fh.seek(start + offset)
+    # allocated only once the file is seen to hold the array
+    fits = os.fstat(fh.fileno()).st_size >= start + offset + nbytes
+    data = np.empty(shape, dtype) if fits else None
+    if data is None or fh.readinto(data) != nbytes:
+        raise FormatError(f"{path}: {what} runs past the end of the file (truncated payload)")
+    return data
+
+
 @dataclass
 class Matrix:
-    data: np.ndarray  # (rows, cols)
+    data: np.ndarray | list[np.ndarray]  # (rows, cols), or row blocks of one width
     patient_ids: list[str]
     band_table_sha256: str | None = None
     row_ranges: list[tuple[int, int]] | None = None
 
 
 def write_gbm(path: str | Path, matrix: Matrix) -> None:
+    """``matrix`` as a .gbm; a list of 2-D blocks as ``data`` is written as
+    their rows one after another, the matrix they concatenate to, without
+    building it."""
     path = Path(path)
-    data = np.ascontiguousarray(matrix.data)
-    if data.ndim != 2:
-        raise FormatError(f"matrix must be 2-D, got shape {data.shape}")
-    if data.dtype == np.uint8:
-        dtype = "u8"
-    elif data.dtype == np.float32:
-        dtype = "f32"
-    else:
-        raise FormatError(f"unsupported dtype {data.dtype}; use u8 or f32")
+    blocks = matrix.data if isinstance(matrix.data, list) else [matrix.data]
+    blocks = [np.asarray(b, order="C") for b in blocks]
+    if not blocks or {(b.ndim, b.shape[1:]) for b in blocks} != {(2, blocks[0].shape[1:])}:
+        raise FormatError(f"matrix must be 2-D blocks of one width, got shapes {[b.shape for b in blocks]}")
+    kinds = {b.dtype.name for b in blocks}
+    dtype = next((name for name, dt in _DTYPES.items() if kinds == {dt.name}), None)
+    if dtype is None:
+        raise FormatError(f"unsupported dtype {sorted(kinds)}; use u8 or f32")
     header: dict[str, Any] = {
-        "rows": int(data.shape[0]),
-        "cols": int(data.shape[1]),
+        "rows": sum(b.shape[0] for b in blocks),
+        "cols": int(blocks[0].shape[1]),
         "dtype": dtype,
         "patient_ids": list(matrix.patient_ids),
     }
@@ -190,9 +249,9 @@ def write_gbm(path: str | Path, matrix: Matrix) -> None:
         header["band_table_sha256"] = matrix.band_table_sha256
     if matrix.row_ranges is not None:
         header["row_ranges"] = [[int(a), int(b)] for a, b in matrix.row_ranges]
-    # the contiguous array's own bytes, as a view: written without a copy
-    payload = data.astype(_DTYPES[dtype], copy=False).reshape(-1).view(np.uint8)
-    _write_container(path, GBM_MAGIC, header, [payload])
+    # each contiguous block's own bytes, as a view: written without a copy
+    _write_container(path, GBM_MAGIC, header, [
+        b.astype(_DTYPES[dtype], copy=False).reshape(-1).view(np.uint8) for b in blocks])
 
 
 def read_gbm(path: str | Path) -> Matrix:
@@ -201,20 +260,15 @@ def read_gbm(path: str | Path) -> Matrix:
         header = _read_prefixed(fh, GBM_MAGIC, path, ("rows", "cols", "dtype", "patient_ids"))
         if header["dtype"] not in _DTYPES:
             raise FormatError(f"{path}: bad dtype {header['dtype']!r}")
-        rows, cols = header["rows"], header["cols"]
-        if not (_ints([rows, cols]) and rows >= 0 and cols >= 0):
-            raise FormatError(f"{path}: rows {rows!r} and cols {cols!r} are not non-negative integers")
-        dt = _DTYPES[header["dtype"]]
-        # checked before the payload's array is allocated, so a header
-        # claiming more rows than the file holds allocates nothing
-        if os.fstat(fh.fileno()).st_size - fh.tell() < rows * cols * dt.itemsize:
-            raise FormatError(f"{path}: truncated payload")
-        data = np.empty((rows, cols), dt)
-        if fh.readinto(data) != data.nbytes:
-            raise FormatError(f"{path}: truncated payload")
+        data = _read_array(fh, path, "matrix", [header["rows"], header["cols"]],
+                           _DTYPES[header["dtype"]], fh.tell())
+    rows = data.shape[0]
     ids = header["patient_ids"]
     if not (isinstance(ids, list) and all(isinstance(i, str) for i in ids)):
         raise FormatError(f"{path}: patient_ids is not a list of strings")
+    repeated = [pid for pid, n in Counter(ids).items() if n > 1]
+    if repeated:
+        raise FormatError(f"{path}: repeated patient id {repeated[0]!r}")
     ranges = header.get("row_ranges")
     if ranges is None and len(ids) != rows:
         raise FormatError(f"{path}: {len(ids)} patient ids for {rows} rows without row_ranges")
@@ -231,84 +285,65 @@ def read_gbm(path: str | Path) -> Matrix:
     )
 
 
-def write_gbck(
-    path: str | Path,
-    tensors: dict[str, np.ndarray],
-    config: dict,
-    epoch: int,
-    seed: int,
-) -> None:
-    path = Path(path)
+def write_gbck(path: str | Path, tensors: dict[str, np.ndarray], config: dict) -> None:
+    """``tensors`` as f32 in name order, each written from its own bytes."""
     directory = []
+    payload = []
     offset = 0
-    blobs = []
     for name in sorted(tensors):
-        src = np.asarray(tensors[name])
-        arr = np.ascontiguousarray(src, dtype="<f4")
-        directory.append({"name": name, "shape": list(src.shape), "offset": offset})
-        blobs.append(arr.tobytes(order="C"))
-        offset += len(blobs[-1])
-    header = {
-        "config": config,
-        "epoch": int(epoch),
-        "seed": int(seed),
-        "tensors": directory,
-    }
-    _write_container(path, GBCK_MAGIC, header, blobs)
+        arr = np.asarray(tensors[name], dtype="<f4", order="C")
+        directory.append({"name": name, "shape": list(arr.shape), "offset": offset})
+        payload.append(arr.reshape(-1).view(np.uint8))
+        offset += arr.nbytes
+    _write_container(Path(path), GBCK_MAGIC, {"config": config, "tensors": directory}, payload)
 
 
 def read_gbck(path: str | Path) -> tuple[dict[str, np.ndarray], dict]:
-    """Returns (tensors, header)."""
+    """Returns (tensors, header), each tensor read straight into its array."""
     path = Path(path)
-    with open(path, "rb") as fh:
-        header = _read_prefixed(fh, GBCK_MAGIC, path, ("config", "epoch", "seed", "tensors"))
-        blob = fh.read()
-    if not isinstance(header["tensors"], list):
-        raise FormatError(f"{path}: tensors is not a list of tensor entries")
     tensors = {}
-    for entry in header["tensors"]:
-        if not (isinstance(entry, dict) and isinstance(entry.get("name"), str)
-                and _ints(entry.get("shape")) and type(entry.get("offset")) is int):
-            raise FormatError(f"{path}: tensor entry {entry} needs a name, an integer shape and offset")
-        shape = tuple(entry["shape"])
-        count = int(np.prod(shape)) if shape else 1
-        start = entry["offset"]
-        if start < 0 or start + 4 * count > len(blob):
-            raise FormatError(
-                f"{path}: tensor {entry['name']!r} runs past the end of the payload"
-            )
-        arr = np.frombuffer(blob, dtype="<f4", count=count, offset=start)
-        tensors[entry["name"]] = arr.reshape(shape).astype(np.float32)
+    with open(path, "rb") as fh:
+        header = _read_prefixed(fh, GBCK_MAGIC, path, ("config", "tensors"))
+        if not isinstance(header["tensors"], list):
+            raise FormatError(f"{path}: tensors is not a list of tensor entries")
+        start = fh.tell()
+        for entry in header["tensors"]:
+            if not (isinstance(entry, dict) and isinstance(entry.get("name"), str)):
+                raise FormatError(f"{path}: tensor entry {entry} has no name")
+            name = entry["name"]
+            if name in tensors:
+                raise FormatError(f"{path}: tensor {name!r} appears twice")
+            tensors[name] = _read_array(fh, path, f"tensor {name!r}", entry.get("shape"),
+                                        _DTYPES["f32"], start, entry.get("offset"))
     return tensors, header
 
 
 def write_checkpoint(path: str | Path, tensors: dict[str, np.ndarray], stage: str,
-                     agg_config, config, epoch: int) -> None:
+                     agg_config, config) -> None:
     """A training checkpoint: its header config holds ``stage``, the
     ``aggregator`` section and the stage's ``config`` as the section named
-    ``stage``; the header seed is ``config.seed``."""
+    ``stage``."""
     sections = {"stage": stage, "aggregator": agg_config.to_dict(), stage: config.to_dict()}
-    write_gbck(path, tensors, sections, epoch, config.seed)
+    write_gbck(path, tensors, sections)
 
 
-def read_checkpoint(path: str | Path, stages: dict[str, dict[str, type]]) -> tuple[str, dict, dict]:
-    """``(stage, tensors, configs)`` of a training checkpoint.  ``stages``
-    maps each stage the caller takes to the config classes of the sections
-    it reads; another stage, or a header without one of those sections, is
-    refused, and each section is read through ``config_from``."""
+def read_checkpoint(path: str | Path, stage: str, sections: dict[str, type]) -> tuple[dict, dict]:
+    """``(tensors, configs)`` of a training checkpoint of ``stage``;
+    ``sections`` maps each config section the caller reads to its class.
+    Another stage, or a header without one of those sections, is refused,
+    and each section is read through ``config_from``."""
     tensors, header = read_gbck(path)
     config = header["config"]
     if not isinstance(config, dict):
         raise FormatError(f"{path}: checkpoint config is not a JSON object")
-    stage = config.get("stage")
-    if not (isinstance(stage, str) and stage in stages):
-        raise FormatError(f"{path}: stage {stage!r} is not {' or '.join(map(repr, stages))}")
+    if config.get("stage") != stage:
+        raise FormatError(f"{path}: stage {config.get('stage')!r} is not {stage!r}")
     configs = {}
-    for section, config_cls in stages[stage].items():
+    for section, config_cls in sections.items():
         if section not in config:
             raise FormatError(f"{path}: checkpoint header has no {section!r} config section")
         configs[section] = config_from(config_cls, config[section], path, section)
-    return stage, tensors, configs
+    return tensors, configs
 
 
 def inspect_header(path: str | Path) -> dict:
@@ -328,7 +363,14 @@ def config_hash(config: dict) -> str:
 
 
 def file_sha256(path: str | Path) -> str:
-    return hashlib.sha256(Path(path).read_bytes()).hexdigest()
+    """SHA-256 of a file, read through one 1 MiB buffer so that no copy of
+    the whole file is held."""
+    digest = hashlib.sha256()
+    block = memoryview(bytearray(1 << 20))
+    with open(path, "rb") as fh:
+        while n := fh.readinto(block):
+            digest.update(block[:n])
+    return digest.hexdigest()
 
 
 def write_metrics(path: str | Path, records: list[dict]) -> None:
@@ -374,5 +416,5 @@ def write_manifest(
         "wall_time_s": round(time.perf_counter() - started, 3),
     }
     path = Path(out_dir) / f"manifest_{command}.json"
-    write_text(path, json.dumps(manifest, sort_keys=True, indent=2) + "\n")
+    write_json(path, manifest)
     return path

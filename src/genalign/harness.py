@@ -23,7 +23,6 @@ byte-identical.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
@@ -406,6 +405,6 @@ def ablation_to_tsv(result: dict) -> str:
 
 
 def save_report(report: dict, json_path: str | Path, tsv_path: str | Path | None = None) -> None:
-    gbio.write_text(json_path, json.dumps(report, sort_keys=True, indent=2) + "\n")
+    gbio.write_json(json_path, report)
     if tsv_path is not None:
         gbio.write_text(tsv_path, report_to_tsv(report))

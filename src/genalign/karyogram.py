@@ -72,24 +72,19 @@ class CytobandTable:
         self.bands = bands
         self.sha256 = hashlib.sha256(source_text.encode("utf-8")).hexdigest()
         self._by_chromosome: dict[str, list[Band]] = {c: [] for c in CHROMOSOMES}
-        # (chromosome, arm) -> (first index, last index), inclusive
+        # (chromosome, arm) -> (first index, last index), inclusive; bands
+        # arrive in index order, so insertion order is first-index order
         self.arm_spans: dict[tuple[str, str], tuple[int, int]] = {}
         for band in bands:
             self._by_chromosome[band.chromosome].append(band)
             key = (band.chromosome, band.arm)
             lo, _ = self.arm_spans.get(key, (band.index, band.index))
             self.arm_spans[key] = (lo, band.index)
-        # bands arrive in index order, so insertion order is first-index order
-        self.arms = list(self.arm_spans)
         self._validate()
 
     def _validate(self) -> None:
-        n = len(self.bands)
-        if n == 0:
+        if not self.bands:
             raise BandTableError("band table is empty")
-        for i, band in enumerate(self.bands):
-            if band.index != i:
-                raise BandTableError(f"band indices not dense at position {i}")
         seen = set()
         for band in self.bands:
             key = (band.chromosome, band.label)
@@ -110,10 +105,6 @@ class CytobandTable:
 
     def __len__(self) -> int:
         return len(self.bands)
-
-    @property
-    def n_arms(self) -> int:
-        return len(self.arm_spans)
 
     def chromosome_indices(self, chromosome: str) -> list[int]:
         if chromosome not in self._by_chromosome:

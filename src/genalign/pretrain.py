@@ -230,14 +230,13 @@ class PretrainResult:
         for name, p in self.teacher.params.items():
             tensors[f"teacher.{name}"] = p.data
         tensors["center"] = self.teacher.center
-        gbio.write_checkpoint(path, tensors, "pretrain", self.agg_config, self.config,
-                              epoch=len(self.metrics))
+        gbio.write_checkpoint(path, tensors, "pretrain", self.agg_config, self.config)
 
 
 def load_checkpoint(path: str | Path) -> tuple[dict[str, Tensor], AggregatorConfig]:
     """Student params and aggregator config of a stage-1 checkpoint; any
     other file is refused with ``gbio.FormatError``."""
-    _, tensors, configs = gbio.read_checkpoint(path, {"pretrain": {"aggregator": AggregatorConfig}})
+    tensors, configs = gbio.read_checkpoint(path, "pretrain", {"aggregator": AggregatorConfig})
     if "center" not in tensors:
         raise gbio.FormatError(f"{path}: pretraining checkpoint has no 'center' tensor")
     student = {name[len("student."):]: Tensor(arr, requires_grad=True)

@@ -58,14 +58,17 @@ class SynthConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.n_patients < 1:
-            raise ValueError("n_patients must be >= 1")
+        for name in ("n_patients", "n_classes", "input_dim", "n_cell_archetypes"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1")
         if not 0.0 <= self.test_fraction < 1.0:
             raise ValueError("test_fraction must lie in [0, 1)")
         if len(self.karyotype_signatures) != self.n_classes:
             raise ValueError("need one karyotype signature per class")
         if len(self.mutation_rates) != self.n_classes:
             raise ValueError("need one mutation-rate row per class")
+        if len({len(row) for row in self.mutation_rates}) != 1:
+            raise ValueError("mutation_rates must hold rows of one length")
         for row in self.mutation_rates:
             if any(not 0.0 <= r <= 1.0 for r in row):
                 raise ValueError("mutation rates must lie in [0, 1]")
@@ -164,9 +167,9 @@ def generate(config: SynthConfig) -> Cohort:
     return Cohort(patients, band_table_sha256=table.sha256)
 
 
-def oracle_report(cohort: Cohort, config: SynthConfig | None = None) -> dict:
+def oracle_report(cohort: Cohort, config: SynthConfig) -> dict:
     """Ground-truth tables: per-class empirical mutation and band-event
-    frequencies, plus the configured class-to-genetics mapping if given."""
+    frequencies, plus the configured class-to-genetics mapping."""
     if len(cohort) == 0:
         raise ValueError("empty cohort")
     labels = sorted({p.label for p in cohort.patients})
@@ -187,12 +190,11 @@ def oracle_report(cohort: Cohort, config: SynthConfig | None = None) -> dict:
         band_freqs[label] = freqs
     report["mutation_frequencies"] = mutation_freqs
     report["band_event_frequencies"] = band_freqs
-    if config is not None:
-        report["class_to_genetics"] = {
-            f"class{c}": {
-                "karyotype_signature": config.karyotype_signatures[c],
-                "mutation_rates": list(map(float, config.mutation_rates[c])),
-            }
-            for c in range(config.n_classes)
+    report["class_to_genetics"] = {
+        f"class{c}": {
+            "karyotype_signature": config.karyotype_signatures[c],
+            "mutation_rates": list(map(float, config.mutation_rates[c])),
         }
+        for c in range(config.n_classes)
+    }
     return report

@@ -453,7 +453,7 @@ class TestTrainAlign:
         train_align(make_cohort(rng), TINY_AGG, TINY_ALIGN).save(ckpt)
         tensors, header = gbio.read_gbck(ckpt)
         del header["config"][section]
-        gbio.write_gbck(ckpt, tensors, header["config"], 0, 0)
+        gbio.write_gbck(ckpt, tensors, header["config"])
         with pytest.raises(gbio.FormatError, match=f"{ckpt}: .* no '{section}' config section"):
             load_align_checkpoint(ckpt)
 

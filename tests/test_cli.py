@@ -7,6 +7,7 @@ import pytest
 from genalign import gbio
 from genalign.align import AlignConfig
 from genalign.cli import main
+from test_gbio import rewrite_header
 
 SYNTH_CFG = {
     "n_patients": 14,
@@ -160,6 +161,14 @@ class TestEncodeKaryotype:
         out = tmp_path / "k.gbm"
         assert main(["encode-karyotype", "--in", str(tsv), "--out", str(out)]) == 1
         assert f"{tsv}:3: second row for patient 'p1' (first on line 1)" in caplog.text
+        assert not out.exists()
+
+    def test_row_with_another_field_count_refused(self, tmp_path, caplog):
+        tsv = tmp_path / "k.tsv"
+        tsv.write_text("p1\t47,XY,+8\n\np2\t46,XX\tnote\n")
+        out = tmp_path / "k.gbm"
+        assert main(["encode-karyotype", "--in", str(tsv), "--out", str(out)]) == 1
+        assert f"{tsv}:3: expected 2 tab-separated fields, got 3" in caplog.text
         assert not out.exists()
 
 
@@ -318,6 +327,26 @@ class TestPretrainAlign:
         assert "lr must be positive" in caplog.text
         assert not (tmp_path / "x.gbck").exists()
 
+    def test_align_refuses_a_second_label_row(self, pipeline, tmp_path, caplog):
+        cohort_dir = pipeline / "cohort"
+        labels = tmp_path / "labels.tsv"
+        rows = (cohort_dir / "labels.tsv").read_text().splitlines()
+        labels.write_text("\n".join(rows + [rows[0]]) + "\n")
+        code = main([
+            "align", "--config", str(pipeline / "align.json"),
+            "--cohort", str(cohort_dir / "bags.gbm"),
+            "--karyo", str(cohort_dir / "karyotypes.gbm"),
+            "--mut", str(cohort_dir / "mutations.gbm"),
+            "--labels", str(labels),
+            "--init", str(pipeline / "ckpt.gbck"),
+            "--out", str(tmp_path / "x.gbck"),
+        ])
+        assert code == 1
+        pid = rows[0].split("\t")[0]
+        assert (f"{labels}:{len(rows) + 1}: second row for patient {pid!r} (first on line 1)"
+                in caplog.text)
+        assert not (tmp_path / "x.gbck").exists()
+
     def test_align_without_init_or_aggregator_fails(self, pipeline, tmp_path):
         cohort_dir = pipeline / "cohort"
         cfg = tmp_path / "align.json"
@@ -352,11 +381,34 @@ class TestEmbedRetrieveEvaluate:
         tensors, header = gbio.read_gbck(pipeline / ckpt)
         del header["config"]["aggregator"]
         bad = tmp_path / ckpt
-        gbio.write_gbck(bad, tensors, header["config"], header["epoch"], header["seed"])
+        gbio.write_gbck(bad, tensors, header["config"])
         assert main(["embed", "--ckpt", str(bad), "--cohort", str(pipeline / "cohort" / "bags.gbm"),
                      "--out", str(tmp_path / "x.gbm")]) == 1
         assert f"{bad}: checkpoint header has no 'aggregator' config section" in caplog.text
         assert not (tmp_path / "x.gbm").exists()
+
+    @pytest.mark.parametrize("ckpt", ["ckpt.gbck", "aligned.gbck"])
+    def test_embed_reads_the_checkpoint_payload_once(self, pipeline, tmp_path, monkeypatch, ckpt):
+        reads = []
+        read_gbck = gbio.read_gbck
+        monkeypatch.setattr(gbio, "read_gbck", lambda path: reads.append(path) or read_gbck(path))
+        assert main(["embed", "--ckpt", str(pipeline / ckpt),
+                     "--cohort", str(pipeline / "cohort" / "bags.gbm"),
+                     "--out", str(tmp_path / "x.gbm")]) == 0
+        assert reads == [str(pipeline / ckpt)]
+
+    def test_embed_refuses_a_tensor_of_negative_shape(self, pipeline, tmp_path, caplog):
+        bad = tmp_path / "bad.gbck"
+        bad.write_bytes((pipeline / "ckpt.gbck").read_bytes())
+        entries = gbio.inspect_header(bad)["header"]["tensors"]
+        rewrite_header(bad, tensors=[{**e, "shape": [-1]} if e["name"] == "center" else e
+                                     for e in entries])
+        out = tmp_path / "x.gbm"
+        assert main(["embed", "--ckpt", str(bad), "--cohort", str(pipeline / "cohort" / "bags.gbm"),
+                     "--out", str(out)]) == 1
+        assert (f"{bad}: tensor 'center' has shape [-1], not a list of non-negative integers"
+                in caplog.text)
+        assert not out.exists()
 
     def test_pretrain_ckpt_rejects_shared_space(self, pipeline, tmp_path):
         assert main(["embed", "--ckpt", str(pipeline / "ckpt.gbck"),
@@ -379,6 +431,18 @@ class TestEmbedRetrieveEvaluate:
             main(["retrieve", "--table-dir", str(pipeline / "table"),
                   "--query", "karyotype", "--target", "slide",
                   "--k", k, "--out", str(out)])
+        assert err.value.code == 2
+        assert not out.exists()
+
+    @pytest.mark.parametrize("n_boot", ["0", "-1"])
+    def test_evaluate_n_boot_below_one_is_usage_error(self, pipeline, tmp_path, n_boot):
+        cohort = pipeline / "cohort"
+        out = tmp_path / "report.json"
+        with pytest.raises(SystemExit) as err:
+            main(["evaluate", "--aligned", str(pipeline / "aligned.gbck"),
+                  "--cohort", str(cohort / "bags.gbm"), "--karyo", str(cohort / "karyotypes.gbm"),
+                  "--mut", str(cohort / "mutations.gbm"), "--labels", str(cohort / "labels.tsv"),
+                  "--tasks", "knn", "--n-boot", n_boot, "--out", str(out)])
         assert err.value.code == 2
         assert not out.exists()
 
@@ -570,7 +634,7 @@ class TestRefusedInputs:
             config = header["config"]
             if isinstance(content, dict):
                 content = {**config, **{k: {**config[k], **v} for k, v in content.items()}}
-            gbio.write_gbck(bad, tensors, content, header["epoch"], header["seed"])
+            gbio.write_gbck(bad, tensors, content)
         else:
             if command == "ablate":
                 content = {"cohort_dir": str(cohort), "init_checkpoint": str(ckpt),

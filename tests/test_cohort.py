@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -41,14 +43,24 @@ def test_second_bag_for_a_patient_rejected(tmp_path, rng, band_table):
     bags = gbio.read_gbm(tmp_path / "bags.gbm")
     bags.patient_ids[2] = "p0"
     gbio.write_gbm(tmp_path / "bags.gbm", bags)
-    with pytest.raises(gbio.FormatError, match=r"bags\.gbm: second bag for patient 'p0'"):
+    with pytest.raises(gbio.FormatError, match=r"bags\.gbm: repeated patient id 'p0'"):
         load_cohort(tmp_path / "bags.gbm")
 
 
 def test_second_label_row_rejected(tmp_path, rng, band_table):
     labels = saved_cohort(tmp_path, rng, 3 * len(band_table))
-    labels.write_text(labels.read_text() + "p0\tA\ttest\n")
-    with pytest.raises(ValueError, match=f"{LABELS_FILE}.*second row.*'p0'"):
+    labels.write_text(labels.read_text() + "\np0\tA\ttest\n")
+    with pytest.raises(gbio.FormatError) as refused:
+        load_cohort_dir(tmp_path)
+    # the blank line 4 is skipped, and still counted
+    assert str(refused.value) == f"{labels}:5: second row for patient 'p0' (first on line 1)"
+
+
+@pytest.mark.parametrize("row", ["p1\tA", "p1\tA\ttrain\textra"], ids=["two", "four"])
+def test_label_row_with_another_field_count_rejected(tmp_path, rng, band_table, row):
+    labels = saved_cohort(tmp_path, rng, 3 * len(band_table))
+    labels.write_text(f"p0\tA\ttrain\n{row}\np2\tA\ttest\n")
+    with pytest.raises(gbio.FormatError, match=f"^{labels}:2: expected 3 tab-separated fields, got"):
         load_cohort_dir(tmp_path)
 
 
@@ -56,7 +68,7 @@ def test_second_mutation_row_rejected(tmp_path, rng, band_table):
     saved_cohort(tmp_path, rng, 3 * len(band_table))
     gbio.write_gbm(tmp_path / MUTATIONS_FILE,
                    gbio.Matrix(np.zeros((4, 2), np.uint8), ["p0", "p1", "p2", "p1"]))
-    with pytest.raises(gbio.FormatError, match=f"{MUTATIONS_FILE}.*second row.*'p1'"):
+    with pytest.raises(gbio.FormatError, match=f"{MUTATIONS_FILE}: repeated patient id 'p1'"):
         load_cohort_dir(tmp_path)
 
 
@@ -112,3 +124,21 @@ def test_failed_labels_write_keeps_previous_file(tmp_path, rng, band_table, monk
             cohort.save(tmp_path)
     assert labels.read_bytes() == previous
     assert sorted(p.name for p in tmp_path.iterdir()) == names
+
+
+def test_cells_saved_without_a_copy(tmp_path):
+    # 16 MB of cells in 16 bags: concatenating them would show as a traced
+    # peak of their size
+    patients = [Patient(f"p{i}", "A", "train", CellBag(f"p{i}", np.full((2**14, 16), i, np.float32)),
+                        np.zeros(3, np.uint8), np.zeros(2, np.uint8)) for i in range(16)]
+    nbytes = sum(p.bag.cells.nbytes for p in patients)
+    cohort = Cohort(patients)
+    tracemalloc.start()
+    try:
+        cohort.save(tmp_path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 0.1 * nbytes
+    bags = gbio.read_gbm(tmp_path / "bags.gbm")
+    assert np.array_equal(bags.data, np.concatenate([p.bag.cells for p in patients]))

@@ -399,7 +399,7 @@ class TestWilcoxon:
 
     def test_identical_samples_degenerate(self):
         out = ek.wilcoxon_signed_rank([1.0, 2.0], [1.0, 2.0])
-        assert out.p_value == 1.0 and out.degenerate
+        assert out.p_value == 1.0 and out.method == "degenerate"
 
     def test_antisymmetry(self, rng):
         a = rng.standard_normal(9)

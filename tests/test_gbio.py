@@ -1,6 +1,8 @@
 import errno
+import hashlib
 import json
 import platform
+import re
 import struct
 import time
 import tracemalloc
@@ -13,14 +15,14 @@ import pytest
 from genalign import gbio, harness
 
 
-def rewrite_gbm_header(path, **changes):
-    """Replace header fields of a written .gbm, keeping its payload."""
+def rewrite_header(path, **changes):
+    """Replace header fields of a written .gbm or .gbck, keeping its payload."""
     blob = path.read_bytes()
     (length,) = struct.unpack("<I", blob[4:8])
     header = json.loads(blob[8 : 8 + length])
     header.update(changes)
     new = json.dumps(header).encode()
-    path.write_bytes(b"GBM1" + struct.pack("<I", len(new)) + new + blob[8 + length :])
+    path.write_bytes(blob[:4] + struct.pack("<I", len(new)) + new + blob[8 + length :])
 
 
 class TestGbm:
@@ -61,7 +63,7 @@ class TestGbm:
     def test_header_claiming_more_rows_than_the_file_holds(self, tmp_path):
         path = tmp_path / "t.gbm"
         gbio.write_gbm(path, gbio.Matrix(np.zeros((4, 4), np.float32), ["x"] * 4))
-        rewrite_gbm_header(path, rows=2**40)
+        rewrite_header(path, rows=2**40)
         with pytest.raises(gbio.FormatError, match="truncated payload"):
             gbio.read_gbm(path)
 
@@ -96,7 +98,7 @@ class TestGbm:
     def test_bad_row_ranges_rejected(self, tmp_path, ranges):
         path = tmp_path / "bags.gbm"
         gbio.write_gbm(path, gbio.Matrix(np.zeros((2, 3), np.float32), ["p"], row_ranges=[(0, 2)]))
-        rewrite_gbm_header(path, row_ranges=ranges)
+        rewrite_header(path, row_ranges=ranges)
         with pytest.raises(gbio.FormatError, match=r"bags\.gbm: row"):
             gbio.read_gbm(path)
 
@@ -106,15 +108,15 @@ class TestGbm:
     def test_bad_rows_or_cols_rejected(self, tmp_path, shape):
         path = tmp_path / "m.gbm"
         gbio.write_gbm(path, gbio.Matrix(np.zeros((2, 3), np.float32), ["a", "b"]))
-        rewrite_gbm_header(path, **shape)
-        with pytest.raises(gbio.FormatError, match=r"m\.gbm: rows .* are not non-negative integers"):
+        rewrite_header(path, **shape)
+        with pytest.raises(gbio.FormatError, match=r"m\.gbm: matrix has shape .*, not a list of non-negative integers"):
             gbio.read_gbm(path)
 
     @pytest.mark.parametrize("ids", [5, "ab", ["a", 2]], ids=["integer", "string", "non-string-id"])
     def test_patient_ids_must_be_strings(self, tmp_path, ids):
         path = tmp_path / "m.gbm"
         gbio.write_gbm(path, gbio.Matrix(np.zeros((2, 3), np.float32), ["a", "b"]))
-        rewrite_gbm_header(path, patient_ids=ids)
+        rewrite_header(path, patient_ids=ids)
         with pytest.raises(gbio.FormatError, match=r"m\.gbm: patient_ids is not a list of strings"):
             gbio.read_gbm(path)
 
@@ -122,7 +124,7 @@ class TestGbm:
     def test_one_id_per_row_without_ranges(self, tmp_path, ids):
         path = tmp_path / "mutations.gbm"
         gbio.write_gbm(path, gbio.Matrix(np.zeros((2, 3), np.uint8), ["a", "b"]))
-        rewrite_gbm_header(path, patient_ids=ids)
+        rewrite_header(path, patient_ids=ids)
         with pytest.raises(gbio.FormatError, match=rf"mutations\.gbm: {len(ids)} patient ids for 2 rows"):
             gbio.read_gbm(path)
 
@@ -138,6 +140,28 @@ class TestGbm:
             gbio.write_gbm(tmp_path / "x.gbm",
                            gbio.Matrix(np.zeros((2, 2), np.int32), ["p"]))
 
+    def test_row_blocks_written_as_their_concatenation(self, tmp_path, rng):
+        blocks = [rng.standard_normal((n, 3)).astype(np.float32) for n in (2, 0, 4)]
+        a, b = tmp_path / "a.gbm", tmp_path / "b.gbm"
+        gbio.write_gbm(a, gbio.Matrix(blocks, ["p", "q"], row_ranges=[(0, 2), (2, 6)]))
+        gbio.write_gbm(b, gbio.Matrix(np.concatenate(blocks), ["p", "q"], row_ranges=[(0, 2), (2, 6)]))
+        assert a.read_bytes() == b.read_bytes()
+
+    @pytest.mark.parametrize("blocks", [[np.zeros((2, 3)), np.zeros((2, 4))], [np.zeros(3)], []],
+                             ids=["widths", "1-D", "none"])
+    def test_row_blocks_of_one_width_required(self, tmp_path, blocks):
+        blocks = [b.astype(np.float32) for b in blocks]
+        with pytest.raises(gbio.FormatError, match="2-D blocks of one width"):
+            gbio.write_gbm(tmp_path / "x.gbm", gbio.Matrix(blocks, ["p"]))
+
+    @pytest.mark.parametrize("row_ranges", [None, [(0, 1), (1, 2), (2, 3)]], ids=["rows", "bags"])
+    def test_repeated_patient_id_refused(self, tmp_path, row_ranges):
+        path = tmp_path / "m.gbm"
+        gbio.write_gbm(path, gbio.Matrix(np.zeros((3, 2), np.float32), ["a", "b", "a"],
+                                         row_ranges=row_ranges))
+        with pytest.raises(gbio.FormatError, match=r"^.*m\.gbm: repeated patient id 'a'$"):
+            gbio.read_gbm(path)
+
 
 class TestGbck:
     def test_roundtrip(self, tmp_path, rng):
@@ -147,17 +171,16 @@ class TestGbck:
             "scalar": np.float32(3.5).reshape(()),
         }
         path = tmp_path / "c.gbck"
-        gbio.write_gbck(path, tensors, config={"depth": 2}, epoch=7, seed=11)
+        gbio.write_gbck(path, tensors, config={"depth": 2})
         back, header = gbio.read_gbck(path)
-        assert header["epoch"] == 7 and header["seed"] == 11
-        assert header["config"] == {"depth": 2}
+        assert header == {"config": {"depth": 2}, "tensors": header["tensors"]}
         for name, arr in tensors.items():
             assert np.array_equal(back[name], arr), name
 
     def test_truncated_payload_detected(self, tmp_path):
         path = tmp_path / "t.gbck"
         gbio.write_gbck(path, {"a": np.zeros(3, np.float32),
-                               "w": np.ones((4, 4), np.float32)}, {}, 0, 0)
+                               "w": np.ones((4, 4), np.float32)}, {})
         path.write_bytes(path.read_bytes()[:-8])
         with pytest.raises(gbio.FormatError, match=r"t\.gbck: tensor 'w'"):
             gbio.read_gbck(path)
@@ -177,20 +200,72 @@ class TestGbck:
         with pytest.raises(gbio.FormatError, match=r"bare\.gbck: header missing 'tensors'"):
             gbio.read_gbck(path)
 
-    @pytest.mark.parametrize("entry", [
-        {"name": "w"},
-        {"shape": [2], "offset": 0},
-        {"name": "w", "shape": 2, "offset": 0},
-        {"name": "w", "shape": [2.0], "offset": 0},
-        {"name": "w", "shape": [2], "offset": "0"},
-        "w",
-    ], ids=["no-shape", "no-name", "scalar-shape", "float-shape", "string-offset", "not-an-object"])
-    def test_bad_tensor_entry_rejected(self, tmp_path, entry):
+    @pytest.mark.parametrize("entry, message", [
+        ({"name": "w"}, "tensor 'w' has shape None, not a list of non-negative integers"),
+        ({"shape": [2], "offset": 0}, "tensor entry {'shape': [2], 'offset': 0} has no name"),
+        ({"name": "w", "shape": 2, "offset": 0},
+         "tensor 'w' has shape 2, not a list of non-negative integers"),
+        ({"name": "w", "shape": [2.0], "offset": 0},
+         "tensor 'w' has shape [2.0], not a list of non-negative integers"),
+        ({"name": "w", "shape": [2], "offset": "0"},
+         "tensor 'w' has offset '0', not a non-negative integer"),
+        ("w", "tensor entry w has no name"),
+        ({"name": "w", "shape": [-1], "offset": 0},
+         "tensor 'w' has shape [-1], not a list of non-negative integers"),
+        ({"name": "w", "shape": [2, -3], "offset": 0},
+         "tensor 'w' has shape [2, -3], not a list of non-negative integers"),
+        ({"name": "w", "shape": [-2, -3], "offset": 0},
+         "tensor 'w' has shape [-2, -3], not a list of non-negative integers"),
+        ({"name": "w", "shape": [2], "offset": -4},
+         "tensor 'w' has offset -4, not a non-negative integer"),
+        ({"name": "w", "shape": [2, 3], "offset": 4},
+         "tensor 'w' runs past the end of the file (truncated payload)"),
+    ], ids=["no-shape", "no-name", "scalar-shape", "float-shape", "string-offset", "not-an-object",
+            "negative-shape", "negative-dim", "negative-dims", "negative-offset", "past-payload"])
+    def test_bad_tensor_entry_rejected(self, tmp_path, entry, message):
+        # the payload holds six floats, as many as a (2, 3) tensor at offset 0
         path = tmp_path / "odd.gbck"
-        header = json.dumps({"config": {}, "epoch": 0, "seed": 0, "tensors": [entry]}).encode()
-        path.write_bytes(b"GBCK" + struct.pack("<I", len(header)) + header + b"\x00" * 8)
-        with pytest.raises(gbio.FormatError, match=r"odd\.gbck: tensor entry"):
+        header = json.dumps({"config": {}, "tensors": [entry]}).encode()
+        path.write_bytes(b"GBCK" + struct.pack("<I", len(header)) + header + b"\x00" * 24)
+        with pytest.raises(gbio.FormatError, match=f"^{re.escape(f'{path}: {message}')}$"):
             gbio.read_gbck(path)
+
+    def test_repeated_tensor_name_rejected(self, tmp_path):
+        path = tmp_path / "twice.gbck"
+        gbio.write_gbck(path, {"w": np.zeros(2, np.float32)}, {})
+        entry = {"name": "w", "shape": [2], "offset": 0}
+        rewrite_header(path, tensors=[entry, entry])
+        with pytest.raises(gbio.FormatError, match=rf"^{re.escape(str(path))}: tensor 'w' appears twice$"):
+            gbio.read_gbck(path)
+
+    def test_header_with_epoch_and_seed_still_loads(self, tmp_path):
+        # checkpoints written before the header dropped its epoch and seed
+        path = tmp_path / "old.gbck"
+        gbio.write_gbck(path, {"w": np.arange(3, dtype=np.float32)},
+                        {"stage": "x", "knobs": {"count": 2}})
+        rewrite_header(path, epoch=7, seed=11)
+        tensors, configs = gbio.read_checkpoint(path, "x", {"knobs": Knobs})
+        assert np.array_equal(tensors["w"], np.arange(3)) and configs == {"knobs": Knobs(count=2)}
+
+    def test_payload_written_and_read_without_a_copy(self, tmp_path):
+        # 16 MB of f32 in two tensors: a copy of the payload would show as a
+        # traced peak of its size on top of the arrays themselves
+        tensors = {name: np.arange(2 * 2**20, dtype=np.float32).reshape(-1, 64) + i
+                   for i, name in enumerate(("a", "b"))}
+        nbytes = sum(t.nbytes for t in tensors.values())
+        path = tmp_path / "big.gbck"
+        tracemalloc.start()
+        try:
+            gbio.write_gbck(path, tensors, {})
+            write_peak = tracemalloc.get_traced_memory()[1]
+            tracemalloc.reset_peak()
+            back, _ = gbio.read_gbck(path)
+            read_peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert all(np.array_equal(back[name], t) for name, t in tensors.items())
+        assert write_peak <= 0.1 * nbytes
+        assert read_peak <= 1.1 * nbytes
 
     def test_tensors_must_be_a_list(self, tmp_path):
         path = tmp_path / "odd.gbck"
@@ -203,7 +278,7 @@ class TestGbck:
         gbm = tmp_path / "m.gbm"
         gbio.write_gbm(gbm, gbio.Matrix(np.zeros((1, 1), np.float32), ["p"]))
         gbck = tmp_path / "c.gbck"
-        gbio.write_gbck(gbck, {"x": np.zeros(2, np.float32)}, {}, 0, 0)
+        gbio.write_gbck(gbck, {"x": np.zeros(2, np.float32)}, {})
         assert gbio.inspect_header(gbm)["kind"] == "gbm"
         info = gbio.inspect_header(gbck)
         assert info["kind"] == "gbck"
@@ -314,7 +389,7 @@ class TestConfigFrom:
 class TestAtomicWrite:
     @pytest.mark.parametrize("write", [
         lambda path, fill: gbio.write_gbm(path, gbio.Matrix(np.full((4, 4), fill, np.float32), ["x"])),
-        lambda path, fill: gbio.write_gbck(path, {"w": np.full((4, 4), fill, np.float32)}, {}, 0, 0),
+        lambda path, fill: gbio.write_gbck(path, {"w": np.full((4, 4), fill, np.float32)}, {}),
     ], ids=["gbm", "gbck"])
     def test_failed_payload_write_keeps_previous_file(self, tmp_path, monkeypatch, write):
         path = tmp_path / "out.bin"
@@ -352,7 +427,28 @@ class TestAtomicWrite:
         assert [p.name for p in path.parent.iterdir()] == ["out.txt"]
 
 
+class TestJson:
+    def test_write_json_is_sorted_indented_json_with_a_final_newline(self, tmp_path):
+        value = {"b": [1, 2.5, None], "a": {"z": "x", "y": True}}
+        path = tmp_path / "out.json"
+        gbio.write_json(path, value)
+        assert path.read_bytes() == (json.dumps(value, sort_keys=True, indent=2) + "\n").encode()
+
+
 class TestHashes:
+    def test_file_sha256_reads_in_blocks(self, tmp_path):
+        path = tmp_path / "big.bin"
+        blob = np.arange(2**22, dtype=np.uint32).tobytes()  # 16 MB
+        path.write_bytes(blob)
+        tracemalloc.start()
+        try:
+            digest = gbio.file_sha256(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert digest == hashlib.sha256(blob).hexdigest()
+        assert peak <= 0.1 * len(blob)
+
     def test_config_hash_key_order_independent(self):
         assert gbio.config_hash({"a": 1, "b": 2}) == gbio.config_hash({"b": 2, "a": 1})
 

@@ -32,7 +32,7 @@ from iscn_corpus import (
 class TestBandTable:
     def test_shipped_table_shape(self, band_table):
         assert len(band_table) == N_BANDS
-        assert band_table.n_arms == N_ARMS
+        assert len(band_table.arm_spans) == N_ARMS
         assert [b.index for b in band_table.bands] == list(range(N_BANDS))
 
     def test_shipped_table_loads_from_zipped_package(self, tmp_path):
@@ -187,7 +187,7 @@ class TestProperties:
         )
         # oracle: encode each event directly at arm granularity
         expected = np.zeros(3 * N_ARMS, dtype=np.uint8)
-        arm_pos = {key: i for i, key in enumerate(band_table.arms)}
+        arm_pos = {key: i for i, key in enumerate(band_table.arm_spans)}
         for ev in events:
             k = kg.EVENT_KINDS.index(ev.kind)
             for idx in ev.region:
@@ -225,7 +225,7 @@ class TestRollup:
         vec = make_vector(gain=[idx])
         out = kg.rollup_to_arms(vec, band_table)
         assert out.sum() == 1
-        arm_pos = band_table.arms.index(("8", "q"))
+        arm_pos = list(band_table.arm_spans).index(("8", "q"))
         assert out[N_ARMS + arm_pos] == 1
 
     def test_two_bands_same_arm_collapse(self, band_table):

@@ -514,15 +514,15 @@ class TestTrainLoop:
         path = tmp_path / "c.gbck"
         train_pretrain(make_cohort(2, rng), TINY_AGG, TINY_PRE).save(path)
         tensors, header = gbio.read_gbck(path)
-        gbio.write_gbck(path, tensors, {**header["config"], "stage": "align"}, 0, 0)
+        gbio.write_gbck(path, tensors, {**header["config"], "stage": "align"})
         with pytest.raises(gbio.FormatError, match=r"c\.gbck: stage 'align'"):
             load_checkpoint(path)
         no_aggregator = {k: v for k, v in header["config"].items() if k != "aggregator"}
-        gbio.write_gbck(path, tensors, no_aggregator, 0, 0)
+        gbio.write_gbck(path, tensors, no_aggregator)
         with pytest.raises(gbio.FormatError, match=r"c\.gbck: .* no 'aggregator' config section"):
             load_checkpoint(path)
         del tensors["center"]
-        gbio.write_gbck(path, tensors, header["config"], 0, 0)
+        gbio.write_gbck(path, tensors, header["config"])
         with pytest.raises(gbio.FormatError, match=r"c\.gbck: .* no 'center'"):
             load_checkpoint(path)
 

@@ -48,7 +48,7 @@ class TestGenerate:
     def test_default_class_compositions_differ_pairwise(self):
         cohort = sc.generate(sc.SynthConfig(n_patients=100, seed=1))
         means = {}
-        for label in cohort.labels:
+        for label in {p.label for p in cohort.patients}:
             bags = [p.bag.cells.mean(axis=0) for p in cohort.patients if p.label == label]
             means[label] = np.mean(bags, axis=0)
         labels = sorted(means)
@@ -65,7 +65,7 @@ class TestGenerate:
         cohort = sc.generate(
             sc.SynthConfig(n_patients=250, label_noise=1.0, seed=3)
         )
-        classes = cohort.labels
+        classes = sorted({p.label for p in cohort.patients})
         mut = {c: np.stack([p.mutations for p in cohort.patients if p.label == c])
                for c in classes}
         p_values = []
@@ -156,10 +156,14 @@ class TestGenerate:
     @pytest.mark.parametrize("field,value", [
         ("n_patients", 0), ("n_patients", -2),
         ("test_fraction", 1.0), ("test_fraction", 1.5), ("test_fraction", -0.1),
+        ("mutation_rates", [[0.5] * 25] * 3 + [[0.5] * 24]),
+        ("n_cell_archetypes", 0), ("n_classes", 0), ("input_dim", 0),
     ])
     def test_config_rejects_cohorts_that_cannot_be_used(self, field, value):
+        # n_classes = 0 comes with as many (zero) signatures and rate rows
+        agreeing = {"karyotype_signatures": [], "mutation_rates": []} if field == "n_classes" else {}
         with pytest.raises(ValueError, match=f"^{field} must"):
-            sc.SynthConfig(**{field: value})
+            sc.SynthConfig(**agreeing, **{field: value})
 
     def test_smallest_accepted_cohort_saves(self, tmp_path):
         cfg = sc.SynthConfig(n_patients=1, test_fraction=0.0, cells_min=2, cells_max=2, input_dim=4)
@@ -200,7 +204,7 @@ class TestOracleReport:
     def test_empty_cohort_rejected(self):
         from genalign.cohort import Cohort
         with pytest.raises(ValueError, match="empty"):
-            sc.oracle_report(Cohort([]))
+            sc.oracle_report(Cohort([]), sc.SynthConfig())
 
     def test_mapping_included_with_config(self):
         cfg = sc.SynthConfig(n_patients=8, seed=1)
