@@ -6,10 +6,11 @@ modality as a positive for the anchor; each modality pair is trained in both
 directions, read from one similarity matrix.  Decoders reconstruct the binary
 genetic vectors from their own projected embedding (BCE), weighted by
 ``recon_weight``.
-Fine-tuning embeds each batch's bags in one ``aggregator.forward_bags`` call,
-which packs bags of every length into one aggregator forward within its
-budget.  The learning-rate schedule counts the batches ``stratified_batches``
-makes, a lone leftover patient folded into the last one.
+Training and inference take patients to rows along one path:
+``slide_rows`` (cell means under mean_pool, else one packed
+``aggregator.forward_bags`` call) and ``genetic_rows``.  The schedule and the
+checked step are ``optim.AdamW.checked_step``'s, planned over the batches
+``stratified_batches`` makes, a lone leftover patient folded into the last one.
 """
 
 from __future__ import annotations
@@ -27,8 +28,7 @@ from .aggregator import AggregatorConfig, forward, forward_bags, init_params, ml
 from .cohort import Cohort, Patient
 from .karyogram import load_band_table, rollup_to_arms
 from .ndiff import Tape, Tensor
-from .optim import AdamW, warmup_cosine_lr
-from .pretrain import TrainingError, embed_bags
+from .optim import AdamW, TrainingError
 
 logger = logging.getLogger(__name__)
 
@@ -234,9 +234,10 @@ def load_table(out_dir: str | Path) -> AlignedTable:
 def stratified_batches(
     labels: list[str], batch_size: int, rng: np.random.Generator
 ) -> list[np.ndarray]:
-    """Class-stratified batches: members are dealt out two per class per round
-    so every class present in a batch has >= 2 members whenever it still has
-    >= 2 unassigned."""
+    """Class-stratified batches: members are dealt out two per class per
+    round and cut into batches of ``batch_size``.  An odd class count or a
+    batch boundary can leave a class alone in a batch while more of it
+    remain unassigned; such an anchor counts in ``empty_anchors``."""
     by_class: dict[str, list[int]] = {}
     for i, lab in enumerate(labels):
         by_class.setdefault(lab, []).append(i)
@@ -264,11 +265,13 @@ def stratified_batches(
     return [np.array(b) for b in batches]
 
 
-def _karyotype_matrix(patients: list[Patient], resolution: str) -> np.ndarray:
+def genetic_rows(patients: list[Patient], config: AlignConfig) -> tuple[np.ndarray, np.ndarray]:
+    """The patients' karyotype rows, at the configured resolution, and
+    their mutation rows, both f32."""
     karyo = np.stack([p.karyotype for p in patients])
-    if resolution == "arm":
+    if config.karyotype_resolution == "arm":
         karyo = rollup_to_arms(karyo, load_band_table())
-    return karyo.astype(np.float32)
+    return karyo.astype(np.float32), np.stack([p.mutations for p in patients]).astype(np.float32)
 
 
 @dataclass
@@ -309,22 +312,19 @@ def init_align_params(
     return params
 
 
-def _aggregator_subset(params: dict[str, Tensor]) -> dict[str, Tensor]:
-    return {k[len("agg."):]: v for k, v in params.items() if k.startswith("agg.")}
-
-
-def slide_embeddings(
+def slide_rows(
     patients: list[Patient],
     params: dict[str, Tensor],
     agg_config: AggregatorConfig,
     config: AlignConfig,
-) -> np.ndarray:
-    """Each patient's untaped slide embedding: the full-bag CLS under the
-    ``agg.*`` params, or for mean_pool the unweighted average of the raw
-    cell embeddings."""
+) -> Tensor:
+    """Each patient's slide row: for mean_pool the constant unweighted
+    average of the raw cell embeddings, else the full-bag CLS under the
+    ``agg.*`` params, recorded on the active tape if there is one."""
     if config.aggregator_mode == "mean_pool":
-        return np.stack([p.bag.cells.mean(axis=0) for p in patients])
-    return embed_bags([p.bag for p in patients], _aggregator_subset(params), agg_config)
+        return Tensor(np.stack([p.bag.cells.mean(axis=0) for p in patients]))
+    aggregator = {k[len("agg."):]: v for k, v in params.items() if k.startswith("agg.")}
+    return forward_bags([p.bag.cells for p in patients], aggregator, agg_config)
 
 
 def train_align(
@@ -353,44 +353,32 @@ def train_align(
     if config.reads_checkpoint:
         if pretrained_aggregator is None:
             raise TrainingError("init='pretrained' requires a stage-1 checkpoint")
-        expected = agg_config.embed_dim
-        got = pretrained_aggregator["embed.w2"].shape[1]
-        if got != expected:
-            raise TrainingError(
-                f"checkpoint embed_dim {got} does not match configured {expected}"
-            )
+        gbio.check_tensors(pretrained_aggregator, init_params(agg_config, np.random.default_rng(0)),
+                           "the stage-1 aggregator differs from the configured one", TrainingError)
         aggregator_params = {k: Tensor(v.data.copy(), requires_grad=True)
-                             for k, v in pretrained_aggregator.items()
-                             if not k.startswith("head.")}
+                             for k, v in pretrained_aggregator.items()}
     else:
         aggregator_params = None  # fresh random init (or unused for mean_pool)
 
-    karyo = _karyotype_matrix(train, config.karyotype_resolution)
-    mut = np.stack([p.mutations for p in train]).astype(np.float32)
+    karyo, mut = genetic_rows(train, config)
     labels = [p.label for p in train]
     params = init_align_params(
         agg_config, config, karyo.shape[1], mut.shape[1], rng, aggregator_params
     )
 
-    slide_cache = None
-    if config.aggregator_mode == "mean_pool":
-        slide_cache = slide_embeddings(train, params, agg_config, config)
-
-    optimizer = AdamW(params, lr_scale={"agg.": config.aggregator_lr / config.lr})
     # the batch count does not depend on the shuffle, so a throwaway one counts it
     n_batches = len(stratified_batches(labels, config.batch_size, np.random.default_rng(0)))
-    total_steps = config.epochs * n_batches
+    optimizer = AdamW(params, config.lr, config.epochs * n_batches,
+                      lr_scale={"agg.": config.aggregator_lr / config.lr})
     metrics: list[dict] = []
-    step = 0
     for epoch in range(config.epochs):
         stats = SupconStats()
         sums = {"supcon_sk": 0.0, "supcon_sm": 0.0, "recon": 0.0, "total": 0.0}
         weight = 0
-        for batch in stratified_batches(labels, config.batch_size, rng):
+        for batch_idx, batch in enumerate(stratified_batches(labels, config.batch_size, rng)):
             batch_labels = np.array([labels[i] for i in batch])
             with Tape() as tape:
-                slide = Tensor(slide_cache[batch]) if slide_cache is not None else forward_bags(
-                    [train[i].bag.cells for i in batch], _aggregator_subset(params), agg_config)
+                slide = slide_rows([train[i] for i in batch], params, agg_config, config)
                 z_s = project(slide, params, "proj_s")
                 z_k = project(Tensor(karyo[batch]), params, "proj_k")
                 z_m = project(Tensor(mut[batch]), params, "proj_m")
@@ -408,12 +396,7 @@ def train_align(
                     recon = ndiff.add(recon_k, recon_m)
                     recon_value = float(recon.data)
                     loss = ndiff.add(loss, ndiff.scalar_mul(recon, config.recon_weight))
-            loss_value = float(loss.data)
-            if not np.isfinite(loss_value):
-                raise TrainingError(f"non-finite loss in epoch {epoch}")
-            grads = tape.backward(loss)
-            optimizer.step(grads, lr=warmup_cosine_lr(step, total_steps, config.lr))
-            step += 1
+            loss_value = optimizer.checked_step(tape, loss, f"epoch{epoch}/batch{batch_idx}")
             b = len(batch)
             weight += b
             sums["supcon_sk"] += float(loss_sk.data) * b
@@ -447,10 +430,10 @@ def project_slides(
     needed, no gradients)."""
     if not patients:
         raise ValueError("no patients with cell bags")
-    slide = slide_embeddings(patients, params, agg_config, config)
-    z_s = project(Tensor(slide.astype(np.float32)), params, "proj_s").data
+    slide = slide_rows(patients, params, agg_config, config).data.astype(np.float32)
+    z_s = project(Tensor(slide), params, "proj_s").data
     ids = [p.patient_id for p in patients]
-    return ids, slide.astype(np.float32), z_s.astype(np.float32)
+    return ids, slide, z_s.astype(np.float32)
 
 
 def embed_cohort(
@@ -462,8 +445,7 @@ def embed_cohort(
     """Project every complete patient into the shared space (no gradients)."""
     patients = [p for p in cohort.patients if p.complete]
     _, slide, z_s = project_slides(patients, params, agg_config, config)
-    karyo = _karyotype_matrix(patients, config.karyotype_resolution)
-    mut = np.stack([p.mutations for p in patients]).astype(np.float32)
+    karyo, mut = genetic_rows(patients, config)
     z_k = project(Tensor(karyo), params, "proj_k").data
     z_m = project(Tensor(mut), params, "proj_m").data
     return AlignedTable(
@@ -478,7 +460,18 @@ def embed_cohort(
 
 
 def load_align_checkpoint(path: str | Path) -> tuple[dict[str, Tensor], AggregatorConfig, AlignConfig]:
+    """Params and configs of an aligned checkpoint; any other file, or
+    tensors other than the model its configs declare at the genetic widths
+    of ``proj_k.w1`` and ``proj_m.w1``, is refused with ``gbio.FormatError``."""
     tensors, configs = gbio.read_checkpoint(
         path, "align", {"aggregator": AggregatorConfig, "align": AlignConfig})
+    agg_config, config = configs["aggregator"], configs["align"]
+    widths = []
+    for name in ("proj_k.w1", "proj_m.w1"):
+        if name not in tensors or tensors[name].ndim != 2 or tensors[name].shape[0] < 1:
+            raise gbio.FormatError(f"{path}: needs a 2-D tensor {name!r} with at least one row")
+        widths.append(tensors[name].shape[0])
+    gbio.check_tensors(tensors, init_align_params(agg_config, config, *widths, np.random.default_rng(0)),
+                       f"{path}: {gbio.MODEL_MISMATCH}")
     params = {name: Tensor(arr, requires_grad=True) for name, arr in tensors.items()}
-    return params, configs["aggregator"], configs["align"]
+    return params, agg_config, config

@@ -11,7 +11,9 @@ stop)`` row range per patient instead of one row each).
 .gbck header keys: ``config`` and ``tensors`` (list of ``{name, shape,
 offset}``, no name twice; byte offsets into the f32 payload); a training
 checkpoint's ``config`` holds ``stage``, ``aggregator`` and the stage's own
-section.  Other keys (``epoch`` and ``seed`` in older files) are ignored.
+section, and its loaders refuse tensors that differ by name or shape from the
+model those sections declare (``check_tensors``).  Other keys (``epoch`` and
+``seed`` in older files) are ignored.
 
 Every output is written to a temporary file in the target's directory,
 which is created if missing, and renamed over the target, so a failed write
@@ -344,6 +346,24 @@ def read_checkpoint(path: str | Path, stage: str, sections: dict[str, type]) -> 
             raise FormatError(f"{path}: checkpoint header has no {section!r} config section")
         configs[section] = config_from(config_cls, config[section], path, section)
     return tensors, configs
+
+
+MODEL_MISMATCH = "tensors differ from the model its header's configs declare"
+
+
+def check_tensors(tensors: dict, expected: dict, context: str, error: type = FormatError,
+                  prefix: str = "") -> None:
+    """Raise ``error`` after ``context`` at the first name at which
+    ``tensors`` and ``expected`` differ by presence or shape."""
+    for name in sorted(tensors.keys() | expected.keys()):
+        label = repr(prefix + name)
+        if name not in tensors:
+            raise error(f"{context}: no tensor {label}")
+        if name not in expected:
+            raise error(f"{context}: tensor {label} is not in the model")
+        got, want = list(tensors[name].shape), list(expected[name].shape)
+        if got != want:
+            raise error(f"{context}: tensor {label} has shape {got}, not {want}")
 
 
 def inspect_header(path: str | Path) -> dict:

@@ -1,4 +1,5 @@
-"""AdamW with decoupled weight decay, plus the warmup/cosine LR schedule."""
+"""AdamW with decoupled weight decay, the warmup/cosine LR schedule, and
+``AdamW.checked_step``: both trainers' one step from a taped loss."""
 
 from __future__ import annotations
 
@@ -6,7 +7,11 @@ import math
 
 import numpy as np
 
-from .ndiff import Tensor
+from .ndiff import Tape, Tensor
+
+
+class TrainingError(RuntimeError):
+    pass
 
 
 class AdamW:
@@ -15,10 +20,14 @@ class AdamW:
     def __init__(
         self,
         params: dict[str, Tensor],
+        lr: float,
+        total_steps: int,
         weight_decay: float = 0.0,
         lr_scale: dict[str, float] | None = None,
     ):
         self.params = params
+        self.lr = lr
+        self.total_steps = total_steps
         self.weight_decay = weight_decay
         # per-parameter multiplier on the global lr (prefix match), e.g. a
         # smaller rate for a finetuned backbone than for fresh heads
@@ -36,6 +45,15 @@ class AdamW:
             if name.startswith(prefix):
                 return scale
         return 1.0
+
+    def checked_step(self, tape: Tape, loss: Tensor, where: str) -> float:
+        """Refuse a non-finite ``loss`` naming ``where``; else backward on
+        ``tape`` and step at the scheduled rate.  Returns the loss."""
+        loss_value = float(loss.data)
+        if not np.isfinite(loss_value):
+            raise TrainingError(f"non-finite loss in {where}")
+        self.step(tape.backward(loss), warmup_cosine_lr(self.step_count, self.total_steps, self.lr))
+        return loss_value
 
     def step(self, grads: dict[Tensor, np.ndarray], lr: float) -> None:
         self.step_count += 1

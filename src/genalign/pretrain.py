@@ -16,6 +16,10 @@ wrapper runs each crop size separately); it returns only each view's CLS row
 and its rows at the masked positions (with iBOT on).  Those rows stay stacked in one row matrix from the aggregator to
 the loss: the head runs once per pass (two head calls per step), and one
 log-softmax and one cross entropy score every student row.
+
+The schedule and the checked step are ``optim.AdamW.checked_step``'s.
+``load_checkpoint`` hands stage 2 the student's aggregator alone, checked
+against its header's aggregator config.
 """
 
 from __future__ import annotations
@@ -31,11 +35,7 @@ from .aggregator import (  # noqa: F401 (`forward` is not called; perfbench's tr
     AggregatorConfig, BagView, CellBag, _trunc_normal, forward, forward_bags, init_params, sample_views,
 )
 from .ndiff import Tape, Tensor
-from .optim import AdamW, warmup_cosine_lr
-
-
-class TrainingError(RuntimeError):
-    pass
+from .optim import AdamW, TrainingError
 
 
 # DINO's teacher schedule (Caron et al. 2021): temperature warm-up over the
@@ -234,14 +234,19 @@ class PretrainResult:
 
 
 def load_checkpoint(path: str | Path) -> tuple[dict[str, Tensor], AggregatorConfig]:
-    """Student params and aggregator config of a stage-1 checkpoint; any
-    other file is refused with ``gbio.FormatError``."""
+    """The student's aggregator params (no head) and aggregator config of a
+    stage-1 checkpoint; any other file, or tensors other than the ones that
+    config declares, is refused with ``gbio.FormatError``."""
     tensors, configs = gbio.read_checkpoint(path, "pretrain", {"aggregator": AggregatorConfig})
     if "center" not in tensors:
         raise gbio.FormatError(f"{path}: pretraining checkpoint has no 'center' tensor")
+    agg_config = configs["aggregator"]
     student = {name[len("student."):]: Tensor(arr, requires_grad=True)
-               for name, arr in tensors.items() if name.startswith("student.")}
-    return student, configs["aggregator"]
+               for name, arr in tensors.items()
+               if name.startswith("student.") and not name.startswith("student.head.")}
+    gbio.check_tensors(student, init_params(agg_config, np.random.default_rng(0)),
+                       f"{path}: {gbio.MODEL_MISMATCH}", prefix="student.")
+    return student, agg_config
 
 
 def _batches(n: int, batch_size: int, rng: np.random.Generator) -> list[np.ndarray]:
@@ -264,11 +269,9 @@ def train_pretrain(
         params=_copy_params(student),
         center=np.zeros(config.n_prototypes, dtype=np.float32),
     )
-    optimizer = AdamW(student, weight_decay=config.weight_decay)
-    n_batches = math.ceil(len(bags) / config.batch_size)
-    total_steps = config.epochs * n_batches
+    optimizer = AdamW(student, config.lr, config.epochs * math.ceil(len(bags) / config.batch_size),
+                      weight_decay=config.weight_decay)
     metrics: list[dict] = []
-    step = 0
     for epoch in range(config.epochs):
         teacher_temp = config.teacher_temp_at(epoch)
         epoch_dino = epoch_ibot = epoch_total = 0.0
@@ -279,24 +282,13 @@ def train_pretrain(
                 sample_views(bags[i], config.k_global, config.k_local, config.mask_ratio, rng)
                 for i in batch
             ]
-            batch_id = f"epoch{epoch}/batch{batch_idx}"
             dino_value, ibot_value, loss_value, cls_rows = _train_step(
-                [bags[i] for i in batch],
-                views_per_patient,
-                student,
-                teacher,
-                optimizer,
-                agg_config,
-                config,
-                teacher_temp,
-                warmup_cosine_lr(step, total_steps, config.lr),
-                batch_id,
-            )
+                [bags[i] for i in batch], views_per_patient, student, teacher, optimizer,
+                agg_config, config, teacher_temp, f"epoch{epoch}/batch{batch_idx}")
             epoch_dino += dino_value * len(batch)
             epoch_ibot += ibot_value * len(batch)
             epoch_total += loss_value * len(batch)
             teacher_cls.append(cls_rows)
-            step += 1
         record = {
             "epoch": epoch,
             "dino_loss": epoch_dino / len(bags),
@@ -364,16 +356,9 @@ def pretrain_objective(
 
 
 def _train_step(
-    batch_bags: list[CellBag],
-    views_per_patient: list[list[BagView]],
-    student: dict[str, Tensor],
-    teacher: TeacherState,
-    optimizer: AdamW,
-    agg_config: AggregatorConfig,
-    config: PretrainConfig,
-    teacher_temp: float,
-    lr: float,
-    batch_id: str,
+    batch_bags: list[CellBag], views_per_patient: list[list[BagView]], student: dict[str, Tensor],
+    teacher: TeacherState, optimizer: AdamW, agg_config: AggregatorConfig, config: PretrainConfig,
+    teacher_temp: float, batch_id: str,
 ) -> tuple[float, float, float, np.ndarray]:
     """One optimizer step: (dino, ibot, total) and the teacher's global CLS rows."""
     cls_rows, targets = teacher_targets(
@@ -384,11 +369,7 @@ def _train_step(
             batch_bags, views_per_patient, student, targets, teacher.center,
             agg_config, config, teacher_temp,
         )
-    loss_value = float(loss.data)
-    if not np.isfinite(loss_value):
-        raise TrainingError(f"non-finite loss in {batch_id}")
-    grads = tape.backward(loss)
-    optimizer.step(grads, lr=lr)
+    loss_value = optimizer.checked_step(tape, loss, batch_id)
     ema_update(teacher.params, student, config.ema_momentum)
     teacher.center = center_update(teacher.center, targets[: len(cls_rows)], CENTER_MOMENTUM)
     return float(dino.data), float(ibot.data), loss_value, cls_rows

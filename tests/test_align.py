@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from genalign import align, gbio, ndiff
+from genalign import align, gbio, ndiff, optim
 from genalign.aggregator import AggregatorConfig, CellBag
 from genalign.align import (
     AlignConfig,
@@ -18,7 +18,7 @@ from genalign.align import (
 from genalign.cohort import Cohort, Patient
 from genalign.karyogram import load_band_table
 from genalign.ndiff import Tensor
-from genalign.pretrain import TrainingError
+from genalign.optim import TrainingError
 from genalign.synthcohort import SynthConfig, generate
 
 TINY_AGG = AggregatorConfig(depth=1, heads=2, embed_dim=12, mlp_dim=24,
@@ -239,6 +239,19 @@ class TestStratifiedBatches:
             # every class present in a full batch shows up at least twice
             assert all(v >= 2 for v in counts.values())
 
+    def test_a_class_can_sit_alone_while_more_of_it_remain(self, rng):
+        # dealt two per class per round, B's second pair is cut by the batch
+        # boundary: B sits alone in batch 2 with two Bs still unassigned
+        labels = ["A"] * 3 + ["B"] * 4 + ["C"] * 4
+        batches = stratified_batches(labels, 4, np.random.default_rng(0))
+        assert [[labels[i] for i in b] for b in batches] == [
+            ["A", "A", "B", "B"], ["C", "C", "A", "B"], ["B", "C", "C"]]
+        # its lone A and lone B anchors count as empty, in both directions
+        stats = SupconStats()
+        z = Tensor(unit_rows(rng, (4, 8)))
+        supcon_symmetric(z, z, np.array([labels[i] for i in batches[1]]), 0.1, stats)
+        assert stats.empty_anchor_count == 4
+
     def test_no_singleton_batches(self, rng):
         labels = ["A"] * 5
         batches = stratified_batches(labels, 2, rng)
@@ -311,13 +324,13 @@ class TestTrainAlign:
         # 33 training patients at batch size 32: the lone leftover joins the
         # last batch, so each epoch takes one step, not ceil(33 / 32) = 2
         cohort = make_cohort(rng, n_per_class=13)
-        schedule, lr = [], align.warmup_cosine_lr
+        schedule, lr = [], optim.warmup_cosine_lr
 
         def recording_lr(step, total_steps, base_lr):
             schedule.append((step, total_steps))
             return lr(step, total_steps, base_lr)
 
-        monkeypatch.setattr(align, "warmup_cosine_lr", recording_lr)
+        monkeypatch.setattr(optim, "warmup_cosine_lr", recording_lr)
         cfg = AlignConfig(**{**TINY_ALIGN.to_dict(), "epochs": 3, "batch_size": 32})
         train_align(cohort, TINY_AGG, cfg)
         assert len([p for p in cohort.subset("train") if p.complete]) == 33
@@ -352,8 +365,26 @@ class TestTrainAlign:
         ckpt = init_params(other, rng)
         cfg = AlignConfig(**{**TINY_ALIGN.to_dict(), "aggregator_mode": "finetune",
                              "init": "pretrained"})
-        with pytest.raises(TrainingError, match="embed_dim"):
+        with pytest.raises(TrainingError, match=r"the stage-1 aggregator differs from the configured "
+                                                r"one: tensor 'block0\.attn\.bo' has shape \[1, 16\], "
+                                                r"not \[1, 12\]"):
             train_align(cohort, TINY_AGG, cfg, pretrained_aggregator=ckpt)
+
+    @pytest.mark.parametrize("edit, message", [
+        ("missing", r"no tensor 'block0\.mlp\.w1'"),
+        ("extra_block", r"tensor 'block1\.attn\.bo' is not in the model"),
+    ])
+    def test_stage1_aggregator_of_another_model_refused(self, rng, edit, message):
+        from genalign.aggregator import init_params
+        depth = 2 if edit == "extra_block" else 1
+        ckpt = init_params(AggregatorConfig(**{**vars(TINY_AGG), "depth": depth}), rng)
+        if edit == "missing":
+            del ckpt["block0.mlp.w1"]
+        cfg = AlignConfig(**{**TINY_ALIGN.to_dict(), "aggregator_mode": "finetune",
+                             "init": "pretrained"})
+        with pytest.raises(TrainingError, match="the stage-1 aggregator differs from the "
+                                                f"configured one: {message}"):
+            train_align(make_cohort(rng), TINY_AGG, cfg, pretrained_aggregator=ckpt)
 
     @pytest.mark.parametrize("mode", ["mean_pool", "finetune"])
     def test_cells_of_another_width_than_input_dim_refused(self, rng, monkeypatch, mode):
@@ -455,6 +486,46 @@ class TestTrainAlign:
         del header["config"][section]
         gbio.write_gbck(ckpt, tensors, header["config"])
         with pytest.raises(gbio.FormatError, match=f"{ckpt}: .* no '{section}' config section"):
+            load_align_checkpoint(ckpt)
+
+    @pytest.mark.parametrize("mode", ["mean_pool", "finetune"])
+    @pytest.mark.parametrize("edit, message", [
+        ("missing", r"no tensor 'proj_s\.b1'"),
+        ("extra_block", r"tensor 'agg\.block1\.attn\.bo' is not in the model"),
+        ("misshapen", r"tensor 'dec_k\.w1' has shape \[3, 256\], not \[128, 256\]"),
+    ])
+    def test_load_align_checkpoint_refuses_tensors_its_configs_do_not_declare(
+            self, rng, tmp_path, mode, edit, message):
+        ckpt = tmp_path / "aligned.gbck"
+        cfg = AlignConfig(**{**TINY_ALIGN.to_dict(), "aggregator_mode": mode, "epochs": 1})
+        train_align(make_cohort(rng), TINY_AGG, cfg).save(ckpt)
+        tensors, header = gbio.read_gbck(ckpt)
+        if edit == "missing":
+            del tensors["proj_s.b1"]
+        elif edit == "extra_block":
+            tensors.update({f"agg.block1.{name[len('block0.'):]}": p.data for name, p in
+                            align.init_params(TINY_AGG, rng).items() if name.startswith("block0.")})
+        else:
+            tensors["dec_k.w1"] = np.zeros((3, 256), np.float32)
+        gbio.write_gbck(ckpt, tensors, header["config"])
+        with pytest.raises(gbio.FormatError, match=f"{ckpt}: tensors differ from the model "
+                                                   f"its header's configs declare: {message}"):
+            load_align_checkpoint(ckpt)
+
+    @pytest.mark.parametrize("name", ["proj_k.w1", "proj_m.w1"])
+    @pytest.mark.parametrize("shape", [None, (5,), (0, 256)], ids=["missing", "1d", "width0"])
+    def test_load_align_checkpoint_refuses_a_genetic_width_it_cannot_read(
+            self, rng, tmp_path, name, shape):
+        ckpt = tmp_path / "aligned.gbck"
+        train_align(make_cohort(rng), TINY_AGG, TINY_ALIGN).save(ckpt)
+        tensors, header = gbio.read_gbck(ckpt)
+        if shape is None:
+            del tensors[name]
+        else:
+            tensors[name] = np.zeros(shape, np.float32)
+        gbio.write_gbck(ckpt, tensors, header["config"])
+        with pytest.raises(gbio.FormatError,
+                           match=f"{ckpt}: needs a 2-D tensor '{name}' with at least one row"):
             load_align_checkpoint(ckpt)
 
     def test_deterministic_given_seed(self, rng, tmp_path):

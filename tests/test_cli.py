@@ -410,6 +410,23 @@ class TestEmbedRetrieveEvaluate:
                 in caplog.text)
         assert not out.exists()
 
+    @pytest.mark.parametrize("ckpt, tensor, space", [
+        ("ckpt.gbck", "student.block0.mlp.w1", "slide"),
+        ("aligned.gbck", "proj_m.w1", "shared"),
+        ("aligned.gbck", "proj_s.w2", "shared"),
+    ])
+    def test_embed_refuses_a_checkpoint_without_a_tensor_of_its_model(
+            self, pipeline, tmp_path, caplog, ckpt, tensor, space):
+        tensors, header = gbio.read_gbck(pipeline / ckpt)
+        del tensors[tensor]
+        bad = tmp_path / ckpt
+        gbio.write_gbck(bad, tensors, header["config"])
+        out = tmp_path / "x.gbm"
+        assert main(["embed", "--ckpt", str(bad), "--cohort", str(pipeline / "cohort" / "bags.gbm"),
+                     "--space", space, "--out", str(out)]) == 1
+        assert f"{bad}: " in caplog.text and repr(tensor) in caplog.text
+        assert not out.exists()
+
     def test_pretrain_ckpt_rejects_shared_space(self, pipeline, tmp_path):
         assert main(["embed", "--ckpt", str(pipeline / "ckpt.gbck"),
                      "--cohort", str(pipeline / "cohort" / "bags.gbm"),

@@ -1,8 +1,11 @@
+import math
+
 import numpy as np
 import pytest
 
-from genalign.ndiff import Tensor
-from genalign.optim import AdamW
+from genalign import ndiff, optim
+from genalign.ndiff import Tape, Tensor
+from genalign.optim import AdamW, TrainingError, warmup_cosine_lr
 
 
 def reference_step(opt, m, v, grads, lr):
@@ -36,7 +39,7 @@ def test_step_matches_out_of_place_update_bit_for_bit(rng, dtype, weight_decay):
     # a parameter of the other dtype gets scratch of its own dtype
     other = np.float64 if dtype == np.float32 else np.float32
     params["head.other"] = Tensor(rng.standard_normal((2, 2)).astype(other), requires_grad=True)
-    opt = AdamW(params, weight_decay=weight_decay, lr_scale={"backbone.": 0.1})
+    opt = AdamW(params, 1e-2, 6, weight_decay=weight_decay, lr_scale={"backbone.": 0.1})
     m = {k: np.zeros_like(p.data) for k, p in params.items()}
     v = {k: np.zeros_like(p.data) for k, p in params.items()}
     for step in range(6):
@@ -58,3 +61,54 @@ def test_step_matches_out_of_place_update_bit_for_bit(rng, dtype, weight_decay):
         for name in params:
             assert opt._m[name].tobytes() == m[name].tobytes()
             assert opt._v[name].tobytes() == v[name].tobytes()
+
+
+def quadratic_loss(opt, target):
+    """mean((w - target)^2) of ``opt``'s one parameter ``w``, on a new tape."""
+    with Tape() as tape:
+        diff = ndiff.add(opt.params["w"], Tensor(-target))
+        loss = ndiff.mean(ndiff.mul(diff, diff))
+    return tape, loss
+
+
+def test_checked_step_steps_at_the_scheduled_rate(rng):
+    init, target = rng.standard_normal((3, 4)), rng.standard_normal((3, 4))
+    checked = AdamW({"w": Tensor(init.copy(), requires_grad=True)}, 0.1, 5, weight_decay=0.01)
+    plain = AdamW({"w": Tensor(init.copy(), requires_grad=True)}, 0.1, 5, weight_decay=0.01)
+    for step in range(5):
+        tape, loss = quadratic_loss(checked, target)
+        assert checked.checked_step(tape, loss, f"step {step}") == float(loss.data)
+        tape, loss = quadratic_loss(plain, target)
+        plain.step(tape.backward(loss), warmup_cosine_lr(step, 5, 0.1))
+        assert checked.step_count == plain.step_count == step + 1
+        assert checked.params["w"].data.tobytes() == plain.params["w"].data.tobytes()
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_checked_step_refuses_a_non_finite_loss_leaving_the_state_as_it_was(rng, bad):
+    target = rng.standard_normal((3, 4))
+    opt = AdamW({"w": Tensor(rng.standard_normal((3, 4)), requires_grad=True)}, 0.1, 5)
+    opt.checked_step(*quadratic_loss(opt, target), "warm-up")
+    state = [opt.params["w"].data.copy(), opt._m["w"].copy(), opt._v["w"].copy()]
+    tape, loss = quadratic_loss(opt, target)
+    loss.data = np.asarray(bad)
+    with pytest.raises(TrainingError, match="non-finite loss in epoch3/batch1"):
+        opt.checked_step(tape, loss, "epoch3/batch1")
+    assert opt.step_count == 1
+    for before, after in zip(state, [opt.params["w"].data, opt._m["w"], opt._v["w"]]):
+        assert before.tobytes() == after.tobytes()
+
+
+def test_schedule_is_planned_over_the_steps_given(monkeypatch):
+    schedule = []
+    lr = optim.warmup_cosine_lr
+
+    def recording_lr(step, total_steps, base_lr):
+        schedule.append((step, total_steps, base_lr))
+        return lr(step, total_steps, base_lr)
+
+    monkeypatch.setattr(optim, "warmup_cosine_lr", recording_lr)
+    opt = AdamW({"w": Tensor(np.ones((2, 2)), requires_grad=True)}, 0.5, 3)
+    for _ in range(3):
+        opt.checked_step(*quadratic_loss(opt, np.zeros((2, 2))), "x")
+    assert schedule == [(0, 3, 0.5), (1, 3, 0.5), (2, 3, 0.5)]

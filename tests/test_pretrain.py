@@ -503,12 +503,45 @@ class TestTrainLoop:
         assert a.read_bytes() == b.read_bytes()
         student, agg_config = load_checkpoint(a)
         assert agg_config == TINY_AGG
-        assert "embed.w1" in student and "head.proto" in student
-        # the file also keeps the teacher and its center, which the loader skips
+        # the student's aggregator alone, as the config declares it
+        expected = init_params(TINY_AGG, rng)
+        assert {name: p.shape for name, p in student.items()} == {
+            name: p.shape for name, p in expected.items()}
+        # the file also keeps the student's head, the teacher and its center,
+        # which the loader skips
         tensors, _ = gbio.read_gbck(a)
+        heads = set(init_head_params(TINY_AGG.embed_dim, TINY_PRE, rng))
+        assert {name for name in tensors if name.startswith("student.")} == {
+            f"student.{name}" for name in {*student, *heads}}
         assert {name for name in tensors if name.startswith("teacher.")} == {
-            f"teacher.{name}" for name in student}
+            f"teacher.{name}" for name in {*student, *heads}}
         assert tensors["center"].shape == (TINY_PRE.n_prototypes,)
+
+    @pytest.mark.parametrize("edit, message", [
+        ("missing", r"no tensor 'student\.block0\.mlp\.w1'"),
+        ("extra_block", r"tensor 'student\.block1\.attn\.bo' is not in the model"),
+        ("misshapen", r"tensor 'student\.block0\.attn\.wq' has shape \[12, 16\], not \[16, 16\]"),
+        ("depth_raised", r"no tensor 'student\.block1\.attn\.bo'"),
+    ])
+    def test_load_checkpoint_refuses_tensors_its_config_does_not_declare(
+            self, rng, tmp_path, edit, message):
+        path = tmp_path / "c.gbck"
+        train_pretrain(make_cohort(2, rng), TINY_AGG, TINY_PRE).save(path)
+        tensors, header = gbio.read_gbck(path)
+        config = header["config"]
+        if edit == "missing":
+            del tensors["student.block0.mlp.w1"]
+        elif edit == "extra_block":
+            tensors.update({name.replace("block0", "block1"): arr for name, arr in tensors.items()
+                            if name.startswith("student.block0.")})
+        elif edit == "misshapen":
+            tensors["student.block0.attn.wq"] = tensors["student.block0.attn.wq"][:12]
+        else:
+            config = {**config, "aggregator": {**config["aggregator"], "depth": 2}}
+        gbio.write_gbck(path, tensors, config)
+        with pytest.raises(gbio.FormatError, match=rf"c\.gbck: tensors differ from the model "
+                                                   rf"its header's configs declare: {message}"):
+            load_checkpoint(path)
 
     def test_load_checkpoint_refuses_other_files(self, rng, tmp_path):
         path = tmp_path / "c.gbck"
