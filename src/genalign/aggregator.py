@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -91,51 +92,75 @@ def cap_bag(bag: CellBag, max_cells: int, rng: np.random.Generator) -> CellBag:
     return CellBag(bag.patient_id, bag.cells[keep])
 
 
-def _trunc_normal(rng: np.random.Generator, shape, std=0.02):
-    x = rng.standard_normal(shape) * std
-    return np.clip(x, -2 * std, 2 * std)
+class ParamSpec(NamedTuple):
+    """One parameter's shape and initial values: a normal draw of std
+    ``std``, clipped at two stds when ``truncated``, or the constant ``fill``
+    when ``std`` is 0.  A dict of specs names and shapes a model without
+    drawing it, as ``gbio.check_tensors`` reads it."""
+
+    shape: tuple[int, ...]
+    std: float = 0.0
+    fill: float = 0.0
+    truncated: bool = True
+
+
+def draw_params(
+    specs: dict[str, ParamSpec], rng: np.random.Generator, dtype=np.float32
+) -> dict[str, Tensor]:
+    """Trainable params of ``specs``, drawn from ``rng`` in the specs' order."""
+    params = {}
+    for name, spec in specs.items():
+        if not spec.std:
+            data = np.full(spec.shape, spec.fill, dtype)
+        else:
+            data = rng.standard_normal(spec.shape) * spec.std
+            if spec.truncated:
+                data = np.clip(data, -2 * spec.std, 2 * spec.std)
+            data = data.astype(dtype)
+        params[name] = Tensor(data, requires_grad=True)
+    return params
+
+
+def param_specs(config: AggregatorConfig) -> dict[str, ParamSpec]:
+    """Every aggregator parameter, in the order ``init_params`` draws them."""
+    d = config.embed_dim
+
+    def weight(rows, cols):
+        return ParamSpec((rows, cols), 0.02)
+
+    zeros, ones = ParamSpec((1, d)), ParamSpec((1, d), fill=1.0)
+    specs = {
+        "embed.w1": weight(config.input_dim, d),
+        "embed.b1": zeros,
+        "embed.w2": weight(d, d),
+        "embed.b2": zeros,
+        "cls": weight(1, d),
+        "mask_token": weight(1, d),
+        "final_ln.gamma": ones,
+        "final_ln.beta": zeros,
+    }
+    for i in range(config.depth):
+        prefix = f"block{i}"
+        specs[f"{prefix}.ln1.gamma"] = ones
+        specs[f"{prefix}.ln1.beta"] = zeros
+        specs[f"{prefix}.ln2.gamma"] = ones
+        specs[f"{prefix}.ln2.beta"] = zeros
+        specs[f"{prefix}.attn.wq"] = weight(d, d)
+        specs[f"{prefix}.attn.wk"] = weight(d, d)
+        specs[f"{prefix}.attn.wv"] = weight(d, d)
+        specs[f"{prefix}.attn.wo"] = weight(d, d)
+        specs[f"{prefix}.attn.bo"] = zeros
+        specs[f"{prefix}.mlp.w1"] = weight(d, config.mlp_dim)
+        specs[f"{prefix}.mlp.b1"] = ParamSpec((1, config.mlp_dim))
+        specs[f"{prefix}.mlp.w2"] = weight(config.mlp_dim, d)
+        specs[f"{prefix}.mlp.b2"] = zeros
+    return specs
 
 
 def init_params(
     config: AggregatorConfig, rng: np.random.Generator, dtype=np.float32
 ) -> dict[str, Tensor]:
-    d = config.embed_dim
-
-    def param(shape, std=0.02):
-        return Tensor(_trunc_normal(rng, shape, std).astype(dtype), requires_grad=True)
-
-    def zeros(shape):
-        return Tensor(np.zeros(shape, dtype=dtype), requires_grad=True)
-
-    def ones(shape):
-        return Tensor(np.ones(shape, dtype=dtype), requires_grad=True)
-
-    params: dict[str, Tensor] = {
-        "embed.w1": param((config.input_dim, d)),
-        "embed.b1": zeros((1, d)),
-        "embed.w2": param((d, d)),
-        "embed.b2": zeros((1, d)),
-        "cls": param((1, d)),
-        "mask_token": param((1, d)),
-        "final_ln.gamma": ones((1, d)),
-        "final_ln.beta": zeros((1, d)),
-    }
-    for i in range(config.depth):
-        prefix = f"block{i}"
-        params[f"{prefix}.ln1.gamma"] = ones((1, d))
-        params[f"{prefix}.ln1.beta"] = zeros((1, d))
-        params[f"{prefix}.ln2.gamma"] = ones((1, d))
-        params[f"{prefix}.ln2.beta"] = zeros((1, d))
-        params[f"{prefix}.attn.wq"] = param((d, d))
-        params[f"{prefix}.attn.wk"] = param((d, d))
-        params[f"{prefix}.attn.wv"] = param((d, d))
-        params[f"{prefix}.attn.wo"] = param((d, d))
-        params[f"{prefix}.attn.bo"] = zeros((1, d))
-        params[f"{prefix}.mlp.w1"] = param((d, config.mlp_dim))
-        params[f"{prefix}.mlp.b1"] = zeros((1, config.mlp_dim))
-        params[f"{prefix}.mlp.w2"] = param((config.mlp_dim, d))
-        params[f"{prefix}.mlp.b2"] = zeros((1, d))
-    return params
+    return draw_params(param_specs(config), rng, dtype)
 
 
 def _attention(

@@ -24,7 +24,9 @@ import numpy as np
 
 from . import gbio, ndiff
 # `forward` is not called here; perfbench's tracer test looks the name up
-from .aggregator import AggregatorConfig, forward, forward_bags, init_params, mlp_forward  # noqa: F401
+from .aggregator import (  # noqa: F401
+    AggregatorConfig, ParamSpec, draw_params, forward, forward_bags, mlp_forward, param_specs,
+)
 from .cohort import Cohort, Patient
 from .karyogram import load_band_table, rollup_to_arms
 from .ndiff import Tape, Tensor
@@ -143,6 +145,19 @@ def reconstruction_loss(logits: Tensor, targets: np.ndarray | Tensor) -> Tensor:
     return ndiff.mean(ndiff.binary_cross_entropy_with_logits(logits, targets))
 
 
+def mlp_param_specs(in_dim: int, hidden: int, out_dim: int, prefix: str) -> dict[str, ParamSpec]:
+    """A projection or decoder MLP's params: He-scaled normal weights."""
+    # hidden bias gets small noise so an all-zero input (e.g. a normal
+    # karyotype) still projects to a usable direction instead of the exact
+    # zero vector
+    return {
+        f"{prefix}.w1": ParamSpec((in_dim, hidden), math.sqrt(2.0 / in_dim), truncated=False),
+        f"{prefix}.b1": ParamSpec((1, hidden), 0.01, truncated=False),
+        f"{prefix}.w2": ParamSpec((hidden, out_dim), math.sqrt(2.0 / hidden), truncated=False),
+        f"{prefix}.b2": ParamSpec((1, out_dim)),
+    }
+
+
 def init_mlp_params(
     in_dim: int,
     hidden: int,
@@ -150,18 +165,7 @@ def init_mlp_params(
     prefix: str,
     rng: np.random.Generator,
 ) -> dict[str, Tensor]:
-    def param(shape, scale):
-        return Tensor((rng.standard_normal(shape) * scale).astype(np.float32), requires_grad=True)
-
-    # hidden bias gets small noise so an all-zero input (e.g. a normal
-    # karyotype) still projects to a usable direction instead of the exact
-    # zero vector
-    return {
-        f"{prefix}.w1": param((in_dim, hidden), math.sqrt(2.0 / in_dim)),
-        f"{prefix}.b1": param((1, hidden), 0.01),
-        f"{prefix}.w2": param((hidden, out_dim), math.sqrt(2.0 / hidden)),
-        f"{prefix}.b2": Tensor(np.zeros((1, out_dim), dtype=np.float32), requires_grad=True),
-    }
+    return draw_params(mlp_param_specs(in_dim, hidden, out_dim, prefix), rng)
 
 
 def project(x: Tensor, params: dict[str, Tensor], prefix: str) -> Tensor:
@@ -288,6 +292,25 @@ class AlignResult:
                               self.agg_config, self.config)
 
 
+def align_param_specs(
+    agg_config: AggregatorConfig, config: AlignConfig, d_karyotype: int, d_mutation: int
+) -> dict[str, ParamSpec]:
+    """Every aligned-model parameter, in the order ``init_align_params``
+    draws them: the ``agg.*`` aggregator (unless mean_pool), then the
+    projections and decoders."""
+    specs: dict[str, ParamSpec] = {}
+    slide_dim = agg_config.input_dim
+    if config.aggregator_mode != "mean_pool":
+        specs.update((f"agg.{name}", spec) for name, spec in param_specs(agg_config).items())
+        slide_dim = agg_config.embed_dim
+    shared = config.shared_dim
+    for prefix, in_dim, out_dim in (("proj_s", slide_dim, shared), ("proj_k", d_karyotype, shared),
+                                    ("proj_m", d_mutation, shared), ("dec_k", shared, d_karyotype),
+                                    ("dec_m", shared, d_mutation)):
+        specs.update(mlp_param_specs(in_dim, config.head_hidden, out_dim, prefix))
+    return specs
+
+
 def init_align_params(
     agg_config: AggregatorConfig,
     config: AlignConfig,
@@ -296,19 +319,14 @@ def init_align_params(
     rng: np.random.Generator,
     aggregator_params: dict[str, Tensor] | None = None,
 ) -> dict[str, Tensor]:
+    """Params of ``align_param_specs``; the ``agg.*`` ones are
+    ``aggregator_params`` when given, else drawn."""
+    specs = align_param_specs(agg_config, config, d_karyotype, d_mutation)
     params: dict[str, Tensor] = {}
-    slide_dim = agg_config.input_dim
-    if config.aggregator_mode != "mean_pool":
-        if aggregator_params is None:
-            aggregator_params = init_params(agg_config, rng)
-        for name, p in aggregator_params.items():
-            params[f"agg.{name}"] = p
-        slide_dim = agg_config.embed_dim
-    params.update(init_mlp_params(slide_dim, config.head_hidden, config.shared_dim, "proj_s", rng))
-    params.update(init_mlp_params(d_karyotype, config.head_hidden, config.shared_dim, "proj_k", rng))
-    params.update(init_mlp_params(d_mutation, config.head_hidden, config.shared_dim, "proj_m", rng))
-    params.update(init_mlp_params(config.shared_dim, config.head_hidden, d_karyotype, "dec_k", rng))
-    params.update(init_mlp_params(config.shared_dim, config.head_hidden, d_mutation, "dec_m", rng))
+    if aggregator_params is not None and config.aggregator_mode != "mean_pool":
+        params.update((f"agg.{name}", p) for name, p in aggregator_params.items())
+        specs = {name: spec for name, spec in specs.items() if name not in params}
+    params.update(draw_params(specs, rng))
     return params
 
 
@@ -353,7 +371,7 @@ def train_align(
     if config.reads_checkpoint:
         if pretrained_aggregator is None:
             raise TrainingError("init='pretrained' requires a stage-1 checkpoint")
-        gbio.check_tensors(pretrained_aggregator, init_params(agg_config, np.random.default_rng(0)),
+        gbio.check_tensors(pretrained_aggregator, param_specs(agg_config),
                            "the stage-1 aggregator differs from the configured one", TrainingError)
         aggregator_params = {k: Tensor(v.data.copy(), requires_grad=True)
                              for k, v in pretrained_aggregator.items()}
@@ -471,7 +489,7 @@ def load_align_checkpoint(path: str | Path) -> tuple[dict[str, Tensor], Aggregat
         if name not in tensors or tensors[name].ndim != 2 or tensors[name].shape[0] < 1:
             raise gbio.FormatError(f"{path}: needs a 2-D tensor {name!r} with at least one row")
         widths.append(tensors[name].shape[0])
-    gbio.check_tensors(tensors, init_align_params(agg_config, config, *widths, np.random.default_rng(0)),
+    gbio.check_tensors(tensors, align_param_specs(agg_config, config, *widths),
                        f"{path}: {gbio.MODEL_MISMATCH}")
     params = {name: Tensor(arr, requires_grad=True) for name, arr in tensors.items()}
     return params, agg_config, config

@@ -14,7 +14,7 @@ rewrite keeps outputs and gradients byte-identical (the same float
 operations on the same operands in the same order), except
 ``multi_head_attention`` and ``layer_norm``.  Both take their row sums as
 BLAS matrix-vector products, and attention normalises the softmax after the
-value product and shifts each score block by one max, so they match the
+value product and exponentiates its scores unshifted, so they match the
 textbook formulas only up to rounding, and are tested for accuracy against
 them in f64.  Restricted to some query rows, run in query slices, or packed
 with other sequences, attention matches the full or separate call only up
@@ -508,28 +508,28 @@ def gather_rows(a: Tensor, idx) -> Tensor:
 # its views under it) and of one untaped attention slice's scores
 MAX_CALL_FLOATS = 1025**2
 
-# A softmax row shifted by its block's max whose sum falls below this is
-# shifted again by its own max.  A sum of n terms at or above it keeps the
-# row's largest term at least 2**-64 / n, a normal f32 for any n below 2**62.
+# The band [SOFTMAX_SUM_FLOOR, 1 / SOFTMAX_SUM_FLOOR] that every row sum of an
+# unshifted softmax slice must lie in; otherwise the slice is computed again,
+# each row shifted by its own max.  Inside the band no term overflows f32 (at
+# most 2**64), and the row's largest term is at least 2**-64 / n, a normal
+# f32 for any n below 2**62.
 SOFTMAX_SUM_FLOOR = 2.0**-64
 
 
 def _softmax_values(q: np.ndarray, k: np.ndarray, v: np.ndarray):
     """``softmax(q k^T) v`` over (sequence, head) batches, normalised after
     the value product: the head outputs, the unnormalised block ``e`` and
-    its row sums ``r``, shifted by each block's max and guarded as
+    its row sums ``r``, exponentiated unshifted and guarded as
     ``multi_head_attention`` describes."""
     e = q @ k.swapaxes(-1, -2)
-    e -= e.max(axis=(-2, -1), keepdims=True)
-    np.exp(e, out=e)
-    r = _row_sums(e)
-    low = np.nonzero(r[..., 0] < SOFTMAX_SUM_FLOOR)  # (sequence, head, query) triples
-    if low[0].size:
-        s = (q[low][:, None] @ k[low[:2]].swapaxes(-1, -2))[:, 0]
-        s -= s.max(axis=-1, keepdims=True)
-        np.exp(s, out=s)
-        e[low] = s
-        r[low] = _row_sums(s)
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow only sends r out of the band
+        np.exp(e, out=e)
+        r = _row_sums(e)
+    if not ((r >= SOFTMAX_SUM_FLOOR) & (r <= 1.0 / SOFTMAX_SUM_FLOOR)).all():
+        np.matmul(q, k.swapaxes(-1, -2), out=e)
+        e -= e.max(axis=-1, keepdims=True)
+        np.exp(e, out=e)
+        r = _row_sums(e)
     heads = e @ v
     heads /= r
     return heads, e, r
@@ -568,13 +568,17 @@ def multi_head_attention(
     row term from the head outputs, ``rowsum(G * O)``, in the merged rows.
     Every row sum is one BLAS matrix-vector product.
 
-    Each (sequence, head) block is shifted by its own max, ``e = exp(s -
-    blockmax)``: one max per block instead of one per row.  Softmax does not
-    change under any per-row shift, and a shift at least the row max keeps
-    every ``exp`` at most 1 (Milakov & Gimelshein 2018).  A row whose max
-    lies far below its block's would underflow, so a row whose sum falls
-    below ``SOFTMAX_SUM_FLOOR`` is computed again shifted by its own max,
+    The scores are exponentiated as they are, ``e = exp(s)``, with no max
+    pass: softmax does not change under a per-row shift, and the shift by
+    the row max (Milakov & Gimelshein 2018) only guards against overflow
+    and underflow, which scores of a few units never reach.  The guard is
+    one check per slice instead: if any row sum lies outside
+    ``[SOFTMAX_SUM_FLOOR, 1 / SOFTMAX_SUM_FLOOR]``, the slice's scores are
+    computed again into the same block, each row shifted by its own max,
     and that ``e`` and ``r`` are kept: the backward reads ``e / r`` as is.
+    A slice that falls back pays a second score product and the row max:
+    one untaped 1,025-row call whose scores all sit near 50 takes about 1.7
+    times as long as with scores of a few units.
 
     Each run's query rows go through one loop of slices.  A recorded node
     takes each run as one slice and keeps its block for the backward.

@@ -32,7 +32,8 @@ import numpy as np
 
 from . import gbio, ndiff
 from .aggregator import (  # noqa: F401 (`forward` is not called; perfbench's tracer test looks it up)
-    AggregatorConfig, BagView, CellBag, _trunc_normal, forward, forward_bags, init_params, sample_views,
+    AggregatorConfig, BagView, CellBag, ParamSpec, draw_params, forward, forward_bags, init_params, param_specs,
+    sample_views,
 )
 from .ndiff import Tape, Tensor
 from .optim import AdamW, TrainingError
@@ -94,22 +95,16 @@ class PretrainConfig:
 def init_head_params(
     embed_dim: int, config: PretrainConfig, rng: np.random.Generator, dtype=np.float32
 ) -> dict[str, Tensor]:
-    def param(shape, std=0.02):
-        return Tensor(_trunc_normal(rng, shape, std).astype(dtype), requires_grad=True)
-
-    def zeros(shape):
-        return Tensor(np.zeros(shape, dtype=dtype), requires_grad=True)
-
     h, b = config.head_hidden, config.head_bottleneck
-    return {
-        "head.w1": param((embed_dim, h)),
-        "head.b1": zeros((1, h)),
-        "head.w2": param((h, h)),
-        "head.b2": zeros((1, h)),
-        "head.w3": param((h, b)),
-        "head.b3": zeros((1, b)),
-        "head.proto": param((config.n_prototypes, b), std=0.1),
-    }
+    return draw_params({
+        "head.w1": ParamSpec((embed_dim, h), 0.02),
+        "head.b1": ParamSpec((1, h)),
+        "head.w2": ParamSpec((h, h), 0.02),
+        "head.b2": ParamSpec((1, h)),
+        "head.w3": ParamSpec((h, b), 0.02),
+        "head.b3": ParamSpec((1, b)),
+        "head.proto": ParamSpec((config.n_prototypes, b), 0.1),
+    }, rng, dtype)
 
 
 def head_forward(x: Tensor, params: dict[str, Tensor]) -> Tensor:
@@ -244,8 +239,8 @@ def load_checkpoint(path: str | Path) -> tuple[dict[str, Tensor], AggregatorConf
     student = {name[len("student."):]: Tensor(arr, requires_grad=True)
                for name, arr in tensors.items()
                if name.startswith("student.") and not name.startswith("student.head.")}
-    gbio.check_tensors(student, init_params(agg_config, np.random.default_rng(0)),
-                       f"{path}: {gbio.MODEL_MISMATCH}", prefix="student.")
+    gbio.check_tensors(student, param_specs(agg_config), f"{path}: {gbio.MODEL_MISMATCH}",
+                       prefix="student.")
     return student, agg_config
 
 

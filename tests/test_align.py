@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from genalign import align, gbio, ndiff, optim
-from genalign.aggregator import AggregatorConfig, CellBag
+from genalign.aggregator import AggregatorConfig, CellBag, init_params
 from genalign.align import (
     AlignConfig,
     SupconStats,
@@ -358,7 +358,6 @@ class TestTrainAlign:
             train_align(cohort, TINY_AGG, cfg)
 
     def test_dimension_mismatch_refused(self, rng):
-        from genalign.aggregator import init_params
         cohort = make_cohort(rng)
         other = AggregatorConfig(depth=1, heads=2, embed_dim=16, mlp_dim=32,
                                  input_dim=12, max_cells=16)
@@ -375,7 +374,6 @@ class TestTrainAlign:
         ("extra_block", r"tensor 'block1\.attn\.bo' is not in the model"),
     ])
     def test_stage1_aggregator_of_another_model_refused(self, rng, edit, message):
-        from genalign.aggregator import init_params
         depth = 2 if edit == "extra_block" else 1
         ckpt = init_params(AggregatorConfig(**{**vars(TINY_AGG), "depth": depth}), rng)
         if edit == "missing":
@@ -478,6 +476,28 @@ class TestTrainAlign:
         with pytest.raises(gbio.FormatError, match=f"{index_path}: (needs lists|unreadable JSON)"):
             align.load_table(tmp_path)
 
+    @pytest.mark.parametrize("mode", ["mean_pool", "finetune"])
+    def test_load_align_checkpoint_draws_no_random_model(self, rng, tmp_path, monkeypatch, mode):
+        """The loader checks names and shapes against the configs' spec,
+        not against a random model: it makes no generator, and still
+        refuses a misshapen tensor by name."""
+        ckpt = tmp_path / "aligned.gbck"
+        cfg = AlignConfig(**{**TINY_ALIGN.to_dict(), "aggregator_mode": mode, "epochs": 1})
+        train_align(make_cohort(rng), TINY_AGG, cfg).save(ckpt)
+        tensors, header = gbio.read_gbck(ckpt)
+
+        def no_rng(*args, **kwargs):
+            raise AssertionError("a checkpoint load drew random numbers")
+
+        monkeypatch.setattr(np.random, "default_rng", no_rng)
+        params, _, _ = load_align_checkpoint(ckpt)
+        assert params.keys() == tensors.keys()
+        assert all(np.array_equal(params[name].data, arr) for name, arr in tensors.items())
+        tensors["proj_s.w2"] = tensors["proj_s.w2"][:, :5]
+        gbio.write_gbck(ckpt, tensors, header["config"])
+        with pytest.raises(gbio.FormatError, match=r"tensor 'proj_s\.w2' has shape \[256, 5\], not \[256, 128\]"):
+            load_align_checkpoint(ckpt)
+
     @pytest.mark.parametrize("section", ["aggregator", "align"])
     def test_load_align_checkpoint_refuses_header_without_section(self, rng, tmp_path, section):
         ckpt = tmp_path / "aligned.gbck"
@@ -504,7 +524,7 @@ class TestTrainAlign:
             del tensors["proj_s.b1"]
         elif edit == "extra_block":
             tensors.update({f"agg.block1.{name[len('block0.'):]}": p.data for name, p in
-                            align.init_params(TINY_AGG, rng).items() if name.startswith("block0.")})
+                            init_params(TINY_AGG, rng).items() if name.startswith("block0.")})
         else:
             tensors["dec_k.w1"] = np.zeros((3, 256), np.float32)
         gbio.write_gbck(ckpt, tensors, header["config"])

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 import zlib
 
 import numpy as np
@@ -649,6 +650,99 @@ class TestAttentionUnderflowGuard:
 
         report = ndiff.grad_check(f, t64(leaves[k].data), eps=1e-5, tol=1e-4)
         assert report.passed, report.max_rel_err
+
+
+def _overflow_leaves(rng, lengths, d, n_heads, spike, dtype):
+    """``_guarded_leaves`` with every row spiking: every score is about
+    ``spike**2 / sqrt(dh)``, give or take a few units."""
+    leaves = _guarded_leaves(rng, lengths, d, n_heads, spike, dtype)
+    leaves[0].data[:, :: d // n_heads] = spike
+    return leaves
+
+
+def _raw_log_sum_exps(x, wq, wk, lengths, n_heads):
+    """Per head and row, the log of the unshifted softmax row sum, and the
+    largest score (f64)."""
+    dh = x.shape[1] // n_heads
+    lse, top = [], []
+    for s, n in zip(np.cumsum(lengths) - lengths, lengths):
+        q = (x[s : s + n] @ wq).reshape(n, n_heads, dh).transpose(1, 0, 2)
+        k = (x[s : s + n] @ wk).reshape(n, n_heads, dh).transpose(1, 0, 2)
+        scores = q @ k.swapaxes(-1, -2) / math.sqrt(dh)
+        row_max = scores.max(axis=-1)
+        lse.append(row_max + np.log(np.exp(scores - row_max[..., None]).sum(axis=-1)))
+        top.append(row_max.max())
+    return np.concatenate(lse, axis=1), max(top)
+
+
+BAND_LOG = -math.log(ndiff.SOFTMAX_SUM_FLOOR)  # row sums above e**BAND_LOG fall back
+F32_EXP_MAX = math.log(np.finfo(np.float32).max)  # exp overflows f32 above this
+
+
+class TestAttentionOverflowGuard:
+    def test_overflowing_rows_as_accurate_as_reference(self, rng, monkeypatch):
+        leaves = _overflow_leaves(rng, GUARD_LENGTHS, 24, 4, spike=16.0, dtype=np.float32)
+        lse, top = _raw_log_sum_exps(*(t.data.astype(np.float64) for t in leaves[:3]), GUARD_LENGTHS, 4)
+        # every unshifted row sum lies above the band, and the largest
+        # scores overflow f32's exp: only the fallback's shift keeps the
+        # output finite
+        assert (lse > BAND_LOG).all() and top > F32_EXP_MAX
+        probe = rng.standard_normal((GUARD_LENGTHS.sum(), 24))
+        reference = _reference_packed_attention(4, GUARD_LENGTHS, None)
+        ref32 = _run_taped(reference, leaves, probe.astype(np.float32))
+        ref64 = _run_taped(reference, [t64(t.data, requires_grad=True) for t in leaves], probe)
+        _assert_as_accurate(
+            _run_taped(lambda *a: ndiff.multi_head_attention(*a, 4, GUARD_LENGTHS), leaves,
+                       probe.astype(np.float32)),
+            ref32, ref64)
+        # untaped: one slice per run, then slices of 3 query rows of one sequence
+        for budget in (ndiff.MAX_CALL_FLOATS, 3 * 4 * 9):
+            monkeypatch.setattr(ndiff, "MAX_CALL_FLOATS", budget)
+            sliced = ndiff.multi_head_attention(*leaves, 4, GUARD_LENGTHS)
+            _assert_as_accurate([sliced.data], ref32[:1], ref64[:1])
+
+    @pytest.mark.parametrize("k", range(5), ids=["x", "wq", "wk", "wv", "wo"])
+    def test_grad_check_through_overflowing_rows(self, k):
+        # f64's exp would not overflow here, but every row sum leaves the
+        # band, so the gradients run through the fallback's block
+        rng = np.random.default_rng(11 + k)
+        lengths = np.array([4, 3])
+        leaves = _overflow_leaves(rng, lengths, 6, 2, spike=10.0, dtype=np.float64)
+        lse, _ = _raw_log_sum_exps(*(t.data for t in leaves[:3]), lengths, 2)
+        assert (lse > BAND_LOG).all()
+        probe = Tensor(rng.standard_normal((lengths.sum(), 6)))
+
+        def f(leaf):
+            args = leaves[:k] + [leaf] + leaves[k + 1:]
+            return ndiff.mean(ndiff.mul(ndiff.multi_head_attention(*args, 2, lengths), probe))
+
+        report = ndiff.grad_check(f, t64(leaves[k].data), eps=1e-5, tol=1e-4)
+        assert report.passed, report.max_rel_err
+
+    @pytest.mark.parametrize("make_leaves,spike", [(_guarded_leaves, 33.0), (_overflow_leaves, 16.0)],
+                             ids=["underflow", "overflow"])
+    def test_untaped_fallback_stays_inside_its_slice(self, rng, monkeypatch, make_leaves, spike):
+        """Rows that fall back hold no more than their slice: the call
+        peaks below its whole score tensor.  With the spike in every row,
+        every slice falls back; with it in two rows of the sequence, every
+        other row lies far below the spiking rows' scores."""
+        n, heads = 300, 4
+        lengths = np.array([n])
+        leaves = make_leaves(rng, lengths, 24, heads, spike, np.float32)
+        whole = heads * n**2 * 4  # the f32 score tensor
+        monkeypatch.setattr(ndiff, "MAX_CALL_FLOATS", n**2)  # one head's scores per slice
+        tracemalloc.start()
+        try:
+            sliced = ndiff.multi_head_attention(*leaves, heads, lengths)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < whole
+        reference = _reference_packed_attention(heads, lengths, None)
+        x64 = [t64(t.data) for t in leaves]
+        want = reference(*x64).data
+        assert np.isfinite(sliced.data).all()
+        np.testing.assert_allclose(sliced.data, want, rtol=1e-3, atol=1e-3 * np.abs(want).max())
 
 
 # three distinct lengths; the two 2-row sequences take different query

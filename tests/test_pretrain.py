@@ -543,6 +543,25 @@ class TestTrainLoop:
                                                    rf"its header's configs declare: {message}"):
             load_checkpoint(path)
 
+    def test_load_checkpoint_draws_no_random_model(self, rng, tmp_path, monkeypatch):
+        """The loader checks names and shapes against the config's spec,
+        not against a random model: it makes no generator, and still
+        refuses a misshapen tensor by name."""
+        path = tmp_path / "c.gbck"
+        train_pretrain(make_cohort(2, rng), TINY_AGG, TINY_PRE).save(path)
+        tensors, header = gbio.read_gbck(path)
+
+        def no_rng(*args, **kwargs):
+            raise AssertionError("a checkpoint load drew random numbers")
+
+        monkeypatch.setattr(np.random, "default_rng", no_rng)
+        student, _ = load_checkpoint(path)
+        assert all(np.array_equal(p.data, tensors[f"student.{name}"]) for name, p in student.items())
+        tensors["student.embed.w1"] = tensors["student.embed.w1"][:, :3]
+        gbio.write_gbck(path, tensors, header["config"])
+        with pytest.raises(gbio.FormatError, match=r"tensor 'student\.embed\.w1' has shape \[8, 3\], not \[8, 16\]"):
+            load_checkpoint(path)
+
     def test_load_checkpoint_refuses_other_files(self, rng, tmp_path):
         path = tmp_path / "c.gbck"
         train_pretrain(make_cohort(2, rng), TINY_AGG, TINY_PRE).save(path)
