@@ -185,8 +185,13 @@ def _attention(
 
 
 def mlp_forward(x: Tensor, params: dict[str, Tensor], prefix: str) -> Tensor:
-    """Two-layer MLP ``gelu(x W1 + b1) W2 + b2`` on ``{prefix}.w1`` ... ``.b2``."""
-    return ndiff.mlp(x, *(params[f"{prefix}.{name}"] for name in ("w1", "b1", "w2", "b2")))
+    """MLP ``gelu(... gelu(x W1 + b1) ...) Wk + bk`` as one ``ndiff.mlp``
+    node on ``{prefix}.w1``, ``.b1`` and on every further layer ``.w{i}``,
+    ``.b{i}`` the params hold."""
+    k = 1
+    while f"{prefix}.w{k + 1}" in params:
+        k += 1
+    return ndiff.mlp(x, *(params[f"{prefix}.{kind}{i}"] for i in range(1, k + 1) for kind in "wb"))
 
 
 def _layer_norm(x: Tensor, params: dict[str, Tensor], prefix: str) -> Tensor:
@@ -260,7 +265,7 @@ def forward(
     rows = len(table) - 2 + np.arange(seq.sum()) - np.repeat(np.arange(b), seq)
     rows[first] = 0
     rows[first[mask_view] + 1 + mask_pos] = 1
-    x = ndiff.gather_rows(ndiff.concat_rows(table), rows)
+    x = ndiff.gather_rows(table, rows)
     # the rows returned: each view's CLS row, then its token rows
     n_tokens = np.bincount(token_view, minlength=b)
     read = np.repeat(first, 1 + n_tokens)
@@ -322,7 +327,7 @@ def forward_bags(
     view = np.repeat(order, 1 + n_tokens[order])  # each view's CLS row, then its token rows
     slot = np.concatenate([np.arange(1 + n_tokens[i]) for i in order])
     # CLS rows (slot 0) first, then token rows, each ordered by view, then slot
-    return ndiff.gather_rows(ndiff.concat_rows(hidden), np.lexsort((slot, view, slot > 0)))
+    return ndiff.gather_rows(hidden, np.lexsort((slot, view, slot > 0)))
 
 
 GLOBAL_FRACTION = 0.70

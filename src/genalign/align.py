@@ -158,16 +158,6 @@ def mlp_param_specs(in_dim: int, hidden: int, out_dim: int, prefix: str) -> dict
     }
 
 
-def init_mlp_params(
-    in_dim: int,
-    hidden: int,
-    out_dim: int,
-    prefix: str,
-    rng: np.random.Generator,
-) -> dict[str, Tensor]:
-    return draw_params(mlp_param_specs(in_dim, hidden, out_dim, prefix), rng)
-
-
 def project(x: Tensor, params: dict[str, Tensor], prefix: str) -> Tensor:
     return ndiff.l2_normalize(mlp_forward(x, params, prefix))
 

@@ -19,9 +19,9 @@ textbook formulas only up to rounding, and are tested for accuracy against
 them in f64.  Restricted to some query rows, run in query slices, or packed
 with other sequences, attention matches the full or separate call only up
 to rounding too: BLAS may round a row of a product differently depending on
-how many rows the product has.  That is why ``mlp``, byte-identical to
-``linear``, ``gelu`` and ``linear`` in a chain, tiles only its elementwise
-passes: each of its products runs over all rows.
+how many rows the product has.  That is why ``mlp``, byte-identical to a
+chain of ``matmul``, bias ``add`` and GELU per layer, tiles only its
+elementwise passes: each of its products runs over all rows.
 """
 
 from __future__ import annotations
@@ -187,24 +187,6 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     return _record(out, (a, b), backward)
 
 
-def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
-    """``x @ w + b`` as one node; ``b`` is one ``(1, out)`` bias row."""
-    _check_same_dtype(x, w, "linear")
-    _check_same_dtype(x, b, "linear")
-    if x.data.ndim != 2 or w.data.ndim != 2 or x.shape[1] != w.shape[0]:
-        raise NdiffError(f"linear: incompatible shapes {x.shape} @ {w.shape}")
-    if b.shape != (1, w.shape[1]):
-        raise NdiffError(f"linear: bias shape {b.shape} is not (1, {w.shape[1]})")
-    y = x.data @ w.data
-    y += b.data
-    out = Tensor(y)
-
-    def backward(g):
-        return g @ w.data.T, x.data.T @ g, g.sum(axis=0, keepdims=True)
-
-    return _record(out, (x, w, b), backward)
-
-
 def add(a: Tensor, b: Tensor) -> Tensor:
     _check_same_dtype(a, b, "add")
     try:
@@ -248,41 +230,6 @@ def transpose(a: Tensor) -> Tensor:
 
     def backward(g):
         return (g.T,)
-
-    return _record(out, (a,), backward)
-
-
-def concat_rows(parts: Sequence[Tensor]) -> Tensor:
-    if not parts:
-        raise NdiffError("concat_rows: empty input list")
-    widths = {p.shape[1:] for p in parts}
-    if len(widths) != 1:
-        raise NdiffError(f"concat_rows: trailing shapes differ: {sorted(map(str, widths))}")
-    for p in parts[1:]:
-        _check_same_dtype(parts[0], p, "concat_rows")
-    out = Tensor(np.concatenate([p.data for p in parts], axis=0))
-    sizes = [p.shape[0] for p in parts]
-
-    def backward(g):
-        grads = []
-        start = 0
-        for size in sizes:
-            grads.append(g[start : start + size])
-            start += size
-        return tuple(grads)
-
-    return _record(out, tuple(parts), backward)
-
-
-def slice_rows(a: Tensor, start: int, stop: int) -> Tensor:
-    if not 0 <= start <= stop <= a.shape[0]:
-        raise NdiffError(f"slice_rows: [{start}:{stop}] out of range for shape {a.shape}")
-    out = Tensor(a.data[start:stop].copy())
-
-    def backward(g):
-        full = np.zeros_like(a.data)
-        full[start:stop] = g
-        return (full,)
 
     return _record(out, (a,), backward)
 
@@ -364,58 +311,63 @@ def _gelu_into(h: np.ndarray, u: np.ndarray, t: np.ndarray, deriv=None) -> None:
     h *= u
 
 
-def gelu(a: Tensor) -> Tensor:
-    # A taped call computes the derivative in the forward and keeps that one
-    # array: the backward is one product.
-    y = a.data.copy()
-    deriv = np.empty_like(y) if _records((a,)) else None
-    _gelu_into(y, np.empty_like(y), np.empty_like(y), deriv)
-    return _record(Tensor(y), (a,), lambda g: (deriv * g,))
-
-
 # The rows of one tile of an ``mlp`` call's elementwise passes
 MLP_TILE_ROWS = 256
 
 
-def mlp(x: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor) -> Tensor:
-    """Two-layer MLP ``gelu(x w1 + b1) w2 + b2`` as one node; ``b1`` and
-    ``b2`` are ``(1, out)`` bias rows.
+def mlp(x: Tensor, *layers: Tensor) -> Tensor:
+    """MLP of k >= 2 layers as one node: ``mlp(x, w1, b1, ..., wk, bk)`` is
+    ``gelu(... gelu(x w1 + b1) ...) wk + bk``, with GELU between layers and
+    none after the last; each ``bi`` is a ``(1, out)`` bias row.
 
-    The two products run over all rows.  The bias add and GELU run over
-    tiles of ``MLP_TILE_ROWS`` rows of the hidden array, in place, with two
-    tile-sized scratch buffers, so each elementwise pass reads a tile that
-    is still in cache.  A recorded node keeps the activation and GELU's
-    derivative, not the pre-activation.
+    Each product runs over all rows.  Each hidden layer's bias add and GELU
+    run over tiles of ``MLP_TILE_ROWS`` rows, in place, with two tile-sized
+    scratch buffers, so each elementwise pass reads a tile that is still in
+    cache.  A recorded node keeps each layer's input and each GELU's
+    derivative, not the pre-activations.
     """
-    for w, name in ((w1, "w1"), (b1, "b1"), (w2, "w2"), (b2, "b2")):
-        _check_same_dtype(x, w, f"mlp/{name}")
-    if (x.data.ndim != 2 or w1.data.ndim != 2 or w2.data.ndim != 2
-            or x.shape[1] != w1.shape[0] or w1.shape[1] != w2.shape[0]):
-        raise NdiffError(f"mlp: incompatible shapes {x.shape} @ {w1.shape} @ {w2.shape}")
-    for b, w, name in ((b1, w1, "b1"), (b2, w2, "b2")):
+    if len(layers) < 4 or len(layers) % 2:
+        raise NdiffError(f"mlp: expected weight and bias pairs of at least two layers, "
+                         f"got {len(layers)} tensors after x")
+    ws, bs = layers[0::2], layers[1::2]
+    for i, (w, b) in enumerate(zip(ws, bs), 1):
+        _check_same_dtype(x, w, f"mlp/w{i}")
+        _check_same_dtype(x, b, f"mlp/b{i}")
+    shapes = [t.shape for t in (x, *ws)]
+    if any(len(s) != 2 for s in shapes) or any(s[1] != n[0] for s, n in zip(shapes, shapes[1:])):
+        raise NdiffError(f"mlp: incompatible shapes {' @ '.join(map(str, shapes))}")
+    for i, (w, b) in enumerate(zip(ws, bs), 1):
         if b.shape != (1, w.shape[1]):
-            raise NdiffError(f"mlp: {name} shape {b.shape} is not (1, {w.shape[1]})")
-    act = x.data @ w1.data
-    deriv = np.empty_like(act) if _records((x, w1, b1, w2, b2)) else None
+            raise NdiffError(f"mlp: b{i} shape {b.shape} is not (1, {w.shape[1]})")
+    taped = _records((x, *layers))
+    acts, derivs = [x.data], []  # each layer's input, each hidden layer's GELU derivative
     tile = MLP_TILE_ROWS
-    u = np.empty_like(act[:tile])
-    t = np.empty_like(u)
-    for s in range(0, act.shape[0], tile):
-        h = act[s : s + tile]
-        h += b1.data
-        n = h.shape[0]
-        _gelu_into(h, u[:n], t[:n], None if deriv is None else deriv[s : s + n])
-    y = act @ w2.data
-    y += b2.data
+    for w, b in zip(ws[:-1], bs[:-1]):
+        act = acts[-1] @ w.data
+        deriv = np.empty_like(act) if taped else None
+        u = np.empty_like(act[:tile])
+        t = np.empty_like(u)
+        for s in range(0, act.shape[0], tile):
+            h = act[s : s + tile]
+            h += b.data
+            n = h.shape[0]
+            _gelu_into(h, u[:n], t[:n], None if deriv is None else deriv[s : s + n])
+        acts.append(act)
+        derivs.append(deriv)
+    y = acts[-1] @ ws[-1].data
+    y += bs[-1].data
     out = Tensor(y)
 
     def backward(g):
-        d_h = g @ w2.data.T
-        d_h *= deriv
-        return (d_h @ w1.data.T, x.data.T @ d_h, d_h.sum(axis=0, keepdims=True),
-                act.T @ g, g.sum(axis=0, keepdims=True))
+        grads = []  # (bias, weight) gradients, last layer first
+        for i in reversed(range(len(ws))):
+            grads += [_unbroadcast(g, bs[i].shape), acts[i].T @ g]
+            g = g @ ws[i].data.T
+            if i:
+                g *= derivs[i - 1]
+        return (g, *reversed(grads))
 
-    return _record(out, (x, w1, b1, w2, b2), backward)
+    return _record(out, (x, *layers), backward)
 
 
 def l2_normalize(a: Tensor) -> Tensor:
@@ -483,25 +435,37 @@ def _add_rows(full: np.ndarray, idx: np.ndarray, rows: np.ndarray) -> None:
     full[idx] += rows
 
 
-def gather_rows(a: Tensor, idx) -> Tensor:
-    """Rows ``a[idx]`` in the order of ``idx``; an index may repeat, and its
-    output rows' gradients are summed back into the one input row."""
+def gather_rows(parts: Tensor | Sequence[Tensor], idx) -> Tensor:
+    """Rows ``idx`` of ``parts``, one Tensor or several of one trailing shape
+    with their rows stacked in order, in the order of ``idx``; an index may
+    repeat, and its output rows' gradients are summed back into the one
+    input row."""
+    parts = (parts,) if isinstance(parts, Tensor) else tuple(parts)
+    if not parts:
+        raise NdiffError("gather_rows: no parts to gather from")
+    for p in parts[1:]:
+        _check_same_dtype(parts[0], p, "gather_rows")
+        if p.shape[1:] != parts[0].shape[1:]:
+            raise NdiffError(f"gather_rows: trailing shapes differ: {parts[0].shape} and {p.shape}")
+    sizes = [p.shape[0] for p in parts]
+    rows = sum(sizes)
     idx = np.asarray(idx)
     if idx.ndim != 1 or (idx.size and idx.dtype.kind not in "iu"):
         raise NdiffError(
             f"gather_rows: expected a 1-D integer index, got {idx.dtype.name} {idx.shape}"
         )
-    if idx.size and (idx.min() < 0 or idx.max() >= a.shape[0]):
-        raise NdiffError(f"gather_rows: index out of range for shape {a.shape}")
+    if idx.size and (idx.min() < 0 or idx.max() >= rows):
+        raise NdiffError(f"gather_rows: index out of range for {rows} rows")
     idx = idx.astype(np.int64, copy=False)
-    out = Tensor(a.data[idx])
+    data = parts[0].data if len(parts) == 1 else np.concatenate([p.data for p in parts])
+    out = Tensor(data[idx])
 
     def backward(g):
-        full = np.zeros_like(a.data)
+        full = np.zeros((rows, *g.shape[1:]), g.dtype)
         _add_rows(full, idx, g)
-        return (full,)
+        return tuple(np.split(full, np.cumsum(sizes)[:-1]))
 
-    return _record(out, (a,), backward)
+    return _record(out, parts, backward)
 
 
 # The float budget of one aggregator call (``aggregator.forward_bags`` packs

@@ -32,8 +32,8 @@ import numpy as np
 
 from . import gbio, ndiff
 from .aggregator import (  # noqa: F401 (`forward` is not called; perfbench's tracer test looks it up)
-    AggregatorConfig, BagView, CellBag, ParamSpec, draw_params, forward, forward_bags, init_params, param_specs,
-    sample_views,
+    AggregatorConfig, BagView, CellBag, ParamSpec, draw_params, forward, forward_bags, init_params, mlp_forward,
+    param_specs, sample_views,
 )
 from .ndiff import Tape, Tensor
 from .optim import AdamW, TrainingError
@@ -108,14 +108,13 @@ def init_head_params(
 
 
 def head_forward(x: Tensor, params: dict[str, Tensor]) -> Tensor:
-    """MLP to an l2-normalized bottleneck, then prototype logits.
+    """The 3-layer head MLP (``head.w1`` ... ``head.b3``, one ``ndiff.mlp``
+    node) to an l2-normalized bottleneck, then prototype logits.
 
     Prototype rows are normalized in-graph, so they stay unit vectors no
     matter what the optimizer did to the raw parameter.
     """
-    h = ndiff.gelu(ndiff.mlp(x, params["head.w1"], params["head.b1"], params["head.w2"], params["head.b2"]))
-    z = ndiff.linear(h, params["head.w3"], params["head.b3"])
-    z = ndiff.l2_normalize(z)
+    z = ndiff.l2_normalize(mlp_forward(x, params, "head"))
     protos = ndiff.l2_normalize(params["head.proto"])
     return ndiff.matmul(z, ndiff.transpose(protos))
 
@@ -158,10 +157,10 @@ def dino_ibot_loss(
     log_q = ndiff.log_softmax(ndiff.scalar_mul(student_logits, 1.0 / config.student_temp))
     ce = ndiff.cross_entropy(Tensor(np.concatenate([cls_target, p_t[n_global:]])), log_q)
     n_pairs = config.k_global * (n_views - 1)
-    dino = ndiff.scalar_mul(ndiff.mean(ndiff.slice_rows(ce, 0, n_cls)), n_views / n_pairs)
+    dino = ndiff.scalar_mul(ndiff.mean(ndiff.gather_rows(ce, np.arange(n_cls))), n_views / n_pairs)
     if ce.shape[0] == n_cls:
         return dino, Tensor(np.zeros((), dtype=student_logits.dtype)), dino
-    ibot = ndiff.mean(ndiff.slice_rows(ce, n_cls, ce.shape[0]))
+    ibot = ndiff.mean(ndiff.gather_rows(ce, np.arange(n_cls, ce.shape[0])))
     return dino, ibot, ndiff.add(dino, ndiff.scalar_mul(ibot, config.ibot_weight))
 
 

@@ -22,7 +22,7 @@ def cls_of(cells, params, mask=np.empty(0, np.int64)):
 
 def cls_and_tokens(hidden):
     """One view's CLS row and cell rows from ``forward``'s hidden rows."""
-    return ndiff.slice_rows(hidden, 0, 1), ndiff.slice_rows(hidden, 1, hidden.shape[0])
+    return ndiff.gather_rows(hidden, [0]), ndiff.gather_rows(hidden, np.arange(1, hidden.shape[0]))
 
 
 class TestForward:
@@ -104,9 +104,9 @@ class TestForward:
             loss = loss_of(stacked)
         grads = tape.backward(loss)
         with ndiff.Tape() as tape:
-            separate = ndiff.concat_rows(
+            separate = ndiff.gather_rows(
                 [agg.forward(views[i], masks[i], params, TINY, tokens=np.arange(n))
-                 for i in range(b)]
+                 for i in range(b)], np.arange(b * (n + 1))
             )
             loss_sep = loss_of(separate)
         grads_sep = tape.backward(loss_sep)
@@ -176,8 +176,9 @@ def full_row_reference(cells, mask, params, config, tokens, lengths):
     keep = np.ones((b * n, 1))
     keep[(np.arange(b)[:, None] * n + mask).ravel()] = 0.0
     x = ndiff.add(ndiff.mul(x, Tensor(keep)), ndiff.mul(params["mask_token"], Tensor(1.0 - keep)))
-    x = ndiff.concat_rows([part for i in range(b)
-                           for part in (params["cls"], ndiff.slice_rows(x, i * n, (i + 1) * n))])
+    # each view's sequence [CLS; cells], CLS being row 0 of [cls; x]
+    rows = np.hstack([np.zeros((b, 1), np.int64), 1 + np.arange(b * n).reshape(b, n)])
+    x = ndiff.gather_rows([params["cls"], x], rows.ravel())
     for i in range(config.depth):
         h = agg._layer_norm(x, params, f"block{i}.ln1")
         x = ndiff.add(x, agg._attention(h, params, f"block{i}.attn", config, np.full(b, n + 1)))
@@ -248,8 +249,10 @@ def per_view_rows(cells, masks, tokens, params):
     """``forward_bags``' documented row order from one ``forward`` per view:
     every view's CLS row, then each view's token rows."""
     outs = [agg.forward(c, m, params, TINY, t) for c, m, t in zip(cells, masks, tokens)]
-    return ndiff.concat_rows([ndiff.slice_rows(o, 0, 1) for o in outs]
-                             + [ndiff.slice_rows(o, 1, o.shape[0]) for o in outs])
+    sizes = np.array([o.shape[0] for o in outs])
+    first = np.cumsum(sizes) - sizes  # each view's CLS row among the stacked rows
+    token_rows = [np.arange(s + 1, s + n) for s, n in zip(first, sizes)]
+    return ndiff.gather_rows(outs, np.concatenate([first, *token_rows]))
 
 
 def counting_forward(monkeypatch):

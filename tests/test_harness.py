@@ -8,8 +8,8 @@ import pytest
 
 from genalign import evalkit as ek
 from genalign import harness
-from genalign.align import AlignConfig, AlignedTable, init_mlp_params
-from genalign.aggregator import AggregatorConfig, CellBag
+from genalign.align import AlignConfig, AlignedTable, mlp_param_specs
+from genalign.aggregator import AggregatorConfig, CellBag, draw_params
 from genalign.cohort import Cohort, Patient
 from genalign.harness import (
     AblationAxes,
@@ -68,7 +68,7 @@ def old_balanced_accuracy(y_true, y_pred):
 def gene_cohort(rng, table, n_genes=6):
     """A cohort of the table's patients with random mutations, and a gene
     projector."""
-    params = init_mlp_params(n_genes, 32, 32, "proj_m", np.random.default_rng(0))
+    params = draw_params(mlp_param_specs(n_genes, 32, 32, "proj_m"), np.random.default_rng(0))
     patients = [
         Patient(pid, lab, spl,
                 CellBag(pid, rng.standard_normal((4, 8)).astype(np.float32)),
@@ -251,7 +251,7 @@ class TestOtherBlocks:
     def test_per_gene_block_without_usable_gene(self, rng):
         # identical mutations: no gene has both a positive and a negative
         table = make_table(rng, n_train=2, n_test=4)
-        params = init_mlp_params(3, 32, 32, "proj_m", np.random.default_rng(0))
+        params = draw_params(mlp_param_specs(3, 32, 32, "proj_m"), np.random.default_rng(0))
         patients = [
             Patient(pid, lab, spl, CellBag(pid, np.zeros((2, 8), np.float32)),
                     np.zeros(12, np.uint8), np.array([1, 0, 1], np.uint8))

@@ -1,3 +1,4 @@
+import inspect
 import math
 import tracemalloc
 import zlib
@@ -144,22 +145,17 @@ PRIMITIVE_CASES = [
     ("mul", (2, 5), lambda x: ndiff.mean(ndiff.mul(x, Tensor(_B25)))),
     ("scalar_mul", (3, 3), lambda x: ndiff.mean(ndiff.scalar_mul(x, -1.7))),
     ("transpose", (3, 5), lambda x: ndiff.mean(ndiff.mul(ndiff.transpose(x), Tensor(_C53)))),
-    ("concat_rows", (2, 4), lambda x: ndiff.mean(ndiff.mul(ndiff.concat_rows([x, Tensor(_E34)]), Tensor(_F54)))),
-    ("slice_rows", (5, 3), lambda x: ndiff.mean(ndiff.mul(ndiff.slice_rows(x, 1, 4), Tensor(_G33)))),
     ("log_softmax", (4, 6), lambda x: ndiff.mean(ndiff.mul(ndiff.log_softmax(x, axis=-1), Tensor(_H46)))),
-    ("gelu", (3, 4), lambda x: ndiff.mean(ndiff.gelu(x))),
     ("mlp", (5, 4), lambda x: ndiff.mean(ndiff.mul(ndiff.mlp(x, *map(Tensor, _MLP_PARAMS)), Tensor(_L53)))),
     ("l2_normalize", (4, 5), lambda x: ndiff.mean(ndiff.mul(ndiff.l2_normalize(x), Tensor(_I45)))),
     ("layer_norm_x", (4, 6), lambda x: ndiff.mean(ndiff.mul(ndiff.layer_norm(x, Tensor(_GAMMA6), Tensor(_BETA6)), Tensor(_H46)))),
     ("layer_norm_gamma", (1, 6), lambda g: ndiff.mean(ndiff.mul(ndiff.layer_norm(Tensor(_X46), g, Tensor(_BETA6)), Tensor(_H46)))),
     ("layer_norm_beta", (1, 6), lambda b: ndiff.mean(ndiff.mul(ndiff.layer_norm(Tensor(_X46), Tensor(_GAMMA6), b), Tensor(_H46)))),
-    ("linear_x", (3, 4), lambda x: ndiff.mean(ndiff.mul(ndiff.linear(x, Tensor(_W45), Tensor(_B15)), Tensor(_L35)))),
-    ("linear_w", (4, 5), lambda w: ndiff.mean(ndiff.mul(ndiff.linear(Tensor(_E34), w, Tensor(_B15)), Tensor(_L35)))),
-    ("linear_b", (1, 5), lambda b: ndiff.mean(ndiff.mul(ndiff.linear(Tensor(_E34), Tensor(_W45), b), Tensor(_L35)))),
     ("cross_entropy_logq", (3, 4), lambda x: ndiff.mean(ndiff.cross_entropy(Tensor(_P34), ndiff.log_softmax(x)))),
-    ("bce_logits", (3, 4), lambda x: ndiff.mean(ndiff.binary_cross_entropy_with_logits(x, Tensor(_T34)))),
+    ("binary_cross_entropy_with_logits", (3, 4), lambda x: ndiff.mean(
+        ndiff.binary_cross_entropy_with_logits(x, Tensor(_T34)))),
     # logits of a few hundred either way, where exp(-x) would overflow f32
-    ("bce_logits_far", (3, 4), lambda x: ndiff.mean(ndiff.binary_cross_entropy_with_logits(
+    ("binary_cross_entropy_with_logits_far", (3, 4), lambda x: ndiff.mean(ndiff.binary_cross_entropy_with_logits(
         ndiff.scalar_mul(x, 100.0), Tensor(_T34)))),
     ("mean", (4, 4), lambda x: ndiff.mean(x)),
     ("multi_head_attention", (5, 6), lambda x: ndiff.mean(ndiff.mul(
@@ -195,6 +191,9 @@ PRIMITIVE_CASES = [
     # rows 0 and 3 repeat, row 1 is never gathered
     ("gather_rows_repeated", (4, 3), lambda x: ndiff.mean(ndiff.mul(
         ndiff.gather_rows(x, [3, 0, 2, 0, 3, 3]), Tensor(_K63)))),
+    # x is the middle of three parts; rows 0, 3 and 7 repeat, rows 1 and 6 are never gathered
+    ("gather_rows_parts", (2, 4), lambda x: ndiff.mean(ndiff.mul(
+        ndiff.gather_rows([Tensor(_E34), x, Tensor(_W34)], [7, 0, 3, 4, 0, 2, 7, 5, 3]), Tensor(_R94)))),
 ]
 
 _fix = np.random.default_rng(99)
@@ -204,8 +203,6 @@ _A25 = _fix.standard_normal((2, 5))
 _B25 = _fix.standard_normal((2, 5))
 _C53 = _fix.standard_normal((5, 3))
 _E34 = _fix.standard_normal((3, 4))
-_F54 = _fix.standard_normal((5, 4))
-_G33 = _fix.standard_normal((3, 3))
 _H46 = _fix.standard_normal((4, 6))
 _I45 = _fix.standard_normal((4, 5))
 _P34 = np.abs(_fix.standard_normal((3, 4)))
@@ -218,9 +215,6 @@ _WO66 = _fix.standard_normal((6, 6)) * 0.5
 _M56 = _fix.standard_normal((5, 6))
 _M96 = _fix.standard_normal((9, 6))
 _K63 = _fix.standard_normal((6, 3))
-_W45 = _fix.standard_normal((4, 5))
-_B15 = _fix.standard_normal((1, 5))
-_L35 = _fix.standard_normal((3, 5))
 _X46 = _fix.standard_normal((4, 6))
 _GAMMA6 = 1.0 + 0.5 * _fix.standard_normal((1, 6))  # away from 1: g and g * gamma differ
 _BETA6 = _fix.standard_normal((1, 6))
@@ -228,8 +222,9 @@ _M66 = _fix.standard_normal((6, 6))
 _Q6 = np.array([2, 2, 4, 3, 8, 6])
 _SEQ3 = np.array([3, 3, 3])
 _SEQ5 = np.array([5])
-_MLP_PARAMS = [_fix.standard_normal(s) for s in ((4, 6), (1, 6), (6, 3), (1, 3))]  # w1, b1, w2, b2
+_MLP_PARAMS = [_fix.standard_normal(s) for s in ((4, 6), (1, 6), (6, 5), (1, 5), (5, 3), (1, 3))]  # w1 ... b3
 _L53 = _fix.standard_normal((5, 3))
+_R94 = _fix.standard_normal((9, 4))
 
 
 class TestRowOps:
@@ -243,9 +238,9 @@ class TestRowOps:
             loss = ndiff.mean(ndiff.mul(stacked, probe))
         grads = tape.backward(loss)
         with Tape() as tape:
-            parts = [ndiff.multi_head_attention(ndiff.slice_rows(x, i * n, (i + 1) * n), *ws, 2,
+            parts = [ndiff.multi_head_attention(ndiff.gather_rows(x, np.arange(i * n, (i + 1) * n)), *ws, 2,
                                                 seq_len=np.array([n])) for i in range(b)]
-            loss_sep = ndiff.mean(ndiff.mul(ndiff.concat_rows(parts), probe))
+            loss_sep = ndiff.mean(ndiff.mul(ndiff.gather_rows(parts, np.arange(b * n)), probe))
         grads_sep = tape.backward(loss_sep)
         np.testing.assert_allclose(stacked.data, np.concatenate([p.data for p in parts]),
                                    rtol=1e-12, atol=1e-14)
@@ -293,10 +288,27 @@ class TestRowOps:
         assert np.array_equal(out.data, [[4, 5], [0, 1], [4, 5]])
         assert np.allclose(tape.backward(loss)[x], [[1 / 6] * 2, [0, 0], [2 / 6] * 2])
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_gather_rows_over_parts_equals_concatenate_then_index(self, rng, dtype):
+        parts = [Tensor(rng.standard_normal((n, 5)).astype(dtype), requires_grad=True) for n in (3, 1, 4)]
+        idx = np.array([7, 0, 3, 2, 7, 3, 5, 0])  # rows 0, 3 and 7 of the three parts repeat
+        probe = rng.standard_normal((idx.size, 5)).astype(dtype)
+        _assert_same_bits(
+            _run_taped(lambda *p: ndiff.gather_rows(p, idx), parts, probe),
+            _run_taped(lambda *p: _reference_index_rows(_reference_concat_rows(p), idx), parts, probe),
+            dtype)
+
     @pytest.mark.parametrize("idx", [[3], [-1], [0.0, 1.0], [[0, 1]]])
     def test_gather_rows_rejects_bad_index(self, idx):
         with pytest.raises(ndiff.NdiffError, match="gather_rows"):
             ndiff.gather_rows(t64(np.zeros((3, 2))), np.array(idx))
+
+    @pytest.mark.parametrize("parts", [[], [np.zeros((3, 2)), np.zeros((2, 3))],
+                                       [np.zeros((3, 2)), np.zeros((2, 2), np.float32)]],
+                             ids=["none", "widths", "dtypes"])
+    def test_gather_rows_rejects_parts_that_do_not_stack(self, parts):
+        with pytest.raises(ndiff.NdiffError, match="gather_rows"):
+            ndiff.gather_rows([Tensor(p) for p in parts], np.array([0]))
 
 
 class TestGradCheck:
@@ -319,6 +331,17 @@ class TestGradCheck:
         x = Tensor(np.zeros(3, np.float32))
         with pytest.raises(ndiff.NdiffError, match="f64"):
             ndiff.grad_check(lambda v: ndiff.mean(v), x)
+
+    def test_every_recording_primitive_has_a_case(self):
+        """Each public ndiff function that records a tape node has a case
+        above whose name starts with the function's name."""
+        recording = [name for name, fn in vars(ndiff).items()
+                     if inspect.isfunction(fn) and fn.__module__ == ndiff.__name__
+                     and not name.startswith("_") and "_record(" in inspect.getsource(fn)]
+        assert {"mlp", "gather_rows", "multi_head_attention"} <= set(recording)
+        missing = [name for name in recording
+                   if not any(case.startswith(name) for case, _, _ in PRIMITIVE_CASES)]
+        assert not missing, f"no gradient check for {missing}"
 
 
 # The formulas the fused kernels replaced, kept verbatim as test-local
@@ -358,6 +381,33 @@ def _reference_gelu(a):
     def backward(g):
         dinner = ndiff._GELU_C * (1.0 + 0.134145 * x2)
         return (g * (0.5 * (1.0 + t) + 0.5 * x * (1.0 - t * t) * dinner),)
+
+    return ndiff._record(out, (a,), backward)
+
+
+def _reference_mlp(x, *layers):
+    """``x @ w + b`` per layer as ``matmul`` and ``add`` nodes, with a
+    ``_reference_gelu`` node between layers."""
+    for i in range(0, len(layers), 2):
+        if i:
+            x = _reference_gelu(x)
+        x = ndiff.add(ndiff.matmul(x, layers[i]), layers[i + 1])
+    return x
+
+
+def _reference_concat_rows(parts):
+    out = Tensor(np.concatenate([p.data for p in parts]))
+    ends = np.cumsum([p.shape[0] for p in parts])[:-1]
+    return ndiff._record(out, parts, lambda g: tuple(np.split(g, ends)))
+
+
+def _reference_index_rows(a, idx):
+    out = Tensor(a.data[idx])
+
+    def backward(g):
+        full = np.zeros_like(a.data)
+        np.add.at(full, idx, g)
+        return (full,)
 
     return ndiff._record(out, (a,), backward)
 
@@ -416,41 +466,20 @@ def _f32_leaves(rng, *shapes, scale=1.0):
             for s in shapes]
 
 
-class TestKernelsBitIdentical:
-    def test_linear_equals_matmul_plus_bias_add(self, rng):
-        leaves = _f32_leaves(rng, (37, 24), (24, 150), (1, 150))
-        probe = rng.standard_normal((37, 150)).astype(np.float32)
-        _assert_same_bits(
-            _run_taped(ndiff.linear, leaves, probe),
-            _run_taped(lambda x, w, b: ndiff.add(ndiff.matmul(x, w), b), leaves, probe),
-        )
-
-    def test_gelu_equals_reference(self, rng):
-        # taped, the kernel computes the derivative in the forward and keeps
-        # only it; untaped, it computes the output alone
-        for dtype in (np.float32, np.float64):
-            x = Tensor((rng.standard_normal((37, 150)) * 3.0).astype(dtype), requires_grad=True)
-            probe = rng.standard_normal((37, 150)).astype(dtype)
-            _assert_same_bits(_run_taped(ndiff.gelu, [x], probe),
-                              _run_taped(_reference_gelu, [x], probe), dtype)
-            _assert_same_bits([ndiff.gelu(x).data], [_reference_gelu(x).data], dtype)
+_MLP_INPUTS = ("x", "w1", "b1", "w2", "b2", "w3", "b3")
 
 
-
-def _reference_mlp(x, w1, b1, w2, b2):
-    return ndiff.linear(_reference_gelu(ndiff.linear(x, w1, b1)), w2, b2)
-
-
-_MLP_INPUTS = ("x", "w1", "b1", "w2", "b2")
-
-
-def _mlp_leaves(rng, rows, dtype, d=5, hidden=12, out=4):
-    shapes = [(rows, d), (d, hidden), (1, hidden), (hidden, out), (1, out)]
+def _mlp_leaves(rng, rows, dtype, widths=(5, 12, 9, 4)):
+    """x and each layer's weight and bias for the layer widths ``widths``,
+    standard normal, so some pre-activations reach GELU's flat tail."""
+    shapes = [(rows, widths[0])]
+    for n_in, n_out in zip(widths, widths[1:]):
+        shapes += [(n_in, n_out), (1, n_out)]
     return [Tensor(rng.standard_normal(s).astype(dtype), requires_grad=True) for s in shapes]
 
 
 class TestMlp:
-    @pytest.mark.parametrize("k", range(5), ids=_MLP_INPUTS)
+    @pytest.mark.parametrize("k", range(7), ids=_MLP_INPUTS)
     def test_grad_check_every_input_over_row_tiles(self, rng, monkeypatch, k):
         monkeypatch.setattr(ndiff, "MLP_TILE_ROWS", 3)
         leaves = [t.data for t in _mlp_leaves(rng, 7, np.float64)]  # tiles of 3, 3 and 1 rows
@@ -464,22 +493,39 @@ class TestMlp:
         report = ndiff.grad_check(f, t64(leaves[k]), eps=1e-6, tol=1e-6)
         assert report.passed, report.max_rel_err
 
+    @pytest.mark.parametrize("widths", [(5, 12, 4), (5, 12, 9, 4)], ids=["two_layers", "three_layers"])
     @pytest.mark.parametrize("tile", [3, ndiff.MLP_TILE_ROWS])
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
-    def test_equals_linear_gelu_linear_bit_for_bit(self, rng, monkeypatch, tile, dtype):
+    def test_equals_matmul_add_gelu_chain_bit_for_bit(self, rng, monkeypatch, tile, dtype, widths):
+        """Output and every gradient, taped, and the untaped output."""
         monkeypatch.setattr(ndiff, "MLP_TILE_ROWS", tile)
         for rows in (1, tile - 1, tile, tile + 1, 3 * tile + 5):
-            leaves = _mlp_leaves(rng, rows, dtype)
+            leaves = _mlp_leaves(rng, rows, dtype, widths)
             probe = rng.standard_normal((rows, 4)).astype(dtype)
             taped = _run_taped(ndiff.mlp, leaves, probe)
             _assert_same_bits(taped, _run_taped(_reference_mlp, leaves, probe), dtype)
             _assert_same_bits([ndiff.mlp(*leaves).data], taped[:1], dtype)
 
-    @pytest.mark.parametrize("k", range(1, 5), ids=_MLP_INPUTS[1:])
+    @pytest.mark.parametrize("k", range(1, 7), ids=_MLP_INPUTS[1:])
     def test_dtype_mismatch_names_the_input(self, rng, k):
         leaves = _mlp_leaves(rng, 3, np.float32)
         leaves[k] = Tensor(leaves[k].data.astype(np.float64))
         with pytest.raises(ndiff.NdiffError, match=f"mlp/{_MLP_INPUTS[k]}: dtype mismatch"):
+            ndiff.mlp(*leaves)
+
+    @pytest.mark.parametrize("drop,swap,match", [
+        (slice(3, 7), None, "at least two layers, got 2 tensors"),
+        (slice(6, 7), None, "at least two layers, got 5 tensors"),
+        (slice(0, 0), (3, 5), r"incompatible shapes \(3, 5\) @ \(5, 12\) @ \(9, 4\) @ \(12, 9\)"),
+        (slice(0, 0), (4, 6), r"b2 shape \(1, 4\) is not \(1, 9\)"),
+    ], ids=["one_layer", "odd_count", "widths", "bias"])
+    def test_rejects_malformed_layers(self, rng, drop, swap, match):
+        leaves = _mlp_leaves(rng, 3, np.float32)
+        del leaves[drop]
+        if swap:
+            i, j = swap
+            leaves[i], leaves[j] = leaves[j], leaves[i]
+        with pytest.raises(ndiff.NdiffError, match=f"^mlp: .*{match}"):
             ndiff.mlp(*leaves)
 
 
@@ -515,12 +561,12 @@ def _reference_packed_attention(n_heads, seq_len, queries):
     """``_reference_attention`` on each sequence, then the query rows."""
     def reference(x, *ws):
         if np.ptp(seq_len) == 0:  # one batched block
-            out = _reference_attention(x, *ws, n_heads, seq_len[0])
+            outs = [_reference_attention(x, *ws, n_heads, seq_len[0])]
         else:
             starts = np.cumsum(seq_len) - seq_len
-            out = ndiff.concat_rows([_reference_attention(ndiff.slice_rows(x, s, s + n), *ws, n_heads)
-                                     for s, n in zip(starts, seq_len)])
-        return out if queries is None else ndiff.gather_rows(out, queries)
+            outs = [_reference_attention(ndiff.gather_rows(x, np.arange(s, s + n)), *ws, n_heads)
+                    for s, n in zip(starts, seq_len)]
+        return ndiff.gather_rows(outs, np.arange(x.shape[0]) if queries is None else queries)
 
     return reference
 
@@ -787,10 +833,10 @@ class TestPackedAttention:
         grads = tape.backward(loss)
         starts = np.cumsum(PACKED_LENGTHS) - PACKED_LENGTHS
         with Tape() as tape:
-            alone = ndiff.concat_rows([_reference_attention(ndiff.slice_rows(x, s, s + n), *ws, 2)
-                                       for s, n in zip(starts, PACKED_LENGTHS)])
-            if queries is not None:
-                alone = ndiff.gather_rows(alone, queries)
+            alone = ndiff.gather_rows(
+                [_reference_attention(ndiff.gather_rows(x, np.arange(s, s + n)), *ws, 2)
+                 for s, n in zip(starts, PACKED_LENGTHS)],
+                np.arange(PACKED_LENGTHS.sum()) if queries is None else queries)
             loss_alone = ndiff.mean(ndiff.mul(alone, probe))
         grads_alone = tape.backward(loss_alone)
         assert packed.shape == (rows, 6)

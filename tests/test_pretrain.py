@@ -19,6 +19,7 @@ from genalign.pretrain import (
     teacher_targets,
     train_pretrain,
 )
+from test_ndiff import _assert_same_bits, _reference_mlp, _run_taped
 
 TINY_AGG = AggregatorConfig(depth=1, heads=2, embed_dim=16, mlp_dim=32,
                             input_dim=8, max_cells=16)
@@ -220,7 +221,7 @@ TEACHER_TEMP = 0.05
 
 def cls_and_tokens(hidden):
     """One view's CLS row and cell rows from ``forward``'s hidden rows."""
-    return ndiff.slice_rows(hidden, 0, 1), ndiff.slice_rows(hidden, 1, hidden.shape[0])
+    return ndiff.gather_rows(hidden, [0]), ndiff.gather_rows(hidden, np.arange(1, hidden.shape[0]))
 
 
 def build_microbatch(seed=5):
@@ -260,7 +261,7 @@ def build_microbatch(seed=5):
             t_tok[(p, v)] = Tensor(head_forward(tokens, teacher).data)
             if v < pre.k_global:
                 t_cls_rows[v].append(cls)
-    t_cls = [Tensor(head_forward(ndiff.concat_rows(r), teacher).data) for r in t_cls_rows]
+    t_cls = [Tensor(head_forward(ndiff.gather_rows(r, np.arange(len(r))), teacher).data) for r in t_cls_rows]
 
     def loss_given(cell_tensors):
         n_views = pre.k_global + pre.k_local
@@ -282,7 +283,7 @@ def build_microbatch(seed=5):
                                              TEACHER_TEMP, pre.student_temp),
                          view.mask.size)
                     )
-        s_cls = [head_forward(ndiff.concat_rows(r), params) for r in s_cls_rows]
+        s_cls = [head_forward(ndiff.gather_rows(r, np.arange(len(r))), params) for r in s_cls_rows]
         loss = reference_dino(t_cls, s_cls, center, TEACHER_TEMP, pre.student_temp)
         total_m = sum(m for _, m in ibot_terms)
         for term, m in ibot_terms:
@@ -435,6 +436,26 @@ def make_cohort(n, rng, n_cells=10, dim=8):
         CellBag(f"p{i:03d}", rng.standard_normal((n_cells, dim)).astype(np.float32))
         for i in range(n)
     ]
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_head_forward_equals_separate_layer_nodes_bit_for_bit(rng, dtype):
+    """The head's one MLP node against linear, GELU, linear, GELU and
+    linear as separate test-side nodes, on more rows than one MLP tile: the
+    logits and every gradient."""
+    params = init_head_params(TINY_AGG.embed_dim, TINY_PRE, rng, dtype)
+    rows = ndiff.MLP_TILE_ROWS + 5
+    x = Tensor(rng.standard_normal((rows, TINY_AGG.embed_dim)).astype(dtype), requires_grad=True)
+    probe = rng.standard_normal((rows, TINY_PRE.n_prototypes)).astype(dtype)
+
+    def reference(x, *values):
+        p = dict(zip(params, values))
+        z = ndiff.l2_normalize(_reference_mlp(x, *(p[f"head.{kind}{i}"] for i in (1, 2, 3) for kind in "wb")))
+        return ndiff.matmul(z, ndiff.transpose(ndiff.l2_normalize(p["head.proto"])))
+
+    leaves = [x, *params.values()]
+    _assert_same_bits(_run_taped(lambda x, *values: head_forward(x, dict(zip(params, values))), leaves, probe),
+                      _run_taped(reference, leaves, probe), dtype)
 
 
 def test_embed_bags_of_no_bags_is_empty():
