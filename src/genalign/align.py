@@ -55,6 +55,7 @@ class AlignConfig:
     seed: int = 0
 
     def __post_init__(self):
+        gbio.check_finite_floats(self)
         for name in ("epochs", "shared_dim", "head_hidden"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1")
@@ -363,8 +364,8 @@ def train_align(
             raise TrainingError("init='pretrained' requires a stage-1 checkpoint")
         gbio.check_tensors(pretrained_aggregator, param_specs(agg_config),
                            "the stage-1 aggregator differs from the configured one", TrainingError)
-        aggregator_params = {k: Tensor(v.data.copy(), requires_grad=True)
-                             for k, v in pretrained_aggregator.items()}
+        # the optimizer copies each array into its own buffer, leaving the caller's as it was
+        aggregator_params = {k: Tensor(v.data, requires_grad=True) for k, v in pretrained_aggregator.items()}
     else:
         aggregator_params = None  # fresh random init (or unused for mean_pool)
 

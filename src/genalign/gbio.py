@@ -174,6 +174,16 @@ def config_from(config_cls, value, path, section: str | None = None):
         raise FormatError(f"{where}: {exc}") from exc
 
 
+def check_finite_floats(config) -> None:
+    """Refuse, with ``ValueError`` naming the field, a float field of the
+    config dataclass ``config`` that holds NaN or an infinity: NaN passes
+    every ``<`` and ``<=`` check, and JSON's ``NaN`` and ``Infinity`` parse."""
+    for f in fields(config):
+        value = getattr(config, f.name)
+        if isinstance(value, float) and not math.isfinite(value):
+            raise ValueError(f"{f.name} must be finite, got {value}")
+
+
 def _ints(value) -> bool:
     """A JSON list of integers (booleans excluded)."""
     return isinstance(value, list) and all(type(v) is int for v in value)

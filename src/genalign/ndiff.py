@@ -100,7 +100,9 @@ class Tape:
         return False
 
     def backward(self, loss: Tensor) -> dict[Tensor, np.ndarray]:
-        """Accumulate dloss/dx for every requires_grad leaf reachable from loss."""
+        """dloss/dx for every requires_grad leaf reachable from loss.  A
+        returned gradient may be shared with another (a kernel may pass its
+        incoming gradient on, or a view of it), so it is read-only."""
         if self._consumed:
             raise NdiffError("tape already consumed by a previous backward call")
         if loss.data.size != 1:
@@ -122,17 +124,11 @@ class Tape:
             for tensor, gin in zip(node.inputs, gins):
                 if gin is None or not tensor.needs_grad:
                     continue
-                if tensor.requires_grad:
-                    if tensor in leaf_grads:
-                        leaf_grads[tensor] += gin
-                    else:
-                        leaf_grads[tensor] = np.array(gin, copy=True)
-                    continue
                 # a gradient may be shared (a kernel may pass its incoming one
                 # on, or a view of it), so it is kept as is and never updated
                 # in place; a second contribution makes a new sum
-                key = id(tensor)
-                grads[key] = grads[key] + gin if key in grads else gin
+                held, key = (leaf_grads, tensor) if tensor.requires_grad else (grads, id(tensor))
+                held[key] = held[key] + gin if key in held else gin
         return leaf_grads
 
 
@@ -362,10 +358,11 @@ def mlp(x: Tensor, *layers: Tensor) -> Tensor:
         grads = []  # (bias, weight) gradients, last layer first
         for i in reversed(range(len(ws))):
             grads += [_unbroadcast(g, bs[i].shape), acts[i].T @ g]
-            g = g @ ws[i].data.T
             if i:
+                g = g @ ws[i].data.T
                 g *= derivs[i - 1]
-        return (g, *reversed(grads))
+        # a constant input (cell rows, genetic rows) gets no gradient product
+        return (g @ ws[0].data.T if x.needs_grad else None, *reversed(grads))
 
     return _record(out, (x, *layers), backward)
 

@@ -65,9 +65,13 @@ class PretrainConfig:
     seed: int = 0
 
     def __post_init__(self):
+        gbio.check_finite_floats(self)
         for name in ("epochs", "batch_size", "n_prototypes", "head_hidden", "head_bottleneck"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1")
+        for name in ("weight_decay", "ibot_weight"):
+            if getattr(self, name) < 0:
+                raise ValueError(f"{name} must be >= 0")
         if self.lr <= 0:
             raise ValueError("lr must be positive")
         if self.student_temp <= 0:
@@ -167,13 +171,22 @@ def dino_ibot_loss(
 def ema_update(
     teacher_params: dict[str, Tensor], student_params: dict[str, Tensor], momentum: float
 ) -> None:
+    """teacher = momentum * teacher + (1 - momentum) * student, each
+    teacher array updated in place: the out-of-place formula's operations in
+    its order, the student term in one scratch array per dtype."""
     if set(teacher_params) != set(student_params):
         raise ValueError("teacher/student parameter names differ")
     for name, t in teacher_params.items():
         s = student_params[name]
-        if t.shape != s.shape:
-            raise ValueError(f"{name}: shape {t.shape} vs {s.shape}")
-        t.data = momentum * t.data + (1.0 - momentum) * s.data
+        if t.shape != s.shape or t.dtype != s.dtype:
+            raise ValueError(f"{name}: teacher {t.dtype.name} of shape {t.shape}, "
+                             f"student {s.dtype.name} of shape {s.shape}")
+    size = max((t.data.size for t in teacher_params.values()), default=0)
+    scratch = {dtype: np.empty(size, dtype) for dtype in {t.dtype for t in teacher_params.values()}}
+    for name, t in teacher_params.items():
+        s = student_params[name].data
+        t.data *= momentum
+        t.data += np.multiply(s, 1.0 - momentum, out=scratch[t.dtype][: s.size].reshape(s.shape))
 
 
 def center_update(center: np.ndarray, teacher_logits: np.ndarray, momentum: float) -> np.ndarray:

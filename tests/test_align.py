@@ -357,6 +357,19 @@ class TestTrainAlign:
         with pytest.raises(TrainingError, match="stage-1"):
             train_align(cohort, TINY_AGG, cfg)
 
+    def test_finetune_leaves_the_stage1_params_as_they_were(self, rng):
+        """The optimizer trains its own copy: an ablation grid hands every
+        row the same stage-1 tensors."""
+        ckpt = init_params(TINY_AGG, rng)
+        held = {k: p.data for k, p in ckpt.items()}
+        before = {k: p.data.copy() for k, p in ckpt.items()}
+        cfg = AlignConfig(**{**TINY_ALIGN.to_dict(), "aggregator_mode": "finetune",
+                             "init": "pretrained", "epochs": 1})
+        result = train_align(make_cohort(rng), TINY_AGG, cfg, pretrained_aggregator=ckpt)
+        for k, p in ckpt.items():
+            assert p.data is held[k] and p.data.tobytes() == before[k].tobytes(), k
+        assert any(result.params[f"agg.{k}"].data.tobytes() != before[k].tobytes() for k in ckpt)
+
     def test_dimension_mismatch_refused(self, rng):
         cohort = make_cohort(rng)
         other = AggregatorConfig(depth=1, heads=2, embed_dim=16, mlp_dim=32,
@@ -577,4 +590,10 @@ class TestTrainAlign:
     ])
     def test_config_rejects_rates_out_of_range(self, field, value):
         with pytest.raises(ValueError, match=f"^{field} must"):
+            AlignConfig(**{field: value})
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("field", ["temperature", "recon_weight", "lr", "aggregator_lr"])
+    def test_config_rejects_non_finite_floats(self, field, value):
+        with pytest.raises(ValueError, match=f"^{field} must be finite"):
             AlignConfig(**{field: value})

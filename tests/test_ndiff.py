@@ -108,6 +108,16 @@ class TestBackward:
         # mean of 10*x: d/dx_i = 10/4
         assert np.allclose(grads[x], 2.5)
 
+    def test_shared_leaf_gradient_is_not_updated_in_place(self):
+        """add passes its incoming gradient to both operands: v keeps that
+        array while w's second contribution, from mul, makes a new sum."""
+        w, v = t64(np.ones(4), requires_grad=True), t64(np.ones(4), requires_grad=True)
+        with Tape() as tape:
+            loss = ndiff.mean(ndiff.add(ndiff.mul(w, t64(np.full(4, 3.0))), ndiff.add(w, v)))
+        grads = tape.backward(loss)
+        assert np.array_equal(grads[v], np.full(4, 0.25))
+        assert np.array_equal(grads[w], np.full(4, 1.0))
+
     def test_repeated_backward_errors(self):
         x = t64([2.0], requires_grad=True)
         with Tape() as tape:
@@ -505,6 +515,25 @@ class TestMlp:
             taped = _run_taped(ndiff.mlp, leaves, probe)
             _assert_same_bits(taped, _run_taped(_reference_mlp, leaves, probe), dtype)
             _assert_same_bits([ndiff.mlp(*leaves).data], taped[:1], dtype)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_constant_input_gets_no_gradient(self, rng, dtype):
+        """The weight and bias gradients are the same bits whether or not x
+        needs a gradient; a constant x gets None from the node."""
+        leaves = _mlp_leaves(rng, 7, dtype)
+        const = [Tensor(leaves[0].data)] + leaves[1:]
+        probe = Tensor(rng.standard_normal((7, 4)).astype(dtype))
+        grads = []
+        for inputs in (leaves, const):
+            with Tape() as tape:
+                loss = ndiff.mean(ndiff.mul(ndiff.mlp(*inputs), probe))
+            grads.append(tape.backward(loss))
+        assert const[0] not in grads[1]
+        _assert_same_bits([grads[1][t] for t in leaves[1:]], [grads[0][t] for t in leaves[1:]], dtype)
+        with Tape() as tape:
+            out = ndiff.mlp(*const)
+        gins = tape._nodes[-1].backward(np.ones_like(out.data))
+        assert gins[0] is None and all(g is not None for g in gins[1:])
 
     @pytest.mark.parametrize("k", range(1, 7), ids=_MLP_INPUTS[1:])
     def test_dtype_mismatch_names_the_input(self, rng, k):

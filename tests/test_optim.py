@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -36,10 +37,13 @@ def test_step_matches_out_of_place_update_bit_for_bit(rng, dtype, weight_decay):
     shapes = {"backbone.w": (5, 3), "backbone.b": (1, 3), "head.w": (3, 4), "frozen": (2,)}
     params = {k: Tensor(rng.standard_normal(s).astype(dtype), requires_grad=True)
               for k, s in shapes.items()}
-    # a parameter of the other dtype gets scratch of its own dtype
+    # a parameter of the other dtype goes to a flat buffer of its own dtype
     other = np.float64 if dtype == np.float32 else np.float32
     params["head.other"] = Tensor(rng.standard_normal((2, 2)).astype(other), requires_grad=True)
+    passed_in = {k: p.data for k, p in params.items()}
+    initial = {k: p.data.copy() for k, p in params.items()}
     opt = AdamW(params, 1e-2, 6, weight_decay=weight_decay, lr_scale={"backbone.": 0.1})
+    held = {k: p.data for k, p in params.items()}
     m = {k: np.zeros_like(p.data) for k, p in params.items()}
     v = {k: np.zeros_like(p.data) for k, p in params.items()}
     for step in range(6):
@@ -48,19 +52,35 @@ def test_step_matches_out_of_place_update_bit_for_bit(rng, dtype, weight_decay):
                  for k, p in params.items() if k != "frozen"}
         lr = 1e-2 * (step + 1) / 6
         expected = reference_step(opt, m, v, grads, lr)
-        before = {k: p.data for k, p in params.items()}
-        snapshots = {k: p.data.copy() for k, p in params.items()}
         opt.step(grads, lr=lr)
         for name, p in params.items():
-            assert p.data.dtype == expected[name].dtype == snapshots[name].dtype
+            assert p.data.dtype == expected[name].dtype == initial[name].dtype
             assert p.data.tobytes() == expected[name].tobytes(), (step, name)
-            # the update rebinds param.data; an array a caller held is left as it was
-            assert np.array_equal(before[name], snapshots[name])
-            if name != "frozen":
-                assert p.data is not before[name]
+            # the update is in place: param.data stays the array it became at
+            # construction, and the array passed in is left as it was
+            assert p.data is held[name]
+            assert passed_in[name].tobytes() == initial[name].tobytes()
         for name in params:
             assert opt._m[name].tobytes() == m[name].tobytes()
             assert opt._v[name].tobytes() == v[name].tobytes()
+
+
+def test_step_allocates_no_parameter_sized_array(rng):
+    """After a warm-up, a step on a model of about 50k floats allocates less
+    than one of its parameters takes."""
+    shapes = {f"w{i}": (128, 128) for i in range(3)} | {f"b{i}": (1, 128) for i in range(3)}
+    params = {k: Tensor(rng.standard_normal(s).astype(np.float32), requires_grad=True)
+              for k, s in shapes.items()}
+    grads = {p: rng.standard_normal(p.shape).astype(np.float32) for p in params.values()}
+    opt = AdamW(params, 1e-3, 10, weight_decay=0.05, lr_scale={"w0": 0.1})
+    opt.step(grads, lr=1e-3)
+    tracemalloc.start()
+    try:
+        opt.step(grads, lr=1e-3)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < params["w0"].data.nbytes
 
 
 def quadratic_loss(opt, target):

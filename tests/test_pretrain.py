@@ -170,6 +170,19 @@ class TestEmaAndCenter:
         ema_update(t, s, 0.0)
         assert np.allclose(t["w"].data, 1.0)
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_ema_equals_out_of_place_update_bit_for_bit(self, rng, dtype):
+        shapes = {"w": (5, 3), "b": (1, 7), "proto": (11,), "token": (1, 1)}
+        teacher, student = ({k: Tensor(rng.standard_normal(s).astype(dtype)) for k, s in shapes.items()}
+                            for _ in range(2))
+        held = {k: t.data for k, t in teacher.items()}
+        for momentum in (0.99, 0.996, 0.5):
+            expected = {k: momentum * t.data + (1.0 - momentum) * student[k].data for k, t in teacher.items()}
+            ema_update(teacher, student, momentum)
+            for k, t in teacher.items():
+                assert t.data is held[k]  # updated in place
+                assert t.data.dtype == dtype and t.data.tobytes() == expected[k].tobytes(), (momentum, k)
+
     def test_ema_shape_mismatch(self):
         t = {"w": Tensor(np.zeros(3))}
         s = {"w": Tensor(np.zeros(4))}
@@ -614,12 +627,27 @@ class TestTrainLoop:
     @pytest.mark.parametrize("field,value", [
         ("batch_size", 0), ("batch_size", -3), ("mask_ratio", 1.0), ("mask_ratio", -0.1),
         ("k_local", -1), ("lr", 0.0), ("lr", -1e-4), ("n_prototypes", 0), ("head_hidden", 0),
-        ("head_hidden", -1), ("head_bottleneck", 0),
+        ("head_hidden", -1), ("head_bottleneck", 0), ("weight_decay", -1.0), ("ibot_weight", -0.5),
     ])
     def test_config_rejects_settings_that_cannot_train(self, field, value):
         # k_global=3 keeps two views in total when k_local is -1
         with pytest.raises(ValueError, match=field):
             PretrainConfig(k_global=3, **{field: value})
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("field", ["lr", "weight_decay", "ibot_weight", "student_temp",
+                                       "ema_momentum", "mask_ratio"])
+    def test_config_rejects_non_finite_floats(self, field, value):
+        with pytest.raises(ValueError, match=f"^{field} must be finite"):
+            PretrainConfig(**{field: value})
+
+    def test_config_file_with_a_nan_weight_refused(self, tmp_path):
+        # json.loads reads the NaN token, so only the config can refuse it
+        path = tmp_path / "pretrain.json"
+        path.write_text('{"epochs": 1, "weight_decay": -1.0, "ibot_weight": NaN}')
+        with pytest.raises(gbio.FormatError, match=r"pretrain\.json, section 'pretrain': ibot_weight must "
+                                                   r"be finite, got nan"):
+            gbio.config_from(PretrainConfig, gbio.read_json(path), path, "pretrain")
 
     def test_teacher_temp_schedule(self):
         cfg = PretrainConfig(epochs=30)
