@@ -22,10 +22,20 @@ to rounding too: BLAS may round a row of a product differently depending on
 how many rows the product has.  That is why ``mlp``, byte-identical to a
 chain of ``matmul``, bias ``add`` and GELU per layer, tiles only its
 elementwise passes: each of its products runs over all rows.
+
+A recorded node keeps only what its backward reads: arrays, shapes and
+dtypes, never a Tensor.  The tape refers to a computed input by its node id
+and holds only leaf Tensors (parameters, alive anyway), so an intermediate
+Tensor the caller drops is freed at once, and its array too unless some
+backward reads it.  A constant input gets None, and no operand that only
+its gradient would read is kept, for ``mlp``'s ``x``, either operand of
+``mul`` and of ``cross_entropy``, and the targets of
+``binary_cross_entropy_with_logits``.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
@@ -46,9 +56,12 @@ class Tensor:
 
     ``requires_grad`` marks a leaf the caller wants gradients for;
     ``needs_grad`` additionally covers anything computed from such a leaf.
+    ``node`` is the id of the tape node that recorded the tensor as its
+    output, None if no tape did: a tape refers to a computed input by this
+    id, never by the tensor itself.
     """
 
-    __slots__ = ("data", "requires_grad", "needs_grad")
+    __slots__ = ("data", "requires_grad", "needs_grad", "node")
 
     def __init__(self, data, requires_grad: bool = False, dtype=None):
         arr = np.asarray(data, dtype=dtype)
@@ -57,6 +70,7 @@ class Tensor:
         self.data = arr
         self.requires_grad = requires_grad
         self.needs_grad = requires_grad
+        self.node = None
 
     @property
     def shape(self):
@@ -72,11 +86,16 @@ class Tensor:
 
 _ACTIVE_TAPE: "Tape | None" = None
 
+# node ids, unique in the process: an id from another tape never matches
+_NODE_IDS = itertools.count(1)
+
 
 @dataclass
 class _Node:
-    output: Tensor
-    inputs: tuple[Tensor, ...]
+    output: int  # the output tensor's node id
+    # per input: the leaf Tensor, the id of the node that computed it, or
+    # None if it needs no gradient
+    inputs: tuple[Tensor | int | None, ...]
     backward: Callable[[np.ndarray], tuple]  # grad_out -> grads per input (or None)
 
 
@@ -100,35 +119,35 @@ class Tape:
         return False
 
     def backward(self, loss: Tensor) -> dict[Tensor, np.ndarray]:
-        """dloss/dx for every requires_grad leaf reachable from loss.  A
-        returned gradient may be shared with another (a kernel may pass its
-        incoming gradient on, or a view of it), so it is read-only."""
+        """dloss/dx for every requires_grad leaf reachable from loss, keyed by
+        the leaf Tensor.  Other gradients are routed by node id, so a tensor
+        recorded on another tape, consumed or not, passes nothing on to that
+        tape's nodes.  A returned gradient may be shared with another (a
+        kernel may pass its incoming gradient on, or a view of it), so it is
+        read-only."""
         if self._consumed:
             raise NdiffError("tape already consumed by a previous backward call")
         if loss.data.size != 1:
             raise NdiffError(f"loss must be scalar, got shape {loss.data.shape}")
-        produced = {id(n.output) for n in self._nodes}
-        if id(loss) not in produced:
+        if loss.node not in {n.output for n in self._nodes}:
             raise NdiffError("loss was not recorded on this tape (detached graph)")
         self._consumed = True
-        grads: dict[int, np.ndarray] = {
-            id(loss): np.ones_like(loss.data)
-        }
+        grads: dict[int, np.ndarray] = {loss.node: np.ones_like(loss.data)}
         leaf_grads: dict[Tensor, np.ndarray] = {}
         while self._nodes:  # each node, and what its backward holds, is freed once passed
             node = self._nodes.pop()
-            gout = grads.pop(id(node.output), None)
+            gout = grads.pop(node.output, None)
             if gout is None:
                 continue
             gins = node.backward(gout)
-            for tensor, gin in zip(node.inputs, gins):
-                if gin is None or not tensor.needs_grad:
+            for source, gin in zip(node.inputs, gins):
+                if gin is None or source is None:
                     continue
                 # a gradient may be shared (a kernel may pass its incoming one
                 # on, or a view of it), so it is kept as is and never updated
                 # in place; a second contribution makes a new sum
-                held, key = (leaf_grads, tensor) if tensor.requires_grad else (grads, id(tensor))
-                held[key] = held[key] + gin if key in held else gin
+                held = leaf_grads if isinstance(source, Tensor) else grads
+                held[source] = held[source] + gin if source in held else gin
         return leaf_grads
 
 
@@ -138,9 +157,13 @@ def _records(inputs: Sequence[Tensor]) -> bool:
 
 
 def _record(out: Tensor, inputs: Sequence[Tensor], backward) -> Tensor:
+    """Record ``out`` on the active tape as computed from ``inputs`` if any
+    needs a gradient.  ``backward`` must not close over a Tensor."""
     if _records(inputs):
         out.needs_grad = True
-        _ACTIVE_TAPE._nodes.append(_Node(out, tuple(inputs), backward))
+        out.node = next(_NODE_IDS)
+        sources = tuple(t if t.requires_grad else t.node if t.needs_grad else None for t in inputs)
+        _ACTIVE_TAPE._nodes.append(_Node(out.node, sources, backward))
     return out
 
 
@@ -175,10 +198,11 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     _check_same_dtype(a, b, "matmul")
     if a.data.ndim != 2 or b.data.ndim != 2 or a.shape[1] != b.shape[0]:
         raise NdiffError(f"matmul: incompatible shapes {a.shape} @ {b.shape}")
-    out = Tensor(a.data @ b.data)
+    a_data, b_data = a.data, b.data
+    out = Tensor(a_data @ b_data)
 
     def backward(g):
-        return g @ b.data.T, a.data.T @ g
+        return g @ b_data.T, a_data.T @ g
 
     return _record(out, (a, b), backward)
 
@@ -189,9 +213,10 @@ def add(a: Tensor, b: Tensor) -> Tensor:
         out = Tensor(a.data + b.data)
     except ValueError:
         raise NdiffError(f"add: shapes {a.shape} and {b.shape} do not broadcast")
+    a_shape, b_shape = a.shape, b.shape
 
     def backward(g):
-        return _unbroadcast(g, a.shape), _unbroadcast(g, b.shape)
+        return _unbroadcast(g, a_shape), _unbroadcast(g, b_shape)
 
     return _record(out, (a, b), backward)
 
@@ -202,9 +227,15 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
         out = Tensor(a.data * b.data)
     except ValueError:
         raise NdiffError(f"mul: shapes {a.shape} and {b.shape} do not broadcast")
+    # each operand is kept for the other's gradient only: a constant input
+    # (SupCon's weights) gets None
+    a_shape, b_shape = a.shape, b.shape
+    a_kept = a.data if b.needs_grad else None
+    b_kept = b.data if a.needs_grad else None
 
     def backward(g):
-        return _unbroadcast(g * b.data, a.shape), _unbroadcast(g * a.data, b.shape)
+        return (None if b_kept is None else _unbroadcast(g * b_kept, a_shape),
+                None if a_kept is None else _unbroadcast(g * a_kept, b_shape))
 
     return _record(out, (a, b), backward)
 
@@ -263,12 +294,14 @@ def layer_norm(a: Tensor, gamma: Tensor, beta: Tensor) -> Tensor:
             f"do not broadcast with {a.shape}"
         )
 
+    gamma_data, gamma_shape, beta_shape = gamma.data, gamma.shape, beta.shape
+
     def backward(g):
-        dxhat = g * gamma.data
+        dxhat = g * gamma_data
         dx = dxhat - _row_sums(dxhat, w)
         dx -= xhat * _row_sums(dxhat * xhat, w)
         dx *= inv
-        return dx, _unbroadcast(g * xhat, gamma.shape), _unbroadcast(g, beta.shape)
+        return dx, _unbroadcast(g * xhat, gamma_shape), _unbroadcast(g, beta_shape)
 
     return _record(out, (a, gamma, beta), backward)
 
@@ -353,16 +386,17 @@ def mlp(x: Tensor, *layers: Tensor) -> Tensor:
     y = acts[-1] @ ws[-1].data
     y += bs[-1].data
     out = Tensor(y)
+    w_data, b_shapes, x_grad = [w.data for w in ws], [b.shape for b in bs], x.needs_grad
 
     def backward(g):
         grads = []  # (bias, weight) gradients, last layer first
-        for i in reversed(range(len(ws))):
-            grads += [_unbroadcast(g, bs[i].shape), acts[i].T @ g]
+        for i in reversed(range(len(w_data))):
+            grads += [_unbroadcast(g, b_shapes[i]), acts[i].T @ g]
             if i:
-                g = g @ ws[i].data.T
+                g = g @ w_data[i].T
                 g *= derivs[i - 1]
         # a constant input (cell rows, genetic rows) gets no gradient product
-        return (g @ ws[0].data.T if x.needs_grad else None, *reversed(grads))
+        return (g @ w_data[0].T if x_grad else None, *reversed(grads))
 
     return _record(out, (x, *layers), backward)
 
@@ -391,10 +425,15 @@ def cross_entropy(p_target: Tensor, log_q: Tensor) -> Tensor:
             f"cross_entropy: shapes {p_target.shape} and {log_q.shape} differ"
         )
     out = Tensor(-(p_target.data * log_q.data).sum(axis=-1))
+    # each operand is kept for the other's gradient only: a constant target
+    # (the teacher's) gets None, and its log_q is not kept for it
+    p_kept = p_target.data if log_q.needs_grad else None
+    log_q_kept = log_q.data if p_target.needs_grad else None
 
     def backward(g):
         ge = np.expand_dims(g, -1)
-        return -ge * log_q.data, -ge * p_target.data
+        return (None if log_q_kept is None else -ge * log_q_kept,
+                None if p_kept is None else -ge * p_kept)
 
     return _record(out, (p_target, log_q), backward)
 
@@ -414,9 +453,10 @@ def binary_cross_entropy_with_logits(logits: Tensor, targets: Tensor) -> Tensor:
         return out
     sig = np.where(x >= 0, 1.0, tail)  # sigmoid(x) from the same exp(-|x|)
     sig /= 1.0 + tail
+    x_kept = x if targets.needs_grad else None  # read by the targets' gradient only
 
     def backward(g):
-        return g * (sig - y), g * (-x)
+        return g * (sig - y), None if x_kept is None else g * (-x_kept)
 
     return _record(out, (logits, targets), backward)
 
@@ -560,7 +600,8 @@ def multi_head_attention(
     starts = np.cumsum(lengths) - lengths
     dh = d // n_heads
     scale = 1.0 / math.sqrt(dh)
-    xq, counts = x.data, lengths
+    x_data, wk_data, wv_data, wo_data = x.data, wk.data, wv.data, wo.data
+    xq, counts = x_data, lengths
     if queries is not None:
         queries = np.asarray(queries)
         if queries.ndim != 1 or queries.dtype.kind not in "iu":
@@ -576,7 +617,7 @@ def multi_head_attention(
         counts = np.bincount(owner, minlength=b)
         if not counts.all():
             raise NdiffError(f"queries: sequence {int(np.argmin(counts))} has no query row")
-        xq = x.data[queries]
+        xq = x_data[queries]
     # runs of consecutive sequences sharing (length, query count):
     # (first key row, first query row, sequences, length, queries per sequence)
     cuts = np.flatnonzero((np.diff(lengths) != 0) | (np.diff(counts) != 0)) + 1
@@ -593,8 +634,8 @@ def multi_head_attention(
     # the scale folds into Wq, a (d, d) pass, so no pass scales the scores
     wq_scaled = wq.data * scale
     q_all = xq @ wq_scaled
-    k_all = x.data @ wk.data
-    v_all = x.data @ wv.data
+    k_all = x_data @ wk_data
+    v_all = x_data @ wv_data
     merged = np.empty_like(q_all)
     taped = _records((x, wq, wk, wv, wo))
     blocks = []  # per run when taped: q, k, v, its (seqs, h, t, n) block e and its row sums r
@@ -614,10 +655,10 @@ def multi_head_attention(
                 if taped:  # the run's one slice
                     blocks.append((q, k, v, e, r))
                 del heads, e, r  # before the next slice's block is made
-    out = Tensor(merged @ wo.data)
+    out = Tensor(merged @ wo_data)
 
     def backward(g):
-        d_merged = g @ wo.data.T
+        d_merged = g @ wo_data.T
         d_wo = merged.T @ g
         # the softmax's row term rowsum(G * O) of every head, in the merged rows
         g_o = _row_sums((d_merged * merged).reshape(-1, n_heads, dh))
@@ -632,15 +673,15 @@ def multi_head_attention(
             dq[q0 : q0 + seqs * t] = merge(d_scores @ k)
             dk[r0 : r0 + seqs * n] = merge(d_scores.swapaxes(-1, -2) @ q)
         if queries is None:
-            d_x = dq @ wq_scaled.T + dk @ wk.data.T + dv @ wv.data.T
+            d_x = dq @ wq_scaled.T + dk @ wk_data.T + dv @ wv_data.T
         else:
-            d_x = dk @ wk.data.T + dv @ wv.data.T
+            d_x = dk @ wk_data.T + dv @ wv_data.T
             _add_rows(d_x, queries, dq @ wq_scaled.T)  # a query row may repeat
         return (
             d_x,
             scale * (xq.T @ dq),
-            x.data.T @ dk,
-            x.data.T @ dv,
+            x_data.T @ dk,
+            x_data.T @ dv,
             d_wo,
         )
 
@@ -649,9 +690,10 @@ def multi_head_attention(
 
 def mean(a: Tensor) -> Tensor:
     out = Tensor(a.data.mean())
+    shape, dtype, size = a.shape, a.dtype, a.data.size
 
     def backward(g):
-        return (np.full_like(a.data, float(g) / a.data.size),)
+        return (np.full(shape, float(g) / size, dtype),)
 
     return _record(out, (a,), backward)
 

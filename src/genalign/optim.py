@@ -29,13 +29,14 @@ class TrainingError(RuntimeError):
 class _Flat:
     """One dtype's parameters, gradients and moments as flat buffers, two
     chunk rows of scratch for a pass's temporaries, and the slots: each
-    parameter, its gradient's view, its ``[start, stop)`` and its lr scale."""
+    parameter's name, the parameter, its gradient's view, its ``[start,
+    stop)`` and its lr scale."""
 
     def __init__(self, size: int, dtype: np.dtype):
         self.param, self.grad = np.empty(size, dtype), np.empty(size, dtype)
         self.m, self.v = np.zeros(size, dtype), np.zeros(size, dtype)
         self.scratch = np.empty((2, min(size, CHUNK)), dtype)
-        self.slots: list[tuple[Tensor, np.ndarray, int, int, float]] = []
+        self.slots: list[tuple[str, Tensor, np.ndarray, int, int, float]] = []
 
 
 class AdamW:
@@ -74,7 +75,7 @@ class AdamW:
                     a[start:stop].reshape(param.shape) for a in (flat.param, flat.grad, flat.m, flat.v))
                 view[...] = param.data
                 param.data = view
-                flat.slots.append((param, grad, start, stop, self._scale_for(name)))
+                flat.slots.append((name, param, grad, start, stop, self._scale_for(name)))
                 start = stop
             self._flats.append(flat)
 
@@ -96,13 +97,23 @@ class AdamW:
     def step(self, grads: dict[Tensor, np.ndarray], lr: float) -> None:
         """Copy each gradient into its slot and update, in place, the runs of
         adjacent slots that got one and share an lr scale; a parameter
-        without a gradient, and its moments, are left as they were."""
+        without a gradient, and its moments, are left as they were.  A
+        gradient of another shape or dtype than its parameter's is refused,
+        naming the parameter, before any slot is written."""
+        for flat in self._flats:
+            for name, param, *_ in flat.slots:
+                grad = grads.get(param)
+                # np.copyto would broadcast and cast it into the slot
+                if grad is not None and (grad.shape != param.shape or grad.dtype != param.dtype):
+                    raise TrainingError(
+                        f"gradient of {name}: {grad.dtype.name} {grad.shape}, "
+                        f"but the parameter is {param.dtype.name} {param.shape}")
         self.step_count += 1
         bc1 = 1.0 - self.beta1**self.step_count
         bc2 = 1.0 - self.beta2**self.step_count
         for flat in self._flats:
             runs = []  # [start, stop, scale]
-            for param, grad_slot, start, stop, scale in flat.slots:
+            for _, param, grad_slot, start, stop, scale in flat.slots:
                 grad = grads.get(param)
                 if grad is None:
                     continue

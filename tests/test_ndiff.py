@@ -1,6 +1,7 @@
 import inspect
 import math
 import tracemalloc
+import weakref
 import zlib
 
 import numpy as np
@@ -146,6 +147,71 @@ class TestBackward:
         x = t64([1.0], requires_grad=True)
         y = ndiff.mul(x, x)
         assert y.needs_grad is False  # stop-gradient path
+
+    def test_dropped_intermediate_is_freed_while_taped(self):
+        """add's backward reads two shapes, and the tape holds node ids, so
+        an output the caller drops is freed before the backward runs."""
+        x, b, c = (t64(np.full((3, 4), v), requires_grad=True) for v in (1.0, 2.0, 3.0))
+        x_grads = []
+        for drop in (False, True):
+            with Tape() as tape:
+                y = ndiff.add(x, b)
+                z = ndiff.add(y, c)
+                if drop:
+                    alive = weakref.ref(y.data)
+                    del y
+                    assert alive() is None
+                loss = ndiff.mean(ndiff.mul(z, z))
+            x_grads.append(tape.backward(loss)[x])
+        assert np.array_equal(x_grads[0], np.full((3, 4), 1.0))  # 2 * z / 12
+        assert x_grads[1].tobytes() == x_grads[0].tobytes()
+
+    def test_tensor_from_another_tape_routes_no_gradient_back(self):
+        """y, recorded on a consumed tape, is an input of a new one: its
+        gradient reaches no node of the old tape, so x gets none."""
+        x, w = t64([1.0, 2.0], requires_grad=True), t64([3.0, 4.0], requires_grad=True)
+        with Tape() as old:
+            y = ndiff.mul(x, x)
+            old_loss = ndiff.mean(y)
+        old.backward(old_loss)
+        with Tape() as tape:
+            loss = ndiff.mean(ndiff.mul(y, w))
+        with pytest.raises(ndiff.NdiffError, match="not recorded"):
+            tape.backward(old_loss)
+        grads = tape.backward(loss)
+        assert set(grads) == {w}
+        assert np.array_equal(grads[w], y.data / 2)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("op", ["mul", "cross_entropy", "binary_cross_entropy_with_logits"])
+    def test_constant_input_gets_no_gradient(self, rng, op, dtype):
+        """The constant input's slot is None; the other input's gradient is
+        the same bits as when both need one, and as the formula's."""
+        a, c = (rng.standard_normal((3, 4)).astype(dtype) for _ in range(2))
+        g = rng.standard_normal((3, 4) if op != "cross_entropy" else (3,)).astype(dtype)
+        # (the constant's position, the other input's gradient as written out)
+        const_at, formula = {
+            "mul": (0, lambda: g * a),
+            "cross_entropy": (0, lambda: -np.expand_dims(g, -1) * a),
+            "binary_cross_entropy_with_logits": (1, lambda: g * (1.0 / (1.0 + np.exp(-c)) - a)),
+        }[op]
+        gins = []
+        for const in (True, False):
+            inputs = [Tensor(a), Tensor(c, requires_grad=True)]
+            if op == "binary_cross_entropy_with_logits":
+                inputs.reverse()  # logits c, targets a
+            inputs[const_at].requires_grad = inputs[const_at].needs_grad = not const
+            with Tape() as tape:
+                getattr(ndiff, op)(*inputs)
+            gins.append(tape._nodes[-1].backward(g))
+        assert gins[0][const_at] is None and gins[1][const_at] is not None
+        other = 1 - const_at
+        assert gins[0][other].dtype == dtype
+        assert gins[0][other].tobytes() == gins[1][other].tobytes()
+        if op == "binary_cross_entropy_with_logits":  # the sigmoid is computed another way
+            np.testing.assert_allclose(gins[0][other], formula(), rtol=1e-5 if dtype == np.float32 else 1e-12)
+        else:
+            assert gins[0][other].tobytes() == formula().tobytes()
 
 
 PRIMITIVE_CASES = [
@@ -352,6 +418,41 @@ class TestGradCheck:
         missing = [name for name in recording
                    if not any(case.startswith(name) for case, _, _ in PRIMITIVE_CASES)]
         assert not missing, f"no gradient check for {missing}"
+
+    def test_no_recorded_node_holds_a_tensor(self):
+        """Recorded, each case's nodes hold leaf Tensors as inputs and no
+        Tensor in a backward's closure, directly, in a list or tuple, or in
+        a function the backward closes over."""
+        holders = []
+        for name, shape, fn in PRIMITIVE_CASES:
+            x = t64(np.ones(shape), requires_grad=True)
+            with Tape() as tape:
+                fn(x)
+            assert tape._nodes, name
+            for node in tape._nodes:
+                if any(isinstance(s, Tensor) and not s.requires_grad for s in node.inputs):
+                    holders.append((name, "inputs"))
+                if _closure_tensors(node.backward):
+                    holders.append((name, node.backward.__qualname__))
+        assert not holders
+
+
+def _closure_tensors(fn):
+    """The Tensors ``fn``'s closure holds, directly, inside a list or tuple,
+    or in the closure of a function it holds."""
+    found, seen, todo = [], set(), [fn]
+    while todo:
+        obj = todo.pop()
+        if id(obj) in seen:
+            continue
+        seen.add(id(obj))
+        if isinstance(obj, Tensor):
+            found.append(obj)
+        elif isinstance(obj, (list, tuple)):
+            todo += obj
+        elif inspect.isfunction(obj):
+            todo += [cell.cell_contents for cell in obj.__closure__ or ()]
+    return found
 
 
 # The formulas the fused kernels replaced, kept verbatim as test-local

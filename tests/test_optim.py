@@ -119,6 +119,27 @@ def test_checked_step_refuses_a_non_finite_loss_leaving_the_state_as_it_was(rng,
         assert before.tobytes() == after.tobytes()
 
 
+@pytest.mark.parametrize("grad,match", [
+    (np.ones((1, 3)), r"float64 \(1, 3\)"),
+    (np.ones((1, 3), np.float32), r"float32 \(1, 3\)"),
+    (np.ones((5, 3)), r"float64 \(5, 3\)"),
+], ids=["shape_and_dtype", "shape", "dtype"])
+def test_step_refuses_a_gradient_unlike_its_parameter_writing_nothing(rng, grad, match):
+    """np.copyto would broadcast a (1, 3) row over all five rows and cast
+    f64 to f32; the step is refused before the earlier slot "a" is written."""
+    params = {name: Tensor(rng.standard_normal(shape).astype(np.float32), requires_grad=True)
+              for name, shape in (("a", (2, 2)), ("w", (5, 3)))}
+    opt = AdamW(params, 1e-2, 4)
+    (flat,) = opt._flats
+    state = [a.copy() for a in (flat.param, flat.grad, flat.m, flat.v)]
+    grads = {params["a"]: np.ones((2, 2), np.float32), params["w"]: grad}
+    with pytest.raises(TrainingError, match=f"gradient of w: {match}, but the parameter is float32 \\(5, 3\\)"):
+        opt.step(grads, lr=1e-2)
+    assert opt.step_count == 0
+    for before, after in zip(state, (flat.param, flat.grad, flat.m, flat.v)):
+        assert before.tobytes() == after.tobytes()
+
+
 def test_schedule_is_planned_over_the_steps_given(monkeypatch):
     schedule = []
     lr = optim.warmup_cosine_lr
