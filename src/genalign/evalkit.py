@@ -26,9 +26,11 @@ import numpy as np
 EXACT_WILCOXON_MAX_N = 12
 # row indices per bootstrap chunk at most (8 MB of int64)
 MAX_RESAMPLE_INDICES = 2**20
-# the logistic probe's L2 penalty and L-BFGS iteration cap
+# the logistic probe's L2 penalty and Newton step cap; it converges in
+# about 15 steps, and each halves the step at most ARMIJO_HALVINGS times
 LOGREG_L2 = 1.0
 LOGREG_MAX_ITER = 1000
+ARMIJO_HALVINGS = 40
 
 
 class EvalError(ValueError):
@@ -171,53 +173,92 @@ def logreg_probe(
     test_x: np.ndarray,
     test_y: np.ndarray,
 ) -> LogregResult:
-    """Multinomial logistic regression probe (quasi-Newton full batch,
-    zero-initialized, L2 penalty on weights only)."""
-    # imported here: scipy takes about half a second to import, and nothing
-    # else in the package needs it
-    from scipy import optimize
-
+    """Multinomial logistic regression probe: summed NLL plus
+    ``0.5 * LOGREG_L2 * ||W||^2`` (bias unpenalised), minimised from zero
+    weights by Newton-CG.  ``converged`` means max |gradient| <= 1e-6."""
     train_x = np.asarray(train_x, dtype=np.float64)
     test_x = np.asarray(test_x, dtype=np.float64)
-    classes = np.unique(train_y)
-    class_index = {c: i for i, c in enumerate(classes)}
-    y = np.array([class_index[c] for c in train_y])
+    classes, y = np.unique(train_y, return_inverse=True)
     n, d = train_x.shape
-    c = len(classes)
-    onehot = np.zeros((n, c))
+    onehot = np.zeros((n, len(classes)))
     onehot[np.arange(n), y] = 1.0
 
-    def objective(flat):
-        w = flat[: d * c].reshape(d, c)
-        b = flat[d * c :]
-        logits = train_x @ w + b
+    def objective(theta):
+        """Value and class probabilities at theta = [W; b]."""
+        logits = train_x @ theta[:-1] + theta[-1]
         logits -= logits.max(axis=1, keepdims=True)
-        logz = np.log(np.exp(logits).sum(axis=1, keepdims=True))
-        logp = logits - logz
-        nll = -(onehot * logp).sum()
-        p = np.exp(logp)
-        grad_logits = p - onehot
-        grad_w = train_x.T @ grad_logits + LOGREG_L2 * w
-        grad_b = grad_logits.sum(axis=0)
-        value = nll + 0.5 * LOGREG_L2 * (w**2).sum()
-        return value, np.concatenate([grad_w.reshape(-1), grad_b])
+        logp = logits - np.log(np.exp(logits).sum(axis=1, keepdims=True))
+        value = -(onehot * logp).sum() + 0.5 * LOGREG_L2 * (theta[:-1] ** 2).sum()
+        return value, np.exp(logp)
 
-    x0 = np.zeros(d * c + c)
-    result = optimize.minimize(
-        objective, x0, jac=True, method="L-BFGS-B",
-        options={"maxiter": LOGREG_MAX_ITER, "gtol": 1e-6, "ftol": 0.0},
-    )
-    w = result.x[: d * c].reshape(d, c)
-    b = result.x[d * c :]
-    grad_norm = float(np.abs(result.jac).max())
-    converged = grad_norm <= 1e-6
-    pred = classes[(test_x @ w + b).argmax(axis=1)]
+    def pull_back(grad_logits, w):
+        """[X, 1]^T grad_logits + LOGREG_L2 * [w; 0], shaped like theta."""
+        out = np.empty((d + 1, len(classes)))
+        out[:-1] = train_x.T @ grad_logits + LOGREG_L2 * w
+        out[-1] = grad_logits.sum(axis=0)
+        return out
+
+    def hessian_times(p, v):
+        # the logits' Hessian is diag(p_i) - p_i p_i^T on each row i
+        pu = p * (train_x @ v[:-1] + v[-1])
+        return pull_back(pu - p * pu.sum(axis=1, keepdims=True), v[:-1])
+
+    theta = np.zeros((d + 1, len(classes)))
+    value, p = objective(theta)
+    grad = pull_back(p - onehot, theta[:-1])
+    for _ in range(LOGREG_MAX_ITER):
+        if np.abs(grad).max() <= 1e-8:
+            break
+        step = _conjugate_gradient(lambda v: hessian_times(p, v), -grad)
+        slope = (grad * step).sum()
+        for t in 0.5 ** np.arange(ARMIJO_HALVINGS):  # Armijo backtracking
+            trial = theta + t * step
+            trial_value, trial_p = objective(trial)
+            if trial_value < value + 1e-4 * t * slope:
+                break
+        else:
+            break  # no step decreases the objective
+        theta, value, p = trial, trial_value, trial_p
+        grad = pull_back(p - onehot, theta[:-1])
+    grad_norm = float(np.abs(grad).max())
+    pred = classes[(test_x @ theta[:-1] + theta[-1]).argmax(axis=1)]
     return LogregResult(
         balanced_accuracy=balanced_accuracy(np.asarray(test_y), pred),
-        converged=converged,
+        converged=grad_norm <= 1e-6,
         grad_norm=grad_norm,
         predictions=pred,
     )
+
+
+def _conjugate_gradient(hessian_times: Callable[[np.ndarray], np.ndarray],
+                        rhs: np.ndarray) -> np.ndarray:
+    """Approximate solution s of H s = rhs for a positive semi-definite H
+    given as a product, stopped at residual <= min(0.5, sqrt|rhs|) * |rhs|.
+
+    Shifting every class's bias by one constant leaves the logistic
+    objective unchanged, so H is singular along that direction.  CG starts
+    at zero and every gradient's bias entries sum to zero (each row of
+    p - onehot does), so rhs, and with it every residual and search
+    direction, stays in the sum-zero subspace where H is definite."""
+    rhs_norm = np.sqrt((rhs**2).sum())
+    tol = min(0.5, np.sqrt(rhs_norm)) * rhs_norm
+    s = np.zeros_like(rhs)
+    residual = rhs.copy()
+    direction = residual.copy()
+    rr = rhs_norm**2
+    for _ in range(rhs.size):
+        if np.sqrt(rr) <= tol:
+            break
+        h_dir = hessian_times(direction)
+        curvature = (direction * h_dir).sum()
+        if curvature <= 0:
+            break
+        alpha = rr / curvature
+        s += alpha * direction
+        residual -= alpha * h_dir
+        rr, rr_old = (residual**2).sum(), rr
+        direction = residual + (rr / rr_old) * direction
+    return s
 
 
 @dataclass

@@ -1,8 +1,10 @@
 import math
+import tracemalloc
 from itertools import product
 
 import numpy as np
 import pytest
+from scipy import optimize
 
 from genalign import evalkit as ek
 
@@ -280,19 +282,38 @@ class TestLogregProbe:
             baccs.append(ek.logreg_probe(x, y, x_test, y_test).balanced_accuracy)
         assert np.mean(baccs) == pytest.approx(0.5, abs=0.05)
 
-    def test_final_objective_below_zero_weights(self, rng):
-        # convexity sanity: optimizer must not end above its starting point
-        x = rng.standard_normal((50, 4))
-        y = rng.integers(0, 3, size=50)
-        classes = np.unique(y)
-        onehot = np.zeros((50, len(classes)))
-        onehot[np.arange(50), y] = 1
-        loss_zero = -np.log(1 / len(classes)) * 50
-        result = ek.logreg_probe(x, y, x, y)
-        # re-evaluate the trained objective through the probe's own math:
-        # the probe converged, so its optimum is <= value at zeros
-        assert result.grad_norm <= 1e-6 or not result.converged
-        assert math.isfinite(loss_zero)
+    @pytest.mark.parametrize("n_classes", [2, 3, 4, 7])
+    def test_matches_lbfgs_reference(self, n_classes):
+        for seed in range(4):
+            rng = np.random.default_rng(seed)
+            centers = rng.standard_normal((n_classes, 12))
+            y = np.concatenate([np.arange(n_classes), rng.integers(0, n_classes, 60)])
+            y_test = rng.integers(0, n_classes, 100)
+            x = centers[y] + 1.5 * rng.standard_normal((len(y), 12))
+            x_test = centers[y_test] + 1.5 * rng.standard_normal((100, 12))
+            labels = np.array([f"class{k}" for k in range(n_classes)])
+            result = ek.logreg_probe(x, labels[y], x_test, labels[y_test])
+            assert result.converged and result.grad_norm <= 1e-6
+            np.testing.assert_array_equal(result.predictions, lbfgs_predictions(x, labels[y], x_test))
+
+    def test_one_class_training_split(self, rng):
+        x = rng.standard_normal((10, 3))
+        result = ek.logreg_probe(x, np.array(["a"] * 10), x[:4], np.array(["a", "a", "b", "b"]))
+        assert result.converged and result.grad_norm <= 1e-6
+        assert list(result.predictions) == ["a"] * 4
+
+    def test_memory_far_below_a_dense_hessian(self, rng):
+        # a dense Hessian of these 513 * 10 unknowns would take 210 MB
+        x = rng.standard_normal((200, 512))
+        y = np.arange(200) % 10
+        tracemalloc.start()
+        try:
+            result = ek.logreg_probe(x, y, x, y)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert result.converged
+        assert peak < 20e6
 
     def test_multiclass_deterministic(self, rng):
         x = rng.standard_normal((60, 5))
@@ -300,6 +321,28 @@ class TestLogregProbe:
         a = ek.logreg_probe(x, y, x, y).balanced_accuracy
         b = ek.logreg_probe(x, y, x, y).balanced_accuracy
         assert a == b
+
+
+def lbfgs_predictions(train_x, train_y, test_x):
+    """Test-set predictions of the logistic probe's objective minimised from
+    zero by scipy's L-BFGS-B at a gradient tolerance of 1e-10."""
+    classes, y = np.unique(train_y, return_inverse=True)
+    d, c = train_x.shape[1], len(classes)
+    onehot = np.eye(c)[y]
+
+    def objective(flat):
+        w, b = flat[: d * c].reshape(d, c), flat[d * c :]
+        logits = train_x @ w + b
+        logits -= logits.max(axis=1, keepdims=True)
+        logp = logits - np.log(np.exp(logits).sum(axis=1, keepdims=True))
+        grad_logits = np.exp(logp) - onehot
+        value = -(onehot * logp).sum() + 0.5 * ek.LOGREG_L2 * (w**2).sum()
+        grad_w = train_x.T @ grad_logits + ek.LOGREG_L2 * w
+        return value, np.concatenate([grad_w.ravel(), grad_logits.sum(axis=0)])
+
+    flat = optimize.minimize(objective, np.zeros(d * c + c), jac=True, method="L-BFGS-B",
+                             options={"maxiter": 10_000, "gtol": 1e-10, "ftol": 0.0}).x
+    return classes[(test_x @ flat[: d * c].reshape(d, c) + flat[d * c :]).argmax(axis=1)]
 
 
 def loop_bootstrap(metric, n, n_boot, seed):

@@ -1,6 +1,7 @@
 import json
 import subprocess
 import sys
+import textwrap
 from pathlib import Path
 
 import numpy as np
@@ -492,11 +493,24 @@ class TestEvaluateReport:
         assert len(calls) == 6
 
 
-def test_importing_the_harness_leaves_scipy_unloaded():
-    # scipy takes about half a second to import; only the logistic probe needs it
-    code = ("import sys; sys.path.insert(0, sys.argv[1]); import genalign.harness; "
-            "sys.exit('scipy.optimize' in sys.modules)")
+def test_probe_block_leaves_scipy_unloaded():
+    # both probes are numpy alone; loading scipy would cost about 49 MB and
+    # half a second in every process that evaluates
+    code = textwrap.dedent("""
+        import sys
+        sys.path.insert(0, sys.argv[1])
+        import numpy as np
+        from genalign.align import AlignedTable
+        from genalign.harness import probe_block
+        z = np.random.default_rng(0).standard_normal((20, 8))
+        z /= np.linalg.norm(z, axis=1, keepdims=True)
+        table = AlignedTable([f"p{i}" for i in range(20)], [f"class{i % 3}" for i in range(20)],
+                             ["train"] * 12 + ["test"] * 8, z, z, z, z)
+        block = probe_block(table, n_boot=10)
+        print(sorted(block) == ["knn", "logreg"], "scipy" in sys.modules)
+    """)
     src = Path(harness.__file__).parents[1]
     done = subprocess.run([sys.executable, "-c", code, str(src)],
                           capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr
+    assert done.stdout.split() == ["True", "False"]
