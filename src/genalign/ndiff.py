@@ -9,7 +9,8 @@ Accumulation order is fixed (reverse recording order, one plain sum per
 contribution), so a seeded run reproduces bit-identical values.
 
 Kernels work in place (``*=``, ``np.exp(..., out=)``) only on arrays they
-allocated themselves, never on an input or an incoming gradient.  A kernel
+allocated themselves or slots the tape hands them, never on an input or an
+incoming gradient.  A kernel
 rewrite keeps outputs and gradients byte-identical (the same float
 operations on the same operands in the same order), except
 ``multi_head_attention`` and ``layer_norm``.  Both take their row sums as
@@ -31,6 +32,13 @@ backward reads it.  A constant input gets None, and no operand that only
 its gradient would read is kept, for ``mlp``'s ``x``, either operand of
 ``mul`` and of ``cross_entropy``, and the targets of
 ``binary_cross_entropy_with_logits``.
+
+A leaf's gradient lives where the caller of ``Tape.backward`` says.  Given
+slots (an optimizer's flat gradient buffer), each leaf's gradient is written
+into its slot, and the weights and biases of ``mlp``,
+``multi_head_attention`` and ``layer_norm`` by the kernel's own product or
+sum (``out=``), so the step holds no other array of it.  Without slots, as
+in ``grad_check`` and the unit tests, each is a new array.
 """
 
 from __future__ import annotations
@@ -96,7 +104,10 @@ class _Node:
     # per input: the leaf Tensor, the id of the node that computed it, or
     # None if it needs no gradient
     inputs: tuple[Tensor | int | None, ...]
-    backward: Callable[[np.ndarray], tuple]  # grad_out -> grads per input (or None)
+    backward: Callable[..., tuple]  # grad_out -> grads per input (or None)
+    # whether backward takes, after grad_out, per input an array to write
+    # that input's gradient into (or None)
+    into: bool = False
 
 
 class Tape:
@@ -118,13 +129,25 @@ class Tape:
         _ACTIVE_TAPE = None
         return False
 
-    def backward(self, loss: Tensor) -> dict[Tensor, np.ndarray]:
+    def backward(
+        self, loss: Tensor, slots: dict[Tensor, tuple[str, np.ndarray]] | None = None
+    ) -> dict[Tensor, np.ndarray]:
         """dloss/dx for every requires_grad leaf reachable from loss, keyed by
         the leaf Tensor.  Other gradients are routed by node id, so a tensor
         recorded on another tape, consumed or not, passes nothing on to that
-        tape's nodes.  A returned gradient may be shared with another (a
-        kernel may pass its incoming gradient on, or a view of it), so it is
-        read-only."""
+        tape's nodes.
+
+        ``slots`` maps a leaf to its name and the array its gradient lives in
+        (an optimizer's gradient buffer).  The leaf's first contribution is
+        written into its slot, by the kernel itself where it can (``mlp``,
+        ``multi_head_attention`` and ``layer_norm`` weights), and later ones
+        are added in place.  A contribution of another shape or dtype than
+        its slot's is refused where it arrives, naming the leaf, before it is
+        written; slots written earlier in the pass keep what they got.  A
+        slot-backed leaf's gradient is its slot, valid until the next
+        backward writes it.  Any other gradient is a new array that may be
+        shared with another (a kernel may pass its incoming gradient on, or a
+        view of it), so it is read-only."""
         if self._consumed:
             raise NdiffError("tape already consumed by a previous backward call")
         if loss.data.size != 1:
@@ -132,6 +155,7 @@ class Tape:
         if loss.node not in {n.output for n in self._nodes}:
             raise NdiffError("loss was not recorded on this tape (detached graph)")
         self._consumed = True
+        slots = slots or {}
         grads: dict[int, np.ndarray] = {loss.node: np.ones_like(loss.data)}
         leaf_grads: dict[Tensor, np.ndarray] = {}
         while self._nodes:  # each node, and what its backward holds, is freed once passed
@@ -139,9 +163,24 @@ class Tape:
             gout = grads.pop(node.output, None)
             if gout is None:
                 continue
-            gins = node.backward(gout)
+            if node.into:
+                gins = node.backward(gout, _offer(node.inputs, slots, leaf_grads))
+            else:
+                gins = node.backward(gout)
             for source, gin in zip(node.inputs, gins):
                 if gin is None or source is None:
+                    continue
+                if source in slots:
+                    name, slot = slots[source]
+                    if gin is not slot:  # a kernel's in-place write has its slot's shape and dtype
+                        if gin.shape != slot.shape or gin.dtype != slot.dtype:
+                            raise NdiffError(f"gradient of {name}: {gin.dtype.name} {gin.shape}, "
+                                             f"but its slot is {slot.dtype.name} {slot.shape}")
+                        if source in leaf_grads:
+                            slot += gin
+                        else:
+                            np.copyto(slot, gin)
+                    leaf_grads[source] = slot
                     continue
                 # a gradient may be shared (a kernel may pass its incoming one
                 # on, or a view of it), so it is kept as is and never updated
@@ -151,19 +190,36 @@ class Tape:
         return leaf_grads
 
 
+def _offer(inputs, slots, written) -> tuple[np.ndarray | None, ...]:
+    """Per input of a node, the slot its kernel may write its gradient into:
+    a slot-backed leaf's, if nothing is written there yet, only at the
+    leaf's first place among ``inputs``, and only if the leaf's array has
+    its slot's shape and dtype (numpy would cast a write into it)."""
+    into = []
+    for i, source in enumerate(inputs):
+        slot = slots[source][1] if source in slots and source not in written else None
+        if slot is not None and (source in inputs[:i] or source.shape != slot.shape
+                                 or source.dtype != slot.dtype):
+            slot = None
+        into.append(slot)
+    return tuple(into)
+
+
 def _records(inputs: Sequence[Tensor]) -> bool:
     """Whether a node on ``inputs`` would be recorded on the active tape."""
     return _ACTIVE_TAPE is not None and any(t.needs_grad for t in inputs)
 
 
-def _record(out: Tensor, inputs: Sequence[Tensor], backward) -> Tensor:
+def _record(out: Tensor, inputs: Sequence[Tensor], backward, into: bool = False) -> Tensor:
     """Record ``out`` on the active tape as computed from ``inputs`` if any
-    needs a gradient.  ``backward`` must not close over a Tensor."""
+    needs a gradient.  ``backward`` must not close over a Tensor; with
+    ``into`` it takes, after the gradient, per input an array (or None) that
+    it may write that input's gradient into and return as it."""
     if _records(inputs):
         out.needs_grad = True
         out.node = next(_NODE_IDS)
         sources = tuple(t if t.requires_grad else t.node if t.needs_grad else None for t in inputs)
-        _ACTIVE_TAPE._nodes.append(_Node(out.node, sources, backward))
+        _ACTIVE_TAPE._nodes.append(_Node(out.node, sources, backward, into))
     return out
 
 
@@ -172,8 +228,12 @@ def _check_same_dtype(a: Tensor, b: Tensor, op: str):
         raise NdiffError(f"{op}: dtype mismatch {a.dtype.name} vs {b.dtype.name}")
 
 
-def _unbroadcast(grad: np.ndarray, shape: tuple) -> np.ndarray:
-    """Sum-reduce a broadcasted gradient back to the operand's shape."""
+def _unbroadcast(grad: np.ndarray, shape: tuple, out: np.ndarray | None = None) -> np.ndarray:
+    """Sum-reduce a broadcasted gradient back to the operand's shape.  A sum
+    over the leading axis alone (a bias row's) is written into ``out`` if
+    one is given; any other result is a new array, or ``grad`` itself."""
+    if out is not None and grad.ndim == len(shape) and shape == (1, *grad.shape[1:]) and grad.shape[0] != 1:
+        return np.sum(grad, axis=0, keepdims=True, out=out)
     if grad.shape == shape:
         return grad
     extra = grad.ndim - len(shape)
@@ -296,14 +356,15 @@ def layer_norm(a: Tensor, gamma: Tensor, beta: Tensor) -> Tensor:
 
     gamma_data, gamma_shape, beta_shape = gamma.data, gamma.shape, beta.shape
 
-    def backward(g):
+    def backward(g, into=(None,) * 3):
         dxhat = g * gamma_data
         dx = dxhat - _row_sums(dxhat, w)
         dx -= xhat * _row_sums(dxhat * xhat, w)
         dx *= inv
-        return dx, _unbroadcast(g * xhat, gamma_shape), _unbroadcast(g, beta_shape)
+        return (dx, _unbroadcast(g * xhat, gamma_shape, into[1]),
+                _unbroadcast(g, beta_shape, into[2]))
 
-    return _record(out, (a, gamma, beta), backward)
+    return _record(out, (a, gamma, beta), backward, into=True)
 
 
 def _gelu_into(h: np.ndarray, u: np.ndarray, t: np.ndarray, deriv=None) -> None:
@@ -316,8 +377,9 @@ def _gelu_into(h: np.ndarray, u: np.ndarray, t: np.ndarray, deriv=None) -> None:
     * (1 + k x^2))) and of its derivative, in the same order, so the results
     are the same bit for bit as the expressions written out.
     """
-    np.multiply(h, h, out=u)
-    u *= 0.044715
+    h2 = u if deriv is None else deriv  # h^2, kept for the derivative if one is wanted
+    np.multiply(h, h, out=h2)
+    np.multiply(h2, 0.044715, out=u)
     u += 1.0
     np.multiply(h, _GELU_C, out=t)
     t *= u
@@ -325,7 +387,6 @@ def _gelu_into(h: np.ndarray, u: np.ndarray, t: np.ndarray, deriv=None) -> None:
     np.add(t, 1.0, out=u)
     if deriv is not None:
         # _GELU_C * (1 + 3k x^2), the derivative of t's argument
-        np.multiply(h, h, out=deriv)
         deriv *= 0.134145
         deriv += 1.0
         deriv *= _GELU_C
@@ -388,17 +449,18 @@ def mlp(x: Tensor, *layers: Tensor) -> Tensor:
     out = Tensor(y)
     w_data, b_shapes, x_grad = [w.data for w in ws], [b.shape for b in bs], x.needs_grad
 
-    def backward(g):
+    def backward(g, into=(None,) * (1 + len(layers))):
         grads = []  # (bias, weight) gradients, last layer first
         for i in reversed(range(len(w_data))):
-            grads += [_unbroadcast(g, b_shapes[i]), acts[i].T @ g]
+            grads += [_unbroadcast(g, b_shapes[i], into[2 + 2 * i]),
+                      np.matmul(acts[i].T, g, out=into[1 + 2 * i])]
             if i:
                 g = g @ w_data[i].T
                 g *= derivs[i - 1]
         # a constant input (cell rows, genetic rows) gets no gradient product
         return (g @ w_data[0].T if x_grad else None, *reversed(grads))
 
-    return _record(out, (x, *layers), backward)
+    return _record(out, (x, *layers), backward, into=True)
 
 
 def l2_normalize(a: Tensor) -> Tensor:
@@ -657,9 +719,9 @@ def multi_head_attention(
                 del heads, e, r  # before the next slice's block is made
     out = Tensor(merged @ wo_data)
 
-    def backward(g):
+    def backward(g, into=(None,) * 5):
         d_merged = g @ wo_data.T
-        d_wo = merged.T @ g
+        d_wo = np.matmul(merged.T, g, out=into[4])
         # the softmax's row term rowsum(G * O) of every head, in the merged rows
         g_o = _row_sums((d_merged * merged).reshape(-1, n_heads, dh))
         dq, dk, dv = np.empty_like(q_all), np.empty_like(k_all), np.empty_like(v_all)
@@ -677,15 +739,17 @@ def multi_head_attention(
         else:
             d_x = dk @ wk_data.T + dv @ wv_data.T
             _add_rows(d_x, queries, dq @ wq_scaled.T)  # a query row may repeat
+        d_wq = np.matmul(xq.T, dq, out=into[1])
+        d_wq *= scale
         return (
             d_x,
-            scale * (xq.T @ dq),
-            x_data.T @ dk,
-            x_data.T @ dv,
+            d_wq,
+            np.matmul(x_data.T, dk, out=into[2]),
+            np.matmul(x_data.T, dv, out=into[3]),
             d_wo,
         )
 
-    return _record(out, (x, wq, wk, wv, wo), backward)
+    return _record(out, (x, wq, wk, wv, wo), backward, into=True)
 
 
 def mean(a: Tensor) -> Tensor:

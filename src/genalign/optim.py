@@ -6,11 +6,18 @@ out in name order, with matching gradient and moment buffers.  Each
 parameter's ``data`` is a view of its slot, updated in place, so a step walks
 a few long runs of slots in cache-sized chunks instead of one tensor at a
 time (NVIDIA Apex's multi-tensor ``FusedAdam``; ZeRO's flat buffers,
-Rajbhandari et al. 2020)."""
+Rajbhandari et al. 2020).
+
+Gradients live in the gradient buffer and nowhere else: ``checked_step``
+hands ``Tape.backward`` each parameter's gradient slot (``AdamW.slots``), the
+backward writes each gradient there, checking its shape and dtype as it
+arrives, and ``step`` reads the slots in place (as PyTorch DDP's gradients
+are views of its buckets, Li et al. 2020)."""
 
 from __future__ import annotations
 
 import math
+from typing import Container
 
 import numpy as np
 
@@ -29,14 +36,13 @@ class TrainingError(RuntimeError):
 class _Flat:
     """One dtype's parameters, gradients and moments as flat buffers, two
     chunk rows of scratch for a pass's temporaries, and the slots: each
-    parameter's name, the parameter, its gradient's view, its ``[start,
-    stop)`` and its lr scale."""
+    parameter, its ``[start, stop)`` and its lr scale."""
 
     def __init__(self, size: int, dtype: np.dtype):
         self.param, self.grad = np.empty(size, dtype), np.empty(size, dtype)
         self.m, self.v = np.zeros(size, dtype), np.zeros(size, dtype)
         self.scratch = np.empty((2, min(size, CHUNK)), dtype)
-        self.slots: list[tuple[str, Tensor, np.ndarray, int, int, float]] = []
+        self.slots: list[tuple[Tensor, int, int, float]] = []
 
 
 class AdamW:
@@ -51,7 +57,9 @@ class AdamW:
         lr_scale: dict[str, float] | None = None,
     ):
         """Copies each parameter into its slot and makes its ``data`` a view
-        of it; an array the caller passed in is left as it was."""
+        of it; an array the caller passed in is left as it was.  ``slots``
+        maps each parameter to its name and its gradient's view, the
+        ``slots`` a backward writes this optimizer's gradients into."""
         self.params = params
         self.lr = lr
         self.total_steps = total_steps
@@ -64,6 +72,7 @@ class AdamW:
         for name in sorted(params):
             groups.setdefault(params[name].data.dtype, []).append(name)
         self._flats = []
+        self.slots: dict[Tensor, tuple[str, np.ndarray]] = {}
         self._m, self._v = {}, {}  # each parameter's view of the moments
         for dtype, names in groups.items():
             flat = _Flat(sum(params[n].data.size for n in names), dtype)
@@ -75,7 +84,8 @@ class AdamW:
                     a[start:stop].reshape(param.shape) for a in (flat.param, flat.grad, flat.m, flat.v))
                 view[...] = param.data
                 param.data = view
-                flat.slots.append((name, param, grad, start, stop, self._scale_for(name)))
+                self.slots[param] = (name, grad)
+                flat.slots.append((param, start, stop, self._scale_for(name)))
                 start = stop
             self._flats.append(flat)
 
@@ -87,37 +97,29 @@ class AdamW:
 
     def checked_step(self, tape: Tape, loss: Tensor, where: str) -> float:
         """Refuse a non-finite ``loss`` naming ``where``; else backward on
-        ``tape`` and step at the scheduled rate.  Returns the loss."""
+        ``tape`` into the gradient slots and step at the scheduled rate.
+        Returns the loss."""
         loss_value = float(loss.data)
         if not np.isfinite(loss_value):
             raise TrainingError(f"non-finite loss in {where}")
-        self.step(tape.backward(loss), warmup_cosine_lr(self.step_count, self.total_steps, self.lr))
+        self.step(tape.backward(loss, self.slots),
+                  warmup_cosine_lr(self.step_count, self.total_steps, self.lr))
         return loss_value
 
-    def step(self, grads: dict[Tensor, np.ndarray], lr: float) -> None:
-        """Copy each gradient into its slot and update, in place, the runs of
-        adjacent slots that got one and share an lr scale; a parameter
-        without a gradient, and its moments, are left as they were.  A
-        gradient of another shape or dtype than its parameter's is refused,
-        naming the parameter, before any slot is written."""
-        for flat in self._flats:
-            for name, param, *_ in flat.slots:
-                grad = grads.get(param)
-                # np.copyto would broadcast and cast it into the slot
-                if grad is not None and (grad.shape != param.shape or grad.dtype != param.dtype):
-                    raise TrainingError(
-                        f"gradient of {name}: {grad.dtype.name} {grad.shape}, "
-                        f"but the parameter is {param.dtype.name} {param.shape}")
+    def step(self, grads: Container[Tensor], lr: float) -> None:
+        """Update, in place, the runs of adjacent slots that share an lr
+        scale and whose parameter is in ``grads``, a ``Tape.backward`` result
+        given ``slots``: each of them holds its parameter's gradient.  A
+        parameter without a gradient, and its moments, are left as they
+        were."""
         self.step_count += 1
         bc1 = 1.0 - self.beta1**self.step_count
         bc2 = 1.0 - self.beta2**self.step_count
         for flat in self._flats:
             runs = []  # [start, stop, scale]
-            for _, param, grad_slot, start, stop, scale in flat.slots:
-                grad = grads.get(param)
-                if grad is None:
+            for param, start, stop, scale in flat.slots:
+                if param not in grads:
                     continue
-                np.copyto(grad_slot, grad)
                 if runs and runs[-1][1] == start and runs[-1][2] == scale:
                     runs[-1][1] = stop
                 else:
