@@ -361,19 +361,17 @@ def read_checkpoint(path: str | Path, stage: str, sections: dict[str, type]) -> 
 MODEL_MISMATCH = "tensors differ from the model its header's configs declare"
 
 
-def check_tensors(tensors: dict, expected: dict, context: str, error: type = FormatError,
-                  prefix: str = "") -> None:
+def check_tensors(tensors: dict, expected: dict, context: str, error: type = FormatError) -> None:
     """Raise ``error`` after ``context`` at the first name at which
     ``tensors`` and ``expected`` differ by presence or shape."""
     for name in sorted(tensors.keys() | expected.keys()):
-        label = repr(prefix + name)
         if name not in tensors:
-            raise error(f"{context}: no tensor {label}")
+            raise error(f"{context}: no tensor {name!r}")
         if name not in expected:
-            raise error(f"{context}: tensor {label} is not in the model")
+            raise error(f"{context}: tensor {name!r} is not in the model")
         got, want = list(tensors[name].shape), list(expected[name].shape)
         if got != want:
-            raise error(f"{context}: tensor {label} has shape {got}, not {want}")
+            raise error(f"{context}: tensor {name!r} has shape {got}, not {want}")
 
 
 def inspect_header(path: str | Path) -> dict:

@@ -3,10 +3,11 @@
 
 The optimizer owns its parameters' storage: one flat buffer per dtype, laid
 out in name order, with matching gradient and moment buffers.  Each
-parameter's ``data`` is a view of its slot, updated in place, so a step walks
-a few long runs of slots in cache-sized chunks instead of one tensor at a
-time (NVIDIA Apex's multi-tensor ``FusedAdam``; ZeRO's flat buffers,
-Rajbhandari et al. 2020).
+parameter's ``data`` is a view of its slot, updated in place (a parameter
+given a new array is refused, not left behind), so a step walks a few long
+runs of slots in cache-sized chunks instead of one tensor at a time (NVIDIA
+Apex's multi-tensor ``FusedAdam``; ZeRO's flat buffers, Rajbhandari et al.
+2020).
 
 Gradients live in the gradient buffer and nowhere else: ``checked_step``
 hands ``Tape.backward`` each parameter's gradient slot (``AdamW.slots``), the
@@ -36,13 +37,13 @@ class TrainingError(RuntimeError):
 class _Flat:
     """One dtype's parameters, gradients and moments as flat buffers, two
     chunk rows of scratch for a pass's temporaries, and the slots: each
-    parameter, its ``[start, stop)`` and its lr scale."""
+    parameter, its view of ``param``, its ``[start, stop)`` and its lr scale."""
 
     def __init__(self, size: int, dtype: np.dtype):
         self.param, self.grad = np.empty(size, dtype), np.empty(size, dtype)
         self.m, self.v = np.zeros(size, dtype), np.zeros(size, dtype)
         self.scratch = np.empty((2, min(size, CHUNK)), dtype)
-        self.slots: list[tuple[Tensor, int, int, float]] = []
+        self.slots: list[tuple[Tensor, np.ndarray, int, int, float]] = []
 
 
 class AdamW:
@@ -85,7 +86,7 @@ class AdamW:
                 view[...] = param.data
                 param.data = view
                 self.slots[param] = (name, grad)
-                flat.slots.append((param, start, stop, self._scale_for(name)))
+                flat.slots.append((param, view, start, stop, self._scale_for(name)))
                 start = stop
             self._flats.append(flat)
 
@@ -98,10 +99,12 @@ class AdamW:
     def checked_step(self, tape: Tape, loss: Tensor, where: str) -> float:
         """Refuse a non-finite ``loss`` naming ``where``; else backward on
         ``tape`` into the gradient slots and step at the scheduled rate.
-        Returns the loss."""
+        Returns the loss.  A detached parameter (``step``) is refused before
+        the backward writes any gradient slot."""
         loss_value = float(loss.data)
         if not np.isfinite(loss_value):
             raise TrainingError(f"non-finite loss in {where}")
+        self._refuse_detached()
         self.step(tape.backward(loss, self.slots),
                   warmup_cosine_lr(self.step_count, self.total_steps, self.lr))
         return loss_value
@@ -111,13 +114,16 @@ class AdamW:
         scale and whose parameter is in ``grads``, a ``Tape.backward`` result
         given ``slots``: each of them holds its parameter's gradient.  A
         parameter without a gradient, and its moments, are left as they
-        were."""
+        were.  A parameter whose ``data`` is no longer the view of its slot
+        (the caller assigned it a new array) is refused first, naming it:
+        the step would move the slot and leave the parameter behind."""
+        self._refuse_detached()
         self.step_count += 1
         bc1 = 1.0 - self.beta1**self.step_count
         bc2 = 1.0 - self.beta2**self.step_count
         for flat in self._flats:
             runs = []  # [start, stop, scale]
-            for param, start, stop, scale in flat.slots:
+            for param, _, start, stop, scale in flat.slots:
                 if param not in grads:
                     continue
                 if runs and runs[-1][1] == start and runs[-1][2] == scale:
@@ -127,6 +133,13 @@ class AdamW:
             for start, stop, scale in runs:
                 for lo in range(start, stop, CHUNK):
                     self._update(flat, slice(lo, min(lo + CHUNK, stop)), lr * scale, bc1, bc2)
+
+    def _refuse_detached(self) -> None:
+        for flat in self._flats:
+            for param, view, *_ in flat.slots:
+                if param.data is not view:
+                    raise TrainingError(f"{self.slots[param][0]}: its data is no longer the view of its "
+                                        f"optimizer slot; assign into it in place (data[...] = ...)")
 
     def _update(self, flat: _Flat, part: slice, step_lr: float, bc1: float, bc2: float) -> None:
         param, grad, m, v = flat.param[part], flat.grad[part], flat.m[part], flat.v[part]

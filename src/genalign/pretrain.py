@@ -17,15 +17,18 @@ and its rows at the masked positions (with iBOT on).  Those rows stay stacked in
 the loss: the head runs once per pass (two head calls per step), and one
 log-softmax and one cross entropy score every student row.
 
-The schedule and the checked step are ``optim.AdamW.checked_step``'s.
-``load_checkpoint`` hands stage 2 the student's aggregator alone, checked
-against its header's aggregator config.
+The schedule and the checked step are ``optim.AdamW.checked_step``'s.  The
+teacher and its center exist only while training: a stage-1 checkpoint holds
+the student's aggregator alone, as ``student.<name>`` tensors, and
+``load_checkpoint`` hands it to stage 2, checked against its header's
+aggregator config.  Files of the former layout, which also held the student's
+head, the teacher and the center, load alike; those tensors are skipped.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -196,16 +199,6 @@ def center_update(center: np.ndarray, teacher_logits: np.ndarray, momentum: floa
     return momentum * center + (1.0 - momentum) * batch_mean
 
 
-@dataclass
-class TeacherState:
-    params: dict[str, Tensor]
-    center: np.ndarray
-
-
-def _copy_params(params: dict[str, Tensor]) -> dict[str, Tensor]:
-    return {k: Tensor(v.data.copy()) for k, v in params.items()}
-
-
 def embed_bags(
     bags: list[CellBag], params: dict[str, Tensor], config: AggregatorConfig
 ) -> np.ndarray:
@@ -225,35 +218,31 @@ def cls_dimension_std(embeddings: np.ndarray) -> float:
 @dataclass
 class PretrainResult:
     student_params: dict[str, Tensor]
-    teacher: TeacherState
-    metrics: list[dict] = field(default_factory=list)
-    agg_config: AggregatorConfig = None
-    config: PretrainConfig = None
+    metrics: list[dict]
+    agg_config: AggregatorConfig
+    config: PretrainConfig
 
     def save(self, path: str | Path) -> None:
-        tensors: dict[str, np.ndarray] = {}
-        for name, p in self.student_params.items():
-            tensors[f"student.{name}"] = p.data
-        for name, p in self.teacher.params.items():
-            tensors[f"teacher.{name}"] = p.data
-        tensors["center"] = self.teacher.center
+        """The student's aggregator alone, as ``student.<name>`` for each
+        name in ``param_specs(agg_config)``: no head, no teacher, no center."""
+        tensors = {f"student.{name}": self.student_params[name].data for name in param_specs(self.agg_config)}
         gbio.write_checkpoint(path, tensors, "pretrain", self.agg_config, self.config)
 
 
 def load_checkpoint(path: str | Path) -> tuple[dict[str, Tensor], AggregatorConfig]:
-    """The student's aggregator params (no head) and aggregator config of a
-    stage-1 checkpoint; any other file, or tensors other than the ones that
-    config declares, is refused with ``gbio.FormatError``."""
+    """The student's aggregator params and aggregator config of a stage-1
+    checkpoint, its ``student.`` tensors checked against that config's
+    ``param_specs``.  A file in the former layout loads alike: its student
+    head, teacher and center are skipped.  Any other file, or a tensor that
+    is neither, is refused with ``gbio.FormatError`` naming it."""
     tensors, configs = gbio.read_checkpoint(path, "pretrain", {"aggregator": AggregatorConfig})
-    if "center" not in tensors:
-        raise gbio.FormatError(f"{path}: pretraining checkpoint has no 'center' tensor")
     agg_config = configs["aggregator"]
-    student = {name[len("student."):]: Tensor(arr, requires_grad=True)
-               for name, arr in tensors.items()
-               if name.startswith("student.") and not name.startswith("student.head.")}
-    gbio.check_tensors(student, param_specs(agg_config), f"{path}: {gbio.MODEL_MISMATCH}",
-                       prefix="student.")
-    return student, agg_config
+    # files of the former layout also hold the student's head, the teacher and the center
+    kept = {name: arr for name, arr in tensors.items()
+            if name != "center" and not name.startswith(("student.head.", "teacher."))}
+    gbio.check_tensors(kept, {f"student.{name}": spec for name, spec in param_specs(agg_config).items()},
+                       f"{path}: {gbio.MODEL_MISMATCH}")
+    return {name[len("student."):]: Tensor(arr, requires_grad=True) for name, arr in kept.items()}, agg_config
 
 
 def _batches(n: int, batch_size: int, rng: np.random.Generator) -> list[np.ndarray]:
@@ -272,10 +261,10 @@ def train_pretrain(
     rng = np.random.default_rng(config.seed)
     student = init_params(agg_config, rng)
     student.update(init_head_params(agg_config.embed_dim, config, rng))
-    teacher = TeacherState(
-        params=_copy_params(student),
-        center=np.zeros(config.n_prototypes, dtype=np.float32),
-    )
+    # the EMA teacher and its logits' center live only here: the checkpoint
+    # hands on the student's aggregator alone
+    teacher = {name: Tensor(p.data.copy()) for name, p in student.items()}
+    center = np.zeros(config.n_prototypes, dtype=np.float32)
     optimizer = AdamW(student, config.lr, config.epochs * math.ceil(len(bags) / config.batch_size),
                       weight_decay=config.weight_decay)
     metrics: list[dict] = []
@@ -285,15 +274,22 @@ def train_pretrain(
         batches = _batches(len(bags), config.batch_size, rng)
         teacher_cls = []
         for batch_idx, batch in enumerate(batches):
+            batch_bags = [bags[i] for i in batch]
             views_per_patient = [
-                sample_views(bags[i], config.k_global, config.k_local, config.mask_ratio, rng)
-                for i in batch
+                sample_views(bag, config.k_global, config.k_local, config.mask_ratio, rng)
+                for bag in batch_bags
             ]
-            dino_value, ibot_value, loss_value, cls_rows = _train_step(
-                [bags[i] for i in batch], views_per_patient, student, teacher, optimizer,
-                agg_config, config, teacher_temp, f"epoch{epoch}/batch{batch_idx}")
-            epoch_dino += dino_value * len(batch)
-            epoch_ibot += ibot_value * len(batch)
+            cls_rows, targets = teacher_targets(batch_bags, views_per_patient, teacher, agg_config, config)
+            with Tape() as tape:
+                dino, ibot, loss = pretrain_objective(
+                    batch_bags, views_per_patient, student, targets, center,
+                    agg_config, config, teacher_temp,
+                )
+            loss_value = optimizer.checked_step(tape, loss, f"epoch{epoch}/batch{batch_idx}")
+            ema_update(teacher, student, config.ema_momentum)
+            center = center_update(center, targets[: len(cls_rows)], CENTER_MOMENTUM)
+            epoch_dino += float(dino.data) * len(batch)
+            epoch_ibot += float(ibot.data) * len(batch)
             epoch_total += loss_value * len(batch)
             teacher_cls.append(cls_rows)
         record = {
@@ -306,7 +302,7 @@ def train_pretrain(
         metrics.append(record)
         if metrics_path is not None:
             gbio.write_metrics(metrics_path, metrics)
-    return PretrainResult(student, teacher, metrics, agg_config, config)
+    return PretrainResult(student, metrics, agg_config, config)
 
 
 def _views_in_row_order(
@@ -361,22 +357,3 @@ def pretrain_objective(
     return dino_ibot_loss(targets, head_forward(hidden, student), len(batch_bags), center,
                           teacher_temp, config)
 
-
-def _train_step(
-    batch_bags: list[CellBag], views_per_patient: list[list[BagView]], student: dict[str, Tensor],
-    teacher: TeacherState, optimizer: AdamW, agg_config: AggregatorConfig, config: PretrainConfig,
-    teacher_temp: float, batch_id: str,
-) -> tuple[float, float, float, np.ndarray]:
-    """One optimizer step: (dino, ibot, total) and the teacher's global CLS rows."""
-    cls_rows, targets = teacher_targets(
-        batch_bags, views_per_patient, teacher.params, agg_config, config
-    )
-    with Tape() as tape:
-        dino, ibot, loss = pretrain_objective(
-            batch_bags, views_per_patient, student, targets, teacher.center,
-            agg_config, config, teacher_temp,
-        )
-    loss_value = optimizer.checked_step(tape, loss, batch_id)
-    ema_update(teacher.params, student, config.ema_momentum)
-    teacher.center = center_update(teacher.center, targets[: len(cls_rows)], CENTER_MOMENTUM)
-    return float(dino.data), float(ibot.data), loss_value, cls_rows

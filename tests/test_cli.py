@@ -401,12 +401,12 @@ class TestEmbedRetrieveEvaluate:
         bad = tmp_path / "bad.gbck"
         bad.write_bytes((pipeline / "ckpt.gbck").read_bytes())
         entries = gbio.inspect_header(bad)["header"]["tensors"]
-        rewrite_header(bad, tensors=[{**e, "shape": [-1]} if e["name"] == "center" else e
+        rewrite_header(bad, tensors=[{**e, "shape": [-1]} if e["name"] == "student.cls" else e
                                      for e in entries])
         out = tmp_path / "x.gbm"
         assert main(["embed", "--ckpt", str(bad), "--cohort", str(pipeline / "cohort" / "bags.gbm"),
                      "--out", str(out)]) == 1
-        assert (f"{bad}: tensor 'center' has shape [-1], not a list of non-negative integers"
+        assert (f"{bad}: tensor 'student.cls' has shape [-1], not a list of non-negative integers"
                 in caplog.text)
         assert not out.exists()
 

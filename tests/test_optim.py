@@ -128,6 +128,28 @@ def test_checked_step_refuses_a_non_finite_loss_leaving_the_state_as_it_was(rng,
         assert before.tobytes() == after.tobytes()
 
 
+def test_a_parameter_given_a_new_array_is_refused_before_anything_moves():
+    """Assigning ``w.data`` detaches it from its slot: a step would move the
+    slot to 0.9 and leave w at 3.0.  It is refused, naming w, before the
+    backward writes a gradient slot or the step count moves; the refusal
+    stands for ``step`` called directly."""
+    params = {"b": Tensor(np.ones(3), requires_grad=True), "w": Tensor(np.ones((2, 2)), requires_grad=True)}
+    opt = AdamW(params, 0.1, 1)
+    params["w"].data = 3 * np.ones((2, 2))
+    (flat,) = opt._flats
+    state = [a.copy() for a in (flat.param, flat.grad, flat.m, flat.v)]
+    with Tape() as tape:
+        loss = ndiff.add(ndiff.mean(params["b"]), ndiff.mean(params["w"]))
+    with pytest.raises(TrainingError, match=r"^w: its data is no longer the view of its optimizer slot"):
+        opt.checked_step(tape, loss, "x")
+    with pytest.raises(TrainingError, match=r"^w: "):
+        opt.step(opt.slots, 0.1)
+    assert opt.step_count == 0
+    for before, after in zip(state, (flat.param, flat.grad, flat.m, flat.v)):
+        assert before.tobytes() == after.tobytes()
+    assert np.all(params["w"].data == 3.0)
+
+
 def kernel(w, grad):
     """A hand-recorded node on ``w`` whose backward returns ``grad``."""
     return ndiff._record(Tensor(w.data.sum()), (w,), lambda g: (grad,))
