@@ -15,7 +15,10 @@ Views of different lengths pack into one call, as packed sequences do
 only attention is grouped per sequence.  Every caller (pretraining's sub-bag
 views; alignment, embedding and evaluation's full bags) goes through
 ``forward_bags``, which packs its views into as few ``forward`` calls as a
-per-call float budget allows.
+per-call float budget allows.  Without a tape, attention runs its queries in
+slices sized to the L2 cache against a contiguous K^T
+(``ndiff.multi_head_attention``), so a bag of any size holds at most
+``MAX_CALL_FLOATS`` (1,025^2) scores at once.
 Multi-crop view sampling draws global (70%) and local (20%) sub-bags, with a
 mask on each global view for the masked-prediction objective.
 """
@@ -302,10 +305,15 @@ def forward_bags(
     few ``forward`` calls as ``MAX_CALL_FLOATS`` allows, a view of n cells
     counting its attention scores, heads * (n + 1)^2, plus one MLP
     activation row per token, (n + 1) * mlp_dim.  A view over that budget
-    runs alone, and without a tape its attention queries run in slices of
-    at most ``MAX_CALL_FLOATS`` scores, so it never holds its whole score
-    tensor.  Returns every view's CLS row in input order, then each view's
-    token rows."""
+    runs alone.  Without a tape, attention queries run in slices of about
+    ``ndiff.SCORE_TILE_FLOATS`` scores, at least ``ndiff.SLICE_MIN_ROWS``
+    query rows and never more than ``MAX_CALL_FLOATS`` scores: at 4 heads,
+    seven 64-cell views to a slice, 48 query rows of a 1,024-cell bag
+    (196,800 scores) and 43 of a 6,000-cell one (1,032,172), so no bag
+    holds its whole score tensor.  Returns every view's CLS row in input
+    order, then each view's token rows."""
+    if not len(cells):
+        raise ValueError("forward_bags: no views were given")
     none = [np.empty(0, np.int64)] * len(cells)
     masks, tokens = (none if m is None else [np.asarray(x, np.int64) for x in m] for m in (masks, tokens))
     if not len(masks) == len(tokens) == len(cells):

@@ -568,8 +568,14 @@ def gather_rows(parts: Tensor | Sequence[Tensor], idx) -> Tensor:
 
 
 # The float budget of one aggregator call (``aggregator.forward_bags`` packs
-# its views under it) and of one untaped attention slice's scores
+# its views under it) and the most scores one untaped attention slice holds
 MAX_CALL_FLOATS = 1025**2
+
+# An untaped attention slice takes as many query rows as fit SCORE_TILE_FLOATS
+# scores (512 KB of f32, a quarter of a 2 MB L2), but at least SLICE_MIN_ROWS,
+# below which each product's fixed cost outweighs the cache it saves
+SCORE_TILE_FLOATS = 2**17
+SLICE_MIN_ROWS = 48
 
 # The band [SOFTMAX_SUM_FLOOR, 1 / SOFTMAX_SUM_FLOOR] that every row sum of an
 # unshifted softmax slice must lie in; otherwise the slice is computed again,
@@ -579,23 +585,31 @@ MAX_CALL_FLOATS = 1025**2
 SOFTMAX_SUM_FLOOR = 2.0**-64
 
 
-def _softmax_values(q: np.ndarray, k: np.ndarray, v: np.ndarray):
-    """``softmax(q k^T) v`` over (sequence, head) batches, normalised after
-    the value product: the head outputs, the unnormalised block ``e`` and
-    its row sums ``r``, exponentiated unshifted and guarded as
-    ``multi_head_attention`` describes."""
-    e = q @ k.swapaxes(-1, -2)
+def _softmax_values(q: np.ndarray, kt: np.ndarray, v: np.ndarray):
+    """``softmax(q kt) v`` over (sequence, head) batches, ``kt`` the keys
+    transposed, ``(..., dh, n)``, normalised after the value product: the
+    head outputs, the unnormalised block ``e`` and its row sums ``r``,
+    exponentiated unshifted and guarded as ``multi_head_attention``
+    describes."""
+    e = q @ kt
     with np.errstate(over="ignore", invalid="ignore"):  # an overflow only sends r out of the band
         np.exp(e, out=e)
         r = _row_sums(e)
     if not ((r >= SOFTMAX_SUM_FLOOR) & (r <= 1.0 / SOFTMAX_SUM_FLOOR)).all():
-        np.matmul(q, k.swapaxes(-1, -2), out=e)
+        np.matmul(q, kt, out=e)
         e -= e.max(axis=-1, keepdims=True)
         np.exp(e, out=e)
         r = _row_sums(e)
     heads = e @ v
     heads /= r
     return heads, e, r
+
+
+def _slice_rows(scores_per_row: int) -> int:
+    """Query rows per untaped attention slice, each row holding
+    ``scores_per_row`` scores (heads times keys)."""
+    tile = max(SCORE_TILE_FLOATS // scores_per_row, SLICE_MIN_ROWS)
+    return max(1, min(tile, MAX_CALL_FLOATS // scores_per_row))
 
 
 def multi_head_attention(
@@ -640,14 +654,30 @@ def multi_head_attention(
     computed again into the same block, each row shifted by its own max,
     and that ``e`` and ``r`` are kept: the backward reads ``e / r`` as is.
     A slice that falls back pays a second score product and the row max:
-    one untaped 1,025-row call whose scores all sit near 50 takes about 1.7
+    one untaped 1,025-row call whose scores all sit near 50 takes about 1.9
     times as long as with scores of a few units.
 
     Each run's query rows go through one loop of slices.  A recorded node
-    takes each run as one slice and keeps its block for the backward.
-    Otherwise nothing is kept, and a slice holds at most ``MAX_CALL_FLOATS``
-    scores (at least one query row), which is exact (Rabe & Staats 2021), so
-    a long sequence never holds its whole block.
+    takes each run as one slice, multiplies its queries by a strided view of
+    K transposed, and keeps its block for the backward, which reads K.
+    Otherwise nothing is kept, and every slice multiplies by one contiguous
+    ``(d, rows)`` K^T, made once per call as ``Wk^T x^T``: each (sequence,
+    head) is a ``(dh, n)`` matrix at unit stride along n, which BLAS reads
+    as it is, where the strided view had it pack the keys again for every
+    slice (Goto & van de Geijn 2008).  A slice takes as many query rows as
+    fit ``SCORE_TILE_FLOATS`` scores, so that the block it makes,
+    exponentiates and multiplies by V stays in L2, as FlashAttention's
+    tiles stay in fast memory; but at least ``SLICE_MIN_ROWS`` rows, and
+    never more than ``MAX_CALL_FLOATS`` scores (nor fewer than one query
+    row).  Slicing is exact (Rabe & Staats 2021), so a long sequence never
+    holds its whole block.  At 4 heads of 16 dims, 64-cell views run seven
+    to a slice, a 901-row sequence in slices of 48 query rows and a
+    6,001-row one of 43.  One untaped 901-row call takes about 4.4 ms so,
+    and took 5.3 ms in slices of at most ``MAX_CALL_FLOATS`` scores (291
+    rows) against the strided view (2-vCPU Xeon, one BLAS thread).  A taped
+    run gains nothing from K^T, whose product it would pay for its one
+    block per run: that cost a 32-bag alignment batch's forward and
+    backward about 1%.
     """
     for w, name in ((wq, "wq"), (wk, "wk"), (wv, "wv"), (wo, "wo")):
         _check_same_dtype(x, w, f"multi_head_attention/{name}")
@@ -696,26 +726,29 @@ def multi_head_attention(
     # the scale folds into Wq, a (d, d) pass, so no pass scales the scores
     wq_scaled = wq.data * scale
     q_all = xq @ wq_scaled
-    k_all = x_data @ wk_data
+    taped = _records((x, wq, wk, wv, wo))
+    if taped:  # the backward reads K
+        k_all = x_data @ wk_data
+        kt_all = k_all.T
+    else:  # K^T in one product, contiguous: keys at unit stride along each sequence
+        kt_all = wk_data.T @ x_data.T
     v_all = x_data @ wv_data
     merged = np.empty_like(q_all)
-    taped = _records((x, wq, wk, wv, wo))
     blocks = []  # per run when taped: q, k, v, its (seqs, h, t, n) block e and its row sums r
     for r0, q0, seqs, n, t in runs:
         q = split(q_all[q0 : q0 + seqs * t], seqs)
-        k = split(k_all[r0 : r0 + seqs * n], seqs)
+        kt = kt_all[:, r0 : r0 + seqs * n].reshape(n_heads, dh, seqs, n).transpose(2, 0, 1, 3)
         v = split(v_all[r0 : r0 + seqs * n], seqs)
-        # slices of ss sequences by ts query rows: one slice when taped, else
-        # at most MAX_CALL_FLOATS scores each
-        step = seqs * t if taped else max(1, MAX_CALL_FLOATS // (n_heads * n))
+        step = seqs * t if taped else _slice_rows(n_heads * n)
+        # slices of ss whole sequences, or of ts query rows of one sequence
         ss, ts = max(1, step // t), min(t, step)
         out_rows = merged[q0 : q0 + seqs * t].reshape(seqs, t, n_heads, dh)
         for s in range(0, seqs, ss):
             for a in range(0, t, ts):
-                heads, e, r = _softmax_values(q[s : s + ss, :, a : a + ts], k[s : s + ss], v[s : s + ss])
+                heads, e, r = _softmax_values(q[s : s + ss, :, a : a + ts], kt[s : s + ss], v[s : s + ss])
                 out_rows[s : s + ss, a : a + ts] = heads.transpose(0, 2, 1, 3)
                 if taped:  # the run's one slice
-                    blocks.append((q, k, v, e, r))
+                    blocks.append((q, split(k_all[r0 : r0 + seqs * n], seqs), v, e, r))
                 del heads, e, r  # before the next slice's block is made
     out = Tensor(merged @ wo_data)
 

@@ -337,6 +337,10 @@ class TestForwardBags:
         assert peak < TINY.heads * (n + 1) ** 2 * 4  # the whole f32 score tensor
         np.testing.assert_allclose(sliced, taped, rtol=1e-6, atol=1e-6)
 
+    def test_no_views_refused(self, tiny_params):
+        with pytest.raises(ValueError, match="no views were given"):
+            agg.forward_bags([], tiny_params, TINY)
+
     def test_one_mask_and_token_array_per_view_required(self, tiny_params, rng):
         cells, masks, tokens = ragged_views(rng, [4, 5])
         with pytest.raises(ValueError, match="2 views, 1 masks and 2 token arrays"):

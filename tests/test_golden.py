@@ -7,8 +7,8 @@ a float64 sum and sum of squares of each checkpoint tensor and each
 aligned-table matrix.  Rank-derived numbers (MRR, top-k, probes) are left
 out, because a near-tie can flip them with rounding alone.
 
-A change that alters these values on purpose regenerates the file with
-``PYTHONPATH=src python tests/regen_golden.py`` and lists old -> new.
+A change that alters these values on purpose rewrites the values it moves
+with ``PYTHONPATH=src python tests/regen_golden.py`` and lists old -> new.
 """
 
 import json
@@ -72,16 +72,16 @@ def _leaves(tree, path=""):
         yield path, tree
 
 
-def golden_mismatches(expected: dict, got: dict) -> list[str]:
-    """Every pinned value that ``got`` misses: a missing or extra key, an
-    integer that differs, or a float off by more than ``RTOL`` relative.
+def mismatched_paths(expected: dict, got: dict) -> list[str]:
+    """The path of every pinned value that ``got`` misses: a missing or
+    extra key, an integer that differs, or a float off by more than ``RTOL``
+    relative.
 
     A tensor's sum is read relative to its l2 norm, sqrt(sumsq): a sum that
     cancels to near zero is no more exact than the entries it adds up."""
     want, have = dict(_leaves(expected)), dict(_leaves(got))
-    bad = [f"{path}: missing" for path in want.keys() - have.keys()]
-    bad += [f"{path}: not pinned" for path in have.keys() - want.keys()]
-    for path in sorted(want.keys() & have.keys()):
+    bad = list(want.keys() ^ have.keys())
+    for path in want.keys() & have.keys():
         a, b = want[path], have[path]
         if isinstance(a, int) and isinstance(b, int):
             ok = a == b
@@ -89,8 +89,16 @@ def golden_mismatches(expected: dict, got: dict) -> list[str]:
             scale = math.sqrt(want[path[: -len("sum")] + "sumsq"]) if path.endswith("/sum") else abs(a)
             ok = abs(a - b) <= RTOL * scale
         if not ok:
-            bad.append(f"{path}: golden {a!r}, got {b!r}")
-    return bad
+            bad.append(path)
+    return sorted(bad)
+
+
+def golden_mismatches(expected: dict, got: dict) -> list[str]:
+    """Each of ``mismatched_paths`` with the golden value and the one got."""
+    want, have = dict(_leaves(expected)), dict(_leaves(got))
+    return [f"{path}: missing" if path not in have else f"{path}: not pinned" if path not in want
+            else f"{path}: golden {want[path]!r}, got {have[path]!r}"
+            for path in mismatched_paths(expected, got)]
 
 
 def test_golden_chain(tmp_path):

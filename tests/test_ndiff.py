@@ -981,9 +981,9 @@ class TestPackedAttention:
         monkeypatch.setattr(ndiff, "MAX_CALL_FLOATS", budget)
         blocks, softmax_values = [], ndiff._softmax_values
 
-        def recording(q, k, v):
-            blocks.append((q.shape, k.shape[2]))
-            return softmax_values(q, k, v)
+        def recording(q, kt, v):
+            blocks.append((q.shape, kt.shape[3]))
+            return softmax_values(q, kt, v)
 
         monkeypatch.setattr(ndiff, "_softmax_values", recording)
         with Tape():
@@ -1003,3 +1003,75 @@ class TestPackedAttention:
         w = t64(np.eye(4))
         with pytest.raises(ndiff.NdiffError, match="do not split 11 rows"):
             ndiff.multi_head_attention(x, w, w, w, w, 2, seq_len=np.array(lengths))
+
+
+def _untaped_slices(monkeypatch, *args):
+    """Run an untaped ``multi_head_attention(*args)``; returns its output and,
+    per slice, the query block's shape, the key count and whether the slice
+    fell back to max-shifted scores (every row's largest term is then 1)."""
+    slices, softmax_values = [], ndiff._softmax_values
+
+    def recording(q, kt, v):
+        assert kt.strides[-1] == kt.itemsize  # keys at unit stride along the sequence
+        heads, e, r = softmax_values(q, kt, v)
+        slices.append((q.shape, kt.shape[3], bool((e.max(axis=-1) == 1).all())))
+        return heads, e, r
+
+    with monkeypatch.context() as m:
+        m.setattr(ndiff, "_softmax_values", recording)
+        out = ndiff.multi_head_attention(*args)
+    return out.data, slices
+
+
+def _taped_in_query_chunks(leaves, n_heads, lengths):
+    """The taped output, in calls whose blocks hold at most 2**22 scores."""
+    rows = int(lengths.sum())
+    chunk = max(1, 2**22 // (n_heads * int(lengths.max())))
+    if chunk >= rows:
+        chunks = [None]
+    else:  # one sequence: query chunks
+        chunks = [np.arange(a, min(a + chunk, rows)) for a in range(0, rows, chunk)]
+    with Tape():
+        return np.concatenate([ndiff.multi_head_attention(*leaves, n_heads, lengths, queries).data
+                               for queries in chunks])
+
+
+class TestAttentionTiles:
+    @pytest.mark.parametrize("lengths", [[57] * 32, [901], [3001], [6001]],
+                             ids=["32x57", "901", "3001", "6001"])
+    def test_untaped_slices_follow_the_tile_rule(self, rng, monkeypatch, lengths):
+        """At the default constants, a slice takes as many query rows as fit
+        the score tile, at least the row floor and at most MAX_CALL_FLOATS
+        scores: whole sequences when that many rows cover one, else query
+        rows of one sequence.  Each output matches the taped block's."""
+        lengths = np.array(lengths)
+        b, n, heads = lengths.size, int(lengths[0]), 4
+        x = Tensor(rng.standard_normal((lengths.sum(), 64)).astype(np.float32), requires_grad=True)
+        leaves = [x] + _f32_leaves(rng, *[(64, 64)] * 4, scale=0.15)
+        taped = _taped_in_query_chunks(leaves, heads, lengths)
+        sliced, slices = _untaped_slices(monkeypatch, *leaves, heads, lengths)
+        per_row = heads * n
+        rows = min(max(ndiff.SCORE_TILE_FLOATS // per_row, ndiff.SLICE_MIN_ROWS),
+                   ndiff.MAX_CALL_FLOATS // per_row)
+        if rows >= n:
+            want = [(min(rows // n, b - s), heads, n, 16) for s in range(0, b, rows // n)]
+        else:
+            want = [(1, heads, min(rows, n - a), 16) for a in range(0, n, rows)]
+        assert [q for q, _, _ in slices] == want
+        assert all(keys == n for _, keys, _ in slices)
+        assert max(np.prod(q) // 16 * n for q, _, _ in slices) <= ndiff.MAX_CALL_FLOATS
+        np.testing.assert_allclose(sliced, taped, rtol=1e-6, atol=1e-6)
+
+    def test_a_slice_on_the_fallback_matches_the_taped_block(self, rng, monkeypatch):
+        """Two rows scoring about 100 against each other overflow f32's exp:
+        the first slice, which holds them, falls back to max-shifted scores,
+        and no other slice does.  Their value rows are some 20 times the
+        others', so every output row is off by rounding of the largest."""
+        lengths = np.array([901])
+        leaves = _guarded_leaves(rng, lengths, 64, 4, spike=20.0, dtype=np.float32)
+        with Tape():
+            taped = ndiff.multi_head_attention(*leaves, 4, lengths).data
+        sliced, slices = _untaped_slices(monkeypatch, *leaves, 4, lengths)
+        assert [fell_back for _, _, fell_back in slices] == [True] + [False] * (len(slices) - 1)
+        assert np.isfinite(sliced).all()
+        np.testing.assert_allclose(sliced, taped, rtol=1e-6, atol=1e-6 * np.abs(taped).max())
